@@ -4,7 +4,8 @@ Every run is a pure function of (config, seed): reports carry no clocks or
 machine identifiers, JSON is emitted with sorted keys, and all randomness
 flows through the config's seed, so identical configs give byte-identical
 files.  Exit codes: 0 all checked inequalities hold, 2 at least one fails,
-1 for usage or validation errors.
+1 for usage or validation errors, 3 when a search found no qualifying
+object (a chain or path certificate search ran out of candidates).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -44,7 +44,6 @@ class ExperimentConfig:
     c_param: float = 1.0
     alpha_holder: str = "1/2"
     out: str | None = None
-    threads: int = 1
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -365,7 +364,6 @@ def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
         base["alphas"] = tuple(args.alpha.split(","))
     if "alphas" in base:
         base["alphas"] = tuple(base["alphas"])
-    base["threads"] = max(1, int(os.environ.get("CRITREG_THREADS", "1")))
     try:
         return ExperimentConfig(**base)
     except TypeError as exc:
@@ -397,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (concat.ChainSearchError, walks.CertificateSearchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     for r in report["rows"]:
         status = "pass" if r["passed"] else "FAIL"
         print(f"[{status}] {r['check']}: value={r['value']} bound={r['bound']}")

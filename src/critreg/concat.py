@@ -6,11 +6,13 @@ lattice point and every segment carries a recomputable goodness flag and a
 power-sum bound.  Builders are deterministic: every search scans candidates
 in ascending order and keeps the first qualifying object.
 
-Mass bookkeeping runs in exact rationals while box coordinates stay small
-and switches to log2-domain floats beyond that (weights like 2^-10^9 are
-far outside both float range and sane rational bit-lengths); flags checked
-in log2 mode use a 1e-9 comparison tolerance, which is many orders below
-the decision margins that actually occur.
+Every goodness decision has the form mass(A) <= q * mass(B) and goes
+through `lattice.mass_le`.  It decides from the log2 closed forms, split
+into an exact integer and a small float (weights like 2^-10^9 are far
+outside both float range and sane rational bit-lengths), whenever the two
+sides are further apart than a certified rounding margin, and compares
+exact rationals otherwise.  A record stores the bound pair (q, B) next to
+the flag, so `verify_chain` re-decides it from the weight family alone.
 """
 
 from __future__ import annotations
@@ -23,16 +25,18 @@ from typing import Iterable, Sequence
 
 from .boxes import BoxSequence, minimal_round_constant, vertical_subdivision
 from .lattice import (
+    Bound,
     Box,
     Coords,
     LengthFamily,
     NEG_INF,
     Segment,
     log2_fraction,
+    mass_le,
+    mass_log2,
+    mass_ratio_log2,
 )
 
-LOG_TOL = 1e-9
-EXACT_COORD_LIMIT = 4096
 SEARCH_CAP = 500_000
 
 
@@ -100,9 +104,10 @@ def goodness_ratio(
 
 def find_good_segment_d2(
     family: LengthFamily, box: Box, orientation: str
-) -> tuple[Segment, Fraction, Fraction]:
+) -> tuple[Segment, Bound]:
     """First segment with mass at most the family average (exists by
-    averaging); horizontal segments fix the second coordinate."""
+    averaging), with that bound; horizontal segments fix the second
+    coordinate."""
     if box.dim != 2:
         raise ValueError("two-dimensional boxes only")
     if orientation == "horizontal":
@@ -111,9 +116,7 @@ def find_good_segment_d2(
         fixed_axis, direction = 0, 1
     else:
         raise ValueError("orientation must be horizontal or vertical")
-    total = family.box_mass(box)
-    count = box.side(fixed_axis)
-    bound = total / count
+    bound = Bound(Fraction(1, box.side(fixed_axis)), box)
     lo, hi = box.intervals[fixed_axis]
     dlo, dhi = box.intervals[direction]
     for c in range(lo, hi + 1):
@@ -121,50 +124,9 @@ def find_good_segment_d2(
         anchor[fixed_axis] = c
         anchor[direction] = dlo
         seg = Segment(tuple(anchor), direction, dhi - dlo + 1, ambient=box)
-        mass = _segment_mass(family, seg)
-        if mass <= bound:
-            return seg, mass, bound
+        if mass_le(family, seg, bound):
+            return seg, bound
     raise AssertionError("averaging guarantees a good segment")
-
-
-def _segment_mass(family: LengthFamily, seg: Segment) -> Fraction:
-    return family.segment_mass(seg)  # type: ignore[attr-defined]
-
-
-# ---------------------------------------------------------------------------
-# mass bookkeeping in exact or log2 mode
-# ---------------------------------------------------------------------------
-
-
-class MassCalc:
-    """Uniform interface for goodness comparisons at both scales."""
-
-    def __init__(self, family: LengthFamily, exact: bool) -> None:
-        self.family = family
-        self.exact = exact
-
-    def box(self, box: Box):
-        if self.exact:
-            return self.family.box_mass(box)
-        return self.family.box_mass_log2(box)
-
-    def seg(self, seg: Segment):
-        if self.exact:
-            return self.family.segment_mass(seg)  # type: ignore[attr-defined]
-        return self.family.segment_mass_log2(seg)  # type: ignore[attr-defined]
-
-    def log2(self, value) -> float:
-        if self.exact:
-            return log2_fraction(value) if value else NEG_INF
-        return value
-
-    def mean_log2(self, region_mass, npoints: int) -> float:
-        return self.log2(region_mass) - math.log2(npoints)
-
-
-def _auto_exact(seq: BoxSequence) -> bool:
-    hi = max(abs(c) for b in seq.boxes for lo, hi_ in b.intervals for c in (lo, hi_))
-    return hi <= EXACT_COORD_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +139,16 @@ class SegmentRecord:
     n: int
     label: str
     seg: Segment
-    direction: int
     generator: str
     flag_kind: str
+    bound: Bound  # the flag claims mass(seg) <= bound.q * mass(bound.region)
+    flag_ok: bool  # as decided by mass_le
     mass_log2: float
     mass_bound_log2: float
     power_sum_log2: float
     power_base_log2: float  # log2 of max(L_n, L_(n+1))^alpha_s (B measured over these)
     entry: Coords | None
     exit: Coords | None
-
-    @property
-    def flag_ok(self) -> bool:
-        return self.mass_log2 <= self.mass_bound_log2 + LOG_TOL
 
     @property
     def points_between(self) -> int:
@@ -208,12 +167,11 @@ class ChainCertificate:
     seq: BoxSequence
     family_name: str
     alphas: tuple[Fraction, ...] | Fraction
-    records: list[SegmentRecord]
-    stretches: list[Segment]
     masses_log2: dict[int, float]
     measured: dict[str, float]
-    exact: bool
-    region_flags: list[tuple[str, int, int]] = field(default_factory=list)
+    records: list[SegmentRecord] = field(default_factory=list)
+    stretches: list[Segment] = field(default_factory=list)
+    power_ratio_log2: float = NEG_INF  # max of power_sum_log2 - power_base_log2
     notes: tuple[str, ...] = ()
 
     def records_for(self, n: int) -> list[SegmentRecord]:
@@ -233,8 +191,59 @@ def _alpha_for(alphas, axis: int) -> float:
     return float(alphas)
 
 
-def _power_sum_log2(family: LengthFamily, seg: Segment, alpha: float) -> float:
-    return family.segment_power_log2(seg, alpha)  # type: ignore[attr-defined]
+def _new_cert(
+    kind: str, family: LengthFamily, seq: BoxSequence, alphas, measured=None
+) -> ChainCertificate:
+    masses = {n: family.box_mass_log2(seq.box(n)) for n in seq.indices()}
+    return ChainCertificate(kind, seq, family.name, alphas, masses, measured or {})
+
+
+def _emit(
+    family: LengthFamily,
+    cert: ChainCertificate,
+    n: int,
+    label: str,
+    seg: Segment,
+    kind: str,
+    bound: Bound,
+    entry: Coords,
+    exit_: Coords,
+    generator: str | None = None,
+) -> None:
+    """Append the record of one chain segment, its flag decided by mass_le."""
+    alpha = _alpha_for(cert.alphas, seg.axis)
+    base = max(cert.masses_log2[n], cert.masses_log2.get(n + 1, NEG_INF))
+    cert.records.append(
+        SegmentRecord(
+            n=n,
+            label=label,
+            seg=seg,
+            generator=generator or f"f{seg.axis + 1}",
+            flag_kind=kind,
+            bound=bound,
+            flag_ok=mass_le(family, seg, bound),
+            mass_log2=mass_log2(family, seg),
+            mass_bound_log2=log2_fraction(bound.q) + mass_log2(family, bound.region),
+            power_sum_log2=family.segment_power_log2(seg, alpha),
+            power_base_log2=alpha * base,
+            entry=entry,
+            exit=exit_,
+        )
+    )
+
+
+def _finish(cert: ChainCertificate, prefix_from: Coords | None) -> ChainCertificate:
+    """Walk the witnessed records (after an optional staircase from a base
+    point) and fill the measured constants."""
+    cert.stretches = _stretches_from_witnessed(cert.records, prefix_from)
+    _measure(cert)
+    return cert
+
+
+def _mean_bound(level: Fraction, region: Box | Segment, ambient: Box) -> Bound:
+    """The bound: mean over the region at most level times the ambient mean."""
+    size = region.npoints() if isinstance(region, Box) else region.count
+    return Bound(Fraction(level.numerator * size, level.denominator * ambient.npoints()), ambient)
 
 
 def _witness_check(records: Sequence[SegmentRecord]) -> bool:
@@ -267,6 +276,9 @@ def _measure(cert: ChainCertificate) -> None:
     else:
         alpha_min = float(alphas)
     b = max(cert.power_ratios(), default=0.0)
+    cert.power_ratio_log2 = max(
+        (r.power_sum_log2 - r.power_base_log2 for r in cert.records), default=NEG_INF
+    )
     d_const = 0.0
     if cert.kind.startswith("B"):
         count_exp = alpha_min * math.log2(2.0)  # standard 2^(n*alpha)
@@ -289,20 +301,23 @@ def _measure(cert: ChainCertificate) -> None:
 
 
 def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool]:
-    """Recompute all certificate flags from the weight family alone."""
-    calc = MassCalc(family, exact=False)
-    flags = True
-    powers = True
-    for r in cert.records:
-        mass = calc.seg(r.seg)
-        if abs(mass - r.mass_log2) > 1e-6:
-            flags = False
-        if r.mass_log2 > r.mass_bound_log2 + LOG_TOL:
-            flags = False
-        alpha = _alpha_for(cert.alphas, r.direction)
-        ps = _power_sum_log2(family, r.seg, alpha)
-        if abs(ps - r.power_sum_log2) > 1e-6:
-            powers = False
+    """Recompute all certificate flags from the weight family alone.
+
+    Masses and power sums come from the same closed forms the builders
+    use, so they must equal the stored values; each flag is re-decided by
+    `mass_le` against its stored bound pair.
+    """
+    flags = all(
+        r.flag_ok
+        and mass_le(family, r.seg, r.bound)
+        and mass_log2(family, r.seg) == r.mass_log2
+        for r in cert.records
+    )
+    power_sums = [
+        family.segment_power_log2(r.seg, _alpha_for(cert.alphas, r.seg.axis))
+        for r in cert.records
+    ]
+    powers = all(ps == r.power_sum_log2 for ps, r in zip(power_sums, cert.records))
     containment = all(
         cert.seq.box(r.n).contains(r.seg.anchor)
         and cert.seq.box(r.n).contains(r.seg.last())
@@ -310,9 +325,8 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
     )
     witnesses = _witness_check(cert.records)
     b_ok = all(
-        r.power_sum_log2 <= r.power_base_log2 + math.log2(cert.measured["B"]) + LOG_TOL
-        for r in cert.records
-        if cert.measured.get("B", 0) > 0
+        ps - r.power_base_log2 <= cert.power_ratio_log2
+        for ps, r in zip(power_sums, cert.records)
     )
     return {
         "masses": flags,
@@ -332,51 +346,19 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
 def _build_b_d2(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     alphas = seq.alphas
     assert alphas is not None and len(alphas) == 2
-    cert = ChainCertificate(
-        "B-d2", seq, family.name, alphas, [], [], {}, {}, exact=True
-    )
-    n_hi = max(seq.indices())
-    for n in seq.indices():
-        cert.masses_log2[n] = family.box_mass_log2(seq.box(n))
-    chosen: list[tuple[int, Segment, Fraction, Fraction]] = []
-    for n in seq.indices():
-        box = seq.box(n)
-        orientation = "vertical" if n % 2 == 1 else "horizontal"
-        seg, mass, bound = find_good_segment_d2(family, box, orientation)
-        chosen.append((n, seg, mass, bound))
+    cert = _new_cert("B-d2", family, seq, alphas)
+    chosen = [
+        (n, *find_good_segment_d2(
+            family, seq.box(n), "vertical" if n % 2 == 1 else "horizontal"
+        ))
+        for n in seq.indices()
+    ]
     # witnesses: consecutive fixed coordinates meet at a point
-    records = []
-    for idx, (n, seg, mass, bound) in enumerate(chosen):
-        if idx > 0:
-            entry = _cross_point(chosen[idx - 1][1], seg)
-        else:
-            entry = seg.anchor
-        if idx + 1 < len(chosen):
-            exit_ = _cross_point(seg, chosen[idx + 1][1])
-        else:
-            exit_ = seg.last()
-        alpha = float(alphas[seg.axis])
-        base = max(cert.masses_log2[n], cert.masses_log2.get(n + 1, NEG_INF))
-        records.append(
-            SegmentRecord(
-                n=n,
-                label=f"g{n}",
-                seg=seg,
-                direction=seg.axis,
-                generator=f"f{seg.axis + 1}",
-                flag_kind="segment-average",
-                mass_log2=log2_fraction(mass),
-                mass_bound_log2=log2_fraction(bound),
-                power_sum_log2=_power_sum_log2(family, seg, alpha),
-                power_base_log2=alpha * base,
-                entry=entry,
-                exit=exit_,
-            )
-        )
-    cert.records = records
-    cert.stretches = _stretches_from_witnessed(records, _prefix_base(family, seq))
-    _measure(cert)
-    return cert
+    for idx, (n, seg, bound) in enumerate(chosen):
+        entry = _cross_point(chosen[idx - 1][1], seg) if idx > 0 else seg.anchor
+        exit_ = _cross_point(seg, chosen[idx + 1][1]) if idx + 1 < len(chosen) else seg.last()
+        _emit(family, cert, n, f"g{n}", seg, "segment-average", bound, entry, exit_)
+    return _finish(cert, _prefix_base(family, seq))
 
 
 def _cross_point(a: Segment, b: Segment) -> Coords:
@@ -538,7 +520,7 @@ def black_box_reach(
     good = [
         s
         for s in _all_segments(box)
-        if family.segment_mass(s) / s.count <= lam * amean  # type: ignore[attr-defined]
+        if family.segment_mass(s) / s.count <= lam * amean
     ]
     frontier = [s for s in good if _segments_cross(s, seg)]
     chains: dict[Coords, tuple[Segment, ...]] = {}
@@ -619,6 +601,23 @@ class VerticalReach:
     meets_target: bool
 
 
+def _least_power_of_two(
+    family: LengthFamily, members: Sequence[tuple[Box | Segment, Bound]]
+) -> int:
+    """Least m >= 0 such that mass_le accepts (region, (2^m q, B)) for every
+    member (region, (q, B))."""
+    m = 0
+    for region, (q, other) in members:
+        # r is off by far less than 1: a member below 2^(m-1) needs no
+        # decision, and the least power of any other is at least ceil(r) - 1
+        r = mass_ratio_log2(family, region, Bound(q, other))
+        if r > m - 1:
+            m = max(m, math.ceil(r) - 1)
+            while not mass_le(family, region, Bound(q * 2 ** m, other)):
+                m += 1
+    return m
+
+
 def stride_cascade_lambda(mu, a, d: int, kappa) -> Fraction:
     """Goodness level of the stride segments per the cascade's factors.
 
@@ -648,7 +647,9 @@ def reach_vertical_section(
     through the point's finest subdivision piece, then runs whose strides
     are the point's own coordinates (the strides the group action offers on
     that fiber), each spanning the whole section and flagged against lambda
-    times the box mean.  Segment lengths are reported through D'.
+    times the box mean.  Segment lengths are reported through D'.  A given
+    mu must make the point fully mu-good (ValueError otherwise); without
+    one, mu is the least power of two that does.
     """
     a = Fraction(a)
     kappa = Fraction(kappa)
@@ -660,34 +661,20 @@ def reach_vertical_section(
     level = tree.level(point[-1])
     if not level.admissible:
         raise ValueError(f"level {point[-1]} is not admissible")
-    exact = max(abs(v) for iv in box.intervals for v in iv) <= EXACT_COORD_LIMIT
-    calc = MassCalc(family, exact)
-    box_mass = calc.box(box)
-    box_mean = calc.mean_log2(box_mass, box.npoints()) if not exact else None
-    # fully good check along the chain restricted to the fiber
+    # fully good check along the chain restricted to the fiber: each
+    # member's mean is at most mu times the box mean
     fiber_ivs = tuple((c, c) for c in point[:-1])
-    mu_star = Fraction(0) if exact else None
-    mu_star_log = NEG_INF
+    members = []
     for k in range(1, len(level.chain) + 1):
         piece = tree.chain_box(level.chain[:k])
         restricted = Box(fiber_ivs + (piece.intervals[-1],))
-        if exact:
-            r = (family.box_mass(restricted) / restricted.npoints()) / (
-                family.box_mass(box) / box.npoints()
-            )
-            mu_star = max(mu_star, r)
-        else:
-            r = calc.mean_log2(calc.box(restricted), restricted.npoints()) - box_mean
-            mu_star_log = max(mu_star_log, r)
-    if mu is not None:
-        mu_val = Fraction(mu)
-        if exact and mu_star > mu_val:
-            raise ValueError(f"point is only fully {mu_star}-good, asked {mu_val}")
-    elif exact:
-        mu_val = max(Fraction(1), mu_star)
+        members.append((restricted, _mean_bound(Fraction(1), restricted, box)))
+    if mu is None:
+        mu_val = Fraction(2) ** _least_power_of_two(family, members)
     else:
-        # round the measured level up to a power of two
-        mu_val = Fraction(2) ** max(0, math.ceil(mu_star_log))
+        mu_val = Fraction(mu)
+        if not all(mass_le(family, r, Bound(mu_val * q, b)) for r, (q, b) in members):
+            raise ValueError(f"point is not fully {mu_val}-good")
     lam = stride_cascade_lambda(mu_val, a, d, kappa)
     lo, hi = box.intervals[-1]
     strides = [1] + [abs(c) for c in point[:-1] if abs(c) >= 1]
@@ -703,10 +690,7 @@ def reach_vertical_section(
         return Segment(anchor, dim - 1, count, stride=stride)
 
     def seg_ok(s: Segment) -> bool:
-        m = calc.seg(s)
-        if exact:
-            return m / s.count <= lam * (box_mass / box.npoints())
-        return m - math.log2(s.count) <= box_mean + log2_fraction(lam) + LOG_TOL
+        return mass_le(family, s, _mean_bound(lam, s, box))
 
     covered: set[int] = set()
     chains: dict[int, tuple[Segment, ...]] = {}
@@ -741,10 +725,6 @@ def reach_vertical_section(
 # ---------------------------------------------------------------------------
 
 
-def _plane_box(box: Box, axis: int, value: int) -> Box:
-    return box.fix_axis(axis, value)
-
-
 def _build_b_d3(
     family: LengthFamily, seq: BoxSequence, lam: Fraction | None
 ) -> ChainCertificate:
@@ -754,140 +734,91 @@ def _build_b_d3(
 
     d2 = inocent_constant(seq)
     lam = Fraction(lam) if lam is not None else max(Fraction(2), 2 / d2)
-    cert = ChainCertificate(
-        "B-d3", seq, family.name, alphas, [], [], {}, {"lambda": float(lam)}, True
-    )
-    for n in seq.indices():
-        cert.masses_log2[n] = family.box_mass_log2(seq.box(n))
+    cert = _new_cert("B-d3", family, seq, alphas, {"lambda": float(lam)})
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
 
     def axes_of(n: int) -> tuple[int, int, int]:
         m0 = (n - 1) % 3
         return m0, (m0 + 1) % 3, (m0 + 2) % 3
 
-    # P_1: first lambda-good plane of Q(1)
-    def plane_scan(n: int, axis: int, restrict: Box | None = None) -> int:
-        box = seq.box(n)
-        total = family.box_mass(box)
-        bound = lam * total / box.side(axis)
-        lo, hi = (restrict or box).intervals[axis]
-        for v in range(lo, hi + 1):
-            if family.box_mass(_plane_box(box, axis, v)) <= bound:
-                return v
-        raise ChainSearchError("no good plane", n)
+    def first_ok(candidates: Iterable, bounds: Sequence[Bound]):
+        """First candidate whose regions all meet their bounds."""
+        for regions in candidates:
+            if all(mass_le(family, r, b) for r, b in zip(regions, bounds)):
+                return regions[0]
+        return None
 
-    m0, m1, m2 = axes_of(lo_n)
-    planes: dict[int, tuple[int, int]] = {lo_n: (m2, plane_scan(lo_n, m2))}
-    records: list[SegmentRecord] = []
+    # P_1: first lambda-good plane of Q(1), on the axis m2
+    box = seq.box(lo_n)
+    m2 = axes_of(lo_n)[2]
+    plane = first_ok(
+        ((box.fix_axis(m2, v),) for v in range(*_r(box.intervals[m2]))),
+        (Bound(lam / box.side(m2), box),),
+    )
+    if plane is None:
+        raise ChainSearchError("no good plane", lo_n)
     pending: list[tuple] = []
     for n in range(lo_n, hi_n):
         m0, m1, m2 = axes_of(n)
         box, nxt = seq.box(n), seq.box(n + 1)
-        p_axis, p_val = planes[n]
-        assert p_axis == m2
-        plane = _plane_box(box, m2, p_val)
-        plane_mass = family.box_mass(plane)
+        p_val = plane.intervals[m2][0]
         # gamma_n^1: 1-good horizontal segment of the plane (direction m0)
-        h_bound = plane_mass / box.side(m1)
-        h_val = None
-        for h in range(*_r(box.intervals[m1])):
-            fixed = [0, 0, 0]
-            fixed[m2], fixed[m1] = p_val, h
-            seg1 = _full_segment(box, m0, fixed)
-            if family.segment_mass(seg1) <= h_bound:
-                h_val = h
-                break
-        if h_val is None:
+        h_bound = Bound(Fraction(1, box.side(m1)), plane)
+        seg1 = first_ok(
+            ((_full_segment(box, m0, _coords({m2: p_val, m1: h})),)
+             for h in range(*_r(box.intervals[m1]))),
+            (h_bound,),
+        )
+        if seg1 is None:
             raise ChainSearchError("no plane-average segment", n)
         # joint scan: vertical of P_n at v, and plane of Q(n+1) at v
-        v_bound = lam * plane_mass / box.side(m0)
-        nxt_total = family.box_mass(nxt)
-        nxt_bound = lam * nxt_total / nxt.side(m0)
-        v_val = None
-        for v in range(*_r(nxt.intervals[m0])):
-            fixed = [0, 0, 0]
-            fixed[m2], fixed[m0] = p_val, v
-            seg2 = Segment(
-                _anchored(fixed, m1, box.intervals[m1][0]),
-                m1,
-                box.side(m1),
-            )
-            if family.segment_mass(seg2) > v_bound:
-                continue
-            if family.box_mass(_plane_box(nxt, m0, v)) <= nxt_bound:
-                v_val = v
-                break
-        if v_val is None:
+        v_bound = Bound(lam / box.side(m0), plane)
+        seg2 = first_ok(
+            ((Segment(_coords({m2: p_val, m0: v, m1: box.intervals[m1][0]}), m1,
+                      box.side(m1)), nxt.fix_axis(m0, v))
+             for v in range(*_r(nxt.intervals[m0]))),
+            (v_bound, Bound(lam / nxt.side(m0), nxt)),
+        )
+        if seg2 is None:
             raise ChainSearchError("no shared good vertical/plane", n)
-        planes[n + 1] = (m0, v_val)
-        next_plane = _plane_box(nxt, m0, v_val)
-        next_plane_mass = family.box_mass(next_plane)
+        v_val = seg2.anchor[m0]
+        plane = nxt.fix_axis(m0, v_val)
         # gamma_n^3: lambda-good vertical of P_(n+1) inside Q(n), direction m2
-        w_bound = lam * next_plane_mass / nxt.side(m1)
-        w_val = None
-        for w in range(*_r(box.intervals[m1])):
-            fixed = [0, 0, 0]
-            fixed[m0], fixed[m1] = v_val, w
-            seg3 = _full_segment(box, m2, fixed)
-            if family.segment_mass(seg3) <= w_bound:
-                w_val = w
-                break
-        if w_val is None:
+        w_bound = Bound(lam / nxt.side(m1), plane)
+        seg3 = first_ok(
+            ((_full_segment(box, m2, _coords({m0: v_val, m1: w})),)
+             for w in range(*_r(box.intervals[m1]))),
+            (w_bound,),
+        )
+        if seg3 is None:
             raise ChainSearchError("no good cross vertical", n)
-        fixed1 = [0, 0, 0]
-        fixed1[m2], fixed1[m1] = p_val, h_val
-        seg1 = _full_segment(box, m0, fixed1)
-        fixed2 = [0, 0, 0]
-        fixed2[m2], fixed2[m0] = p_val, v_val
-        seg2 = Segment(_anchored(fixed2, m1, box.intervals[m1][0]), m1, box.side(m1))
-        fixed3 = [0, 0, 0]
-        fixed3[m0], fixed3[m1] = v_val, w_val
-        seg3 = _full_segment(box, m2, fixed3)
-        pending.append((n, seg1, seg2, seg3, plane_mass, next_plane_mass, h_bound, v_bound, w_bound))
+        pending.append((n, (seg1, h_bound), (seg2, v_bound), (seg3, w_bound)))
 
-    for idx, (n, seg1, seg2, seg3, pm, npm, hb, vb, wb) in enumerate(pending):
-        prev3 = pending[idx - 1][3] if idx > 0 else None
-        nxt1 = pending[idx + 1][1] if idx + 1 < len(pending) else None
+    for idx, (n, (seg1, hb), (seg2, vb), (seg3, wb)) in enumerate(pending):
+        prev3 = pending[idx - 1][3][0] if idx > 0 else None
+        nxt1 = pending[idx + 1][1][0] if idx + 1 < len(pending) else None
         e1 = _cross_point(prev3, seg1) if prev3 is not None else seg1.anchor
         x1 = _cross_point(seg1, seg2)
         x2 = _cross_point(seg2, seg3)
         x3 = _cross_point(seg3, nxt1) if nxt1 is not None else seg3.last()
-        base_n = max(cert.masses_log2[n], cert.masses_log2.get(n + 1, NEG_INF))
         for label, seg, bound, entry, exit_, kind in (
             ("1", seg1, hb, e1, x1, "plane-average-row"),
             ("2", seg2, vb, x1, x2, "shared-plane-vertical"),
             ("3", seg3, wb, x2, x3, "next-plane-vertical"),
         ):
-            alpha = float(alphas[seg.axis])
-            records.append(
-                SegmentRecord(
-                    n=n,
-                    label=f"g{n}.{label}",
-                    seg=seg,
-                    direction=seg.axis,
-                    generator=f"f{seg.axis + 1}",
-                    flag_kind=kind,
-                    mass_log2=log2_fraction(family.segment_mass(seg)),
-                    mass_bound_log2=log2_fraction(bound),
-                    power_sum_log2=_power_sum_log2(family, seg, alpha),
-                    power_base_log2=alpha * base_n,
-                    entry=entry,
-                    exit=exit_,
-                )
-            )
-    cert.records = records
-    cert.stretches = _stretches_from_witnessed(records, _prefix_base(family, seq))
-    _measure(cert)
-    return cert
+            _emit(family, cert, n, f"g{n}.{label}", seg, kind, bound, entry, exit_)
+    return _finish(cert, _prefix_base(family, seq))
 
 
 def _r(iv: tuple[int, int]) -> tuple[int, int]:
     return iv[0], iv[1] + 1
 
 
-def _anchored(fixed: list[int], axis: int, value: int) -> Coords:
-    out = list(fixed)
-    out[axis] = value
+def _coords(values: dict[int, int]) -> Coords:
+    """A point of Z^3 with the given coordinates and zeros elsewhere."""
+    out = [0, 0, 0]
+    for k, v in values.items():
+        out[k] = v
     return tuple(out)
 
 
@@ -902,8 +833,20 @@ def find_fully_good_segment(
     axis: int,
     lam: Fraction,
     visit_cap: int = SEARCH_CAP,
-    start_after: dict[int, int] | None = None,
 ) -> tuple[Segment, Fraction]:
+    """The fully lambda-good segment of `_fully_good_segment`, with the
+    exact goodness of its flag."""
+    seg = _fully_good_segment(family, box, axis, lam, visit_cap)
+    return seg, flag_goodness(family, box, seg)
+
+
+def _fully_good_segment(
+    family: LengthFamily,
+    box: Box,
+    axis: int,
+    lam: Fraction,
+    visit_cap: int = SEARCH_CAP,
+) -> Segment:
     """Depth-first search for a 1-segment whose canonical flag is fully
     lambda-good (each member's mean at most lambda times the box mean).
 
@@ -912,7 +855,6 @@ def find_fully_good_segment(
     first fully good branch kept.
     """
     dim = box.dim
-    amean = family.box_mass(box) / box.npoints()
     order = [(axis - t) % dim for t in range(1, dim)]
     fixed: dict[int, int] = {}
     visits = 0
@@ -929,14 +871,13 @@ def find_fully_good_segment(
             return True
         a = order[t]
         lo, hi = box.intervals[a]
-        start = (start_after or {}).get(a, lo)
-        for v in range(start, hi + 1):
+        for v in range(lo, hi + 1):
             visits += 1
             if visits > visit_cap:
                 raise ChainSearchError("fully good segment search exhausted", None)
             fixed[a] = v
             member = member_box(t)
-            if family.box_mass(member) / member.npoints() <= lam * amean:
+            if mass_le(family, member, _mean_bound(lam, member, box)):
                 if dfs(t + 1):
                     return True
             del fixed[a]
@@ -948,8 +889,7 @@ def find_fully_good_segment(
     for a, v in fixed.items():
         anchor[a] = v
     anchor[axis] = box.intervals[axis][0]
-    seg = Segment(tuple(anchor), axis, box.side(axis), ambient=box)
-    return seg, flag_goodness(family, box, seg)
+    return Segment(tuple(anchor), axis, box.side(axis), ambient=box)
 
 
 def _build_b_general(
@@ -960,28 +900,18 @@ def _build_b_general(
     d = len(alphas)
     lam = Fraction(lam) if lam is not None else Fraction(2 * (d - 1) + 1)
     lam_prime = lambda_prime(lam, Fraction(1, 2), d)
-    cert = ChainCertificate(
-        "B-general",
-        seq,
-        family.name,
-        alphas,
-        [],
-        [],
-        {},
+    cert = _new_cert(
+        "B-general", family, seq, alphas,
         {"lambda": float(lam), "lambda_prime": float(lam_prime)},
-        True,
     )
-    for n in seq.indices():
-        cert.masses_log2[n] = family.box_mass_log2(seq.box(n))
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
 
     def m_axis(n: int) -> int:
         return (n - 1) % d
 
     segs: dict[int, Segment] = {}
-    seg, _ = find_fully_good_segment(family, seq.box(lo_n), m_axis(lo_n), lam)
+    seg = _fully_good_segment(family, seq.box(lo_n), m_axis(lo_n), lam)
     segs[lo_n] = seg
-    records: list[SegmentRecord] = []
     entries: dict[int, Coords] = {lo_n: seg.anchor}
     for n in range(lo_n, hi_n):
         box, nxt = seq.box(n), seq.box(n + 1)
@@ -989,9 +919,8 @@ def _build_b_general(
         assert overlap is not None
         m0 = m_axis(n)
         m_next = m_axis(n + 1)
-        omean = family.box_mass(overlap) / overlap.npoints()
         cur = segs[n]
-        nxt_seg, _ = find_fully_good_segment(family, nxt, m_next, lam)
+        nxt_seg = _fully_good_segment(family, nxt, m_next, lam)
         # choose the target point on the next anchor segment, scanning its
         # span, so that the connecting staircase in the overlap is good
         t_lo, t_hi = overlap.intervals[m_next]
@@ -1003,66 +932,25 @@ def _build_b_general(
             stair = _staircase_segments(overlap, cur, p, m0)
             if stair is None:
                 continue
-            if all(
-                family.segment_mass(s) / s.count <= lam_prime * omean for s in stair
-            ):
+            if all(mass_le(family, s, _mean_bound(lam_prime, s, overlap)) for s in stair):
                 found = (p, stair)
                 break
         if found is None:
             raise ChainSearchError("no good staircase into the next box", n)
         p, stair = found
         junctions = _staircase_junctions(cur, stair, p)
-        exit_cur = junctions[0]
-        records.append(
-            _record_for(
-                family, cert, n, f"g{n}.1", cur, "fully-good-anchor",
-                lam * family.box_mass(seq.box(n)) / seq.box(n).npoints() * cur.count,
-                entries[n], exit_cur, alphas,
-            )
-        )
+        _emit(family, cert, n, f"g{n}.1", cur, "fully-good-anchor",
+              _mean_bound(lam, cur, box), entries[n], junctions[0])
         for k, (s, e_in, e_out) in enumerate(
             zip(stair, junctions[:-1], junctions[1:])
         ):
-            records.append(
-                _record_for(
-                    family, cert, n, f"g{n}.{k + 2}", s, "staircase-overlap",
-                    lam_prime * family.box_mass(overlap) / overlap.npoints() * s.count,
-                    e_in, e_out, alphas,
-                )
-            )
+            _emit(family, cert, n, f"g{n}.{k + 2}", s, "staircase-overlap",
+                  _mean_bound(lam_prime, s, overlap), e_in, e_out)
         segs[n + 1] = nxt_seg
         entries[n + 1] = p
-    records.append(
-        _record_for(
-            family, cert, hi_n, f"g{hi_n}.1", segs[hi_n], "fully-good-anchor",
-            lam * family.box_mass(seq.box(hi_n)) / seq.box(hi_n).npoints()
-            * segs[hi_n].count,
-            entries[hi_n], segs[hi_n].last(), alphas,
-        )
-    )
-    cert.records = records
-    cert.stretches = _stretches_from_witnessed(records, _prefix_base(family, seq))
-    _measure(cert)
-    return cert
-
-
-def _record_for(family, cert, n, label, seg, kind, mass_bound, entry, exit_, alphas):
-    alpha = _alpha_for(alphas, seg.axis)
-    base = max(cert.masses_log2[n], cert.masses_log2.get(n + 1, NEG_INF))
-    return SegmentRecord(
-        n=n,
-        label=label,
-        seg=seg,
-        direction=seg.axis,
-        generator=f"f{seg.axis + 1}",
-        flag_kind=kind,
-        mass_log2=log2_fraction(family.segment_mass(seg)),
-        mass_bound_log2=log2_fraction(Fraction(mass_bound)),
-        power_sum_log2=_power_sum_log2(family, seg, alpha),
-        power_base_log2=alpha * base,
-        entry=entry,
-        exit=exit_,
-    )
+    _emit(family, cert, hi_n, f"g{hi_n}.1", segs[hi_n], "fully-good-anchor",
+          _mean_bound(lam, segs[hi_n], seq.box(hi_n)), entries[hi_n], segs[hi_n].last())
+    return _finish(cert, _prefix_base(family, seq))
 
 
 def _staircase_segments(
@@ -1153,12 +1041,7 @@ def _build_ff_d3(
         raise ValueError("needs the FF sequence with d=3")
     alpha = Fraction(1, 3)  # 2/(d(d-1)) at d=3
     lam = Fraction(2)
-    calc = MassCalc(family, exact=False)
-    cert = ChainCertificate(
-        "FF-d3", seq, family.name, alpha, [], [], {}, {"lambda": float(lam)}, False
-    )
-    for n in seq.indices():
-        cert.masses_log2[n] = family.box_mass_log2(seq.box(n))
+    cert = _new_cert("FF-d3", family, seq, alpha, {"lambda": float(lam)})
     n0 = chain_start_stage(seq) if n_start is None else n_start
     if n0 % 2:
         raise ValueError("chains start at an even stage")
@@ -1172,60 +1055,30 @@ def _build_ff_d3(
     def col_scan(n: int) -> int:
         """First k with a 2-good vertical set in Q(n)."""
         box = seq.box(n)
-        bound = cert.masses_log2[n] + log2_fraction(lam) - math.log2(box.side(0))
+        bound = Bound(lam / box.side(0), box)
         for k in range(*_r(box.intervals[0])):
-            if calc.box(column(box, k)) <= bound + LOG_TOL:
+            if mass_le(family, column(box, k), bound):
                 return k
         raise ChainSearchError("no good vertical set", n)
 
-    def class_scan(n: int, k: int) -> Segment:
+    def class_scan(n: int, k: int) -> tuple[Segment, Bound]:
         """First stride-k class that is average-good in its vertical set."""
         box = seq.box(n)
-        col_mass = calc.box(column(box, k))
-        bound = col_mass - math.log2(k)
+        bound = Bound(Fraction(1, k), column(box, k))
         x2, y2 = box.intervals[1]
         for r0 in range(min(k, y2 - x2 + 1)):
             j0 = x2 + r0
             count = (y2 - j0) // k + 1
             s = Segment((k, j0), 1, count, stride=k)
-            if calc.seg(s) <= bound + LOG_TOL:
-                return s
+            if mass_le(family, s, bound):
+                return s, bound
         raise ChainSearchError("no good stride class", n)
 
-    # opening stage, with a plain staircase walk from the seed box corner
+    # opening stage; the walk reaches its entry by a plain staircase from
+    # the seed box corner
     k = col_scan(n0)
-    g1 = class_scan(n0, k)
+    g1, g1_bound = class_scan(n0, k)
     entry: Coords = g1.anchor
-    records: list[SegmentRecord] = []
-    corner = tuple(iv[0] for iv in seq.box(min(seq.indices())).intervals)
-    stretches: list[Segment] = []
-    if corner != entry:
-        mid = (entry[0], corner[1])
-        if corner[0] != entry[0]:
-            stretches.append(_stretch(corner, mid, 0))
-        if corner[1] != entry[1]:
-            stretches.append(_stretch(mid, entry, 1))
-
-    def emit(n, label, seg, kind, bound_log2, e_in, e_out, generator):
-        records.append(
-            SegmentRecord(
-                n=n,
-                label=label,
-                seg=seg,
-                direction=seg.axis,
-                generator=generator,
-                flag_kind=kind,
-                mass_log2=calc.seg(seg),
-                mass_bound_log2=bound_log2,
-                power_sum_log2=_power_sum_log2(family, seg, float(alpha)),
-                power_base_log2=float(alpha)
-                * max(cert.masses_log2[n], cert.masses_log2.get(n + 1, NEG_INF)),
-                entry=e_in,
-                exit=e_out,
-            )
-        )
-        stretches.append(_stretch(e_in, e_out, seg.axis, seg.stride))
-
     n = n0
     while n + 2 <= n_end:
         even, odd, nxt_even = n, n + 1, n + 2
@@ -1238,96 +1091,65 @@ def _build_ff_d3(
         overlap_col = box_e.intersect(box_o)
         assert overlap_col is not None
         # joint strip scan: overlap-vertical 2-good and strip 2-good
-        col_ov_mass = calc.box(overlap_col.fix_axis(0, k))
+        seg2_bound = Bound(lam / big_r, overlap_col.fix_axis(0, k))
+        strip_bound = Bound(lam / big_r, box_o)
         pick = None
-        for r, j_lo, j_hi in strips[:-1]:
+        for _, j_lo, j_hi in strips[:-1]:
             strip_box = Box((box_o.intervals[0], (j_lo, j_hi)))
             seg2 = Segment((k, j_lo), 1, j_hi - j_lo + 1)
-            cond_a = calc.seg(seg2) <= col_ov_mass + log2_fraction(lam) - math.log2(
-                big_r
-            ) + LOG_TOL
-            cond_b = calc.box(strip_box) <= cert.masses_log2[odd] + log2_fraction(
-                lam
-            ) - math.log2(big_r) + LOG_TOL
-            if cond_a and cond_b:
-                pick = (r, j_lo, j_hi, strip_box, seg2)
+            if mass_le(family, seg2, seg2_bound) and mass_le(family, strip_box, strip_bound):
+                pick = (j_lo, j_hi, strip_box, seg2)
                 break
         if pick is None:
             raise ChainSearchError("no jointly good strip", odd)
-        r, j_lo, j_hi, strip_box, seg2 = pick
-        cert.region_flags.append(("strip-2-good", odd, r))
+        j_lo, j_hi, strip_box, seg2 = pick
         # walk gamma_even^1 from its entry to the strip
         j_star = _first_in_class(j_lo, j_hi, g1.anchor[1], g1.stride)
         assert j_star is not None, "strip shorter than the class stride"
-        emit(
-            even, f"g{even}.1", g1, "vertical-set-class",
-            calc.box(column(box_e, k)) - math.log2(g1.stride),
-            entry, (k, j_star), "f(3,2)",
-        )
+        _emit(family, cert, even, f"g{even}.1", g1, "vertical-set-class", g1_bound,
+              entry, (k, j_star), "f(3,2)")
         # row scan inside the strip
-        strip_mass = calc.box(strip_box)
-        row_bound = strip_mass - math.log2(stride)
-        j0 = None
+        row_bound = Bound(Fraction(1, stride), strip_box)
         for j in range(j_lo, j_hi + 1):
             row = Segment((box_o.intervals[0][0], j), 0, box_o.side(0))
-            if calc.seg(row) <= row_bound + LOG_TOL:
-                j0 = j
+            if mass_le(family, row, row_bound):
                 break
-        if j0 is None:
+        else:
             raise ChainSearchError("no average-good row in strip", odd)
-        emit(
-            even, f"g{even}.2", seg2, "overlap-vertical",
-            col_ov_mass + log2_fraction(lam) - math.log2(big_r),
-            (k, j_star), (k, j0), "f(3,1)",
-        )
-        row = Segment((box_o.intervals[0][0], j0), 0, box_o.side(0))
+        j0 = row.anchor[1]
+        _emit(family, cert, even, f"g{even}.2", seg2, "overlap-vertical", seg2_bound,
+              (k, j_star), (k, j0), "f(3,1)")
         # joint column scan for the next even box
+        seg3_bound = Bound(lam / box_o.side(0), strip_box)
+        column_bound = Bound(lam / box_e2.side(0), box_e2)
         pick2 = None
-        w1 = 1 + box_o.intervals[0][1] - box_o.intervals[0][0]
-        w2 = 1 + box_e2.intervals[0][1] - box_e2.intervals[0][0]
         for kp in range(*_r(box_e2.intervals[0])):
             seg3 = Segment((kp, j_lo), 1, j_hi - j_lo + 1)
-            cond_a = calc.seg(seg3) <= strip_mass + log2_fraction(lam) - math.log2(
-                w1
-            ) + LOG_TOL
-            cond_b = calc.box(column(box_e2, kp)) <= cert.masses_log2[
-                nxt_even
-            ] + log2_fraction(lam) - math.log2(w2) + LOG_TOL
-            if cond_a and cond_b:
+            if mass_le(family, seg3, seg3_bound) and mass_le(
+                family, column(box_e2, kp), column_bound
+            ):
                 pick2 = (kp, seg3)
                 break
         if pick2 is None:
             raise ChainSearchError("no jointly good column", nxt_even)
         kp, seg3 = pick2
-        cert.region_flags.append(("vertical-set-2-good", nxt_even, kp))
-        emit(
-            odd, f"g{odd}.1", row, "strip-row",
-            strip_mass - math.log2(stride),
-            (k, j0), (kp, j0), "f(2,1)",
-        )
-        g1_next = class_scan(nxt_even, kp)
+        _emit(family, cert, odd, f"g{odd}.1", row, "strip-row", row_bound,
+              (k, j0), (kp, j0), "f(2,1)")
+        g1_next, g1_next_bound = class_scan(nxt_even, kp)
         j_next = _first_in_class(j_lo, j_hi, g1_next.anchor[1], g1_next.stride)
         assert j_next is not None, "strip shorter than the next stride"
-        emit(
-            odd, f"g{odd}.2", seg3, "strip-overlap-vertical",
-            strip_mass + log2_fraction(lam) - math.log2(w1),
-            (kp, j0), (kp, j_next), "f(3,1)",
-        )
-        k, g1, entry = kp, g1_next, (kp, j_next)
+        _emit(family, cert, odd, f"g{odd}.2", seg3, "strip-overlap-vertical", seg3_bound,
+              (kp, j0), (kp, j_next), "f(3,1)")
+        k, g1, g1_bound, entry = kp, g1_next, g1_next_bound, (kp, j_next)
         n = nxt_even
     # close the final class segment
-    emit(
-        n, f"g{n}.1", g1, "vertical-set-class",
-        calc.box(seq.box(n).fix_axis(0, k)) - math.log2(g1.stride),
-        entry, g1.last(), "f(3,2)",
-    )
-    cert.records = records
-    cert.stretches = stretches
-    _measure(cert)
+    _emit(family, cert, n, f"g{n}.1", g1, "vertical-set-class", g1_bound,
+          entry, g1.last(), "f(3,2)")
+    corner = tuple(iv[0] for iv in seq.box(min(seq.indices())).intervals)
     cert.notes = (
         "strip heights use the first factor's raw upper endpoint, not its side length",
     )
-    return cert
+    return _finish(cert, corner)
 
 
 def lambda_two(kappa, mu, a, d: int):
@@ -1363,16 +1185,10 @@ def _build_ff_general(
     d = seq.d
     dim = d - 1
     alpha = Fraction(2, d * (d - 1))
-    calc = MassCalc(family, exact=_auto_exact(seq))
-    cert = ChainCertificate(
-        "FF-general", seq, family.name, alpha, [], [], {}, {}, calc.exact
-    )
-    for n in seq.indices():
-        cert.masses_log2[n] = family.box_mass_log2(seq.box(n))
+    cert = _new_cert("FF-general", family, seq, alpha)
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
     point = tuple(iv[0] for iv in seq.box(lo_n).intervals)
     plan: list[tuple[int, list[Segment], list[Coords]]] = []
-    ratios: list[float] = []
     for n in range(lo_n, hi_n):
         box = seq.box(n)
         overlap = box.intersect(seq.box(n + 1))
@@ -1381,20 +1197,17 @@ def _build_ff_general(
         segs: list[Segment] = []
         junctions: list[Coords] = [point]
         cur = list(point)
-        mean_box = cert.masses_log2[n] - math.log2(box.npoints())
         for axis in range(dim):
-            seg = _full_segment(box, axis, tuple(cur))
-            segs.append(seg)
+            segs.append(_full_segment(box, axis, tuple(cur)))
             cur[axis] = target[axis]
             junctions.append(tuple(cur))
-            ratios.append(
-                calc.log2(calc.seg(seg)) - math.log2(seg.count) - mean_box
-                if calc.exact
-                else calc.seg(seg) - math.log2(seg.count) - mean_box
-            )
         plan.append((n, segs, junctions))
         point = target
-    lam_measured = Fraction(2) ** max(0, math.ceil(max(ratios, default=0.0)))
+    # least power of two bounding every staircase segment's mean ratio
+    lam_measured = Fraction(2) ** _least_power_of_two(family, [
+        (seg, _mean_bound(Fraction(1), seg, seq.box(n)))
+        for n, segs, _ in plan for seg in segs
+    ])
     a_round = max(
         (minimal_round_constant(b) or Fraction(10 ** 9) for b in seq.boxes),
     )
@@ -1407,34 +1220,12 @@ def _build_ff_general(
         lam_measured, lam_policy or 0
     )
     cert.measured["lambda"] = float(lam_used)
-    records: list[SegmentRecord] = []
     for n, segs, junctions in plan:
-        box = seq.box(n)
-        mean_log2 = cert.masses_log2[n] - math.log2(box.npoints())
         for kidx, seg in enumerate(segs):
-            bound = mean_log2 + math.log2(seg.count) + log2_fraction(lam_used)
-            gen = f"f({seg.axis + 2},1)"
-            records.append(
-                SegmentRecord(
-                    n=n,
-                    label=f"g{n}.{kidx + 1}",
-                    seg=seg,
-                    direction=seg.axis,
-                    generator=gen,
-                    flag_kind="staircase-mean",
-                    mass_log2=calc.log2(calc.seg(seg)) if calc.exact else calc.seg(seg),
-                    mass_bound_log2=bound,
-                    power_sum_log2=_power_sum_log2(family, seg, float(alpha)),
-                    power_base_log2=float(alpha)
-                    * max(cert.masses_log2[n], cert.masses_log2.get(n + 1, NEG_INF)),
-                    entry=junctions[kidx],
-                    exit=junctions[kidx + 1],
-                )
-            )
-    cert.records = records
-    cert.stretches = _stretches_from_witnessed(records, None)
-    _measure(cert)
-    return cert
+            _emit(family, cert, n, f"g{n}.{kidx + 1}", seg, "staircase-mean",
+                  _mean_bound(lam_used, seg, seq.box(n)), junctions[kidx],
+                  junctions[kidx + 1], f"f({seg.axis + 2},1)")
+    return _finish(cert, None)
 
 
 def build_chain(
@@ -1475,7 +1266,6 @@ class BudgetRow:
     entry_index: int
     budget: float
     ratio: float  # budget / (ln N)^(1-alpha)
-    n_over_log: float
 
 
 @dataclass(frozen=True)
@@ -1483,7 +1273,6 @@ class BudgetReport:
     rows: tuple[BudgetRow, ...]
     a_prime: float
     ratio_spread: float  # max/min of ratio over the reported rows
-    n_over_log_bracket: tuple[float, float]
     total_points: int
 
 
@@ -1540,7 +1329,7 @@ def distortion_budget(
                 continue
             part = Segment(s.anchor, s.axis, t_hi + 1, step=s.step, stride=s.stride)
             alpha = _alpha_for(alphas, s.axis)
-            acc += 2.0 ** _power_sum_log2(family, part, alpha)
+            acc += 2.0 ** family.segment_power_log2(part, alpha)
         return acc
 
     rows = []
@@ -1560,7 +1349,7 @@ def distortion_budget(
         b = budget_upto(entry)
         ln = math.log(entry)
         ratio = b / ln ** (1.0 - alpha_min) if ln > 0 else math.inf
-        rows.append(BudgetRow(n, entry, b, ratio, n / ln if ln > 0 else math.inf))
+        rows.append(BudgetRow(n, entry, b, ratio))
     fit_rows = [r for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
     a_prime = max((r.ratio for r in fit_rows), default=0.0)
     spread = (
@@ -1568,8 +1357,4 @@ def distortion_budget(
         if fit_rows
         else math.inf
     )
-    bracket = (
-        min((r.n_over_log for r in fit_rows), default=math.inf),
-        max((r.n_over_log for r in fit_rows), default=math.inf),
-    )
-    return BudgetReport(tuple(rows), a_prime, spread, bracket, total)
+    return BudgetReport(tuple(rows), a_prime, spread, total)

@@ -1,17 +1,21 @@
 """Core lattice substrate: multi-indices, weight families, segments, paths.
 
 All masses and per-axis sums are exact rationals coming from closed forms;
-floating point enters only through fractional powers (which are also exposed
-in a log2-domain form so that astronomically small weights stay computable).
+every closed form is also exposed in a log2-domain form, so astronomically
+small weights stay computable.  Goodness decisions go through `mass_le`,
+which decides from log2 masses split into an exact integer and a small
+float, with a certified error margin, and computes exact rationals only
+when the margin cannot decide.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +25,7 @@ Coords = tuple[int, ...]
 DIMENSION_CAP = 6
 
 LN2 = math.log(2.0)
+LOG2_3 = math.log2(3.0)
 
 
 class UnsupportedRegionError(ValueError):
@@ -228,6 +233,19 @@ def log2_one_minus_pow2(x: float) -> float:
     return math.log1p(-(2.0 ** x)) / LN2 if x > -1074 else 0.0
 
 
+Log2Parts = tuple[int, float]  # log2 x = exact integer + small float
+
+
+def log2_parts(q: Fraction) -> Log2Parts:
+    """log2 of a positive rational as (bit-length difference, log2 of the
+    correctly rounded quotient in (1/2, 2)); the float is off by <= 2.5u."""
+    p, r = q.numerator, q.denominator
+    if p <= 0:
+        raise ValueError("log2 of non-positive rational")
+    shift = p.bit_length() - r.bit_length()
+    return shift, math.log2(p / (r << shift) if shift >= 0 else (p << -shift) / r)
+
+
 def log2_fraction(q: Fraction) -> float:
     """log2 of a positive rational, exact-int based so huge values are fine."""
     if q <= 0:
@@ -235,6 +253,13 @@ def log2_fraction(q: Fraction) -> float:
     p, r = q.numerator, q.denominator
     # math.log2 on big ints keeps ~double precision of the true log
     return math.log2(p) - math.log2(r)
+
+
+def _run_tail_log2(stride: int, count: int) -> float:
+    """log2 of 1 + 2^-stride + ... + 2^(-stride (count-1)), which lies in [0, 1]."""
+    if count == 1:
+        return 0.0
+    return log2_one_minus_pow2(-stride * count) - log2_one_minus_pow2(-stride)
 
 
 def _geometric_sum_log2(first_log2: float, ratio_log2: float, count: int) -> float:
@@ -282,6 +307,14 @@ class AxisWeight:
     def range_power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
         """log2 of the sum of weight^alpha over the strided range."""
         raise NotImplementedError
+
+    def weight_log2_parts(self, i: int) -> Log2Parts:
+        return log2_parts(self.weight(i))
+
+    def range_mass_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
+        """log2 of range_mass as exact integer plus float; None when empty."""
+        m = self.range_mass(lo, hi, stride)
+        return log2_parts(m) if m else None
 
     def np_log2(self, col: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -332,6 +365,16 @@ class GeometricAxis(AxisWeight):
         if c == 0:
             return NEG_INF
         return _geometric_sum_log2(-alpha * (lo + 1), -alpha * stride, c)
+
+    def weight_log2_parts(self, i: int) -> Log2Parts:
+        if i < 0:
+            raise ValueError(f"index {i} outside cone support")
+        return -(i + 1), 0.0
+
+    def range_mass_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
+        lo = max(lo, 0)
+        c = _count(lo, hi, stride)
+        return (-(lo + 1), _run_tail_log2(stride, c)) if c else None
 
     def np_log2(self, col: np.ndarray) -> np.ndarray:
         return -(col.astype(np.float64) + 1.0)
@@ -398,6 +441,26 @@ class SymmetricGeometricAxis(AxisWeight):
                     out, _geometric_sum_log2(-alpha * start - alpha * lg3, -alpha * stride, c)
                 )
         return out
+
+    def weight_log2_parts(self, i: int) -> Log2Parts:
+        return -abs(i), -LOG2_3
+
+    def range_mass_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
+        # each side is one geometric run, led by its largest weight
+        neg = pos = None
+        neg_hi = min(hi, -1)
+        if lo <= neg_hi:
+            c = _count(lo, neg_hi, stride)
+            neg = (lo + (c - 1) * stride, _run_tail_log2(stride, c) - LOG2_3)
+        if hi >= 0:
+            start = lo if lo >= 0 else lo + ((-lo + stride - 1) // stride) * stride
+            c = _count(start, hi, stride)
+            if c:
+                pos = (-start, _run_tail_log2(stride, c) - LOG2_3)
+        if neg is None or pos is None:
+            return neg or pos
+        e = max(neg[0], pos[0])
+        return e, log2_add(neg[1] + (neg[0] - e), pos[1] + (pos[0] - e))
 
     def np_log2(self, col: np.ndarray) -> np.ndarray:
         return -np.abs(col).astype(np.float64) - math.log2(3.0)
@@ -481,6 +544,22 @@ class LengthFamily:
         m = self.box_mass(box)
         return log2_fraction(m) if m else NEG_INF
 
+    def segment_mass(self, seg: Segment) -> Fraction:
+        raise NotImplementedError
+
+    def segment_mass_log2(self, seg: Segment) -> float:
+        raise NotImplementedError
+
+    def segment_power_log2(self, seg: Segment, alpha: float) -> float:
+        """log2 of the sum of weight^alpha over the segment's points."""
+        raise NotImplementedError
+
+    def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
+        """log2 mass of a box or segment as an exact integer plus a float
+        of magnitude below 16; None on zero mass."""
+        m = exact_mass(self, region)
+        return log2_parts(m) if m else None
+
     def np_log2_weight(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -494,6 +573,7 @@ class ProductFamily(LengthFamily):
         self.axes = tuple(axes)
         self.d = len(axes)
         self.scale = Fraction(scale)
+        self._scale_parts = log2_parts(self.scale)
         self.name = name
         self.support = "finite" if all(isinstance(a, UniformAxis) for a in axes) else (
             "cone" if all(isinstance(a, GeometricAxis) for a in axes) else "lattice"
@@ -535,6 +615,26 @@ class ProductFamily(LengthFamily):
         for ax, (lo, hi) in zip(self.axes, box.intervals, strict=True):
             m += ax.range_mass_log2(lo, hi)
         return m
+
+    def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
+        if isinstance(region, Box):
+            terms = [
+                ax.range_mass_log2_parts(lo, hi)
+                for ax, (lo, hi) in zip(self.axes, region.intervals, strict=True)
+            ]
+        else:
+            terms = [
+                self.axes[k].weight_log2_parts(c)
+                for k, c in enumerate(region.anchor)
+                if k != region.axis
+            ]
+            terms.append(self.axes[region.axis].range_mass_log2_parts(*region.axis_values()))
+        e, f = self._scale_parts
+        for term in terms:
+            if term is None:
+                return None
+            e, f = e + term[0], f + term[1]
+        return e, f
 
     def segment_mass(self, seg: Segment) -> Fraction:
         m = self.scale
@@ -638,6 +738,96 @@ def uniform_box_family(box: Box, total: Fraction = Fraction(1)) -> ProductFamily
     """Constant weights on a finite box, renormalized to the given total."""
     axes = [UniformAxis(lo, hi, Fraction(1, hi - lo + 1)) for lo, hi in box.intervals]
     return ProductFamily(axes, scale=Fraction(total), name="uniform")
+
+
+# ---------------------------------------------------------------------------
+# certified mass comparison
+# ---------------------------------------------------------------------------
+
+
+class Bound(NamedTuple):
+    """The quantity q * mass(region): a positive rational and a box or segment."""
+
+    q: Fraction
+    region: Box | Segment
+
+
+# bounded: scans compare many regions with one bound, and the cache keeps
+# at most this many families alive
+@functools.lru_cache(maxsize=1024)
+def _parts(family: LengthFamily, region: Box | Segment) -> Log2Parts | None:
+    return family.mass_log2_parts(region)
+
+
+def mass_log2(family: LengthFamily, region: Box | Segment) -> float:
+    """log2 mass of a box or segment, from the split closed form."""
+    parts = _parts(family, region)
+    return NEG_INF if parts is None else parts[0] + parts[1]
+
+
+def exact_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
+    if isinstance(region, Box):
+        return family.box_mass(region)
+    return family.segment_mass(region)
+
+
+# Error of the float part of mass_log2_parts, by ulp accounting (u = 2^-53;
+# libm log2, log1p and pow within 1 ulp, as glibc documents).  The integer
+# part is exact, and the float part sums at most 7 terms (d <= 6 axis
+# terms and the scale), each in [-2, 1]:
+# - log2_parts: the correctly rounded quotient costs 1.45u in log2, and
+#   log2 of a value below 1 adds one ulp: 2.5u.
+# - _run_tail_log2: 2^-k is exact; log1p, the division by ln 2 and the
+#   subtraction: 8u.  A symmetric-axis run subtracts log2(3): 11u.
+#   Joining two runs with log2_add, whose slopes lie in [0, 1], adds 9u.
+# So each term is off by at most 33u, and the 7 additions of partial sums
+# below 16 in magnitude by 8u each: 287u per mass.  mass_ratio_log2 takes
+# two differences below 32 (16u each), the factor's 2.5u and a final sum
+# with the exact integer difference e.  When |e| <= 64 that sum is below
+# 128 (64u): 2 * 287u + 32u + 2.5u + 64u < 700u < 2^-43.  A larger |e|
+# puts the ratio more than 32 from 0, so its sign is beyond doubt.
+MARGIN = 2.0 ** -40
+# Exact masses of the weights 2^-(affine in i) 3^-k of the infinite
+# families carry about as many bits as the sum of the coordinate
+# magnitudes; past this many an exact comparison would take seconds and
+# gigabytes.  Finite families sum their own rationals at any coordinates.
+EXACT_BITS_GUARD = 2 ** 20
+
+
+def _coordinate_bits(region: Box | Segment) -> int:
+    ends = region.intervals if isinstance(region, Box) else zip(region.anchor, region.last())
+    return sum(max(abs(lo), abs(hi)) for lo, hi in ends)
+
+
+def mass_ratio_log2(family: LengthFamily, region: Box | Segment, bound: Bound) -> float:
+    """log2 of mass(region) / (q * mass(B)) for bound = (q, B), within
+    MARGIN when it is near 0; -inf or inf when a mass is zero."""
+    q, other = bound
+    eq, fq = log2_parts(q)  # raises unless q > 0
+    a = _parts(family, region)
+    if a is None:
+        return NEG_INF
+    b = _parts(family, other)
+    if b is None:
+        return math.inf
+    return (a[0] - b[0] - eq) + (a[1] - b[1] - fq)
+
+
+def mass_le(family: LengthFamily, region: Box | Segment, bound: Bound) -> bool:
+    """Decide mass(region) <= q * mass(B) for bound = (q, B), exactly.
+
+    The split log2 closed forms decide whenever the two sides are further
+    apart than MARGIN; otherwise both masses are computed as exact
+    rationals.
+    """
+    diff = mass_ratio_log2(family, region, bound)
+    if abs(diff) > MARGIN:
+        return diff < 0
+    q, other = bound
+    bits = _coordinate_bits(region) + _coordinate_bits(other)
+    if family.support != "finite" and bits > EXACT_BITS_GUARD:
+        raise SizeGuardError(f"masses of {region} and {other} tie to 2^-40")
+    return exact_mass(family, region) <= q * exact_mass(family, other)
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,6 @@ class UnipotentMatrix:
         )
 
 
-def act(f: UnipotentMatrix, v: Sequence[int]) -> Coords:
-    return f.act(v)
-
-
 @dataclass(frozen=True)
 class CommutationReport:
     d: int

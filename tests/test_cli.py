@@ -92,6 +92,11 @@ class TestMain:
         assert (out / "checks.csv").exists()
         assert main(["lemma1", "--d", "40"]) == 1
 
+    def test_search_failure_exits_three(self, capsys):
+        # FF d=3 up to n=2 has no stage with two strips to start a chain at
+        assert main(["chain-ff", "--d", "3", "--n-max", "2"]) == 3
+        assert "error: no workable stage in range" in capsys.readouterr().err
+
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"d": 2, "n_max": 30, "samples": 200, "seed": 5}))

@@ -83,18 +83,27 @@ class TestGoodness:
         assert mu == max(ratios)
 
 
+def _oracle_masses(fam, seg, bound):
+    """Exact (segment mass, bound value) by summing point weights."""
+    mass = sum((fam.weight(p) for p in seg.points()), Fraction(0))
+    other = sum((fam.weight(p) for p in bound.region.points()), Fraction(0))
+    return mass, bound.q * other
+
+
 class TestGoodSegmentPlanar:
     def test_constant_returns_first(self):
         box = Box(((1, 4), (2, 4)))
         fam = uniform_box_family(box)
-        seg, mass, bound = find_good_segment_d2(fam, box, "horizontal")
-        assert seg.anchor == (1, 2) and mass == bound
+        seg, bound = find_good_segment_d2(fam, box, "horizontal")
+        mass, limit = _oracle_masses(fam, seg, bound)
+        assert seg.anchor == (1, 2) and mass == limit
 
     def test_geometric_picks_far_row(self):
         box = Box(((1, 4), (2, 4)))
         fam = geometric_family(2)
-        seg, mass, bound = find_good_segment_d2(fam, box, "horizontal")
-        assert mass <= bound
+        seg, bound = find_good_segment_d2(fam, box, "horizontal")
+        mass, limit = _oracle_masses(fam, seg, bound)
+        assert mass <= limit
         assert seg.anchor[1] > 2  # the heavy first row cannot qualify
 
     def test_adversarial_heavy_row(self):
@@ -103,8 +112,9 @@ class TestGoodSegmentPlanar:
         for p in box.points():
             w[p] = Fraction(100) if p[1] == 0 else Fraction(1)
         fam = TableFamily(w)
-        seg, mass, bound = find_good_segment_d2(fam, box, "horizontal")
-        assert seg.anchor[1] != 0 and mass <= bound
+        seg, bound = find_good_segment_d2(fam, box, "horizontal")
+        mass, limit = _oracle_masses(fam, seg, bound)
+        assert seg.anchor[1] != 0 and mass <= limit
 
 
 class TestLambdaRecursions:
@@ -210,6 +220,18 @@ class TestVerticalReach:
         a = minimal_round_constant(box)
         with pytest.raises(ValueError):
             reach_vertical_section(fam, box, a, (2, 5, 27), kappa=HALF)
+
+    def test_caller_mu_checked_at_large_coordinates(self):
+        # FF d=3 Q(2) has coordinates up to 4112; the point's flag is only
+        # about 2044.5-good, so a caller's mu = 2^-20 must be refused
+        seq = build_sequence("FF", d=3, n_max=2)
+        box = seq.box(2)
+        a = minimal_round_constant(box)
+        fam = geometric_family(2)
+        assert max(box.intervals[-1]) > 4096
+        with pytest.raises(ValueError):
+            reach_vertical_section(fam, box, a, (4, 16), kappa=HALF, mu=Fraction(1, 2 ** 20))
+        assert reach_vertical_section(fam, box, a, (4, 16), kappa=HALF).mu == 2048
 
     def test_chains_against_exhaustive_enumeration(self):
         # brute-force all one- and two-segment stride chains on the toy box

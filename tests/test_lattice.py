@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critreg.lattice import (
+    Bound,
     Box,
     LatticePath,
     MultiIndex,
     Segment,
+    SizeGuardError,
     SymmetricGeometricAxis,
     TableFamily,
     UnsupportedRegionError,
+    exact_mass,
     geometric_family,
     log2_fraction,
+    mass_le,
     path_cost,
     region_mass,
     sphere_constant,
@@ -190,3 +195,110 @@ class TestTypes:
 def test_log2_fraction_huge_values():
     q = Fraction(1, 2 ** 100_000)
     assert math.isclose(log2_fraction(q), -100_000.0, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the certified mass comparison against exact rationals
+# ---------------------------------------------------------------------------
+
+_table_rng = random.Random(7)
+# family, and the per-axis region origins: coordinates below and above 4096
+MASS_FAMILIES = {
+    "geometric": (geometric_family(2), (0, 30, 4090, 100_000)),
+    "symmetric-geometric": (symmetric_geometric_family(2), (-100_000, -30, 0, 4090)),
+    "uniform": (uniform_box_family(Box(((-8, 6000), (-8, 6000))), Fraction(3)), (-8, 4090, 5900)),
+    "table": (
+        TableFamily({
+            p: Fraction(_table_rng.randint(1, 9), _table_rng.randint(1, 9))
+            for p in Box(((4080, 4140), (4080, 4140))).points()
+        }),
+        (4080, 4090),
+    ),
+}
+
+
+@st.composite
+def _regions(draw, origins):
+    """A box, or a strided segment, near the given per-axis origins."""
+    corner = [draw(st.sampled_from(origins)) + draw(st.integers(0, 15)) for _ in range(2)]
+    if draw(st.booleans()):
+        return Box(tuple((c, c + draw(st.integers(0, 15))) for c in corner))
+    return Segment(
+        tuple(corner), draw(st.integers(0, 1)), draw(st.integers(1, 8)),
+        stride=draw(st.integers(1, 4)),
+    )
+
+
+@st.composite
+def _comparisons(draw):
+    fam, origins = MASS_FAMILIES[draw(st.sampled_from(sorted(MASS_FAMILIES)))]
+    region, other = draw(_regions(origins)), draw(_regions(origins))
+    ratio = exact_mass(fam, region) / exact_mass(fam, other)
+    q = draw(st.one_of(
+        st.builds(Fraction, st.integers(1, 100), st.integers(1, 100)),
+        st.just(ratio),  # an exact tie
+        # a near tie on either side, inside and outside the float margin
+        st.builds(lambda s, k: ratio * (1 + s * Fraction(1, 2 ** k)),
+                  st.sampled_from((1, -1)), st.integers(1, 100)),
+    ))
+    return fam, region, Bound(q, other)
+
+
+class TestMassComparison:
+    @given(_comparisons())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_exact_rationals(self, case):
+        fam, region, bound = case
+        expected = exact_mass(fam, region) <= bound.q * exact_mass(fam, bound.region)
+        assert mass_le(fam, region, bound) == expected
+
+    @given(_regions((-8, 4090, 5900)), _regions((-8, 4090, 5900)))
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_means_tie_exactly(self, region, other):
+        # constant weights: mass is proportional to the point count, so the
+        # size ratio is an exact tie that only the exact fallback decides
+        fam = MASS_FAMILIES["uniform"][0]
+
+        def size(r):
+            return r.npoints() if isinstance(r, Box) else r.count
+
+        q = Fraction(size(region), size(other))
+        assert mass_le(fam, region, Bound(q, other))
+        assert not mass_le(fam, region, Bound(q * (1 - Fraction(1, 2 ** 60)), other))
+
+    def test_b_d3_ties_to_2_pow_minus_64_are_rejected(self):
+        # two candidate rows of chain-b --d 3 --variant B-d3 --n-max 12 whose
+        # mass exceeds 1/64 of their plane's by a relative 1/(2^64 - 1)
+        fam = geometric_family(3)
+        for seg, plane in (
+            (Segment((1, 6, 4), 0, 64), Box(((1, 64), (1, 64), (4, 4)))),
+            (Segment((34, 1, 6), 1, 128), Box(((34, 34), (1, 128), (1, 64)))),
+        ):
+            bound = Bound(Fraction(1, 64), plane)
+            excess = fam.segment_mass(seg) / (bound.q * fam.box_mass(plane)) - 1
+            assert excess == Fraction(1, 2 ** 64 - 1)
+            assert not mass_le(fam, seg, bound)
+
+    def test_decides_below_float_resolution_at_huge_coordinates(self):
+        # column k = 65558 of the FF d=3 box Q(16) against 2/w times the box,
+        # w = 2^24 + 1: the axis-1 factors cancel and the ratio is
+        # (1 + 2^-24) / (1 - 2^-w) > 1, a gap below one ulp of the float
+        # log2 masses (about -4.3e9), and exact masses with 10^12-bit
+        # denominators are out of reach
+        fam = geometric_family(2)
+        box = Box(((65536, 16842752), (4294967296, 1103806595072)))
+        w = box.side(0)
+        assert w == 2 ** 24 + 1
+        assert not mass_le(fam, box.fix_axis(0, 65558), Bound(Fraction(2, w), box))
+        assert mass_le(fam, box.fix_axis(0, 65559), Bound(Fraction(2, w), box))
+
+    def test_exact_tie_past_the_size_guard_is_refused(self):
+        # two points 2^20 out along the cone differ by exactly a factor 2:
+        # only exact masses of about 2^20 bits could decide the tie
+        fam = geometric_family(2)
+        n = 2 ** 20
+        near, far = Box(((n, n), (0, 0))), Box(((n + 1, n + 1), (0, 0)))
+        assert mass_le(fam, near, Bound(Fraction(2) + Fraction(1, 2 ** 30), far))
+        assert not mass_le(fam, near, Bound(Fraction(2) - Fraction(1, 2 ** 30), far))
+        with pytest.raises(SizeGuardError):
+            mass_le(fam, near, Bound(Fraction(2), far))
