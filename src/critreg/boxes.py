@@ -1,6 +1,9 @@
 """Inductive parallelepiped sequences, their multiplicity, roundness, and
 the vertical subdivision with level classification.
 
+A vertical subdivision stores only its per-depth piece lengths and counts;
+level chains and admissibility are computed from them in O(dim).
+
 Three box constructions are provided:
 
 * ``B-d2``  -- staggered planar rectangles whose endpoints are floors of
@@ -107,9 +110,9 @@ def _check_alphas(alphas: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def _build_b_d2(alphas: Sequence[Fraction], n_max: int) -> BoxSequence:
-    a1, a2 = _check_alphas(alphas)
-    if len((a1, a2)) != 2:
+    if len(alphas) != 2:
         raise ValueError("B-d2 takes two exponents")
+    a1, a2 = _check_alphas(alphas)
     boxes = []
     for n in range(1, n_max + 1):
         m, odd = divmod(n - 1, 2)
@@ -292,6 +295,15 @@ class LevelInfo:
     admissible: bool
 
 
+def _piece(lo: int, hi: int, plen: int, m: int) -> tuple[int, int, bool]:
+    """(low, high, trailing) of piece m >= 1 of [lo, hi] cut every plen."""
+    p_lo = lo + (m - 1) * plen
+    if m < 1 or p_lo > hi:
+        raise ValueError(f"piece index {m} out of range for [{lo}, {hi}]")
+    p_hi = min(p_lo + plen - 1, hi)
+    return p_lo, p_hi, p_hi == hi
+
+
 @dataclass(frozen=True)
 class SubdivisionTree:
     """Nested cut of an A-round box along its last coordinate.
@@ -299,7 +311,9 @@ class SubdivisionTree:
     At depth k the pieces have last-axis extent ``piece_lengths[k-1]`` (the
     trailing piece may be shorter) and there are ``counts[k-1]`` of them per
     full parent.  A level is admissible when its chain never lands in a
-    trailing piece.
+    trailing piece.  Levels, chains and pieces are mixed-radix arithmetic on
+    ``piece_lengths``, computed on demand in O(depth); the tree stores
+    nothing whose size grows with the box.
     """
 
     box: Box
@@ -307,56 +321,57 @@ class SubdivisionTree:
     depth: int
     piece_lengths: tuple[int, ...]
     counts: tuple[int, ...]
-    levels: tuple[LevelInfo, ...]
 
     def level(self, i: int) -> LevelInfo:
-        lo, _ = self.box.intervals[-1]
-        return self.levels[i - lo]
+        """Chain of pieces containing last-axis value i, up to a trailing one."""
+        lo, hi = self.box.intervals[-1]
+        if not lo <= i <= hi:
+            raise ValueError(f"level {i} outside the last axis [{lo}, {hi}]")
+        chain = []
+        for plen in self.piece_lengths:
+            m = (i - lo) // plen + 1
+            chain.append(m)
+            lo, hi, trailing = _piece(lo, hi, plen, m)
+            if trailing:
+                return LevelInfo(i, tuple(chain), False)
+        return LevelInfo(i, tuple(chain), True)
 
     def non_admissible_fraction(self) -> Fraction:
-        bad = sum(1 for lv in self.levels if not lv.admissible)
-        return Fraction(bad, len(self.levels))
+        """Share of levels whose chain ends in a trailing piece.
+
+        A parent of extent E cut into c pieces of length plen has a trailing
+        piece of E - (c-1)*plen levels, all non-admissible; each of its c-1
+        full pieces repeats the count one depth down.
+        """
+        total = extent = self.box.side(self.box.dim - 1)
+        bad, full = 0, 1  # full: number of non-trailing pieces at this depth
+        for plen, c in zip(self.piece_lengths, self.counts):
+            bad += full * (extent - (c - 1) * plen)
+            full *= c - 1
+            extent = plen
+        return Fraction(bad, total)
 
     def chain_box(self, chain: Sequence[int]) -> Box:
         """The nested piece reached by a (1-based) chain prefix."""
-        node = self.box
-        axis = self.box.dim - 1
+        ivs = self.box.intervals
         for k, m in enumerate(chain):
-            lo, hi = node.intervals[axis]
-            plen = self.piece_lengths[k]
-            lo_k = lo + (m - 1) * plen
-            hi_k = min(lo_k + plen - 1, hi)
-            if m < 1 or lo_k > hi:
-                raise ValueError(f"chain index {m} out of range at depth {k + 1}")
-            ivs = list(node.intervals)
-            ivs[axis] = (lo_k, hi_k)
-            node = Box(tuple(ivs))
-        return node
+            lo, hi, _ = _piece(*ivs[-1], self.piece_lengths[k], m)
+            ivs = ivs[:-1] + ((lo, hi),)
+        return Box(ivs)
 
     def nodes(self) -> Iterator[SubdivisionNode]:
         """Walk the tree; children of every node partition its extent."""
-        axis = self.box.dim - 1
 
         def rec(node: SubdivisionNode) -> Iterator[SubdivisionNode]:
             yield node
             if node.is_leaf(self):
                 return
-            lo, hi = node.box.intervals[axis]
             plen = self.piece_lengths[node.depth]
-            m = 0
-            while lo <= hi:
-                m += 1
-                top = min(lo + plen - 1, hi)
-                ivs = list(node.box.intervals)
-                ivs[axis] = (lo, top)
-                child = SubdivisionNode(
-                    Box(tuple(ivs)),
-                    node.depth + 1,
-                    node.chain + (m,),
-                    trailing=(top == hi),
-                )
-                yield from rec(child)
-                lo = top + 1
+            lo, hi = node.box.intervals[-1]
+            for m in range(1, (hi - lo) // plen + 2):
+                p_lo, p_hi, trailing = _piece(lo, hi, plen, m)
+                piece = Box(node.box.intervals[:-1] + ((p_lo, p_hi),))
+                yield from rec(SubdivisionNode(piece, node.depth + 1, node.chain + (m,), trailing))
 
         yield from rec(SubdivisionNode(self.box, 0, (), trailing=False))
 
@@ -387,28 +402,10 @@ def vertical_subdivision(box: Box, a: Fraction) -> SubdivisionTree:
     # uniform per-depth counts: root extent for depth 1, full piece after that
     counts = []
     extent = box.side(dim - 1)
-    for k, plen in enumerate(plens):
+    for plen in plens:
         counts.append(max(1, -(-extent // plen)))
         extent = plen
-    lo, hi = box.intervals[-1]
-    levels = []
-    for i in range(lo, hi + 1):
-        chain: list[int] = []
-        seg_lo, seg_hi = lo, hi
-        admissible = True
-        for k, plen in enumerate(plens):
-            m = (i - seg_lo) // plen + 1
-            chain.append(m)
-            top = min(seg_lo + m * plen - 1, seg_hi)
-            is_trailing = top == seg_hi
-            if is_trailing:
-                admissible = False
-                break
-            seg_lo, seg_hi = seg_lo + (m - 1) * plen, top
-        levels.append(LevelInfo(i, tuple(chain), admissible))
-    return SubdivisionTree(
-        box, Fraction(a), depth, tuple(plens), tuple(counts), tuple(levels)
-    )
+    return SubdivisionTree(box, Fraction(a), depth, tuple(plens), tuple(counts))
 
 
 def side_growth_bracket(seq: BoxSequence) -> float:

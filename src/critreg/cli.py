@@ -4,8 +4,9 @@ Every run is a pure function of (config, seed): reports carry no clocks or
 machine identifiers, JSON is emitted with sorted keys, and all randomness
 flows through the config's seed, so identical configs give byte-identical
 files.  Exit codes: 0 all checked inequalities hold, 2 at least one fails,
-1 for usage or validation errors, 3 when a search found no qualifying
-object (a chain or path certificate search ran out of candidates).
+1 for usage or validation errors (unreadable or malformed config and report
+files among them), 3 when a search found no qualifying object (a chain or
+path certificate search ran out of candidates).
 """
 
 from __future__ import annotations
@@ -343,6 +344,8 @@ def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     base: dict = {}
     if args.config:
         base = json.loads(Path(args.config).read_text())
+        if not isinstance(base, dict):
+            raise ConfigError("the config file must hold a JSON object")
     base["kind"] = kind
     mapping = {
         "d": args.d,
@@ -370,6 +373,23 @@ def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _load_report(path: str) -> dict:
+    """Read a saved report.json; ConfigError unless it has rows and a verdict."""
+    report = json.loads(Path(path).read_text())
+    rows = report.get("rows") if isinstance(report, dict) else None
+    keys = {"check", "passed", "value", "bound"}
+    if (
+        not isinstance(rows, list)
+        or not all(isinstance(r, dict) and keys <= r.keys() for r in rows)
+        or "passed" not in report
+    ):
+        raise ConfigError(
+            f"{path} is not a report: needs 'passed' and 'rows', a list of objects "
+            "with check, passed, value and bound"
+        )
+    return report
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="critreg",
@@ -382,17 +402,13 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("report", help="re-validate and summarize a saved report")
     p.add_argument("path")
     args = parser.parse_args(argv)
-    if args.command == "report":
-        report = json.loads(Path(args.path).read_text())
-        for r in report["rows"]:
-            status = "pass" if r["passed"] else "FAIL"
-            print(f"[{status}] {r['check']}: value={r['value']} bound={r['bound']}")
-        print("overall:", "pass" if report["passed"] else "FAIL")
-        return 0 if report["passed"] else 2
     try:
-        cfg = _config_from(args, args.command)
-        report = run(cfg)
-    except (ConfigError, ValueError) as exc:
+        if args.command == "report":
+            report = _load_report(args.path)
+        else:
+            cfg = _config_from(args, args.command)
+            report = run(cfg)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (concat.ChainSearchError, walks.CertificateSearchError) as exc:
@@ -401,7 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     for r in report["rows"]:
         status = "pass" if r["passed"] else "FAIL"
         print(f"[{status}] {r['check']}: value={r['value']} bound={r['bound']}")
-    if cfg.out:
+    if args.command == "report":
+        print("overall:", "pass" if report["passed"] else "FAIL")
+    elif cfg.out:
         path = write_report(report, cfg.out)
         print(f"report written to {path}")
     return 0 if report["passed"] else 2

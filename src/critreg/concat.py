@@ -655,9 +655,9 @@ def reach_vertical_section(
     kappa = Fraction(kappa)
     dim = box.dim
     d = dim + 1
-    tree = vertical_subdivision(box, a)
     if not box.contains(point):
         raise ValueError("point outside the box")
+    tree = vertical_subdivision(box, a)
     level = tree.level(point[-1])
     if not level.admissible:
         raise ValueError(f"level {point[-1]} is not admissible")

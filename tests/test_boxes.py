@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,10 @@ class TestSequences:
     def test_exponent_sum_enforced(self):
         with pytest.raises(ValueError):
             build_sequence("B-d2", alphas=(HALF, Fraction(1, 3)), n_max=4)
+
+    def test_planar_takes_two_exponents(self):
+        with pytest.raises(ValueError, match="B-d2 takes two exponents"):
+            build_sequence("B-d2", alphas=(THIRD,) * 3, n_max=4)
 
     def test_ff_seed(self):
         s = build_sequence("FF", d=3, n_max=2)
@@ -155,13 +160,69 @@ class TestSubdivision:
         box = Box(((1, 2), (1, 4), (1, 8)))
         t = vertical_subdivision(box, minimal_round_constant(box))
         # pieces of length 3 then 1: trailing pieces poison admissibility
-        for lv in t.levels:
+        levels = [t.level(i) for i in range(1, 9)]
+        for lv in levels:
             chain_box = t.chain_box(lv.chain)
             assert chain_box.contains((1, 1, lv.level))
-        assert any(lv.admissible for lv in t.levels)
-        assert any(not lv.admissible for lv in t.levels)
+        assert any(lv.admissible for lv in levels)
+        assert any(not lv.admissible for lv in levels)
         frac = t.non_admissible_fraction()
         assert 0 < frac < 1
+
+    def test_out_of_range_levels_raise(self):
+        box = Box(((1, 2), (1, 4), (1, 8)))
+        t = vertical_subdivision(box, minimal_round_constant(box))
+        for i in (0, -3, 9):
+            with pytest.raises(ValueError):
+                t.level(i)
+        with pytest.raises(ValueError):
+            t.chain_box((4,))  # depth 1 has pieces 1..3 only
+
+    @given(
+        st.integers(2, 4),
+        st.lists(st.tuples(st.integers(1, 6), st.integers(0, 12)), min_size=3, max_size=3),
+        st.integers(1, 30),
+        st.integers(0, 80),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_levels_match_leaf_oracle(self, dim, heads, z_lo, z_width):
+        # the first dim-1 axes give the piece lengths y - 1, so y >= 2; upper
+        # endpoints ascending make deeper pieces shorter, as in round boxes
+        ivs = sorted(((x, max(x + w, 2)) for x, w in heads[: dim - 1]), key=lambda iv: iv[1])
+        box = Box(tuple(ivs) + ((z_lo, z_lo + z_width),))
+        t = vertical_subdivision(box, minimal_round_constant(box))
+        leaves = list(t.leaves())
+        assert sum(n.box.side(dim - 1) for n in leaves) == box.side(dim - 1)
+        bad = 0
+        for i in range(z_lo, z_lo + z_width + 1):
+            (leaf,) = [n for n in leaves if n.box.intervals[-1][0] <= i <= n.box.intervals[-1][1]]
+            lv = t.level(i)
+            assert lv.level == i
+            assert lv.chain == leaf.chain
+            assert t.chain_box(lv.chain) == leaf.box
+            assert lv.admissible == (leaf.depth == t.depth and not leaf.trailing)
+            bad += not lv.admissible
+        assert t.non_admissible_fraction() == Fraction(bad, box.side(dim - 1))
+
+    def test_ff_non_admissible_fractions(self):
+        # the share of section levels lying in trailing or shallow leaves
+        s = build_sequence("FF", d=3, n_max=5)
+        expect = {2: Fraction(1016, 4097), 4: Fraction(3872, 65537), 5: Fraction(12356, 61697)}
+        for n, frac in expect.items():
+            box = s.box(n)
+            t = vertical_subdivision(box, minimal_round_constant(box))
+            assert t.non_admissible_fraction() == frac
+
+    def test_subdivision_memory_does_not_grow_with_section(self):
+        box = build_sequence("FF", d=3, n_max=4).box(4)  # 65537 levels
+        a = minimal_round_constant(box)
+        tracemalloc.start()
+        try:
+            vertical_subdivision(box, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_single_level_axis_flagged(self):
         box = Box(((2, 4), (4, 17), (9, 9)))

@@ -120,3 +120,29 @@ class TestMain:
         code = main(["report", str(out / "report.json")])
         assert code == 0
         assert "box-multiplicity" in capsys.readouterr().out
+
+    def test_planar_takes_two_exponents(self, capsys):
+        argv = ["boxes", "--d", "2", "--variant", "B-d2", "--alpha", "1/3,1/3,1/3"]
+        assert main(argv) == 1
+        assert "error: B-d2 takes two exponents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json {", '{"rows": 3, "passed": true}', '{"rows": [1], "passed": true}',
+         '{"rows": [{"check": "x"}], "passed": true}', '{"rows": []}', "[]"],
+    )
+    def test_bad_report_file_exits_one(self, tmp_path, capsys, content):
+        p = tmp_path / "report.json"
+        if content is not None:
+            p.write_text(content)
+        assert main(["report", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [None, "not json {", "[1, 2]"])
+    def test_bad_config_file_exits_one(self, tmp_path, capsys, content):
+        p = tmp_path / "c.json"
+        if content is not None:
+            p.write_text(content)
+        assert main(["lemma1", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
