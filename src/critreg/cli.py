@@ -68,12 +68,33 @@ def _family(cfg: ExperimentConfig, d: int) -> lattice.LengthFamily:
     if cfg.family == "custom-file":
         if not cfg.family_file:
             raise ConfigError("custom-file family needs --family-file")
-        raw = json.loads(Path(cfg.family_file).read_text())
-        table = {
-            tuple(int(t) for t in k.split(",")): Fraction(v) for k, v in raw.items()
-        }
-        return lattice.TableFamily(table)
+        return lattice.TableFamily(_read_table(cfg.family_file))
     raise ConfigError(f"unknown family {cfg.family!r}")
+
+
+def _read_table(path: str) -> dict[tuple[int, ...], Fraction]:
+    """A weight table file: a JSON object mapping "i,j,..." to a number or a
+    rational string; ConfigError for any other content."""
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object of index -> weight")
+    table = {}
+    for key, value in raw.items():
+        try:
+            index = tuple(int(t) for t in key.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"{path}: key {key!r} is not comma-separated integers"
+            ) from None
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ConfigError(f"{path}: weight of {key!r} is not a number or a rational")
+        try:
+            table[index] = Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ConfigError(
+                f"{path}: weight {value!r} of {key!r} is not a finite rational"
+            ) from None
+    return table
 
 
 def _row(check: str, passed: bool, value, bound, note: str = "") -> dict:
@@ -253,8 +274,10 @@ def _run_dynamics(cfg: ExperimentConfig) -> dict:
     scan = smooth.blowup_scan(smooth.doubling_fixed_point_map(), min(cfg.k_max, 1000))
     wander = smooth.wandering_sum_check(g, 0.5, min(cfg.k_max, 1000))
     rows = [
-        _row("iterate-growth-bound", rep.all_pass, rep.k_checked,
-             rep.first_failure, f"log-slack min {rep.min_log_slack:.4f}"),
+        _row("iterate-growth-bound", rep.all_pass, rep.min_log_slack,
+             -smooth.GROWTH_TOL,
+             f"least log-slack over k <= {rep.k_checked}; first failing k: "
+             f"{rep.first_failure}"),
         _row("derivative-blowup-scan", len(scan) == min(cfg.k_max, 1000),
              len(scan), min(cfg.k_max, 1000),
              "doubling fixed point exceeds k at every step"),

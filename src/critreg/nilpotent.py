@@ -12,6 +12,7 @@ whose slope on the v-th interval is weight(f(v)) / weight(v).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,15 @@ from .lattice import Coords, LengthFamily, ProductFamily, symmetric_geometric_fa
 
 @dataclass(frozen=True)
 class UnipotentMatrix:
+    """A lower-unitriangular integer matrix, rows as tuples of ints.
+
+    The public constructor ``UnipotentMatrix(rows)`` validates its input.
+    ``identity``, ``generator``, ``*``, ``inverse``, ``power`` and
+    ``Word.prefixes``/``product`` build their results through the trusted
+    ``_trusted`` constructor, which skips that check: each result is
+    lower-unitriangular by construction.
+    """
+
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
@@ -34,37 +44,47 @@ class UnipotentMatrix:
             if any(row[j] != 0 for j in range(i + 1, n)):
                 raise ValueError("matrix must be lower triangular")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "UnipotentMatrix":
+        """Wrap rows known to be lower-unitriangular, without validation."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     @property
     def size(self) -> int:
         return len(self.rows)
 
     @staticmethod
     def identity(size: int) -> "UnipotentMatrix":
-        return UnipotentMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
-        )
+        return UnipotentMatrix._trusted(_identity_rows(size))
 
     @staticmethod
     def generator(size: int, i: int, j: int) -> "UnipotentMatrix":
         """f(i,j): single off-diagonal 1 at row i, column j (1-based, i > j)."""
         if not 1 <= j < i <= size:
             raise ValueError(f"generator needs 1 <= j < i <= {size}")
-        rows = [[1 if a == b else 0 for b in range(size)] for a in range(size)]
-        rows[i - 1][j - 1] = 1
-        return UnipotentMatrix(tuple(tuple(r) for r in rows))
+        return UnipotentMatrix._elementary(size, i - 1, j - 1, 1)
+
+    @staticmethod
+    def _elementary(size: int, i: int, j: int, c: int) -> "UnipotentMatrix":
+        """I + c * E_ij for 0-based j < i."""
+        rows = _identity_rows(size)
+        row = rows[i][:j] + (c,) + rows[i][j + 1:]
+        return UnipotentMatrix._trusted(rows[:i] + (row,) + rows[i + 1:])
 
     def __mul__(self, other: "UnipotentMatrix") -> "UnipotentMatrix":
         n = self.size
         if other.size != n:
             raise ValueError("size mismatch")
-        rows = tuple(
-            tuple(
-                sum(self.rows[i][k] * other.rows[k][j] for k in range(j, i + 1))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return UnipotentMatrix(rows)
+        # both factors are lower-unitriangular, so is the product: compute
+        # its strict lower triangle only, the diagonal and above are fixed
+        cols = list(zip(*other.rows))
+        return UnipotentMatrix._trusted(tuple(
+            tuple([sum(map(operator.mul, row, col)) for col in cols[:i]])
+            + (1,) + (0,) * (n - i - 1)
+            for i, row in enumerate(self.rows)
+        ))
 
     def inverse(self) -> "UnipotentMatrix":
         """Exact integer inverse by forward substitution."""
@@ -74,17 +94,42 @@ class UnipotentMatrix:
             for j in range(i):
                 s = sum(self.rows[i][k] * inv[k][j] for k in range(j, i))
                 inv[i][j] = -s
-        return UnipotentMatrix(tuple(tuple(r) for r in inv))
+        return UnipotentMatrix._trusted(tuple(tuple(r) for r in inv))
 
     def power(self, k: int) -> "UnipotentMatrix":
-        base = self if k >= 0 else self.inverse()
+        """self^k: I + k*c*E_ij for a single off-diagonal entry c (E_ij^2 = 0),
+        binary exponentiation otherwise."""
+        off = [
+            (i, j, c) for i, row in enumerate(self.rows) for j, c in enumerate(row[:i]) if c
+        ]
+        if len(off) == 1:
+            i, j, c = off[0]
+            return UnipotentMatrix._elementary(self.size, i, j, k * c)
         out = UnipotentMatrix.identity(self.size)
-        for _ in range(abs(k)):
-            out = out * base
+        base = self if k >= 0 else self.inverse()
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def commutes_with(self, other: "UnipotentMatrix") -> bool:
         return self * other == other * self
+
+    def commutes_with_generator(self, i: int, j: int) -> bool:
+        """Whether self commutes with f(i,j), and so with f(i,j)^-1, in O(size).
+
+        self*f(i,j) - f(i,j)*self = self*E_ij - E_ij*self is column i of self
+        moved to column j minus row j of self moved to row i; it vanishes
+        exactly when column i and row j of self are zero off the diagonal.
+        """
+        if not 1 <= j < i <= self.size:
+            raise ValueError(f"generator needs 1 <= j < i <= {self.size}")
+        rows = self.rows
+        return not any(row[i - 1] for row in rows[i:]) and not any(rows[j - 1][: j - 1])
 
     def act(self, v: Sequence[int]) -> Coords:
         """Action on Z^d through the invariant affine slice {1} x Z^d."""
@@ -92,9 +137,14 @@ class UnipotentMatrix:
         if len(v) != n - 1:
             raise ValueError(f"index must have {n - 1} coordinates")
         w = (1, *v)
-        return tuple(
-            sum(self.rows[i][k] * w[k] for k in range(i + 1)) for i in range(1, n)
-        )
+        # entries above the diagonal are 0, so whole-row dot products suffice
+        return tuple([sum(map(operator.mul, row, w)) for row in self.rows[1:]])
+
+
+def _identity_rows(size: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        (0,) * i + (1,) + (0,) * (size - i - 1) for i in range(size)
+    )
 
 
 @dataclass(frozen=True)
@@ -135,24 +185,26 @@ class Word:
     letters: tuple[tuple[int, int, int], ...]  # (i, j, exponent +-1)
     size: int
 
-    def matrices(self) -> list[UnipotentMatrix]:
-        out = []
-        for i, j, e in self.letters:
-            m = UnipotentMatrix.generator(self.size, i, j)
-            out.append(m if e == 1 else m.inverse())
-        return out
+    def __post_init__(self) -> None:
+        for i, j, _ in self.letters:
+            if not 1 <= j < i <= self.size:
+                raise ValueError(f"letter f({i},{j}) outside the rank-{self.size} group")
 
     def product(self) -> UnipotentMatrix:
-        out = UnipotentMatrix.identity(self.size)
-        for m in self.matrices():
-            out = m * out  # left-to-right application: later letters act last
-        return out
+        return self.prefixes()[-1]
 
     def prefixes(self) -> list[UnipotentMatrix]:
-        """h_0 = id, h_1, ..., h_n as matrices."""
-        out = [UnipotentMatrix.identity(self.size)]
-        for m in self.matrices():
-            out.append(m * out[-1])
+        """h_0 = id, h_1, ..., h_n as matrices.
+
+        Later letters act last, so h_t = f_t * h_(t-1): left-multiplying by
+        f(i,j)^e adds e * row j to row i, and every other row is shared.
+        """
+        rows = _identity_rows(self.size)
+        out = [UnipotentMatrix._trusted(rows)]
+        for i, j, e in self.letters:
+            new = tuple(x + e * y for x, y in zip(rows[i - 1], rows[j - 1]))
+            rows = rows[: i - 1] + (new,) + rows[i:]
+            out.append(UnipotentMatrix._trusted(rows))
         return out
 
 
@@ -166,8 +218,6 @@ def parse_word(text: str, d: int) -> Word:
             raise ValueError(f"unparsable word fragment {text[pos:m.start()]!r}")
         i, j = int(m.group(1)), int(m.group(2))
         e = int(m.group(3) or 1)
-        if not 1 <= j < i <= size:
-            raise ValueError(f"letter f({i},{j}) outside the rank-{size} group")
         letters.append((i, j, e))
         pos = m.end()
     if text[pos:].strip() or not letters:
@@ -320,26 +370,35 @@ def conjugacy_distortion_check(
     letter of the word.  Also returns M_n = sum of |h_j(I)|^a over word
     prefixes (block lengths through the fiber marginal) and exp(C*M_n).
     """
-    letters = word.matrices()
-    for i, m in enumerate(letters):
-        if not g.commutes_with(m):
-            raise ValueError(f"letter {word.letters[i]} does not commute with g")
-    h = word.product()
+    if g.size != word.size:
+        raise ValueError("size mismatch")
+    # g commutes with f(i,j)^e exactly when it commutes with f(i,j)
+    for letter in word.letters:
+        if not g.commutes_with_generator(letter[0], letter[1]):
+            raise ValueError(f"letter {letter} does not commute with g")
+    prefixes = word.prefixes()
+    h = prefixes[-1]
     gk = g.power(k)
+    length = packing.length
     residuals = []
     for v in indices:
         v = tuple(v)
-        lhs = packing.length(gk.act(v)) / packing.length(v)
-        num = packing.length(h.act(v)) / packing.length(v)
         yv = gk.act(v)
-        den = packing.length(h.act(yv)) / packing.length(yv)
         hv = h.act(v)
-        tail = packing.length(gk.act(hv)) / packing.length(hv)
+        lv, lyv, lhv = length(v), length(yv), length(hv)
+        lhs = lyv / lv
+        num = lhv / lv
+        hyv, ghv = h.act(yv), gk.act(hv)
+        lhyv = length(hyv)
+        # when h and g^k commute, h(g^k v) and g^k(h v) are one index
+        lghv = lhyv if ghv == hyv else length(ghv)
+        den = lhyv / lyv
+        tail = lghv / lhv
         residuals.append(lhs - num / den * tail)
     m_vals = []
     acc = 0.0
     origin = tuple([0] * packing.d)
-    for hj in word.prefixes()[:-1]:
+    for hj in prefixes[:-1]:
         u = hj.act(origin)[:-1]
         acc += float(packing.block_length(u)) ** holder_exponent
         m_vals.append(acc)

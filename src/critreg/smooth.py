@@ -16,6 +16,8 @@ import numpy as np
 
 FIXED_POINT_TOL = 1e-10
 PARABOLIC_TOL = 1e-9
+# a growth bound holds at k while log(bound) - log(grid max) >= -GROWTH_TOL
+GROWTH_TOL = 1e-12
 
 
 class HyperbolicFixedPointError(ValueError):
@@ -234,7 +236,7 @@ def growth_bound_check(
     logmax = _log_derivative_sweep(g, k_max, grid)
     ks = np.arange(1, k_max + 1, dtype=float)
     logbound = 3.0 * c * g.length ** alpha * ks ** (1.0 - alpha)
-    ok = logmax <= logbound + 1e-12
+    ok = logmax <= logbound + GROWTH_TOL
     first_fail = None if bool(ok.all()) else int(np.argmin(ok)) + 1
     return GrowthBoundReport(
         alpha,

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from critreg.cli import ConfigError, ExperimentConfig, main, run, write_report
+from critreg.cli import ConfigError, ExperimentConfig, _read_table, main, run, write_report
 
 
 def _cfg(**kw):
@@ -55,6 +56,19 @@ class TestRun:
         for d, variant in ((2, "translation"), (3, "translation"), (3, "ff")):
             report = run(_cfg(kind="identity", d=d, variant=variant, samples=40))
             assert report["passed"], (d, variant)
+
+    def test_known_failing_growth_bound(self):
+        report = run(_cfg(c_param=0.5, alpha_holder="2/3", k_max=750))
+        row = next(r for r in report["rows"] if r["check"] == "iterate-growth-bound")
+        assert not row["passed"] and not report["passed"]
+        assert row["value"] < row["bound"] < 0
+        assert "first failing k: 110" in row["note"]
+
+    def test_growth_bound_row_reports_slack(self):
+        row = run(_cfg())["rows"][0]
+        assert row["check"] == "iterate-growth-bound" and row["passed"]
+        assert row["value"] >= row["bound"] == -1e-12
+        assert "first failing k: None" in row["note"]
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -138,6 +152,28 @@ class TestMain:
         assert main(["report", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json {", "[1, 2]", '{"1,2": [1]}', '{"1,2": {"w": 1}}', '{"1,2": true}',
+         '{"1,2": null}', '{"a,2": 1}', '{"": 1}', '{"1,2": "abc"}', '{"1,2": "1/0"}',
+         '{"1,2": Infinity}', '{"1,2": NaN}'],
+    )
+    def test_bad_family_file_exits_one(self, tmp_path, capsys, content):
+        p = tmp_path / "family.json"
+        if content is not None:
+            p.write_text(content)
+        argv = ["lemma1", "--d", "2", "--family", "custom-file", "--family-file", str(p)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_family_file_accepts_numbers_and_rationals(self, tmp_path):
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps({"0,0": "1/2", "0,1": 0.25, "1, 0": 1}))
+        assert _read_table(str(p)) == {
+            (0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 0): Fraction(1)
+        }
 
     @pytest.mark.parametrize("content", [None, "not json {", "[1, 2]"])
     def test_bad_config_file_exits_one(self, tmp_path, capsys, content):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critreg.lattice import AxisWeight
 from critreg.nilpotent import (
@@ -75,6 +77,8 @@ class TestWords:
             parse_word("f(2,1) nonsense", 2)
         with pytest.raises(ValueError):
             parse_word("f(5,1)", 2)
+        with pytest.raises(ValueError):
+            Word(((2, 2, 1),), 3)  # letters must lie below the diagonal
 
     def test_left_to_right_composition(self):
         w = parse_word("f(2,1) f(3,2)", 2)
@@ -203,9 +207,14 @@ class TestDistortionIdentity:
 
     def test_noncommuting_letter_rejected(self):
         pk = full_group_model(3)
-        g = UnipotentMatrix.generator(4, 3, 2)  # does not commute with f(2,1)
-        with pytest.raises(ValueError):
-            conjugacy_distortion_check(pk, parse_word("f(2,1)", 3), g, 1, [(0, 0, 0)])
+        g = UnipotentMatrix.generator(4, 3, 2)  # commutes with f(3,1), not f(2,1)
+        for text in (
+            "f(2,1)",
+            "f(2,1)^-1",  # only the inverse of the offending generator
+            "f(3,1) f(3,1)^-1 f(3,1) f(2,1)",  # after a repeated commuting letter
+        ):
+            with pytest.raises(ValueError, match="does not commute"):
+                conjugacy_distortion_check(pk, parse_word(text, 3), g, 1, [(0, 0, 0)])
 
 
 class _InverseSquareAxis(AxisWeight):
@@ -234,3 +243,149 @@ class TestSlopeGrowth:
         assert rep.max_slopes[-1] == 1 + 40 * 40
         assert rep.classification == "polynomial"
         assert 1.7 < rep.fit < 2.3
+
+
+# ---------------------------------------------------------------------------
+# the trusted action code against naive validated products
+# ---------------------------------------------------------------------------
+
+
+def _naive_mul(a, b):
+    n = a.size
+    return UnipotentMatrix(tuple(
+        tuple(sum(a.rows[i][k] * b.rows[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    ))
+
+
+def _naive_power(m, k):
+    base = m if k >= 0 else m.inverse()
+    out = UnipotentMatrix.identity(m.size)
+    for _ in range(abs(k)):
+        out = _naive_mul(out, base)
+    return out
+
+
+def _naive_act(m, v):
+    w = (1, *v)
+    return tuple(sum(m.rows[i][k] * w[k] for k in range(m.size)) for i in range(1, m.size))
+
+
+def _naive_prefixes(word):
+    """h_0 = id and h_t = f_t^e * h_(t-1), each letter a validated matrix."""
+    out = [UnipotentMatrix.identity(word.size)]
+    for i, j, e in word.letters:
+        rows = [[int(a == b) for b in range(word.size)] for a in range(word.size)]
+        rows[i - 1][j - 1] = e
+        out.append(_naive_mul(UnipotentMatrix(tuple(map(tuple, rows))), out[-1]))
+    return out
+
+
+def _is_valid(m):
+    return UnipotentMatrix(m.rows) == m
+
+
+@st.composite
+def _matrices(draw, elementary=False, entries=st.integers(-3, 3)):
+    n = draw(st.integers(2, 5))
+    rows = [[int(a == b) for b in range(n)] for a in range(n)]
+    if elementary:
+        i = draw(st.integers(1, n - 1))
+        j = draw(st.integers(0, i - 1))
+        rows[i][j] = draw(st.integers(-4, 4).filter(bool))
+    else:
+        for i in range(1, n):
+            for j in range(i):
+                rows[i][j] = draw(entries)
+    return UnipotentMatrix(tuple(map(tuple, rows)))
+
+
+@st.composite
+def _words(draw, size=None):
+    n = size or draw(st.integers(2, 5))
+    gens = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
+    letters = draw(st.lists(
+        st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))), max_size=8
+    ))
+    return Word(tuple((i, j, e) for (i, j), e in letters), n)
+
+
+class TestTrustedAction:
+    @given(st.one_of(_matrices(elementary=True), _matrices()), st.integers(-12, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_power_matches_repeated_products(self, m, k):
+        p = m.power(k)
+        assert p == _naive_power(m, k)
+        assert _is_valid(p)
+
+    @given(_matrices(), _matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_product_and_inverse_match_naive(self, a, b):
+        if a.size != b.size:
+            b = UnipotentMatrix.identity(a.size)
+        assert a * b == _naive_mul(a, b)
+        assert _naive_mul(a, a.inverse()) == UnipotentMatrix.identity(a.size)
+        for m in (a * b, a.inverse(), UnipotentMatrix.identity(a.size)):
+            assert _is_valid(m)
+
+    @given(_words())
+    @settings(max_examples=80, deadline=None)
+    def test_prefixes_match_left_multiplied_generators(self, word):
+        got = word.prefixes()
+        assert got == _naive_prefixes(word)
+        assert word.product() == got[-1]
+        assert all(_is_valid(h) for h in got)
+
+    @given(_matrices(entries=st.sampled_from((0, 0, 0, 1, -2))), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_generator_commutation_matches_products(self, g, data):
+        i = data.draw(st.integers(2, g.size))
+        j = data.draw(st.integers(1, i - 1))
+        f = UnipotentMatrix.generator(g.size, i, j)
+        expected = g * f == f * g
+        assert g.commutes_with_generator(i, j) == expected
+        assert expected == (g * f.inverse() == f.inverse() * g)
+
+    def test_generators_are_valid(self):
+        for n in range(2, 6):
+            for i in range(2, n + 1):
+                for j in range(1, i):
+                    assert _is_valid(UnipotentMatrix.generator(n, i, j))
+
+    @given(st.integers(2, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_conjugacy_check_matches_naive_reference(self, d, data):
+        pk = full_group_model(d)
+        word = data.draw(_words(size=d + 1))
+        k = data.draw(st.integers(1, 5))
+        idx = data.draw(st.lists(
+            st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=3
+        ))
+        g = UnipotentMatrix.generator(d + 1, d + 1, 1)
+        rep = conjugacy_distortion_check(pk, word, g, k, idx, holder_exponent=0.5)
+
+        weight = pk.family.weight
+        h = _naive_prefixes(word)[-1]
+        gk = _naive_power(g, k)
+
+        def slope(m, v):
+            return weight(_naive_act(m, v)) / weight(v)
+
+        expected = [
+            slope(gk, v) - slope(h, v) / slope(h, _naive_act(gk, v)) * slope(gk, _naive_act(h, v))
+            for v in idx
+        ]
+        assert rep.residuals == tuple(expected)
+        assert rep.all_zero
+
+        m_vals, acc = [], 0.0
+        axes = pk.family.axes
+        for hj in _naive_prefixes(word)[:-1]:
+            head = _naive_act(hj, (0,) * d)[:-1]
+            block = pk.family.scale
+            for ax, c in zip(axes, head):
+                block *= ax.weight(c)
+            block *= axes[-1].total()
+            acc += float(block) ** 0.5
+            m_vals.append(acc)
+        assert rep.m_values == tuple(m_vals)
