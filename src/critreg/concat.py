@@ -194,7 +194,7 @@ def _alpha_for(alphas, axis: int) -> float:
 def _new_cert(
     kind: str, family: LengthFamily, seq: BoxSequence, alphas, measured=None
 ) -> ChainCertificate:
-    masses = {n: family.box_mass_log2(seq.box(n)) for n in seq.indices()}
+    masses = {n: mass_log2(family, seq.box(n)) for n in seq.indices()}
     return ChainCertificate(kind, seq, family.name, alphas, masses, measured or {})
 
 
@@ -212,7 +212,6 @@ def _emit(
 ) -> None:
     """Append the record of one chain segment, its flag decided by mass_le."""
     alpha = _alpha_for(cert.alphas, seg.axis)
-    base = max(cert.masses_log2[n], cert.masses_log2.get(n + 1, NEG_INF))
     cert.records.append(
         SegmentRecord(
             n=n,
@@ -225,11 +224,16 @@ def _emit(
             mass_log2=mass_log2(family, seg),
             mass_bound_log2=log2_fraction(bound.q) + mass_log2(family, bound.region),
             power_sum_log2=family.segment_power_log2(seg, alpha),
-            power_base_log2=alpha * base,
+            power_base_log2=_power_base_log2(cert.masses_log2, n, alpha),
             entry=entry,
             exit=exit_,
         )
     )
+
+
+def _power_base_log2(masses_log2: dict[int, float], n: int, alpha: float) -> float:
+    """log2 of max(L_n, L_(n+1))^alpha from the box masses L of the sequence."""
+    return alpha * max(masses_log2[n], masses_log2.get(n + 1, NEG_INF))
 
 
 def _finish(cert: ChainCertificate, prefix_from: Coords | None) -> ChainCertificate:
@@ -303,20 +307,20 @@ def _measure(cert: ChainCertificate) -> None:
 def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool]:
     """Recompute all certificate flags from the weight family alone.
 
-    Masses and power sums come from the same closed forms the builders
-    use, so they must equal the stored values; each flag is re-decided by
-    `mass_le` against its stored bound pair.
+    Masses, power sums and power bases come from the same closed forms
+    the builders use, so they must equal the stored values; each flag is
+    re-decided by `mass_le` against its stored bound pair.
     """
+    box_masses = {n: mass_log2(family, cert.seq.box(n)) for n in cert.seq.indices()}
+    boxes_ok = box_masses == cert.masses_log2
     flags = all(
         r.flag_ok
         and mass_le(family, r.seg, r.bound)
         and mass_log2(family, r.seg) == r.mass_log2
         for r in cert.records
     )
-    power_sums = [
-        family.segment_power_log2(r.seg, _alpha_for(cert.alphas, r.seg.axis))
-        for r in cert.records
-    ]
+    alphas = [_alpha_for(cert.alphas, r.seg.axis) for r in cert.records]
+    power_sums = [family.segment_power_log2(r.seg, a) for r, a in zip(cert.records, alphas)]
     powers = all(ps == r.power_sum_log2 for ps, r in zip(power_sums, cert.records))
     containment = all(
         cert.seq.box(r.n).contains(r.seg.anchor)
@@ -324,17 +328,19 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
         for r in cert.records
     )
     witnesses = _witness_check(cert.records)
+    bases = [_power_base_log2(box_masses, r.n, a) for r, a in zip(cert.records, alphas)]
     b_ok = all(
-        ps - r.power_base_log2 <= cert.power_ratio_log2
-        for ps, r in zip(power_sums, cert.records)
+        base == r.power_base_log2 and ps - base <= cert.power_ratio_log2
+        for ps, base, r in zip(power_sums, bases, cert.records)
     )
     return {
+        "box_masses": boxes_ok,
         "masses": flags,
         "power_sums": powers,
         "containment": containment,
         "witnesses": witnesses,
         "power_bound": b_ok,
-        "all": flags and powers and containment and witnesses and b_ok,
+        "all": boxes_ok and flags and powers and containment and witnesses and b_ok,
     }
 
 
@@ -516,12 +522,7 @@ def black_box_reach(
     if mu_star > mu:
         raise ValueError(f"flag is only {mu_star}-good, asked for fully {mu}-good")
     lam = Fraction(lam) if lam is not None else lambda_prime(mu, kappa, box.dim)
-    amean = family.box_mass(box) / box.npoints()
-    good = [
-        s
-        for s in _all_segments(box)
-        if family.segment_mass(s) / s.count <= lam * amean
-    ]
+    good = [s for s in _all_segments(box) if mass_le(family, s, _mean_bound(lam, s, box))]
     frontier = [s for s in good if _segments_cross(s, seg)]
     chains: dict[Coords, tuple[Segment, ...]] = {}
     seen_segments = {(s.axis, s.anchor) for s in frontier}
@@ -1003,18 +1004,10 @@ def _staircase_junctions(
 # ---------------------------------------------------------------------------
 
 
-def _strips(box: Box, stride: int) -> list[tuple[int, int, int]]:
-    """(index r, j_lo, j_hi) strips of the box's second axis, heights equal
-    to the stride except possibly the last one; 1-based indices."""
-    x2, y2 = box.intervals[1]
-    out = []
-    r = 0
-    j = x2
-    while j <= y2:
-        r += 1
-        out.append((r, j, min(j + stride - 1, y2)))
-        j += stride
-    return out
+def _strip_count(box: Box, stride: int) -> int:
+    """Number of strips of the box's second axis cut every `stride` levels;
+    all have height `stride` except possibly the last one."""
+    return -(-box.side(1) // stride)
 
 
 def _first_in_class(j_lo: int, j_hi: int, anchor_j: int, k: int) -> int | None:
@@ -1029,7 +1022,7 @@ def chain_start_stage(seq: BoxSequence) -> int:
     for n in seq.indices():
         if n % 2 == 1 and n - 1 in seq.indices():
             stride = seq.box(n).intervals[0][1]
-            if len(_strips(seq.box(n), stride)) >= 2:
+            if _strip_count(seq.box(n), stride) >= 2:
                 return n - 1
     raise ChainSearchError("no workable stage in range", None)
 
@@ -1084,8 +1077,7 @@ def _build_ff_d3(
         even, odd, nxt_even = n, n + 1, n + 2
         box_e, box_o, box_e2 = seq.box(even), seq.box(odd), seq.box(nxt_even)
         stride = box_o.intervals[0][1]  # strip height y_(1,odd)
-        strips = _strips(box_o, stride)
-        big_r = len(strips)
+        big_r = _strip_count(box_o, stride)
         if big_r < 2:
             raise ChainSearchError("degenerate strip decomposition", odd)
         overlap_col = box_e.intersect(box_o)
@@ -1094,9 +1086,11 @@ def _build_ff_d3(
         seg2_bound = Bound(lam / big_r, overlap_col.fix_axis(0, k))
         strip_bound = Bound(lam / big_r, box_o)
         pick = None
-        for _, j_lo, j_hi in strips[:-1]:
+        x2 = box_o.intervals[1][0]
+        for j_lo in range(x2, x2 + (big_r - 1) * stride, stride):
+            j_hi = j_lo + stride - 1
             strip_box = Box((box_o.intervals[0], (j_lo, j_hi)))
-            seg2 = Segment((k, j_lo), 1, j_hi - j_lo + 1)
+            seg2 = Segment((k, j_lo), 1, stride)
             if mass_le(family, seg2, seg2_bound) and mass_le(family, strip_box, strip_bound):
                 pick = (j_lo, j_hi, strip_box, seg2)
                 break

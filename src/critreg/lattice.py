@@ -1,11 +1,13 @@
 """Core lattice substrate: multi-indices, weight families, segments, paths.
 
-All masses and per-axis sums are exact rationals coming from closed forms;
-every closed form is also exposed in a log2-domain form, so astronomically
-small weights stay computable.  Goodness decisions go through `mass_le`,
-which decides from log2 masses split into an exact integer and a small
-float, with a certified error margin, and computes exact rationals only
-when the margin cannot decide.
+Masses of boxes and segments have closed forms in two representations:
+exact rationals, and log2 masses split into an exact integer and a small
+float (`mass_log2_parts`, read as one float by `mass_log2`), so
+astronomically small weights stay computable.  Goodness decisions go
+through `mass_le`, which decides from the split form with a certified
+error margin and computes exact rationals only when the margin cannot
+decide.  Plain float log2 sums remain only for power sums with fractional
+exponents.
 """
 
 from __future__ import annotations
@@ -289,7 +291,8 @@ class AxisWeight:
         raise NotImplementedError
 
     def log2_weight(self, i: int) -> float:
-        return log2_fraction(self.weight(i))
+        e, f = self.weight_log2_parts(i)
+        return e + f
 
     def total(self) -> Fraction:
         raise NotImplementedError
@@ -301,9 +304,6 @@ class AxisWeight:
     def range_mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
         raise NotImplementedError
 
-    def range_mass_log2(self, lo: int, hi: int, stride: int = 1) -> float:
-        raise NotImplementedError
-
     def range_power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
         """log2 of the sum of weight^alpha over the strided range."""
         raise NotImplementedError
@@ -311,7 +311,7 @@ class AxisWeight:
     def weight_log2_parts(self, i: int) -> Log2Parts:
         return log2_parts(self.weight(i))
 
-    def range_mass_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
+    def range_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
         """log2 of range_mass as exact integer plus float; None when empty."""
         m = self.range_mass(lo, hi, stride)
         return log2_parts(m) if m else None
@@ -335,11 +335,6 @@ class GeometricAxis(AxisWeight):
             raise ValueError(f"index {i} outside cone support")
         return Fraction(1, 2 ** (i + 1))
 
-    def log2_weight(self, i: int) -> float:
-        if i < 0:
-            raise ValueError(f"index {i} outside cone support")
-        return float(-(i + 1))
-
     def total(self) -> Fraction:
         return Fraction(1)
 
@@ -356,9 +351,6 @@ class GeometricAxis(AxisWeight):
         r = Fraction(1, 2 ** stride)
         return Fraction(1, 2 ** (lo + 1)) * (1 - r ** c) / (1 - r)
 
-    def range_mass_log2(self, lo: int, hi: int, stride: int = 1) -> float:
-        return self.range_power_log2(lo, hi, stride, 1.0)
-
     def range_power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
         lo = max(lo, 0)
         c = _count(lo, hi, stride)
@@ -371,7 +363,7 @@ class GeometricAxis(AxisWeight):
             raise ValueError(f"index {i} outside cone support")
         return -(i + 1), 0.0
 
-    def range_mass_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
+    def range_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
         lo = max(lo, 0)
         c = _count(lo, hi, stride)
         return (-(lo + 1), _run_tail_log2(stride, c)) if c else None
@@ -388,9 +380,6 @@ class SymmetricGeometricAxis(AxisWeight):
 
     def weight(self, i: int) -> Fraction:
         return Fraction(1, 3 * 2 ** abs(i))
-
-    def log2_weight(self, i: int) -> float:
-        return -abs(i) - math.log2(3.0)
 
     def total(self) -> Fraction:
         return Fraction(1)
@@ -419,9 +408,6 @@ class SymmetricGeometricAxis(AxisWeight):
                 total += first * (1 - r ** c) / (1 - r)
         return total
 
-    def range_mass_log2(self, lo: int, hi: int, stride: int = 1) -> float:
-        return self.range_power_log2(lo, hi, stride, 1.0)
-
     def range_power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
         out = NEG_INF
         lg3 = math.log2(3.0)
@@ -445,7 +431,7 @@ class SymmetricGeometricAxis(AxisWeight):
     def weight_log2_parts(self, i: int) -> Log2Parts:
         return -abs(i), -LOG2_3
 
-    def range_mass_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
+    def range_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
         # each side is one geometric run, led by its largest weight
         neg = pos = None
         neg_hi = min(hi, -1)
@@ -493,10 +479,6 @@ class UniformAxis(AxisWeight):
         lo, hi = max(lo, self.lo), min(hi, self.hi)
         return self.cell * _count(lo, hi, stride)
 
-    def range_mass_log2(self, lo: int, hi: int, stride: int = 1) -> float:
-        m = self.range_mass(lo, hi, stride)
-        return log2_fraction(m) if m else NEG_INF
-
     def range_power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
         lo, hi = max(lo, self.lo), min(hi, self.hi)
         c = _count(lo, hi, stride)
@@ -540,14 +522,7 @@ class LengthFamily:
     def box_mass(self, box: Box) -> Fraction:
         raise NotImplementedError
 
-    def box_mass_log2(self, box: Box) -> float:
-        m = self.box_mass(box)
-        return log2_fraction(m) if m else NEG_INF
-
     def segment_mass(self, seg: Segment) -> Fraction:
-        raise NotImplementedError
-
-    def segment_mass_log2(self, seg: Segment) -> float:
         raise NotImplementedError
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
@@ -610,16 +585,10 @@ class ProductFamily(LengthFamily):
                 return Fraction(0)
         return m
 
-    def box_mass_log2(self, box: Box) -> float:
-        m = log2_fraction(self.scale)
-        for ax, (lo, hi) in zip(self.axes, box.intervals, strict=True):
-            m += ax.range_mass_log2(lo, hi)
-        return m
-
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
         if isinstance(region, Box):
             terms = [
-                ax.range_mass_log2_parts(lo, hi)
+                ax.range_log2_parts(lo, hi)
                 for ax, (lo, hi) in zip(self.axes, region.intervals, strict=True)
             ]
         else:
@@ -628,7 +597,7 @@ class ProductFamily(LengthFamily):
                 for k, c in enumerate(region.anchor)
                 if k != region.axis
             ]
-            terms.append(self.axes[region.axis].range_mass_log2_parts(*region.axis_values()))
+            terms.append(self.axes[region.axis].range_log2_parts(*region.axis_values()))
         e, f = self._scale_parts
         for term in terms:
             if term is None:
@@ -643,14 +612,6 @@ class ProductFamily(LengthFamily):
                 m *= self.axes[k].weight(c)
         lo, hi, stride = seg.axis_values()
         return m * self.axes[seg.axis].range_mass(lo, hi, stride)
-
-    def segment_mass_log2(self, seg: Segment) -> float:
-        m = log2_fraction(self.scale)
-        for k, c in enumerate(seg.anchor):
-            if k != seg.axis:
-                m += self.axes[k].log2_weight(c)
-        lo, hi, stride = seg.axis_values()
-        return m + self.axes[seg.axis].range_mass_log2(lo, hi, stride)
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
         """log2 of the sum of weight^alpha over the segment's points."""
@@ -706,9 +667,6 @@ class TableFamily(LengthFamily):
 
     def segment_mass(self, seg: Segment) -> Fraction:
         return sum((self.weight(p) for p in seg.points()), Fraction(0))
-
-    def segment_mass_log2(self, seg: Segment) -> float:
-        return log2_fraction(self.segment_mass(seg))
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
         out = NEG_INF

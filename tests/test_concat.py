@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from critreg.boxes import build_sequence, minimal_round_constant
 from critreg.concat import (
     ChainSearchError,
     _full_segment,
+    _strip_count,
     black_box_reach,
     brute_reach,
     build_chain,
@@ -330,8 +333,22 @@ class TestChains:
         for r in cert.records:
             if r.generator == "f(3,2)":
                 assert r.seg.stride == r.seg.anchor[0]
+        # the vertical pieces through a strip span one whole strip of the odd
+        # box, cut every y_(1,odd) levels from the bottom of its second axis
+        for r in cert.records:
+            if r.flag_kind in ("overlap-vertical", "strip-overlap-vertical"):
+                odd = seq.box(r.n + 1 - r.n % 2)
+                height = odd.intervals[0][1]
+                assert r.seg.count == height
+                assert (r.seg.anchor[1] - odd.intervals[1][0]) % height == 0
         rep = distortion_budget(cert, fam, min_fit_n=4)
         assert rep.ratio_spread < 2.0
+
+    def test_strip_count(self):
+        # levels 3..12 cut every 4: [3, 6], [7, 10] and the short [11, 12]
+        assert _strip_count(Box(((1, 5), (3, 12))), 4) == 3
+        assert _strip_count(Box(((1, 5), (3, 10))), 4) == 2
+        assert _strip_count(Box(((1, 5), (3, 3))), 4) == 1
 
     def test_orbit_chain_general(self):
         fam = symmetric_geometric_family(3)
@@ -377,6 +394,47 @@ class TestChains:
                 if fam.box_mass(box.fix_axis(m2, v)) <= bound
             )
             assert Fraction(good, box.side(m2)) > 1 - 1 / lam
+
+
+_CHAINS = {
+    "B-d2": (geometric_family(2), ("B-d2", dict(alphas=(HALF, HALF), n_max=10))),
+    "B-d3": (geometric_family(3), ("B-general", dict(alphas=(THIRD,) * 3, n_max=8))),
+    "FF-d3": (symmetric_geometric_family(2), ("FF", dict(d=3, n_max=13))),
+}
+
+
+def _tamper(cert, field):
+    """A copy of the certificate with one stored value changed: a box mass,
+    or one field of a middle record."""
+    r = cert.records[len(cert.records) // 2]
+    if field == "masses_log2":
+        masses = {**cert.masses_log2, r.n: cert.masses_log2[r.n] + 1.0}
+        return dataclasses.replace(cert, masses_log2=masses)
+    value = {
+        "flag_ok": False,
+        "mass_log2": math.nextafter(r.mass_log2, -math.inf),
+        # lowering a power sum keeps it under the power bound
+        "power_sum_log2": math.nextafter(r.power_sum_log2, -math.inf),
+        # raising a base keeps the power sum under the power bound
+        "power_base_log2": r.power_base_log2 + 1.0,
+    }[field]
+    records = list(cert.records)
+    records[len(records) // 2] = dataclasses.replace(r, **{field: value})
+    return dataclasses.replace(cert, records=records)
+
+
+class TestVerifyChain:
+    @pytest.fixture(scope="class", params=sorted(_CHAINS))
+    def built(self, request):
+        fam, (seq_kind, kw) = _CHAINS[request.param]
+        return fam, build_chain(request.param, fam, build_sequence(seq_kind, **kw))
+
+    @pytest.mark.parametrize(
+        "field", ["flag_ok", "mass_log2", "power_sum_log2", "power_base_log2", "masses_log2"]
+    )
+    def test_tampered_field_fails(self, built, field):
+        fam, cert = built
+        assert not verify_chain(_tamper(cert, field), fam)["all"]
 
 
 class TestFullyGoodSearch:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critreg.lattice import (
+    MARGIN,
     Bound,
     Box,
     LatticePath,
@@ -20,7 +21,9 @@ from critreg.lattice import (
     exact_mass,
     geometric_family,
     log2_fraction,
+    log2_parts,
     mass_le,
+    mass_log2,
     path_cost,
     region_mass,
     sphere_constant,
@@ -230,9 +233,15 @@ def _regions(draw, origins):
 
 
 @st.composite
-def _comparisons(draw):
+def _family_regions(draw, count):
+    """A family of MASS_FAMILIES and `count` regions near its origins."""
     fam, origins = MASS_FAMILIES[draw(st.sampled_from(sorted(MASS_FAMILIES)))]
-    region, other = draw(_regions(origins)), draw(_regions(origins))
+    return fam, *(draw(_regions(origins)) for _ in range(count))
+
+
+@st.composite
+def _comparisons(draw):
+    fam, region, other = draw(_family_regions(2))
     ratio = exact_mass(fam, region) / exact_mass(fam, other)
     q = draw(st.one_of(
         st.builds(Fraction, st.integers(1, 100), st.integers(1, 100)),
@@ -251,6 +260,15 @@ class TestMassComparison:
         fam, region, bound = case
         expected = exact_mass(fam, region) <= bound.q * exact_mass(fam, bound.region)
         assert mass_le(fam, region, bound) == expected
+
+    @given(_family_regions(1))
+    @settings(max_examples=400, deadline=None)
+    def test_mass_log2_is_accurate(self, case):
+        # the split closed form, read as one float, is within the margin of
+        # log2 of the exact mass, up to rounding both to magnitude |log2 mass|
+        fam, region = case
+        expected = sum(log2_parts(exact_mass(fam, region)))
+        assert abs(mass_log2(fam, region) - expected) <= MARGIN + 2 * math.ulp(expected)
 
     @given(_regions((-8, 4090, 5900)), _regions((-8, 4090, 5900)))
     @settings(max_examples=60, deadline=None)
