@@ -32,17 +32,33 @@ N_MAX_GUARD = 200
 
 
 def integer_root(x: int, q: int) -> int:
-    """Largest r >= 0 with r**q <= x (exact, arbitrary precision)."""
+    """Largest r >= 0 with r**q <= x (exact, arbitrary precision).
+
+    For roots below 2^33 the float root is within 2^-15 of the root
+    (rounding of x and 1/q, times log of the root, and pow's ulp), so its
+    integer part is the answer or one off it.  Larger roots start from the float root of
+    x's leading bits, raised to lie above the root, and follow integer
+    Newton steps r -> ((q-1) r + x // r^(q-1)) // q, which decrease until
+    they stop on the root; `math.isqrt` does the same for q = 2.
+    """
     if x < 0 or q < 1:
         raise ValueError("need x >= 0 and q >= 1")
-    if x in (0, 1) or q == 1:
+    if x < 2 or q == 1:
         return x
-    r = int(round(x ** (1.0 / q))) + 1
-    while r ** q > x:
-        r -= 1
-    while (r + 1) ** q <= x:
-        r += 1
-    return r
+    if q == 2:
+        return math.isqrt(x)
+    k = max(0, x.bit_length() // q - 32)
+    r = int((x >> (k * q)) ** (1.0 / q))
+    if k == 0:
+        if r ** q > x:
+            return r - 1
+        return r + 1 if (r + 1) ** q <= x else r
+    r = (r + 2) << k
+    while True:
+        s = ((q - 1) * r + x // r ** (q - 1)) // q
+        if s >= r:
+            return r
+        r = s
 
 
 def floor_power(base: int, exponent: Fraction) -> int:

@@ -329,9 +329,9 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
     )
     witnesses = _witness_check(cert.records)
     bases = [_power_base_log2(box_masses, r.n, a) for r, a in zip(cert.records, alphas)]
-    b_ok = all(
-        base == r.power_base_log2 and ps - base <= cert.power_ratio_log2
-        for ps, base, r in zip(power_sums, bases, cert.records)
+    ratio = max((ps - base for ps, base in zip(power_sums, bases)), default=NEG_INF)
+    b_ok = ratio == cert.power_ratio_log2 and all(
+        base == r.power_base_log2 for base, r in zip(bases, cert.records)
     )
     return {
         "box_masses": boxes_ok,

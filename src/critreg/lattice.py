@@ -6,8 +6,8 @@ float (`mass_log2_parts`, read as one float by `mass_log2`), so
 astronomically small weights stay computable.  Goodness decisions go
 through `mass_le`, which decides from the split form with a certified
 error margin and computes exact rationals only when the margin cannot
-decide.  Plain float log2 sums remain only for power sums with fractional
-exponents.
+decide; `weights_le` decides single point weights the same way.  Plain
+float log2 sums remain only for power sums with fractional exponents.
 """
 
 from __future__ import annotations
@@ -515,6 +515,11 @@ class LengthFamily:
     def log2_weight(self, v: Sequence[int]) -> float:
         return log2_fraction(self.weight(v))
 
+    def weight_log2_parts(self, v: Sequence[int]) -> Log2Parts:
+        """log2 weight at v as an exact integer plus a small float; raises
+        the ValueError of `weight` outside the support."""
+        return log2_parts(self.weight(v))
+
     @property
     def total_mass(self) -> Fraction:
         raise NotImplementedError
@@ -569,6 +574,13 @@ class ProductFamily(LengthFamily):
         return log2_fraction(self.scale) + sum(
             ax.log2_weight(c) for ax, c in zip(self.axes, v, strict=True)
         )
+
+    def weight_log2_parts(self, v: Sequence[int]) -> Log2Parts:
+        e, f = self._scale_parts
+        for ax, c in zip(self.axes, v, strict=True):
+            te, tf = ax.weight_log2_parts(c)
+            e, f = e + te, f + tf
+        return e, f
 
     @property
     def total_mass(self) -> Fraction:
@@ -744,6 +756,8 @@ def exact_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
 # with the exact integer difference e.  When |e| <= 64 that sum is below
 # 128 (64u): 2 * 287u + 32u + 2.5u + 64u < 700u < 2^-43.  A larger |e|
 # puts the ratio more than 32 from 0, so its sign is beyond doubt.
+# `weights_le` sums the same kinds of terms for one point (weight parts of
+# the axes and the scale) against one log2_parts, so its error is smaller.
 MARGIN = 2.0 ** -40
 # Exact masses of the weights 2^-(affine in i) 3^-k of the infinite
 # families carry about as many bits as the sum of the coordinate
@@ -786,6 +800,24 @@ def mass_le(family: LengthFamily, region: Box | Segment, bound: Bound) -> bool:
     if family.support != "finite" and bits > EXACT_BITS_GUARD:
         raise SizeGuardError(f"masses of {region} and {other} tie to 2^-40")
     return exact_mass(family, region) <= q * exact_mass(family, other)
+
+
+def weights_le(
+    family: LengthFamily, points: Iterable[Sequence[int]], q: Fraction
+) -> Iterator[bool]:
+    """Decide weight(v) <= q exactly for each point v, the way `mass_le`
+    decides masses.
+
+    The split log2 weight (at most DIMENSION_CAP axis terms and the scale,
+    so MARGIN's accounting covers it) decides whenever it is further than
+    MARGIN from log2 q; otherwise the exact weight is compared.  Outside a
+    finite support this raises the ValueError of `family.weight`.
+    """
+    eq, fq = log2_parts(q)
+    for v in points:
+        e, f = family.weight_log2_parts(v)
+        diff = (e - eq) + (f - fq)
+        yield diff < 0 if abs(diff) > MARGIN else family.weight(v) <= q
 
 
 # ---------------------------------------------------------------------------

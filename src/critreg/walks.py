@@ -10,6 +10,13 @@ A_d = 1/(d-1)!:
                    <= B * (log2(n+1))^(1-1/d)
 * terminal bound:  weight at the endpoint <= B / (n+1)^(d-1)
 
+`batch_certificates` runs many walks in lockstep on one numpy stream.  It
+keeps their states by axis, as the kernel's cumulative thresholds, so a
+step is one draw, one comparison and one addition on contiguous rows;
+costs are evaluated once per block of buffered steps and summed in step
+order, and terminal weights are decided by `lattice.weights_le`, from
+split log2 weights with exact rationals only inside its margin.
+
 Logarithms here are base 2: the harmonic-sum comparison H_n <= log_b(n+1)
 behind the cost bound holds for every base b <= 2 and for no larger base,
 so base 2 is the choice that keeps the stated constants valid.
@@ -32,11 +39,15 @@ from .lattice import (
     path_cost,
     sphere_constant,
     sphere_size,
+    weights_le,
 )
 
 SPHERE_GUARD = 10 ** 6
 DP_STATE_GUARD = 2 * 10 ** 6
 COST_REL_TOL = 1e-12
+# walk-state entries buffered per cost evaluation (256 kB of int64); larger
+# blocks run no faster and raise peak memory (2^18 added 8 MB)
+BLOCK_INTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -200,6 +211,13 @@ class BatchSummary:
         return self.mean_cost <= self.mean_cost_bound
 
 
+def _counts(thresholds: np.ndarray) -> np.ndarray:
+    """Per-axis coordinates (rows) from cumulative thresholds (rows)."""
+    out = thresholds - 1
+    out[1:] -= thresholds[:-1]
+    return out
+
+
 def batch_certificates(
     kernel: WalkKernel,
     family: LengthFamily,
@@ -211,32 +229,40 @@ def batch_certificates(
     """Vectorized Monte-Carlo pass: joint success fraction and mean cost.
 
     Walk states for all samples advance in lockstep (the step-t denominator
-    t+d is state-independent); costs accumulate through log2 weights so the
-    endpoint weights of long walks cannot underflow.  Terminal-weight checks
-    are done exactly per sample afterwards.
+    t+d is state-independent).  The state is kept by axis as the kernel's
+    cumulative thresholds acc[k] = sum_{i<=k} (1 + counts_i), a (d, samples)
+    array.  The step-t draw r in range(t+d) moves a sample along the first
+    axis j with r < acc[j], which raises acc[k] for every k >= j; as the
+    thresholds increase in k and acc[d-1] = t+d > r, those are exactly the
+    thresholds above r, so a step is `acc += acc > r`.  Each step's states
+    go into a block buffer of at most BLOCK_INTS entries (or one step);
+    once per block the log2 weights of its points are evaluated on
+    per-axis rows and their exp2(./d) added into the costs in step order,
+    so the float sums are those of one addition per step.  Terminal
+    weights are decided exactly per sample by `weights_le`.
     """
     d = kernel.d
     rng = np.random.default_rng(seed)
-    counts = np.zeros((samples, d), dtype=np.int64)
+    acc = np.repeat(np.arange(1, d + 1, dtype=np.int64)[:, None], samples, axis=1)
     costs = np.zeros(samples)
-    for t in range(n):
-        costs += np.exp2(family.np_log2_weight(counts) / d)
-        r = rng.integers(0, t + d, size=samples)
-        cum = np.cumsum(counts + 1, axis=1)
-        j = np.argmax(r[:, None] < cum, axis=1)
-        counts[np.arange(samples), j] += 1
+    steps = max(1, min(n, BLOCK_INTS // max(d * samples, 1)))
+    block = np.empty((d, steps, samples), dtype=np.int64)
+    for start in range(0, n, steps):
+        m = min(steps, n - start)
+        for s in range(m):
+            block[:, s] = acc
+            r = rng.integers(0, start + s + d, size=samples)
+            acc += acc > r
+        pts = _counts(block[:, :m].reshape(d, m * samples))
+        terms = np.exp2(family.np_log2_weight(pts.T) / d).reshape(m, samples)
+        for row in terms:
+            costs += row
     b_float, b_exact = lemma_bound(family, d)
     cb = cost_bound(b_float, d, n)
     first = costs <= cb * (1.0 + COST_REL_TOL)
-    rhs = b_exact
-    second = np.fromiter(
-        (
-            family.weight(tuple(int(c) for c in row)) * (n + 1) ** (d - 1) <= rhs
-            for row in counts
-        ),
-        dtype=bool,
-        count=samples,
-    )
+    rhs = b_exact / (n + 1) ** (d - 1)
+    ends = _counts(acc).T.tolist()
+    second = np.fromiter(weights_le(family, ends, rhs), dtype=bool, count=samples)
     mean_bound = float(family.total_mass / sphere_constant(d)) ** (1.0 / d)
     mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * mean_slack
     return BatchSummary(

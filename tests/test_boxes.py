@@ -30,6 +30,32 @@ class TestIntegerRoots:
         r = integer_root(x, q)
         assert r ** q <= x < (r + 1) ** q
 
+    @given(
+        st.one_of(
+            st.integers(0, 2 ** 4000),
+            st.builds(lambda b: 2 ** b, st.integers(0, 4000)),
+        ),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integer_root_at_any_size(self, x, q):
+        r = integer_root(x, q)
+        assert r ** q <= x < (r + 1) ** q
+
+    @given(st.integers(1, 2 ** 600), st.integers(2, 7), st.sampled_from((-1, 0, 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_root_next_to_perfect_powers(self, m, q, delta):
+        x = m ** q + delta
+        assert integer_root(x, q) == (m - 1 if delta < 0 else m)
+
+    def test_integer_root_past_float_range(self):
+        # a float seed overflows from 2^1024, and +-1 corrections from it
+        # would take about 2^(bits/q - 53) steps
+        assert integer_root(3 ** 600, 2) == 3 ** 300
+        assert integer_root(3 ** 600, 3) == 3 ** 200
+        assert integer_root(3 ** 600 - 1, 3) == 3 ** 200 - 1
+        assert integer_root(2 ** 1100, 5) == 2 ** 220
+
     def test_floor_power(self):
         assert floor_power(4, Fraction(3, 2)) == 8
         assert floor_power(4, Fraction(1, 2)) == 2

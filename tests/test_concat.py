@@ -28,6 +28,7 @@ from critreg.concat import (
 )
 from critreg.lattice import (
     Box,
+    Segment,
     TableFamily,
     geometric_family,
     symmetric_geometric_family,
@@ -168,6 +169,25 @@ class TestBlackBox:
         for chain in res.chains.values():
             for s in chain:
                 assert not (s.axis != 2 and s.anchor[2] == 3)
+
+    def test_segment_between_lambda_and_twice_lambda_is_not_selected(self):
+        # column x=3 has mean 4 against lam * box mean = 2 * 28/16 = 3.5, so
+        # it is lam-bad but 2lam-good; every other segment has mean at most 2.
+        # Its points off the seed row are reachable only through it.
+        box = Box(((1, 4), (1, 4)))
+        w = {p: Fraction(5) if p[0] == 3 and p[1] > 1 else Fraction(1) for p in box.points()}
+        fam = TableFamily(w)
+        seed = _full_segment(box, 0, (1, 1))
+        lam = Fraction(2)
+        column = Segment((3, 1), 1, 4)
+        mean = sum(w[p] for p in column.points()) / 4
+        box_mean = sum(w.values()) / box.npoints()
+        assert lam * box_mean < mean < 2 * lam * box_mean
+        res = black_box_reach(fam, box, seed, kappa=Fraction(1, 10), lam=lam)
+        assert res.reachable == brute_reach(fam, box, seed, lam, box.dim - 1)
+        assert (3, 2) not in res.reachable
+        for chain in res.chains.values():
+            assert column not in chain
 
     def test_random_family_oracle_equivalence(self):
         rng = random.Random(3)
@@ -435,6 +455,14 @@ class TestVerifyChain:
     def test_tampered_field_fails(self, built, field):
         fam, cert = built
         assert not verify_chain(_tamper(cert, field), fam)["all"]
+
+    def test_raised_power_ratio_fails(self):
+        fam, (seq_kind, kw) = _CHAINS["B-d2"]
+        cert = build_chain("B-d2", fam, build_sequence(seq_kind, **kw))
+        assert verify_chain(cert, fam)["all"]
+        raised = dataclasses.replace(cert, power_ratio_log2=cert.power_ratio_log2 + 5)
+        report = verify_chain(raised, fam)
+        assert not report["power_bound"] and not report["all"]
 
 
 class TestFullyGoodSearch:

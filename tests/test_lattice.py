@@ -31,6 +31,7 @@ from critreg.lattice import (
     sphere_size,
     symmetric_geometric_family,
     uniform_box_family,
+    weights_le,
 )
 
 
@@ -320,3 +321,40 @@ class TestMassComparison:
         assert not mass_le(fam, near, Bound(Fraction(2) - Fraction(1, 2 ** 30), far))
         with pytest.raises(SizeGuardError):
             mass_le(fam, near, Bound(Fraction(2), far))
+
+
+@st.composite
+def _weight_comparisons(draw):
+    """A family, a point near its origins and a bound near the point's weight."""
+    fam, origins = MASS_FAMILIES[draw(st.sampled_from(sorted(MASS_FAMILIES)))]
+    v = tuple(draw(st.sampled_from(origins)) + draw(st.integers(0, 15)) for _ in range(2))
+    w = fam.weight(v)
+    q = draw(st.one_of(
+        st.builds(Fraction, st.integers(1, 100), st.integers(1, 100)),
+        st.just(w),  # an exact tie
+        st.builds(lambda s, k: w * (1 + s * Fraction(1, 2 ** k)),
+                  st.sampled_from((1, -1)), st.integers(1, 100)),
+    ))
+    return fam, v, q
+
+
+class TestWeightComparison:
+    @given(_weight_comparisons())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_exact_rationals(self, case):
+        fam, v, q = case
+        assert list(weights_le(fam, [v], q)) == [fam.weight(v) <= q]
+
+    def test_outside_support_raises_the_weight_error(self):
+        cases = (
+            (MASS_FAMILIES["table"][0], (4080, 4079)),
+            (MASS_FAMILIES["uniform"][0], (6001, 0)),
+            (MASS_FAMILIES["uniform"][0], (0, -9)),
+            (geometric_family(2), (0, -1)),
+        )
+        for fam, v in cases:
+            with pytest.raises(ValueError) as expected:
+                fam.weight(v)
+            with pytest.raises(ValueError) as got:
+                list(weights_le(fam, [v], Fraction(1)))
+            assert str(got.value) == str(expected.value)

@@ -3,18 +3,31 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critreg.lattice import Box, geometric_family, uniform_box_family
+from critreg.lattice import (
+    Box,
+    TableFamily,
+    geometric_family,
+    log2_parts,
+    sphere_constant,
+    sphere_points,
+    symmetric_geometric_family,
+    uniform_box_family,
+)
 from critreg.walks import (
+    COST_REL_TOL,
+    BatchSummary,
     CertificateSearchError,
     WalkKernel,
     arrival_distribution,
     batch_certificates,
     brute_min_cost,
     certify,
+    cost_bound,
     enumerate_min_cost,
     lemma_bound,
     sample_and_certify,
@@ -144,7 +157,135 @@ class TestSampling:
         assert b_exact == 6 and b_float == 6.0
 
 
+def reference_batch_certificates(kernel, family, n, samples, seed, mean_slack=1.05):
+    """The lockstep pass as it was before its state was kept by axis: one
+    cumsum and argmax per step and an exact Fraction per terminal weight."""
+    d = kernel.d
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((samples, d), dtype=np.int64)
+    costs = np.zeros(samples)
+    for t in range(n):
+        costs += np.exp2(family.np_log2_weight(counts) / d)
+        r = rng.integers(0, t + d, size=samples)
+        cum = np.cumsum(counts + 1, axis=1)
+        j = np.argmax(r[:, None] < cum, axis=1)
+        counts[np.arange(samples), j] += 1
+    b_float, b_exact = lemma_bound(family, d)
+    cb = cost_bound(b_float, d, n)
+    first = costs <= cb * (1.0 + COST_REL_TOL)
+    rhs = b_exact
+    second = np.fromiter(
+        (
+            family.weight(tuple(int(c) for c in row)) * (n + 1) ** (d - 1) <= rhs
+            for row in counts
+        ),
+        dtype=bool,
+        count=samples,
+    )
+    mean_bound = float(family.total_mass / sphere_constant(d)) ** (1.0 / d)
+    mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * mean_slack
+    return BatchSummary(
+        d=d,
+        n=n,
+        samples=samples,
+        success_fraction=float(np.mean(first & second)),
+        mean_cost=float(np.mean(costs)),
+        mean_cost_bound=mean_bound,
+        cost_bound=cb,
+        bound_b=b_float,
+    )
+
+
+def reference_endpoint(d, n, seed):
+    """Endpoint of the single walk of a one-sample pass, by the reference steps."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((1, d), dtype=np.int64)
+    for t in range(n):
+        r = rng.integers(0, t + d, size=1)
+        j = np.argmax(r[:, None] < np.cumsum(counts + 1, axis=1), axis=1)
+        counts[np.arange(1), j] += 1
+    return tuple(int(c) for c in counts[0])
+
+
+def simplex_table(d, radius):
+    """Table weights on the points of coordinate sum at most radius, uneven
+    within each sphere and decaying across spheres like the geometric family."""
+    return TableFamily({
+        v: Fraction(1 + sum((2 * k + 3) * c for k, c in enumerate(v)) % 7, 2 ** sum(v))
+        for r in range(radius + 1)
+        for v in sphere_points(d, r)
+    })
+
+
+def batch_families(d, n):
+    """The families of the oracle grid; the finite ones hold every walk of
+    length n.  The table family is left out where its simplex would exceed
+    about 2 * 10^4 points (d >= 3 at n = 200)."""
+    fams = {
+        "geometric": geometric_family(d),
+        "symmetric-geometric": symmetric_geometric_family(d),
+        "uniform": uniform_box_family(Box(((0, n),) * d)),
+    }
+    if math.comb(n + d, d) <= 25_000:
+        fams["table"] = simplex_table(d, n)
+    return fams
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
 class TestBatch:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 7, 200])
+    def test_matches_reference_bitwise(self, d, n):
+        kernel = WalkKernel(d)
+        for name, fam in batch_families(d, n).items():
+            for samples in (1, 3, 250):
+                for seed in (0, 11, 2024):
+                    got = batch_certificates(kernel, fam, n, samples, seed)
+                    want = reference_batch_certificates(kernel, fam, n, samples, seed)
+                    # dataclass equality compares every float bitwise
+                    assert got == want, (name, samples, seed)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_terminal_tie_is_decided_exactly(self, above):
+        # d=2, n=5: the endpoint e carries half the mass plus `excess`, so
+        # L = 2 + excess >= 1 puts B on its exact branch 3L, and
+        # w(e) * 6 <= B  iff  excess <= 0.  The split log2 forms of w(e) and
+        # B/6 coincide, so only the exact fallback decides.
+        d, n, seed = 2, 5, 4
+        excess = Fraction(1, 2 ** 60) if above else Fraction(0)
+        end = reference_endpoint(d, n, seed)
+        w = {v: Fraction(1, 20) for r in range(n + 1) for v in sphere_points(d, r)}
+        w[end] = 1 + excess
+        fam = TableFamily(w)
+        b_float, b_exact = lemma_bound(fam, d)
+        assert b_exact == 3 * fam.total_mass
+        q = b_exact / (n + 1) ** (d - 1)
+        assert fam.weight_log2_parts(end) == log2_parts(q)
+        got = batch_certificates(WalkKernel(d), fam, n, 1, seed)
+        assert got == reference_batch_certificates(WalkKernel(d), fam, n, 1, seed)
+        assert got.success_fraction == (0.0 if above else 1.0)
+
+    def test_endpoint_outside_finite_support_raises_as_before(self):
+        d, n = 2, 7
+        families = (
+            simplex_table(d, n - 1),  # every endpoint is outside
+            uniform_box_family(Box(((0, n - 1), (0, n - 1)))),  # the axis ends are
+        )
+        raised = 0
+        for fam in families:
+            for seed in range(6):
+                args = (WalkKernel(d), fam, n, 50, seed)
+                got = outcome(batch_certificates, *args)
+                assert got == outcome(reference_batch_certificates, *args)
+                raised += isinstance(got, tuple)
+        assert raised >= 7
+
     def test_success_fraction_and_mean(self):
         fam = geometric_family(2)
         s = batch_certificates(WalkKernel(2), fam, 100, 500, seed=42)
