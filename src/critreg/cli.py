@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -413,7 +414,10 @@ def _load_report(path: str) -> dict:
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and every call starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="critreg",
         description="run the chain, walk, action and dynamics verifiers",
@@ -424,7 +428,11 @@ def main(argv: list[str] | None = None) -> int:
         _add_common(p)
     p = sub.add_parser("report", help="re-validate and summarize a saved report")
     p.add_argument("path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "report":
             report = _load_report(args.path)

@@ -4,7 +4,10 @@ A chain certificate is a finite list of unidirectional segments, one group
 per box of an inductive sequence, such that consecutive segments share a
 lattice point and every segment carries a recomputable goodness flag and a
 power-sum bound.  Builders are deterministic: every search scans candidates
-in ascending order and keeps the first qualifying object.
+in ascending order and keeps the first qualifying object (`_first_good`).
+Each builder returns its walk as an ordered list of legs (segment, flag kind
+and bound); one assembler, `_assemble`, derives the shared points of
+consecutive legs (`_junction`) and turns the legs into records.
 
 Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
@@ -21,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .boxes import BoxSequence, minimal_round_constant, vertical_subdivision
 from .lattice import (
@@ -102,6 +105,32 @@ def goodness_ratio(
     return GoodnessReport(mean_ratio, copy_ratio, copies, tiles)
 
 
+def _first_good(
+    family: LengthFamily,
+    candidates: Iterable[tuple[Any, Iterable[tuple[Box | Segment, Bound]]]],
+    what: str,
+    n: int | None,
+):
+    """The first value, in scan order, whose (region, Bound) checks all pass
+    `mass_le`; ChainSearchError(what, n) when no candidate qualifies."""
+    for value, checks in candidates:
+        if all(mass_le(family, region, bound) for region, bound in checks):
+            return value
+    raise ChainSearchError(what, n)
+
+
+def _each(regions: Iterable, bound: Bound):
+    """Candidates of `_first_good` that are their own single region, all
+    checked against one bound."""
+    return ((r, [(r, bound)]) for r in regions)
+
+
+def _jointly(tuples: Iterable[tuple], bounds: tuple[Bound, ...]):
+    """Candidates of `_first_good` that are tuples of regions, each region
+    checked against the bound in its place."""
+    return ((t, zip(t, bounds)) for t in tuples)
+
+
 def find_good_segment_d2(
     family: LengthFamily, box: Box, orientation: str
 ) -> tuple[Segment, Bound]:
@@ -117,16 +146,11 @@ def find_good_segment_d2(
     else:
         raise ValueError("orientation must be horizontal or vertical")
     bound = Bound(Fraction(1, box.side(fixed_axis)), box)
-    lo, hi = box.intervals[fixed_axis]
-    dlo, dhi = box.intervals[direction]
-    for c in range(lo, hi + 1):
-        anchor = [0, 0]
-        anchor[fixed_axis] = c
-        anchor[direction] = dlo
-        seg = Segment(tuple(anchor), direction, dhi - dlo + 1, ambient=box)
-        if mass_le(family, seg, bound):
-            return seg, bound
-    raise AssertionError("averaging guarantees a good segment")
+    # (c, c) fixes the other coordinate at c; _full_segment resets its own
+    segs = (_full_segment(box, direction, (c, c))
+            for c in range(*_r(box.intervals[fixed_axis])))
+    seg = _first_good(family, _each(segs, bound), "no average-good segment", None)
+    return seg, bound
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +205,6 @@ class ChainCertificate:
     def all_flags_ok(self) -> bool:
         return all(r.flag_ok for r in self.records)
 
-    def power_ratios(self) -> list[float]:
-        return [2.0 ** (r.power_sum_log2 - r.power_base_log2) for r in self.records]
-
 
 def _alpha_for(alphas, axis: int) -> float:
     if isinstance(alphas, tuple):
@@ -198,50 +219,85 @@ def _new_cert(
     return ChainCertificate(kind, seq, family.name, alphas, masses, measured or {})
 
 
-def _emit(
+class Leg(NamedTuple):
+    """One segment of a chain walk with the goodness flag it carries."""
+
+    n: int
+    label: str
+    seg: Segment
+    flag_kind: str
+    bound: Bound  # the flag claims mass(seg) <= bound.q * mass(bound.region)
+    generator: str | None = None  # None: the coordinate generator f(axis + 1)
+
+
+def _assemble(
     family: LengthFamily,
     cert: ChainCertificate,
-    n: int,
-    label: str,
-    seg: Segment,
-    kind: str,
-    bound: Bound,
-    entry: Coords,
-    exit_: Coords,
-    generator: str | None = None,
-) -> None:
-    """Append the record of one chain segment, its flag decided by mass_le."""
-    alpha = _alpha_for(cert.alphas, seg.axis)
-    cert.records.append(
-        SegmentRecord(
-            n=n,
-            label=label,
-            seg=seg,
-            generator=generator or f"f{seg.axis + 1}",
-            flag_kind=kind,
-            bound=bound,
-            flag_ok=mass_le(family, seg, bound),
-            mass_log2=mass_log2(family, seg),
-            mass_bound_log2=log2_fraction(bound.q) + mass_log2(family, bound.region),
-            power_sum_log2=family.segment_power_log2(seg, alpha),
-            power_base_log2=_power_base_log2(cert.masses_log2, n, alpha),
-            entry=entry,
-            exit=exit_,
+    legs: Sequence[Leg],
+    prefix_from: Coords | None,
+    last_exit: Coords | None = None,
+) -> ChainCertificate:
+    """Turn a builder's walk into the certificate's records, each flag
+    decided by mass_le, then fill the stretches and measured constants.
+
+    The walk enters at the first leg's anchor, passes from each leg to the
+    next at their `_junction` and leaves at the last leg's end point, or at
+    `last_exit` when given.  The stretches start with a monotone staircase
+    from `prefix_from` to the entry when that is given.
+    """
+    joints = [_junction(a.seg, b.seg) for a, b in zip(legs, legs[1:])]
+    entries = [legs[0].seg.anchor, *joints]
+    exits = [*joints, legs[-1].seg.last() if last_exit is None else last_exit]
+    for (n, label, seg, kind, bound, generator), entry, exit_ in zip(legs, entries, exits):
+        alpha = _alpha_for(cert.alphas, seg.axis)
+        cert.records.append(
+            SegmentRecord(
+                n=n,
+                label=label,
+                seg=seg,
+                generator=generator or f"f{seg.axis + 1}",
+                flag_kind=kind,
+                bound=bound,
+                flag_ok=mass_le(family, seg, bound),
+                mass_log2=mass_log2(family, seg),
+                mass_bound_log2=log2_fraction(bound.q) + mass_log2(family, bound.region),
+                power_sum_log2=family.segment_power_log2(seg, alpha),
+                power_base_log2=_power_base_log2(cert.masses_log2, n, alpha),
+                entry=entry,
+                exit=exit_,
+            )
         )
-    )
+    cert.stretches = _stretches_from_witnessed(cert.records, prefix_from)
+    _measure(cert)
+    return cert
+
+
+def _junction(a: Segment, b: Segment) -> Coords:
+    """The point where leg a hands over to leg b: the crossing point of two
+    non-parallel legs, or the lowest common point of two collinear runs
+    (strided ones included).  ValueError when the legs do not meet."""
+    pt = list(b.anchor)
+    if a.axis != b.axis:
+        pt[b.axis] = a.anchor[b.axis]
+    else:
+        (a_lo, _, s), (b_lo, _, t) = a.axis_values(), b.axis_values()
+        g = math.gcd(s, t)
+        if (b_lo - a_lo) % g:
+            raise ValueError("collinear legs in disjoint residue classes")
+        # least common value of the two progressions, then the first one at
+        # or above both starts
+        x = a_lo + s * ((b_lo - a_lo) // g * pow(s // g, -1, t // g) % (t // g))
+        start = max(a_lo, b_lo)
+        pt[b.axis] = start + (x - start) % (s // g * t)
+    out = tuple(pt)
+    if a.index_of(out) is None or b.index_of(out) is None:
+        raise ValueError(f"legs do not meet at {out}")
+    return out
 
 
 def _power_base_log2(masses_log2: dict[int, float], n: int, alpha: float) -> float:
     """log2 of max(L_n, L_(n+1))^alpha from the box masses L of the sequence."""
     return alpha * max(masses_log2[n], masses_log2.get(n + 1, NEG_INF))
-
-
-def _finish(cert: ChainCertificate, prefix_from: Coords | None) -> ChainCertificate:
-    """Walk the witnessed records (after an optional staircase from a base
-    point) and fill the measured constants."""
-    cert.stretches = _stretches_from_witnessed(cert.records, prefix_from)
-    _measure(cert)
-    return cert
 
 
 def _mean_bound(level: Fraction, region: Box | Segment, ambient: Box) -> Bound:
@@ -279,10 +335,11 @@ def _measure(cert: ChainCertificate) -> None:
         alpha_min = float(min(alphas))
     else:
         alpha_min = float(alphas)
-    b = max(cert.power_ratios(), default=0.0)
     cert.power_ratio_log2 = max(
         (r.power_sum_log2 - r.power_base_log2 for r in cert.records), default=NEG_INF
     )
+    # past float range B is inf; it stays exact in power_ratio_log2
+    b = 2.0 ** cert.power_ratio_log2 if cert.power_ratio_log2 < 1024 else math.inf
     d_const = 0.0
     if cert.kind.startswith("B"):
         count_exp = alpha_min * math.log2(2.0)  # standard 2^(n*alpha)
@@ -353,31 +410,12 @@ def _build_b_d2(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     alphas = seq.alphas
     assert alphas is not None and len(alphas) == 2
     cert = _new_cert("B-d2", family, seq, alphas)
-    chosen = [
-        (n, *find_good_segment_d2(
-            family, seq.box(n), "vertical" if n % 2 == 1 else "horizontal"
-        ))
-        for n in seq.indices()
-    ]
-    # witnesses: consecutive fixed coordinates meet at a point
-    for idx, (n, seg, bound) in enumerate(chosen):
-        entry = _cross_point(chosen[idx - 1][1], seg) if idx > 0 else seg.anchor
-        exit_ = _cross_point(seg, chosen[idx + 1][1]) if idx + 1 < len(chosen) else seg.last()
-        _emit(family, cert, n, f"g{n}", seg, "segment-average", bound, entry, exit_)
-    return _finish(cert, _prefix_base(family, seq))
-
-
-def _cross_point(a: Segment, b: Segment) -> Coords:
-    """Intersection point of two crossing full segments."""
-    if a.axis == b.axis:
-        raise ValueError("parallel segments do not cross")
-    pt = list(b.anchor)
-    pt[b.axis] = a.anchor[b.axis]
-    pt[a.axis] = b.anchor[a.axis]
-    out = tuple(pt)
-    if a.index_of(out) is None or b.index_of(out) is None:
-        raise ValueError(f"segments do not intersect at {out}")
-    return out
+    legs = []
+    for n in seq.indices():
+        orientation = "vertical" if n % 2 == 1 else "horizontal"
+        seg, bound = find_good_segment_d2(family, seq.box(n), orientation)
+        legs.append(Leg(n, f"g{n}", seg, "segment-average", bound))
+    return _assemble(family, cert, legs, _prefix_base(family, seq))
 
 
 def _stretches_from_witnessed(
@@ -742,73 +780,43 @@ def _build_b_d3(
         m0 = (n - 1) % 3
         return m0, (m0 + 1) % 3, (m0 + 2) % 3
 
-    def first_ok(candidates: Iterable, bounds: Sequence[Bound]):
-        """First candidate whose regions all meet their bounds."""
-        for regions in candidates:
-            if all(mass_le(family, r, b) for r, b in zip(regions, bounds)):
-                return regions[0]
-        return None
-
     # P_1: first lambda-good plane of Q(1), on the axis m2
     box = seq.box(lo_n)
     m2 = axes_of(lo_n)[2]
-    plane = first_ok(
-        ((box.fix_axis(m2, v),) for v in range(*_r(box.intervals[m2]))),
-        (Bound(lam / box.side(m2), box),),
+    planes = (box.fix_axis(m2, v) for v in range(*_r(box.intervals[m2])))
+    plane = _first_good(
+        family, _each(planes, Bound(lam / box.side(m2), box)), "no good plane", lo_n
     )
-    if plane is None:
-        raise ChainSearchError("no good plane", lo_n)
-    pending: list[tuple] = []
+    legs = []
     for n in range(lo_n, hi_n):
         m0, m1, m2 = axes_of(n)
         box, nxt = seq.box(n), seq.box(n + 1)
         p_val = plane.intervals[m2][0]
         # gamma_n^1: 1-good horizontal segment of the plane (direction m0)
         h_bound = Bound(Fraction(1, box.side(m1)), plane)
-        seg1 = first_ok(
-            ((_full_segment(box, m0, _coords({m2: p_val, m1: h})),)
-             for h in range(*_r(box.intervals[m1]))),
-            (h_bound,),
-        )
-        if seg1 is None:
-            raise ChainSearchError("no plane-average segment", n)
+        rows = (_full_segment(box, m0, _coords({m2: p_val, m1: h}))
+                for h in range(*_r(box.intervals[m1])))
+        seg1 = _first_good(family, _each(rows, h_bound), "no plane-average segment", n)
         # joint scan: vertical of P_n at v, and plane of Q(n+1) at v
         v_bound = Bound(lam / box.side(m0), plane)
-        seg2 = first_ok(
-            ((Segment(_coords({m2: p_val, m0: v, m1: box.intervals[m1][0]}), m1,
-                      box.side(m1)), nxt.fix_axis(m0, v))
-             for v in range(*_r(nxt.intervals[m0]))),
-            (v_bound, Bound(lam / nxt.side(m0), nxt)),
+        nxt_bound = Bound(lam / nxt.side(m0), nxt)
+        pairs = ((Segment(_coords({m2: p_val, m0: v, m1: box.intervals[m1][0]}), m1,
+                          box.side(m1)), nxt.fix_axis(m0, v))
+                 for v in range(*_r(nxt.intervals[m0])))
+        seg2, plane = _first_good(
+            family, _jointly(pairs, (v_bound, nxt_bound)), "no shared good vertical/plane", n
         )
-        if seg2 is None:
-            raise ChainSearchError("no shared good vertical/plane", n)
-        v_val = seg2.anchor[m0]
-        plane = nxt.fix_axis(m0, v_val)
         # gamma_n^3: lambda-good vertical of P_(n+1) inside Q(n), direction m2
         w_bound = Bound(lam / nxt.side(m1), plane)
-        seg3 = first_ok(
-            ((_full_segment(box, m2, _coords({m0: v_val, m1: w})),)
-             for w in range(*_r(box.intervals[m1]))),
-            (w_bound,),
-        )
-        if seg3 is None:
-            raise ChainSearchError("no good cross vertical", n)
-        pending.append((n, (seg1, h_bound), (seg2, v_bound), (seg3, w_bound)))
-
-    for idx, (n, (seg1, hb), (seg2, vb), (seg3, wb)) in enumerate(pending):
-        prev3 = pending[idx - 1][3][0] if idx > 0 else None
-        nxt1 = pending[idx + 1][1][0] if idx + 1 < len(pending) else None
-        e1 = _cross_point(prev3, seg1) if prev3 is not None else seg1.anchor
-        x1 = _cross_point(seg1, seg2)
-        x2 = _cross_point(seg2, seg3)
-        x3 = _cross_point(seg3, nxt1) if nxt1 is not None else seg3.last()
-        for label, seg, bound, entry, exit_, kind in (
-            ("1", seg1, hb, e1, x1, "plane-average-row"),
-            ("2", seg2, vb, x1, x2, "shared-plane-vertical"),
-            ("3", seg3, wb, x2, x3, "next-plane-vertical"),
-        ):
-            _emit(family, cert, n, f"g{n}.{label}", seg, kind, bound, entry, exit_)
-    return _finish(cert, _prefix_base(family, seq))
+        columns = (_full_segment(box, m2, _coords({m0: seg2.anchor[m0], m1: w}))
+                   for w in range(*_r(box.intervals[m1])))
+        seg3 = _first_good(family, _each(columns, w_bound), "no good cross vertical", n)
+        legs += [
+            Leg(n, f"g{n}.1", seg1, "plane-average-row", h_bound),
+            Leg(n, f"g{n}.2", seg2, "shared-plane-vertical", v_bound),
+            Leg(n, f"g{n}.3", seg3, "next-plane-vertical", w_bound),
+        ]
+    return _assemble(family, cert, legs, _prefix_base(family, seq))
 
 
 def _r(iv: tuple[int, int]) -> tuple[int, int]:
@@ -910,48 +918,30 @@ def _build_b_general(
     def m_axis(n: int) -> int:
         return (n - 1) % d
 
-    segs: dict[int, Segment] = {}
     seg = _fully_good_segment(family, seq.box(lo_n), m_axis(lo_n), lam)
-    segs[lo_n] = seg
-    entries: dict[int, Coords] = {lo_n: seg.anchor}
+    legs = []
     for n in range(lo_n, hi_n):
         box, nxt = seq.box(n), seq.box(n + 1)
         overlap = box.intersect(nxt)
         assert overlap is not None
-        m0 = m_axis(n)
         m_next = m_axis(n + 1)
-        cur = segs[n]
         nxt_seg = _fully_good_segment(family, nxt, m_next, lam)
         # choose the target point on the next anchor segment, scanning its
         # span, so that the connecting staircase in the overlap is good
-        t_lo, t_hi = overlap.intervals[m_next]
-        found = None
-        for t in range(t_lo, t_hi + 1):
-            p = list(nxt_seg.anchor)
-            p[m_next] = t
-            p = tuple(p)
-            stair = _staircase_segments(overlap, cur, p, m0)
-            if stair is None:
-                continue
-            if all(mass_le(family, s, _mean_bound(lam_prime, s, overlap)) for s in stair):
-                found = (p, stair)
-                break
-        if found is None:
-            raise ChainSearchError("no good staircase into the next box", n)
-        p, stair = found
-        junctions = _staircase_junctions(cur, stair, p)
-        _emit(family, cert, n, f"g{n}.1", cur, "fully-good-anchor",
-              _mean_bound(lam, cur, box), entries[n], junctions[0])
-        for k, (s, e_in, e_out) in enumerate(
-            zip(stair, junctions[:-1], junctions[1:])
-        ):
-            _emit(family, cert, n, f"g{n}.{k + 2}", s, "staircase-overlap",
-                  _mean_bound(lam_prime, s, overlap), e_in, e_out)
-        segs[n + 1] = nxt_seg
-        entries[n + 1] = p
-    _emit(family, cert, hi_n, f"g{hi_n}.1", segs[hi_n], "fully-good-anchor",
-          _mean_bound(lam, segs[hi_n], seq.box(hi_n)), entries[hi_n], segs[hi_n].last())
-    return _finish(cert, _prefix_base(family, seq))
+        t0 = nxt_seg.anchor[m_next]
+        stairs = (_staircase_segments(overlap, seg, nxt_seg.point(t - t0), m_axis(n))
+                  for t in range(*_r(overlap.intervals[m_next])))
+        checked = ([(s, _mean_bound(lam_prime, s, overlap)) for s in st] for st in stairs if st)
+        stair = _first_good(
+            family, ((c, c) for c in checked), "no good staircase into the next box", n
+        )
+        legs.append(Leg(n, f"g{n}.1", seg, "fully-good-anchor", _mean_bound(lam, seg, box)))
+        legs += [Leg(n, f"g{n}.{k + 2}", s, "staircase-overlap", bound)
+                 for k, (s, bound) in enumerate(stair)]
+        seg = nxt_seg
+    legs.append(Leg(hi_n, f"g{hi_n}.1", seg, "fully-good-anchor",
+                    _mean_bound(lam, seg, seq.box(hi_n))))
+    return _assemble(family, cert, legs, _prefix_base(family, seq))
 
 
 def _staircase_segments(
@@ -978,27 +968,6 @@ def _staircase_segments(
     return out
 
 
-def _staircase_junctions(
-    cur: Segment, stair: Sequence[Segment], target: Coords
-) -> list[Coords]:
-    """Shared points: cur/stair_1, stair_k/stair_(k+1), ..., last = target."""
-    out = []
-    coords = list(stair[0].anchor)
-    coords[stair[0].axis] = cur.anchor[stair[0].axis]
-    # junction of cur and stair_1: the pivot point on cur
-    pivot = list(cur.anchor)
-    pivot[cur.axis] = stair[0].anchor[cur.axis]
-    out.append(tuple(pivot))
-    run = list(pivot)
-    for k, s in enumerate(stair):
-        if k + 1 < len(stair):
-            run[s.axis] = target[s.axis]
-            out.append(tuple(run))
-        else:
-            out.append(target)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the planar orbit chain driven by the group action (strips and strides)
 # ---------------------------------------------------------------------------
@@ -1008,13 +977,6 @@ def _strip_count(box: Box, stride: int) -> int:
     """Number of strips of the box's second axis cut every `stride` levels;
     all have height `stride` except possibly the last one."""
     return -(-box.side(1) // stride)
-
-
-def _first_in_class(j_lo: int, j_hi: int, anchor_j: int, k: int) -> int | None:
-    """Smallest j in [j_lo, j_hi] congruent to anchor_j mod k."""
-    delta = (anchor_j - j_lo) % k
-    j = j_lo + delta
-    return j if j <= j_hi else None
 
 
 def chain_start_stage(seq: BoxSequence) -> int:
@@ -1042,36 +1004,25 @@ def _build_ff_d3(
     if n_end - n0 < 2:
         raise ValueError("sequence too short past the start stage")
 
-    def column(box: Box, k: int) -> Box:
-        return box.fix_axis(0, k)
-
-    def col_scan(n: int) -> int:
-        """First k with a 2-good vertical set in Q(n)."""
-        box = seq.box(n)
-        bound = Bound(lam / box.side(0), box)
-        for k in range(*_r(box.intervals[0])):
-            if mass_le(family, column(box, k), bound):
-                return k
-        raise ChainSearchError("no good vertical set", n)
-
-    def class_scan(n: int, k: int) -> tuple[Segment, Bound]:
+    def class_leg(n: int, k: int) -> Leg:
         """First stride-k class that is average-good in its vertical set."""
         box = seq.box(n)
-        bound = Bound(Fraction(1, k), column(box, k))
         x2, y2 = box.intervals[1]
-        for r0 in range(min(k, y2 - x2 + 1)):
-            j0 = x2 + r0
-            count = (y2 - j0) // k + 1
-            s = Segment((k, j0), 1, count, stride=k)
-            if mass_le(family, s, bound):
-                return s, bound
-        raise ChainSearchError("no good stride class", n)
+        classes = (Segment((k, j0), 1, (y2 - j0) // k + 1, stride=k)
+                   for j0 in range(x2, x2 + min(k, y2 - x2 + 1)))
+        bound = Bound(Fraction(1, k), box.fix_axis(0, k))
+        seg = _first_good(family, _each(classes, bound), "no good stride class", n)
+        return Leg(n, f"g{n}.1", seg, "vertical-set-class", bound, "f(3,2)")
 
-    # opening stage; the walk reaches its entry by a plain staircase from
-    # the seed box corner
-    k = col_scan(n0)
-    g1, g1_bound = class_scan(n0, k)
-    entry: Coords = g1.anchor
+    # opening stage: first k with a 2-good vertical set in Q(n0); the walk
+    # reaches the class's entry by a plain staircase from the seed box corner
+    box = seq.box(n0)
+    columns = (box.fix_axis(0, k) for k in range(*_r(box.intervals[0])))
+    column = _first_good(
+        family, _each(columns, Bound(lam / box.side(0), box)), "no good vertical set", n0
+    )
+    k = column.intervals[0][0]
+    legs = [class_leg(n0, k)]
     n = n0
     while n + 2 <= n_end:
         even, odd, nxt_even = n, n + 1, n + 2
@@ -1085,65 +1036,40 @@ def _build_ff_d3(
         # joint strip scan: overlap-vertical 2-good and strip 2-good
         seg2_bound = Bound(lam / big_r, overlap_col.fix_axis(0, k))
         strip_bound = Bound(lam / big_r, box_o)
-        pick = None
         x2 = box_o.intervals[1][0]
-        for j_lo in range(x2, x2 + (big_r - 1) * stride, stride):
-            j_hi = j_lo + stride - 1
-            strip_box = Box((box_o.intervals[0], (j_lo, j_hi)))
-            seg2 = Segment((k, j_lo), 1, stride)
-            if mass_le(family, seg2, seg2_bound) and mass_le(family, strip_box, strip_bound):
-                pick = (j_lo, j_hi, strip_box, seg2)
-                break
-        if pick is None:
-            raise ChainSearchError("no jointly good strip", odd)
-        j_lo, j_hi, strip_box, seg2 = pick
-        # walk gamma_even^1 from its entry to the strip
-        j_star = _first_in_class(j_lo, j_hi, g1.anchor[1], g1.stride)
-        assert j_star is not None, "strip shorter than the class stride"
-        _emit(family, cert, even, f"g{even}.1", g1, "vertical-set-class", g1_bound,
-              entry, (k, j_star), "f(3,2)")
+        pairs = ((Segment((k, j), 1, stride), Box((box_o.intervals[0], (j, j + stride - 1))))
+                 for j in range(x2, x2 + (big_r - 1) * stride, stride))
+        seg2, strip_box = _first_good(
+            family, _jointly(pairs, (seg2_bound, strip_bound)), "no jointly good strip", odd
+        )
+        j_lo, j_hi = strip_box.intervals[1]
         # row scan inside the strip
         row_bound = Bound(Fraction(1, stride), strip_box)
-        for j in range(j_lo, j_hi + 1):
-            row = Segment((box_o.intervals[0][0], j), 0, box_o.side(0))
-            if mass_le(family, row, row_bound):
-                break
-        else:
-            raise ChainSearchError("no average-good row in strip", odd)
-        j0 = row.anchor[1]
-        _emit(family, cert, even, f"g{even}.2", seg2, "overlap-vertical", seg2_bound,
-              (k, j_star), (k, j0), "f(3,1)")
+        rows = (Segment((box_o.intervals[0][0], j), 0, box_o.side(0))
+                for j in range(j_lo, j_hi + 1))
+        row = _first_good(family, _each(rows, row_bound), "no average-good row in strip", odd)
         # joint column scan for the next even box
         seg3_bound = Bound(lam / box_o.side(0), strip_box)
         column_bound = Bound(lam / box_e2.side(0), box_e2)
-        pick2 = None
-        for kp in range(*_r(box_e2.intervals[0])):
-            seg3 = Segment((kp, j_lo), 1, j_hi - j_lo + 1)
-            if mass_le(family, seg3, seg3_bound) and mass_le(
-                family, column(box_e2, kp), column_bound
-            ):
-                pick2 = (kp, seg3)
-                break
-        if pick2 is None:
-            raise ChainSearchError("no jointly good column", nxt_even)
-        kp, seg3 = pick2
-        _emit(family, cert, odd, f"g{odd}.1", row, "strip-row", row_bound,
-              (k, j0), (kp, j0), "f(2,1)")
-        g1_next, g1_next_bound = class_scan(nxt_even, kp)
-        j_next = _first_in_class(j_lo, j_hi, g1_next.anchor[1], g1_next.stride)
-        assert j_next is not None, "strip shorter than the next stride"
-        _emit(family, cert, odd, f"g{odd}.2", seg3, "strip-overlap-vertical", seg3_bound,
-              (kp, j0), (kp, j_next), "f(3,1)")
-        k, g1, g1_bound, entry = kp, g1_next, g1_next_bound, (kp, j_next)
+        pairs = ((Segment((kp, j_lo), 1, j_hi - j_lo + 1), box_e2.fix_axis(0, kp))
+                 for kp in range(*_r(box_e2.intervals[0])))
+        seg3, _ = _first_good(
+            family, _jointly(pairs, (seg3_bound, column_bound)),
+            "no jointly good column", nxt_even,
+        )
+        k = seg3.anchor[0]
+        legs += [
+            Leg(even, f"g{even}.2", seg2, "overlap-vertical", seg2_bound, "f(3,1)"),
+            Leg(odd, f"g{odd}.1", row, "strip-row", row_bound, "f(2,1)"),
+            Leg(odd, f"g{odd}.2", seg3, "strip-overlap-vertical", seg3_bound, "f(3,1)"),
+            class_leg(nxt_even, k),
+        ]
         n = nxt_even
-    # close the final class segment
-    _emit(family, cert, n, f"g{n}.1", g1, "vertical-set-class", g1_bound,
-          entry, g1.last(), "f(3,2)")
     corner = tuple(iv[0] for iv in seq.box(min(seq.indices())).intervals)
     cert.notes = (
         "strip heights use the first factor's raw upper endpoint, not its side length",
     )
-    return _finish(cert, corner)
+    return _assemble(family, cert, legs, corner)
 
 
 def lambda_two(kappa, mu, a, d: int):
@@ -1181,26 +1107,19 @@ def _build_ff_general(
     alpha = Fraction(2, d * (d - 1))
     cert = _new_cert("FF-general", family, seq, alpha)
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
-    point = tuple(iv[0] for iv in seq.box(lo_n).intervals)
-    plan: list[tuple[int, list[Segment], list[Coords]]] = []
+    # each box walks from its entry to the lower corner of its overlap with
+    # the next box, one full segment per axis
+    cur = [lo for lo, _ in seq.box(lo_n).intervals]
+    plan: list[tuple[int, Segment]] = []
     for n in range(lo_n, hi_n):
-        box = seq.box(n)
-        overlap = box.intersect(seq.box(n + 1))
+        overlap = seq.box(n).intersect(seq.box(n + 1))
         assert overlap is not None
-        target = tuple(iv[0] for iv in overlap.intervals)
-        segs: list[Segment] = []
-        junctions: list[Coords] = [point]
-        cur = list(point)
         for axis in range(dim):
-            segs.append(_full_segment(box, axis, tuple(cur)))
-            cur[axis] = target[axis]
-            junctions.append(tuple(cur))
-        plan.append((n, segs, junctions))
-        point = target
+            plan.append((n, _full_segment(seq.box(n), axis, tuple(cur))))
+            cur[axis] = overlap.intervals[axis][0]
     # least power of two bounding every staircase segment's mean ratio
     lam_measured = Fraction(2) ** _least_power_of_two(family, [
-        (seg, _mean_bound(Fraction(1), seg, seq.box(n)))
-        for n, segs, _ in plan for seg in segs
+        (seg, _mean_bound(Fraction(1), seg, seq.box(n))) for n, seg in plan
     ])
     a_round = max(
         (minimal_round_constant(b) or Fraction(10 ** 9) for b in seq.boxes),
@@ -1214,12 +1133,13 @@ def _build_ff_general(
         lam_measured, lam_policy or 0
     )
     cert.measured["lambda"] = float(lam_used)
-    for n, segs, junctions in plan:
-        for kidx, seg in enumerate(segs):
-            _emit(family, cert, n, f"g{n}.{kidx + 1}", seg, "staircase-mean",
-                  _mean_bound(lam_used, seg, seq.box(n)), junctions[kidx],
-                  junctions[kidx + 1], f"f({seg.axis + 2},1)")
-    return _finish(cert, None)
+    legs = [
+        Leg(n, f"g{n}.{seg.axis + 1}", seg, "staircase-mean",
+            _mean_bound(lam_used, seg, seq.box(n)), f"f({seg.axis + 2},1)")
+        for n, seg in plan
+    ]
+    # the walk stops at the last overlap's lower corner
+    return _assemble(family, cert, legs, None, last_exit=tuple(cur))
 
 
 def build_chain(

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +114,42 @@ class TestMain:
         # FF d=3 up to n=2 has no stage with two strips to start a chain at
         assert main(["chain-ff", "--d", "3", "--n-max", "2"]) == 3
         assert "error: no workable stage in range" in capsys.readouterr().err
+
+    def test_power_ratio_past_float_range_exits_two(self, tmp_path, capsys):
+        # B-d2 (1/3, 2/3) at n_max 105 has a power ratio above 2^1024: B is
+        # inf, the run still writes its report, and budget-ratio-spread fails
+        out = tmp_path / "rep"
+        argv = ["chain-b", "--d", "2", "--variant", "B-d2", "--alpha", "1/3,2/3",
+                "--n-max", "105", "--out", str(out)]
+        assert main(argv) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["constants"]["B"] == float("inf")
+        row = next(r for r in report["rows"] if r["check"] == "chain-power-bound")
+        assert row["passed"] and row["value"] == float("inf")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_successive_calls_match_fresh_processes(self, tmp_path):
+        # main reuses one parser: a flag or kind of one call must not leak
+        # into the next, so in-process reports equal those of fresh processes
+        calls = [
+            ["chain-ff", "--d", "3", "--family", "symmetric-geometric", "--n-max", "9"],
+            ["chain-ff", "--d", "3", "--n-max", "9"],
+            ["boxes", "--d", "3", "--variant", "FF", "--n-max", "6"],
+            ["chain-b", "--d", "3", "--variant", "B-d3", "--n-max", "6"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        for k, argv in enumerate(calls):
+            main([*argv, "--out", str(tmp_path / f"in-{k}")])
+        for k, argv in enumerate(calls):
+            subprocess.run(
+                [sys.executable, "-m", "critreg.cli", *argv, "--out", str(tmp_path / f"new-{k}")],
+                env=env, capture_output=True, check=False,
+            )
+            names = sorted(f.name for f in (tmp_path / f"new-{k}").iterdir())
+            assert names == sorted(f.name for f in (tmp_path / f"in-{k}").iterdir())
+            for name in names:
+                fresh = (tmp_path / f"new-{k}" / name).read_bytes()
+                assert (tmp_path / f"in-{k}" / name).read_bytes() == fresh, (argv, name)
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "c.json"

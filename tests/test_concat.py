@@ -1,14 +1,19 @@
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from critreg.boxes import build_sequence, minimal_round_constant
+from critreg.boxes import BoxSequence, build_sequence, minimal_round_constant
 from critreg.concat import (
     ChainSearchError,
+    _first_good,
     _full_segment,
+    _junction,
     _strip_count,
     black_box_reach,
     brute_reach,
@@ -27,6 +32,7 @@ from critreg.concat import (
     verify_chain,
 )
 from critreg.lattice import (
+    Bound,
     Box,
     Segment,
     TableFamily,
@@ -494,3 +500,117 @@ class TestFullyGoodSearch:
         fam = geometric_family(3)
         with pytest.raises(ChainSearchError):
             find_fully_good_segment(fam, box, 0, Fraction(2), visit_cap=1)
+
+
+class TestJunction:
+    def test_crossing(self):
+        row = Segment((1, 5), 0, 10)  # x = 1..10 at y = 5
+        column = Segment((4, 2), 1, 8)  # y = 2..9 at x = 4
+        assert _junction(row, column) == _junction(column, row) == (4, 5)
+
+    def test_unit_run_against_strided_run(self):
+        # FF-d3 hands over between a stride-k class and a strip's unit run
+        cls = Segment((5, 3), 1, 20, stride=5)  # y = 3, 8, 13, ..., 98
+        strip = Segment((5, 10), 1, 5)  # y = 10..14
+        assert _junction(cls, strip) == _junction(strip, cls) == (5, 13)
+
+    def test_collinear_unit_runs(self):
+        # B-general at d = 2: the overlap staircase and the next anchor run
+        # lie on one line; they meet at the later of the two starts
+        stair = Segment((4, 2), 0, 6)  # x = 4..9
+        anchor = Segment((1, 2), 0, 20)  # x = 1..20
+        assert _junction(stair, anchor) == _junction(anchor, stair) == (4, 2)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Segment((0, 0), 0, 5), Segment((0, 1), 0, 5)),  # parallel lines
+            (Segment((0, 0), 0, 3), Segment((5, 0), 1, 3)),  # crossing off a
+            (Segment((0, 0), 0, 3), Segment((10, 0), 0, 3)),  # one line, apart
+            (Segment((0, 0), 0, 9, stride=2), Segment((1, 0), 0, 9, stride=2)),
+            (Segment((0, 0, 0), 0, 4), Segment((1, 2, 0), 1, 4)),  # skew lines
+        ],
+    )
+    def test_disjoint_legs_raise(self, a, b):
+        with pytest.raises(ValueError):
+            _junction(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-20, 20), st.integers(1, 12), st.integers(1, 6),
+        st.integers(-20, 20), st.integers(1, 12), st.integers(1, 6),
+    )
+    def test_collinear_runs_meet_at_lowest_common_point(self, a0, ac, s, b0, bc, t):
+        a = Segment((7, a0), 1, ac, stride=s)
+        b = Segment((7, b0), 1, bc, stride=t)
+        common = set(a.points()) & set(b.points())
+        if not common:
+            with pytest.raises(ValueError):
+                _junction(a, b)
+        else:
+            assert _junction(a, b) == min(common, key=lambda p: p[1])
+
+
+class TestFirstGood:
+    def test_first_passing_value_in_scan_order(self):
+        # row masses 10, 6, 2 against the row mean 6: row 2 is the first
+        # within the bound (a tie passes), row 3 is never looked at
+        box = Box(((1, 2), (1, 3)))
+        fam = TableFamily({(x, y): Fraction(7 - 2 * y) for x, y in box.points()})
+        rows = [box.fix_axis(1, v) for v in range(1, 4)]
+        bound = Bound(Fraction(1, 3), box)
+        assert _first_good(fam, ((r, [(r, bound)]) for r in rows), "none", 3) == rows[1]
+
+    def test_exhausted_scan_raises_search_error(self):
+        box = Box(((1, 4), (1, 4)))
+        fam = geometric_family(2)
+        never = Bound(Fraction(1, 10 ** 6), box)
+        with pytest.raises(ChainSearchError, match="no candidate") as err:
+            _first_good(fam, ((box, [(box, never)]),), "no candidate", 7)
+        assert err.value.n == 7
+
+
+def _planar_b_general(n_max):
+    """The B-general builder at d = 2.  `build_sequence` has no d = 2
+    recursion for B-general, so the planar (1/3, 2/3) boxes stand in,
+    indexed from 2, where the builder's staircases fit in the overlaps."""
+    planar = build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=n_max)
+    return BoxSequence("B-general", 2, planar.boxes, alphas=planar.alphas, d=2)
+
+
+# one config per builder path: (kind, family, sequence, record count, sha256
+# of the records' (n, label, segment, flag kind, generator, flag, entry,
+# exit)), taken from the builders that each computed their own junctions
+_PINNED = {
+    "B-d2": ("B-d2", geometric_family(2),
+             lambda: build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=12), 12,
+             "cb97a4a6df55ab43a64167750f4ff50e3a78cd9c3e78d4a2a605d4eab56b7416"),
+    "B-d3": ("B-d3", geometric_family(3),
+             lambda: build_sequence("B-general", alphas=(THIRD,) * 3, n_max=8), 21,
+             "810904f6c746d9eba48ebf16d7f9c2d31640dabe1f5cce193478545b9743003f"),
+    "B-general-d2": ("B-general", geometric_family(2), lambda: _planar_b_general(10), 19,
+                     "b7ea509e8ef8d031d78e39f654528c136fab51cd8cabf84c6f2344f10631df7a"),
+    "B-general-d4": ("B-general", geometric_family(4),
+                     lambda: build_sequence("B-general", alphas=(Fraction(1, 4),) * 4, n_max=8),
+                     29, "837a047b4ef6bf3954aefa3ab5b03d7f57f8ca1ce392b153ffcba8301c760fdc"),
+    "FF-d3": ("FF-d3", symmetric_geometric_family(2),
+              lambda: build_sequence("FF", d=3, n_max=13), 17,
+              "eeb3cc022a78636dfc24f5216203f330fac6582e6de45076370d1b5cdd6524b8"),
+    "FF-general-d4": ("FF-general", symmetric_geometric_family(3),
+                      lambda: build_sequence("FF", d=4, n_max=6), 18,
+                      "dac2f320eb3caf34e0695091d3f3c4a6aac3ebe062a50fce43322cdb472007a7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_records_pinned_per_builder(case):
+    kind, fam, make_seq, count, digest = _PINNED[case]
+    cert = build_chain(kind, fam, make_seq())
+    rows = [
+        (r.n, r.label, (r.seg.anchor, r.seg.axis, r.seg.count, r.seg.step, r.seg.stride),
+         r.flag_kind, r.generator, r.flag_ok, r.entry, r.exit)
+        for r in cert.records
+    ]
+    assert len(rows) == count
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+    assert verify_chain(cert, fam)["all"]
