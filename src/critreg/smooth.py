@@ -4,6 +4,23 @@ Derivative products along orbits are accumulated in log space so iterate
 counts in the tens of thousands cannot overflow; grid maxima are always
 lower bounds on the true suprema, so the growth bound below is tested as a
 necessary consequence.
+
+Two shortcuts return exactly the floats of the plain computation:
+
+- The Holder estimate needs the largest ratio over all grid pairs. Entry
+  (i, j) and entry (j, i) of the pair matrix are the same floats, since
+  rounded subtraction is antisymmetric and both sides take absolute
+  values, and the diagonal contributes 0. So only the strict upper
+  triangle is evaluated, in blocks of ``HOLDER_BLOCK_ROWS`` rows.
+- The derivative sweep only reports, for each k, the grid maximum of the
+  log-product and whether some derivative was non-positive. Once two
+  adjacent orbits are bit-identical they see the same derivatives for
+  ever after (``f`` and ``df`` act elementwise), and rounded addition is
+  monotone: a <= b implies fl(a + c) <= fl(b + c). So every
+  ``MERGE_EVERY`` steps a run of bit-identical orbits is replaced by one
+  orbit carrying the run's largest log-product, and every later maximum
+  and positivity test is that of the full grid. Orbits are compared as
+  int64 bit patterns, so -0.0 and +0.0 never merge.
 """
 
 from __future__ import annotations
@@ -18,6 +35,10 @@ FIXED_POINT_TOL = 1e-10
 PARABOLIC_TOL = 1e-9
 # a growth bound holds at k while log(bound) - log(grid max) >= -GROWTH_TOL
 GROWTH_TOL = 1e-12
+# rows of the Holder pair matrix evaluated at once (64 x 1025 floats = 0.5 MB)
+HOLDER_BLOCK_ROWS = 64
+# steps of the derivative sweep between merges of bit-identical orbits
+MERGE_EVERY = 16
 
 
 class HyperbolicFixedPointError(ValueError):
@@ -26,7 +47,13 @@ class HyperbolicFixedPointError(ValueError):
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Closed-form interval map with derivative access."""
+    """Closed-form interval map with derivative access.
+
+    ``f`` and ``df`` act elementwise on float64 arrays, treat -0.0 and
+    +0.0 alike and return new arrays, which the orbit sweeps overwrite;
+    ``f`` also takes a Python float, as the bisection in
+    ``wandering_sum_check`` calls it on one.
+    """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
@@ -133,18 +160,43 @@ def mobius_contraction_map() -> SmoothMap:
 # ---------------------------------------------------------------------------
 
 
+def _require_positive(d: np.ndarray) -> None:
+    # fmin skips NaN, which is not <= 0 either
+    if np.fmin.reduce(d) <= 0:
+        raise ValueError("derivative must stay positive")
+
+
+def _orbit_step(g: SmoothMap, x: np.ndarray, logprod: np.ndarray) -> None:
+    """Add log Dg(x) to logprod, then move x to g(x) clipped to [a, b], in place."""
+    d = g.df(x)
+    _require_positive(d)
+    logprod += np.log(d, out=d)
+    np.minimum(np.maximum(g.f(x), g.a, out=x), g.b, out=x)
+
+
+def _merge_equal_orbits(
+    x: np.ndarray, logprod: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse each run of adjacent bit-identical orbits to one, keeping
+    the run's largest log-product."""
+    bits = x.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if len(starts) == len(x) - 1:
+        return x, logprod
+    starts = np.concatenate(([0], starts))
+    return x[starts], np.maximum.reduceat(logprod, starts)
+
+
 def _log_derivative_sweep(g: SmoothMap, k_max: int, grid: int) -> np.ndarray:
     """max over the grid of log(Dg^k), for every k = 1..k_max."""
     x = g.grid(grid)
     logprod = np.zeros_like(x)
     out = np.empty(k_max)
-    for k in range(k_max):
-        d = g.df(x)
-        if np.any(d <= 0):
-            raise ValueError("derivative must stay positive")
-        logprod += np.log(d)
-        out[k] = logprod.max()
-        x = np.clip(g.f(x), g.a, g.b)
+    for k in range(1, k_max + 1):
+        _orbit_step(g, x, logprod)
+        out[k - 1] = logprod.max()
+        if k % MERGE_EVERY == 0:
+            x, logprod = _merge_equal_orbits(x, logprod)
     return out
 
 
@@ -163,11 +215,7 @@ def iterate_derivative_max(
         xs = x.copy()
         logprod = np.zeros_like(x)
         for _ in range(k):
-            d = g.df(xs)
-            if np.any(d <= 0):
-                raise ValueError("derivative must stay positive")
-            logprod += np.log(d)
-            xs = np.clip(g.f(xs), g.a, g.b)
+            _orbit_step(g, xs, logprod)
         i = int(np.argmax(logprod))
         best = max(best, float(logprod[i]))
         lo = x[max(0, i - 1)]
@@ -192,15 +240,21 @@ def holder_constant_estimate(
         raise ValueError("exponent must lie in (0, 1]")
     x = g.grid(grid)
     d = g.df(x)
-    if np.any(d <= 0):
-        raise ValueError("derivative must stay positive")
+    _require_positive(d)
     ld = np.log(d)
-    num = np.abs(ld[:, None] - ld[None, :])
-    den = np.abs(x[:, None] - x[None, :]) ** alpha
-    np.fill_diagonal(den, 1.0)
-    np.fill_diagonal(num, 0.0)
-    c = float((num / den).max())
-    return HolderEstimate(alpha, c, grid, grid * (grid - 1) // 2)
+    # the largest ratio over the strict upper triangle, 0 for the diagonal;
+    # row block [r0, r1) against columns r0.. masks its own lower triangle;
+    # np.maximum passes a NaN on, as the max of the full matrix did
+    best = np.float64(0.0)
+    for r0 in range(0, grid, HOLDER_BLOCK_ROWS):
+        r1 = min(r0 + HOLDER_BLOCK_ROWS, grid)
+        num = np.abs(ld[r0:r1, None] - ld[None, r0:])
+        den = np.abs(x[r0:r1, None] - x[None, r0:]) ** alpha
+        low = np.tril_indices(r1 - r0)
+        num[low] = 0.0
+        den[low] = 1.0
+        best = np.maximum(best, (num / den).max())
+    return HolderEstimate(alpha, float(best), grid, grid * (grid - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -262,14 +316,15 @@ def blowup_scan(g: SmoothMap, k_max: int, grid: int = 4097) -> list[int]:
 
 def _invert(g: SmoothMap, y: float, tol: float = 1e-14) -> float:
     """Preimage under the increasing map by bisection."""
-    lo, hi = g.a, g.b
-    if float(g.f(np.float64(lo))) >= y:
+    # Python floats: the same IEEE operations as np.float64, at less cost per call
+    lo, hi = float(g.a), float(g.b)
+    if g.f(lo) >= y:
         return lo
-    if float(g.f(np.float64(hi))) <= y:
+    if g.f(hi) <= y:
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if float(g.f(np.float64(mid))) < y:
+        if g.f(mid) < y:
             lo = mid
         else:
             hi = mid
