@@ -443,7 +443,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (concat.ChainSearchError, walks.CertificateSearchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        stats = "".join(f"; {k}: {v}" for k, v in getattr(exc, "stats", {}).items())
+        print(f"error: {exc}{stats}", file=sys.stderr)
         return 3
     for r in report["rows"]:
         status = "pass" if r["passed"] else "FAIL"

@@ -20,6 +20,7 @@ the flag, so `verify_chain` re-decides it from the weight family alone.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -112,11 +113,13 @@ def _first_good(
     n: int | None,
 ):
     """The first value, in scan order, whose (region, Bound) checks all pass
-    `mass_le`; ChainSearchError(what, n) when no candidate qualifies."""
-    for value, checks in candidates:
+    `mass_le`; ChainSearchError(what, n) when no candidate qualifies, with
+    the number of candidates scanned in its stats."""
+    scanned = 0
+    for scanned, (value, checks) in enumerate(candidates, 1):
         if all(mass_le(family, region, bound) for region, bound in checks):
             return value
-    raise ChainSearchError(what, n)
+    raise ChainSearchError(what, n, {"candidates": scanned})
 
 
 def _each(regions: Iterable, bound: Bound):
@@ -197,9 +200,6 @@ class ChainCertificate:
     stretches: list[Segment] = field(default_factory=list)
     power_ratio_log2: float = NEG_INF  # max of power_sum_log2 - power_base_log2
     notes: tuple[str, ...] = ()
-
-    def records_for(self, n: int) -> list[SegmentRecord]:
-        return [r for r in self.records if r.n == n]
 
     @property
     def all_flags_ok(self) -> bool:
@@ -338,22 +338,23 @@ def _measure(cert: ChainCertificate) -> None:
     cert.power_ratio_log2 = max(
         (r.power_sum_log2 - r.power_base_log2 for r in cert.records), default=NEG_INF
     )
-    # past float range B is inf; it stays exact in power_ratio_log2
+    # past float range B is inf; B_log2 keeps it readable
     b = 2.0 ** cert.power_ratio_log2 if cert.power_ratio_log2 < 1024 else math.inf
     d_const = 0.0
     if cert.kind.startswith("B"):
         count_exp = alpha_min * math.log2(2.0)  # standard 2^(n*alpha)
     else:
         count_exp = 2.0 / cert.seq.boxes[0].dim  # standard 4^(n/(d-1))
-    per_n: dict[int, int] = {}
-    for n in {r.n for r in cert.records}:
-        rows = cert.records_for(n)
-        per_n[n] = len(rows)
+    by_n: dict[int, list[SegmentRecord]] = {}
+    for r in cert.records:
+        by_n.setdefault(r.n, []).append(r)
+    for n, rows in by_n.items():
         longest = max(r.points_between for r in rows)
         d_const = max(d_const, 2.0 ** (n * count_exp) / longest)
     cert.measured["B"] = b
+    cert.measured["B_log2"] = cert.power_ratio_log2
     cert.measured["D"] = d_const
-    cert.measured["K_d"] = float(max(per_n.values(), default=0))
+    cert.measured["K_d"] = float(max(map(len, by_n.values()), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -1223,6 +1224,12 @@ def distortion_budget(
     For each box index n the budget is the sum of weight(point)^a(step)
     over walk points up to the first entry into Q(n+1); the fitted constant
     is the largest ratio budget / (ln N)^(1-alpha_min) over n >= min_fit_n.
+
+    One pass: each stretch's own power sum is taken once, and prefix[i]
+    is the running float sum of stretches 0..i-1 in walk order.  A row's
+    budget is prefix[i] plus at most one truncated term for the stretch i
+    that holds its cut.  Since 0.0 + x == x, every budget is the same
+    float as re-summing the stretches from the walk's start.
     """
     alphas = exponents if exponents is not None else cert.alphas
     alpha_min = float(min(alphas)) if isinstance(alphas, tuple) else float(alphas)
@@ -1232,19 +1239,27 @@ def distortion_budget(
         starts.append(starts[-1] + s.count - 1)
     total = starts[-1] + 1
 
+    def own_part(i: int, t_hi: int) -> float:
+        """Sum of weight^alpha over points 0..t_hi of stretch i."""
+        s = stretches[i]
+        part = Segment(s.anchor, s.axis, t_hi + 1, step=s.step, stride=s.stride)
+        return 2.0 ** family.segment_power_log2(part, _alpha_for(alphas, s.axis))
+
+    # a stretch owns its points up to the next stretch's start; the last one
+    # owns its end point too, and a non-final one-point stretch owns nothing
+    own_his = [s.count - 2 for s in stretches[:-1]] + [s.count - 1 for s in stretches[-1:]]
+    prefix = [0.0]
+    for i, own_hi in enumerate(own_his):
+        prefix.append(prefix[-1] + own_part(i, own_hi) if own_hi >= 0 else prefix[-1])
+
     def budget_upto(m_cut: int) -> float:
-        acc = 0.0
-        for i, s in enumerate(stretches):
-            if starts[i] > m_cut:
-                break
-            own_hi = s.count - 2 if i + 1 < len(stretches) else s.count - 1
-            t_hi = min(own_hi, m_cut - starts[i])
-            if t_hi < 0:
-                continue
-            part = Segment(s.anchor, s.axis, t_hi + 1, step=s.step, stride=s.stride)
-            alpha = _alpha_for(alphas, s.axis)
-            acc += 2.0 ** family.segment_power_log2(part, alpha)
-        return acc
+        # the last stretch starting at or before m_cut; all earlier ones end
+        # before it starts, so they count in full
+        i = bisect.bisect_right(starts, m_cut, 0, len(stretches)) - 1
+        t_hi = m_cut - starts[i]
+        if t_hi >= own_his[i]:
+            return prefix[i + 1]
+        return prefix[i] + own_part(i, t_hi)
 
     rows = []
     indices = sorted(cert.masses_log2)

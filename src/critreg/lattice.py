@@ -554,6 +554,7 @@ class ProductFamily(LengthFamily):
         self.d = len(axes)
         self.scale = Fraction(scale)
         self._scale_parts = log2_parts(self.scale)
+        self._scale_log2 = log2_fraction(self.scale)
         self.name = name
         self.support = "finite" if all(isinstance(a, UniformAxis) for a in axes) else (
             "cone" if all(isinstance(a, GeometricAxis) for a in axes) else "lattice"
@@ -571,7 +572,7 @@ class ProductFamily(LengthFamily):
         return w
 
     def log2_weight(self, v: Sequence[int]) -> float:
-        return log2_fraction(self.scale) + sum(
+        return self._scale_log2 + sum(
             ax.log2_weight(c) for ax, c in zip(self.axes, v, strict=True)
         )
 
@@ -627,7 +628,7 @@ class ProductFamily(LengthFamily):
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
         """log2 of the sum of weight^alpha over the segment's points."""
-        m = alpha * log2_fraction(self.scale)
+        m = alpha * self._scale_log2
         for k, c in enumerate(seg.anchor):
             if k != seg.axis:
                 m += alpha * self.axes[k].log2_weight(c)
@@ -635,7 +636,7 @@ class ProductFamily(LengthFamily):
         return m + self.axes[seg.axis].range_power_log2(lo, hi, stride, alpha)
 
     def np_log2_weight(self, pts: np.ndarray) -> np.ndarray:
-        out = np.full(pts.shape[0], log2_fraction(self.scale))
+        out = np.full(pts.shape[0], self._scale_log2)
         for k, ax in enumerate(self.axes):
             out += ax.np_log2(pts[:, k])
         return out

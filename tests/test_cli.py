@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from critreg import concat
 from critreg.cli import ConfigError, ExperimentConfig, _read_table, main, run, write_report
 
 
@@ -113,7 +114,7 @@ class TestMain:
     def test_search_failure_exits_three(self, capsys):
         # FF d=3 up to n=2 has no stage with two strips to start a chain at
         assert main(["chain-ff", "--d", "3", "--n-max", "2"]) == 3
-        assert "error: no workable stage in range" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: no workable stage in range\n"
 
     def test_power_ratio_past_float_range_exits_two(self, tmp_path, capsys):
         # B-d2 (1/3, 2/3) at n_max 105 has a power ratio above 2^1024: B is
@@ -127,6 +128,30 @@ class TestMain:
         row = next(r for r in report["rows"] if r["check"] == "chain-power-bound")
         assert row["passed"] and row["value"] == float("inf")
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_power_ratio_log2_reported_past_float_range(self, tmp_path):
+        out = tmp_path / "rep"
+        argv = ["chain-b", "--d", "2", "--variant", "B-d2", "--alpha", "1/3,2/3",
+                "--n-max", "110", "--out", str(out)]
+        assert main(argv) == 2
+        constants = json.loads((out / "report.json").read_text())["constants"]
+        assert constants["B"] == float("inf")
+        assert 1024 <= constants["B_log2"] < float("inf")
+
+    def test_power_ratio_log2_matches_finite_b(self):
+        report = run(_cfg(kind="chain-b", d=2, variant="B-d2",
+                          alphas=("1/2", "1/2"), n_max=10))
+        constants = report["constants"]
+        assert 1 < constants["B"] < float("inf")
+        assert 2.0 ** constants["B_log2"] == constants["B"]
+
+    def test_search_failure_message_ends_with_stats(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise concat.ChainSearchError("no good staircase", 3, {"candidates": 12})
+
+        monkeypatch.setattr(concat, "build_chain", fail)
+        assert main(["chain-b", "--d", "3", "--variant", "B-general", "--n-max", "6"]) == 3
+        assert capsys.readouterr().err == "error: no good staircase; candidates: 12\n"
 
     def test_successive_calls_match_fresh_processes(self, tmp_path):
         # main reuses one parser: a flag or kind of one call must not leak

@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 from critreg.boxes import BoxSequence, build_sequence, minimal_round_constant
 from critreg.concat import (
+    BudgetReport,
+    BudgetRow,
     ChainSearchError,
+    _alpha_for,
+    _each,
     _first_good,
     _full_segment,
     _junction,
+    _stretch_entry_t,
     _strip_count,
     black_box_reach,
     brute_reach,
@@ -568,6 +573,27 @@ class TestFirstGood:
         with pytest.raises(ChainSearchError, match="no candidate") as err:
             _first_good(fam, ((box, [(box, never)]),), "no candidate", 7)
         assert err.value.n == 7
+        assert err.value.stats == {"candidates": 1}
+
+    def test_search_error_counts_every_candidate(self):
+        box = Box(((1, 4), (1, 4)))
+        fam = geometric_family(2)
+        never = Bound(Fraction(1, 10 ** 6), box)
+        rows = [box.fix_axis(1, v) for v in range(1, 5)]
+        with pytest.raises(ChainSearchError) as err:
+            _first_good(fam, _each(rows, never), "none", None)
+        assert err.value.stats == {"candidates": 4}
+
+    def test_failing_staircase_scan_reports_its_count(self):
+        # the planar B-d2 boxes relabelled as B-general from their own first
+        # index: at n = 3 every staircase pivot escapes the overlap, so the
+        # scan is left with no candidate at all
+        planar = build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=10)
+        seq = BoxSequence("B-general", 1, planar.boxes, alphas=planar.alphas, d=2)
+        with pytest.raises(ChainSearchError, match="no good staircase") as err:
+            build_chain("B-general", geometric_family(2), seq)
+        assert err.value.n == 3
+        assert err.value.stats == {"candidates": 0}
 
 
 def _planar_b_general(n_max):
@@ -614,3 +640,116 @@ def test_records_pinned_per_builder(case):
     assert len(rows) == count
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
     assert verify_chain(cert, fam)["all"]
+
+
+def _resummed_budget(cert, family, min_fit_n):
+    """The budget pass that re-sums the walk from its start for every row:
+    the reference for the prefix-sum pass of `distortion_budget`."""
+    alphas = cert.alphas
+    alpha_min = float(min(alphas)) if isinstance(alphas, tuple) else float(alphas)
+    stretches = cert.stretches
+    starts = [0]
+    for s in stretches:
+        starts.append(starts[-1] + s.count - 1)
+
+    def budget_upto(m_cut):
+        acc = 0.0
+        for i, s in enumerate(stretches):
+            if starts[i] > m_cut:
+                break
+            own_hi = s.count - 2 if i + 1 < len(stretches) else s.count - 1
+            t_hi = min(own_hi, m_cut - starts[i])
+            if t_hi < 0:
+                continue
+            part = Segment(s.anchor, s.axis, t_hi + 1, step=s.step, stride=s.stride)
+            acc += 2.0 ** family.segment_power_log2(part, _alpha_for(alphas, s.axis))
+        return acc
+
+    rows = []
+    for n in sorted(cert.masses_log2):
+        if n + 1 not in cert.masses_log2:
+            continue
+        nxt_box = cert.seq.box(n + 1)
+        entry = None
+        for i, s in enumerate(stretches):
+            t = _stretch_entry_t(s, nxt_box)
+            if t is not None:
+                entry = starts[i] + t
+                break
+        if entry is None or entry == 0:
+            continue
+        b = budget_upto(entry)
+        ln = math.log(entry)
+        rows.append(BudgetRow(n, entry, b, b / ln ** (1.0 - alpha_min) if ln > 0 else math.inf))
+    fit = [r.ratio for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
+    return BudgetReport(tuple(rows), max(fit, default=0.0),
+                        max(fit) / min(fit) if fit else math.inf, starts[-1] + 1)
+
+
+# chains for the budget oracle: (kind, family, sequence, min_fit_n as the CLI
+# sets it).  B-general and FF-general at d = 4 walk through count-1 stretches
+# before their last; FF-d3 at n_max 17 has its last entry inside the final
+# stretch.
+_BUDGET_CHAINS = {
+    "B-d2-half": ("B-d2", geometric_family(2),
+                  lambda: build_sequence("B-d2", alphas=(HALF, HALF), n_max=20), 2),
+    "B-d2-third": ("B-d2", geometric_family(2),
+                   lambda: build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=24), 2),
+    "B-d3": ("B-d3", geometric_family(3),
+             lambda: build_sequence("B-general", alphas=(THIRD,) * 3, n_max=16), 2),
+    "B-general-d3": ("B-general", geometric_family(3),
+                     lambda: build_sequence("B-general", alphas=(THIRD,) * 3, n_max=16), 2),
+    "B-general-d4": ("B-general", geometric_family(4),
+                     lambda: build_sequence("B-general", alphas=(Fraction(1, 4),) * 4,
+                                            n_max=12), 2),
+    "FF-d3-geometric": ("FF-d3", geometric_family(2),
+                        lambda: build_sequence("FF", d=3, n_max=17), 4),
+    "FF-d3-symmetric": ("FF-d3", symmetric_geometric_family(2),
+                        lambda: build_sequence("FF", d=3, n_max=17), 4),
+    "FF-general-d4": ("FF-general", symmetric_geometric_family(3),
+                      lambda: build_sequence("FF", d=4, n_max=8), 2),
+}
+
+
+def _budget_case(case):
+    kind, fam, make_seq, min_fit_n = _BUDGET_CHAINS[case]
+    return build_chain(kind, fam, make_seq()), fam, min_fit_n
+
+
+class TestBudgetOracle:
+    @pytest.mark.parametrize("case", sorted(_BUDGET_CHAINS))
+    def test_equals_resummed_budget(self, case):
+        cert, fam, min_fit_n = _budget_case(case)
+        got = distortion_budget(cert, fam, min_fit_n=min_fit_n)
+        want = _resummed_budget(cert, fam, min_fit_n=min_fit_n)
+        assert len(got.rows) == len(want.rows) > 0
+        for a, b in zip(got.rows, want.rows):
+            assert a == b
+        assert got.a_prime == want.a_prime
+        assert got.ratio_spread == want.ratio_spread
+        assert got.total_points == want.total_points
+
+    def test_cases_cover_short_stretches_and_final_cuts(self):
+        for case in ("B-general-d4", "FF-general-d4"):
+            cert, _, _ = _budget_case(case)
+            assert any(s.count == 1 for s in cert.stretches[:-1]), case
+        for case in ("FF-d3-geometric", "FF-d3-symmetric"):
+            cert, fam, min_fit_n = _budget_case(case)
+            rep = distortion_budget(cert, fam, min_fit_n=min_fit_n)
+            # the final stretch holds walk indices total - count .. total - 1
+            first = rep.total_points - cert.stretches[-1].count
+            assert any(first <= r.entry_index < rep.total_points - 1 for r in rep.rows), case
+
+    @pytest.mark.parametrize("case", ["B-d2-third", "B-general-d4", "FF-d3-symmetric"])
+    def test_one_power_sum_per_stretch_and_row(self, case, monkeypatch):
+        cert, fam, min_fit_n = _budget_case(case)
+        calls = []
+        inner = fam.segment_power_log2
+
+        def counted(seg, alpha):
+            calls.append(seg)
+            return inner(seg, alpha)
+
+        monkeypatch.setattr(fam, "segment_power_log2", counted)
+        rep = distortion_budget(cert, fam, min_fit_n=min_fit_n)
+        assert 0 < len(calls) <= len(cert.stretches) + len(rep.rows)
