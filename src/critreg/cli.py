@@ -24,7 +24,17 @@ from pathlib import Path
 from . import boxes as boxmod
 from . import concat, lattice, nilpotent, smooth, walks
 
-KINDS = ("lemma1", "boxes", "chain-b", "chain-ff", "identity", "dynamics")
+# the config fields each kind reads: its flags, its accepted config keys
+# and its report's config block (with "kind") all come from this table
+KIND_FIELDS = {
+    "lemma1": ("d", "family", "family_file", "n_max", "samples", "seed"),
+    "boxes": ("d", "alphas", "variant", "n_max"),
+    "chain-b": ("d", "alphas", "variant", "family", "family_file", "n_max"),
+    "chain-ff": ("d", "variant", "family", "family_file", "n_max"),
+    "identity": ("d", "variant", "samples", "seed"),
+    "dynamics": ("c_param", "alpha_holder", "k_max"),
+}
+KINDS = tuple(KIND_FIELDS)
 
 
 class ConfigError(ValueError):
@@ -45,7 +55,6 @@ class ExperimentConfig:
     samples: int = 1000
     c_param: float = 1.0
     alpha_holder: str = "1/2"
-    out: str | None = None
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -186,7 +195,7 @@ def _run_boxes(cfg: ExperimentConfig) -> dict:
     return {"rows": rows, "tables": {"boxes": table}, "constants": constants}
 
 
-def _chain_common(cfg, kind: str, seq, fam) -> dict:
+def _chain_common(kind: str, seq, fam) -> dict:
     cert = concat.build_chain(kind, fam, seq)
     ver = concat.verify_chain(cert, fam)
     rep = concat.distortion_budget(cert, fam, min_fit_n=max(2, 4 if kind == "FF-d3" else 2))
@@ -219,14 +228,14 @@ def _run_chain_b(cfg: ExperimentConfig) -> dict:
     seq_kind = "B-d2" if kind == "B-d2" else "B-general"
     seq = boxmod.build_sequence(seq_kind, alphas=alphas, n_max=cfg.n_max)
     fam = _family(cfg, cfg.d)
-    return _chain_common(cfg, kind, seq, fam)
+    return _chain_common(kind, seq, fam)
 
 
 def _run_chain_ff(cfg: ExperimentConfig) -> dict:
     seq = boxmod.build_sequence("FF", d=cfg.d, n_max=cfg.n_max)
     fam = _family(cfg, cfg.d - 1)
     kind = cfg.variant or ("FF-d3" if cfg.d == 3 else "FF-general")
-    return _chain_common(cfg, kind, seq, fam)
+    return _chain_common(kind, seq, fam)
 
 
 def _run_identity(cfg: ExperimentConfig) -> dict:
@@ -235,7 +244,7 @@ def _run_identity(cfg: ExperimentConfig) -> dict:
     rng = random.Random(cfg.seed)
     model = cfg.variant or "translation"
     if model == "translation":
-        packing, letters = nilpotent.translation_model(cfg.d)
+        packing = nilpotent.translation_model(cfg.d)
         lattice_d = cfg.d + 1
         gens = [(j + 1, 1) for j in range(1, lattice_d + 1)]
         g = nilpotent.UnipotentMatrix.generator(lattice_d + 1, lattice_d + 1, 1)
@@ -309,10 +318,9 @@ def run(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     body = RUNNERS[cfg.kind](cfg)
     passed = all(r["passed"] for r in body["rows"])
-    shown = asdict(cfg)
-    shown.pop("out")  # destination, not an experiment parameter
+    fields = asdict(cfg)
     return {
-        "config": shown,
+        "config": {k: fields[k] for k in ("kind", *KIND_FIELDS[cfg.kind])},
         "kind": cfg.kind,
         "rows": body["rows"],
         "constants": body.get("constants", {}),
@@ -346,55 +354,52 @@ def write_report(report: dict, out_dir: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha", help="comma-separated exponents, e.g. 1/2,1/2")
-    p.add_argument(
-        "--family", choices=["geometric", "symmetric-geometric", "custom-file"]
-    )
-    p.add_argument("--family-file")
-    p.add_argument("--variant")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--c-param", type=float)
-    p.add_argument("--alpha-holder")
-    p.add_argument("--out")
+class _Parser(argparse.ArgumentParser):
+    """Reports its usage errors as ConfigError, so they exit 1 like any
+    other invalid input; --help still exits 0."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+# (flag, add_argument options) of each config field
+FLAGS = {
+    "d": ("--d", {"type": int}),
+    "alphas": ("--alpha", {"type": lambda text: text.split(","), "metavar": "ALPHA",
+                           "help": "comma-separated exponents, e.g. 1/2,1/2"}),
+    "family": ("--family", {"choices": ["geometric", "symmetric-geometric", "custom-file"]}),
+    "family_file": ("--family-file", {}),
+    "variant": ("--variant", {}),
+    "n_max": ("--n-max", {"type": int}),
+    "k_max": ("--k-max", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "samples": ("--samples", {"type": int}),
+    "c_param": ("--c-param", {"type": float}),
+    "alpha_holder": ("--alpha-holder", {}),
+}
 
 
 def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
+    fields = KIND_FIELDS[kind]
     base: dict = {}
     if args.config:
         base = json.loads(Path(args.config).read_text())
         if not isinstance(base, dict):
             raise ConfigError("the config file must hold a JSON object")
-    base["kind"] = kind
-    mapping = {
-        "d": args.d,
-        "family": args.family,
-        "family_file": args.family_file,
-        "variant": args.variant,
-        "n_max": args.n_max,
-        "k_max": args.k_max,
-        "seed": args.seed,
-        "samples": args.samples,
-        "c_param": args.c_param,
-        "alpha_holder": args.alpha_holder,
-        "out": args.out,
-    }
-    for k, v in mapping.items():
-        if v is not None:
-            base[k] = v
-    if args.alpha is not None:
-        base["alphas"] = tuple(args.alpha.split(","))
+        other = base.pop("kind", kind)
+        if other != kind:
+            raise ConfigError(f"the config file is for kind {other!r}, not {kind!r}")
+        unread = sorted(base.keys() - set(fields))
+        if unread:
+            raise ConfigError(f"{kind} does not read config keys {', '.join(unread)}")
+    for field in fields:
+        value = getattr(args, field)
+        if value is not None:
+            base[field] = value
     if "alphas" in base:
         base["alphas"] = tuple(base["alphas"])
-    try:
-        return ExperimentConfig(**base)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(kind=kind, **base)
 
 
 def _load_report(path: str) -> dict:
@@ -418,22 +423,26 @@ def _load_report(path: str) -> dict:
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
     unchanged and every call starts from a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critreg",
         description="run the chain, walk, action and dynamics verifiers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
+    for kind, fields in KIND_FIELDS.items():
         p = sub.add_parser(kind)
-        _add_common(p)
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        for field in fields:
+            flag, options = FLAGS[field]
+            p.add_argument(flag, dest=field, **options)
+        p.add_argument("--out", help="directory for report.json, checks.csv and tables")
     p = sub.add_parser("report", help="re-validate and summarize a saved report")
     p.add_argument("path")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "report":
             report = _load_report(args.path)
         else:
@@ -451,8 +460,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{status}] {r['check']}: value={r['value']} bound={r['bound']}")
     if args.command == "report":
         print("overall:", "pass" if report["passed"] else "FAIL")
-    elif cfg.out:
-        path = write_report(report, cfg.out)
+    elif args.out:
+        path = write_report(report, args.out)
         print(f"report written to {path}")
     return 0 if report["passed"] else 2
 

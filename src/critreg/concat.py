@@ -42,6 +42,7 @@ from .lattice import (
 )
 
 SEARCH_CAP = 500_000
+REACH_POINT_CAP = 20_000  # largest box `black_box_reach` enumerates
 
 
 class ChainSearchError(RuntimeError):
@@ -540,7 +541,6 @@ def black_box_reach(
     kappa,
     mu=None,
     lam=None,
-    point_cap: int = 20_000,
 ) -> ReachResult:
     """Points reachable from a fully good 1-segment by short good chains.
 
@@ -551,8 +551,8 @@ def black_box_reach(
     unless supplied explicitly.
     """
     kappa = Fraction(kappa)
-    if box.npoints() > point_cap:
-        raise ValueError(f"box has more than {point_cap} points")
+    if box.npoints() > REACH_POINT_CAP:
+        raise ValueError(f"box has more than {REACH_POINT_CAP} points")
     lo, hi = box.intervals[seg.axis]
     if seg.stride != 1 or seg.count != hi - lo + 1:
         raise ValueError("seed must be a full unit segment of the box")
@@ -765,15 +765,13 @@ def reach_vertical_section(
 # ---------------------------------------------------------------------------
 
 
-def _build_b_d3(
-    family: LengthFamily, seq: BoxSequence, lam: Fraction | None
-) -> ChainCertificate:
+def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     alphas = seq.alphas
     assert alphas is not None and len(alphas) == 3
     from .boxes import inocent_constant
 
     d2 = inocent_constant(seq)
-    lam = Fraction(lam) if lam is not None else max(Fraction(2), 2 / d2)
+    lam = max(Fraction(2), 2 / d2)
     cert = _new_cert("B-d3", family, seq, alphas, {"lambda": float(lam)})
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
 
@@ -884,7 +882,9 @@ def _fully_good_segment(
         for v in range(lo, hi + 1):
             visits += 1
             if visits > visit_cap:
-                raise ChainSearchError("fully good segment search exhausted", None)
+                raise ChainSearchError(
+                    "fully good segment search exhausted", None, {"visits": visits}
+                )
             fixed[a] = v
             member = member_box(t)
             if mass_le(family, member, _mean_bound(lam, member, box)):
@@ -894,7 +894,7 @@ def _fully_good_segment(
         return False
 
     if not dfs(0):
-        raise ChainSearchError("no fully good segment in box", None)
+        raise ChainSearchError("no fully good segment in box", None, {"visits": visits})
     anchor = [0] * dim
     for a, v in fixed.items():
         anchor[a] = v
@@ -902,13 +902,11 @@ def _fully_good_segment(
     return Segment(tuple(anchor), axis, box.side(axis), ambient=box)
 
 
-def _build_b_general(
-    family: LengthFamily, seq: BoxSequence, lam: Fraction | None
-) -> ChainCertificate:
+def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     alphas = seq.alphas
     assert alphas is not None
     d = len(alphas)
-    lam = Fraction(lam) if lam is not None else Fraction(2 * (d - 1) + 1)
+    lam = Fraction(2 * (d - 1) + 1)
     lam_prime = lambda_prime(lam, Fraction(1, 2), d)
     cert = _new_cert(
         "B-general", family, seq, alphas,
@@ -927,12 +925,17 @@ def _build_b_general(
         assert overlap is not None
         m_next = m_axis(n + 1)
         nxt_seg = _fully_good_segment(family, nxt, m_next, lam)
+        # every staircase segment is a full overlap segment, so its bound
+        # depends only on its axis
+        corner = tuple(lo for lo, _ in overlap.intervals)
+        bounds = [_mean_bound(lam_prime, _full_segment(overlap, a, corner), overlap)
+                  for a in range(d)]
         # choose the target point on the next anchor segment, scanning its
         # span, so that the connecting staircase in the overlap is good
         t0 = nxt_seg.anchor[m_next]
         stairs = (_staircase_segments(overlap, seg, nxt_seg.point(t - t0), m_axis(n))
                   for t in range(*_r(overlap.intervals[m_next])))
-        checked = ([(s, _mean_bound(lam_prime, s, overlap)) for s in st] for st in stairs if st)
+        checked = ([(s, bounds[s.axis]) for s in st] for st in stairs if st)
         stair = _first_good(
             family, ((c, c) for c in checked), "no good staircase into the next box", n
         )
@@ -982,25 +985,22 @@ def _strip_count(box: Box, stride: int) -> int:
 
 def chain_start_stage(seq: BoxSequence) -> int:
     """First even stage whose following odd stage has at least two strips."""
-    for n in seq.indices():
-        if n % 2 == 1 and n - 1 in seq.indices():
+    stages = seq.indices()
+    for n in stages:
+        if n % 2 == 1 and n - 1 in stages:
             stride = seq.box(n).intervals[0][1]
             if _strip_count(seq.box(n), stride) >= 2:
                 return n - 1
-    raise ChainSearchError("no workable stage in range", None)
+    raise ChainSearchError("no workable stage in range", None, {"stages": len(stages)})
 
 
-def _build_ff_d3(
-    family: LengthFamily, seq: BoxSequence, n_start: int | None = None
-) -> ChainCertificate:
+def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     if seq.kind != "FF" or seq.d != 3:
         raise ValueError("needs the FF sequence with d=3")
     alpha = Fraction(1, 3)  # 2/(d(d-1)) at d=3
     lam = Fraction(2)
     cert = _new_cert("FF-d3", family, seq, alpha, {"lambda": float(lam)})
-    n0 = chain_start_stage(seq) if n_start is None else n_start
-    if n0 % 2:
-        raise ValueError("chains start at an even stage")
+    n0 = chain_start_stage(seq)
     n_end = max(seq.indices())
     if n_end - n0 < 2:
         raise ValueError("sequence too short past the start stage")
@@ -1031,7 +1031,7 @@ def _build_ff_d3(
         stride = box_o.intervals[0][1]  # strip height y_(1,odd)
         big_r = _strip_count(box_o, stride)
         if big_r < 2:
-            raise ChainSearchError("degenerate strip decomposition", odd)
+            raise ChainSearchError("degenerate strip decomposition", odd, {"strips": big_r})
         overlap_col = box_e.intersect(box_o)
         assert overlap_col is not None
         # joint strip scan: overlap-vertical 2-good and strip 2-good
@@ -1098,9 +1098,7 @@ def lambda_two(kappa, mu, a, d: int):
     )
 
 
-def _build_ff_general(
-    family: LengthFamily, seq: BoxSequence, lam: Fraction | None
-) -> ChainCertificate:
+def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     if seq.kind != "FF" or seq.d is None:
         raise ValueError("needs an FF sequence")
     d = seq.d
@@ -1130,9 +1128,7 @@ def _build_ff_general(
         cert.measured["lambda_two"] = float(lam_policy)
     except ValueError:
         lam_policy = None
-    lam_used = Fraction(lam) if lam is not None else max(
-        lam_measured, lam_policy or 0
-    )
+    lam_used = max(lam_measured, lam_policy or 0)
     cert.measured["lambda"] = float(lam_used)
     legs = [
         Leg(n, f"g{n}.{seg.axis + 1}", seg, "staircase-mean",
@@ -1143,13 +1139,7 @@ def _build_ff_general(
     return _assemble(family, cert, legs, None, last_exit=tuple(cur))
 
 
-def build_chain(
-    kind: str,
-    family: LengthFamily,
-    seq: BoxSequence,
-    lam: Fraction | None = None,
-    n_start: int | None = None,
-) -> ChainCertificate:
+def build_chain(kind: str, family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     """Build one of the deterministic concatenated chains over a sequence."""
     if kind == "B-d2":
         if seq.kind != "B-d2":
@@ -1158,15 +1148,15 @@ def build_chain(
     if kind == "B-d3":
         if seq.kind != "B-general" or seq.d != 3:
             raise ValueError("needs the B-general sequence with d=3")
-        return _build_b_d3(family, seq, lam)
+        return _build_b_d3(family, seq)
     if kind == "B-general":
         if seq.kind != "B-general":
             raise ValueError("sequence kind mismatch")
-        return _build_b_general(family, seq, lam)
+        return _build_b_general(family, seq)
     if kind == "FF-d3":
-        return _build_ff_d3(family, seq, n_start)
+        return _build_ff_d3(family, seq)
     if kind == "FF-general":
-        return _build_ff_general(family, seq, lam)
+        return _build_ff_general(family, seq)
     raise ValueError(f"unknown chain kind {kind!r}")
 
 
@@ -1216,7 +1206,6 @@ def _stretch_entry_t(stretch: Segment, box: Box) -> int | None:
 def distortion_budget(
     cert: ChainCertificate,
     family: LengthFamily,
-    exponents=None,
     min_fit_n: int = 2,
 ) -> BudgetReport:
     """Entry times N(n) and cumulative Holder sums along the walk.
@@ -1231,7 +1220,7 @@ def distortion_budget(
     that holds its cut.  Since 0.0 + x == x, every budget is the same
     float as re-summing the stretches from the walk's start.
     """
-    alphas = exponents if exponents is not None else cert.alphas
+    alphas = cert.alphas
     alpha_min = float(min(alphas)) if isinstance(alphas, tuple) else float(alphas)
     stretches = cert.stretches
     starts = [0]

@@ -318,15 +318,13 @@ def realize(packing: IntervalPacking, f: UnipotentMatrix | Word) -> AffineRealiz
     return AffineRealization(packing, el)
 
 
-def translation_model(d: int) -> tuple[IntervalPacking, list[UnipotentMatrix]]:
-    """Packing over Z^(d+1) where the d+1 letters are coordinate shifts.
+def translation_model(d: int) -> IntervalPacking:
+    """Packing over Z^(d+1) for words in the d+1 coordinate shifts.
 
     The shifts are the generators f(j+1,1); they commute pairwise, so the
     slope identity below holds with zero residual for any word in them.
     """
-    packing = IntervalPacking(symmetric_geometric_family(d + 1))
-    letters = [UnipotentMatrix.generator(d + 2, j + 1, 1) for j in range(1, d + 2)]
-    return packing, letters
+    return IntervalPacking(symmetric_geometric_family(d + 1))
 
 
 def full_group_model(d: int) -> IntervalPacking:
@@ -344,7 +342,6 @@ class DistortionReport:
     residuals: tuple[Fraction, ...]
     all_zero: bool
     m_values: tuple[float, ...]  # cumulative block-length power sums
-    bound_exp_cm: float  # exp(C * M_n) for the supplied C
 
     @property
     def max_abs_residual(self) -> Fraction:
@@ -358,7 +355,6 @@ def conjugacy_distortion_check(
     k: int,
     indices: Iterable[Sequence[int]],
     holder_exponent: float = 1.0,
-    holder_constant: float = 1.0,
 ) -> DistortionReport:
     """Verify the exact slope identity of the conjugated power on intervals.
 
@@ -368,7 +364,7 @@ def conjugacy_distortion_check(
 
     which holds with exact-zero residual whenever g commutes with every
     letter of the word.  Also returns M_n = sum of |h_j(I)|^a over word
-    prefixes (block lengths through the fiber marginal) and exp(C*M_n).
+    prefixes (block lengths through the fiber marginal).
     """
     if g.size != word.size:
         raise ValueError("size mismatch")
@@ -402,12 +398,10 @@ def conjugacy_distortion_check(
         u = hj.act(origin)[:-1]
         acc += float(packing.block_length(u)) ** holder_exponent
         m_vals.append(acc)
-    bound = math.exp(holder_constant * (m_vals[-1] if m_vals else 0.0))
     return DistortionReport(
         tuple(residuals),
         all(r == 0 for r in residuals),
         tuple(m_vals),
-        bound,
     )
 
 

@@ -39,6 +39,10 @@ GROWTH_TOL = 1e-12
 HOLDER_BLOCK_ROWS = 64
 # steps of the derivative sweep between merges of bit-identical orbits
 MERGE_EVERY = 16
+# `iterate_derivative_max`: first grid, then rounds of 513-point refinement
+# around the argmax
+ITERATE_GRID = 10_001
+REFINE_ROUNDS = 2
 
 
 class HyperbolicFixedPointError(ValueError):
@@ -200,18 +204,16 @@ def _log_derivative_sweep(g: SmoothMap, k_max: int, grid: int) -> np.ndarray:
     return out
 
 
-def iterate_derivative_max(
-    g: SmoothMap, k: int, grid: int = 10_001, refine_rounds: int = 2
-) -> float:
+def iterate_derivative_max(g: SmoothMap, k: int) -> float:
     """Grid maximum of Dg^k with local refinement near the argmax.
 
     Always a lower bound for the true supremum.
     """
     if k == 0:
         return 1.0
-    x = g.grid(grid)
+    x = g.grid(ITERATE_GRID)
     best = -math.inf
-    for _ in range(refine_rounds + 1):
+    for _ in range(REFINE_ROUNDS + 1):
         xs = x.copy()
         logprod = np.zeros_like(x)
         for _ in range(k):
@@ -272,7 +274,6 @@ def growth_bound_check(
     alpha: float,
     k_max: int,
     grid: int = 4097,
-    holder_grid: int = 1025,
 ) -> GrowthBoundReport:
     """Test  max Dg^k <= exp(3 * C * |I|^alpha * k^(1-alpha))  for k <= k_max.
 
@@ -286,7 +287,7 @@ def growth_bound_check(
             raise HyperbolicFixedPointError(
                 f"fixed point {p} has derivative {dp}, bound requires 1"
             )
-    c = holder_constant_estimate(g, alpha, holder_grid).constant
+    c = holder_constant_estimate(g, alpha).constant
     logmax = _log_derivative_sweep(g, k_max, grid)
     ks = np.arange(1, k_max + 1, dtype=float)
     logbound = 3.0 * c * g.length ** alpha * ks ** (1.0 - alpha)

@@ -45,6 +45,10 @@ from .lattice import (
 SPHERE_GUARD = 10 ** 6
 DP_STATE_GUARD = 2 * 10 ** 6
 COST_REL_TOL = 1e-12
+# factor on the expectation bound of `batch_certificates`' mean cost
+MEAN_SLACK = 1.05
+# `enumerate_min_cost` refuses more monotone paths than this
+PATH_ENUM_CAP = 10 ** 5
 # walk-state entries buffered per cost evaluation (256 kB of int64); larger
 # blocks run no faster and raise peak memory (2^18 added 8 MB)
 BLOCK_INTS = 2 ** 15
@@ -224,7 +228,6 @@ def batch_certificates(
     n: int,
     samples: int,
     seed: int,
-    mean_slack: float = 1.05,
 ) -> BatchSummary:
     """Vectorized Monte-Carlo pass: joint success fraction and mean cost.
 
@@ -264,7 +267,7 @@ def batch_certificates(
     ends = _counts(acc).T.tolist()
     second = np.fromiter(weights_le(family, ends, rhs), dtype=bool, count=samples)
     mean_bound = float(family.total_mass / sphere_constant(d)) ** (1.0 / d)
-    mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * mean_slack
+    mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * MEAN_SLACK
     return BatchSummary(
         d=d,
         n=n,
@@ -313,12 +316,10 @@ def brute_min_cost(
     return LatticePath(tuple(reversed(pts))), best[end][0]
 
 
-def enumerate_min_cost(
-    family: LengthFamily, d: int, n: int, limit: int = 10 ** 5
-) -> float:
+def enumerate_min_cost(family: LengthFamily, d: int, n: int) -> float:
     """Exhaustive minimum over all d^n monotone paths (test oracle)."""
-    if d ** n > limit:
-        raise SizeGuardError(f"{d ** n} paths exceed {limit}")
+    if d ** n > PATH_ENUM_CAP:
+        raise SizeGuardError(f"{d ** n} paths exceed {PATH_ENUM_CAP}")
     best = math.inf
 
     def rec(state: list[int], j: int, acc: float) -> None:

@@ -184,7 +184,7 @@ def test_07_distortion_identity():
     total = 0
     for model, d in (("translation", 2), ("translation", 3), ("ff", 3)):
         if model == "translation":
-            packing, _ = translation_model(d)
+            packing = translation_model(d)
             lattice_d = d + 1
             gens = [(j, 1) for j in range(2, lattice_d + 2)]
         else:

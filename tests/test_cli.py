@@ -8,7 +8,17 @@ from pathlib import Path
 import pytest
 
 from critreg import concat
-from critreg.cli import ConfigError, ExperimentConfig, _read_table, main, run, write_report
+from critreg.cli import (
+    KIND_FIELDS,
+    KINDS,
+    ConfigError,
+    ExperimentConfig,
+    _parser,
+    _read_table,
+    main,
+    run,
+    write_report,
+)
 
 
 def _cfg(**kw):
@@ -112,9 +122,10 @@ class TestMain:
         assert main(["lemma1", "--d", "40"]) == 1
 
     def test_search_failure_exits_three(self, capsys):
-        # FF d=3 up to n=2 has no stage with two strips to start a chain at
+        # FF d=3 up to n=2 has no stage with two strips to start a chain at;
+        # the message ends with the number of stages the search examined
         assert main(["chain-ff", "--d", "3", "--n-max", "2"]) == 3
-        assert capsys.readouterr().err == "error: no workable stage in range\n"
+        assert capsys.readouterr().err == "error: no workable stage in range; stages: 3\n"
 
     def test_power_ratio_past_float_range_exits_two(self, tmp_path, capsys):
         # B-d2 (1/3, 2/3) at n_max 105 has a power ratio above 2^1024: B is
@@ -240,10 +251,75 @@ class TestMain:
             (0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 0): Fraction(1)
         }
 
-    @pytest.mark.parametrize("content", [None, "not json {", "[1, 2]"])
+    @pytest.mark.parametrize("content", [None, "not json {", "[1, 2]", '{"k_max": 5}',
+                                         '{"out": "x"}', '{"kind": "boxes"}'])
     def test_bad_config_file_exits_one(self, tmp_path, capsys, content):
         p = tmp_path / "c.json"
         if content is not None:
             p.write_text(content)
         assert main(["lemma1", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# one flag of another kind per kind: each is a usage error, never a report key
+UNREAD_FLAGS = {
+    "lemma1": ["--alpha", "1/2,1/2"],
+    "boxes": ["--family", "geometric"],
+    "chain-b": ["--seed", "3"],
+    "chain-ff": ["--alpha", "1/3,1/3,1/3"],
+    "identity": ["--n-max", "5"],
+    "dynamics": ["--d", "5"],
+}
+
+SMALL = {
+    "lemma1": ["--d", "2", "--n-max", "20", "--samples", "30", "--seed", "4"],
+    "boxes": ["--d", "2", "--variant", "B-d2", "--alpha", "1/2,1/2", "--n-max", "8"],
+    "chain-b": ["--d", "3", "--variant", "B-d3", "--n-max", "6"],
+    "chain-ff": ["--d", "3", "--family", "symmetric-geometric", "--n-max", "9"],
+    "identity": ["--d", "2", "--variant", "ff", "--samples", "5", "--seed", "2"],
+    "dynamics": ["--c-param", "1.5", "--alpha-holder", "1/3", "--k-max", "40"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unread_flag_exits_one(self, kind, tmp_path, capsys):
+        out = tmp_path / "rep"
+        argv = [kind, *SMALL[kind], *UNREAD_FLAGS[kind], "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(UNREAD_FLAGS[kind])}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["lemma1", "--bogus", "1"], [], ["lemma1", "--n-max", "x"], ["nonsense"]]
+    )
+    def test_usage_errors_exit_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--help"])
+        assert exc.value.code == 0
+        shown = capsys.readouterr().out
+        assert "--k-max" in shown and "--d" not in shown and "--seed" not in shown
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_flags_follow_the_table(self, kind):
+        sub = next(a for a in _parser()._actions if a.dest == "command").choices[kind]
+        dests = {a.dest for a in sub._actions} - {"help", "config", "out"}
+        assert dests == set(KIND_FIELDS[kind])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_config_block_round_trips(self, kind, tmp_path):
+        # the report's config block lists the fields the kind reads and its
+        # kind; passed back as --config it reproduces the report byte for byte
+        first, second = tmp_path / "first", tmp_path / "second"
+        main([kind, *SMALL[kind], "--out", str(first)])
+        config = json.loads((first / "report.json").read_text())["config"]
+        assert config.keys() == {"kind", *KIND_FIELDS[kind]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        main([kind, "--config", str(path), "--out", str(second)])
+        assert (second / "report.json").read_bytes() == (first / "report.json").read_bytes()

@@ -503,8 +503,10 @@ class TestFullyGoodSearch:
     def test_visit_cap_raises_search_error(self):
         box = Box(((1, 8), (1, 8), (1, 8)))
         fam = geometric_family(3)
-        with pytest.raises(ChainSearchError):
+        with pytest.raises(ChainSearchError) as err:
             find_fully_good_segment(fam, box, 0, Fraction(2), visit_cap=1)
+        # the search stops on the visit past the cap and reports it
+        assert err.value.stats == {"visits": 2}
 
 
 class TestJunction:

@@ -190,7 +190,7 @@ class TestOrbitStructure:
 
 class TestDistortionIdentity:
     def test_translation_model_zero_residual(self):
-        pk, letters = translation_model(2)
+        pk = translation_model(2)
         g = UnipotentMatrix.generator(4, 4, 1)
         word = Word(((2, 1, 1), (3, 1, -1), (4, 1, 1), (2, 1, 1)), 4)
         rep = conjugacy_distortion_check(pk, word, g, 3, [(0, 0, 0), (1, 2, -1)])
