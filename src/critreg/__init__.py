@@ -17,7 +17,6 @@ from .concat import (  # noqa: F401
     build_chain,
     distortion_budget,
     find_good_segment_d2,
-    goodness_ratio,
     lambda_prime,
     reach_vertical_section,
     verify_chain,
@@ -26,32 +25,23 @@ from .lattice import (  # noqa: F401
     Box,
     LatticePath,
     LengthFamily,
-    MultiIndex,
     Segment,
     geometric_family,
     path_cost,
-    region_mass,
-    sphere_size,
     symmetric_geometric_family,
     uniform_box_family,
 )
 from .nilpotent import (  # noqa: F401
-    AffineRealization,
     IntervalPacking,
     UnipotentMatrix,
-    center_and_commutators,
     conjugacy_distortion_check,
     full_group_model,
-    parse_word,
-    realize,
-    slope_growth_scan,
     translation_model,
 )
 from .smooth import (  # noqa: F401
     SmoothMap,
     growth_bound_check,
     holder_constant_estimate,
-    iterate_derivative_max,
     parabolic_map,
     blowup_scan,
     wandering_sum_check,
@@ -59,8 +49,5 @@ from .smooth import (  # noqa: F401
 from .walks import (  # noqa: F401
     PathCertificate,
     WalkKernel,
-    arrival_distribution,
-    brute_min_cost,
     sample_and_certify,
-    transition_distribution,
 )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .lattice import Box
 
@@ -99,9 +99,6 @@ class BoxSequence:
 
     def indices(self) -> range:
         return range(self.start_index, self.start_index + len(self.boxes))
-
-    def __len__(self) -> int:
-        return len(self.boxes)
 
     def touched(self, n: int) -> tuple[int, int]:
         """(lower-raised axis, upper-raised axis) of the step Q(n) -> Q(n+1)."""
@@ -294,17 +291,6 @@ def is_a_round(box: Box, a: Fraction) -> bool:
 
 
 @dataclass(frozen=True)
-class SubdivisionNode:
-    box: Box
-    depth: int  # number of chain indices leading here (root: 0)
-    chain: tuple[int, ...]  # 1-based piece indices
-    trailing: bool  # True when this piece has index M at its level
-
-    def is_leaf(self, tree: "SubdivisionTree") -> bool:
-        return self.trailing or self.depth == tree.depth
-
-
-@dataclass(frozen=True)
 class LevelInfo:
     level: int
     chain: tuple[int, ...]
@@ -374,25 +360,6 @@ class SubdivisionTree:
             lo, hi, _ = _piece(*ivs[-1], self.piece_lengths[k], m)
             ivs = ivs[:-1] + ((lo, hi),)
         return Box(ivs)
-
-    def nodes(self) -> Iterator[SubdivisionNode]:
-        """Walk the tree; children of every node partition its extent."""
-
-        def rec(node: SubdivisionNode) -> Iterator[SubdivisionNode]:
-            yield node
-            if node.is_leaf(self):
-                return
-            plen = self.piece_lengths[node.depth]
-            lo, hi = node.box.intervals[-1]
-            for m in range(1, (hi - lo) // plen + 2):
-                p_lo, p_hi, trailing = _piece(lo, hi, plen, m)
-                piece = Box(node.box.intervals[:-1] + ((p_lo, p_hi),))
-                yield from rec(SubdivisionNode(piece, node.depth + 1, node.chain + (m,), trailing))
-
-        yield from rec(SubdivisionNode(self.box, 0, (), trailing=False))
-
-    def leaves(self) -> Iterator[SubdivisionNode]:
-        return (n for n in self.nodes() if n.depth > 0 and n.is_leaf(self))
 
 
 def vertical_subdivision(box: Box, a: Fraction) -> SubdivisionTree:

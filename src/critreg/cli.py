@@ -363,10 +363,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
+
+
 # (flag, add_argument options) of each config field
 FLAGS = {
     "d": ("--d", {"type": int}),
-    "alphas": ("--alpha", {"type": lambda text: text.split(","), "metavar": "ALPHA",
+    "alphas": ("--alpha", {"type": _comma_list, "metavar": "ALPHA",
                            "help": "comma-separated exponents, e.g. 1/2,1/2"}),
     "family": ("--family", {"choices": ["geometric", "symmetric-geometric", "custom-file"]}),
     "family_file": ("--family-file", {}),
@@ -378,6 +382,36 @@ FLAGS = {
     "c_param": ("--c-param", {"type": float}),
     "alpha_holder": ("--alpha-holder", {}),
 }
+
+
+# the JSON type a --config value must have, by the type of its field's flag
+CONFIG_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    _comma_list: (list, "a list of strings"),
+}
+
+
+def _check_config_value(field: str, value) -> None:
+    """ConfigError unless a --config value has the type of its field's flag
+    and is one of the flag's choices."""
+    _, options = FLAGS[field]
+    kind = options.get("type", str)
+    json_type, what = CONFIG_TYPES[kind]
+    if value is None and getattr(ExperimentConfig, field) is None:
+        return
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, json_type)
+        or kind is _comma_list and not all(isinstance(v, str) for v in value)
+    ):
+        raise ConfigError(f"config value {field}={json.dumps(value)} is not {what}")
+    if value not in options.get("choices", (value,)):
+        raise ConfigError(
+            f"config value {field}={json.dumps(value)} is not one of "
+            f"{', '.join(options['choices'])}"
+        )
 
 
 def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
@@ -393,6 +427,8 @@ def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
         unread = sorted(base.keys() - set(fields))
         if unread:
             raise ConfigError(f"{kind} does not read config keys {', '.join(unread)}")
+        for field, value in base.items():
+            _check_config_value(field, value)
     for field in fields:
         value = getattr(args, field)
         if value is not None:

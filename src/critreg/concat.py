@@ -59,54 +59,6 @@ class ChainSearchError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
-    """Least lambda making a region good inside an ambient box.
-
-    ``mean_ratio`` compares per-point means; ``copy_ratio`` uses the number
-    of disjoint translates of the region that fit in the ambient box.  The
-    two coincide exactly when the translates tile the box.
-    """
-
-    mean_ratio: Fraction
-    copy_ratio: Fraction
-    copies: int
-    tiles_exactly: bool
-
-
-def _region_box(region: Box | Segment) -> Box:
-    if isinstance(region, Box):
-        return region
-    if region.stride != 1:
-        raise ValueError("copy counts need unit-stride segments")
-    lo, hi, _ = region.axis_values()
-    ivs = [(c, c) for c in region.anchor]
-    ivs[region.axis] = (lo, hi)
-    return Box(tuple(ivs))
-
-
-def goodness_ratio(
-    family: LengthFamily, region: Box | Segment, ambient: Box
-) -> GoodnessReport:
-    """Exact goodness of a sub-box (or unit segment) inside an ambient box."""
-    rbox = _region_box(region)
-    if ambient.intersect(rbox) is None or ambient.intersect(rbox) != rbox:
-        raise ValueError("region must be contained in the ambient box")
-    rmass = family.box_mass(rbox)
-    amass = family.box_mass(ambient)
-    if rmass == 0 or amass == 0:
-        raise ValueError("regions must carry positive mass")
-    mean_ratio = (rmass / rbox.npoints()) / (amass / ambient.npoints())
-    copies = 1
-    tiles = True
-    for k in range(ambient.dim):
-        q, r = divmod(ambient.side(k), rbox.side(k))
-        copies *= q
-        tiles = tiles and r == 0
-    copy_ratio = Fraction(copies) * rmass / amass
-    return GoodnessReport(mean_ratio, copy_ratio, copies, tiles)
-
-
 def _first_good(
     family: LengthFamily,
     candidates: Iterable[tuple[Any, Iterable[tuple[Box | Segment, Bound]]]],
@@ -864,6 +816,13 @@ def _fully_good_segment(
     """
     dim = box.dim
     order = [(axis - t) % dim for t in range(1, dim)]
+    # the member at depth t fixes the axes order[:t+1], so its size, and
+    # with it the bound of `_mean_bound`, depends on t alone
+    total = size = box.npoints()
+    bounds = []
+    for a in order:
+        size //= box.side(a)
+        bounds.append(Bound(Fraction(lam.numerator * size, lam.denominator * total), box))
     fixed: dict[int, int] = {}
     visits = 0
 
@@ -886,8 +845,7 @@ def _fully_good_segment(
                     "fully good segment search exhausted", None, {"visits": visits}
                 )
             fixed[a] = v
-            member = member_box(t)
-            if mass_le(family, member, _mean_bound(lam, member, box)):
+            if mass_le(family, member_box(t), bounds[t]):
                 if dfs(t + 1):
                     return True
             del fixed[a]

@@ -1,4 +1,4 @@
-"""Core lattice substrate: multi-indices, weight families, segments, paths.
+"""Core lattice substrate: boxes, segments, paths and weight families.
 
 Masses of boxes and segments have closed forms in two representations:
 exact rationals, and log2 masses split into an exact integer and a small
@@ -30,10 +30,6 @@ LN2 = math.log(2.0)
 LOG2_3 = math.log2(3.0)
 
 
-class UnsupportedRegionError(ValueError):
-    """Raised when a mass is requested over a region with no closed form."""
-
-
 class SizeGuardError(ValueError):
     """Raised when an exact computation would exceed its size guard."""
 
@@ -41,23 +37,6 @@ class SizeGuardError(ValueError):
 def _check_dimension(d: int) -> None:
     if not 1 <= d <= DIMENSION_CAP:
         raise ValueError(f"dimension must be in [1, {DIMENSION_CAP}], got {d}")
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A point of the index lattice, optionally restricted to the positive cone."""
-
-    coords: Coords
-    nonnegative: bool = False
-
-    def __post_init__(self) -> None:
-        _check_dimension(len(self.coords))
-        if self.nonnegative and any(c < 0 for c in self.coords):
-            raise ValueError(f"negative coordinate in cone context: {self.coords}")
-
-    @property
-    def d(self) -> int:
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -142,10 +121,6 @@ class Segment:
                 if not self.ambient.contains(p):
                     raise ValueError(f"segment point {p} escapes ambient box")
 
-    @property
-    def d(self) -> int:
-        return len(self.anchor)
-
     def point(self, t: int) -> Coords:
         c = list(self.anchor)
         c[self.axis] += t * self.step * self.stride
@@ -192,20 +167,6 @@ class LatticePath:
 
     def __len__(self) -> int:
         return len(self.points) - 1
-
-    @property
-    def geodesic(self) -> bool:
-        """True when every step increments exactly one coordinate by +1."""
-        return all(
-            sum(b) - sum(a) == 1 for a, b in zip(self.points, self.points[1:])
-        )
-
-    def step_axis(self, j: int) -> int:
-        a, b = self.points[j], self.points[j + 1]
-        for k in range(len(a)):
-            if a[k] != b[k]:
-                return k
-        raise AssertionError("degenerate step")
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +258,6 @@ class AxisWeight:
     def total(self) -> Fraction:
         raise NotImplementedError
 
-    def prefix(self, t: int) -> Fraction:
-        """Sum of weights at indices strictly below t."""
-        raise NotImplementedError
-
     def range_mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
         raise NotImplementedError
 
@@ -337,11 +294,6 @@ class GeometricAxis(AxisWeight):
 
     def total(self) -> Fraction:
         return Fraction(1)
-
-    def prefix(self, t: int) -> Fraction:
-        if t <= 0:
-            return Fraction(0)
-        return 1 - Fraction(1, 2 ** t)
 
     def range_mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
         lo = max(lo, 0)
@@ -383,11 +335,6 @@ class SymmetricGeometricAxis(AxisWeight):
 
     def total(self) -> Fraction:
         return Fraction(1)
-
-    def prefix(self, t: int) -> Fraction:
-        if t <= 0:
-            return Fraction(1, 3 * 2 ** (-t))
-        return 1 - Fraction(2, 3 * 2 ** t)
 
     def range_mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
         total = Fraction(0)
@@ -470,10 +417,6 @@ class UniformAxis(AxisWeight):
 
     def total(self) -> Fraction:
         return self.cell * (self.hi - self.lo + 1)
-
-    def prefix(self, t: int) -> Fraction:
-        n_below = min(max(t - self.lo, 0), self.hi - self.lo + 1)
-        return self.cell * n_below
 
     def range_mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
         lo, hi = max(lo, self.lo), min(hi, self.hi)
@@ -826,50 +769,9 @@ def weights_le(
 # ---------------------------------------------------------------------------
 
 
-def sphere_size(d: int, n: int) -> int:
-    """Number of points of the nonnegative orthant with coordinate sum n."""
-    _check_dimension(d)
-    if n < 0:
-        raise ValueError("radius must be nonnegative")
-    return math.comb(n + d - 1, d - 1)
-
-
-def sphere_points(d: int, n: int) -> Iterator[Coords]:
-    """Enumerate the n-sphere (coordinate sum n) of the nonnegative orthant."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in sphere_points(d - 1, n - first):
-            yield (first, *rest)
-
-
 def sphere_constant(d: int) -> Fraction:
     """A_d = 1/(d-1)!, the sphere-size lower-bound constant actually used."""
     return Fraction(1, math.factorial(d - 1))
-
-
-def region_mass(
-    family: LengthFamily,
-    region: Box | Iterable[Sequence[int]] | None,
-) -> tuple[Fraction, Fraction | None]:
-    """Exact (mass, mean) of a region; mean is None on infinite regions.
-
-    `region=None` means the family's full support, which needs a closed-form
-    total; any other infinite region is rejected.
-    """
-    if region is None:
-        return family.total_mass, None
-    if isinstance(region, Box):
-        if region.dim != family.d:
-            raise ValueError("region dimension mismatch")
-        mass = family.box_mass(region)
-        return mass, mass / region.npoints()
-    pts = [tuple(p) for p in region]
-    if not pts:
-        raise UnsupportedRegionError("empty point set")
-    mass = sum((family.weight(p) for p in pts), Fraction(0))
-    return mass, mass / len(pts)
 
 
 def _exponent_for_axis(exponents, axis: int):

@@ -25,7 +25,6 @@ Two shortcuts return exactly the floats of the plain computation:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,10 +38,6 @@ GROWTH_TOL = 1e-12
 HOLDER_BLOCK_ROWS = 64
 # steps of the derivative sweep between merges of bit-identical orbits
 MERGE_EVERY = 16
-# `iterate_derivative_max`: first grid, then rounds of 513-point refinement
-# around the argmax
-ITERATE_GRID = 10_001
-REFINE_ROUNDS = 2
 
 
 class HyperbolicFixedPointError(ValueError):
@@ -80,45 +75,6 @@ class SmoothMap:
     def grid(self, n: int) -> np.ndarray:
         return np.linspace(self.a, self.b, n)
 
-    def restrict(self, a2: float, b2: float) -> "SmoothMap":
-        """Restriction to an invariant-enough subinterval (no new fixed points)."""
-        if not self.a <= a2 < b2 <= self.b:
-            raise ValueError("subinterval escapes the domain")
-        fps = tuple(p for p in self.fixed_points if a2 <= p <= b2)
-        return SmoothMap(f"{self.name}|[{a2},{b2}]", self.f, self.df, a2, b2, fps)
-
-    def renormalize(self) -> "SmoothMap":
-        """Affine conjugate living on [0,1]; its derivative is df(phi^-1(u))."""
-        a, b, L = self.a, self.b, self.length
-        f, df = self.f, self.df
-        return SmoothMap(
-            f"{self.name}~",
-            lambda u: (f(a + L * u) - a) / L,
-            lambda u: df(a + L * u),
-            0.0,
-            1.0,
-            tuple((p - a) / L for p in self.fixed_points),
-        )
-
-
-def identity_map() -> SmoothMap:
-    return SmoothMap("identity", lambda x: x, lambda x: np.ones_like(x), 0.0, 1.0, (0.0, 1.0))
-
-
-def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
-    """x -> a + slope*(x-a); contraction toward a when slope < 1."""
-    if slope <= 0:
-        raise ValueError("slope must be positive")
-    fps = (a,) if slope != 1 else (a, b)
-    return SmoothMap(
-        f"affine({slope})",
-        lambda x: a + slope * (x - a),
-        lambda x: np.full_like(np.asarray(x, dtype=float), slope),
-        a,
-        b,
-        fps,
-    )
-
 
 def parabolic_map(c: float) -> SmoothMap:
     """x + c*x^2*(1-x)^2 on [0,1]: both endpoints parabolic, no interior
@@ -141,18 +97,6 @@ def doubling_fixed_point_map() -> SmoothMap:
         "mobius-doubling",
         lambda x: 2 * x / (1 + x),
         lambda x: 2 / (1 + x) ** 2,
-        0.0,
-        1.0,
-        (0.0, 1.0),
-    )
-
-
-def mobius_contraction_map() -> SmoothMap:
-    """x/(2-x) on [0,1]: onto, contracting toward 0 (inverse of doubling)."""
-    return SmoothMap(
-        "mobius-contraction",
-        lambda x: x / (2 - x),
-        lambda x: 2 / (2 - x) ** 2,
         0.0,
         1.0,
         (0.0, 1.0),
@@ -202,28 +146,6 @@ def _log_derivative_sweep(g: SmoothMap, k_max: int, grid: int) -> np.ndarray:
         if k % MERGE_EVERY == 0:
             x, logprod = _merge_equal_orbits(x, logprod)
     return out
-
-
-def iterate_derivative_max(g: SmoothMap, k: int) -> float:
-    """Grid maximum of Dg^k with local refinement near the argmax.
-
-    Always a lower bound for the true supremum.
-    """
-    if k == 0:
-        return 1.0
-    x = g.grid(ITERATE_GRID)
-    best = -math.inf
-    for _ in range(REFINE_ROUNDS + 1):
-        xs = x.copy()
-        logprod = np.zeros_like(x)
-        for _ in range(k):
-            _orbit_step(g, xs, logprod)
-        i = int(np.argmax(logprod))
-        best = max(best, float(logprod[i]))
-        lo = x[max(0, i - 1)]
-        hi = x[min(len(x) - 1, i + 1)]
-        x = np.linspace(lo, hi, 513)
-    return float(math.exp(best))
 
 
 @dataclass(frozen=True)

@@ -31,24 +31,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import (
-    Coords,
-    LatticePath,
-    LengthFamily,
-    SizeGuardError,
-    path_cost,
-    sphere_constant,
-    sphere_size,
-    weights_le,
-)
+from .lattice import LatticePath, LengthFamily, path_cost, sphere_constant, weights_le
 
-SPHERE_GUARD = 10 ** 6
-DP_STATE_GUARD = 2 * 10 ** 6
 COST_REL_TOL = 1e-12
 # factor on the expectation bound of `batch_certificates`' mean cost
 MEAN_SLACK = 1.05
-# `enumerate_min_cost` refuses more monotone paths than this
-PATH_ENUM_CAP = 10 ** 5
 # walk-state entries buffered per cost evaluation (256 kB of int64); larger
 # blocks run no faster and raise peak memory (2^18 added 8 MB)
 BLOCK_INTS = 2 ** 15
@@ -61,37 +48,6 @@ class WalkKernel:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("dimension must be positive")
-
-
-def transition_distribution(
-    kernel: WalkKernel, state: Coords
-) -> list[tuple[int, Fraction]]:
-    """Exact per-direction step probabilities from a cone state."""
-    if len(state) != kernel.d:
-        raise ValueError("state dimension mismatch")
-    if any(c < 0 for c in state):
-        raise ValueError(f"state {state} outside the nonnegative cone")
-    denom = sum(state) + kernel.d
-    return [(j, Fraction(1 + state[j], denom)) for j in range(kernel.d)]
-
-
-def arrival_distribution(kernel: WalkKernel, n: int) -> dict[Coords, Fraction]:
-    """Exact n-step arrival law from the origin, by sphere-to-sphere DP."""
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
-    if sphere_size(kernel.d, n) > SPHERE_GUARD:
-        raise SizeGuardError(f"sphere of radius {n} exceeds {SPHERE_GUARD} states")
-    dist: dict[Coords, Fraction] = {tuple([0] * kernel.d): Fraction(1)}
-    for _ in range(n):
-        nxt: dict[Coords, Fraction] = {}
-        for state, p in dist.items():
-            for j, q in transition_distribution(kernel, state):
-                t = list(state)
-                t[j] += 1
-                key = tuple(t)
-                nxt[key] = nxt.get(key, Fraction(0)) + p * q
-        dist = nxt
-    return dist
 
 
 def lemma_bound(family: LengthFamily, d: int) -> tuple[float, Fraction]:
@@ -279,59 +235,3 @@ def batch_certificates(
         bound_b=b_float,
     )
 
-
-def brute_min_cost(
-    family: LengthFamily, d: int, n: int
-) -> tuple[LatticePath, float]:
-    """Minimum-cost monotone path from the origin, by exact sphere DP.
-
-    Serves as the independent oracle for the sampled certificates: the
-    returned cost is a true minimum over all monotone paths of length n.
-    """
-    states = sum(sphere_size(d, j) for j in range(n + 1))
-    if states > DP_STATE_GUARD:
-        raise SizeGuardError(f"{states} DP states exceed {DP_STATE_GUARD}")
-    origin = tuple([0] * d)
-    best: dict[Coords, tuple[float, Coords | None]] = {origin: (0.0, None)}
-    frontier = [origin]
-    for _ in range(n):
-        nxt: dict[Coords, tuple[float, Coords | None]] = {}
-        for state in frontier:
-            base = best[state][0] + 2.0 ** (family.log2_weight(state) / d)
-            for j in range(d):
-                t = list(state)
-                t[j] += 1
-                key = tuple(t)
-                if key not in nxt or base < nxt[key][0]:
-                    nxt[key] = (base, state)
-        best.update(nxt)
-        frontier = list(nxt)
-    end = min(frontier, key=lambda s: best[s][0])
-    pts = [end]
-    while True:
-        prev = best[pts[-1]][1]
-        if prev is None:
-            break
-        pts.append(prev)
-    return LatticePath(tuple(reversed(pts))), best[end][0]
-
-
-def enumerate_min_cost(family: LengthFamily, d: int, n: int) -> float:
-    """Exhaustive minimum over all d^n monotone paths (test oracle)."""
-    if d ** n > PATH_ENUM_CAP:
-        raise SizeGuardError(f"{d ** n} paths exceed {PATH_ENUM_CAP}")
-    best = math.inf
-
-    def rec(state: list[int], j: int, acc: float) -> None:
-        nonlocal best
-        if j == n:
-            best = min(best, acc)
-            return
-        acc += 2.0 ** (family.log2_weight(tuple(state)) / d)
-        for k in range(d):
-            state[k] += 1
-            rec(state, j + 1, acc)
-            state[k] -= 1
-
-    rec([0] * d, 0, 0.0)
-    return best

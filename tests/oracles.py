@@ -1,0 +1,281 @@
+"""Reference implementations and fixtures the tests compare critreg against.
+
+None of these runs in a CLI kind.  Each is a slow or brute-force twin of
+something the package computes in closed form (exact arrival laws and
+minimum-cost paths of the walks, sphere enumeration, subdivision leaves,
+per-point mean goodness), or a small fixture map for the derivative checks.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator
+
+import numpy as np
+
+from critreg.boxes import SubdivisionTree, _piece
+from critreg.lattice import (
+    Box,
+    Coords,
+    LatticePath,
+    LengthFamily,
+    Segment,
+    SizeGuardError,
+    _check_dimension,
+)
+from critreg.smooth import SmoothMap
+from critreg.walks import WalkKernel
+
+SPHERE_GUARD = 10 ** 6
+DP_STATE_GUARD = 2 * 10 ** 6
+# `enumerate_min_cost` refuses more monotone paths than this
+PATH_ENUM_CAP = 10 ** 5
+
+
+# ---------------------------------------------------------------------------
+# spheres and paths of the index lattice
+# ---------------------------------------------------------------------------
+
+
+def sphere_size(d: int, n: int) -> int:
+    """Number of points of the nonnegative orthant with coordinate sum n."""
+    _check_dimension(d)
+    if n < 0:
+        raise ValueError("radius must be nonnegative")
+    return math.comb(n + d - 1, d - 1)
+
+
+def sphere_points(d: int, n: int) -> Iterator[Coords]:
+    """Enumerate the n-sphere (coordinate sum n) of the nonnegative orthant."""
+    if d == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in sphere_points(d - 1, n - first):
+            yield (first, *rest)
+
+
+def geodesic(path: LatticePath) -> bool:
+    """True when every step increments exactly one coordinate by +1."""
+    return all(
+        sum(b) - sum(a) == 1 for a, b in zip(path.points, path.points[1:])
+    )
+
+
+# ---------------------------------------------------------------------------
+# the walk kernel's exact laws and minimum costs
+# ---------------------------------------------------------------------------
+
+
+def transition_distribution(
+    kernel: WalkKernel, state: Coords
+) -> list[tuple[int, Fraction]]:
+    """Exact per-direction step probabilities from a cone state."""
+    if len(state) != kernel.d:
+        raise ValueError("state dimension mismatch")
+    if any(c < 0 for c in state):
+        raise ValueError(f"state {state} outside the nonnegative cone")
+    denom = sum(state) + kernel.d
+    return [(j, Fraction(1 + state[j], denom)) for j in range(kernel.d)]
+
+
+def arrival_distribution(kernel: WalkKernel, n: int) -> dict[Coords, Fraction]:
+    """Exact n-step arrival law from the origin, by sphere-to-sphere DP."""
+    if n < 0:
+        raise ValueError("step count must be nonnegative")
+    if sphere_size(kernel.d, n) > SPHERE_GUARD:
+        raise SizeGuardError(f"sphere of radius {n} exceeds {SPHERE_GUARD} states")
+    dist: dict[Coords, Fraction] = {tuple([0] * kernel.d): Fraction(1)}
+    for _ in range(n):
+        nxt: dict[Coords, Fraction] = {}
+        for state, p in dist.items():
+            for j, q in transition_distribution(kernel, state):
+                t = list(state)
+                t[j] += 1
+                key = tuple(t)
+                nxt[key] = nxt.get(key, Fraction(0)) + p * q
+        dist = nxt
+    return dist
+
+
+def brute_min_cost(
+    family: LengthFamily, d: int, n: int
+) -> tuple[LatticePath, float]:
+    """Minimum-cost monotone path from the origin, by exact sphere DP.
+
+    Serves as the independent oracle for the sampled certificates: the
+    returned cost is a true minimum over all monotone paths of length n.
+    """
+    states = sum(sphere_size(d, j) for j in range(n + 1))
+    if states > DP_STATE_GUARD:
+        raise SizeGuardError(f"{states} DP states exceed {DP_STATE_GUARD}")
+    origin = tuple([0] * d)
+    best: dict[Coords, tuple[float, Coords | None]] = {origin: (0.0, None)}
+    frontier = [origin]
+    for _ in range(n):
+        nxt: dict[Coords, tuple[float, Coords | None]] = {}
+        for state in frontier:
+            base = best[state][0] + 2.0 ** (family.log2_weight(state) / d)
+            for j in range(d):
+                t = list(state)
+                t[j] += 1
+                key = tuple(t)
+                if key not in nxt or base < nxt[key][0]:
+                    nxt[key] = (base, state)
+        best.update(nxt)
+        frontier = list(nxt)
+    end = min(frontier, key=lambda s: best[s][0])
+    pts = [end]
+    while True:
+        prev = best[pts[-1]][1]
+        if prev is None:
+            break
+        pts.append(prev)
+    return LatticePath(tuple(reversed(pts))), best[end][0]
+
+
+def enumerate_min_cost(family: LengthFamily, d: int, n: int) -> float:
+    """Exhaustive minimum over all d^n monotone paths."""
+    if d ** n > PATH_ENUM_CAP:
+        raise SizeGuardError(f"{d ** n} paths exceed {PATH_ENUM_CAP}")
+    best = math.inf
+
+    def rec(state: list[int], j: int, acc: float) -> None:
+        nonlocal best
+        if j == n:
+            best = min(best, acc)
+            return
+        acc += 2.0 ** (family.log2_weight(tuple(state)) / d)
+        for k in range(d):
+            state[k] += 1
+            rec(state, j + 1, acc)
+            state[k] -= 1
+
+    rec([0] * d, 0, 0.0)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# goodness of a region by per-point means
+# ---------------------------------------------------------------------------
+
+
+def _region_box(region: Box | Segment) -> Box:
+    if isinstance(region, Box):
+        return region
+    if region.stride != 1:
+        raise ValueError("region boxes need unit-stride segments")
+    lo, hi, _ = region.axis_values()
+    ivs = [(c, c) for c in region.anchor]
+    ivs[region.axis] = (lo, hi)
+    return Box(tuple(ivs))
+
+
+def goodness_ratio(family: LengthFamily, region: Box | Segment, ambient: Box) -> Fraction:
+    """Exact least lambda making a sub-box (or unit segment) lambda-good in
+    an ambient box: the region's mean weight over the ambient mean."""
+    rbox = _region_box(region)
+    if ambient.intersect(rbox) is None or ambient.intersect(rbox) != rbox:
+        raise ValueError("region must be contained in the ambient box")
+    rmass = family.box_mass(rbox)
+    amass = family.box_mass(ambient)
+    if rmass == 0 or amass == 0:
+        raise ValueError("regions must carry positive mass")
+    return (rmass / rbox.npoints()) / (amass / ambient.npoints())
+
+
+# ---------------------------------------------------------------------------
+# the vertical subdivision as an explicit tree
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SubdivisionNode:
+    box: Box
+    depth: int  # number of chain indices leading here (root: 0)
+    chain: tuple[int, ...]  # 1-based piece indices
+    trailing: bool  # True when this piece has index M at its level
+
+    def is_leaf(self, tree: SubdivisionTree) -> bool:
+        return self.trailing or self.depth == tree.depth
+
+
+def nodes(tree: SubdivisionTree) -> Iterator[SubdivisionNode]:
+    """Walk the tree; children of every node partition its extent."""
+
+    def rec(node: SubdivisionNode) -> Iterator[SubdivisionNode]:
+        yield node
+        if node.is_leaf(tree):
+            return
+        plen = tree.piece_lengths[node.depth]
+        lo, hi = node.box.intervals[-1]
+        for m in range(1, (hi - lo) // plen + 2):
+            p_lo, p_hi, trailing = _piece(lo, hi, plen, m)
+            piece = Box(node.box.intervals[:-1] + ((p_lo, p_hi),))
+            yield from rec(SubdivisionNode(piece, node.depth + 1, node.chain + (m,), trailing))
+
+    yield from rec(SubdivisionNode(tree.box, 0, (), trailing=False))
+
+
+def leaves(tree: SubdivisionTree) -> Iterator[SubdivisionNode]:
+    return (n for n in nodes(tree) if n.depth > 0 and n.is_leaf(tree))
+
+
+# ---------------------------------------------------------------------------
+# fixture maps for the derivative checks
+# ---------------------------------------------------------------------------
+
+
+def identity_map() -> SmoothMap:
+    return SmoothMap("identity", lambda x: x, lambda x: np.ones_like(x), 0.0, 1.0, (0.0, 1.0))
+
+
+def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
+    """x -> a + slope*(x-a); contraction toward a when slope < 1."""
+    if slope <= 0:
+        raise ValueError("slope must be positive")
+    fps = (a,) if slope != 1 else (a, b)
+    return SmoothMap(
+        f"affine({slope})",
+        lambda x: a + slope * (x - a),
+        lambda x: np.full_like(np.asarray(x, dtype=float), slope),
+        a,
+        b,
+        fps,
+    )
+
+
+def mobius_contraction_map() -> SmoothMap:
+    """x/(2-x) on [0,1]: onto, contracting toward 0 (inverse of doubling)."""
+    return SmoothMap(
+        "mobius-contraction",
+        lambda x: x / (2 - x),
+        lambda x: 2 / (2 - x) ** 2,
+        0.0,
+        1.0,
+        (0.0, 1.0),
+    )
+
+
+def restrict(g: SmoothMap, a2: float, b2: float) -> SmoothMap:
+    """Restriction to an invariant-enough subinterval (no new fixed points)."""
+    if not g.a <= a2 < b2 <= g.b:
+        raise ValueError("subinterval escapes the domain")
+    fps = tuple(p for p in g.fixed_points if a2 <= p <= b2)
+    return SmoothMap(f"{g.name}|[{a2},{b2}]", g.f, g.df, a2, b2, fps)
+
+
+def renormalize(g: SmoothMap) -> SmoothMap:
+    """Affine conjugate living on [0,1]; its derivative is df(phi^-1(u))."""
+    a, b, L = g.a, g.b, g.length
+    f, df = g.f, g.df
+    return SmoothMap(
+        f"{g.name}~",
+        lambda u: (f(a + L * u) - a) / L,
+        lambda u: df(a + L * u),
+        0.0,
+        1.0,
+        tuple((p - a) / L for p in g.fixed_points),
+    )

@@ -19,6 +19,8 @@ from critreg.boxes import (
 )
 from critreg.lattice import Box
 
+from oracles import leaves, nodes
+
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
@@ -174,13 +176,13 @@ class TestSubdivision:
         assert t.piece_lengths == (8, 2)
         assert t.counts == (4, 4)
         # depth-1 pieces: 8, 8, 8, 3 along the last axis
-        depth1 = [n.box.side(2) for n in t.nodes() if n.depth == 1]
+        depth1 = [n.box.side(2) for n in nodes(t) if n.depth == 1]
         assert depth1 == [8, 8, 8, 3]
 
     def test_leaves_partition_points(self):
         box = Box(((1, 3), (1, 9), (1, 27)))
         t = vertical_subdivision(box, Fraction(27))
-        assert sum(n.box.npoints() for n in t.leaves()) == box.npoints()
+        assert sum(n.box.npoints() for n in leaves(t)) == box.npoints()
 
     def test_levels_and_admissibility(self):
         box = Box(((1, 2), (1, 4), (1, 8)))
@@ -217,11 +219,11 @@ class TestSubdivision:
         ivs = sorted(((x, max(x + w, 2)) for x, w in heads[: dim - 1]), key=lambda iv: iv[1])
         box = Box(tuple(ivs) + ((z_lo, z_lo + z_width),))
         t = vertical_subdivision(box, minimal_round_constant(box))
-        leaves = list(t.leaves())
-        assert sum(n.box.side(dim - 1) for n in leaves) == box.side(dim - 1)
+        leaf_nodes = list(leaves(t))
+        assert sum(n.box.side(dim - 1) for n in leaf_nodes) == box.side(dim - 1)
         bad = 0
         for i in range(z_lo, z_lo + z_width + 1):
-            (leaf,) = [n for n in leaves if n.box.intervals[-1][0] <= i <= n.box.intervals[-1][1]]
+            (leaf,) = [n for n in leaf_nodes if n.box.intervals[-1][0] <= i <= n.box.intervals[-1][1]]
             lv = t.level(i)
             assert lv.level == i
             assert lv.chain == leaf.chain

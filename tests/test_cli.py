@@ -21,6 +21,25 @@ from critreg.cli import (
 )
 
 
+# config file contents that must exit 1, and the kind each is passed to;
+# None leaves the file missing
+BAD_CONFIGS = {
+    None: "lemma1",
+    "not json {": "lemma1",
+    "[1, 2]": "lemma1",
+    '{"k_max": 5}': "lemma1",
+    '{"out": "x"}': "lemma1",
+    '{"kind": "boxes"}': "lemma1",
+    # values of the wrong type for their flag
+    '{"n_max": "5"}': "lemma1",
+    '{"d": 2.5}': "lemma1",
+    '{"c_param": "x"}': "dynamics",
+    '{"samples": true}': "lemma1",
+    '{"family": "cubic"}': "lemma1",
+    '{"alphas": "1/2,1/2"}': "boxes",
+}
+
+
 def _cfg(**kw):
     base = dict(kind="dynamics", k_max=200, seed=3, samples=50)
     base.update(kw)
@@ -251,13 +270,12 @@ class TestMain:
             (0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 0): Fraction(1)
         }
 
-    @pytest.mark.parametrize("content", [None, "not json {", "[1, 2]", '{"k_max": 5}',
-                                         '{"out": "x"}', '{"kind": "boxes"}'])
+    @pytest.mark.parametrize("content", BAD_CONFIGS)
     def test_bad_config_file_exits_one(self, tmp_path, capsys, content):
         p = tmp_path / "c.json"
         if content is not None:
             p.write_text(content)
-        assert main(["lemma1", "--config", str(p)]) == 1
+        assert main([BAD_CONFIGS[content], "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
 

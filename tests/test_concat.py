@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critreg import concat
 from critreg.boxes import BoxSequence, build_sequence, minimal_round_constant
 from critreg.concat import (
     BudgetReport,
@@ -17,6 +18,7 @@ from critreg.concat import (
     _each,
     _first_good,
     _full_segment,
+    _fully_good_segment,
     _junction,
     _stretch_entry_t,
     _strip_count,
@@ -28,7 +30,6 @@ from critreg.concat import (
     find_fully_good_segment,
     find_good_segment_d2,
     flag_goodness,
-    goodness_ratio,
     lambda_prime,
     lambda_two,
     reach_vertical_section,
@@ -46,6 +47,8 @@ from critreg.lattice import (
     uniform_box_family,
 )
 
+from oracles import goodness_ratio
+
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
@@ -55,32 +58,21 @@ class TestGoodness:
         box = Box(((1, 4), (1, 6)))
         fam = uniform_box_family(box)
         for region in (Box(((2, 3), (1, 6))), Box(((1, 1), (2, 2)))):
-            rep = goodness_ratio(fam, region, box)
-            assert rep.mean_ratio == 1
+            assert goodness_ratio(fam, region, box) == 1
 
     def test_heaviest_cell_of_two_by_two(self):
         box = Box(((0, 1), (0, 1)))
         fam = geometric_family(2)
-        rep = goodness_ratio(fam, Box(((0, 0), (0, 0))), box)
+        ratio = goodness_ratio(fam, Box(((0, 0), (0, 0))), box)
         lmax = fam.weight((0, 0))
         total = fam.box_mass(box)
-        assert rep.mean_ratio == 4 * lmax / total
-        assert rep.copies == 4 and rep.tiles_exactly
-        assert rep.copy_ratio == rep.mean_ratio
-
-    def test_copy_vs_mean_on_nontiling_region(self):
-        box = Box(((0, 4), (0, 4)))
-        fam = geometric_family(2)
-        rep = goodness_ratio(fam, Box(((0, 1), (0, 2))), box)
-        assert not rep.tiles_exactly
-        assert rep.copy_ratio != rep.mean_ratio
+        assert ratio == 4 * lmax / total
 
     def test_segment_region(self):
         box = Box(((0, 3), (0, 3)))
         fam = geometric_family(2)
         seg = _full_segment(box, 0, (0, 1))
-        rep = goodness_ratio(fam, seg, box)
-        assert rep.mean_ratio > 0
+        assert goodness_ratio(fam, seg, box) > 0
 
     def test_containment_enforced(self):
         fam = geometric_family(2)
@@ -94,7 +86,7 @@ class TestGoodness:
         seg = _full_segment(box, 0, (1, 2, 3))
         mu = flag_goodness(fam, box, seg)
         members = segment_flag_boxes(box, seg)
-        ratios = [goodness_ratio(fam, m, box).mean_ratio for m in members]
+        ratios = [goodness_ratio(fam, m, box) for m in members]
         assert mu == max(ratios)
 
 
@@ -499,6 +491,23 @@ class TestFullyGoodSearch:
         fam = TableFamily(w)
         seg, mu = find_fully_good_segment(fam, box, 0, Fraction(1))
         assert mu <= 1
+
+    @pytest.mark.parametrize("dim, anchor", [(3, (1, 5, 3)), (4, (1, 5, 5, 3))])
+    def test_box_size_taken_once_per_depth(self, dim, anchor, monkeypatch):
+        # a member's size, and so its bound, depends only on its depth in
+        # the search, so no search counts box points more than depth + 1 times
+        box = Box(tuple((1, 32) for _ in range(dim)))
+        fam = geometric_family(dim)
+        visits = []
+        mass_le = concat.mass_le
+        monkeypatch.setattr(concat, "mass_le", lambda *a: visits.append(a) or mass_le(*a))
+        sizes = []
+        npoints = Box.npoints
+        monkeypatch.setattr(Box, "npoints", lambda b: sizes.append(b) or npoints(b))
+        seg = _fully_good_segment(fam, box, 0, Fraction(7))
+        assert len(visits) > 2 * dim  # the search backtracks
+        assert len(sizes) <= dim
+        assert seg.anchor == anchor
 
     def test_visit_cap_raises_search_error(self):
         box = Box(((1, 8), (1, 8), (1, 8)))

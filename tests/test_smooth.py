@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -10,40 +9,21 @@ from critreg import smooth
 from critreg.smooth import (
     HyperbolicFixedPointError,
     SmoothMap,
-    affine_map,
     growth_bound_check,
     doubling_fixed_point_map,
     holder_constant_estimate,
-    identity_map,
-    iterate_derivative_max,
-    mobius_contraction_map,
     parabolic_map,
     blowup_scan,
     wandering_sum_check,
 )
 
-
-class TestIterateMax:
-    def test_identity(self):
-        assert iterate_derivative_max(identity_map(), 7) == 1.0
-
-    def test_affine_exact_power(self):
-        g = affine_map(0.5)
-        assert math.isclose(iterate_derivative_max(g, 3), 0.125, rel_tol=1e-12)
-
-    def test_parabolic_regression_value(self):
-        v = iterate_derivative_max(parabolic_map(0.25), 10)
-        assert 1.0 < v < math.e
-        # frozen baseline from the adaptive grid sweep
-        assert math.isclose(v, 1.5949244769804027, rel_tol=1e-6)
-
-    def test_cocycle_submultiplicative(self):
-        g = parabolic_map(1.0)
-        for j, k in ((3, 4), (5, 5), (2, 9)):
-            mj = iterate_derivative_max(g, j)
-            mk = iterate_derivative_max(g, k)
-            mjk = iterate_derivative_max(g, j + k)
-            assert mjk <= mj * mk * (1 + 1e-6)
+from oracles import (
+    affine_map,
+    identity_map,
+    mobius_contraction_map,
+    renormalize,
+    restrict,
+)
 
 
 class TestHolder:
@@ -64,9 +44,9 @@ class TestHolder:
     @given(st.floats(0.05, 0.6), st.floats(0.2, 0.39))
     @settings(max_examples=15, deadline=None)
     def test_renormalization_identity(self, a, width):
-        g = parabolic_map(1.0).restrict(a, a + width)
+        g = restrict(parabolic_map(1.0), a, a + width)
         c = holder_constant_estimate(g, 0.5).constant
-        c_unit = holder_constant_estimate(g.renormalize(), 0.5).constant
+        c_unit = holder_constant_estimate(renormalize(g), 0.5).constant
         assert abs(c_unit - c * width ** 0.5) < 1e-8
 
 
@@ -142,7 +122,7 @@ class TestMapValidation:
 
     def test_restrict_guard(self):
         with pytest.raises(ValueError):
-            parabolic_map(1.0).restrict(0.5, 1.5)
+            restrict(parabolic_map(1.0), 0.5, 1.5)
 
     def test_parabolic_parameter_guard(self):
         with pytest.raises(ValueError):
@@ -210,9 +190,9 @@ EXACT_MAPS = {
     # orbits pile up at one end with different log-products, the largest in
     # the pile: a merge that keeps the wrong value or the wrong orbit shows
     "doubling-restricted": (
-        doubling_fixed_point_map().restrict(0.5, 1.0).renormalize(), 300),
+        renormalize(restrict(doubling_fixed_point_map(), 0.5, 1.0)), 300),
     "contraction-restricted": (
-        mobius_contraction_map().restrict(0.0, 0.5).renormalize(), 1200),
+        renormalize(restrict(mobius_contraction_map(), 0.0, 0.5)), 1200),
 }
 
 
@@ -278,7 +258,7 @@ class TestExactness:
     )
     @settings(max_examples=40, deadline=None)
     def test_random_parabolic(self, c, alpha, grid):
-        for g in (parabolic_map(c), parabolic_map(c).restrict(0.1, 0.7).renormalize()):
+        for g in (parabolic_map(c), renormalize(restrict(parabolic_map(c), 0.1, 0.7))):
             got = holder_constant_estimate(g, alpha, grid).constant
             assert got == full_matrix_holder(g, alpha, grid)
             got = smooth._log_derivative_sweep(g, 40, grid)
@@ -305,7 +285,6 @@ class TestPositivity:
         for run in (
             lambda: blowup_scan(g, 5),
             lambda: holder_constant_estimate(g, 0.5),
-            lambda: iterate_derivative_max(g, 3),
             lambda: full_grid_sweep(g, 5, 4097),
         ):
             with pytest.raises(ValueError, match="derivative must stay positive"):

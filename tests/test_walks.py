@@ -14,7 +14,6 @@ from critreg.lattice import (
     geometric_family,
     log2_parts,
     sphere_constant,
-    sphere_points,
     symmetric_geometric_family,
     uniform_box_family,
 )
@@ -23,15 +22,20 @@ from critreg.walks import (
     BatchSummary,
     CertificateSearchError,
     WalkKernel,
-    arrival_distribution,
     batch_certificates,
-    brute_min_cost,
     certify,
     cost_bound,
-    enumerate_min_cost,
     lemma_bound,
     sample_and_certify,
     sample_path,
+)
+
+from oracles import (
+    arrival_distribution,
+    brute_min_cost,
+    enumerate_min_cost,
+    geodesic,
+    sphere_points,
     transition_distribution,
 )
 
@@ -120,7 +124,7 @@ class TestSampling:
 
     def test_paths_are_geodesic(self):
         p = sample_path(WalkKernel(2), 40, 9)
-        assert p.geodesic and len(p) == 40
+        assert geodesic(p) and len(p) == 40
 
     def test_certify_geometric(self):
         fam = geometric_family(2)
@@ -322,4 +326,4 @@ class TestBruteMinCost:
     def test_path_is_returned(self):
         fam = geometric_family(2)
         path, _ = brute_min_cost(fam, 2, 6)
-        assert path.geodesic and len(path) == 6
+        assert geodesic(path) and len(path) == 6
