@@ -1,5 +1,5 @@
 """Unipotent integer matrices acting on [0,1] through lexicographic interval
-packings, with exact rational slopes.
+packings, with exact slopes.
 
 The group consists of (d+1)x(d+1) lower-triangular integer matrices with
 unit diagonal, generated by the elementary matrices f(i,j).  A matrix acts
@@ -7,6 +7,11 @@ on the index lattice Z^d as the linear action on the affine slice {1} x Z^d;
 packing a summable family of interval lengths in lexicographic order then
 turns every group element into a piecewise-affine homeomorphism of [0,1]
 whose slope on the v-th interval is weight(f(v)) / weight(v).
+
+Both models pack the symmetric-geometric weights 2^-|v|_1 / 3^d, so every
+slope is an exact power of two: the packing hands out integer log2
+exponents, and the slope identity compares integers.  A residual becomes
+an exact `Fraction` only when it is nonzero.
 """
 
 from __future__ import annotations
@@ -16,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .lattice import Coords, LengthFamily, symmetric_geometric_family
+from .lattice import (
+    DIMENSION_CAP,
+    Coords,
+    LengthFamily,
+    ProductFamily,
+    SymmetricGeometricAxis,
+    symmetric_geometric_family,
+)
 
 
 @dataclass(frozen=True)
@@ -25,7 +37,7 @@ class UnipotentMatrix:
 
     The public constructor ``UnipotentMatrix(rows)`` validates its input.
     ``identity``, ``generator``, ``*``, ``inverse``, ``power`` and
-    ``Word.prefixes`` build their results through the trusted
+    ``Word.product`` build their results through the trusted
     ``_trusted`` constructor, which skips that check: each result is
     lower-unitriangular by construction.
     """
@@ -154,19 +166,17 @@ class Word:
             if not 1 <= j < i <= self.size:
                 raise ValueError(f"letter f({i},{j}) outside the rank-{self.size} group")
 
-    def prefixes(self) -> list[UnipotentMatrix]:
-        """h_0 = id, h_1, ..., h_n as matrices.
+    def product(self) -> UnipotentMatrix:
+        """h = f_n * ... * f_1, the whole word as one matrix.
 
-        Later letters act last, so h_t = f_t * h_(t-1): left-multiplying by
-        f(i,j)^e adds e * row j to row i, and every other row is shared.
+        Later letters act last, so each letter left-multiplies the product
+        so far: f(i,j)^e adds e * row j to row i, one row operation per
+        letter.
         """
-        rows = _identity_rows(self.size)
-        out = [UnipotentMatrix._trusted(rows)]
+        rows = list(_identity_rows(self.size))
         for i, j, e in self.letters:
-            new = tuple(x + e * y for x, y in zip(rows[i - 1], rows[j - 1]))
-            rows = rows[: i - 1] + (new,) + rows[i:]
-            out.append(UnipotentMatrix._trusted(rows))
-        return out
+            rows[i - 1] = tuple([x + e * y for x, y in zip(rows[i - 1], rows[j - 1])])
+        return UnipotentMatrix._trusted(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +185,27 @@ class Word:
 
 
 class IntervalPacking:
-    """Lexicographic packing of an exact weight family of total mass 1 into
-    [0,1]: the v-th interval has length weight(v)."""
+    """Lexicographic packing of the symmetric-geometric weights into [0,1]:
+    the v-th interval has length 2^e(v) / 3^dim, with e(v) = -sum |v_k|.
+
+    Both models build this family, and only this one: its slopes are exact
+    powers of two, which the residuals below rely on.
+    """
 
     def __init__(self, family: LengthFamily) -> None:
-        if family.total_mass != 1:
-            raise ValueError("packing needs a family of total mass 1")
+        if not (
+            isinstance(family, ProductFamily)
+            and family.scale == 1
+            and all(isinstance(ax, SymmetricGeometricAxis) for ax in family.axes)
+        ):
+            raise ValueError("packing needs the symmetric-geometric family")
         self.family = family
+        self.dim = family.d
 
-    def length(self, v: Sequence[int]) -> Fraction:
-        return self.family.weight(v)
+    @staticmethod
+    def exponent(v: Sequence[int]) -> int:
+        """e(v), the log2 of the v-th length times 3^dim."""
+        return -sum(map(abs, v))
 
 
 def translation_model(d: int) -> IntervalPacking:
@@ -193,6 +214,11 @@ def translation_model(d: int) -> IntervalPacking:
     The shifts are the generators f(j+1,1); they commute pairwise, so the
     slope identity below holds with zero residual for any word in them.
     """
+    if not 1 <= d < DIMENSION_CAP:
+        raise ValueError(
+            f"translation needs d <= {DIMENSION_CAP - 1}, since its packing "
+            f"lives on Z^(d+1); got d={d}"
+        )
     return IntervalPacking(symmetric_geometric_family(d + 1))
 
 
@@ -211,10 +237,6 @@ class DistortionReport:
     residuals: tuple[Fraction, ...]
     all_zero: bool
 
-    @property
-    def max_abs_residual(self) -> Fraction:
-        return max((abs(r) for r in self.residuals), default=Fraction(0))
-
 
 def conjugacy_distortion_check(
     packing: IntervalPacking,
@@ -222,6 +244,8 @@ def conjugacy_distortion_check(
     g: UnipotentMatrix,
     k: int,
     indices: Iterable[Sequence[int]],
+    *,
+    gk: UnipotentMatrix | None = None,
 ) -> DistortionReport:
     """Verify the exact slope identity of the conjugated power on intervals.
 
@@ -230,31 +254,48 @@ def conjugacy_distortion_check(
         slope(g^k, v) = slope(h, v) / slope(h, g^k v) * slope(g^k, h v),
 
     which holds with exact-zero residual whenever g commutes with every
-    letter of the word.
+    letter of the word.  ``gk`` is g.power(k), for a caller that checks
+    many words against the same few powers and builds them once.
     """
     if g.size != word.size:
         raise ValueError("size mismatch")
+    if packing.dim != g.size - 1:
+        raise ValueError(f"packing over Z^{packing.dim} for a rank-{g.size} group")
     # g commutes with f(i,j)^e exactly when it commutes with f(i,j)
     for letter in word.letters:
         if not g.commutes_with_generator(letter[0], letter[1]):
             raise ValueError(f"letter {letter} does not commute with g")
-    h = word.prefixes()[-1]
-    gk = g.power(k)
-    length = packing.length
-    residuals = []
-    for v in indices:
-        v = tuple(v)
-        yv = gk.act(v)
-        hv = h.act(v)
-        lv, lyv, lhv = length(v), length(yv), length(hv)
-        lhs = lyv / lv
-        num = lhv / lv
-        hyv, ghv = h.act(yv), gk.act(hv)
-        lhyv = length(hyv)
-        # when h and g^k commute, h(g^k v) and g^k(h v) are one index
-        lghv = lhyv if ghv == hyv else length(ghv)
-        den = lhyv / lyv
-        tail = lghv / lhv
-        residuals.append(lhs - num / den * tail)
-    return DistortionReport(tuple(residuals), all(r == 0 for r in residuals))
+    if gk is None:
+        gk = g.power(k)
+    residuals = _residuals(packing, word.product(), gk, indices)
+    return DistortionReport(residuals, not any(residuals))
 
+
+_ZERO = Fraction(0)
+
+
+def _residuals(
+    packing: IntervalPacking,
+    h: UnipotentMatrix,
+    gk: UnipotentMatrix,
+    indices: Iterable[Sequence[int]],
+) -> tuple[Fraction, ...]:
+    """slope(gk, v) - slope(h, v) / slope(h, gk v) * slope(gk, h v) per index.
+
+    The lengths at v, gk v and h v cancel down to
+
+        2^(e(gk v) - e(v)) * (1 - 2^(e(gk h v) - e(h gk v))),
+
+    which is zero exactly when the two exponents of the bracket agree.
+    """
+    exponent = packing.exponent
+    out = []
+    for v in indices:
+        yv = gk.act(v)
+        tail = exponent(gk.act(h.act(v))) - exponent(h.act(yv))
+        if tail:
+            two = Fraction(2)
+            out.append(two ** (exponent(yv) - exponent(v)) * (1 - two ** tail))
+        else:
+            out.append(_ZERO)
+    return tuple(out)

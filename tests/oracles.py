@@ -3,7 +3,8 @@
 None of these runs in a CLI kind.  Each is a slow or brute-force twin of
 something the package computes in closed form (exact arrival laws and
 minimum-cost paths of the walks, sphere enumeration, subdivision leaves,
-per-point mean goodness), or a small fixture map for the derivative checks.
+per-point mean goodness, exact packed lengths and every prefix of a word),
+or a small fixture map for the derivative checks.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from critreg.lattice import (
     SizeGuardError,
     _check_dimension,
 )
+from critreg.nilpotent import IntervalPacking, UnipotentMatrix, Word, _identity_rows
 from critreg.smooth import SmoothMap
 from critreg.walks import WalkKernel
 
@@ -221,6 +223,31 @@ def nodes(tree: SubdivisionTree) -> Iterator[SubdivisionNode]:
 
 def leaves(tree: SubdivisionTree) -> Iterator[SubdivisionNode]:
     return (n for n in nodes(tree) if n.depth > 0 and n.is_leaf(tree))
+
+
+# ---------------------------------------------------------------------------
+# the unipotent action: exact lengths and word prefixes
+# ---------------------------------------------------------------------------
+
+
+def length(packing: IntervalPacking, v: Coords) -> Fraction:
+    """The exact length of the v-th packed interval, a product of Fractions."""
+    return packing.family.weight(v)
+
+
+def prefixes(word: Word) -> list[UnipotentMatrix]:
+    """h_0 = id, h_1, ..., h_n: the product of each prefix of the word.
+
+    Later letters act last, so h_t = f_t * h_(t-1): left-multiplying by
+    f(i,j)^e adds e * row j to row i, and every other row is shared.
+    """
+    rows = _identity_rows(word.size)
+    out = [UnipotentMatrix._trusted(rows)]
+    for i, j, e in word.letters:
+        new = tuple(x + e * y for x, y in zip(rows[i - 1], rows[j - 1]))
+        rows = rows[: i - 1] + (new,) + rows[i:]
+        out.append(UnipotentMatrix._trusted(rows))
+    return out
 
 
 # ---------------------------------------------------------------------------

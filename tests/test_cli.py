@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -145,6 +148,26 @@ class TestMain:
         # the message ends with the number of stages the search examined
         assert main(["chain-ff", "--d", "3", "--n-max", "2"]) == 3
         assert capsys.readouterr().err == "error: no workable stage in range; stages: 3\n"
+
+    def test_search_failure_writes_a_report(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main(["chain-ff", "--d", "3", "--n-max", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: no workable stage in range; stages: 3\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False and report["constants"] == {"stages": 3}
+        assert report["rows"] == [{"check": "search", "passed": False, "bound": None,
+                                   "value": "no workable stage in range", "note": "stages: 3"}]
+        assert (out / "checks.csv").read_text().splitlines()[1] == (
+            "search,False,no workable stage in range,,stages: 3"
+        )
+        assert main(["report", str(out / "report.json")]) == 2
+        assert "[FAIL] search: value=no workable stage in range" in capsys.readouterr().out
+
+    def test_translation_names_its_dimension_limit(self, capsys):
+        assert main(["identity", "--d", "6", "--variant", "translation"]) == 1
+        assert capsys.readouterr().err == (
+            "error: translation needs d <= 5, since its packing lives on Z^(d+1); got d=6\n"
+        )
 
     def test_power_ratio_past_float_range_exits_two(self, tmp_path, capsys):
         # B-d2 (1/3, 2/3) at n_max 105 has a power ratio above 2^1024: B is
@@ -341,3 +364,62 @@ class TestFlags:
         path.write_text(json.dumps(config))
         main([kind, "--config", str(path), "--out", str(second)])
         assert (second / "report.json").read_bytes() == (first / "report.json").read_bytes()
+
+
+# sha256 of report.json for --samples 40 at every allowed (model, d) and
+# three seeds, and for the README identity line, as written before the
+# identity kind moved from Fraction lengths to integer exponents
+IDENTITY_REPORTS = {
+    ("translation", 1, 1): "94672de1abcbdc8114bc8ab2bae55d7d5ce85903dd9db62c95a452f7efa61b46",
+    ("translation", 1, 2): "5b1ee837bd541c078638690b2ee1d4f1479b8a707fbe3c022792a8a41e791aa5",
+    ("translation", 1, 3): "e07c4ebe52a224f8d17f1cd1c95db52ee2a6e1ca31ae3536e719c3b4972a2c5d",
+    ("translation", 2, 1): "3d4c7ff08fdaafa75fc63420c7389e07687ee829185b179276ea9abcbeed522c",
+    ("translation", 2, 2): "942e05d8a0440950d8da18518e27733fd6dba78b2499536b74ec6cd1b899ca65",
+    ("translation", 2, 3): "15b680d2e9c5d1daa3c956647124f5f90d1604f740edad12487a9930a59a0f44",
+    ("translation", 3, 1): "5d8f37209637e94fb27aacacf3a754a4bd5fa1aaa0ac69af5476f39dfbbbbf02",
+    ("translation", 3, 2): "03321d11dabf0296aae004f57749e5ef5e423e88b4138e1d4832a1cf816711cf",
+    ("translation", 3, 3): "0d1fa02f13597c663d680efc827847ce987c3b4d794ee81a8743564ecb67aa77",
+    ("translation", 4, 1): "42411676c2d10b744d73af0eaebd1af9e891b8a83985a3aba54c0de75617e1f4",
+    ("translation", 4, 2): "f9e1b572e4d8782459770625816c48fce47f462590f6afb2d8da6701ad824533",
+    ("translation", 4, 3): "a563e492f87be913343f1837be29661717c91fe99362fbba38173772683abbc3",
+    ("translation", 5, 1): "b2be432e90694598be1b0036b3106564c81f902aee10d261bf9ed9d2231fa4d6",
+    ("translation", 5, 2): "d8a8312958aa9539274134f566c37fabde0b3bc611d8f496a389fe27170c10a1",
+    ("translation", 5, 3): "8671ba6ff123af4fad7fbf5b8b0def320269b59fedc6aeb4b059017a3c04acca",
+    ("ff", 1, 1): "4f44bd5415e5106179dbf8e6442e6628077b145bc63beea7728e431e74629123",
+    ("ff", 1, 2): "f21fe95e01f49837c7a3ee0bed147cae4de6cc384c9be9d4c0747db716eb259c",
+    ("ff", 1, 3): "0d6f026456e14a833606507e9204b3fe062f5b216ec0beaa944ea95af7a3ae10",
+    ("ff", 2, 1): "65ff8923bbb74d5a6c86b2998476513919056195b18d3aee0452163fea1182f3",
+    ("ff", 2, 2): "ae12c8d21daae796133f3d7faca85bad0442b07f580ab7b5c01be01e46d0c3fd",
+    ("ff", 2, 3): "b92645e58a55a3e8daa2e3d97201c09865766bedd424f7f954cd59fae7e17330",
+    ("ff", 3, 1): "b1557a074c205271a529e4838242fe545536e37d93c1f2c6559f4fd40f4e61dc",
+    ("ff", 3, 2): "58a46675903b832acca4aa153a63676a13ac8fbd4a261085c476b30caebb3015",
+    ("ff", 3, 3): "23be81ee3e8a0eedbc23bbeb1f9cd5571af7d09e34cd2915e74dbaddd0a31927",
+    ("ff", 4, 1): "d74f818928b52e6d94d5cf8e05d3c04497b88d193bd895e7e5e710dfe5c332c6",
+    ("ff", 4, 2): "dcd8cf43bb37d2af230a320c37181f719c73e375171e085e5a80255236531a54",
+    ("ff", 4, 3): "0a5078adc86f7645225d59fbb482347f385694c7cab4795a8de9fd62e37ac43d",
+    ("ff", 5, 1): "47490f0824be9943d1a795b4ca3adfaa3d24b6331220a317d900f5d8fa642439",
+    ("ff", 5, 2): "7f9bfbd11371b406fe62e9f6bc7a737ae9f05a99245a1d64598464d53b9e88ef",
+    ("ff", 5, 3): "1b4354d82ee385847962d3c1657a54b11c8ff433150a8338c212f2b2b7b10d55",
+    ("ff", 6, 1): "5261e5c352ef18c0cea5b0c0eb20174d3f5a80e6b4e98f41c5b89930da0f537c",
+    ("ff", 6, 2): "955b44a5058b23708d86de48cdec5f43b4cf875e9af7747ccba71818467435ac",
+    ("ff", 6, 3): "fda2637ef6eb96edf0802f18ac43bf0dd65d36d7b042e426164b2fa290a650ad",
+}
+README_IDENTITY = "6a554d761fa8b163639b39cae9e7073f0d0f3fd7da4443bf808f31f405126ecb"
+
+
+def _report_digest(argv, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+
+
+class TestIdentityReports:
+    @pytest.mark.parametrize("model,d,seed", IDENTITY_REPORTS)
+    def test_report_bytes_are_pinned(self, model, d, seed, tmp_path):
+        argv = ["identity", "--d", str(d), "--variant", model, "--samples", "40",
+                "--seed", str(seed)]
+        assert _report_digest(argv, tmp_path) == IDENTITY_REPORTS[model, d, seed]
+
+    def test_readme_line_bytes_are_pinned(self, tmp_path):
+        argv = ["identity", "--d", "3", "--variant", "ff", "--samples", "1000", "--seed", "7"]
+        assert _report_digest(argv, tmp_path) == README_IDENTITY

@@ -5,13 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critreg.lattice import (
+    DIMENSION_CAP,
+    ProductFamily,
+    SymmetricGeometricAxis,
+    TableFamily,
+    geometric_family,
+    symmetric_geometric_family,
+)
 from critreg.nilpotent import (
+    IntervalPacking,
     UnipotentMatrix,
     Word,
+    _residuals,
     conjugacy_distortion_check,
     full_group_model,
     translation_model,
 )
+
+from oracles import length, prefixes
 
 F21 = UnipotentMatrix.generator(3, 2, 1)
 F31 = UnipotentMatrix.generator(3, 3, 1)
@@ -45,7 +57,7 @@ class TestMatrices:
 
 def _slope(pk, m, v):
     """Slope of the piecewise-affine map of m on the v-th packed interval."""
-    return pk.length(m.act(v)) / pk.length(v)
+    return length(pk, m.act(v)) / length(pk, v)
 
 
 class TestCommutators:
@@ -75,18 +87,19 @@ class TestWords:
     def test_left_to_right_composition(self):
         w = Word(((2, 1, 1), (3, 2, 1)), 3)
         # f(2,1) first: (0,0) -> (1,0), then f(3,2): (1,0) -> (1,1)
-        assert w.prefixes()[-1].act((0, 0)) == (1, 1)
+        assert w.product().act((0, 0)) == (1, 1)
 
     def test_prefixes(self):
         w = Word(((2, 1, 1), (2, 1, 1), (3, 2, 1)), 3)
-        assert len(w.prefixes()) == 4
-        assert w.prefixes()[2].act((0, 0)) == (2, 0)
+        assert len(prefixes(w)) == 4
+        assert prefixes(w)[2].act((0, 0)) == (2, 0)
+        assert prefixes(w)[-1] == w.product()
 
 
 class TestRealization:
     def test_slope_example(self):
         pk = full_group_model(2)
-        assert pk.length((0, 0)) == Fraction(1, 9)
+        assert length(pk, (0, 0)) == Fraction(1, 9)
         assert _slope(pk, F21, (0, 0)) == Fraction(1, 2)
 
     def test_identity_realization(self):
@@ -206,13 +219,23 @@ def _naive_prefixes(word):
     return out
 
 
+def _exact_residual(pk, h, gk, v):
+    """The slope identity's residual from exact Fraction lengths."""
+    weight = pk.family.weight
+
+    def slope(m, u):
+        return weight(_naive_act(m, u)) / weight(u)
+
+    return slope(gk, v) - slope(h, v) / slope(h, _naive_act(gk, v)) * slope(gk, _naive_act(h, v))
+
+
 def _is_valid(m):
     return UnipotentMatrix(m.rows) == m
 
 
 @st.composite
-def _matrices(draw, elementary=False, entries=st.integers(-3, 3)):
-    n = draw(st.integers(2, 5))
+def _matrices(draw, elementary=False, entries=st.integers(-3, 3), size=None):
+    n = size or draw(st.integers(2, 5))
     rows = [[int(a == b) for b in range(n)] for a in range(n)]
     if elementary:
         i = draw(st.integers(1, n - 1))
@@ -256,8 +279,9 @@ class TestTrustedAction:
     @given(_words())
     @settings(max_examples=80, deadline=None)
     def test_prefixes_match_left_multiplied_generators(self, word):
-        got = word.prefixes()
+        got = prefixes(word)
         assert got == _naive_prefixes(word)
+        assert word.product() == got[-1]
         assert all(_is_valid(h) for h in got)
 
     @given(_matrices(entries=st.sampled_from((0, 0, 0, 1, -2))), st.data())
@@ -288,16 +312,64 @@ class TestTrustedAction:
         g = UnipotentMatrix.generator(d + 1, d + 1, 1)
         rep = conjugacy_distortion_check(pk, word, g, k, idx)
 
-        weight = pk.family.weight
         h = _naive_prefixes(word)[-1]
         gk = _naive_power(g, k)
-
-        def slope(m, v):
-            return weight(_naive_act(m, v)) / weight(v)
-
-        expected = [
-            slope(gk, v) - slope(h, v) / slope(h, _naive_act(gk, v)) * slope(gk, _naive_act(h, v))
-            for v in idx
-        ]
-        assert rep.residuals == tuple(expected)
+        assert rep.residuals == tuple(_exact_residual(pk, h, gk, v) for v in idx)
         assert rep.all_zero
+
+
+# ---------------------------------------------------------------------------
+# integer exponents against exact lengths
+# ---------------------------------------------------------------------------
+
+
+class TestExponents:
+    @given(st.integers(1, DIMENSION_CAP), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exponent_gives_the_exact_length(self, d, data):
+        pk = full_group_model(d)
+        v = data.draw(st.tuples(*[st.integers(-40, 40)] * d))
+        assert Fraction(2) ** pk.exponent(v) / 3 ** d == length(pk, v)
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_residuals_match_exact_lengths(self, d, data):
+        # h and gk are arbitrary matrices, so they need not commute and the
+        # residuals need not vanish
+        pk = full_group_model(d)
+        h = data.draw(_matrices(size=d + 1))
+        gk = data.draw(_matrices(size=d + 1))
+        idx = data.draw(st.lists(
+            st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=4
+        ))
+        got = _residuals(pk, h, gk, idx)
+        assert got == tuple(_exact_residual(pk, h, gk, v) for v in idx)
+        assert all(type(r) is Fraction for r in got)
+
+    def test_noncommuting_pair_has_nonzero_residuals(self):
+        pk = full_group_model(2)
+        idx = [(0, 0), (5, 5), (-2, 3), (1, -4)]
+        got = _residuals(pk, F21, F32, idx)
+        assert got == tuple(_exact_residual(pk, F21, F32, v) for v in idx)
+        # e.g. v = (5, 5): g^k v = (5, 10), h g^k v = (6, 10), g^k h v = (6, 11),
+        # so the residual is 2^(-15+10) * (1 - 2^(-17+16)) = 1/64
+        assert got == (Fraction(1, 2), Fraction(1, 64), Fraction(2), Fraction(-2))
+
+    def test_packing_takes_only_the_symmetric_geometric_family(self):
+        assert IntervalPacking(symmetric_geometric_family(3)).dim == 3
+        half = ProductFamily([SymmetricGeometricAxis()] * 2, scale=Fraction(1, 2))
+        table = TableFamily({(0, 0): Fraction(1)})
+        for family in (geometric_family(2), half, table):
+            with pytest.raises(ValueError, match="symmetric-geometric"):
+                IntervalPacking(family)
+
+    def test_translation_model_names_its_dimension_limit(self):
+        assert translation_model(DIMENSION_CAP - 1).dim == DIMENSION_CAP
+        with pytest.raises(ValueError, match=f"translation needs d <= {DIMENSION_CAP - 1}"):
+            translation_model(DIMENSION_CAP)
+
+    def test_packing_must_match_the_group(self):
+        word = Word(((2, 1, 1),), 4)
+        g = UnipotentMatrix.generator(4, 4, 1)
+        with pytest.raises(ValueError, match="packing over Z\\^2"):
+            conjugacy_distortion_check(full_group_model(2), word, g, 1, [(0, 0, 0)])

@@ -131,7 +131,7 @@ def kind_runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["report", str(out / "report.json")], 0),
         (["lemma1", "--config", wrong_type], 1),
         (["dynamics", "--d", "3"], 1),
-        (["chain-ff", "--d", "3", "--n-max", "2"], 3),
+        (["chain-ff", "--d", "3", "--n-max", "2", "--out", str(tmp / "exit3")], 3),
     ]
 
 
