@@ -40,11 +40,9 @@ from .nilpotent import (  # noqa: F401
 )
 from .smooth import (  # noqa: F401
     SmoothMap,
-    growth_bound_check,
+    fundamental_domain_check,
     holder_constant_estimate,
     parabolic_map,
-    blowup_scan,
-    wandering_sum_check,
 )
 from .walks import (  # noqa: F401
     PathCertificate,

@@ -5,9 +5,10 @@ machine identifiers, JSON is emitted with sorted keys, and all randomness
 flows through the config's seed, so identical configs give byte-identical
 files.  Exit codes: 0 all checked inequalities hold, 2 at least one fails,
 1 for usage or validation errors (unreadable or malformed config and report
-files among them), 3 when a search found no qualifying object (a chain or
-path certificate search ran out of candidates); with --out, that run still
-writes a report, whose one failing row holds the error and its search stats.
+files, and a report that cannot be written, among them), 3 when a search
+found no qualifying object (a chain or path certificate search ran out of
+candidates); with --out, that run still writes a report, whose one failing
+row holds the error and its search stats.
 """
 
 from __future__ import annotations
@@ -285,26 +286,28 @@ def _run_identity(cfg: ExperimentConfig) -> dict:
 def _run_dynamics(cfg: ExperimentConfig) -> dict:
     alpha = float(Fraction(cfg.alpha_holder))
     g = smooth.parabolic_map(cfg.c_param)
-    rep = smooth.growth_bound_check(g, alpha, cfg.k_max)
-    scan = smooth.blowup_scan(smooth.doubling_fixed_point_map(), min(cfg.k_max, 1000))
-    wander = smooth.wandering_sum_check(g, 0.5, min(cfg.k_max, 1000))
+    c = smooth.holder_constant_estimate(g, alpha).constant
+    rep = smooth.fundamental_domain_check(g, alpha, c, cfg.k_max)
     rows = [
-        _row("iterate-growth-bound", rep.all_pass, rep.min_log_slack,
+        _row("iterate-growth-bound", rep.distortion.passed, rep.distortion.least,
              -smooth.GROWTH_TOL,
-             f"least log-slack over k <= {rep.k_checked}; first failing k: "
-             f"{rep.first_failure}"),
-        _row("derivative-blowup-scan", len(scan) == min(cfg.k_max, 1000),
-             len(scan), min(cfg.k_max, 1000),
-             "doubling fixed point exceeds k at every step"),
-        _row("wandering-disjoint", wander.disjoint, wander.disjoint, True),
-        _row("wandering-sum", wander.within_interval, wander.final_sum,
-             g.length, "partial sums of backward image lengths"),
+             f"least slack of C*sum_(i<k)|g^i J|^alpha - var_J log Dg^k over k <= "
+             f"{cfg.k_max}; first failing k: {rep.distortion.first_failure}; "
+             "C is a grid estimate, so this is a necessary condition"),
+        _row("holder-sum-closed-form", rep.closed_form.passed, rep.closed_form.least,
+             -smooth.GROWTH_TOL,
+             f"least slack of C*|I|^alpha*k^(1-alpha) - C*sum_(i<k)|g^i J|^alpha; "
+             f"first failing k: {rep.closed_form.first_failure}"),
+        _row("wandering-disjoint", rep.disjoint, rep.disjoint, True,
+             "forward images of J, sharing their computed endpoints"),
+        _row("wandering-sum", rep.within_interval, rep.partial_sums[-1],
+             g.length, "partial sums of forward image lengths"),
     ]
-    curve = [(k + 1, s) for k, s in enumerate(wander.partial_sums[:200])]
+    curve = [(k + 1, s) for k, s in enumerate(rep.partial_sums[:200])]
     return {
         "rows": rows,
         "tables": {"wandering": curve},
-        "constants": {"holder_constant": rep.c_g},
+        "constants": {"holder_constant": c},
     }
 
 
@@ -494,22 +497,29 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        if args.command == "report":
-            report = _load_report(args.path)
-        else:
-            cfg = _config_from(args, args.command)
-            report = run(cfg)
+        return _main(argv)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (concat.ChainSearchError, walks.CertificateSearchError) as exc:
-        stats = "".join(f"; {k}: {v}" for k, v in getattr(exc, "stats", {}).items())
-        print(f"error: {exc}{stats}", file=sys.stderr)
-        if args.out:
-            path = write_report(_search_failure_report(cfg, exc), args.out)
-            print(f"report written to {path}")
-        return 3
+
+
+def _main(argv: list[str] | None) -> int:
+    """One call's exit code; a usage, validation or I/O error, the report
+    writes included, propagates to ``main``, which exits 1."""
+    args = _parser().parse_args(argv)
+    if args.command == "report":
+        report = _load_report(args.path)
+    else:
+        cfg = _config_from(args, args.command)
+        try:
+            report = run(cfg)
+        except (concat.ChainSearchError, walks.CertificateSearchError) as exc:
+            stats = "".join(f"; {k}: {v}" for k, v in getattr(exc, "stats", {}).items())
+            print(f"error: {exc}{stats}", file=sys.stderr)
+            if args.out:
+                path = write_report(_search_failure_report(cfg, exc), args.out)
+                print(f"report written to {path}")
+            return 3
     for r in report["rows"]:
         status = "pass" if r["passed"] else "FAIL"
         print(f"[{status}] {r['check']}: value={r['value']} bound={r['bound']}")

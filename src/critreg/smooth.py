@@ -1,26 +1,33 @@
-"""Floating-point checks for derivative growth of interval diffeomorphisms.
+"""Floating-point checks of the distortion lemma for interval diffeomorphisms.
 
-Derivative products along orbits are accumulated in log space so iterate
-counts in the tens of thousands cannot overflow; grid maxima are always
-lower bounds on the true suprema, so the growth bound below is tested as a
-necessary consequence.
+The lemma (the Holder-sum step of Deroin, Kleptsyn and Navas, Acta Math.
+199, 2007): if log Dg is alpha-Holder with constant C and J = [x0, g(x0)]
+is a fundamental domain, the images g^i J are pairwise disjoint, so for
+x, y in J
 
-Two shortcuts return exactly the floats of the plain computation:
+    |log Dg^k(x) - log Dg^k(y)| <= C * sum_{i<k} |g^i J|^alpha
+                                <= C * |I|^alpha * k^(1-alpha),
+
+the second step by concavity of t -> t^alpha and sum_i |g^i J| <= |I|.
+``fundamental_domain_check`` advances a grid of J forward and reads every
+dynamics row from that one orbit.  Grid variations are lower bounds on the
+true ones and C is a grid estimate, so the first inequality is tested as a
+necessary condition.  Derivative products are accumulated in log space so
+iterate counts in the tens of thousands cannot overflow.
+
+Two arguments make the float results exact where it matters:
 
 - The Holder estimate needs the largest ratio over all grid pairs. Entry
   (i, j) and entry (j, i) of the pair matrix are the same floats, since
   rounded subtraction is antisymmetric and both sides take absolute
   values, and the diagonal contributes 0. So only the strict upper
   triangle is evaluated, in blocks of ``HOLDER_BLOCK_ROWS`` rows.
-- The derivative sweep only reports, for each k, the grid maximum of the
-  log-product and whether some derivative was non-positive. Once two
-  adjacent orbits are bit-identical they see the same derivatives for
-  ever after (``f`` and ``df`` act elementwise), and rounded addition is
-  monotone: a <= b implies fl(a + c) <= fl(b + c). So every
-  ``MERGE_EVERY`` steps a run of bit-identical orbits is replaced by one
-  orbit carrying the run's largest log-product, and every later maximum
-  and positivity test is that of the full grid. Orbits are compared as
-  int64 bit patterns, so -0.0 and +0.0 never merge.
+- The grid of J starts at x0 and ends at the float g(x0).  ``f`` acts
+  elementwise, so after k steps the left end of the orbit is g^k applied
+  to x0 and the right end is g^(k-1) applied to that same float g(x0):
+  the right end of g^(k-1) J equals the left end of g^k J bit for bit.
+  The images then form one chain of shared endpoints, and disjointness is
+  an exact check that the chain is monotone.
 """
 
 from __future__ import annotations
@@ -31,17 +38,10 @@ from typing import Callable
 import numpy as np
 
 FIXED_POINT_TOL = 1e-10
-PARABOLIC_TOL = 1e-9
-# a growth bound holds at k while log(bound) - log(grid max) >= -GROWTH_TOL
+# a row holds at k while bound - value >= -GROWTH_TOL
 GROWTH_TOL = 1e-12
 # rows of the Holder pair matrix evaluated at once (64 x 1025 floats = 0.5 MB)
 HOLDER_BLOCK_ROWS = 64
-# steps of the derivative sweep between merges of bit-identical orbits
-MERGE_EVERY = 16
-
-
-class HyperbolicFixedPointError(ValueError):
-    """A declared fixed point has derivative away from 1."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ class SmoothMap:
     """Closed-form interval map with derivative access.
 
     ``f`` and ``df`` act elementwise on float64 arrays, treat -0.0 and
-    +0.0 alike and return new arrays, which the orbit sweeps overwrite;
-    ``f`` also takes a Python float, as the bisection in
-    ``wandering_sum_check`` calls it on one.
+    +0.0 alike and return new arrays, which the orbit step overwrites.
     """
 
     name: str
@@ -91,18 +89,6 @@ def parabolic_map(c: float) -> SmoothMap:
     )
 
 
-def doubling_fixed_point_map() -> SmoothMap:
-    """2x/(1+x) on [0,1]: hyperbolic at 0 with derivative 2."""
-    return SmoothMap(
-        "mobius-doubling",
-        lambda x: 2 * x / (1 + x),
-        lambda x: 2 / (1 + x) ** 2,
-        0.0,
-        1.0,
-        (0.0, 1.0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # iterate derivatives
 # ---------------------------------------------------------------------------
@@ -120,32 +106,6 @@ def _orbit_step(g: SmoothMap, x: np.ndarray, logprod: np.ndarray) -> None:
     _require_positive(d)
     logprod += np.log(d, out=d)
     np.minimum(np.maximum(g.f(x), g.a, out=x), g.b, out=x)
-
-
-def _merge_equal_orbits(
-    x: np.ndarray, logprod: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse each run of adjacent bit-identical orbits to one, keeping
-    the run's largest log-product."""
-    bits = x.view(np.int64)
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if len(starts) == len(x) - 1:
-        return x, logprod
-    starts = np.concatenate(([0], starts))
-    return x[starts], np.maximum.reduceat(logprod, starts)
-
-
-def _log_derivative_sweep(g: SmoothMap, k_max: int, grid: int) -> np.ndarray:
-    """max over the grid of log(Dg^k), for every k = 1..k_max."""
-    x = g.grid(grid)
-    logprod = np.zeros_like(x)
-    out = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        _orbit_step(g, x, logprod)
-        out[k - 1] = logprod.max()
-        if k % MERGE_EVERY == 0:
-            x, logprod = _merge_equal_orbits(x, logprod)
-    return out
 
 
 @dataclass(frozen=True)
@@ -182,111 +142,83 @@ def holder_constant_estimate(
 
 
 @dataclass(frozen=True)
-class GrowthBoundReport:
-    alpha: float
-    c_g: float
-    k_checked: int
-    all_pass: bool
+class Slack:
+    """The least of bound - value over k = 1..k_max, and the first k where
+    it falls below -GROWTH_TOL (None when the row holds for every k)."""
+
+    least: float
     first_failure: int | None
-    min_log_slack: float  # min over k of log(bound) - log(grid max)
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
-def growth_bound_check(
-    g: SmoothMap,
-    alpha: float,
-    k_max: int,
-    grid: int = 4097,
-) -> GrowthBoundReport:
-    """Test  max Dg^k <= exp(3 * C * |I|^alpha * k^(1-alpha))  for k <= k_max.
-
-    Requires every declared fixed point to be parabolic (derivative 1).
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("exponent must lie in (0, 1)")
-    for p in g.fixed_points:
-        dp = float(g.df(np.float64(p)))
-        if abs(dp - 1.0) > PARABOLIC_TOL:
-            raise HyperbolicFixedPointError(
-                f"fixed point {p} has derivative {dp}, bound requires 1"
-            )
-    c = holder_constant_estimate(g, alpha).constant
-    logmax = _log_derivative_sweep(g, k_max, grid)
-    ks = np.arange(1, k_max + 1, dtype=float)
-    logbound = 3.0 * c * g.length ** alpha * ks ** (1.0 - alpha)
-    ok = logmax <= logbound + GROWTH_TOL
-    first_fail = None if bool(ok.all()) else int(np.argmin(ok)) + 1
-    return GrowthBoundReport(
-        alpha,
-        c,
-        k_max,
-        bool(ok.all()),
-        first_fail,
-        float((logbound - logmax).min()),
-    )
-
-
-def blowup_scan(g: SmoothMap, k_max: int, grid: int = 4097) -> list[int]:
-    """All k <= k_max with grid-max Dg^k > k."""
-    logmax = _log_derivative_sweep(g, k_max, grid)
-    ks = np.arange(1, k_max + 1, dtype=float)
-    return [int(k) for k, ok in zip(ks, logmax > np.log(ks)) if ok]
-
-
-# ---------------------------------------------------------------------------
-# wandering intervals
-# ---------------------------------------------------------------------------
-
-
-def _invert(g: SmoothMap, y: float, tol: float = 1e-14) -> float:
-    """Preimage under the increasing map by bisection."""
-    # Python floats: the same IEEE operations as np.float64, at less cost per call
-    lo, hi = float(g.a), float(g.b)
-    if g.f(lo) >= y:
-        return lo
-    if g.f(hi) <= y:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g.f(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _slack(bound: np.ndarray, value: np.ndarray) -> Slack:
+    slack = bound - value
+    # a NaN slack is not >= -GROWTH_TOL, so it fails
+    failing = np.flatnonzero(~(slack >= -GROWTH_TOL))
+    return Slack(float(slack.min()), int(failing[0]) + 1 if len(failing) else None)
 
 
 @dataclass(frozen=True)
-class WanderingReport:
-    disjoint: bool
-    partial_sums: tuple[float, ...]
-    final_sum: float
-    within_interval: bool
+class DomainReport:
+    """The dynamics rows of one forward orbit of J = [x0, g(x0)]."""
+
+    distortion: Slack  # C * sum_{i<k} |g^i J|^alpha - var_J log Dg^k
+    closed_form: Slack  # C * |I|^alpha * k^(1-alpha) - C * sum_{i<k} |g^i J|^alpha
+    disjoint: bool  # g^i J, i = 0..k_max, pairwise disjoint
+    partial_sums: tuple[float, ...]  # sum_{i<k} |g^i J| for k = 1..k_max
+    within_interval: bool  # the last partial sum is at most |I|
 
 
-def wandering_sum_check(g: SmoothMap, x0: float, k_max: int) -> WanderingReport:
-    """Check the backward images of (x0, g(x0)) are disjoint with summable
-    lengths bounded by |I|.
+def _domain_orbit(g: SmoothMap, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance 257 points of J = [x0, g(x0)], x0 the midpoint of I, k_max
+    steps forward.  Returns var_J log Dg^k for k = 1..k_max (max - min over
+    the grid) and the (left, right) ends of g^k J for k = 0..k_max."""
+    x0 = 0.5 * (g.a + g.b)
+    x = np.linspace(x0, float(g.f(np.float64(x0))), 257)
+    logprod = np.zeros_like(x)
+    variation = np.empty(k_max)
+    ends = np.empty((k_max + 1, 2))
+    ends[0] = x[0], x[-1]
+    for k in range(1, k_max + 1):
+        _orbit_step(g, x, logprod)
+        variation[k - 1] = np.ptp(logprod)
+        ends[k] = x[0], x[-1]
+    return variation, ends
 
-    The k-th backward image has endpoints c_k, c_(k+1) on the single
-    preimage orbit c_0 = g(x0), c_(k+1) = g^-1(c_k); sharing the computed
-    endpoint makes disjointness an exact monotonicity check.
+
+def fundamental_domain_check(
+    g: SmoothMap, alpha: float, c: float, k_max: int
+) -> DomainReport:
+    """Test, for every k <= k_max on the forward orbit of J,
+    var_J log Dg^k <= C * sum_{i<k} |g^i J|^alpha <= C * |I|^alpha * k^(1-alpha),
+    with C = ``c`` the Holder constant of log Dg; also that the images g^i J,
+    i <= k_max, are disjoint and that the k_max images g^i J, i < k_max,
+    have lengths summing to at most |I|.
     """
-    gx0 = float(g.f(np.float64(x0)))
-    if abs(gx0 - x0) <= FIXED_POINT_TOL:
+    if not 0 < alpha < 1:
+        raise ValueError("exponent must lie in (0, 1)")
+    x0 = 0.5 * (g.a + g.b)
+    if abs(float(g.f(np.float64(x0))) - x0) <= FIXED_POINT_TOL:
         raise ValueError(f"{x0} is (numerically) a fixed point")
-    orbit = [gx0, x0]
-    for _ in range(k_max):
-        orbit.append(_invert(g, orbit[-1]))
-    steps = [b - a for a, b in zip(orbit, orbit[1:])]
+    variation, ends = _domain_orbit(g, k_max)
+    left, right = ends[:, 0], ends[:, 1]
+    steps = right - left
     # open intervals: shared endpoints and (converged) empty images are fine
-    disjoint = all(s >= 0 for s in steps) or all(s <= 0 for s in steps)
-    sums = []
-    acc = 0.0
-    for s in steps[1:]:  # lengths of the k >= 1 backward images
-        acc += abs(s)
-        sums.append(acc)
-    return WanderingReport(
+    disjoint = np.array_equal(left[1:], right[:-1]) and (
+        bool((steps >= 0).all()) or bool((steps <= 0).all())
+    )
+    lengths = np.abs(steps[:-1])
+    holder_sum = c * np.cumsum(lengths ** alpha)
+    ks = np.arange(1, k_max + 1, dtype=float)
+    closed_form = c * g.length ** alpha * ks ** (1.0 - alpha)
+    sums = np.cumsum(lengths)
+    return DomainReport(
+        _slack(holder_sum, variation),
+        _slack(closed_form, holder_sum),
         disjoint,
-        tuple(sums),
-        acc,
-        acc <= g.length + 1e-12,
+        tuple(sums.tolist()),
+        bool(sums[-1] <= g.length + 1e-12),
     )

@@ -3,8 +3,9 @@
 None of these runs in a CLI kind.  Each is a slow or brute-force twin of
 something the package computes in closed form (exact arrival laws and
 minimum-cost paths of the walks, sphere enumeration, subdivision leaves,
-per-point mean goodness, exact packed lengths and every prefix of a word),
-or a small fixture map for the derivative checks.
+per-point mean goodness, exact packed lengths, every prefix of a word and
+the per-step orbit of a fundamental domain), or a small fixture map for
+the derivative checks.
 """
 
 from __future__ import annotations
@@ -274,6 +275,18 @@ def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
     )
 
 
+def doubling_fixed_point_map() -> SmoothMap:
+    """2x/(1+x) on [0,1]: hyperbolic at 0 with derivative 2."""
+    return SmoothMap(
+        "mobius-doubling",
+        lambda x: 2 * x / (1 + x),
+        lambda x: 2 / (1 + x) ** 2,
+        0.0,
+        1.0,
+        (0.0, 1.0),
+    )
+
+
 def mobius_contraction_map() -> SmoothMap:
     """x/(2-x) on [0,1]: onto, contracting toward 0 (inverse of doubling)."""
     return SmoothMap(
@@ -306,3 +319,23 @@ def renormalize(g: SmoothMap) -> SmoothMap:
         1.0,
         tuple((p - a) / L for p in g.fixed_points),
     )
+
+
+def domain_orbit(g: SmoothMap, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit of 257 points of J = [x0, g(x0)], x0 the midpoint of I, one
+    plain step at a time: var_J log Dg^k for k = 1..k_max and the (left,
+    right) ends of g^k J for k = 0..k_max."""
+    x0 = 0.5 * (g.a + g.b)
+    x = np.linspace(x0, float(g.f(np.float64(x0))), 257)
+    logprod = np.zeros_like(x)
+    variation = []
+    ends = [(x[0], x[-1])]
+    for _ in range(k_max):
+        d = g.df(x)
+        if np.any(d <= 0):
+            raise ValueError("derivative must stay positive")
+        logprod = logprod + np.log(d)
+        x = np.clip(g.f(x), g.a, g.b)
+        variation.append(logprod.max() - logprod.min())
+        ends.append((x[0], x[-1]))
+    return np.array(variation), np.array(ends)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from critreg import concat
+from critreg import concat, smooth
 from critreg.cli import (
     KIND_FIELDS,
     KINDS,
@@ -94,18 +95,40 @@ class TestRun:
             report = run(_cfg(kind="identity", d=d, variant=variant, samples=40))
             assert report["passed"], (d, variant)
 
-    def test_known_failing_growth_bound(self):
+    def test_parabolic_cell_passes_on_the_fundamental_domain(self):
+        # the grid maximum of Dg^k failed its bound here for k = 110..441:
+        # near the parabolic point max Dg^k grows like k^2; the distortion
+        # on J stays within the Holder sum, tightest at k = 1
+        report = run(_cfg(c_param=0.5, alpha_holder="2/3", k_max=750))
+        row = next(r for r in report["rows"] if r["check"] == "iterate-growth-bound")
+        assert row["passed"] and report["passed"]
+        assert abs(row["value"] - 0.0187) < 1e-4
+        assert "first failing k: None" in row["note"]
+
+    def test_growth_bound_row_reports_slack(self):
+        rows = run(_cfg())["rows"]
+        assert [r["check"] for r in rows] == [
+            "iterate-growth-bound", "holder-sum-closed-form",
+            "wandering-disjoint", "wandering-sum",
+        ]
+        for row in rows[:2]:
+            assert row["passed"] and row["value"] >= row["bound"] == -1e-12
+            assert "first failing k: None" in row["note"]
+        assert "necessary condition" in rows[0]["note"]
+
+    def test_small_holder_constant_fails_at_first_step(self, monkeypatch):
+        estimate = smooth.holder_constant_estimate
+
+        def scaled(g, alpha):
+            est = estimate(g, alpha)
+            return dataclasses.replace(est, constant=est.constant / 20)
+
+        monkeypatch.setattr(smooth, "holder_constant_estimate", scaled)
         report = run(_cfg(c_param=0.5, alpha_holder="2/3", k_max=750))
         row = next(r for r in report["rows"] if r["check"] == "iterate-growth-bound")
         assert not row["passed"] and not report["passed"]
-        assert row["value"] < row["bound"] < 0
-        assert "first failing k: 110" in row["note"]
-
-    def test_growth_bound_row_reports_slack(self):
-        row = run(_cfg())["rows"][0]
-        assert row["check"] == "iterate-growth-bound" and row["passed"]
-        assert row["value"] >= row["bound"] == -1e-12
-        assert "first failing k: None" in row["note"]
+        assert row["value"] < row["bound"]
+        assert "first failing k: 1;" in row["note"]
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -162,6 +185,24 @@ class TestMain:
         )
         assert main(["report", str(out / "report.json")]) == 2
         assert "[FAIL] search: value=no workable stage in range" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,shown",
+        [(["dynamics", "--k-max", "20"], "[pass] iterate-growth-bound"),
+         (["chain-ff", "--d", "3", "--n-max", "2"], "")],
+        ids=["report", "exit-3-report"],
+    )
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, argv, shown):
+        # --out under a regular file: the rows (or the search error) come
+        # first, then the failed write as error: <message>, exit 1
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        assert main([*argv, "--out", str(blocker / "sub")]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith(shown) and "report written" not in out
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and str(blocker / "sub") in last
+        assert "Traceback" not in err
 
     def test_translation_names_its_dimension_limit(self, capsys):
         assert main(["identity", "--d", "6", "--variant", "translation"]) == 1

@@ -7,23 +7,27 @@ from hypothesis import strategies as st
 
 from critreg import smooth
 from critreg.smooth import (
-    HyperbolicFixedPointError,
     SmoothMap,
-    growth_bound_check,
-    doubling_fixed_point_map,
+    fundamental_domain_check,
     holder_constant_estimate,
     parabolic_map,
-    blowup_scan,
-    wandering_sum_check,
 )
 
 from oracles import (
     affine_map,
+    domain_orbit,
+    doubling_fixed_point_map,
     identity_map,
     mobius_contraction_map,
     renormalize,
     restrict,
 )
+
+
+def check(g, alpha, k_max, scale=1.0):
+    """The dynamics rows of g with the grid Holder constant times scale."""
+    c = holder_constant_estimate(g, alpha).constant
+    return fundamental_domain_check(g, alpha, scale * c, k_max)
 
 
 class TestHolder:
@@ -51,68 +55,61 @@ class TestHolder:
 
 
 class TestGrowthBound:
-    def test_identity_trivially_passes(self):
-        g = identity_map()
-        rep = growth_bound_check(g, 0.5, 50)
-        assert rep.all_pass and rep.c_g == 0.0
-
     def test_parabolic_family_passes(self):
         for c in (0.5, 1.0, 2.0):
             for alpha in (1 / 3, 1 / 2):
-                rep = growth_bound_check(parabolic_map(c), alpha, 2000)
-                assert rep.all_pass, (c, alpha, rep.first_failure)
+                rep = check(parabolic_map(c), alpha, 2000)
+                assert rep.distortion.passed, (c, alpha, rep.distortion)
+                assert rep.closed_form.passed, (c, alpha, rep.closed_form)
 
-    def test_hyperbolic_fixed_point_rejected(self):
+    def test_hyperbolic_fixed_points_pass(self):
+        # the lemma on J needs no parabolic fixed point: both ends of this
+        # map have derivative 5/4 and 3/4
         g = SmoothMap(
             "hyp", lambda x: x + x * (1 - x) / 4, lambda x: 1 + (1 - 2 * x) / 4,
             0.0, 1.0, (0.0, 1.0),
         )
-        with pytest.raises(HyperbolicFixedPointError):
-            growth_bound_check(g, 0.5, 10)
+        rep = check(g, 0.5, 500)
+        assert rep.distortion.passed and rep.closed_form.passed and rep.disjoint
+
+    def test_too_small_constant_fails_at_first_step(self):
+        for c in (0.5, 1.0, 2.0):
+            for alpha in (1 / 3, 1 / 2, 2 / 3):
+                rep = check(parabolic_map(c), alpha, 750, scale=1 / 20)
+                assert rep.distortion.first_failure == 1, (c, alpha)
+                assert not rep.distortion.passed and rep.distortion.least < 0
+                assert rep.closed_form.passed  # C scales both of its sides
 
     def test_exponent_range_checked(self):
-        with pytest.raises(ValueError):
-            growth_bound_check(parabolic_map(1.0), 1.0, 10)
-
-
-class TestScan:
-    def test_identity_empty(self):
-        assert blowup_scan(identity_map(), 100) == []
-
-    def test_doubling_all_k(self):
-        ks = blowup_scan(doubling_fixed_point_map(), 300)
-        assert ks == list(range(1, 301))
-
-    def test_parabolic_eventually_nonempty(self):
-        # parabolic maps stay below the line for small k; the scan just
-        # reports whatever the grid shows, and for c=2 the early iterates
-        # already clear small thresholds
-        ks = blowup_scan(parabolic_map(2.0), 50)
-        assert isinstance(ks, list)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                fundamental_domain_check(parabolic_map(1.0), alpha, 1.0, 10)
 
 
 class TestWandering:
     def test_parabolic_partial_sums(self):
-        rep = wandering_sum_check(parabolic_map(1.0), 0.5, 500)
+        rep = check(parabolic_map(1.0), 0.5, 500)
         assert rep.disjoint
         assert rep.within_interval
         sums = rep.partial_sums
-        assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
+        assert len(sums) == 500
+        assert all(a <= b for a, b in zip(sums, sums[1:]))
 
     def test_contraction_telescopes(self):
         g = mobius_contraction_map()
-        rep = wandering_sum_check(g, 0.5, 60)
+        rep = check(g, 0.5, 60)
         assert rep.disjoint and rep.within_interval
-        # backward images share endpoints, so the sum telescopes:
-        # sum_k |g^-k(J)| = g^-K(x0) - x0, and preimages approach 1
+        # forward images share endpoints, so the sum telescopes:
+        # sum_(k<K) |g^k(J)| = x0 - g^K(x0), and the orbit approaches 0
         x = 0.5
         for _ in range(60):
-            x = 2 * x / (1 + x)  # inverse of the contraction
-        assert abs(rep.final_sum - (x - 0.5)) < 1e-9
+            x = x / (2 - x)
+        assert abs(rep.partial_sums[-1] - (0.5 - x)) < 1e-9
 
     def test_fixed_point_rejected(self):
-        with pytest.raises(ValueError):
-            wandering_sum_check(parabolic_map(1.0), 0.0, 10)
+        # the identity fixes x0 = 1/2: J is a point, not a fundamental domain
+        with pytest.raises(ValueError, match="fixed point"):
+            fundamental_domain_check(identity_map(), 0.5, 0.0, 10)
 
 
 class TestMapValidation:
@@ -130,8 +127,8 @@ class TestMapValidation:
 
 
 # ---------------------------------------------------------------------------
-# exactness against the plain computations: full pair matrix, full-grid
-# sweep, bisection on np.float64; results must agree bit for bit
+# exactness against the plain computations: full pair matrix and per-step
+# orbit; results must agree bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -148,37 +145,9 @@ def full_matrix_holder(g, alpha, grid):
     return float((num / den).max())
 
 
-def full_grid_sweep(g, k_max, grid):
-    x = g.grid(grid)
-    logprod = np.zeros_like(x)
-    out = np.empty(k_max)
-    for k in range(k_max):
-        d = g.df(x)
-        if np.any(d <= 0):
-            raise ValueError("derivative must stay positive")
-        logprod += np.log(d)
-        out[k] = logprod.max()
-        x = np.clip(g.f(x), g.a, g.b)
-    return out
-
-
-def float64_invert(g, y, tol=1e-14):
-    lo, hi = g.a, g.b
-    if float(g.f(np.float64(lo))) >= y:
-        return lo
-    if float(g.f(np.float64(hi))) <= y:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if float(g.f(np.float64(mid))) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-# (map, sweep length): affine(0.5) and the contraction need about 1075
-# steps before their orbits underflow and merge
+# (map, orbit length): the orbits of J under affine(0.5) and the
+# contraction underflow to 0 after about 1075 steps, so their later
+# images are empty
 EXACT_MAPS = {
     "parabolic-0.5": (parabolic_map(0.5), 300),
     "parabolic-1": (parabolic_map(1.0), 300),
@@ -187,27 +156,11 @@ EXACT_MAPS = {
     "contraction": (mobius_contraction_map(), 1200),
     "affine-0.5": (affine_map(0.5), 1200),
     "identity": (identity_map(), 100),
-    # orbits pile up at one end with different log-products, the largest in
-    # the pile: a merge that keeps the wrong value or the wrong orbit shows
     "doubling-restricted": (
         renormalize(restrict(doubling_fixed_point_map(), 0.5, 1.0)), 300),
     "contraction-restricted": (
         renormalize(restrict(mobius_contraction_map(), 0.0, 0.5)), 1200),
 }
-
-
-def orbit_counts(monkeypatch):
-    """Record the orbit count after every merge of the sweep."""
-    counts = []
-    merge = smooth._merge_equal_orbits
-
-    def spy(x, logprod):
-        x, logprod = merge(x, logprod)
-        counts.append(len(x))
-        return x, logprod
-
-    monkeypatch.setattr(smooth, "_merge_equal_orbits", spy)
-    return counts
 
 
 class TestExactness:
@@ -220,36 +173,23 @@ class TestExactness:
                 assert got == full_matrix_holder(g, alpha, grid), (alpha, grid)
 
     @pytest.mark.parametrize("name", sorted(EXACT_MAPS))
-    def test_sweep_matches_full_grid(self, name):
+    def test_images_share_endpoints(self, name):
+        # the right end of g^(k-1) J and the left end of g^k J are one float
         g, k_max = EXACT_MAPS[name]
-        for grid in (2, 257, 4097):
-            got = smooth._log_derivative_sweep(g, k_max, grid)
-            assert np.array_equal(got, full_grid_sweep(g, k_max, grid)), grid
-
-    @pytest.mark.parametrize("name", ["doubling", "contraction", "affine-0.5",
-                                      "doubling-restricted", "contraction-restricted"])
-    def test_sweep_merges_these_orbits(self, name, monkeypatch):
-        g, k_max = EXACT_MAPS[name]
-        counts = orbit_counts(monkeypatch)
-        smooth._log_derivative_sweep(g, k_max, 4097)
-        assert counts[-1] < 4097 // 2
-
-    def test_doubling_collapses_early(self, monkeypatch):
-        counts = orbit_counts(monkeypatch)
-        smooth._log_derivative_sweep(doubling_fixed_point_map(), 750, 4097)
-        assert counts[80 // smooth.MERGE_EVERY - 1] == 3  # after step 80
+        _, ends = smooth._domain_orbit(g, k_max)
+        bits = ends.view(np.int64)
+        assert np.array_equal(bits[1:, 0], bits[:-1, 1])
 
     @pytest.mark.parametrize("name", sorted(EXACT_MAPS))
-    def test_bisection_matches_float64(self, name):
-        g, _ = EXACT_MAPS[name]
-        for y in np.linspace(g.a, g.b, 41)[1:-1]:
-            assert smooth._invert(g, float(y)) == float64_invert(g, float(y))
-
-    def test_wandering_report_matches_float64_bisection(self, monkeypatch):
-        g = parabolic_map(1.0)
-        got = wandering_sum_check(g, 0.5, 300)
-        monkeypatch.setattr(smooth, "_invert", float64_invert)
-        assert got == wandering_sum_check(g, 0.5, 300)
+    def test_orbit_matches_per_step_oracle(self, name):
+        g, k_max = EXACT_MAPS[name]
+        variation, ends = smooth._domain_orbit(g, k_max)
+        want_variation, want_ends = domain_orbit(g, k_max)
+        assert np.array_equal(variation, want_variation)
+        assert np.array_equal(ends, want_ends)
+        if name != "identity":  # whose x0 is fixed
+            sums = check(g, 0.5, k_max).partial_sums
+            assert sums == tuple(np.cumsum(np.abs(np.diff(want_ends[:-1], axis=1)[:, 0])))
 
     @given(
         st.floats(0.05, 3.9),
@@ -261,18 +201,19 @@ class TestExactness:
         for g in (parabolic_map(c), renormalize(restrict(parabolic_map(c), 0.1, 0.7))):
             got = holder_constant_estimate(g, alpha, grid).constant
             assert got == full_matrix_holder(g, alpha, grid)
-            got = smooth._log_derivative_sweep(g, 40, grid)
-            assert np.array_equal(got, full_grid_sweep(g, 40, grid))
+            variation, ends = smooth._domain_orbit(g, 40)
+            want_variation, want_ends = domain_orbit(g, 40)
+            assert np.array_equal(variation, want_variation)
+            assert np.array_equal(ends, want_ends)
 
 
-# orbits of [0, 1/2] collapse onto P in one step and then move right by
-# 1/512 a step; grid orbits stay on multiples of 1/4096 and never meet P's
-# orbit, whose 20th point is the one place where the derivative is 0
-P = 0.5 + 2.0 ** -13
-KINK = P + 20 / 512
-COLLAPSE_THEN_KINK = SmoothMap(
-    "collapse-then-kink",
-    lambda x: np.maximum(x, P) + 1 / 512,
+# J = [1/2, 1/2 + 1/512] moves right by 1/512 a step, on exact binary
+# fractions; the derivative is 0 at the one point KINK, which the right end
+# of J reaches after 20 steps
+KINK = 0.5 + 21 / 512
+TRANSLATE_THEN_KINK = SmoothMap(
+    "translate-then-kink",
+    lambda x: x + 1 / 512,
     lambda x: np.where(x == KINK, 0.0, 1.0),
     0.0,
     1.0,
@@ -283,23 +224,21 @@ class TestPositivity:
     def test_negative_derivative_from_the_start(self):
         g = SmoothMap("flip", lambda x: 1 - x, lambda x: -np.ones_like(x), 0.0, 1.0)
         for run in (
-            lambda: blowup_scan(g, 5),
+            lambda: smooth._domain_orbit(g, 5),
             lambda: holder_constant_estimate(g, 0.5),
-            lambda: full_grid_sweep(g, 5, 4097),
+            lambda: domain_orbit(g, 5),
         ):
             with pytest.raises(ValueError, match="derivative must stay positive"):
                 run()
 
-    def test_zero_derivative_reached_after_merging(self, monkeypatch):
-        g = COLLAPSE_THEN_KINK
-        counts = orbit_counts(monkeypatch)
-        assert np.array_equal(
-            smooth._log_derivative_sweep(g, 20, 4097), full_grid_sweep(g, 20, 4097)
-        )
-        assert counts[0] < 4097 // 2  # merged at step MERGE_EVERY < 21
-        for sweep in (smooth._log_derivative_sweep, full_grid_sweep):
+    def test_zero_derivative_reached_later(self):
+        g = TRANSLATE_THEN_KINK
+        rep = fundamental_domain_check(g, 0.5, 0.0, 20)
+        assert rep.disjoint and rep.partial_sums[-1] == 20 / 512
+        for run in (lambda: fundamental_domain_check(g, 0.5, 0.0, 21),
+                    lambda: domain_orbit(g, 21)):
             with pytest.raises(ValueError, match="derivative must stay positive"):
-                sweep(g, 21, 4097)
+                run()
 
 
 def test_holder_memory_is_blockwise():
