@@ -23,11 +23,9 @@ from .concat import (  # noqa: F401
 )
 from .lattice import (  # noqa: F401
     Box,
-    LatticePath,
     LengthFamily,
     Segment,
     geometric_family,
-    path_cost,
     symmetric_geometric_family,
     uniform_box_family,
 )
@@ -44,8 +42,4 @@ from .smooth import (  # noqa: F401
     holder_constant_estimate,
     parabolic_map,
 )
-from .walks import (  # noqa: F401
-    PathCertificate,
-    WalkKernel,
-    sample_and_certify,
-)
+from .walks import batch_certificates  # noqa: F401

@@ -1,4 +1,4 @@
-"""Core lattice substrate: boxes, segments, paths and weight families.
+"""Core lattice substrate: boxes, segments and weight families.
 
 Masses of boxes and segments have closed forms in two representations:
 exact rationals, and log2 masses split into an exact integer and a small
@@ -148,25 +148,6 @@ class Segment:
         if r != 0 or not 0 <= t < self.count:
             return None
         return t
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """Ordered lattice points, consecutive ones differing by 1 in one axis."""
-
-    points: tuple[Coords, ...]
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("empty path")
-        for a, b in zip(self.points, self.points[1:]):
-            diffs = [x - y for x, y in zip(b, a)]
-            nz = [x for x in diffs if x != 0]
-            if len(nz) != 1 or abs(nz[0]) != 1:
-                raise ValueError(f"non-adjacent consecutive points {a} -> {b}")
-
-    def __len__(self) -> int:
-        return len(self.points) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +495,6 @@ class ProductFamily(LengthFamily):
             w *= ax.weight(c)
         return w
 
-    def log2_weight(self, v: Sequence[int]) -> float:
-        return self._scale_log2 + sum(
-            ax.log2_weight(c) for ax, c in zip(self.axes, v, strict=True)
-        )
-
     def weight_log2_parts(self, v: Sequence[int]) -> Log2Parts:
         e, f = self._scale_parts
         for ax, c in zip(self.axes, v, strict=True):
@@ -772,37 +748,3 @@ def weights_le(
 def sphere_constant(d: int) -> Fraction:
     """A_d = 1/(d-1)!, the sphere-size lower-bound constant actually used."""
     return Fraction(1, math.factorial(d - 1))
-
-
-def _exponent_for_axis(exponents, axis: int):
-    if isinstance(exponents, (list, tuple)):
-        return exponents[axis]
-    return exponents
-
-
-def path_cost(
-    path: LatticePath | Sequence[Coords],
-    family: LengthFamily,
-    exponents,
-) -> Fraction | float:
-    """Sum of weight(point)^e over path points, e set by each outgoing step.
-
-    Exact rational when every exponent equals 1, double precision otherwise
-    (computed through log2 weights, so tiny weights do not underflow).
-    """
-    pts = path.points if isinstance(path, LatticePath) else tuple(tuple(p) for p in path)
-    if len(pts) < 2:
-        raise ValueError("path must have at least one step")
-    axes = []
-    for a, b in zip(pts, pts[1:]):
-        diff = [x - y for x, y in zip(b, a)]
-        axes.append(next(k for k, x in enumerate(diff) if x != 0))
-    exps = [_exponent_for_axis(exponents, ax) for ax in axes]
-    if all(e == 1 for e in exps):
-        return sum((family.weight(p) for p in pts[:-1]), Fraction(0))
-    total = 0.0
-    for p, e in zip(pts[:-1], exps):
-        if not 0 < float(e) <= 1:
-            raise ValueError(f"exponent {e} outside (0, 1]")
-        total += 2.0 ** (float(e) * family.log2_weight(p))
-    return total

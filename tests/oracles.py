@@ -4,8 +4,9 @@ None of these runs in a CLI kind.  Each is a slow or brute-force twin of
 something the package computes in closed form (exact arrival laws and
 minimum-cost paths of the walks, sphere enumeration, subdivision leaves,
 per-point mean goodness, exact packed lengths, every prefix of a word and
-the per-step orbit of a fundamental domain), or a small fixture map for
-the derivative checks.
+the per-step orbit of a fundamental domain), a small fixture map for the
+derivative checks, or an input of those oracles (the walk kernel and
+lattice paths).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from critreg.boxes import SubdivisionTree, _piece
 from critreg.lattice import (
     Box,
     Coords,
-    LatticePath,
     LengthFamily,
     Segment,
     SizeGuardError,
@@ -29,7 +29,6 @@ from critreg.lattice import (
 )
 from critreg.nilpotent import IntervalPacking, UnipotentMatrix, Word, _identity_rows
 from critreg.smooth import SmoothMap
-from critreg.walks import WalkKernel
 
 SPHERE_GUARD = 10 ** 6
 DP_STATE_GUARD = 2 * 10 ** 6
@@ -40,6 +39,25 @@ PATH_ENUM_CAP = 10 ** 5
 # ---------------------------------------------------------------------------
 # spheres and paths of the index lattice
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LatticePath:
+    """Ordered lattice points, consecutive ones differing by 1 in one axis."""
+
+    points: tuple[Coords, ...]
+
+    def __post_init__(self) -> None:
+        if not self.points:
+            raise ValueError("empty path")
+        for a, b in zip(self.points, self.points[1:]):
+            diffs = [x - y for x, y in zip(b, a)]
+            nz = [x for x in diffs if x != 0]
+            if len(nz) != 1 or abs(nz[0]) != 1:
+                raise ValueError(f"non-adjacent consecutive points {a} -> {b}")
+
+    def __len__(self) -> int:
+        return len(self.points) - 1
 
 
 def sphere_size(d: int, n: int) -> int:
@@ -70,6 +88,18 @@ def geodesic(path: LatticePath) -> bool:
 # ---------------------------------------------------------------------------
 # the walk kernel's exact laws and minimum costs
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WalkKernel:
+    """The coordinate-favoring kernel on the orthant of Z^d: from state i,
+    coordinate j grows by one with probability (1+i_j)/(|i|+d)."""
+
+    d: int
+
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError("dimension must be positive")
 
 
 def transition_distribution(

@@ -37,9 +37,9 @@ from critreg.smooth import (
     holder_constant_estimate,
     parabolic_map,
 )
-from critreg.walks import WalkKernel, batch_certificates
+from critreg.walks import batch_certificates
 
-from oracles import arrival_distribution, renormalize, restrict
+from oracles import WalkKernel, arrival_distribution, renormalize, restrict
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -66,9 +66,8 @@ def test_02_walk_certificates():
     details = []
     for d in (2, 3):
         fam = geometric_family(d)
-        kernel = WalkKernel(d)
         for n in (10, 100, 1000):
-            s = batch_certificates(kernel, fam, n, 10_000, seed=42)
+            s = batch_certificates(fam, n, 10_000, seed=42)
             ok = ok and s.success_fraction >= 0.33 and s.mean_ok
             details.append(f"d={d},n={n}:{s.success_fraction:.2f}/{s.mean_cost:.3f}")
     _verdict(2, ok, "10^4 seeded attempts per cell; " + "; ".join(details))

@@ -62,7 +62,40 @@ class TestRun:
     def test_lemma1(self):
         report = run(_cfg(kind="lemma1", d=2, n_max=50, samples=400, seed=42))
         assert report["passed"]
-        assert report["constants"]["B"] == 3.0
+        assert report["constants"] == {"B": 3.0, "witness": 0}
+        row = report["rows"][2]
+        assert row["check"] == "walk-single-certificate"
+        assert row["note"] == "sample 0 of the batch" and row["value"] <= row["bound"]
+
+    def test_lemma1_without_a_certified_sample_fails(self, tmp_path, capsys):
+        # d=2, n=5: weight 1/20 on every point of coordinate sum at most 5,
+        # and 2 at (0, 5), where the one walk of seed 4 ends.  The total is
+        # 3, so B = 9 and the terminal bound w * 6 <= 9 fails there only.
+        table = {f"{i},{j}": "1/20" for i in range(6) for j in range(6 - i)}
+        table["0,5"] = 2
+        path = tmp_path / "spike.json"
+        path.write_text(json.dumps(table))
+        out = tmp_path / "rep"
+        argv = ["lemma1", "--d", "2", "--family", "custom-file", "--family-file", str(path),
+                "--n-max", "5", "--samples", "1", "--seed", "4", "--out", str(out)]
+        assert main(argv) == 2
+        report = json.loads((out / "report.json").read_text())
+        rows = {r["check"]: r for r in report["rows"]}
+        assert rows["walk-success-fraction"]["value"] == 0.0
+        assert rows["walk-single-certificate"] == {
+            "check": "walk-single-certificate", "passed": False, "value": None,
+            "bound": rows["walk-single-certificate"]["bound"],
+            "note": "no sample of the batch is certified",
+        }
+        assert report["constants"] == {"B": 9.0, "witness": None}
+        assert "[FAIL] walk-single-certificate: value=None" in capsys.readouterr().out
+
+    def test_lemma1_family_file_of_another_dimension_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps({f"{i},{j}": "1/64" for i in range(8) for j in range(8)}))
+        argv = ["lemma1", "--d", "3", "--family", "custom-file", "--family-file", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: the family file's table is on Z^2, not Z^3\n"
 
     def test_boxes_planar(self):
         report = run(_cfg(kind="boxes", d=2, variant="B-d2",
@@ -219,8 +252,6 @@ class TestMain:
         assert main(argv) == 2
         report = json.loads((out / "report.json").read_text())
         assert report["constants"]["B"] == float("inf")
-        row = next(r for r in report["rows"] if r["check"] == "chain-power-bound")
-        assert row["passed"] and row["value"] == float("inf")
         assert "Traceback" not in capsys.readouterr().err
 
     def test_power_ratio_log2_reported_past_float_range(self, tmp_path):

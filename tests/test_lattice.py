@@ -11,7 +11,6 @@ from critreg.lattice import (
     MARGIN,
     Bound,
     Box,
-    LatticePath,
     Segment,
     SizeGuardError,
     SymmetricGeometricAxis,
@@ -22,14 +21,13 @@ from critreg.lattice import (
     log2_parts,
     mass_le,
     mass_log2,
-    path_cost,
     sphere_constant,
     symmetric_geometric_family,
     uniform_box_family,
     weights_le,
 )
 
-from oracles import geodesic, sphere_points, sphere_size
+from oracles import LatticePath, geodesic, sphere_points, sphere_size
 
 
 def brute_sphere(d, n):
@@ -114,29 +112,6 @@ class TestAxisClosedForms:
         )
         got = 2.0 ** ax.range_power_log2(lo, hi, stride, alpha)
         assert math.isclose(got, brute, rel_tol=1e-12)
-
-
-class TestPathCost:
-    def test_worked_example(self):
-        fam = geometric_family(2)
-        cost = path_cost([(0, 0), (1, 0), (1, 1)], fam, (0.5, 0.5))
-        assert math.isclose(cost, 0.8535533905932737, rel_tol=1e-12)
-
-    def test_unit_weights_count_steps(self):
-        box = Box(((0, 9), (0, 9)))
-        fam = uniform_box_family(box, total=Fraction(100))
-        path = [(0, 0), (1, 0), (2, 0), (2, 1)]
-        assert path_cost(path, fam, 1) == 3 * fam.weight((0, 0))
-
-    def test_single_step_exponent_one(self):
-        fam = geometric_family(3)
-        assert path_cost([(0, 0, 0), (1, 0, 0)], fam, 1) == fam.weight((0, 0, 0))
-
-    def test_monotone_path_cost_below_box_mass(self):
-        fam = geometric_family(2)
-        box = Box(((0, 4), (0, 4)))
-        path = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)]
-        assert path_cost(path, fam, 1) <= fam.box_mass(box)
 
 
 class TestTypes:

@@ -42,6 +42,13 @@ ALLOWLIST = {
     "lattice.Box.points": "enumerates a box for brute_reach: " + REACH,
     "boxes.SubdivisionTree.non_admissible_fraction": REACH,
     "lattice.SymmetricGeometricAxis.range_mass": FALLBACK,
+    "lattice.SymmetricGeometricAxis.weight": (
+        "exact axis weight of segment_mass and ProductFamily.weight; " + FALLBACK
+    ),
+    "lattice.ProductFamily.weight": (
+        "exact point weight for weights_le's fallback, which lemma1 reaches only on a "
+        "terminal tie within 2^-40, and no built-in family has one, and for brute_reach"
+    ),
     "nilpotent.UnipotentMatrix.__post_init__": ALGEBRA,
     "nilpotent.UnipotentMatrix.__mul__": ALGEBRA,
     "nilpotent.UnipotentMatrix.inverse": ALGEBRA,
@@ -50,9 +57,6 @@ ALLOWLIST = {
     "lattice.uniform_box_family": UNIFORM,
     "lattice.AxisWeight.weight_log2_parts": "generic default that only UniformAxis inherits",
     "lattice.AxisWeight.range_log2_parts": "generic default that only UniformAxis inherits",
-    "walks.CertificateSearchError.__init__": (
-        "lemma1's exit 3, which the walk lemma rules out for every family"
-    ),
 }
 
 

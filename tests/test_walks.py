@@ -20,17 +20,13 @@ from critreg.lattice import (
 from critreg.walks import (
     COST_REL_TOL,
     BatchSummary,
-    CertificateSearchError,
-    WalkKernel,
     batch_certificates,
-    certify,
     cost_bound,
     lemma_bound,
-    sample_and_certify,
-    sample_path,
 )
 
 from oracles import (
+    WalkKernel,
     arrival_distribution,
     brute_min_cost,
     enumerate_min_cost,
@@ -116,44 +112,57 @@ class TestArrival:
         }
 
 
+def spike_table(d, n, end, weight):
+    """Weight 1/20 on every point of coordinate sum at most n, and `weight`
+    at `end`.  With weight 2 at d=2, n=5 the total is 3 and B = 9, so only a
+    walk ending at `end` breaks the terminal bound: w(end) * 6 = 12 > 9."""
+    w = {v: Fraction(1, 20) for r in range(n + 1) for v in sphere_points(d, r)}
+    w[end] = Fraction(weight)
+    return TableFamily(w)
+
+
 class TestSampling:
     def test_seed_reproducibility(self):
-        k = WalkKernel(3)
-        assert sample_path(k, 50, 123).points == sample_path(k, 50, 123).points
-        assert sample_path(k, 50, 123).points != sample_path(k, 50, 124).points
-
-    def test_paths_are_geodesic(self):
-        p = sample_path(WalkKernel(2), 40, 9)
-        assert geodesic(p) and len(p) == 40
+        fam = simplex_table(2, 40)
+        a = batch_certificates(fam, 40, 20, seed=123)
+        assert a == batch_certificates(fam, 40, 20, seed=123)
+        assert a != batch_certificates(fam, 40, 20, seed=124)
 
     def test_certify_geometric(self):
+        # geometric weights make every path cost the same closed-form sum
         fam = geometric_family(2)
-        cert, attempts = sample_and_certify(WalkKernel(2), fam, 100, seed=42)
-        assert cert.ok and attempts <= 100
-        # recompute the certificate from the path alone
-        again = certify(cert.path, fam)
-        assert again.cost == cert.cost
-        assert again.terminal_weight == cert.terminal_weight
+        s = batch_certificates(fam, 100, 20, seed=42)
+        assert s.witness == 0
+        expected = sum(2.0 ** (-(j + 2) / 2) for j in range(100))
+        assert math.isclose(s.witness_cost, expected, rel_tol=1e-9)
+        assert s.witness_cost <= s.cost_bound
 
     def test_uniform_family_trivial(self):
         box = Box(((0, 200), (0, 200)))
-        fam = uniform_box_family(box)
-        cert, attempts = sample_and_certify(WalkKernel(2), fam, 4, seed=5)
-        assert cert.ok and attempts == 1
+        s = batch_certificates(uniform_box_family(box), 4, 5, seed=5)
+        assert s.witness == 0 and s.success_fraction == 1.0
 
-    def test_search_failure_carries_best(self):
-        # half the mass sits on one sphere-6 point, so a walk ending there
-        # breaks the terminal bound; seed 6 steers attempt 1 onto the spike
-        from critreg.lattice import TableFamily
+    def test_no_certified_sample_means_no_witness(self):
+        # the one walk of seed 4 ends on the spike, so it breaks the terminal
+        # bound while meeting the cost bound
+        d, n, seed = 2, 5, 4
+        end = reference_endpoint(d, n, seed)
+        s = batch_certificates(spike_table(d, n, end, 2), n, 1, seed)
+        assert s.success_fraction == 0.0
+        assert s.witness is None and s.witness_cost is None
 
-        tri = [(i, j) for i in range(7) for j in range(7) if i + j <= 6]
-        w = {p: Fraction(1, 10 ** 6) for p in tri}
-        w[(6, 0)] = Fraction(1, 2)
-        fam = TableFamily(w)
-        with pytest.raises(CertificateSearchError) as exc:
-            sample_and_certify(WalkKernel(2), fam, 6, seed=6, max_attempts=1)
-        assert exc.value.best is not None and exc.value.attempts == 1
-        assert not exc.value.best.second_ok and exc.value.best.first_ok
+    def test_witness_is_the_first_certified_sample(self):
+        # uneven weights, so path costs differ, and a spike of 100 where
+        # sample 0 ends (the total is then about 114, so q = L/2 < 100): the
+        # witness is the first sample that ends elsewhere, with its own cost
+        d, n, seed, samples = 2, 5, 4, 8
+        ends = reference_endpoints(d, n, samples, seed)
+        end = ends[0]
+        fam = TableFamily({**simplex_table(d, n).table, end: Fraction(100)})
+        s = batch_certificates(fam, n, samples, seed)
+        assert s.witness == next(i for i, e in enumerate(ends) if e != end) > 0
+        assert s.witness_cost == reference_batch_certificates(fam, n, samples, seed).witness_cost
+        assert s.success_fraction == sum(e != end for e in ends) / samples
 
     def test_lemma_bound_exact_branch(self):
         fam = geometric_family(3)
@@ -161,10 +170,11 @@ class TestSampling:
         assert b_exact == 6 and b_float == 6.0
 
 
-def reference_batch_certificates(kernel, family, n, samples, seed, mean_slack=1.05):
+def reference_batch_certificates(family, n, samples, seed, mean_slack=1.05):
     """The lockstep pass as it was before its state was kept by axis: one
-    cumsum and argmax per step and an exact Fraction per terminal weight."""
-    d = kernel.d
+    cumsum and argmax per step, an exact Fraction per terminal weight, and
+    the witness found by scanning the samples in order."""
+    d = family.d
     rng = np.random.default_rng(seed)
     counts = np.zeros((samples, d), dtype=np.int64)
     costs = np.zeros(samples)
@@ -188,6 +198,7 @@ def reference_batch_certificates(kernel, family, n, samples, seed, mean_slack=1.
     )
     mean_bound = float(family.total_mass / sphere_constant(d)) ** (1.0 / d)
     mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * mean_slack
+    witness = next((i for i in range(samples) if first[i] and second[i]), None)
     return BatchSummary(
         d=d,
         n=n,
@@ -197,18 +208,25 @@ def reference_batch_certificates(kernel, family, n, samples, seed, mean_slack=1.
         mean_cost_bound=mean_bound,
         cost_bound=cb,
         bound_b=b_float,
+        witness=witness,
+        witness_cost=None if witness is None else float(costs[witness]),
     )
 
 
-def reference_endpoint(d, n, seed):
-    """Endpoint of the single walk of a one-sample pass, by the reference steps."""
+def reference_endpoints(d, n, samples, seed):
+    """Endpoints of the walks of a pass, in sample order, by the reference steps."""
     rng = np.random.default_rng(seed)
-    counts = np.zeros((1, d), dtype=np.int64)
+    counts = np.zeros((samples, d), dtype=np.int64)
     for t in range(n):
-        r = rng.integers(0, t + d, size=1)
+        r = rng.integers(0, t + d, size=samples)
         j = np.argmax(r[:, None] < np.cumsum(counts + 1, axis=1), axis=1)
-        counts[np.arange(1), j] += 1
-    return tuple(int(c) for c in counts[0])
+        counts[np.arange(samples), j] += 1
+    return [tuple(int(c) for c in row) for row in counts]
+
+
+def reference_endpoint(d, n, seed):
+    """Endpoint of the single walk of a one-sample pass."""
+    return reference_endpoints(d, n, 1, seed)[0]
 
 
 def simplex_table(d, radius):
@@ -246,12 +264,11 @@ class TestBatch:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 7, 200])
     def test_matches_reference_bitwise(self, d, n):
-        kernel = WalkKernel(d)
         for name, fam in batch_families(d, n).items():
             for samples in (1, 3, 250):
                 for seed in (0, 11, 2024):
-                    got = batch_certificates(kernel, fam, n, samples, seed)
-                    want = reference_batch_certificates(kernel, fam, n, samples, seed)
+                    got = batch_certificates(fam, n, samples, seed)
+                    want = reference_batch_certificates(fam, n, samples, seed)
                     # dataclass equality compares every float bitwise
                     assert got == want, (name, samples, seed)
 
@@ -264,15 +281,13 @@ class TestBatch:
         d, n, seed = 2, 5, 4
         excess = Fraction(1, 2 ** 60) if above else Fraction(0)
         end = reference_endpoint(d, n, seed)
-        w = {v: Fraction(1, 20) for r in range(n + 1) for v in sphere_points(d, r)}
-        w[end] = 1 + excess
-        fam = TableFamily(w)
+        fam = spike_table(d, n, end, 1 + excess)
         b_float, b_exact = lemma_bound(fam, d)
         assert b_exact == 3 * fam.total_mass
         q = b_exact / (n + 1) ** (d - 1)
         assert fam.weight_log2_parts(end) == log2_parts(q)
-        got = batch_certificates(WalkKernel(d), fam, n, 1, seed)
-        assert got == reference_batch_certificates(WalkKernel(d), fam, n, 1, seed)
+        got = batch_certificates(fam, n, 1, seed)
+        assert got == reference_batch_certificates(fam, n, 1, seed)
         assert got.success_fraction == (0.0 if above else 1.0)
 
     def test_endpoint_outside_finite_support_raises_as_before(self):
@@ -284,7 +299,7 @@ class TestBatch:
         raised = 0
         for fam in families:
             for seed in range(6):
-                args = (WalkKernel(d), fam, n, 50, seed)
+                args = (fam, n, 50, seed)
                 got = outcome(batch_certificates, *args)
                 assert got == outcome(reference_batch_certificates, *args)
                 raised += isinstance(got, tuple)
@@ -292,7 +307,7 @@ class TestBatch:
 
     def test_success_fraction_and_mean(self):
         fam = geometric_family(2)
-        s = batch_certificates(WalkKernel(2), fam, 100, 500, seed=42)
+        s = batch_certificates(fam, 100, 500, seed=42)
         assert s.success_fraction >= 0.33
         assert s.mean_cost <= s.mean_cost_bound
         # geometric weights make every path cost identical
@@ -317,11 +332,12 @@ class TestBruteMinCost:
         assert math.isclose(dp3, enumerate_min_cost(fam3, 3, 4), rel_tol=1e-12)
 
     def test_oracle_below_sampled_certificates(self):
-        fam = geometric_family(2)
-        _, best = brute_min_cost(fam, 2, 10)
-        for seed in range(1, 21):
-            cert, _ = sample_and_certify(WalkKernel(2), fam, 10, seed=seed)
-            assert best <= cert.cost + 1e-12
+        # on the table, costs differ from path to path
+        for fam in (geometric_family(2), simplex_table(2, 10)):
+            _, best = brute_min_cost(fam, 2, 10)
+            for seed in range(1, 21):
+                s = batch_certificates(fam, 10, 5, seed)
+                assert s.witness is not None and best <= s.witness_cost + 1e-12
 
     def test_path_is_returned(self):
         fam = geometric_family(2)
