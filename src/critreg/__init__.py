@@ -13,7 +13,6 @@ from .boxes import (  # noqa: F401
 )
 from .concat import (  # noqa: F401
     ChainCertificate,
-    black_box_reach,
     build_chain,
     distortion_budget,
     find_good_segment_d2,

@@ -338,21 +338,6 @@ class SubdivisionTree:
                 return LevelInfo(i, tuple(chain), False)
         return LevelInfo(i, tuple(chain), True)
 
-    def non_admissible_fraction(self) -> Fraction:
-        """Share of levels whose chain ends in a trailing piece.
-
-        A parent of extent E cut into c pieces of length plen has a trailing
-        piece of E - (c-1)*plen levels, all non-admissible; each of its c-1
-        full pieces repeats the count one depth down.
-        """
-        total = extent = self.box.side(self.box.dim - 1)
-        bad, full = 0, 1  # full: number of non-trailing pieces at this depth
-        for plen, c in zip(self.piece_lengths, self.counts):
-            bad += full * (extent - (c - 1) * plen)
-            full *= c - 1
-            extent = plen
-        return Fraction(bad, total)
-
     def chain_box(self, chain: Sequence[int]) -> Box:
         """The nested piece reached by a (1-based) chain prefix."""
         ivs = self.box.intervals

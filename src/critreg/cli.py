@@ -18,7 +18,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -183,12 +182,10 @@ def _run_boxes(cfg: ExperimentConfig) -> dict:
     if seq.kind in ("B-d2", "B-general"):
         constants["D2"] = float(boxmod.inocent_constant(seq))
     if seq.kind == "FF":
-        c = boxmod.side_growth_bracket(seq)
-        a_min = max(
-            float(boxmod.minimal_round_constant(b) or math.inf) for b in seq.boxes
-        )
-        rows.append(_row("roundness-bounded", math.isfinite(a_min), a_min, None))
-        constants.update({"growth_bracket": c, "max_min_roundness": a_min})
+        # FF lower endpoints start at 1, so every box has a roundness constant
+        a_min = max(float(boxmod.minimal_round_constant(b)) for b in seq.boxes)
+        constants.update({"growth_bracket": boxmod.side_growth_bracket(seq),
+                          "max_min_roundness": a_min})
     table = [
         (n, json.dumps(seq.box(n).intervals)) for n in seq.indices()
     ]
@@ -200,8 +197,6 @@ def _chain_common(kind: str, seq, fam) -> dict:
     ver = concat.verify_chain(cert, fam)
     rep = concat.distortion_budget(cert, fam, min_fit_n=max(2, 4 if kind == "FF-d3" else 2))
     rows = [
-        _row("chain-flags", cert.all_flags_ok, sum(r.flag_ok for r in cert.records),
-             len(cert.records), "per-segment goodness flags"),
         _row("chain-reverify", ver["all"], ver["all"], True,
              "all flags recomputed from the weight family"),
         _row("budget-ratio-spread", rep.ratio_spread < 2.0, rep.ratio_spread, 2.0,
@@ -213,7 +208,7 @@ def _chain_common(kind: str, seq, fam) -> dict:
         "rows": rows,
         "tables": {"budget": curve, "entry_times": entry},
         "constants": {**cert.measured, "A_prime": rep.a_prime,
-                      "walk_points": rep.total_points},
+                      "records": len(cert.records), "walk_points": rep.total_points},
         "notes": list(cert.notes),
     }
 

@@ -1,4 +1,4 @@
-"""Goodness classification, reach lemmas, and the chain builders.
+"""Good-segment searches, vertical-section reach, and the chain builders.
 
 A chain certificate is a finite list of unidirectional segments, one group
 per box of an inductive sequence, such that consecutive segments share a
@@ -16,18 +16,22 @@ outside both float range and sane rational bit-lengths), whenever the two
 sides are further apart than a certified rounding margin, and compares
 exact rationals otherwise.  A record stores the bound pair (q, B) next to
 the flag, so `verify_chain` re-decides it from the weight family alone.
+
+Four builders take their goodness levels from closed forms.  FF-general's
+lambda is measured from its own staircase segments: the orbit
+construction's roundness-driven level is infeasible at the FF boxes'
+roundness constants, so its lambda is a reported value, not a checked one.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .boxes import BoxSequence, minimal_round_constant, vertical_subdivision
+from .boxes import BoxSequence, vertical_subdivision
 from .lattice import (
     Bound,
     Box,
@@ -42,7 +46,6 @@ from .lattice import (
 )
 
 SEARCH_CAP = 500_000
-REACH_POINT_CAP = 20_000  # largest box `black_box_reach` enumerates
 
 
 class ChainSearchError(RuntimeError):
@@ -153,10 +156,6 @@ class ChainCertificate:
     stretches: list[Segment] = field(default_factory=list)
     power_ratio_log2: float = NEG_INF  # max of power_sum_log2 - power_base_log2
     notes: tuple[str, ...] = ()
-
-    @property
-    def all_flags_ok(self) -> bool:
-        return all(r.flag_ok for r in self.records)
 
 
 def _alpha_for(alphas, axis: int) -> float:
@@ -405,7 +404,7 @@ def _prefix_base(family: LengthFamily, seq: BoxSequence) -> Coords:
 
 
 # ---------------------------------------------------------------------------
-# the black box: reach most points from a fully good segment
+# full segments and the peeling recursion for their goodness level
 # ---------------------------------------------------------------------------
 
 
@@ -436,145 +435,6 @@ def _full_segment(box: Box, axis: int, fixed: Sequence[int]) -> Segment:
     anchor = list(fixed)
     anchor[axis] = lo
     return Segment(tuple(anchor), axis, hi - lo + 1, ambient=box)
-
-
-def _all_segments(box: Box) -> Iterable[Segment]:
-    for axis in range(box.dim):
-        others = [
-            range(lo, hi + 1) if k != axis else [box.intervals[axis][0]]
-            for k, (lo, hi) in enumerate(box.intervals)
-        ]
-        for fixed in itertools.product(*others):
-            yield _full_segment(box, axis, fixed)
-
-
-def segment_flag_boxes(box: Box, seg: Segment) -> list[Box]:
-    """Canonical nested flag of a full 1-segment: member j spans the j
-    cyclically consecutive axes starting at the segment's direction."""
-    dim = box.dim
-    out = []
-    spanned = {seg.axis}
-    ivs = list((c, c) for c in seg.anchor)
-    ivs[seg.axis] = box.intervals[seg.axis]
-    out.append(Box(tuple(ivs)))
-    for j in range(1, dim - 1):
-        axis = (seg.axis + j) % dim
-        spanned.add(axis)
-        ivs[axis] = box.intervals[axis]
-        out.append(Box(tuple(ivs)))
-    return out
-
-
-def flag_goodness(family: LengthFamily, box: Box, seg: Segment) -> Fraction:
-    """Least mu making the canonical flag fully mu-good (exact)."""
-    amass = family.box_mass(box)
-    amean = amass / box.npoints()
-    worst = Fraction(0)
-    for member in segment_flag_boxes(box, seg):
-        mmean = family.box_mass(member) / member.npoints()
-        worst = max(worst, mmean / amean)
-    return worst
-
-
-@dataclass(frozen=True)
-class ReachResult:
-    reachable: frozenset[Coords]
-    chains: dict[Coords, tuple[Segment, ...]]
-    lam: Fraction
-    mu: Fraction
-    fraction: Fraction
-    meets_target: bool
-
-
-def black_box_reach(
-    family: LengthFamily,
-    box: Box,
-    seg: Segment,
-    kappa,
-    mu=None,
-    lam=None,
-) -> ReachResult:
-    """Points reachable from a fully good 1-segment by short good chains.
-
-    A point counts as reached when some sequence of at most dim-1 full
-    unit segments, each lambda'-good in the box (mean form), starts on the
-    seed segment, has consecutive members sharing a point, and ends on a
-    segment through the point.  lambda' comes from the peeling recursion
-    unless supplied explicitly.
-    """
-    kappa = Fraction(kappa)
-    if box.npoints() > REACH_POINT_CAP:
-        raise ValueError(f"box has more than {REACH_POINT_CAP} points")
-    lo, hi = box.intervals[seg.axis]
-    if seg.stride != 1 or seg.count != hi - lo + 1:
-        raise ValueError("seed must be a full unit segment of the box")
-    mu_star = flag_goodness(family, box, seg)
-    mu = Fraction(mu) if mu is not None else max(Fraction(1), mu_star)
-    if mu_star > mu:
-        raise ValueError(f"flag is only {mu_star}-good, asked for fully {mu}-good")
-    lam = Fraction(lam) if lam is not None else lambda_prime(mu, kappa, box.dim)
-    good = [s for s in _all_segments(box) if mass_le(family, s, _mean_bound(lam, s, box))]
-    frontier = [s for s in good if _segments_cross(s, seg)]
-    chains: dict[Coords, tuple[Segment, ...]] = {}
-    seen_segments = {(s.axis, s.anchor) for s in frontier}
-    parents: dict[tuple[int, Coords], tuple[Segment, ...]] = {
-        (s.axis, s.anchor): (s,) for s in frontier
-    }
-    for _level in range(box.dim - 1):
-        nxt = []
-        for s in frontier:
-            chain = parents[(s.axis, s.anchor)]
-            for p in s.points():
-                chains.setdefault(p, chain)
-            for t in good:
-                key = (t.axis, t.anchor)
-                if key in seen_segments or not _segments_cross(s, t):
-                    continue
-                seen_segments.add(key)
-                parents[key] = chain + (t,)
-                nxt.append(t)
-        frontier = nxt
-    reachable = frozenset(chains)
-    fraction = Fraction(len(reachable), box.npoints())
-    return ReachResult(reachable, chains, lam, mu, fraction, fraction >= kappa)
-
-
-def _segments_cross(a: Segment, b: Segment) -> bool:
-    if a.axis == b.axis:
-        return a.anchor == b.anchor
-    return all(
-        a.anchor[k] == b.anchor[k] for k in range(len(a.anchor)) if k not in (a.axis, b.axis)
-    )
-
-
-def brute_reach(
-    family: LengthFamily,
-    box: Box,
-    seg: Segment,
-    lam: Fraction,
-    max_segments: int,
-) -> frozenset[Coords]:
-    """Oracle twin of the reach search: cumulative point-set recursion with
-    per-point weight sums instead of closed forms."""
-    amean = sum((family.weight(p) for p in box.points()), Fraction(0)) / box.npoints()
-
-    def seg_good(s: Segment) -> bool:
-        total = sum((family.weight(p) for p in s.points()), Fraction(0))
-        return total / s.count <= lam * amean
-
-    good = [s for s in _all_segments(box) if seg_good(s)]
-    covered: set[Coords] = set()
-    frontier_points = set(seg.points())
-    for _ in range(max_segments):
-        new_points: set[Coords] = set()
-        for s in good:
-            if any(p in frontier_points for p in s.points()):
-                new_points.update(s.points())
-        if new_points <= frontier_points and covered:
-            break
-        covered.update(new_points)
-        frontier_points = frontier_points | new_points
-    return frozenset(covered)
 
 
 # ---------------------------------------------------------------------------
@@ -785,19 +645,6 @@ def _coords(values: dict[int, int]) -> Coords:
 # ---------------------------------------------------------------------------
 # the general chain through staircases in box overlaps
 # ---------------------------------------------------------------------------
-
-
-def find_fully_good_segment(
-    family: LengthFamily,
-    box: Box,
-    axis: int,
-    lam: Fraction,
-    visit_cap: int = SEARCH_CAP,
-) -> tuple[Segment, Fraction]:
-    """The fully lambda-good segment of `_fully_good_segment`, with the
-    exact goodness of its flag."""
-    seg = _fully_good_segment(family, box, axis, lam, visit_cap)
-    return seg, flag_goodness(family, box, seg)
 
 
 def _fully_good_segment(
@@ -1031,31 +878,6 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     return _assemble(family, cert, legs, corner)
 
 
-def lambda_two(kappa, mu, a, d: int):
-    """Concatenation goodness level across a window of round boxes.
-
-    Follows the two-branch recursion with kappa' chosen minimal; feasible
-    only when the target proportion stays below 1/a^2, which for measured
-    roundness constants of the inductive sequences is a strong restriction
-    (callers fall back to measured levels when this raises).
-    """
-    kappa, mu, a = Fraction(kappa), Fraction(mu), Fraction(a)
-    if d < 3:
-        raise ValueError("need d >= 3")
-    if d == 3:
-        return max(
-            stride_cascade_lambda(mu, a, 3, kappa), 2 * mu / (1 - kappa)
-        )
-    kappa_p = (kappa + 2 - 1 / a ** 2) / 2
-    if not kappa_p < 1:
-        raise ValueError(f"kappa={kappa} infeasible for roundness {a}")
-    kappa_p = max(kappa_p, kappa)
-    return max(
-        lambda_two(kappa_p, mu, a, d - 1),
-        stride_cascade_lambda(mu / (1 - kappa_p), a, d, kappa),
-    )
-
-
 def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     if seq.kind != "FF" or seq.d is None:
         raise ValueError("needs an FF sequence")
@@ -1074,23 +896,17 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
         for axis in range(dim):
             plan.append((n, _full_segment(seq.box(n), axis, tuple(cur))))
             cur[axis] = overlap.intervals[axis][0]
-    # least power of two bounding every staircase segment's mean ratio
-    lam_measured = Fraction(2) ** _least_power_of_two(family, [
+    # lambda is measured: the least power of two bounding every staircase
+    # segment's mean ratio.  The orbit construction's roundness-driven level
+    # needs a target proportion below 1/a^2, and every FF sequence has
+    # a >= (1 + 4^(d+1))^(d-1), the roundness constant of its first box
+    lam = Fraction(2) ** _least_power_of_two(family, [
         (seg, _mean_bound(Fraction(1), seg, seq.box(n))) for n, seg in plan
     ])
-    a_round = max(
-        (minimal_round_constant(b) or Fraction(10 ** 9) for b in seq.boxes),
-    )
-    try:
-        lam_policy = lambda_two(Fraction(1, 2), Fraction(1), a_round, d)
-        cert.measured["lambda_two"] = float(lam_policy)
-    except ValueError:
-        lam_policy = None
-    lam_used = max(lam_measured, lam_policy or 0)
-    cert.measured["lambda"] = float(lam_used)
+    cert.measured["lambda"] = float(lam)
     legs = [
         Leg(n, f"g{n}.{seg.axis + 1}", seg, "staircase-mean",
-            _mean_bound(lam_used, seg, seq.box(n)), f"f({seg.axis + 2},1)")
+            _mean_bound(lam, seg, seq.box(n)), f"f({seg.axis + 2},1)")
         for n, seg in plan
     ]
     # the walk stops at the last overlap's lower corner

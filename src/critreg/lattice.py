@@ -16,7 +16,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -76,10 +75,6 @@ class Box:
                 return None
             ivs.append((lo, hi))
         return Box(tuple(ivs))
-
-    def points(self) -> Iterator[Coords]:
-        ranges = [range(lo, hi + 1) for lo, hi in self.intervals]
-        return iter_product(*ranges)
 
     def fix_axis(self, k: int, value: int) -> "Box":
         lo, hi = self.intervals[k]

@@ -2,11 +2,12 @@
 
 None of these runs in a CLI kind.  Each is a slow or brute-force twin of
 something the package computes in closed form (exact arrival laws and
-minimum-cost paths of the walks, sphere enumeration, subdivision leaves,
-per-point mean goodness, exact packed lengths, every prefix of a word and
-the per-step orbit of a fundamental domain), a small fixture map for the
-derivative checks, or an input of those oracles (the walk kernel and
-lattice paths).
+minimum-cost paths of the walks, sphere enumeration, box enumeration,
+subdivision leaves and the share of non-admissible levels, per-point mean
+goodness and the goodness of a segment's flag, exact packed lengths, every
+prefix of a word and the per-step orbit of a fundamental domain), a small
+fixture map for the derivative checks, or an input of those oracles (the
+walk kernel and lattice paths).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -76,6 +78,11 @@ def sphere_points(d: int, n: int) -> Iterator[Coords]:
     for first in range(n + 1):
         for rest in sphere_points(d - 1, n - first):
             yield (first, *rest)
+
+
+def box_points(box: Box) -> Iterator[Coords]:
+    """Every lattice point of a box, in lexicographic order."""
+    return product(*(range(lo, hi + 1) for lo, hi in box.intervals))
 
 
 def geodesic(path: LatticePath) -> bool:
@@ -219,6 +226,25 @@ def goodness_ratio(family: LengthFamily, region: Box | Segment, ambient: Box) ->
     return (rmass / rbox.npoints()) / (amass / ambient.npoints())
 
 
+def flag_members(box: Box, seg: Segment) -> list[Box]:
+    """The canonical nested flag of a full unit segment: member j spans the
+    j + 1 cyclically consecutive axes from the segment's direction on, up to
+    dim - 1 axes."""
+    ivs = [(c, c) for c in seg.anchor]
+    out = []
+    for j in range(box.dim - 1):
+        axis = (seg.axis + j) % box.dim
+        ivs[axis] = box.intervals[axis]
+        out.append(Box(tuple(ivs)))
+    return out
+
+
+def flag_goodness(family: LengthFamily, box: Box, seg: Segment) -> Fraction:
+    """Least lambda making the segment's flag fully lambda-good: the worst
+    member's `goodness_ratio`."""
+    return max(goodness_ratio(family, m, box) for m in flag_members(box, seg))
+
+
 # ---------------------------------------------------------------------------
 # the vertical subdivision as an explicit tree
 # ---------------------------------------------------------------------------
@@ -254,6 +280,23 @@ def nodes(tree: SubdivisionTree) -> Iterator[SubdivisionNode]:
 
 def leaves(tree: SubdivisionTree) -> Iterator[SubdivisionNode]:
     return (n for n in nodes(tree) if n.depth > 0 and n.is_leaf(tree))
+
+
+def non_admissible_fraction(tree: SubdivisionTree) -> Fraction:
+    """Share of levels whose chain ends in a trailing piece, from the
+    per-depth piece lengths and counts.
+
+    A parent of extent E cut into c pieces of length plen has a trailing
+    piece of E - (c-1)*plen levels, all non-admissible; each of its c-1
+    full pieces repeats the count one depth down.
+    """
+    total = extent = tree.box.side(tree.box.dim - 1)
+    bad, full = 0, 1  # full: number of non-trailing pieces at this depth
+    for plen, c in zip(tree.piece_lengths, tree.counts):
+        bad += full * (extent - (c - 1) * plen)
+        full *= c - 1
+        extent = plen
+    return Fraction(bad, total)
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,8 @@ import pytest
 
 from critreg.boxes import build_sequence, sequence_multiplicity
 from critreg.cli import ExperimentConfig, run, write_report
-from critreg.concat import (
-    _full_segment,
-    black_box_reach,
-    brute_reach,
-    build_chain,
-    distortion_budget,
-    verify_chain,
-)
-from critreg.lattice import (
-    Box,
-    TableFamily,
-    geometric_family,
-    symmetric_geometric_family,
-)
+from critreg.concat import build_chain, distortion_budget, verify_chain
+from critreg.lattice import geometric_family, symmetric_geometric_family
 from critreg.nilpotent import (
     UnipotentMatrix,
     Word,
@@ -94,7 +82,7 @@ def test_04_planar_chain():
     fam = geometric_family(2)
     seq = build_sequence("B-d2", alphas=(HALF, HALF), n_max=15)
     cert = build_chain("B-d2", fam, seq)
-    flags = cert.all_flags_ok and verify_chain(cert, fam)["all"]
+    flags = all(r.flag_ok for r in cert.records) and verify_chain(cert, fam)["all"]
     # consecutive segments share their recorded witness point
     witnesses = all(
         a.exit == b.entry for a, b in zip(cert.records, cert.records[1:])
@@ -138,40 +126,6 @@ def test_05_orbit_chain():
     _verdict(
         5, ok, f"orbit chain: per-segment flags for n<=12 ({flags}), "
         f"budget/(ln N)^(2/3) spread {spread:.3f} < 2 over 4<=n<=12"
-    )
-
-
-def test_06_black_box_oracle():
-    rng = random.Random(2024)
-    families = []
-    for _ in range(20):
-        seed = rng.randrange(10 ** 9)
-        families.append(seed)
-    shapes = [
-        (a, b, c)
-        for a in range(2, 13)
-        for b in range(a, 13)
-        for c in range(b, 13)
-        if a * b * c <= 500
-    ]
-    checked = 0
-    ok = True
-    for i, shape in enumerate(shapes):
-        box = Box(tuple((1, s) for s in shape))
-        frng = random.Random(families[i % 20])
-        fam = TableFamily(
-            {p: Fraction(frng.randint(1, 64)) for p in box.points()}
-        )
-        seed_seg = _full_segment(
-            box, i % 3, tuple(frng.randint(1, s) for s in shape)
-        )
-        res = black_box_reach(fam, box, seed_seg, kappa=HALF)
-        oracle = brute_reach(fam, box, seed_seg, res.lam, box.dim - 1)
-        ok = ok and oracle == res.reachable
-        checked += 1
-    _verdict(
-        6, ok, f"reach equals exhaustive chain search on {checked} boxes "
-        "(sides 2..12, <=500 points, 20 seeded weight families)"
     )
 
 

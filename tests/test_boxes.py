@@ -19,7 +19,7 @@ from critreg.boxes import (
 )
 from critreg.lattice import Box
 
-from oracles import leaves, nodes
+from oracles import leaves, nodes, non_admissible_fraction
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -156,6 +156,18 @@ class TestRoundness:
         assert all(v is not None for v in vals)
         assert max(vals) <= 2 * min(vals)
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_ff_first_box_roundness_is_closed_form(self, d):
+        # Q(0) = [1, 1 + 4^(d+1)]^(d-1), so every FF sequence has a roundness
+        # constant at least (1 + 4^(d+1))^(d-1): the orbit construction's
+        # concatenation level needs a proportion below 1/a^2 there
+        seq = build_sequence("FF", d=d, n_max=20)
+        side = 1 + 4 ** (d + 1)
+        assert seq.box(0).intervals == ((1, side),) * (d - 1)
+        assert minimal_round_constant(seq.box(0)) == side ** (d - 1)
+        # lower endpoints start at 1 and only grow, so no box lacks a constant
+        assert all(lo >= 1 for box in seq.boxes for lo, _ in box.intervals)
+
     @given(
         st.integers(1, 6), st.integers(0, 8), st.integers(1, 40), st.integers(0, 30)
     )
@@ -194,7 +206,7 @@ class TestSubdivision:
             assert chain_box.contains((1, 1, lv.level))
         assert any(lv.admissible for lv in levels)
         assert any(not lv.admissible for lv in levels)
-        frac = t.non_admissible_fraction()
+        frac = non_admissible_fraction(t)
         assert 0 < frac < 1
 
     def test_out_of_range_levels_raise(self):
@@ -230,7 +242,7 @@ class TestSubdivision:
             assert t.chain_box(lv.chain) == leaf.box
             assert lv.admissible == (leaf.depth == t.depth and not leaf.trailing)
             bad += not lv.admissible
-        assert t.non_admissible_fraction() == Fraction(bad, box.side(dim - 1))
+        assert non_admissible_fraction(t) == Fraction(bad, box.side(dim - 1))
 
     def test_ff_non_admissible_fractions(self):
         # the share of section levels lying in trailing or shallow leaves
@@ -239,7 +251,7 @@ class TestSubdivision:
         for n, frac in expect.items():
             box = s.box(n)
             t = vertical_subdivision(box, minimal_round_constant(box))
-            assert t.non_admissible_fraction() == frac
+            assert non_admissible_fraction(t) == frac
 
     def test_subdivision_memory_does_not_grow_with_section(self):
         box = build_sequence("FF", d=3, n_max=4).box(4)  # 65537 levels

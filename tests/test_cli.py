@@ -106,6 +106,27 @@ class TestRun:
     def test_boxes_ff(self):
         report = run(_cfg(kind="boxes", d=3, variant="FF", n_max=12))
         assert report["passed"]
+        # every FF box has a roundness constant; the largest is a value, not a row
+        assert [r["check"] for r in report["rows"]] == ["box-multiplicity"]
+        assert report["constants"]["max_min_roundness"] >= (1 + 4 ** 4) ** 2
+
+    @pytest.mark.parametrize("cfg", [
+        dict(kind="chain-b", d=2, variant="B-d2", alphas=("1/2", "1/2"), n_max=10),
+        dict(kind="chain-b", d=3, variant="B-d3", n_max=8),
+        dict(kind="chain-b", d=3, variant="B-general", n_max=8),
+        dict(kind="chain-ff", d=3, family="symmetric-geometric", n_max=11),
+        dict(kind="chain-ff", d=4, n_max=7),
+    ], ids=["B-d2", "B-d3", "B-general", "FF-d3", "FF-general"])
+    def test_chain_rows_and_record_count(self, cfg, monkeypatch):
+        # every flag is decided against the bound its builder's scan accepted,
+        # and chain-reverify re-decides it; the record count is a constant
+        built = []
+        build_chain = concat.build_chain
+        monkeypatch.setattr(concat, "build_chain", lambda *a: built.append(build_chain(*a))
+                            or built[-1])
+        report = run(_cfg(**cfg))
+        assert [r["check"] for r in report["rows"]] == ["chain-reverify", "budget-ratio-spread"]
+        assert report["constants"]["records"] == len(built[0].records) > 0
 
     def test_chain_b(self):
         report = run(_cfg(kind="chain-b", d=2, variant="B-d2",

@@ -27,7 +27,7 @@ from critreg.lattice import (
     weights_le,
 )
 
-from oracles import LatticePath, geodesic, sphere_points, sphere_size
+from oracles import LatticePath, box_points, geodesic, sphere_points, sphere_size
 
 
 def brute_sphere(d, n):
@@ -161,7 +161,7 @@ MASS_FAMILIES = {
     "table": (
         TableFamily({
             p: Fraction(_table_rng.randint(1, 9), _table_rng.randint(1, 9))
-            for p in Box(((4080, 4140), (4080, 4140))).points()
+            for p in box_points(Box(((4080, 4140), (4080, 4140))))
         }),
         (4080, 4090),
     ),

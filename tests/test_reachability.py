@@ -21,7 +21,6 @@ from critreg import boxes, cli, concat, lattice
 
 SRC = Path(critreg.__file__).resolve().parent
 
-REACH = "concat's reach lemma, kept until ROADMAP item 6 wires it into chain-ff or deletes it"
 FALLBACK = (
     "exact Fraction fallback of mass_le, reached only by ties within its 2^-40 margin; "
     "the geometric family's fallback is reached (chain-b B-d3), this one is not"
@@ -32,22 +31,13 @@ UNIFORM = "finite uniform family, named by ProductFamily.support and kept by des
 # a def's qualified name (module.Class.function), or the name of a class or
 # function whose methods and nested defs it covers, with the reason it stays
 ALLOWLIST = {
-    "concat.black_box_reach": REACH,
-    "concat.brute_reach": REACH,
-    "concat.flag_goodness": REACH,
-    "concat.segment_flag_boxes": REACH,
-    "concat.find_fully_good_segment": REACH,
-    "concat._all_segments": REACH,
-    "concat._segments_cross": REACH,
-    "lattice.Box.points": "enumerates a box for brute_reach: " + REACH,
-    "boxes.SubdivisionTree.non_admissible_fraction": REACH,
     "lattice.SymmetricGeometricAxis.range_mass": FALLBACK,
     "lattice.SymmetricGeometricAxis.weight": (
         "exact axis weight of segment_mass and ProductFamily.weight; " + FALLBACK
     ),
     "lattice.ProductFamily.weight": (
         "exact point weight for weights_le's fallback, which lemma1 reaches only on a "
-        "terminal tie within 2^-40, and no built-in family has one, and for brute_reach"
+        "terminal tie within 2^-40, and no built-in family has one"
     ),
     "nilpotent.UnipotentMatrix.__post_init__": ALGEBRA,
     "nilpotent.UnipotentMatrix.__mul__": ALGEBRA,
