@@ -1,13 +1,20 @@
 """Core lattice substrate: boxes, segments and weight families.
 
-Masses of boxes and segments have closed forms in two representations:
-exact rationals, and log2 masses split into an exact integer and a small
-float (`mass_log2_parts`, read as one float by `mass_log2`), so
-astronomically small weights stay computable.  Goodness decisions go
-through `mass_le`, which decides from the split form with a certified
-error margin and computes exact rationals only when the margin cannot
-decide; `weights_le` decides single point weights the same way.  Plain
-float log2 sums remain only for power sums with fractional exponents.
+A product family's weight is a rational scale times one `Axis` per
+coordinate, w(i) = coef * 2^(offset - rate |i|) on an integer interval.
+A strided range of an axis is at most two geometric runs of integer log2
+exponents, split at 0 where |i| turns, and every closed form is one
+function of those runs: the exact rational mass, the log2 mass split into
+an exact integer and a small float (`mass_log2_parts`, read as one float
+by `mass_log2`) so that astronomically small weights stay computable, and
+the float log2 of a power sum with a fractional exponent.  A point's
+weight is its one-point range; its split log2 weight and the vector of
+point log2 weights write that one run out.
+
+Goodness decisions go through `mass_le`, which decides from the split
+form with a certified error margin and computes exact rationals only when
+the margin cannot decide; `weights_le` decides single point weights the
+same way.
 """
 
 from __future__ import annotations
@@ -194,19 +201,14 @@ def log2_fraction(q: Fraction) -> float:
     return math.log2(p) - math.log2(r)
 
 
-def _run_tail_log2(stride: int, count: int) -> float:
-    """log2 of 1 + 2^-stride + ... + 2^(-stride (count-1)), which lies in [0, 1]."""
-    if count == 1:
-        return 0.0
-    return log2_one_minus_pow2(-stride * count) - log2_one_minus_pow2(-stride)
-
-
 def _geometric_sum_log2(first_log2: float, ratio_log2: float, count: int) -> float:
-    """log2 of  2^first * (1 + 2^ratio + ... + 2^(ratio*(count-1))),  ratio < 0."""
+    """log2 of  2^first * (1 + 2^ratio + ... + 2^(ratio*(count-1))),  ratio <= 0."""
     if count <= 0:
         return NEG_INF
-    if ratio_log2 >= 0:
-        raise ValueError("ratio must be < 1")
+    if ratio_log2 == 0:
+        return first_log2 + math.log2(count)
+    if ratio_log2 > 0:
+        raise ValueError("ratio must be <= 1")
     total_tail = ratio_log2 * count
     num = log2_one_minus_pow2(total_tail) if total_tail < 0 else NEG_INF
     den = log2_one_minus_pow2(ratio_log2)
@@ -217,196 +219,132 @@ def _geometric_sum_log2(first_log2: float, ratio_log2: float, count: int) -> flo
 # per-axis weights
 # ---------------------------------------------------------------------------
 
-
-class AxisWeight:
-    """One factor of a product weight family: exact sums along one axis."""
-
-    def contains(self, i: int) -> bool:
-        raise NotImplementedError
-
-    def weight(self, i: int) -> Fraction:
-        raise NotImplementedError
-
-    def log2_weight(self, i: int) -> float:
-        e, f = self.weight_log2_parts(i)
-        return e + f
-
-    def total(self) -> Fraction:
-        raise NotImplementedError
-
-    def range_mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
-        raise NotImplementedError
-
-    def range_power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
-        """log2 of the sum of weight^alpha over the strided range."""
-        raise NotImplementedError
-
-    def weight_log2_parts(self, i: int) -> Log2Parts:
-        return log2_parts(self.weight(i))
-
-    def range_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
-        """log2 of range_mass as exact integer plus float; None when empty."""
-        m = self.range_mass(lo, hi, stride)
-        return log2_parts(m) if m else None
-
-    def np_log2(self, col: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+# A run is (e, r, c): the c terms 2^e, 2^(e+r), ..., 2^(e+r(c-1)), led by the
+# largest, with integer exponents and r <= 0.
+def _run_mass(e: int, r: int, c: int) -> tuple[int, int]:
+    """A run's sum as (n, k), meaning n * 2^k exactly."""
+    if r == 0:
+        return c, e
+    return ((1 << -r * c) - 1) // ((1 << -r) - 1), e + r * (c - 1)
 
 
-def _count(lo: int, hi: int, stride: int) -> int:
-    return 0 if hi < lo else (hi - lo) // stride + 1
+@dataclass(frozen=True)
+class Axis:
+    """One factor of a product weight family: w(i) = coef * 2^(offset - rate |i|)
+    on lo <= i <= hi (lo and hi may be infinite; then rate > 0).
 
+    `coef_parts` is log2 coef as an exact integer plus a float, carried as
+    given so that the split forms below round as written.  Every form sums
+    the geometric runs of `_runs`; a point's weight is its one-point range.
+    """
 
-class GeometricAxis(AxisWeight):
-    """w(i) = 2^-(i+1) on the nonnegative integers; total mass 1."""
-
-    def contains(self, i: int) -> bool:
-        return i >= 0
-
-    def weight(self, i: int) -> Fraction:
-        if i < 0:
-            raise ValueError(f"index {i} outside cone support")
-        return Fraction(1, 2 ** (i + 1))
-
-    def total(self) -> Fraction:
-        return Fraction(1)
-
-    def range_mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
-        lo = max(lo, 0)
-        c = _count(lo, hi, stride)
-        if c == 0:
-            return Fraction(0)
-        r = Fraction(1, 2 ** stride)
-        return Fraction(1, 2 ** (lo + 1)) * (1 - r ** c) / (1 - r)
-
-    def range_power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
-        lo = max(lo, 0)
-        c = _count(lo, hi, stride)
-        if c == 0:
-            return NEG_INF
-        return _geometric_sum_log2(-alpha * (lo + 1), -alpha * stride, c)
-
-    def weight_log2_parts(self, i: int) -> Log2Parts:
-        if i < 0:
-            raise ValueError(f"index {i} outside cone support")
-        return -(i + 1), 0.0
-
-    def range_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
-        lo = max(lo, 0)
-        c = _count(lo, hi, stride)
-        return (-(lo + 1), _run_tail_log2(stride, c)) if c else None
-
-    def np_log2(self, col: np.ndarray) -> np.ndarray:
-        return -(col.astype(np.float64) + 1.0)
-
-
-class SymmetricGeometricAxis(AxisWeight):
-    """w(i) = 2^-|i| / 3 on all integers; total mass 1."""
-
-    def contains(self, i: int) -> bool:
-        return True
-
-    def weight(self, i: int) -> Fraction:
-        return Fraction(1, 3 * 2 ** abs(i))
-
-    def total(self) -> Fraction:
-        return Fraction(1)
-
-    def range_mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
-        total = Fraction(0)
-        # negative side: indices <= -1, weight 2^i/3 increasing toward 0
-        neg_hi = min(hi, -1)
-        if lo <= neg_hi:
-            c = _count(lo, neg_hi, stride)
-            first = Fraction(1, 3) * Fraction(1, 2 ** (-lo))
-            r = Fraction(2 ** stride)
-            total += first * (r ** c - 1) / (r - 1)
-        # nonnegative side: first index >= max(lo, 0) on the stride grid of lo
-        if hi >= 0:
-            start = lo if lo >= 0 else lo + ((-lo + stride - 1) // stride) * stride
-            c = _count(start, hi, stride)
-            if c:
-                first = Fraction(1, 3 * 2 ** start)
-                r = Fraction(1, 2 ** stride)
-                total += first * (1 - r ** c) / (1 - r)
-        return total
-
-    def range_power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
-        out = NEG_INF
-        lg3 = math.log2(3.0)
-        neg_hi = min(hi, -1)
-        if lo <= neg_hi:
-            c = _count(lo, neg_hi, stride)
-            # ascending weights: sum backwards from the largest term
-            top = lo + (c - 1) * stride
-            out = log2_add(
-                out, _geometric_sum_log2(alpha * top - alpha * lg3, -alpha * stride, c)
-            )
-        if hi >= 0:
-            start = lo if lo >= 0 else lo + ((-lo + stride - 1) // stride) * stride
-            c = _count(start, hi, stride)
-            if c:
-                out = log2_add(
-                    out, _geometric_sum_log2(-alpha * start - alpha * lg3, -alpha * stride, c)
-                )
-        return out
-
-    def weight_log2_parts(self, i: int) -> Log2Parts:
-        return -abs(i), -LOG2_3
-
-    def range_log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
-        # each side is one geometric run, led by its largest weight
-        neg = pos = None
-        neg_hi = min(hi, -1)
-        if lo <= neg_hi:
-            c = _count(lo, neg_hi, stride)
-            neg = (lo + (c - 1) * stride, _run_tail_log2(stride, c) - LOG2_3)
-        if hi >= 0:
-            start = lo if lo >= 0 else lo + ((-lo + stride - 1) // stride) * stride
-            c = _count(start, hi, stride)
-            if c:
-                pos = (-start, _run_tail_log2(stride, c) - LOG2_3)
-        if neg is None or pos is None:
-            return neg or pos
-        e = max(neg[0], pos[0])
-        return e, log2_add(neg[1] + (neg[0] - e), pos[1] + (pos[0] - e))
-
-    def np_log2(self, col: np.ndarray) -> np.ndarray:
-        return -np.abs(col).astype(np.float64) - math.log2(3.0)
-
-
-class UniformAxis(AxisWeight):
-    """Constant weight on a finite integer interval."""
-
-    def __init__(self, lo: int, hi: int, cell: Fraction) -> None:
-        if lo > hi or cell <= 0:
-            raise ValueError("uniform axis needs lo <= hi and positive cell mass")
-        self.lo, self.hi, self.cell = lo, hi, Fraction(cell)
+    lo: int | float
+    hi: int | float
+    coef: Fraction
+    coef_parts: Log2Parts
+    offset: int
+    rate: int
 
     def contains(self, i: int) -> bool:
         return self.lo <= i <= self.hi
 
-    def weight(self, i: int) -> Fraction:
-        if not self.contains(i):
+    def _runs(self, lo: int, hi: int, stride: int) -> list[tuple[int, int, int]]:
+        """The points lo, lo + stride, ... <= hi inside the support, as at
+        most two runs: i < 0, where the weights ascend, led by its top point,
+        then i >= 0.  A constant axis (rate 0) is one run."""
+        if lo < self.lo:  # first point of the range's own grid in the support
+            lo += -((lo - self.lo) // stride) * stride
+        if hi > self.hi:
+            hi = self.hi
+        if hi < lo:
+            return []
+        out, ratio = [], -self.rate * stride
+        if lo < 0 and self.rate:
+            top = min(hi - (hi - lo) % stride, -1 - (-1 - lo) % stride)
+            out.append((self.offset + self.rate * top, ratio, (top - lo) // stride + 1))
+            lo = top + stride
+        if lo <= hi:
+            out.append((self.offset - self.rate * lo, ratio, (hi - lo) // stride + 1))
+        return out
+
+    def mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
+        """Exact sum of the weights over the strided range."""
+        total = Fraction(0)
+        for run in self._runs(lo, hi, stride):
+            n, k = _run_mass(*run)
+            total += Fraction(n << k) if k >= 0 else Fraction(n, 1 << -k)
+        return self.coef * total
+
+    def log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
+        """log2 of `mass` as exact integer plus float; None when empty.  Two
+        runs are joined with log2_add, aligned on the larger exponent."""
+        ce, cf = self.coef_parts
+        out = None
+        for e, r, c in self._runs(lo, hi, stride):
+            # the tail, log2 of 1 + 2^r + ... + 2^(r(c-1)): integer + float in [0, 1]
+            if c == 1:
+                te, tf = 0, 0.0
+            elif r == 0:
+                te, tf = log2_parts(c)
+            else:
+                te, tf = 0, log2_one_minus_pow2(r * c) - log2_one_minus_pow2(r)
+            e, f = e + ce + te, tf + cf
+            if out is not None:
+                top = max(out[0], e)
+                e, f = top, log2_add(out[1] + (out[0] - top), f + (e - top))
+            out = e, f
+        return out
+
+    def power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
+        """log2 of the sum of weight^alpha over the strided range."""
+        ce, cf = self.coef_parts
+        out = NEG_INF
+        for e, r, c in self._runs(lo, hi, stride):
+            out = log2_add(out, _geometric_sum_log2(alpha * (e + ce) + alpha * cf, alpha * r, c))
+        return out
+
+    def _check(self, i: int) -> None:
+        if not self.lo <= i <= self.hi:
             raise ValueError(f"index {i} outside axis support [{self.lo}, {self.hi}]")
-        return self.cell
+
+    def weight(self, i: int) -> Fraction:
+        """Exact w(i), the mass of the one-point range; ValueError outside
+        the support."""
+        self._check(i)
+        return self.mass(i, i)
+
+    def point_parts(self, i: int) -> Log2Parts:
+        """`log2_parts(i, i)` written out (its one run has tail (0, 0.0)), as
+        points are decided by the thousand; ValueError outside the support."""
+        self._check(i)
+        ce, cf = self.coef_parts
+        return self.offset + ce - self.rate * abs(i), cf
 
     def total(self) -> Fraction:
-        return self.cell * (self.hi - self.lo + 1)
-
-    def range_mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
-        lo, hi = max(lo, self.lo), min(hi, self.hi)
-        return self.cell * _count(lo, hi, stride)
-
-    def range_power_log2(self, lo: int, hi: int, stride: int, alpha: float) -> float:
-        lo, hi = max(lo, self.lo), min(hi, self.hi)
-        c = _count(lo, hi, stride)
-        if not c:
-            return NEG_INF
-        return math.log2(c) + alpha * log2_fraction(self.cell)
+        """Mass of the whole support, which is finite, [0, inf) or all of Z."""
+        if math.isfinite(self.lo) and math.isfinite(self.hi):
+            return self.mass(self.lo, self.hi)
+        ratio = Fraction(1, 1 << self.rate)
+        tail = self.coef * Fraction(2) ** self.offset / (1 - ratio)
+        return tail if self.lo == 0 else tail * (1 + ratio)
 
     def np_log2(self, col: np.ndarray) -> np.ndarray:
-        return np.full(col.shape, log2_fraction(self.cell))
+        """Float log2 w(i) for the indices i of `col`, all in the support
+        (so |i| = i when lo >= 0)."""
+        ce, cf = self.coef_parts
+        out = np.multiply(col if self.lo >= 0 else np.abs(col), -self.rate, dtype=np.float64)
+        out += (self.offset + ce) + cf
+        return out
+
+
+def geometric_axis() -> Axis:
+    """w(i) = 2^-(i+1) on the nonnegative integers; total mass 1."""
+    return Axis(0, math.inf, Fraction(1), (0, 0.0), -1, 1)
+
+
+def symmetric_geometric_axis() -> Axis:
+    """w(i) = 2^-|i| / 3 on all integers; total mass 1."""
+    return Axis(-math.inf, math.inf, Fraction(1, 3), (0, -LOG2_3), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +404,7 @@ class LengthFamily:
 class ProductFamily(LengthFamily):
     """Product of per-axis weights times a rational scale."""
 
-    def __init__(self, axes: Sequence[AxisWeight], scale: Fraction = Fraction(1),
+    def __init__(self, axes: Sequence[Axis], scale: Fraction = Fraction(1),
                  name: str = "product") -> None:
         _check_dimension(len(axes))
         self.axes = tuple(axes)
@@ -475,8 +413,9 @@ class ProductFamily(LengthFamily):
         self._scale_parts = log2_parts(self.scale)
         self._scale_log2 = log2_fraction(self.scale)
         self.name = name
-        self.support = "finite" if all(isinstance(a, UniformAxis) for a in axes) else (
-            "cone" if all(isinstance(a, GeometricAxis) for a in axes) else "lattice"
+        bounded = all(math.isfinite(a.lo) and math.isfinite(a.hi) for a in axes)
+        self.support = "finite" if bounded else (
+            "cone" if all(a.lo == 0 for a in axes) else "lattice"
         )
 
     def contains(self, v: Sequence[int]) -> bool:
@@ -493,7 +432,7 @@ class ProductFamily(LengthFamily):
     def weight_log2_parts(self, v: Sequence[int]) -> Log2Parts:
         e, f = self._scale_parts
         for ax, c in zip(self.axes, v, strict=True):
-            te, tf = ax.weight_log2_parts(c)
+            te, tf = ax.point_parts(c)
             e, f = e + te, f + tf
         return e, f
 
@@ -507,7 +446,7 @@ class ProductFamily(LengthFamily):
     def box_mass(self, box: Box) -> Fraction:
         m = self.scale
         for ax, (lo, hi) in zip(self.axes, box.intervals, strict=True):
-            m *= ax.range_mass(lo, hi)
+            m *= ax.mass(lo, hi)
             if not m:
                 return Fraction(0)
         return m
@@ -515,16 +454,16 @@ class ProductFamily(LengthFamily):
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
         if isinstance(region, Box):
             terms = [
-                ax.range_log2_parts(lo, hi)
+                ax.log2_parts(lo, hi)
                 for ax, (lo, hi) in zip(self.axes, region.intervals, strict=True)
             ]
         else:
             terms = [
-                self.axes[k].weight_log2_parts(c)
+                self.axes[k].point_parts(c)
                 for k, c in enumerate(region.anchor)
                 if k != region.axis
             ]
-            terms.append(self.axes[region.axis].range_log2_parts(*region.axis_values()))
+            terms.append(self.axes[region.axis].log2_parts(*region.axis_values()))
         e, f = self._scale_parts
         for term in terms:
             if term is None:
@@ -537,17 +476,16 @@ class ProductFamily(LengthFamily):
         for k, c in enumerate(seg.anchor):
             if k != seg.axis:
                 m *= self.axes[k].weight(c)
-        lo, hi, stride = seg.axis_values()
-        return m * self.axes[seg.axis].range_mass(lo, hi, stride)
+        return m * self.axes[seg.axis].mass(*seg.axis_values())
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
         """log2 of the sum of weight^alpha over the segment's points."""
         m = alpha * self._scale_log2
         for k, c in enumerate(seg.anchor):
             if k != seg.axis:
-                m += alpha * self.axes[k].log2_weight(c)
-        lo, hi, stride = seg.axis_values()
-        return m + self.axes[seg.axis].range_power_log2(lo, hi, stride, alpha)
+                e, f = self.axes[k].point_parts(c)
+                m += alpha * (e + f)
+        return m + self.axes[seg.axis].power_log2(*seg.axis_values(), alpha)
 
     def np_log2_weight(self, pts: np.ndarray) -> np.ndarray:
         out = np.full(pts.shape[0], self._scale_log2)
@@ -608,20 +546,19 @@ class TableFamily(LengthFamily):
 def geometric_family(d: int) -> ProductFamily:
     """Product-geometric weights on the cone: w(v) = prod 2^-(v_k+1), total 1."""
     _check_dimension(d)
-    return ProductFamily([GeometricAxis() for _ in range(d)], name="geometric")
+    return ProductFamily([geometric_axis()] * d, name="geometric")
 
 
 def symmetric_geometric_family(d: int) -> ProductFamily:
     """Z^d-symmetric dyadic weights w(v) = prod 2^-|v_k|/3, total 1."""
     _check_dimension(d)
-    return ProductFamily(
-        [SymmetricGeometricAxis() for _ in range(d)], name="symmetric-geometric"
-    )
+    return ProductFamily([symmetric_geometric_axis()] * d, name="symmetric-geometric")
 
 
 def uniform_box_family(box: Box, total: Fraction = Fraction(1)) -> ProductFamily:
     """Constant weights on a finite box, renormalized to the given total."""
-    axes = [UniformAxis(lo, hi, Fraction(1, hi - lo + 1)) for lo, hi in box.intervals]
+    cells = [Fraction(1, hi - lo + 1) for lo, hi in box.intervals]
+    axes = [Axis(lo, hi, c, log2_parts(c), 0, 0) for (lo, hi), c in zip(box.intervals, cells)]
     return ProductFamily(axes, scale=Fraction(total), name="uniform")
 
 
@@ -659,12 +596,15 @@ def exact_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
 # Error of the float part of mass_log2_parts, by ulp accounting (u = 2^-53;
 # libm log2, log1p and pow within 1 ulp, as glibc documents).  The integer
 # part is exact, and the float part sums at most 7 terms (d <= 6 axis
-# terms and the scale), each in [-2, 1]:
+# terms and the scale), each in [-2, 2]:
 # - log2_parts: the correctly rounded quotient costs 1.45u in log2, and
 #   log2 of a value below 1 adds one ulp: 2.5u.
-# - _run_tail_log2: 2^-k is exact; log1p, the division by ln 2 and the
-#   subtraction: 8u.  A symmetric-axis run subtracts log2(3): 11u.
-#   Joining two runs with log2_add, whose slopes lie in [0, 1], adds 9u.
+# - per run of `Axis._runs`: the tail in `Axis.log2_parts` costs 8u, as
+#   2^-k is exact and log1p, the division by ln 2 and the subtraction are
+#   within an ulp each.  Adding the coefficient's float (-log2(3) on the
+#   symmetric axis; on a uniform axis log2_parts of the cell, and the tail
+#   is log2_parts of the count) brings a run to 11u.  Joining the two runs
+#   of a range with log2_add, whose slopes lie in [0, 1], adds 9u.
 # So each term is off by at most 33u, and the 7 additions of partial sums
 # below 16 in magnitude by 8u each: 287u per mass.  mass_ratio_log2 takes
 # two differences below 32 (16u each), the factor's 2.5u and a final sum

@@ -26,7 +26,7 @@ from .lattice import (
     Coords,
     LengthFamily,
     ProductFamily,
-    SymmetricGeometricAxis,
+    symmetric_geometric_axis,
     symmetric_geometric_family,
 )
 
@@ -196,7 +196,7 @@ class IntervalPacking:
         if not (
             isinstance(family, ProductFamily)
             and family.scale == 1
-            and all(isinstance(ax, SymmetricGeometricAxis) for ax in family.axes)
+            and all(ax == symmetric_geometric_axis() for ax in family.axes)
         ):
             raise ValueError("packing needs the symmetric-geometric family")
         self.family = family

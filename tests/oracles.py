@@ -1,13 +1,14 @@
 """Reference implementations and fixtures the tests compare critreg against.
 
 None of these runs in a CLI kind.  Each is a slow or brute-force twin of
-something the package computes in closed form (exact arrival laws and
-minimum-cost paths of the walks, sphere enumeration, box enumeration,
-subdivision leaves and the share of non-admissible levels, per-point mean
-goodness and the goodness of a segment's flag, exact packed lengths, every
-prefix of a word and the per-step orbit of a fundamental domain), a small
-fixture map for the derivative checks, or an input of those oracles (the
-walk kernel and lattice paths).
+something the package computes in closed form (the point weights of the
+built-in axes, exact arrival laws and minimum-cost paths of the walks,
+sphere enumeration, box enumeration, subdivision leaves and the share of
+non-admissible levels, per-point mean goodness and the goodness of a
+segment's flag, exact packed lengths, every prefix of a word and the
+per-step orbit of a fundamental domain), a small fixture map for the
+derivative checks, or an input of those oracles (the walk kernel and
+lattice paths).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,6 +91,35 @@ def geodesic(path: LatticePath) -> bool:
     return all(
         sum(b) - sum(a) == 1 for a, b in zip(path.points, path.points[1:])
     )
+
+
+# ---------------------------------------------------------------------------
+# point weights of the built-in axes, written out by hand
+# ---------------------------------------------------------------------------
+
+
+def geometric_weight(i: int) -> Fraction:
+    """The geometric axis: 2^-(i+1) on i >= 0, and 0 off the cone."""
+    return Fraction(1, 2 ** (i + 1)) if i >= 0 else Fraction(0)
+
+
+def symmetric_geometric_weight(i: int) -> Fraction:
+    """The symmetric-geometric axis: 2^-|i| / 3 on all integers."""
+    return Fraction(1, 3 * 2 ** abs(i))
+
+
+def uniform_weight(lo: int, hi: int) -> Callable[[int], Fraction]:
+    """An axis of `uniform_box_family` on [lo, hi]: the cell mass
+    1/(hi - lo + 1) inside, and 0 outside."""
+    return lambda i: Fraction(1, hi - lo + 1) if lo <= i <= hi else Fraction(0)
+
+
+def point_weights(
+    axis_weights: Sequence[Callable[[int], Fraction]], scale: Fraction, points: Iterable[Coords]
+) -> list[Fraction]:
+    """scale * prod_k w_k(v_k) at each point, one point at a time."""
+    return [scale * math.prod(w(c) for w, c in zip(axis_weights, v, strict=True))
+            for v in points]
 
 
 # ---------------------------------------------------------------------------

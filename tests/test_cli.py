@@ -500,10 +500,45 @@ IDENTITY_REPORTS = {
 README_IDENTITY = "6a554d761fa8b163639b39cae9e7073f0d0f3fd7da4443bf808f31f405126ecb"
 
 
-def _report_digest(argv, out):
+# exit code and sha256 of report.json for the lines whose reports carry the
+# lattice's masses, log2 masses and power sums: the five CI chain-smoke
+# lines, both README boxes lines, chain-b on the symmetric family and one
+# seeded lemma1 line per built-in family.  A changed float in any of those
+# forms shows as a changed digest.
+LATTICE_REPORTS = {
+    "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 15":
+        (0, "de5c4f666597d68315e96af5d0135da1f7fd4cc709777356af879c2fd5027031"),
+    "chain-b --d 3 --variant B-d3 --n-max 12":
+        (0, "c781b45bfcfef280f39236285b3d41dcdfc45107e5d8ed940608eb225287abf0"),
+    "chain-b --d 3 --variant B-general --n-max 40":
+        (2, "40a655a4d7436dcae8efb2bf4bd07d9cdb6ff93e3877bb392fe6ddf29bce416b"),
+    "chain-ff --d 3 --family symmetric-geometric --n-max 13":
+        (0, "550eeed448e9378b28e4f64ccba0a2236ca817a1ae41ae61b26a7b362bca3547"),
+    "chain-ff --d 4 --n-max 10":
+        (2, "f945cfa32ca708c4adcee27034897a799809de4ae5a3ee66699fa0346ed391ec"),
+    "boxes --d 3 --variant FF --n-max 16":
+        (0, "8b2eb5e4f89f1ac351ae0d6dc7a1e5bc8d747d314ff671873a02700c02f262bc"),
+    "boxes --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 20":
+        (0, "a615742000e5701ebf248682e16d0c1f55bd7563d968e1ad7d503e6990517350"),
+    "chain-b --d 2 --alpha 1/2,1/2 --family symmetric-geometric --n-max 12":
+        (0, "5c8d181b6a72e30ef11fc77a7fa4be0f490354813530ae141049b5dd7b8b2a95"),
+    "lemma1 --d 3 --n-max 200 --samples 500 --seed 42":
+        (0, "eecca368f6e65334d2aa3cbcb618e3740cf92d7a9147b1485ea1067a86aab7d6"),
+    "lemma1 --d 3 --family symmetric-geometric --n-max 200 --samples 500 --seed 42":
+        (0, "b8b2112811ed3b7829a891d288882fb9e618522c0441cd6575194f19b3be274f"),
+}
+
+
+def _report_digest(argv, out, code=0):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(out)]) == code
     return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("line", LATTICE_REPORTS)
+def test_lattice_report_bytes_are_pinned(line, tmp_path):
+    code, digest = LATTICE_REPORTS[line]
+    assert _report_digest(line.split(), tmp_path, code) == digest
 
 
 class TestIdentityReports:

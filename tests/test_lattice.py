@@ -13,21 +13,32 @@ from critreg.lattice import (
     Box,
     Segment,
     SizeGuardError,
-    SymmetricGeometricAxis,
     TableFamily,
     exact_mass,
+    geometric_axis,
     geometric_family,
     log2_fraction,
     log2_parts,
     mass_le,
     mass_log2,
     sphere_constant,
+    symmetric_geometric_axis,
     symmetric_geometric_family,
     uniform_box_family,
     weights_le,
 )
 
-from oracles import LatticePath, box_points, geodesic, sphere_points, sphere_size
+from oracles import (
+    LatticePath,
+    box_points,
+    geodesic,
+    geometric_weight,
+    point_weights,
+    sphere_points,
+    sphere_size,
+    symmetric_geometric_weight,
+    uniform_weight,
+)
 
 
 def brute_sphere(d, n):
@@ -91,27 +102,118 @@ class TestAxisClosedForms:
     @given(st.integers(-8, 8), st.integers(0, 10), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_symmetric_range_mass(self, lo, width, stride):
-        ax = SymmetricGeometricAxis()
+        ax = symmetric_geometric_axis()
         hi = lo + width
         expected = sum(
-            (ax.weight(i) for i in range(lo, hi + 1) if (i - lo) % stride == 0),
+            (symmetric_geometric_weight(i) for i in range(lo, hi + 1) if (i - lo) % stride == 0),
             Fraction(0),
         )
-        assert ax.range_mass(lo, hi, stride) == expected
+        assert ax.mass(lo, hi, stride) == expected
 
     @given(st.integers(-6, 6), st.integers(0, 8), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
     def test_power_sum_log2_matches_brute(self, lo, width, stride):
-        ax = SymmetricGeometricAxis()
+        ax = symmetric_geometric_axis()
         hi = lo + width
         alpha = 0.5
         brute = sum(
-            float(ax.weight(i)) ** alpha
+            float(symmetric_geometric_weight(i)) ** alpha
             for i in range(lo, hi + 1)
             if (i - lo) % stride == 0
         )
-        got = 2.0 ** ax.range_power_log2(lo, hi, stride, alpha)
+        got = 2.0 ** ax.power_log2(lo, hi, stride, alpha)
         assert math.isclose(got, brute, rel_tol=1e-12)
+
+    def test_a_point_is_its_one_point_range(self):
+        # point_parts writes log2_parts(i, i) out; both must give the same
+        # bits, and the exact weight must be the hand-written one
+        for ax, oracle in (
+            (geometric_axis(), geometric_weight),
+            (symmetric_geometric_axis(), symmetric_geometric_weight),
+            (uniform_box_family(Box(((-3, 9),))).axes[0], uniform_weight(-3, 9)),
+        ):
+            for i in range(-12, 13):
+                if oracle(i):
+                    assert ax.point_parts(i) == ax.log2_parts(i, i)
+                    assert ax.weight(i) == ax.mass(i, i) == oracle(i)
+                    continue
+                assert ax.log2_parts(i, i) is None and ax.mass(i, i) == 0
+                for point_form in (ax.point_parts, ax.weight):
+                    with pytest.raises(ValueError, match="outside axis support"):
+                        point_form(i)
+
+
+# family, its axis weights written out by hand, its scale, and the axis
+# values near which regions are drawn: 0 and the edges of the support
+ORACLE_FAMILIES = {
+    "geometric": (geometric_family(2), (geometric_weight,) * 2, Fraction(1), (0,)),
+    "symmetric-geometric": (
+        symmetric_geometric_family(2), (symmetric_geometric_weight,) * 2, Fraction(1), (0,)
+    ),
+    "uniform": (
+        uniform_box_family(Box(((-3, 9), (-3, 9))), Fraction(3)),
+        (uniform_weight(-3, 9),) * 2, Fraction(3), (-3, 0, 9),
+    ),
+}
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A family of ORACLE_FAMILIES with a box across its edges, or a strided
+    segment whose moving coordinate starts near an edge and may leave the
+    support (its fixed coordinate stays inside)."""
+    name = draw(st.sampled_from(sorted(ORACLE_FAMILIES)))
+    fam, weights, scale, edges = ORACLE_FAMILIES[name]
+    if draw(st.booleans()):
+        return name, Box(tuple(
+            (e - draw(st.integers(0, 12)), e + draw(st.integers(0, 12)))
+            for e in (draw(st.sampled_from(edges)) for _ in range(2))
+        ))
+    axis = draw(st.integers(0, 1))
+    anchor = [draw(st.integers(0, 9)), draw(st.integers(0, 9))]
+    anchor[axis] = draw(st.sampled_from(edges)) + draw(st.integers(-12, 12))
+    return name, Segment(
+        tuple(anchor), axis, draw(st.integers(1, 8)), step=draw(st.sampled_from((1, -1))),
+        stride=draw(st.integers(1, 5)),
+    )
+
+
+class TestMassesAgainstPointWeights:
+    """Masses, log2 masses and power sums of the closed forms against sums of
+    the hand-written point weights of tests/oracles.py over the points."""
+
+    @given(_oracle_cases(), st.sampled_from((1 / 3, 1 / 2, 2 / 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_match_enumeration(self, case, alpha):
+        name, region = case
+        fam, weights, scale, _ = ORACLE_FAMILIES[name]
+        points = box_points(region) if isinstance(region, Box) else region.points()
+        ws = point_weights(weights, scale, points)
+        total = sum(ws, Fraction(0))
+        assert exact_mass(fam, region) == total
+        if total:
+            expected = sum(log2_parts(total))
+            assert abs(mass_log2(fam, region) - expected) <= MARGIN + 2 * math.ulp(expected)
+        else:
+            assert mass_log2(fam, region) == -math.inf
+        if isinstance(region, Segment):
+            brute = sum(float(w) ** alpha for w in ws if w)
+            got = fam.segment_power_log2(region, alpha)
+            assert math.isclose(2.0 ** got, brute, rel_tol=1e-12) if brute else got == -math.inf
+
+    def test_strided_range_below_the_support_keeps_its_grid(self):
+        # the points on axis 0 are -1, 1, 3 (and 5 on the uniform box): the closed
+        # forms must count (1, 0) and (3, 0), not restart the grid at 0
+        geo = geometric_family(2)
+        seg = Segment((-1, 0), 0, 3, stride=2)
+        assert geo.segment_mass(seg) == Fraction(5, 32)
+        assert abs(mass_log2(geo, seg) - math.log2(5 / 32)) <= MARGIN
+        expected = (1 / 8) ** 0.5 + (1 / 32) ** 0.5
+        assert math.isclose(2.0 ** geo.segment_power_log2(seg, 0.5), expected, rel_tol=1e-12)
+        uniform = uniform_box_family(Box(((0, 4), (0, 0))))
+        seg = Segment((-1, 0), 0, 4, stride=2)
+        assert uniform.segment_mass(seg) == Fraction(2, 5)
+        assert abs(mass_log2(uniform, seg) - math.log2(2 / 5)) <= MARGIN
 
 
 class TestTypes:

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 from critreg.lattice import (
     DIMENSION_CAP,
+    LOG2_3,
+    Axis,
     ProductFamily,
-    SymmetricGeometricAxis,
     TableFamily,
     geometric_family,
+    symmetric_geometric_axis,
     symmetric_geometric_family,
 )
 from critreg.nilpotent import (
@@ -357,9 +361,13 @@ class TestExponents:
 
     def test_packing_takes_only_the_symmetric_geometric_family(self):
         assert IntervalPacking(symmetric_geometric_family(3)).dim == 3
-        half = ProductFamily([SymmetricGeometricAxis()] * 2, scale=Fraction(1, 2))
+        # axes are compared by value: an equal axis built by hand is accepted
+        same = Axis(-math.inf, math.inf, Fraction(1, 3), (0, -LOG2_3), 0, 1)
+        assert IntervalPacking(ProductFamily([same] * 2)).dim == 2
+        half = ProductFamily(symmetric_geometric_family(2).axes, scale=Fraction(1, 2))
+        steep = ProductFamily([dataclasses.replace(symmetric_geometric_axis(), rate=2)] * 2)
         table = TableFamily({(0, 0): Fraction(1)})
-        for family in (geometric_family(2), half, table):
+        for family in (geometric_family(2), half, steep, table):
             with pytest.raises(ValueError, match="symmetric-geometric"):
                 IntervalPacking(family)
 

@@ -21,20 +21,12 @@ from critreg import boxes, cli, concat, lattice
 
 SRC = Path(critreg.__file__).resolve().parent
 
-FALLBACK = (
-    "exact Fraction fallback of mass_le, reached only by ties within its 2^-40 margin; "
-    "the geometric family's fallback is reached (chain-b B-d3), this one is not"
-)
 ALGEBRA = "group algebra of UnipotentMatrix, kept by design next to the action the kinds use"
 UNIFORM = "finite uniform family, named by ProductFamily.support and kept by design"
 
 # a def's qualified name (module.Class.function), or the name of a class or
 # function whose methods and nested defs it covers, with the reason it stays
 ALLOWLIST = {
-    "lattice.SymmetricGeometricAxis.range_mass": FALLBACK,
-    "lattice.SymmetricGeometricAxis.weight": (
-        "exact axis weight of segment_mass and ProductFamily.weight; " + FALLBACK
-    ),
     "lattice.ProductFamily.weight": (
         "exact point weight for weights_le's fallback, which lemma1 reaches only on a "
         "terminal tie within 2^-40, and no built-in family has one"
@@ -43,10 +35,7 @@ ALLOWLIST = {
     "nilpotent.UnipotentMatrix.__mul__": ALGEBRA,
     "nilpotent.UnipotentMatrix.inverse": ALGEBRA,
     "nilpotent.UnipotentMatrix.identity": ALGEBRA,
-    "lattice.UniformAxis": UNIFORM,
     "lattice.uniform_box_family": UNIFORM,
-    "lattice.AxisWeight.weight_log2_parts": "generic default that only UniformAxis inherits",
-    "lattice.AxisWeight.range_log2_parts": "generic default that only UniformAxis inherits",
 }
 
 
