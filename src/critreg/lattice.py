@@ -458,8 +458,9 @@ class ProductFamily(LengthFamily):
                 for ax, (lo, hi) in zip(self.axes, region.intervals, strict=True)
             ]
         else:
+            # a fixed coordinate outside its axis' support leaves no point
             terms = [
-                self.axes[k].point_parts(c)
+                self.axes[k].point_parts(c) if self.axes[k].contains(c) else None
                 for k, c in enumerate(region.anchor)
                 if k != region.axis
             ]
@@ -475,6 +476,8 @@ class ProductFamily(LengthFamily):
         m = self.scale
         for k, c in enumerate(seg.anchor):
             if k != seg.axis:
+                if not self.axes[k].contains(c):
+                    return Fraction(0)
                 m *= self.axes[k].weight(c)
         return m * self.axes[seg.axis].mass(*seg.axis_values())
 
@@ -483,6 +486,8 @@ class ProductFamily(LengthFamily):
         m = alpha * self._scale_log2
         for k, c in enumerate(seg.anchor):
             if k != seg.axis:
+                if not self.axes[k].contains(c):
+                    return NEG_INF
                 e, f = self.axes[k].point_parts(c)
                 m += alpha * (e + f)
         return m + self.axes[seg.axis].power_log2(*seg.axis_values(), alpha)

@@ -15,19 +15,36 @@ true ones and C is a grid estimate, so the first inequality is tested as a
 necessary condition.  Derivative products are accumulated in log space so
 iterate counts in the tens of thousands cannot overflow.
 
-Two arguments make the float results exact where it matters:
+Three arguments make the float results exact where it matters:
 
-- The Holder estimate needs the largest ratio over all grid pairs. Entry
-  (i, j) and entry (j, i) of the pair matrix are the same floats, since
-  rounded subtraction is antisymmetric and both sides take absolute
-  values, and the diagonal contributes 0. So only the strict upper
-  triangle is evaluated, in blocks of ``HOLDER_BLOCK_ROWS`` rows.
+- The Holder estimate needs the largest ratio |ld_j - ld_i| / |x_j - x_i|^alpha
+  over all grid pairs.  Entry (i, j) and entry (j, i) of the pair matrix
+  are the same floats, since rounded subtraction is antisymmetric and both
+  sides take absolute values, and the diagonal contributes 0; so only the
+  pairs (i, i + k), k >= 1, count.  For each offset k a first pass takes
+  M_k, the largest numerator, and G_k, the least gap, and the bound
+  U_k = M_k / G_k^alpha * ``HOLDER_SLACK`` is at least every computed
+  ratio at that offset (see ``HOLDER_SLACK``).  The offsets are then
+  visited by descending U_k, each one's ratios computed exactly as the
+  full matrix computes them, until U_k is at most the best ratio so far:
+  no skipped offset can raise the maximum.  An offset whose U_k is not a
+  finite float (a NaN, a zero gap, a power below the normal range) is
+  always computed, so NaN and inf reach the result as in the full matrix.
 - The grid of J starts at x0 and ends at the float g(x0).  ``f`` acts
   elementwise, so after k steps the left end of the orbit is g^k applied
   to x0 and the right end is g^(k-1) applied to that same float g(x0):
   the right end of g^(k-1) J equals the left end of g^k J bit for bit.
   The images then form one chain of shared endpoints, and disjointness is
   an exact check that the chain is monotone.
+- The positions x_(k+1) = clip(g(x_k)) do not depend on the derivative,
+  so the orbit moves the points alone for ``ORBIT_BLOCK_STEPS`` steps and
+  then takes Dg, its positivity check and its log at all the block's
+  positions at once; ``df`` and ``log`` act elementwise, so each value is
+  the float a per-step call gives.  ``cumsum`` down the block adds the
+  rows one after another onto the carried log product, the same
+  additions in the same order as a per-step running sum.  A nonpositive
+  derivative raises at the end of its block, before any result is
+  returned.
 """
 
 from __future__ import annotations
@@ -40,16 +57,30 @@ import numpy as np
 FIXED_POINT_TOL = 1e-10
 # a row holds at k while bound - value >= -GROWTH_TOL
 GROWTH_TOL = 1e-12
-# rows of the Holder pair matrix evaluated at once (64 x 1025 floats = 0.5 MB)
+# grid rows whose pairs the Holder bound pass takes at once, in one buffer
+# of 64 x (grid + 64) floats (0.56 MB at the 1025-point grid)
 HOLDER_BLOCK_ROWS = 64
+# Every computed ratio fl(fl(|ld_(i+k) - ld_i|) / fl(fl(|x_(i+k) - x_i|)^alpha))
+# at offset k is at most U_k = fl(fl(M_k / fl(G_k^alpha)) * HOLDER_SLACK)
+# whenever fl(G_k^alpha) is a normal float, by ulp accounting (u = 2^-53;
+# each power within 2^8 ulp, e = 2^-44 relative, of the true one: glibc
+# documents 1 ulp for pow, as `lattice.MARGIN` assumes, and numpy's SIMD
+# power loops read within 1 ulp of glibc on an AVX-512 x86-64 host).
+# The numerators and gaps are the same floats in both, and x -> x^alpha
+# increases, so a ratio is at most M_k / (G_k^alpha (1 - e)) * (1 + u),
+# while U_k is at least M_k / (G_k^alpha (1 + e)) * (1 - u)^2 * SLACK.
+# SLACK >= (1 + e)(1 + u) / ((1 - e)(1 - u)^2), about 1 + 2^-43, suffices.
+HOLDER_SLACK = 1.0 + 2.0 ** -40
+# orbit steps whose derivatives are taken at once (128 x 257 floats, 0.26 MB)
+ORBIT_BLOCK_STEPS = 128
 
 
 @dataclass(frozen=True)
 class SmoothMap:
     """Closed-form interval map with derivative access.
 
-    ``f`` and ``df`` act elementwise on float64 arrays, treat -0.0 and
-    +0.0 alike and return new arrays, which the orbit step overwrites.
+    ``f`` and ``df`` act elementwise on float64 arrays of any shape, treat
+    -0.0 and +0.0 alike and return new arrays, which the orbit overwrites.
     """
 
     name: str
@@ -96,16 +127,8 @@ def parabolic_map(c: float) -> SmoothMap:
 
 def _require_positive(d: np.ndarray) -> None:
     # fmin skips NaN, which is not <= 0 either
-    if np.fmin.reduce(d) <= 0:
+    if np.fmin.reduce(d, axis=None) <= 0:
         raise ValueError("derivative must stay positive")
-
-
-def _orbit_step(g: SmoothMap, x: np.ndarray, logprod: np.ndarray) -> None:
-    """Add log Dg(x) to logprod, then move x to g(x) clipped to [a, b], in place."""
-    d = g.df(x)
-    _require_positive(d)
-    logprod += np.log(d, out=d)
-    np.minimum(np.maximum(g.f(x), g.a, out=x), g.b, out=x)
 
 
 @dataclass(frozen=True)
@@ -126,18 +149,34 @@ def holder_constant_estimate(
     d = g.df(x)
     _require_positive(d)
     ld = np.log(d)
-    # the largest ratio over the strict upper triangle, 0 for the diagonal;
-    # row block [r0, r1) against columns r0.. masks its own lower triangle;
-    # np.maximum passes a NaN on, as the max of the full matrix did
-    best = np.float64(0.0)
+    # row block [r0, r1) against columns r0.. writes |v_j - v_i| at row i,
+    # column j - r0, of a block `wide` columns wide; read with one more
+    # element per row, the same memory has offset j - i down each column.
+    # Columns past the grid are padding that neither max nor min picks, so
+    # a NaN still passes on
+    top = np.full(grid, -np.inf)  # M_k
+    gap = np.full(grid, np.inf)  # G_k
+    buf = np.empty(HOLDER_BLOCK_ROWS * (grid + HOLDER_BLOCK_ROWS + 1))
     for r0 in range(0, grid, HOLDER_BLOCK_ROWS):
-        r1 = min(r0 + HOLDER_BLOCK_ROWS, grid)
-        num = np.abs(ld[r0:r1, None] - ld[None, r0:])
-        den = np.abs(x[r0:r1, None] - x[None, r0:]) ** alpha
-        low = np.tril_indices(r1 - r0)
-        num[low] = 0.0
-        den[low] = 1.0
-        best = np.maximum(best, (num / den).max())
+        rows, width = min(HOLDER_BLOCK_ROWS, grid - r0), grid - r0
+        wide = width + rows
+        block = buf[: rows * wide].reshape(rows, wide)
+        skew = buf[: rows * (wide + 1)].reshape(rows, wide + 1)[:, :width]
+        for v, pad, fold, out in ((ld, -np.inf, np.maximum, top), (x, np.inf, np.minimum, gap)):
+            np.subtract(v[r0:], v[r0 : r0 + rows, None], out=block[:, :width])
+            np.abs(block[:, :width], out=block[:, :width])
+            block[:, width:] = pad
+            fold(out[:width], fold.reduce(skew, axis=0), out=out[:width])
+    power = gap[1:] ** alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(power >= np.finfo(float).tiny, top[1:] / power * HOLDER_SLACK, np.inf)
+    # NaN sorts last, so descending order visits NaN, then inf, first
+    best = np.float64(0.0)
+    for k in np.argsort(bound)[::-1] + 1:
+        if np.isnan(best) or (bound[k - 1] <= best and bound[k - 1] < np.inf):
+            break
+        ratio = np.abs(ld[k:] - ld[:-k]) / np.abs(x[k:] - x[:-k]) ** alpha
+        best = np.maximum(best, ratio.max())
     return HolderEstimate(alpha, float(best), grid, grid * (grid - 1) // 2)
 
 
@@ -177,15 +216,25 @@ def _domain_orbit(g: SmoothMap, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     steps forward.  Returns var_J log Dg^k for k = 1..k_max (max - min over
     the grid) and the (left, right) ends of g^k J for k = 0..k_max."""
     x0 = 0.5 * (g.a + g.b)
-    x = np.linspace(x0, float(g.f(np.float64(x0))), 257)
-    logprod = np.zeros_like(x)
+    pos = np.empty((ORBIT_BLOCK_STEPS + 1, 257))
+    pos[0] = np.linspace(x0, float(g.f(np.float64(x0))), 257)
+    logprod = np.zeros(257)
     variation = np.empty(k_max)
     ends = np.empty((k_max + 1, 2))
-    ends[0] = x[0], x[-1]
-    for k in range(1, k_max + 1):
-        _orbit_step(g, x, logprod)
-        variation[k - 1] = np.ptp(logprod)
-        ends[k] = x[0], x[-1]
+    ends[0] = pos[0, 0], pos[0, -1]
+    for k0 in range(0, k_max, ORBIT_BLOCK_STEPS):
+        steps = min(ORBIT_BLOCK_STEPS, k_max - k0)
+        for s in range(steps):
+            np.minimum(np.maximum(g.f(pos[s]), g.a, out=pos[s + 1]), g.b, out=pos[s + 1])
+        d = g.df(pos[:steps])
+        _require_positive(d)
+        np.log(d, out=d)
+        d[0] += logprod
+        np.cumsum(d, axis=0, out=d)
+        variation[k0 : k0 + steps] = np.ptp(d, axis=1)
+        ends[k0 + 1 : k0 + steps + 1] = pos[1 : steps + 1, [0, -1]]
+        logprod = d[-1]
+        pos[0] = pos[steps]
     return variation, ends
 
 

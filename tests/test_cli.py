@@ -528,6 +528,31 @@ LATTICE_REPORTS = {
         (0, "b8b2112811ed3b7829a891d288882fb9e618522c0441cd6575194f19b3be274f"),
 }
 
+# exit code and sha256 of report.json for dynamics lines: the README line,
+# k_max one below, at and one above smooth.ORBIT_BLOCK_STEPS (128) and twice
+# it, both ends of the c range and two Holder exponents.  A changed float in
+# the orbit or the Holder estimate shows as a changed digest.
+DYNAMICS_REPORTS = {
+    "dynamics --c-param 1.0 --alpha-holder 1/2 --k-max 10000":
+        (0, "c472ef0f1c9ba9c05aed44591ad3daa604eff633a266878cc8fab4bc283b9085"),
+    "dynamics --c-param 1.0 --alpha-holder 1/2 --k-max 127":
+        (0, "22bfdb78a22d4a6a59898b321b5872d6bb01b7a18482811b671f0e87ce24dfb4"),
+    "dynamics --c-param 1.0 --alpha-holder 1/2 --k-max 128":
+        (0, "3bbf38408b19c306534570a06c05f539e54dce89d75fe383a7bc76419fd90597"),
+    "dynamics --c-param 1.0 --alpha-holder 1/2 --k-max 129":
+        (0, "b0c7f94ffb9e1f17e41aa61c9aded9f0075e8394d3414b5ac88305dd8194a98a"),
+    "dynamics --c-param 1.0 --alpha-holder 1/2 --k-max 256":
+        (0, "c6b18dca032cf55f848fd3f5325c269dc1958945301de278c3c319bf02103f02"),
+    "dynamics --c-param 0.05 --alpha-holder 1/2 --k-max 750":
+        (0, "d177b2ddf5b9fdc9023d82909bd85a95598272cdd3a1ec1c1c10e915ddcd57bd"),
+    "dynamics --c-param 3.9 --alpha-holder 1/2 --k-max 750":
+        (0, "c0af43a1f4469966e6005fcbf99c8cafab5e81c62b71ee8c0e22607d724e4ec8"),
+    "dynamics --c-param 1.0 --alpha-holder 1/10 --k-max 750":
+        (0, "986ede68e2076ee8531b65007e5253711f4156e3f6d53b4457cfa18eb1f2c588"),
+    "dynamics --c-param 1.0 --alpha-holder 9/10 --k-max 750":
+        (0, "c02135ca711a233348ed2c00aa8629fa209e1f4e46436500e1e72548b1395975"),
+}
+
 
 def _report_digest(argv, out, code=0):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -538,6 +563,12 @@ def _report_digest(argv, out, code=0):
 @pytest.mark.parametrize("line", LATTICE_REPORTS)
 def test_lattice_report_bytes_are_pinned(line, tmp_path):
     code, digest = LATTICE_REPORTS[line]
+    assert _report_digest(line.split(), tmp_path, code) == digest
+
+
+@pytest.mark.parametrize("line", DYNAMICS_REPORTS)
+def test_dynamics_report_bytes_are_pinned(line, tmp_path):
+    code, digest = DYNAMICS_REPORTS[line]
     assert _report_digest(line.split(), tmp_path, code) == digest
 
 

@@ -160,8 +160,7 @@ ORACLE_FAMILIES = {
 @st.composite
 def _oracle_cases(draw):
     """A family of ORACLE_FAMILIES with a box across its edges, or a strided
-    segment whose moving coordinate starts near an edge and may leave the
-    support (its fixed coordinate stays inside)."""
+    segment whose coordinates lie near the edges and may leave the support."""
     name = draw(st.sampled_from(sorted(ORACLE_FAMILIES)))
     fam, weights, scale, edges = ORACLE_FAMILIES[name]
     if draw(st.booleans()):
@@ -170,8 +169,7 @@ def _oracle_cases(draw):
             for e in (draw(st.sampled_from(edges)) for _ in range(2))
         ))
     axis = draw(st.integers(0, 1))
-    anchor = [draw(st.integers(0, 9)), draw(st.integers(0, 9))]
-    anchor[axis] = draw(st.sampled_from(edges)) + draw(st.integers(-12, 12))
+    anchor = [draw(st.sampled_from(edges)) + draw(st.integers(-12, 12)) for _ in range(2)]
     return name, Segment(
         tuple(anchor), axis, draw(st.integers(1, 8)), step=draw(st.sampled_from((1, -1))),
         stride=draw(st.integers(1, 5)),
@@ -200,6 +198,16 @@ class TestMassesAgainstPointWeights:
             brute = sum(float(w) ** alpha for w in ws if w)
             got = fam.segment_power_log2(region, alpha)
             assert math.isclose(2.0 ** got, brute, rel_tol=1e-12) if brute else got == -math.inf
+
+    def test_fixed_coordinate_outside_the_support_has_no_mass(self):
+        # every point of the segment has first coordinate -1, as every point
+        # of the box has: both masses are 0, and no form raises
+        geo = geometric_family(2)
+        seg = Segment((-1, 0), 1, 6)
+        assert geo.segment_mass(seg) == geo.box_mass(Box(((-1, -1), (0, 5)))) == 0
+        assert geo.mass_log2_parts(seg) is None
+        assert geo.segment_power_log2(seg, 0.5) == -math.inf
+        assert mass_le(geo, seg, (Fraction(1), Box(((0, 0), (0, 0)))))
 
     def test_strided_range_below_the_support_keeps_its_grid(self):
         # the points on axis 0 are -1, 1, 3 (and 5 on the uniform box): the closed

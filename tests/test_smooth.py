@@ -163,12 +163,49 @@ EXACT_MAPS = {
 }
 
 
+# k_max on both sides of the orbit's block edges
+BLOCK_EDGES = (
+    smooth.ORBIT_BLOCK_STEPS - 1,
+    smooth.ORBIT_BLOCK_STEPS,
+    smooth.ORBIT_BLOCK_STEPS + 1,
+    2 * smooth.ORBIT_BLOCK_STEPS,
+)
+
+
 class TestExactness:
     @pytest.mark.parametrize("name", sorted(EXACT_MAPS))
     def test_holder_matches_full_matrix(self, name):
         g, _ = EXACT_MAPS[name]
         for alpha in (1 / 3, 0.5, 2 / 3, 1.0):
-            for grid in (2, 3, 64, 65, 200, 1025):
+            for grid in (1, 2, 3, 64, 65, 200, 1025):
+                got = holder_constant_estimate(g, alpha, grid).constant
+                assert got == full_matrix_holder(g, alpha, grid), (alpha, grid)
+            with pytest.raises(ValueError):  # an empty grid has no pair
+                holder_constant_estimate(g, alpha, 0)
+
+    def test_holder_coincident_points_give_nan(self):
+        # on two adjacent floats the grid repeats points, and a pair with
+        # equal ends has 0 / 0: the full matrix's max is NaN, and so is the
+        # estimate
+        b = np.nextafter(1.0, 2.0)
+        for df in (lambda x: 1 + x, lambda x: np.where(x > 1, 3.0, 2.0)):
+            g = SmoothMap("two-floats", lambda x: x, df, 1.0, b)
+            for alpha in (1 / 3, 0.5, 1.0):
+                for grid in (3, 5, 64, 65, 200):
+                    with np.errstate(invalid="ignore"):
+                        assert np.isnan(full_matrix_holder(g, alpha, grid))
+                        assert np.isnan(holder_constant_estimate(g, alpha, grid).constant)
+
+    def test_holder_gaps_of_few_ulps(self):
+        # on 1000 ulps of 1.0 the grid's gaps differ by whole ulps, so an
+        # offset's bound M_k / G_k^alpha can exceed its ratios by 1/(4k);
+        # with alpha near 1 the largest ratio (at the widest pair) then sits
+        # below the bound of a narrower offset, and only the stop rule
+        # against the exact ratios finds it
+        g = SmoothMap("few-ulps", lambda x: x, lambda x: np.exp((x - 1) * 2.0 ** 40),
+                      1.0, 1 + 1000 * 2.0 ** -52)
+        for alpha in (1 / 3, 0.5, 0.99, 0.999, 1.0):
+            for grid in (65, 200, 257):
                 got = holder_constant_estimate(g, alpha, grid).constant
                 assert got == full_matrix_holder(g, alpha, grid), (alpha, grid)
 
@@ -176,17 +213,19 @@ class TestExactness:
     def test_images_share_endpoints(self, name):
         # the right end of g^(k-1) J and the left end of g^k J are one float
         g, k_max = EXACT_MAPS[name]
-        _, ends = smooth._domain_orbit(g, k_max)
-        bits = ends.view(np.int64)
-        assert np.array_equal(bits[1:, 0], bits[:-1, 1])
+        for k in (*BLOCK_EDGES, k_max):
+            _, ends = smooth._domain_orbit(g, k)
+            bits = ends.view(np.int64)
+            assert np.array_equal(bits[1:, 0], bits[:-1, 1]), k
 
     @pytest.mark.parametrize("name", sorted(EXACT_MAPS))
     def test_orbit_matches_per_step_oracle(self, name):
         g, k_max = EXACT_MAPS[name]
-        variation, ends = smooth._domain_orbit(g, k_max)
-        want_variation, want_ends = domain_orbit(g, k_max)
-        assert np.array_equal(variation, want_variation)
-        assert np.array_equal(ends, want_ends)
+        for k in (*BLOCK_EDGES, k_max):
+            variation, ends = smooth._domain_orbit(g, k)
+            want_variation, want_ends = domain_orbit(g, k)
+            assert np.array_equal(variation, want_variation), k
+            assert np.array_equal(ends, want_ends), k
         if name != "identity":  # whose x0 is fixed
             sums = check(g, 0.5, k_max).partial_sums
             assert sums == tuple(np.cumsum(np.abs(np.diff(want_ends[:-1], axis=1)[:, 0])))
@@ -207,17 +246,18 @@ class TestExactness:
             assert np.array_equal(ends, want_ends)
 
 
-# J = [1/2, 1/2 + 1/512] moves right by 1/512 a step, on exact binary
-# fractions; the derivative is 0 at the one point KINK, which the right end
-# of J reaches after 20 steps
-KINK = 0.5 + 21 / 512
-TRANSLATE_THEN_KINK = SmoothMap(
-    "translate-then-kink",
-    lambda x: x + 1 / 512,
-    lambda x: np.where(x == KINK, 0.0, 1.0),
-    0.0,
-    1.0,
-)
+def translate_then_kink(n):
+    """J = [1/2, 1/2 + 1/512] moves right by 1/512 a step, on exact binary
+    fractions; the derivative is 0 at the one point 1/2 + n/512, which the
+    right end of J reaches after n - 1 steps, so step n meets it."""
+    kink = 0.5 + n / 512
+    return SmoothMap(
+        f"translate-then-kink({n})",
+        lambda x: x + 1 / 512,
+        lambda x: np.where(x == kink, 0.0, 1.0),
+        0.0,
+        1.0,
+    )
 
 
 class TestPositivity:
@@ -232,13 +272,29 @@ class TestPositivity:
                 run()
 
     def test_zero_derivative_reached_later(self):
-        g = TRANSLATE_THEN_KINK
+        g = translate_then_kink(21)
         rep = fundamental_domain_check(g, 0.5, 0.0, 20)
         assert rep.disjoint and rep.partial_sums[-1] == 20 / 512
         for run in (lambda: fundamental_domain_check(g, 0.5, 0.0, 21),
                     lambda: domain_orbit(g, 21)):
             with pytest.raises(ValueError, match="derivative must stay positive"):
                 run()
+
+    # the zero derivative at the first step of the first and second blocks,
+    # at the last step of the first and in the middle of the second (step 21,
+    # in the middle of the first, is the test above)
+    @pytest.mark.parametrize("n", [1, smooth.ORBIT_BLOCK_STEPS,
+                                   smooth.ORBIT_BLOCK_STEPS + 1, 200])
+    def test_zero_derivative_at_block_positions(self, n):
+        g = translate_then_kink(n)
+        if n > 1:
+            rep = fundamental_domain_check(g, 0.5, 0.0, n - 1)
+            assert rep.disjoint and rep.partial_sums[-1] == (n - 1) / 512
+        for k_max in (n, n + 1, 2 * smooth.ORBIT_BLOCK_STEPS):
+            for run in (lambda: smooth._domain_orbit(g, k_max),
+                        lambda: fundamental_domain_check(g, 0.5, 0.0, k_max)):
+                with pytest.raises(ValueError, match="derivative must stay positive"):
+                    run()
 
 
 def test_holder_memory_is_blockwise():
