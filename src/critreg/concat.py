@@ -13,8 +13,8 @@ Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
 into an exact integer and a small float (weights like 2^-10^9 are far
 outside both float range and sane rational bit-lengths), whenever the two
-sides are further apart than a certified rounding margin, and compares
-exact rationals otherwise.  A record stores the bound pair (q, B) next to
+sides are further apart than a certified rounding margin, and by an exact
+sum of powers of two otherwise.  A record stores the bound pair (q, B) next to
 the flag, so `verify_chain` re-decides it from the weight family alone.
 
 Four builders take their goodness levels from closed forms.  FF-general's
@@ -149,19 +149,13 @@ class ChainCertificate:
     kind: str
     seq: BoxSequence
     family_name: str
-    alphas: tuple[Fraction, ...] | Fraction
+    alphas: tuple[Fraction, ...]  # per axis of the boxes
     masses_log2: dict[int, float]
     measured: dict[str, float]
     records: list[SegmentRecord] = field(default_factory=list)
     stretches: list[Segment] = field(default_factory=list)
     power_ratio_log2: float = NEG_INF  # max of power_sum_log2 - power_base_log2
     notes: tuple[str, ...] = ()
-
-
-def _alpha_for(alphas, axis: int) -> float:
-    if isinstance(alphas, tuple):
-        return float(alphas[axis])
-    return float(alphas)
 
 
 def _new_cert(
@@ -201,7 +195,7 @@ def _assemble(
     entries = [legs[0].seg.anchor, *joints]
     exits = [*joints, legs[-1].seg.last() if last_exit is None else last_exit]
     for (n, label, seg, kind, bound, generator), entry, exit_ in zip(legs, entries, exits):
-        alpha = _alpha_for(cert.alphas, seg.axis)
+        alpha = float(cert.alphas[seg.axis])
         cert.records.append(
             SegmentRecord(
                 n=n,
@@ -282,11 +276,7 @@ def _stretch(entry: Coords, exit_: Coords, axis: int, stride: int = 1) -> Segmen
 
 def _measure(cert: ChainCertificate) -> None:
     """Fill the measured-constants table of a freshly built chain."""
-    alphas = cert.alphas
-    if isinstance(alphas, tuple):
-        alpha_min = float(min(alphas))
-    else:
-        alpha_min = float(alphas)
+    alpha_min = float(min(cert.alphas))
     cert.power_ratio_log2 = max(
         (r.power_sum_log2 - r.power_base_log2 for r in cert.records), default=NEG_INF
     )
@@ -329,7 +319,7 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
         and mass_log2(family, r.seg) == r.mass_log2
         for r in cert.records
     )
-    alphas = [_alpha_for(cert.alphas, r.seg.axis) for r in cert.records]
+    alphas = [float(cert.alphas[r.seg.axis]) for r in cert.records]
     power_sums = [family.segment_power_log2(r.seg, a) for r, a in zip(cert.records, alphas)]
     powers = all(ps == r.power_sum_log2 for ps, r in zip(power_sums, cert.records))
     containment = all(
@@ -802,9 +792,9 @@ def chain_start_stage(seq: BoxSequence) -> int:
 def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     if seq.kind != "FF" or seq.d != 3:
         raise ValueError("needs the FF sequence with d=3")
-    alpha = Fraction(1, 3)  # 2/(d(d-1)) at d=3
+    alphas = (Fraction(1, 3),) * 2  # 2/(d(d-1)) at d=3, on both axes of the boxes
     lam = Fraction(2)
-    cert = _new_cert("FF-d3", family, seq, alpha, {"lambda": float(lam)})
+    cert = _new_cert("FF-d3", family, seq, alphas, {"lambda": float(lam)})
     n0 = chain_start_stage(seq)
     n_end = max(seq.indices())
     if n_end - n0 < 2:
@@ -883,8 +873,7 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
         raise ValueError("needs an FF sequence")
     d = seq.d
     dim = d - 1
-    alpha = Fraction(2, d * (d - 1))
-    cert = _new_cert("FF-general", family, seq, alpha)
+    cert = _new_cert("FF-general", family, seq, (Fraction(2, d * (d - 1)),) * dim)
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
     # each box walks from its entry to the lower corner of its overlap with
     # the next box, one full segment per axis
@@ -994,8 +983,7 @@ def distortion_budget(
     that holds its cut.  Since 0.0 + x == x, every budget is the same
     float as re-summing the stretches from the walk's start.
     """
-    alphas = cert.alphas
-    alpha_min = float(min(alphas)) if isinstance(alphas, tuple) else float(alphas)
+    alpha_min = float(min(cert.alphas))
     stretches = cert.stretches
     starts = [0]
     for s in stretches:
@@ -1006,7 +994,7 @@ def distortion_budget(
         """Sum of weight^alpha over points 0..t_hi of stretch i."""
         s = stretches[i]
         part = Segment(s.anchor, s.axis, t_hi + 1, step=s.step, stride=s.stride)
-        return 2.0 ** family.segment_power_log2(part, _alpha_for(alphas, s.axis))
+        return 2.0 ** family.segment_power_log2(part, float(cert.alphas[s.axis]))
 
     # a stretch owns its points up to the next stretch's start; the last one
     # owns its end point too, and a non-final one-point stretch owns nothing

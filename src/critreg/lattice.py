@@ -4,7 +4,7 @@ A product family's weight is a rational scale times one `Axis` per
 coordinate, w(i) = coef * 2^(offset - rate |i|) on an integer interval.
 A strided range of an axis is at most two geometric runs of integer log2
 exponents, split at 0 where |i| turns, and every closed form is one
-function of those runs: the exact rational mass, the log2 mass split into
+function of those runs: the exact dyadic mass, the log2 mass split into
 an exact integer and a small float (`mass_log2_parts`, read as one float
 by `mass_log2`) so that astronomically small weights stay computable, and
 the float log2 of a power sum with a fractional exponent.  A point's
@@ -12,15 +12,17 @@ weight is its one-point range; its split log2 weight and the vector of
 point log2 weights write that one run out.
 
 Goodness decisions go through `mass_le`, which decides from the split
-form with a certified error margin and computes exact rationals only when
-the margin cannot decide; `weights_le` decides single point weights the
-same way.
+form with a certified error margin, and where that cannot decide from
+the sign of one exact sum of powers of two, at any coordinates;
+`weights_le` decides point weights so, falling back to exact rationals.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -34,10 +36,6 @@ DIMENSION_CAP = 6
 
 LN2 = math.log(2.0)
 LOG2_3 = math.log2(3.0)
-
-
-class SizeGuardError(ValueError):
-    """Raised when an exact computation would exceed its size guard."""
 
 
 def _check_dimension(d: int) -> None:
@@ -215,19 +213,48 @@ def _geometric_sum_log2(first_log2: float, ratio_log2: float, count: int) -> flo
     return first_log2 + num - den
 
 
+# A dyadic sum {e: c} is the integer combination sum c 2^e of powers of two,
+# exact at exponents far outside float range.
+Dyadic = dict[int, int]
+ONE: Dyadic = {0: 1}
+
+
+def _product(k: int, *sums: Dyadic) -> Dyadic:
+    """The product of an integer and dyadic sums, term by term."""
+    out = {0: k}
+    for s in sums:
+        nxt: Dyadic = {}
+        for e, c in out.items():
+            for f, g in s.items():
+                nxt[e + f] = nxt.get(e + f, 0) + c * g
+        out = nxt
+    return out
+
+
+def _sign(terms: Iterable[tuple[int, int]]) -> int:
+    """The exact sign of sum c 2^e over (e, c) terms, read from the top e down.
+
+    acc holds the terms read so far in units of 2^top.  The terms from e
+    down are below 2^(e + b), b the bit length of their total |c|, so once
+    acc != 0 and top - e >= b the sign is acc's; a nonzero acc is never
+    shifted further, so the cost depends on the term count alone.
+    """
+    items = sorted(((e, c) for e, c in terms if c), reverse=True)
+    below = list(itertools.accumulate(abs(c) for _, c in reversed(items)))[::-1]
+    acc, top = 0, items[0][0] if items else 0
+    for (e, c), total in zip(items, below):
+        if acc and top - e >= total.bit_length():
+            break
+        acc, top = (acc << top - e) + c, e
+    return (acc > 0) - (acc < 0)
+
+
 # ---------------------------------------------------------------------------
 # per-axis weights
 # ---------------------------------------------------------------------------
 
 # A run is (e, r, c): the c terms 2^e, 2^(e+r), ..., 2^(e+r(c-1)), led by the
 # largest, with integer exponents and r <= 0.
-def _run_mass(e: int, r: int, c: int) -> tuple[int, int]:
-    """A run's sum as (n, k), meaning n * 2^k exactly."""
-    if r == 0:
-        return c, e
-    return ((1 << -r * c) - 1) // ((1 << -r) - 1), e + r * (c - 1)
-
-
 @dataclass(frozen=True)
 class Axis:
     """One factor of a product weight family: w(i) = coef * 2^(offset - rate |i|)
@@ -267,17 +294,27 @@ class Axis:
             out.append((self.offset - self.rate * lo, ratio, (hi - lo) // stride + 1))
         return out
 
-    def mass(self, lo: int, hi: int, stride: int = 1) -> Fraction:
-        """Exact sum of the weights over the strided range."""
-        total = Fraction(0)
-        for run in self._runs(lo, hi, stride):
-            n, k = _run_mass(*run)
-            total += Fraction(n << k) if k >= 0 else Fraction(n, 1 << -k)
-        return self.coef * total
+    def form(self, lo: int, hi: int, stride: int = 1) -> tuple[Dyadic, Dyadic]:
+        """The strided range's mass over `coef`, exactly, as num / den.  Its
+        runs share r; each adds 2^(e-r) - 2^(e-r+rc) over den = 2^-r - 1, or,
+        when r = 0 or every run is one point, c 2^e over den = 1."""
+        runs, r = self._runs(lo, hi, stride), -self.rate * stride
+        num: Dyadic = defaultdict(int)
+        if r == 0 or all(c == 1 for *_, c in runs):
+            for e, _, c in runs:
+                num[e] += c
+            return num, ONE
+        for e, _, c in runs:
+            num[e - r] += 1
+            num[e - r + r * c] -= 1
+        return num, {-r: 1, 0: -1}
 
     def log2_parts(self, lo: int, hi: int, stride: int = 1) -> Log2Parts | None:
-        """log2 of `mass` as exact integer plus float; None when empty.  Two
-        runs are joined with log2_add, aligned on the larger exponent."""
+        """log2 of the mass, coef times `form`, as exact integer plus float;
+        None when empty.  Two runs are joined with log2_add, aligned on the
+        larger exponent; a point is its one run, written out by `point_parts`."""
+        if lo == hi:
+            return self.point_parts(lo) if self.lo <= lo <= self.hi else None
         ce, cf = self.coef_parts
         out = None
         for e, r, c in self._runs(lo, hi, stride):
@@ -307,12 +344,6 @@ class Axis:
         if not self.lo <= i <= self.hi:
             raise ValueError(f"index {i} outside axis support [{self.lo}, {self.hi}]")
 
-    def weight(self, i: int) -> Fraction:
-        """Exact w(i), the mass of the one-point range; ValueError outside
-        the support."""
-        self._check(i)
-        return self.mass(i, i)
-
     def point_parts(self, i: int) -> Log2Parts:
         """`log2_parts(i, i)` written out (its one run has tail (0, 0.0)), as
         points are decided by the thousand; ValueError outside the support."""
@@ -320,13 +351,13 @@ class Axis:
         ce, cf = self.coef_parts
         return self.offset + ce - self.rate * abs(i), cf
 
-    def total(self) -> Fraction:
-        """Mass of the whole support, which is finite, [0, inf) or all of Z."""
+    def total_form(self) -> tuple[Dyadic, Dyadic]:
+        """`form` of the whole support, which is finite, [0, inf) or all of Z;
+        an endless run keeps only 2^(e-r): 2^(offset+rate) from 0, 2^offset from -1."""
         if math.isfinite(self.lo) and math.isfinite(self.hi):
-            return self.mass(self.lo, self.hi)
-        ratio = Fraction(1, 1 << self.rate)
-        tail = self.coef * Fraction(2) ** self.offset / (1 - ratio)
-        return tail if self.lo == 0 else tail * (1 + ratio)
+            return self.form(self.lo, self.hi)
+        num = {self.offset + self.rate: 1, self.offset: int(self.lo < 0)}
+        return num, {self.rate: 1, 0: -1}
 
     def np_log2(self, col: np.ndarray) -> np.ndarray:
         """Float log2 w(i) for the indices i of `col`, all in the support
@@ -350,6 +381,29 @@ def symmetric_geometric_axis() -> Axis:
 # ---------------------------------------------------------------------------
 # weight families
 # ---------------------------------------------------------------------------
+
+
+class MassForm(NamedTuple):
+    """An exact mass c * num / den: a rational and two dyadic sums."""
+
+    c: Fraction
+    num: Dyadic
+    den: Dyadic
+
+    def value(self) -> Fraction:
+        """The mass as a rational, with as many bits as coordinates are large."""
+        low = min(*self.num, *self.den, 0)
+        n, m = (sum(k << e - low for e, k in s.items()) for s in (self.num, self.den))
+        return self.c * Fraction(n, m)
+
+
+def _ranges(region: Box | Segment) -> list[tuple[int, int, int, int]]:
+    """(axis, lo, hi, stride) over a box's axes, or over a segment's fixed
+    axes and then its moving one, the order in which log2 masses are summed."""
+    if isinstance(region, Box):
+        return [(k, lo, hi, 1) for k, (lo, hi) in enumerate(region.intervals)]
+    fixed = [(k, c, c, 1) for k, c in enumerate(region.anchor) if k != region.axis]
+    return [*fixed, (region.axis, *region.axis_values())]
 
 
 class LengthFamily:
@@ -381,10 +435,8 @@ class LengthFamily:
     def total_mass(self) -> Fraction:
         raise NotImplementedError
 
-    def box_mass(self, box: Box) -> Fraction:
-        raise NotImplementedError
-
-    def segment_mass(self, seg: Segment) -> Fraction:
+    def mass_form(self, region: Box | Segment) -> MassForm:
+        """The exact mass of a box or segment as c * num / den."""
         raise NotImplementedError
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
@@ -394,7 +446,7 @@ class LengthFamily:
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
         """log2 mass of a box or segment as an exact integer plus a float
         of magnitude below 16; None on zero mass."""
-        m = exact_mass(self, region)
+        m = self.mass_form(region).value()
         return log2_parts(m) if m else None
 
     def np_log2_weight(self, pts: np.ndarray) -> np.ndarray:
@@ -410,6 +462,7 @@ class ProductFamily(LengthFamily):
         self.axes = tuple(axes)
         self.d = len(axes)
         self.scale = Fraction(scale)
+        self._coef = self.scale * math.prod(ax.coef for ax in self.axes)
         self._scale_parts = log2_parts(self.scale)
         self._scale_log2 = log2_fraction(self.scale)
         self.name = name
@@ -424,10 +477,8 @@ class ProductFamily(LengthFamily):
         )
 
     def weight(self, v: Sequence[int]) -> Fraction:
-        w = self.scale
-        for ax, c in zip(self.axes, v, strict=True):
-            w *= ax.weight(c)
-        return w
+        self.weight_log2_parts(v)  # the ValueError of each axis outside the support
+        return self.mass_form(Box(tuple((c, c) for c in v))).value()
 
     def weight_log2_parts(self, v: Sequence[int]) -> Log2Parts:
         e, f = self._scale_parts
@@ -438,48 +489,25 @@ class ProductFamily(LengthFamily):
 
     @property
     def total_mass(self) -> Fraction:
-        t = self.scale
-        for ax in self.axes:
-            t *= ax.total()
-        return t
+        return self._form([ax.total_form() for ax in self.axes]).value()
 
-    def box_mass(self, box: Box) -> Fraction:
-        m = self.scale
-        for ax, (lo, hi) in zip(self.axes, box.intervals, strict=True):
-            m *= ax.mass(lo, hi)
-            if not m:
-                return Fraction(0)
-        return m
+    def _form(self, forms: Sequence[tuple[Dyadic, Dyadic]]) -> MassForm:
+        """scale times the per-axis forms: every axis gives its coef once."""
+        nums, dens = zip(*forms)
+        return MassForm(self._coef, _product(1, *nums), _product(1, *dens))
+
+    def mass_form(self, region: Box | Segment) -> MassForm:
+        return self._form([self.axes[k].form(lo, hi, s) for k, lo, hi, s in _ranges(region)])
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
-        if isinstance(region, Box):
-            terms = [
-                ax.log2_parts(lo, hi)
-                for ax, (lo, hi) in zip(self.axes, region.intervals, strict=True)
-            ]
-        else:
-            # a fixed coordinate outside its axis' support leaves no point
-            terms = [
-                self.axes[k].point_parts(c) if self.axes[k].contains(c) else None
-                for k, c in enumerate(region.anchor)
-                if k != region.axis
-            ]
-            terms.append(self.axes[region.axis].log2_parts(*region.axis_values()))
         e, f = self._scale_parts
-        for term in terms:
+        for k, lo, hi, s in _ranges(region):
+            term = self.axes[k].log2_parts(lo, hi, s)
+            # a fixed coordinate outside its axis' support leaves no point
             if term is None:
                 return None
             e, f = e + term[0], f + term[1]
         return e, f
-
-    def segment_mass(self, seg: Segment) -> Fraction:
-        m = self.scale
-        for k, c in enumerate(seg.anchor):
-            if k != seg.axis:
-                if not self.axes[k].contains(c):
-                    return Fraction(0)
-                m *= self.axes[k].weight(c)
-        return m * self.axes[seg.axis].mass(*seg.axis_values())
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
         """log2 of the sum of weight^alpha over the segment's points."""
@@ -530,18 +558,17 @@ class TableFamily(LengthFamily):
     def total_mass(self) -> Fraction:
         return sum(self.table.values(), Fraction(0))
 
-    def box_mass(self, box: Box) -> Fraction:
-        return sum(
-            (w for v, w in self.table.items() if box.contains(v)), Fraction(0)
-        )
-
-    def segment_mass(self, seg: Segment) -> Fraction:
-        return sum((self.weight(p) for p in seg.points()), Fraction(0))
+    def mass_form(self, region: Box | Segment) -> MassForm:
+        """The sum of the weights of the region's points in the table, over 1."""
+        pts = filter(region.contains, self.table) if isinstance(region, Box) else region.points()
+        total = sum((self.table[p] for p in pts if p in self.table), Fraction(0))
+        return MassForm(total, ONE, ONE)
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
         out = NEG_INF
         for p in seg.points():
-            out = log2_add(out, alpha * self.log2_weight(p))
+            if p in self.table:
+                out = log2_add(out, alpha * self.log2_weight(p))
         return out
 
     def np_log2_weight(self, pts: np.ndarray) -> np.ndarray:
@@ -592,12 +619,6 @@ def mass_log2(family: LengthFamily, region: Box | Segment) -> float:
     return NEG_INF if parts is None else parts[0] + parts[1]
 
 
-def exact_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
-    if isinstance(region, Box):
-        return family.box_mass(region)
-    return family.segment_mass(region)
-
-
 # Error of the float part of mass_log2_parts, by ulp accounting (u = 2^-53;
 # libm log2, log1p and pow within 1 ulp, as glibc documents).  The integer
 # part is exact, and the float part sums at most 7 terms (d <= 6 axis
@@ -619,16 +640,6 @@ def exact_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
 # `weights_le` sums the same kinds of terms for one point (weight parts of
 # the axes and the scale) against one log2_parts, so its error is smaller.
 MARGIN = 2.0 ** -40
-# Exact masses of the weights 2^-(affine in i) 3^-k of the infinite
-# families carry about as many bits as the sum of the coordinate
-# magnitudes; past this many an exact comparison would take seconds and
-# gigabytes.  Finite families sum their own rationals at any coordinates.
-EXACT_BITS_GUARD = 2 ** 20
-
-
-def _coordinate_bits(region: Box | Segment) -> int:
-    ends = region.intervals if isinstance(region, Box) else zip(region.anchor, region.last())
-    return sum(max(abs(lo), abs(hi)) for lo, hi in ends)
 
 
 def mass_ratio_log2(family: LengthFamily, region: Box | Segment, bound: Bound) -> float:
@@ -649,17 +660,18 @@ def mass_le(family: LengthFamily, region: Box | Segment, bound: Bound) -> bool:
     """Decide mass(region) <= q * mass(B) for bound = (q, B), exactly.
 
     The split log2 closed forms decide whenever the two sides are further
-    apart than MARGIN; otherwise both masses are computed as exact
-    rationals.
+    apart than MARGIN; otherwise the two `mass_form`s, c * num / den, are
+    cross-multiplied into one dyadic sum, whose sign decides at any size.
     """
     diff = mass_ratio_log2(family, region, bound)
     if abs(diff) > MARGIN:
         return diff < 0
     q, other = bound
-    bits = _coordinate_bits(region) + _coordinate_bits(other)
-    if family.support != "finite" and bits > EXACT_BITS_GUARD:
-        raise SizeGuardError(f"masses of {region} and {other} tie to 2^-40")
-    return exact_mass(family, region) <= q * exact_mass(family, other)
+    a, b = family.mass_form(region), family.mass_form(other)
+    # a.c a.num / a.den <= q b.c b.num / b.den, times the positive denominators
+    left = _product(a.c.numerator * b.c.denominator * q.denominator, a.num, b.den)
+    right = _product(-b.c.numerator * a.c.denominator * q.numerator, b.num, a.den)
+    return _sign([*left.items(), *right.items()]) <= 0
 
 
 def weights_le(

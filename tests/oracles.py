@@ -8,7 +8,8 @@ non-admissible levels, per-point mean goodness and the goodness of a
 segment's flag, exact packed lengths, every prefix of a word and the
 per-step orbit of a fundamental domain), a small fixture map for the
 derivative checks, or an input of those oracles (the walk kernel and
-lattice paths).
+lattice paths).  `exact_mass` is no oracle: it reads the package's own
+exact mass form as a rational, for tests of something else.
 """
 
 from __future__ import annotations
@@ -27,11 +28,15 @@ from critreg.lattice import (
     Coords,
     LengthFamily,
     Segment,
-    SizeGuardError,
     _check_dimension,
 )
 from critreg.nilpotent import IntervalPacking, UnipotentMatrix, Word, _identity_rows
 from critreg.smooth import SmoothMap
+
+
+class OracleSizeError(ValueError):
+    """An oracle input past the oracle's own size guard."""
+
 
 SPHERE_GUARD = 10 ** 6
 DP_STATE_GUARD = 2 * 10 ** 6
@@ -122,6 +127,19 @@ def point_weights(
             for v in points]
 
 
+def exact_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
+    """A region's exact mass: the family's `mass_form` read as a rational."""
+    return family.mass_form(region).value()
+
+
+def exact_sum(ws: Iterable[Fraction]) -> Fraction:
+    """The sum of rationals over their least common denominator, normalized
+    once, so that the huge power-of-two denominators of far points add fast."""
+    ws = list(ws)
+    den = math.lcm(*(w.denominator for w in ws))
+    return Fraction(sum(w.numerator * (den // w.denominator) for w in ws), den)
+
+
 # ---------------------------------------------------------------------------
 # the walk kernel's exact laws and minimum costs
 # ---------------------------------------------------------------------------
@@ -156,7 +174,7 @@ def arrival_distribution(kernel: WalkKernel, n: int) -> dict[Coords, Fraction]:
     if n < 0:
         raise ValueError("step count must be nonnegative")
     if sphere_size(kernel.d, n) > SPHERE_GUARD:
-        raise SizeGuardError(f"sphere of radius {n} exceeds {SPHERE_GUARD} states")
+        raise OracleSizeError(f"sphere of radius {n} exceeds {SPHERE_GUARD} states")
     dist: dict[Coords, Fraction] = {tuple([0] * kernel.d): Fraction(1)}
     for _ in range(n):
         nxt: dict[Coords, Fraction] = {}
@@ -180,7 +198,7 @@ def brute_min_cost(
     """
     states = sum(sphere_size(d, j) for j in range(n + 1))
     if states > DP_STATE_GUARD:
-        raise SizeGuardError(f"{states} DP states exceed {DP_STATE_GUARD}")
+        raise OracleSizeError(f"{states} DP states exceed {DP_STATE_GUARD}")
     origin = tuple([0] * d)
     best: dict[Coords, tuple[float, Coords | None]] = {origin: (0.0, None)}
     frontier = [origin]
@@ -209,7 +227,7 @@ def brute_min_cost(
 def enumerate_min_cost(family: LengthFamily, d: int, n: int) -> float:
     """Exhaustive minimum over all d^n monotone paths."""
     if d ** n > PATH_ENUM_CAP:
-        raise SizeGuardError(f"{d ** n} paths exceed {PATH_ENUM_CAP}")
+        raise OracleSizeError(f"{d ** n} paths exceed {PATH_ENUM_CAP}")
     best = math.inf
 
     def rec(state: list[int], j: int, acc: float) -> None:
@@ -249,8 +267,8 @@ def goodness_ratio(family: LengthFamily, region: Box | Segment, ambient: Box) ->
     rbox = _region_box(region)
     if ambient.intersect(rbox) is None or ambient.intersect(rbox) != rbox:
         raise ValueError("region must be contained in the ambient box")
-    rmass = family.box_mass(rbox)
-    amass = family.box_mass(ambient)
+    rmass = exact_mass(family, rbox)
+    amass = exact_mass(family, ambient)
     if rmass == 0 or amass == 0:
         raise ValueError("regions must carry positive mass")
     return (rmass / rbox.npoints()) / (amass / ambient.npoints())

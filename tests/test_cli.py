@@ -138,6 +138,21 @@ class TestRun:
         assert report["passed"]
         assert report["constants"]["K_d"] == 3.0
 
+    def test_chain_b_on_a_table_its_segments_leave(self, tmp_path, capsys):
+        # the B-d2 boxes up to n = 8 reach past a 6x6 table, w(i, j) =
+        # 2^-(i+j+2); a segment counts only its points in the table, as a
+        # box does, so the run reports instead of exiting 1
+        table = {f"{i},{j}": f"1/{2 ** (i + j + 2)}" for i in range(6) for j in range(6)}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        out = tmp_path / "rep"
+        argv = ["chain-b", "--d", "2", "--variant", "B-d2", "--alpha", "1/2,1/2", "--n-max", "8",
+                "--family", "custom-file", "--family-file", str(path), "--out", str(out)]
+        assert main(argv) in (0, 2)
+        assert "error" not in capsys.readouterr().err
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert [r["passed"] for r in rows if r["check"] == "chain-reverify"] == [True]
+
     def test_chain_ff(self):
         report = run(
             _cfg(kind="chain-ff", d=3, family="symmetric-geometric", n_max=11)

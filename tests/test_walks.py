@@ -26,6 +26,7 @@ from critreg.walks import (
 )
 
 from oracles import (
+    OracleSizeError,
     WalkKernel,
     arrival_distribution,
     brute_min_cost,
@@ -98,9 +99,7 @@ class TestArrival:
         assert arrival_distribution(WalkKernel(1), 7) == {(7,): Fraction(1)}
 
     def test_size_guard(self):
-        from critreg.lattice import SizeGuardError
-
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(OracleSizeError):
             arrival_distribution(WalkKernel(6), 150)
 
     def test_worked_example(self):
