@@ -1,4 +1,8 @@
-"""Desk-scale verifiers for distortion machinery of interval actions."""
+"""Desk-scale verifiers for distortion machinery of interval actions.
+
+The numpy-backed modules, `critreg.walks` and `critreg.smooth`, are not
+re-exported here: `import critreg` and the exact kinds load no numpy.
+"""
 
 __version__ = "0.1.0"
 
@@ -35,10 +39,3 @@ from .nilpotent import (  # noqa: F401
     full_group_model,
     translation_model,
 )
-from .smooth import (  # noqa: F401
-    SmoothMap,
-    fundamental_domain_check,
-    holder_constant_estimate,
-    parabolic_map,
-)
-from .walks import batch_certificates  # noqa: F401

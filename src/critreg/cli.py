@@ -24,7 +24,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import boxes as boxmod
-from . import concat, lattice, nilpotent, smooth, walks
+# `walks` and `smooth` compute with numpy, so only the lemma1 and dynamics
+# runners import them: the other kinds and `report` start without numpy
+from . import concat, lattice, nilpotent
 
 # the config fields each kind reads: its flags, its accepted config keys
 # and its report's config block (with "kind") all come from this table
@@ -69,7 +71,16 @@ class ExperimentConfig:
             raise ConfigError("stochastic kinds need a seed")
 
     def alpha_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a) for a in self.alphas)
+        return tuple(_rational("alpha", a) for a in self.alphas)
+
+
+def _rational(field: str, text: str) -> Fraction:
+    """The rational an exponent field holds, as "p/q" or a decimal;
+    ConfigError for any other text, a zero denominator among them."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{field} {text!r} is not a rational") from None
 
 
 def _family(cfg: ExperimentConfig, d: int) -> lattice.LengthFamily:
@@ -125,6 +136,8 @@ def _row(check: str, passed: bool, value, bound, note: str = "") -> dict:
 
 
 def _run_lemma1(cfg: ExperimentConfig) -> dict:
+    from . import walks
+
     fam = _family(cfg, cfg.d)
     if fam.d != cfg.d:
         raise ConfigError(f"the family file's table is on Z^{fam.d}, not Z^{cfg.d}")
@@ -275,7 +288,9 @@ def _run_identity(cfg: ExperimentConfig) -> dict:
 
 
 def _run_dynamics(cfg: ExperimentConfig) -> dict:
-    alpha = float(Fraction(cfg.alpha_holder))
+    from . import smooth
+
+    alpha = float(_rational("alpha-holder", cfg.alpha_holder))
     g = smooth.parabolic_map(cfg.c_param)
     c = smooth.holder_constant_estimate(g, alpha).constant
     rep = smooth.fundamental_domain_check(g, alpha, c, cfg.k_max)

@@ -8,8 +8,10 @@ function of those runs: the exact dyadic mass, the log2 mass split into
 an exact integer and a small float (`mass_log2_parts`, read as one float
 by `mass_log2`) so that astronomically small weights stay computable, and
 the float log2 of a power sum with a fractional exponent.  A point's
-weight is its one-point range; its split log2 weight and the vector of
-point log2 weights write that one run out.
+weight is its one-point range; its split log2 weight writes that one run
+out.  This module imports no numpy, so neither do the kinds built on it
+alone; the vector of float log2 weights of a point array is
+`walks.log2_weights`.
 
 Goodness decisions go through `mass_le`, which decides from the split
 form with a certified error margin, and where that cannot decide from
@@ -26,8 +28,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 Coords = tuple[int, ...]
 
@@ -359,14 +359,6 @@ class Axis:
         num = {self.offset + self.rate: 1, self.offset: int(self.lo < 0)}
         return num, {self.rate: 1, 0: -1}
 
-    def np_log2(self, col: np.ndarray) -> np.ndarray:
-        """Float log2 w(i) for the indices i of `col`, all in the support
-        (so |i| = i when lo >= 0)."""
-        ce, cf = self.coef_parts
-        out = np.multiply(col if self.lo >= 0 else np.abs(col), -self.rate, dtype=np.float64)
-        out += (self.offset + ce) + cf
-        return out
-
 
 def geometric_axis() -> Axis:
     """w(i) = 2^-(i+1) on the nonnegative integers; total mass 1."""
@@ -449,9 +441,6 @@ class LengthFamily:
         m = self.mass_form(region).value()
         return log2_parts(m) if m else None
 
-    def np_log2_weight(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
 
 class ProductFamily(LengthFamily):
     """Product of per-axis weights times a rational scale."""
@@ -464,7 +453,7 @@ class ProductFamily(LengthFamily):
         self.scale = Fraction(scale)
         self._coef = self.scale * math.prod(ax.coef for ax in self.axes)
         self._scale_parts = log2_parts(self.scale)
-        self._scale_log2 = log2_fraction(self.scale)
+        self.scale_log2 = log2_fraction(self.scale)
         self.name = name
         bounded = all(math.isfinite(a.lo) and math.isfinite(a.hi) for a in axes)
         self.support = "finite" if bounded else (
@@ -511,7 +500,7 @@ class ProductFamily(LengthFamily):
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
         """log2 of the sum of weight^alpha over the segment's points."""
-        m = alpha * self._scale_log2
+        m = alpha * self.scale_log2
         for k, c in enumerate(seg.anchor):
             if k != seg.axis:
                 if not self.axes[k].contains(c):
@@ -519,12 +508,6 @@ class ProductFamily(LengthFamily):
                 e, f = self.axes[k].point_parts(c)
                 m += alpha * (e + f)
         return m + self.axes[seg.axis].power_log2(*seg.axis_values(), alpha)
-
-    def np_log2_weight(self, pts: np.ndarray) -> np.ndarray:
-        out = np.full(pts.shape[0], self._scale_log2)
-        for k, ax in enumerate(self.axes):
-            out += ax.np_log2(pts[:, k])
-        return out
 
 
 class TableFamily(LengthFamily):
@@ -570,9 +553,6 @@ class TableFamily(LengthFamily):
             if p in self.table:
                 out = log2_add(out, alpha * self.log2_weight(p))
         return out
-
-    def np_log2_weight(self, pts: np.ndarray) -> np.ndarray:
-        return np.array([self.log2_weight(tuple(int(c) for c in p)) for p in pts])
 
 
 def geometric_family(d: int) -> ProductFamily:

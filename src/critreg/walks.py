@@ -14,10 +14,13 @@ A_d = 1/(d-1)!:
 keeps their states by axis, as the kernel's cumulative thresholds, so a
 step is one draw, one comparison and one addition on contiguous rows;
 costs are evaluated once per block of buffered steps and summed in step
-order, and terminal weights are decided by `lattice.weights_le`, from
-split log2 weights with exact rationals only inside its margin.  The
-first sample, in sample order, that meets both bounds is the witness that
-a certified path exists; a batch with no such sample has no witness.
+order.  Their terms come from `log2_weights`, the vector of float log2
+weights of a point array, which lives here because this is the one
+numpy caller of the weight families.  Terminal weights are decided by
+`lattice.weights_le`, from split log2 weights with exact rationals only
+inside its margin.  The first sample, in sample order, that meets both
+bounds is the witness that a certified path exists; a batch with no such
+sample has no witness.
 
 Logarithms here are base 2: the harmonic-sum comparison H_n <= log_b(n+1)
 behind the cost bound holds for every base b <= 2 and for no larger base,
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import LengthFamily, sphere_constant, weights_le
+from .lattice import LengthFamily, ProductFamily, sphere_constant, weights_le
 
 COST_REL_TOL = 1e-12
 # factor on the expectation bound of `batch_certificates`' mean cost
@@ -81,6 +84,23 @@ class BatchSummary:
         return self.mean_cost <= self.mean_cost_bound
 
 
+def log2_weights(family: LengthFamily, pts: np.ndarray) -> np.ndarray:
+    """Float log2 weights of the points in the rows of `pts`, all in the
+    family's support.  A product family writes each axis' one-point run out,
+    -rate |i| + ((offset + log2 coef) as integer plus float), added to log2
+    of its scale in axis order; a table takes each point's own log2."""
+    if not isinstance(family, ProductFamily):
+        return np.array([family.log2_weight(tuple(int(c) for c in p)) for p in pts])
+    out = np.full(pts.shape[0], family.scale_log2)
+    for k, ax in enumerate(family.axes):
+        ce, cf = ax.coef_parts
+        col = pts[:, k]
+        terms = np.multiply(col if ax.lo >= 0 else np.abs(col), -ax.rate, dtype=np.float64)
+        terms += (ax.offset + ce) + cf
+        out += terms
+    return out
+
+
 def _counts(thresholds: np.ndarray) -> np.ndarray:
     """Per-axis coordinates (rows) from cumulative thresholds (rows)."""
     out = thresholds - 1
@@ -123,7 +143,7 @@ def batch_certificates(
             r = rng.integers(0, start + s + d, size=samples)
             acc += acc > r
         pts = _counts(block[:, :m].reshape(d, m * samples))
-        terms = np.exp2(family.np_log2_weight(pts.T) / d).reshape(m, samples)
+        terms = np.exp2(log2_weights(family, pts.T) / d).reshape(m, samples)
         for row in terms:
             costs += row
     b_float, b_exact = lemma_bound(family, d)

@@ -41,6 +41,10 @@ BAD_CONFIGS = {
     '{"samples": true}': "lemma1",
     '{"family": "cubic"}': "lemma1",
     '{"alphas": "1/2,1/2"}': "boxes",
+    # exponents with a zero denominator
+    '{"alphas": ["1/0", "1/2"]}': "boxes",
+    '{"alphas": ["1/2", "1/0"], "d": 2}': "chain-b",
+    '{"alpha_holder": "1/0"}': "dynamics",
 }
 
 
@@ -447,6 +451,18 @@ class TestFlags:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["boxes", "--d", "2", "--variant", "B-d2", "--alpha", "1/0,1/2"],
+         ["chain-b", "--d", "2", "--alpha", "1/2,1/0"],
+         ["dynamics", "--alpha-holder", "1/0"],
+         ["dynamics", "--alpha-holder", "half"]],
+    )
+    def test_exponent_that_is_no_rational_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not a rational" in err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dynamics", "--help"])
@@ -472,6 +488,60 @@ class TestFlags:
         path.write_text(json.dumps(config))
         main([kind, "--config", str(path), "--out", str(second)])
         assert (second / "report.json").read_bytes() == (first / "report.json").read_bytes()
+
+
+# Runs critreg.cli.main on each argv of sys.argv[1] (a JSON list) in one fresh
+# interpreter and prints the exit codes and whether numpy was loaded after
+# them, and after a small lemma1 run.  With sys.argv[2] == "block", numpy
+# cannot be imported at all.
+FRESH_RUN = """
+import contextlib, io, json, sys
+calls, block = json.loads(sys.argv[1]), sys.argv[2] == "block"
+if block:
+    sys.modules["numpy"] = None
+import critreg, critreg.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [critreg.cli.main(argv) for argv in calls]
+    before = sys.modules.get("numpy") is not None
+    if not block:
+        critreg.cli.main(["lemma1", "--d", "2", "--n-max", "5", "--samples", "3"])
+print(json.dumps([codes, before, sys.modules.get("numpy") is not None]))
+"""
+
+EXACT_KINDS = ("boxes", "chain-b", "chain-ff", "identity")
+
+
+class TestStartup:
+    """The exact kinds and `report` run without numpy; lemma1 loads it."""
+
+    def _fresh(self, tmp_path, mode):
+        out = tmp_path / mode
+        calls = [[kind, *SMALL[kind], "--out", str(out / kind)] for kind in EXACT_KINDS]
+        calls.append(["report", str(out / "boxes" / "report.json")])
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_RUN, json.dumps(calls), mode],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return out, json.loads(proc.stdout.splitlines()[-1])
+
+    def test_exact_kinds_do_not_import_numpy(self, tmp_path):
+        _, (codes, before, after) = self._fresh(tmp_path, "plain")
+        assert all(code in (0, 2) for code in codes), codes
+        assert not before and after
+
+    def test_exact_kinds_run_where_numpy_cannot_load(self, tmp_path):
+        out, (codes, _, _) = self._fresh(tmp_path, "block")
+        assert all(code in (0, 2) for code in codes), codes
+        for kind in EXACT_KINDS:
+            here = tmp_path / "here" / kind
+            with contextlib.redirect_stdout(io.StringIO()):
+                main([kind, *SMALL[kind], "--out", str(here)])
+            names = sorted(f.name for f in here.iterdir())
+            assert names == sorted(f.name for f in (out / kind).iterdir())
+            for name in names:
+                assert (out / kind / name).read_bytes() == (here / name).read_bytes(), name
 
 
 # sha256 of report.json for --samples 40 at every allowed (model, d) and

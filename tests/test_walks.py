@@ -23,6 +23,7 @@ from critreg.walks import (
     batch_certificates,
     cost_bound,
     lemma_bound,
+    log2_weights,
 )
 
 from oracles import (
@@ -178,7 +179,7 @@ def reference_batch_certificates(family, n, samples, seed, mean_slack=1.05):
     counts = np.zeros((samples, d), dtype=np.int64)
     costs = np.zeros(samples)
     for t in range(n):
-        costs += np.exp2(family.np_log2_weight(counts) / d)
+        costs += np.exp2(log2_weights(family, counts) / d)
         r = rng.integers(0, t + d, size=samples)
         cum = np.cumsum(counts + 1, axis=1)
         j = np.argmax(r[:, None] < cum, axis=1)
@@ -303,6 +304,20 @@ class TestBatch:
                 assert got == outcome(reference_batch_certificates, *args)
                 raised += isinstance(got, tuple)
         assert raised >= 7
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_log2_weights_match_exact_weights(self, d):
+        # the vector form against each point's exact weight, on an axis that
+        # starts at 0, one that covers Z and a table
+        pts = np.array(list(product(range(-3, 4), repeat=d)), dtype=np.int64)
+        cone = pts[(pts >= 0).all(axis=1)]
+        cases = [(geometric_family(d), cone), (symmetric_geometric_family(d), pts),
+                 (simplex_table(d, 3), cone[cone.sum(axis=1) <= 3])]
+        for fam, rows in cases:
+            got = log2_weights(fam, rows)
+            assert got.shape == (len(rows),)
+            for row, value in zip(rows.tolist(), got):
+                assert math.isclose(value, math.log2(fam.weight(row)), rel_tol=1e-15, abs_tol=1e-12)
 
     def test_success_fraction_and_mean(self):
         fam = geometric_family(2)
