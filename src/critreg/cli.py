@@ -290,7 +290,11 @@ def _run_identity(cfg: ExperimentConfig) -> dict:
 def _run_dynamics(cfg: ExperimentConfig) -> dict:
     from . import smooth
 
-    alpha = float(_rational("alpha-holder", cfg.alpha_holder))
+    exponent = _rational("alpha-holder", cfg.alpha_holder)
+    # decided on the rational, as `float` overflows past about 1.8e308
+    if not 0 < exponent <= 1:
+        raise ConfigError("exponent must lie in (0, 1]")
+    alpha = float(exponent)
     g = smooth.parabolic_map(cfg.c_param)
     c = smooth.holder_constant_estimate(g, alpha).constant
     rep = smooth.fundamental_domain_check(g, alpha, c, cfg.k_max)

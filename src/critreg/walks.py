@@ -12,13 +12,17 @@ A_d = 1/(d-1)!:
 
 `batch_certificates` runs many walks in lockstep on one numpy stream.  It
 keeps their states by axis, as the kernel's cumulative thresholds, so a
-step is one draw, one comparison and one addition on contiguous rows;
-costs are evaluated once per block of buffered steps and summed in step
-order.  Their terms come from `log2_weights`, the vector of float log2
-weights of a point array, which lives here because this is the one
-numpy caller of the weight families.  Terminal weights are decided by
-`lattice.weights_le`, from split log2 weights with exact rationals only
-inside its margin.  The first sample, in sample order, that meets both
+step is one comparison and one addition over the d-1 thresholds that
+move.  Everything else happens once per block of buffered steps: the
+block's draws, replayed from the generator's raw words by
+`bounded_draws` exactly as `Generator.integers` would give them step by
+step, and its costs, evaluated and summed in step order.  Their terms
+come from `log2_weights`, the vector of float log2 weights of a point
+array, which lives here because this is the one numpy caller of the
+weight families.  Terminal weights are decided as `lattice.weights_le`
+decides them, from split log2 weights with exact rationals only inside
+its margin; on a product family the split weights of all endpoints are
+one vector pass.  The first sample, in sample order, that meets both
 bounds is the witness that a certified path exists; a batch with no such
 sample has no witness.
 
@@ -35,7 +39,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import LengthFamily, ProductFamily, sphere_constant, weights_le
+from .lattice import (
+    MARGIN,
+    LengthFamily,
+    ProductFamily,
+    log2_parts,
+    sphere_constant,
+    weights_le,
+)
 
 COST_REL_TOL = 1e-12
 # factor on the expectation bound of `batch_certificates`' mean cost
@@ -102,9 +113,88 @@ def log2_weights(family: LengthFamily, pts: np.ndarray) -> np.ndarray:
 
 
 def _counts(thresholds: np.ndarray) -> np.ndarray:
-    """Per-axis coordinates (rows) from cumulative thresholds (rows)."""
-    out = thresholds - 1
-    out[1:] -= thresholds[:-1]
+    """Per-axis coordinates (rows) from cumulative thresholds (rows), in
+    place, from the last row down."""
+    for k in range(len(thresholds) - 1, 0, -1):
+        thresholds[k] -= thresholds[k - 1]
+    thresholds -= 1
+    return thresholds
+
+
+def bounded_draws(
+    bitgen: np.random.BitGenerator, highs: np.ndarray, samples: int, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows `Generator.integers(0, h, size=samples)` would give for each
+    h in the nondecreasing `highs` (1 <= h <= 2^32), in turn, on the generator
+    of `bitgen`, and the outputs left over for the next call.
+
+    This replays numpy's sampler for such a range: Lemire's multiply-shift
+    (x h) >> 32 on the generator's 32-bit outputs x, the low half of each
+    raw word before its high half, where x is drawn again while the low 32
+    bits of x h fall below 2^32 mod h; h = 1 gives 0 and draws nothing.
+    The outputs come from `random_raw`, after `spare`, and pair with the
+    draws in order.  A rejection is rare (below h / 2^32 a draw): the
+    rejected output is deleted from the stream, and the pass is redone
+    from the row it was in.
+    """
+    live = int(np.searchsorted(highs, 2))
+    his = highs[live:, None].astype(np.uint64)
+    # 2^32 mod h is below h and at most 2^32 - h, so below this bound
+    bound = min(int(highs[-1]), 1 << 31)
+    size = his.size * samples
+    prod = np.empty((len(highs), samples), dtype=np.uint64)
+    prod[:live] = 0
+    rows = prod[live:]
+    stream, row = spare, 0
+    while True:
+        if stream.size < size:
+            raw = bitgen.random_raw((size - stream.size + 1) // 2).view(np.uint32)
+            stream = np.concatenate((stream, raw)) if stream.size else raw
+        x = stream[row * samples:size].reshape(len(his) - row, samples)
+        np.multiply(x, his[row:], out=rows[row:], dtype=np.uint64)
+        low = rows[row:].astype(np.uint32).reshape(-1)
+        if low.min(initial=bound) >= bound:
+            break
+        near = np.flatnonzero(low < bound)
+        bad = near[low[near] < (1 << 32) % his[row + near // samples, 0]]
+        if not bad.size:
+            break
+        j = row * samples + int(bad[0])
+        stream = np.delete(stream, j)
+        row = j // samples
+    np.right_shift(prod, 32, out=prod)
+    return prod.view(np.int64), stream[size:].copy()
+
+
+def _terminal_le(family: LengthFamily, ends: np.ndarray, q: Fraction) -> np.ndarray:
+    """`weights_le(family, endpoints, q)` as a bool array, for the endpoints
+    in the columns of `ends`, one row per axis.
+
+    On a product family whose support holds every endpoint, a point's split
+    log2 weight is the first endpoint's, with exact integer exponent moved by
+    rate (c0 - c) on each axis (coordinates are nonnegative), and the same
+    float part; the points within MARGIN of log2 q go to `weights_le`, which
+    compares their exact weights.  Otherwise every point goes there, and an
+    endpoint outside a finite support raises its ValueError.
+    """
+    inside = isinstance(family, ProductFamily) and ends.size and all(
+        ax.lo <= col.min() and col.max() <= ax.hi for ax, col in zip(family.axes, ends)
+    )
+    if not inside:
+        points = ends.T.tolist()
+        return np.fromiter(weights_le(family, points, q), dtype=bool, count=len(points))
+    eq, fq = log2_parts(q)
+    first = ends[:, 0].tolist()
+    e, f = family.weight_log2_parts(first)
+    # the exact total mass behind q holds 2^offset and 2^rate, so these
+    # exponents stay far inside int64
+    expo = np.full(ends.shape[1], e - eq, dtype=np.int64)
+    for ax, col, c0 in zip(family.axes, ends, first):
+        expo += ax.rate * (c0 - col)
+    diff = expo + (f - fq)
+    out = diff < 0
+    near = np.flatnonzero(np.abs(diff) <= MARGIN)
+    out[near] = list(weights_le(family, ends[:, near].T.tolist(), q))
     return out
 
 
@@ -123,35 +213,50 @@ def batch_certificates(
     array.  The step-t draw r in range(t+d) moves a sample along the first
     axis j with r < acc[j], which raises acc[k] for every k >= j; as the
     thresholds increase in k and acc[d-1] = t+d > r, those are exactly the
-    thresholds above r, so a step is `acc += acc > r`.  Each step's states
-    go into a block buffer of at most BLOCK_INTS entries (or one step);
-    once per block the log2 weights of its points are evaluated on
-    per-axis rows and their exp2(./d) added into the costs in step order,
-    so the float sums are those of one addition per step.  Terminal
-    weights are decided exactly per sample by `weights_le`.
+    thresholds above r, so a step writes acc + (acc > r) over its d-1
+    moving rows into the next step's rows: two ufunc calls, and for d = 1
+    none of them move.  The steps run in blocks of at most BLOCK_INTS state
+    entries (or one step).  Per block, `bounded_draws` replays the draws
+    `Generator.integers(0, t+d, size=samples)` gives for all its steps at
+    once; after the steps the last threshold t+d is filled in, the
+    thresholds become coordinates in place, the log2 weights of the points
+    are evaluated on per-axis rows, and their exp2(./d) are added to the
+    costs by one reduction over the rows in step order, so the floats are
+    those of one addition per step.  Terminal weights are decided by
+    `_terminal_le`.
     """
     d = family.d
-    rng = np.random.default_rng(seed)
-    acc = np.repeat(np.arange(1, d + 1, dtype=np.int64)[:, None], samples, axis=1)
-    costs = np.zeros(samples)
+    bitgen = np.random.default_rng(seed).bit_generator
     steps = max(1, min(n, BLOCK_INTS // max(d * samples, 1)))
-    block = np.empty((d, steps, samples), dtype=np.int64)
+    # a block's thresholds by axis and step, and the state after it; axes
+    # 0..d-2 move, axis d-1 is t+d
+    acc = np.empty((d, steps + 1, samples), dtype=np.int64)
+    acc[:, 0] = np.arange(1, d + 1)[:, None]
+    moving = list(acc[:d - 1].swapaxes(0, 1))
+    # the running costs, then a block's terms; the extra column keeps
+    # numpy's reduction over rows from summing a single column pairwise
+    sums = np.zeros((steps + 1, samples + 1))
+    spare = np.empty(0, dtype=np.uint32)
+    total = np.empty(samples + 1)
     for start in range(0, n, steps):
         m = min(steps, n - start)
-        for s in range(m):
-            block[:, s] = acc
-            r = rng.integers(0, start + s + d, size=samples)
-            acc += acc > r
-        pts = _counts(block[:, :m].reshape(d, m * samples))
-        terms = np.exp2(log2_weights(family, pts.T) / d).reshape(m, samples)
-        for row in terms:
-            costs += row
+        highs = np.arange(start + d, start + d + m)
+        draws, spare = bounded_draws(bitgen, highs, samples, spare)
+        for a, b, r in zip(moving, moving[1:], draws):
+            np.add(a, a > r, out=b)
+        acc[d - 1, :m] = highs[:, None]
+        pts = _counts(acc[:, :m]).reshape(d, m * samples)
+        lw = log2_weights(family, pts.T)
+        np.exp2(lw.reshape(m, samples) / d, out=sums[1:m + 1, :samples])
+        np.add.reduce(sums[:m + 1], axis=0, out=total)
+        sums[0] = total
+        acc[:d - 1, 0] = acc[:d - 1, m]
+    costs = sums[0, :samples]
+    acc[d - 1, 0] = n + d
     b_float, b_exact = lemma_bound(family, d)
     cb = cost_bound(b_float, d, n)
     first = costs <= cb * (1.0 + COST_REL_TOL)
-    rhs = b_exact / (n + 1) ** (d - 1)
-    ends = _counts(acc).T.tolist()
-    second = np.fromiter(weights_le(family, ends, rhs), dtype=bool, count=samples)
+    second = _terminal_le(family, _counts(acc[:, 0]), b_exact / (n + 1) ** (d - 1))
     ok = first & second
     witness = int(np.argmax(ok)) if ok.any() else None
     mean_bound = float(family.total_mass / sphere_constant(d)) ** (1.0 / d)

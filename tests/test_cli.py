@@ -463,6 +463,12 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "is not a rational" in err
 
+    @pytest.mark.parametrize("alpha", ["2", "-1", "0", "1e400"])
+    def test_exponent_outside_the_unit_interval_exits_one(self, alpha, capsys):
+        # 1e400 is past float range; it gets the error of 2, not a traceback
+        assert main(["dynamics", "--alpha-holder", alpha]) == 1
+        assert capsys.readouterr().err == "error: exponent must lie in (0, 1]\n"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dynamics", "--help"])
@@ -587,9 +593,11 @@ README_IDENTITY = "6a554d761fa8b163639b39cae9e7073f0d0f3fd7da4443bf808f31f405126
 
 # exit code and sha256 of report.json for the lines whose reports carry the
 # lattice's masses, log2 masses and power sums: the five CI chain-smoke
-# lines, both README boxes lines, chain-b on the symmetric family and one
-# seeded lemma1 line per built-in family.  A changed float in any of those
-# forms shows as a changed digest.
+# lines, both README boxes lines, chain-b on the symmetric family, one
+# seeded lemma1 line per built-in family, the README lemma1 line and one
+# d=2 and one d=4 line of the 1000-sample walk-mc bench tail (so the walk
+# pass's block shapes of both bench groups are pinned).  A changed float
+# in any of those forms shows as a changed digest.
 LATTICE_REPORTS = {
     "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 15":
         (0, "de5c4f666597d68315e96af5d0135da1f7fd4cc709777356af879c2fd5027031"),
@@ -611,6 +619,12 @@ LATTICE_REPORTS = {
         (0, "eecca368f6e65334d2aa3cbcb618e3740cf92d7a9147b1485ea1067a86aab7d6"),
     "lemma1 --d 3 --family symmetric-geometric --n-max 200 --samples 500 --seed 42":
         (0, "b8b2112811ed3b7829a891d288882fb9e618522c0441cd6575194f19b3be274f"),
+    "lemma1 --d 3 --n-max 1000 --samples 10000 --seed 42":
+        (0, "b522dc439d1eb652779fd53c9b1487f48b1e3dd9f5e78e7d2eacf93ddfd9994e"),
+    "lemma1 --d 2 --n-max 700 --samples 1000 --seed 5":
+        (0, "1dce5ffa74eb5e9384534d69db362342e2ecd8e400760d71a90745ef3af22784"),
+    "lemma1 --d 4 --n-max 480 --samples 1000 --seed 9":
+        (0, "3020048ea0ffedba8a6ad864833af2331e505afb1065c01cb08d4bc6b14c53e1"),
 }
 
 # exit code and sha256 of report.json for dynamics lines: the README line,

@@ -9,18 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critreg.lattice import (
+    MARGIN,
+    Axis,
     Box,
+    ProductFamily,
     TableFamily,
+    geometric_axis,
     geometric_family,
     log2_parts,
     sphere_constant,
+    symmetric_geometric_axis,
     symmetric_geometric_family,
     uniform_box_family,
+    weights_le,
 )
 from critreg.walks import (
     COST_REL_TOL,
     BatchSummary,
+    _terminal_le,
     batch_certificates,
+    bounded_draws,
     cost_bound,
     lemma_bound,
     log2_weights,
@@ -290,6 +298,46 @@ class TestBatch:
         assert got == reference_batch_certificates(fam, n, 1, seed)
         assert got.success_fraction == (0.0 if above else 1.0)
 
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("d,seed", [(2, 4), (3, 0)])
+    def test_product_terminal_tie_is_decided_exactly(self, d, seed, above):
+        # the vector decision on a product family at w(end) = B / 6^(d-1),
+        # and at 1/(1 - 2^-60) times it, where only the exact weight decides
+        n = 5
+        end = reference_endpoint(d, n, seed)
+        fam = tie_family(end, above)
+        b_float, b_exact = lemma_bound(fam, d)
+        assert b_exact == 3 * fam.total_mass * math.factorial(d - 1)
+        q = b_exact / (n + 1) ** (d - 1)
+        assert (fam.weight(end) > q) == above
+        e, f = fam.weight_log2_parts(end)
+        eq, fq = log2_parts(q)
+        assert abs((e - eq) + (f - fq)) <= MARGIN
+        assert list(weights_le(fam, [end], q)) == [not above]
+        got = batch_certificates(fam, n, 1, seed)
+        assert got == reference_batch_certificates(fam, n, 1, seed)
+        assert got.success_fraction == (0.0 if above else 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_vector_terminal_decision_matches_weights_le(self, d):
+        # q at a point's exact weight, and 2^-60 (relative) to either side,
+        # on axes that start at 0, cover Z, are finite, shifted or constant.
+        # At d = 1 a walk's terminal bound B = 3L exceeds every weight, so
+        # no pass meets a tie there; the decision is checked directly.
+        rng = random.Random(d)
+        axes = [geometric_axis(), symmetric_geometric_axis(),
+                Axis(0, 40, Fraction(5, 3), log2_parts(Fraction(5, 3)), 3, 2),
+                Axis(2, 30, Fraction(1, 7), log2_parts(Fraction(1, 7)), 0, 0)]
+        for trial in range(20):
+            fam = ProductFamily([rng.choice(axes) for _ in range(d)],
+                                scale=Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            ends = np.array([[rng.randint(max(0, ax.lo), 30) for _ in range(40)]
+                             for ax in fam.axes], dtype=np.int64)
+            w = fam.weight(ends[:, rng.randrange(40)].tolist())
+            for q in (w, w * (1 + Fraction(1, 2 ** 60)), w * (1 - Fraction(1, 2 ** 60))):
+                want = list(weights_le(fam, ends.T.tolist(), q))
+                assert _terminal_le(fam, ends, q).tolist() == want
+
     def test_endpoint_outside_finite_support_raises_as_before(self):
         d, n = 2, 7
         families = (
@@ -327,6 +375,85 @@ class TestBatch:
         # geometric weights make every path cost identical
         expected = sum(2.0 ** (-(j + 2) / 2) for j in range(100))
         assert math.isclose(s.mean_cost, expected, rel_tol=1e-9)
+
+
+def tie_family(end, above):
+    """A product family on Z^2 or Z^3 for n = 5 whose weight at `end`, a
+    point with end[0] = 0, is B / 6^(d-1) exactly: weights 2^-(i+1) on axis
+    0, three equal weights from end[1] on when d = 3, and the one point
+    end[-1] on the last axis, all times 2.  The endpoint then carries 1/2
+    (d = 2) or 1/6 (d = 3) of the total L = 2, which is 3 (d-1)! / 6^(d-1),
+    so B = 3 L (d-1)!.  With `above`, axis 0 stops at 59, which raises that
+    share by the factor 1/(1 - 2^-60)."""
+    first = Axis(0, 59, Fraction(1), (0, 0.0), -1, 1) if above else geometric_axis()
+    third = Fraction(1, 3)
+    middle = [Axis(end[1], end[1] + 2, third, log2_parts(third), 0, 0)] if len(end) == 3 else []
+    last = Axis(end[-1], end[-1], Fraction(1), (0, 0.0), 0, 0)
+    return ProductFamily([first, *middle, last], scale=Fraction(2))
+
+
+def lemire_draws(words, highs, samples):
+    """numpy's bounded sampler for `integers(0, h, size=samples)`, h in
+    [1, 2^32], one draw at a time on the 32-bit outputs of the raw words
+    (low half first): the draws by h, and how many outputs each h rejected."""
+    outs = (w >> s & 0xFFFFFFFF for w in map(int, words) for s in (0, 32))
+    rows, rejected = [], []
+    for h in map(int, highs):
+        row, bad = [0] * samples, 0
+        for i in range(samples if h > 1 else 0):
+            m = next(outs) * h
+            while m & 0xFFFFFFFF < (1 << 32) % h:
+                bad += 1
+                m = next(outs) * h
+            row[i] = m >> 32
+        rows.append(row)
+        rejected.append(bad)
+    return rows, rejected
+
+
+def replay_blocks(seed, blocks, samples):
+    """`bounded_draws` over the blocks of highs in turn, as the walk pass
+    calls it, stacked."""
+    bitgen = np.random.default_rng(seed).bit_generator
+    spare = np.empty(0, dtype=np.uint32)
+    out = []
+    for highs in blocks:
+        rows, spare = bounded_draws(bitgen, np.array(highs, dtype=np.int64), samples, spare)
+        out.append(rows)
+    return np.vstack(out)
+
+
+class TestDraws:
+    """`bounded_draws` against `Generator.integers` called once per h: a
+    numpy whose sampler differs fails here and in the bitwise batch test."""
+
+    @pytest.mark.parametrize("samples", [1, 3, 250, 1001])
+    def test_walk_blocks_replay_integers(self, samples):
+        # the highs of a d = 1 pass, starting at h = 1 (no draw), in blocks
+        # of uneven length; odd counts leave half a raw word to the next one
+        blocks = [[1], [2, 3], list(range(4, 11)), list(range(11, 40))]
+        for seed in (0, 7):
+            rng = np.random.default_rng(seed)
+            want = [rng.integers(0, h, size=samples) for block in blocks for h in block]
+            assert np.array_equal(replay_blocks(seed, blocks, samples), np.array(want))
+
+    @pytest.mark.parametrize("samples", [1, 3, 250, 1001])
+    def test_rejections_near_two_to_the_32(self, samples):
+        # 2^32 mod h is 2^30 at 3 * 2^30 and 2^31 - 1 at 2^31 + 1, so about
+        # a quarter and a half of the outputs are rejected; 2^32 - 1 rejects
+        # one output value and 2^32 none
+        blocks = [[3 * 2 ** 30, 3 * 2 ** 30 + 1], [2 ** 31 + 1], [2 ** 31 + 1] * 3,
+                  [2 ** 32 - 1, 2 ** 32]]
+        highs = [h for block in blocks for h in block]
+        seed = 11
+        rng = np.random.default_rng(seed)
+        want = np.array([rng.integers(0, h, size=samples) for h in highs])
+        words = np.random.default_rng(seed).bit_generator.random_raw(4 * len(highs) * samples)
+        rows, rejected = lemire_draws(words, highs, samples)
+        assert np.array_equal(np.array(rows), want)
+        counts = iter(rejected)
+        assert max(sum(next(counts) for _ in block) for block in blocks) >= 2
+        assert np.array_equal(replay_blocks(seed, blocks, samples), want)
 
 
 class TestBruteMinCost:
