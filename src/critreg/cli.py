@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -385,7 +386,17 @@ def write_report(report: dict, out_dir: str | Path) -> Path:
 
 class _Parser(argparse.ArgumentParser):
     """Reports its usage errors as ConfigError, so they exit 1 like any
-    other invalid input; --help still exits 0."""
+    other invalid input; --help still exits 0.
+
+    A word that starts with "-" and a digit, or "-." and a digit, is a value
+    (no flag looks like that), so `--alpha-holder -1e-3` and `--alpha
+    -1/2,1/2` reach the value's own check; argparse alone takes only -N
+    and -N.N as values.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d.*")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

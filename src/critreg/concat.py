@@ -3,11 +3,17 @@
 A chain certificate is a finite list of unidirectional segments, one group
 per box of an inductive sequence, such that consecutive segments share a
 lattice point and every segment carries a recomputable goodness flag and a
-power-sum bound.  Builders are deterministic: every search scans candidates
-in ascending order and keeps the first qualifying object (`_first_good`).
-Each builder returns its walk as an ordered list of legs (segment, flag kind
-and bound); one assembler, `_assemble`, derives the shared points of
-consecutive legs (`_junction`) and turns the legs into records.
+power-sum bound.  Builders are deterministic: every search keeps the first
+qualifying candidate in scan order.  Every scan runs over the translates
+of one or more regions along one axis (`_first_translate`): FF-d3's
+stride classes are two such runs, split where the classes lose their top
+point, and a B-general staircase is one fixed segment and the translates
+of the others.  `lattice.first_translate_le` starts each scan from a
+closed-form prediction of the first good translate and lets exact probes
+confirm it, so the answer is the linear scan's.  Each builder returns its
+walk as an ordered list of legs (segment, flag kind and bound); one
+assembler, `_assemble`, derives the shared points of consecutive legs
+(`_junction`) and turns the legs into records.
 
 Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
@@ -29,7 +35,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .boxes import BoxSequence, vertical_subdivision
 from .lattice import (
@@ -39,13 +45,13 @@ from .lattice import (
     LengthFamily,
     NEG_INF,
     Segment,
+    first_translate_le,
     log2_fraction,
     mass_le,
     mass_log2,
     mass_ratio_log2,
+    translated,
 )
-
-SEARCH_CAP = 500_000
 
 
 class ChainSearchError(RuntimeError):
@@ -62,32 +68,24 @@ class ChainSearchError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _first_good(
+def _first_translate(
     family: LengthFamily,
-    candidates: Iterable[tuple[Any, Iterable[tuple[Box | Segment, Bound]]]],
+    checks: Sequence[tuple[Box | Segment, Bound]],
+    axis: int,
+    step: int,
+    count: int,
     what: str,
     n: int | None,
-):
-    """The first value, in scan order, whose (region, Bound) checks all pass
-    `mass_le`; ChainSearchError(what, n) when no candidate qualifies, with
-    the number of candidates scanned in its stats."""
-    scanned = 0
-    for scanned, (value, checks) in enumerate(candidates, 1):
-        if all(mass_le(family, region, bound) for region, bound in checks):
-            return value
-    raise ChainSearchError(what, n, {"candidates": scanned})
-
-
-def _each(regions: Iterable, bound: Bound):
-    """Candidates of `_first_good` that are their own single region, all
-    checked against one bound."""
-    return ((r, [(r, bound)]) for r in regions)
-
-
-def _jointly(tuples: Iterable[tuple], bounds: tuple[Bound, ...]):
-    """Candidates of `_first_good` that are tuples of regions, each region
-    checked against the bound in its place."""
-    return ((t, zip(t, bounds)) for t in tuples)
+) -> list[Box | Segment]:
+    """The regions of `checks` moved to their first translate, in scan
+    order t = 0, ..., count - 1 by t * step along `axis`, at which all pass
+    `mass_le` (`lattice.first_translate_le`); ChainSearchError(what, n) when
+    none does, with the count of candidates ruled out, all of them, in its
+    stats."""
+    t = first_translate_le(family, checks, axis, step, count)
+    if t == count:
+        raise ChainSearchError(what, n, {"candidates": count})
+    return [translated(region, axis, t * step) for region, _ in checks]
 
 
 def find_good_segment_d2(
@@ -106,9 +104,11 @@ def find_good_segment_d2(
         raise ValueError("orientation must be horizontal or vertical")
     bound = Bound(Fraction(1, box.side(fixed_axis)), box)
     # (c, c) fixes the other coordinate at c; _full_segment resets its own
-    segs = (_full_segment(box, direction, (c, c))
-            for c in range(*_r(box.intervals[fixed_axis])))
-    seg = _first_good(family, _each(segs, bound), "no average-good segment", None)
+    c = box.intervals[fixed_axis][0]
+    (seg,) = _first_translate(
+        family, [(_full_segment(box, direction, (c, c)), bound)], fixed_axis, 1,
+        box.side(fixed_axis), "no average-good segment", None,
+    )
     return seg, bound
 
 
@@ -584,9 +584,10 @@ def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     # P_1: first lambda-good plane of Q(1), on the axis m2
     box = seq.box(lo_n)
     m2 = axes_of(lo_n)[2]
-    planes = (box.fix_axis(m2, v) for v in range(*_r(box.intervals[m2])))
-    plane = _first_good(
-        family, _each(planes, Bound(lam / box.side(m2), box)), "no good plane", lo_n
+    first = box.fix_axis(m2, box.intervals[m2][0])
+    (plane,) = _first_translate(
+        family, [(first, Bound(lam / box.side(m2), box))], m2, 1, box.side(m2),
+        "no good plane", lo_n,
     )
     legs = []
     for n in range(lo_n, hi_n):
@@ -595,33 +596,32 @@ def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
         p_val = plane.intervals[m2][0]
         # gamma_n^1: 1-good horizontal segment of the plane (direction m0)
         h_bound = Bound(Fraction(1, box.side(m1)), plane)
-        rows = (_full_segment(box, m0, _coords({m2: p_val, m1: h}))
-                for h in range(*_r(box.intervals[m1])))
-        seg1 = _first_good(family, _each(rows, h_bound), "no plane-average segment", n)
+        h0 = box.intervals[m1][0]
+        (seg1,) = _first_translate(
+            family, [(_full_segment(box, m0, _coords({m2: p_val, m1: h0})), h_bound)],
+            m1, 1, box.side(m1), "no plane-average segment", n,
+        )
         # joint scan: vertical of P_n at v, and plane of Q(n+1) at v
         v_bound = Bound(lam / box.side(m0), plane)
         nxt_bound = Bound(lam / nxt.side(m0), nxt)
-        pairs = ((Segment(_coords({m2: p_val, m0: v, m1: box.intervals[m1][0]}), m1,
-                          box.side(m1)), nxt.fix_axis(m0, v))
-                 for v in range(*_r(nxt.intervals[m0])))
-        seg2, plane = _first_good(
-            family, _jointly(pairs, (v_bound, nxt_bound)), "no shared good vertical/plane", n
+        v0 = nxt.intervals[m0][0]
+        vertical = Segment(_coords({m2: p_val, m0: v0, m1: h0}), m1, box.side(m1))
+        seg2, plane = _first_translate(
+            family, [(vertical, v_bound), (nxt.fix_axis(m0, v0), nxt_bound)], m0, 1,
+            nxt.side(m0), "no shared good vertical/plane", n,
         )
         # gamma_n^3: lambda-good vertical of P_(n+1) inside Q(n), direction m2
         w_bound = Bound(lam / nxt.side(m1), plane)
-        columns = (_full_segment(box, m2, _coords({m0: seg2.anchor[m0], m1: w}))
-                   for w in range(*_r(box.intervals[m1])))
-        seg3 = _first_good(family, _each(columns, w_bound), "no good cross vertical", n)
+        (seg3,) = _first_translate(
+            family, [(_full_segment(box, m2, _coords({m0: seg2.anchor[m0], m1: h0})), w_bound)],
+            m1, 1, box.side(m1), "no good cross vertical", n,
+        )
         legs += [
             Leg(n, f"g{n}.1", seg1, "plane-average-row", h_bound),
             Leg(n, f"g{n}.2", seg2, "shared-plane-vertical", v_bound),
             Leg(n, f"g{n}.3", seg3, "next-plane-vertical", w_bound),
         ]
     return _assemble(family, cert, legs, _prefix_base(family, seq))
-
-
-def _r(iv: tuple[int, int]) -> tuple[int, int]:
-    return iv[0], iv[1] + 1
 
 
 def _coords(values: dict[int, int]) -> Coords:
@@ -638,62 +638,34 @@ def _coords(values: dict[int, int]) -> Coords:
 
 
 def _fully_good_segment(
-    family: LengthFamily,
-    box: Box,
-    axis: int,
-    lam: Fraction,
-    visit_cap: int = SEARCH_CAP,
+    family: LengthFamily, box: Box, axis: int, lam: Fraction
 ) -> Segment:
-    """Depth-first search for a 1-segment whose canonical flag is fully
-    lambda-good (each member's mean at most lambda times the box mean).
+    """The first 1-segment, in scan order, whose canonical flag is fully
+    lambda-good (each member's mean at most lambda times the box mean), for
+    lambda >= 1.
 
     Fixes the flag's axes top-down (the axis cyclically before the segment
-    direction first); deterministic: ascending coordinate scan with the
-    first fully good branch kept.
+    direction first), each at the first value whose member passes: one
+    translate scan per axis, and no backtracking.  None is needed: mass is
+    additive, so the members one level down average the member above over
+    the side of the newly fixed axis, and so does their bound.  A good
+    member therefore has a good member below it, and lambda >= 1 gives the
+    first level one.
     """
     dim = box.dim
     order = [(axis - t) % dim for t in range(1, dim)]
     # the member at depth t fixes the axes order[:t+1], so its size, and
     # with it the bound of `_mean_bound`, depends on t alone
     total = size = box.npoints()
-    bounds = []
+    member = box
     for a in order:
         size //= box.side(a)
-        bounds.append(Bound(Fraction(lam.numerator * size, lam.denominator * total), box))
-    fixed: dict[int, int] = {}
-    visits = 0
-
-    def member_box(upto: int) -> Box:
-        ivs = list(box.intervals)
-        for a in order[: upto + 1]:
-            ivs[a] = (fixed[a], fixed[a])
-        return Box(tuple(ivs))
-
-    def dfs(t: int) -> bool:
-        nonlocal visits
-        if t == len(order):
-            return True
-        a = order[t]
-        lo, hi = box.intervals[a]
-        for v in range(lo, hi + 1):
-            visits += 1
-            if visits > visit_cap:
-                raise ChainSearchError(
-                    "fully good segment search exhausted", None, {"visits": visits}
-                )
-            fixed[a] = v
-            if mass_le(family, member_box(t), bounds[t]):
-                if dfs(t + 1):
-                    return True
-            del fixed[a]
-        return False
-
-    if not dfs(0):
-        raise ChainSearchError("no fully good segment in box", None, {"visits": visits})
-    anchor = [0] * dim
-    for a, v in fixed.items():
-        anchor[a] = v
-    anchor[axis] = box.intervals[axis][0]
+        bound = Bound(Fraction(lam.numerator * size, lam.denominator * total), box)
+        (member,) = _first_translate(
+            family, [(member.fix_axis(a, box.intervals[a][0]), bound)], a, 1, box.side(a),
+            "no fully good segment in box", None,
+        )
+    anchor = [lo for lo, _ in member.intervals]
     return Segment(tuple(anchor), axis, box.side(axis), ambient=box)
 
 
@@ -726,17 +698,27 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
         bounds = [_mean_bound(lam_prime, _full_segment(overlap, a, corner), overlap)
                   for a in range(d)]
         # choose the target point on the next anchor segment, scanning its
-        # span, so that the connecting staircase in the overlap is good
-        t0 = nxt_seg.anchor[m_next]
-        stairs = (_staircase_segments(overlap, seg, nxt_seg.point(t - t0), m_axis(n))
-                  for t in range(*_r(overlap.intervals[m_next])))
-        checked = ([(s, bounds[s.axis]) for s in st] for st in stairs if st)
-        stair = _first_good(
-            family, ((c, c) for c in checked), "no good staircase into the next box", n
+        # span, so that the connecting staircase in the overlap is good.  The
+        # staircase's first segment runs along m_next, the same for every
+        # target; the others move with the target, so they are translates
+        what = "no good staircase into the next box"
+        lo, _ = overlap.intervals[m_next]
+        stair = _staircase_segments(
+            overlap, seg, nxt_seg.point(lo - nxt_seg.anchor[m_next]), m_axis(n)
+        )
+        # the targets differ only in their m_next coordinate, which stays in
+        # the overlap, so a staircase leaves it for every target or for none
+        if stair is None:
+            raise ChainSearchError(what, n, {"candidates": 0})
+        if not mass_le(family, stair[0], bounds[m_next]):
+            raise ChainSearchError(what, n, {"candidates": overlap.side(m_next)})
+        stair[1:] = _first_translate(
+            family, [(s, bounds[s.axis]) for s in stair[1:]], m_next, 1,
+            overlap.side(m_next), what, n,
         )
         legs.append(Leg(n, f"g{n}.1", seg, "fully-good-anchor", _mean_bound(lam, seg, box)))
-        legs += [Leg(n, f"g{n}.{k + 2}", s, "staircase-overlap", bound)
-                 for k, (s, bound) in enumerate(stair)]
+        legs += [Leg(n, f"g{n}.{k + 2}", s, "staircase-overlap", bounds[s.axis])
+                 for k, s in enumerate(stair)]
         seg = nxt_seg
     legs.append(Leg(hi_n, f"g{hi_n}.1", seg, "fully-good-anchor",
                     _mean_bound(lam, seg, seq.box(hi_n))))
@@ -804,18 +786,27 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
         """First stride-k class that is average-good in its vertical set."""
         box = seq.box(n)
         x2, y2 = box.intervals[1]
-        classes = (Segment((k, j0), 1, (y2 - j0) // k + 1, stride=k)
-                   for j0 in range(x2, x2 + min(k, y2 - x2 + 1)))
         bound = Bound(Fraction(1, k), box.fix_axis(0, k))
-        seg = _first_good(family, _each(classes, bound), "no good stride class", n)
-        return Leg(n, f"g{n}.1", seg, "vertical-set-class", bound, "f(3,2)")
+        # the classes start at x2, x2 + 1, ... and each is the one before
+        # moved up by 1, except that the first to start past x2 + (y2 - x2) % k
+        # loses its top point: two translate scans, in scan order
+        classes, c0 = min(k, y2 - x2 + 1), (y2 - x2) // k + 1
+        full = (y2 - x2) % k + 1
+        for j0, count, npts in ((x2, full, c0), (x2 + full, classes - full, c0 - 1)):
+            if count > 0:
+                first = Segment((k, j0), 1, npts, stride=k)
+                t = first_translate_le(family, [(first, bound)], 1, 1, count)
+                if t < count:
+                    seg = translated(first, 1, t)
+                    return Leg(n, f"g{n}.1", seg, "vertical-set-class", bound, "f(3,2)")
+        raise ChainSearchError("no good stride class", n, {"candidates": classes})
 
     # opening stage: first k with a 2-good vertical set in Q(n0); the walk
     # reaches the class's entry by a plain staircase from the seed box corner
     box = seq.box(n0)
-    columns = (box.fix_axis(0, k) for k in range(*_r(box.intervals[0])))
-    column = _first_good(
-        family, _each(columns, Bound(lam / box.side(0), box)), "no good vertical set", n0
+    (column,) = _first_translate(
+        family, [(box.fix_axis(0, box.intervals[0][0]), Bound(lam / box.side(0), box))],
+        0, 1, box.side(0), "no good vertical set", n0,
     )
     k = column.intervals[0][0]
     legs = [class_leg(n0, k)]
@@ -833,25 +824,26 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
         seg2_bound = Bound(lam / big_r, overlap_col.fix_axis(0, k))
         strip_bound = Bound(lam / big_r, box_o)
         x2 = box_o.intervals[1][0]
-        pairs = ((Segment((k, j), 1, stride), Box((box_o.intervals[0], (j, j + stride - 1))))
-                 for j in range(x2, x2 + (big_r - 1) * stride, stride))
-        seg2, strip_box = _first_good(
-            family, _jointly(pairs, (seg2_bound, strip_bound)), "no jointly good strip", odd
+        strip = Box((box_o.intervals[0], (x2, x2 + stride - 1)))
+        seg2, strip_box = _first_translate(
+            family, [(Segment((k, x2), 1, stride), seg2_bound), (strip, strip_bound)],
+            1, stride, big_r - 1, "no jointly good strip", odd,
         )
         j_lo, j_hi = strip_box.intervals[1]
         # row scan inside the strip
         row_bound = Bound(Fraction(1, stride), strip_box)
-        rows = (Segment((box_o.intervals[0][0], j), 0, box_o.side(0))
-                for j in range(j_lo, j_hi + 1))
-        row = _first_good(family, _each(rows, row_bound), "no average-good row in strip", odd)
+        (row,) = _first_translate(
+            family, [(Segment((box_o.intervals[0][0], j_lo), 0, box_o.side(0)), row_bound)],
+            1, 1, j_hi - j_lo + 1, "no average-good row in strip", odd,
+        )
         # joint column scan for the next even box
         seg3_bound = Bound(lam / box_o.side(0), strip_box)
         column_bound = Bound(lam / box_e2.side(0), box_e2)
-        pairs = ((Segment((kp, j_lo), 1, j_hi - j_lo + 1), box_e2.fix_axis(0, kp))
-                 for kp in range(*_r(box_e2.intervals[0])))
-        seg3, _ = _first_good(
-            family, _jointly(pairs, (seg3_bound, column_bound)),
-            "no jointly good column", nxt_even,
+        k0 = box_e2.intervals[0][0]
+        seg3, _ = _first_translate(
+            family, [(Segment((k0, j_lo), 1, j_hi - j_lo + 1), seg3_bound),
+                     (box_e2.fix_axis(0, k0), column_bound)],
+            0, 1, box_e2.side(0), "no jointly good column", nxt_even,
         )
         k = seg3.anchor[0]
         legs += [

@@ -17,6 +17,8 @@ Goodness decisions go through `mass_le`, which decides from the split
 form with a certified error margin, and where that cannot decide from
 the sign of one exact sum of powers of two, at any coordinates;
 `weights_le` decides point weights so, falling back to exact rationals.
+`first_translate_le` finds the first translate of regions along one axis
+that `mass_le` passes, starting where the closed form predicts it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import functools
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -652,6 +654,73 @@ def mass_le(family: LengthFamily, region: Box | Segment, bound: Bound) -> bool:
     left = _product(a.c.numerator * b.c.denominator * q.denominator, a.num, b.den)
     right = _product(-b.c.numerator * a.c.denominator * q.numerator, b.num, a.den)
     return _sign([*left.items(), *right.items()]) <= 0
+
+
+def translated(region: Box | Segment, axis: int, delta: int) -> Box | Segment:
+    """The box or segment moved by delta along one axis."""
+    if isinstance(region, Box):
+        ivs = list(region.intervals)
+        ivs[axis] = (ivs[axis][0] + delta, ivs[axis][1] + delta)
+        return replace(region, intervals=tuple(ivs))
+    anchor = list(region.anchor)
+    anchor[axis] += delta
+    return replace(region, anchor=tuple(anchor))
+
+
+def _translate_start(
+    family: LengthFamily,
+    checks: Sequence[tuple[Box | Segment, Bound]],
+    axis: int,
+    step: int,
+    count: int,
+) -> int:
+    """Where `first_translate_le` starts: the largest predicted first index
+    over the regions when every translate lies in the support at
+    coordinates >= 0 of a product axis with rate > 0, else 0."""
+    if not isinstance(family, ProductFamily) or family.axes[axis].rate <= 0:
+        return 0
+    ax = family.axes[axis]
+    start = 0
+    for region, bound in checks:
+        lo, hi = next((lo, hi) for k, lo, hi, _ in _ranges(region) if k == axis)
+        if lo < max(0, ax.lo) or hi + (count - 1) * step > ax.hi:
+            return 0
+        x = mass_ratio_log2(family, region, bound) / (ax.rate * step)
+        if x > 0:
+            start = max(start, count if x >= count else math.ceil(x))
+    return start
+
+
+def first_translate_le(
+    family: LengthFamily,
+    checks: Sequence[tuple[Box | Segment, Bound]],
+    axis: int,
+    step: int,
+    count: int,
+) -> int:
+    """The least t < count at which every region of `checks`, moved by
+    t * step along `axis`, passes `mass_le` against its bound; count when
+    no t does.
+
+    Where every translate lies in the support at coordinates >= 0 of a
+    product axis with rate > 0, each step multiplies a region's mass by
+    exactly 2^(-rate * step), so its check fails and then passes for good,
+    from the ceiling of its log2 ratio at t = 0 over rate * step on.  The
+    walk starts at the largest such ceiling, steps down while the previous
+    index passes, then up while the current one fails.  `mass_le` decides
+    every probe, so an error in the float start costs probes, not the
+    answer.  Elsewhere the walk starts at 0, which is the linear scan.
+    """
+
+    def passes(t: int) -> bool:
+        return all(mass_le(family, translated(r, axis, t * step), b) for r, b in checks)
+
+    t = _translate_start(family, checks, axis, step, count)
+    while t > 0 and passes(t - 1):
+        t -= 1
+    while t < count and not passes(t):
+        t += 1
+    return t
 
 
 def weights_le(

@@ -5,10 +5,11 @@ something the package computes in closed form (the point weights of the
 built-in axes, exact arrival laws and minimum-cost paths of the walks,
 sphere enumeration, box enumeration, subdivision leaves and the share of
 non-admissible levels, per-point mean goodness and the goodness of a
-segment's flag, exact packed lengths, every prefix of a word and the
-per-step orbit of a fundamental domain), a small fixture map for the
-derivative checks, or an input of those oracles (the walk kernel and
-lattice paths).  `exact_mass` is no oracle: it reads the package's own
+segment's flag, the linear scans and the depth-first fully-good search
+that the chain searches replaced, exact packed lengths, every prefix of a
+word and the per-step orbit of a fundamental domain), a small fixture map
+for the derivative checks, or an input of those oracles (the walk kernel
+and lattice paths).  `exact_mass` is no oracle: it reads the package's own
 exact mass form as a rational, for tests of something else.
 """
 
@@ -18,17 +19,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from critreg.boxes import SubdivisionTree, _piece
+from critreg.concat import ChainSearchError
 from critreg.lattice import (
+    Bound,
     Box,
     Coords,
     LengthFamily,
     Segment,
     _check_dimension,
+    mass_le,
+    translated,
 )
 from critreg.nilpotent import IntervalPacking, UnipotentMatrix, Word, _identity_rows
 from critreg.smooth import SmoothMap
@@ -291,6 +296,90 @@ def flag_goodness(family: LengthFamily, box: Box, seg: Segment) -> Fraction:
     """Least lambda making the segment's flag fully lambda-good: the worst
     member's `goodness_ratio`."""
     return max(goodness_ratio(family, m, box) for m in flag_members(box, seg))
+
+
+def point_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
+    """A region's mass summed point by point over the points in the support."""
+    pts = box_points(region) if isinstance(region, Box) else region.points()
+    return exact_sum([family.weight(p) for p in pts if family.contains(p)] or [Fraction(0)])
+
+
+def first_good(
+    family: LengthFamily,
+    candidates: Iterable[tuple[Any, Iterable[tuple[Box | Segment, Bound]]]],
+    what: str,
+    n: int | None,
+):
+    """The linear scan the chain searches replaced: the first value, in scan
+    order, whose (region, Bound) checks all pass `mass_le`, trying the
+    candidates one by one; ChainSearchError(what, n) when none qualifies,
+    with the number of candidates scanned in its stats."""
+    scanned = 0
+    for scanned, (value, checks) in enumerate(candidates, 1):
+        if all(mass_le(family, region, bound) for region, bound in checks):
+            return value
+    raise ChainSearchError(what, n, {"candidates": scanned})
+
+
+def _passes(family: LengthFamily, region: Box | Segment, bound: Bound) -> bool:
+    q, other = bound
+    return point_mass(family, region) <= q * point_mass(family, other)
+
+
+def first_translate_linear(
+    family: LengthFamily,
+    checks: Sequence[tuple[Box | Segment, Bound]],
+    axis: int,
+    step: int,
+    count: int,
+) -> tuple[int, int]:
+    """The linear scan over translates: the first t < count at which every
+    region moved by t * step along `axis` passes its bound (count when none
+    does), decided by point sums, and the number of region checks the scan
+    makes when each candidate stops at its first failing region."""
+    checked = 0
+    for t in range(count):
+        for region, bound in checks:
+            checked += 1
+            if not _passes(family, translated(region, axis, t * step), bound):
+                break
+        else:
+            return t, checked
+    return count, checked
+
+
+def fully_good_dfs(family: LengthFamily, box: Box, axis: int, lam: Fraction) -> Segment | None:
+    """The depth-first search for a fully lambda-good 1-segment that the
+    greedy search replaced: fix the flag's axes top-down (the axis
+    cyclically before the segment direction first), scan each in ascending
+    order and backtrack from a value with no fully good completion; None
+    when no segment qualifies."""
+    dim = box.dim
+    order = [(axis - t) % dim for t in range(1, dim)]
+    fixed: dict[int, int] = {}
+
+    def member(upto: int) -> Box:
+        ivs = list(box.intervals)
+        for a in order[: upto + 1]:
+            ivs[a] = (fixed[a], fixed[a])
+        return Box(tuple(ivs))
+
+    def dfs(t: int) -> bool:
+        if t == len(order):
+            return True
+        a = order[t]
+        for v in range(box.intervals[a][0], box.intervals[a][1] + 1):
+            fixed[a] = v
+            m = member(t)
+            if _passes(family, m, Bound(lam * m.npoints() / box.npoints(), box)) and dfs(t + 1):
+                return True
+            del fixed[a]
+        return False
+
+    if not dfs(0):
+        return None
+    anchor = [fixed.get(a, box.intervals[a][0]) for a in range(dim)]
+    return Segment(tuple(anchor), axis, box.side(axis), ambient=box)
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,18 @@ class TestFlags:
         assert main(["dynamics", "--alpha-holder", alpha]) == 1
         assert capsys.readouterr().err == "error: exponent must lie in (0, 1]\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["dynamics", "--alpha-holder", "-1e-3"], "exponent must lie in (0, 1]"),
+         (["dynamics", "--c-param", "-1e-3"], "parameter must lie in (0, 4)"),
+         (["chain-b", "--d", "2", "--alpha", "-1e-1,1/2"], "exponents must lie in (0, 1]")],
+    )
+    def test_negative_value_in_exponent_notation_is_a_value(self, argv, message, capsys):
+        # argparse alone reads -1e-3 as an option and stops with "expected
+        # one argument"; the value's own check must answer, as for --flag=-1e-3
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dynamics", "--help"])

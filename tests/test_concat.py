@@ -2,22 +2,24 @@ import dataclasses
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critreg import concat
+from critreg import cli, concat, lattice
 from critreg.boxes import BoxSequence, build_sequence, minimal_round_constant
 from critreg.concat import (
     BudgetReport,
     BudgetRow,
     ChainSearchError,
-    _each,
-    _first_good,
+    _first_translate,
     _full_segment,
     _fully_good_segment,
     _junction,
+    _mean_bound,
+    _staircase_segments,
     _stretch_entry_t,
     _strip_count,
     build_chain,
@@ -30,16 +32,33 @@ from critreg.concat import (
     verify_chain,
 )
 from critreg.lattice import (
+    Axis,
     Bound,
     Box,
+    ProductFamily,
     Segment,
     TableFamily,
+    first_translate_le,
+    geometric_axis,
     geometric_family,
+    log2_parts,
+    symmetric_geometric_axis,
     symmetric_geometric_family,
+    translated,
     uniform_box_family,
 )
 
-from oracles import box_points, exact_mass, flag_goodness, flag_members, goodness_ratio
+from oracles import (
+    box_points,
+    exact_mass,
+    first_good,
+    first_translate_linear,
+    flag_goodness,
+    flag_members,
+    fully_good_dfs,
+    goodness_ratio,
+    point_mass,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -81,6 +100,22 @@ class TestGoodness:
         assert flag_members(box, seg) == members
         ratios = [goodness_ratio(fam, m, box) for m in members]
         assert flag_goodness(fam, box, seg) == max(ratios)
+
+
+def _families(dim: int) -> dict:
+    """Product families for the search tests: the two built-in ones, a
+    scaled product of both axes, a finite axis of rate 2 that starts below
+    0, and a uniform box (rate 0)."""
+    five_thirds = Fraction(5, 3)
+    steep = Axis(-3, 14, five_thirds, log2_parts(five_thirds), 1, 2)
+    mixed = [geometric_axis(), symmetric_geometric_axis()] * dim
+    return {
+        "geometric": geometric_family(dim),
+        "symmetric": symmetric_geometric_family(dim),
+        "scaled": ProductFamily(mixed[:dim], scale=Fraction(5, 7), name="scaled"),
+        "steep": ProductFamily([steep, *mixed[1:dim]], name="steep"),
+        "uniform": uniform_box_family(Box(((-4, 12),) * dim)),
+    }
 
 
 def _oracle_masses(fam, seg, bound):
@@ -411,24 +446,38 @@ class TestFullyGoodSearch:
         # the search, so no search counts box points more than depth + 1 times
         box = Box(tuple((1, 32) for _ in range(dim)))
         fam = geometric_family(dim)
-        visits = []
-        mass_le = concat.mass_le
-        monkeypatch.setattr(concat, "mass_le", lambda *a: visits.append(a) or mass_le(*a))
+        probes = []
+        mass_le = lattice.mass_le
+        monkeypatch.setattr(lattice, "mass_le", lambda *a: probes.append(a) or mass_le(*a))
         sizes = []
         npoints = Box.npoints
         monkeypatch.setattr(Box, "npoints", lambda b: sizes.append(b) or npoints(b))
         seg = _fully_good_segment(fam, box, 0, Fraction(7))
-        assert len(visits) > 2 * dim  # the search backtracks
+        # more probes than sizes taken, so a size per probe would show
+        assert len(probes) > dim
         assert len(sizes) <= dim
         assert seg.anchor == anchor
 
-    def test_visit_cap_raises_search_error(self):
-        box = Box(((1, 8), (1, 8), (1, 8)))
-        fam = geometric_family(3)
-        with pytest.raises(ChainSearchError) as err:
-            _fully_good_segment(fam, box, 0, Fraction(2), visit_cap=1)
-        # the search stops on the visit past the cap and reports it
-        assert err.value.stats == {"visits": 2}
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_greedy_equals_depth_first_search(self, data):
+        # every level of a fully lambda-good search has a good value for
+        # lambda >= 1, so the greedy search finds the depth-first one
+        dim = data.draw(st.integers(2, 3), label="dim")
+        box = Box(tuple(
+            (lo, lo + data.draw(st.integers(0, 3))) for lo in data.draw(
+                st.lists(st.integers(-3, 6), min_size=dim, max_size=dim), label="lo")
+        ))
+        kind = data.draw(st.sampled_from(["geometric", "symmetric", "scaled", "table"]))
+        if kind == "table":
+            ws = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=box.npoints(),
+                                    max_size=box.npoints()), label="weights")
+            fam = TableFamily(dict(zip(box_points(box), map(Fraction, ws))))
+        else:
+            fam = _families(dim)[kind]
+        axis = data.draw(st.integers(0, dim - 1), label="axis")
+        lam = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5)]))
+        assert _fully_good_segment(fam, box, axis, lam) == fully_good_dfs(fam, box, axis, lam)
 
 
 class TestJunction:
@@ -488,25 +537,25 @@ class TestFirstGood:
         fam = TableFamily({(x, y): Fraction(7 - 2 * y) for x, y in box_points(box)})
         rows = [box.fix_axis(1, v) for v in range(1, 4)]
         bound = Bound(Fraction(1, 3), box)
-        assert _first_good(fam, ((r, [(r, bound)]) for r in rows), "none", 3) == rows[1]
+        assert _first_translate(fam, [(rows[0], bound)], 1, 1, 3, "none", 3) == [rows[1]]
 
     def test_exhausted_scan_raises_search_error(self):
         box = Box(((1, 4), (1, 4)))
         fam = geometric_family(2)
         never = Bound(Fraction(1, 10 ** 6), box)
         with pytest.raises(ChainSearchError, match="no candidate") as err:
-            _first_good(fam, ((box, [(box, never)]),), "no candidate", 7)
+            _first_translate(fam, [(box, never)], 0, 1, 1, "no candidate", 7)
         assert err.value.n == 7
         assert err.value.stats == {"candidates": 1}
 
     def test_search_error_counts_every_candidate(self):
+        # with a predicted start (geometric) and without one (uniform)
         box = Box(((1, 4), (1, 4)))
-        fam = geometric_family(2)
         never = Bound(Fraction(1, 10 ** 6), box)
-        rows = [box.fix_axis(1, v) for v in range(1, 5)]
-        with pytest.raises(ChainSearchError) as err:
-            _first_good(fam, _each(rows, never), "none", None)
-        assert err.value.stats == {"candidates": 4}
+        for fam in (geometric_family(2), uniform_box_family(box)):
+            with pytest.raises(ChainSearchError) as err:
+                _first_translate(fam, [(box.fix_axis(1, 1), never)], 1, 1, 4, "none", None)
+            assert err.value.stats == {"candidates": 4}
 
     def test_failing_staircase_scan_reports_its_count(self):
         # the planar B-d2 boxes relabelled as B-general from their own first
@@ -518,6 +567,181 @@ class TestFirstGood:
             build_chain("B-general", geometric_family(2), seq)
         assert err.value.n == 3
         assert err.value.stats == {"candidates": 0}
+
+
+def _jump_applies(fam, checks, axis, step, count) -> bool:
+    """Where the translate search may start past 0: a product axis of rate
+    > 0, with every translate in the support at coordinates >= 0."""
+    if not isinstance(fam, ProductFamily) or fam.axes[axis].rate <= 0:
+        return False
+    ax = fam.axes[axis]
+    for region, _ in checks:
+        pts = box_points(region) if isinstance(region, Box) else region.points()
+        values = [p[axis] for p in pts]
+        if min(values) < max(0, ax.lo) or max(values) + (count - 1) * step > ax.hi:
+            return False
+    return True
+
+
+@st.composite
+def _regions(draw):
+    """A box or a segment of Z^2 near the origin, strided or reversed."""
+    if draw(st.booleans()):
+        return Box(tuple((lo, lo + draw(st.integers(0, 3))) for lo in
+                         (draw(st.integers(-6, 10)), draw(st.integers(-6, 10)))))
+    anchor = (draw(st.integers(-6, 10)), draw(st.integers(-6, 10)))
+    return Segment(anchor, draw(st.integers(0, 1)), draw(st.integers(1, 5)),
+                   step=draw(st.sampled_from([1, -1])), stride=draw(st.integers(1, 3)))
+
+
+# a table over [-4, 12]^2 whose weights neither fall nor rise along an axis
+_TABLE = TableFamily({(i, j): Fraction(1 + (3 * i + 5 * j) % 7, 2 ** (abs(i) + abs(j)))
+                      for i in range(-4, 13) for j in range(-4, 13)})
+
+
+class TestFirstTranslate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_linear_scan(self, data):
+        # the same index and exhausted count as the linear scan; the walk from
+        # 0 makes the linear scan's checks, and a predicted start costs at
+        # most two probes, three when a region's start is within 1e-6 of an
+        # integer (an exact tie included)
+        kind = data.draw(st.sampled_from(
+            ["geometric", "symmetric", "scaled", "steep", "uniform", "table"]), label="family")
+        fam = _TABLE if kind == "table" else _families(2)[kind]
+        axis = data.draw(st.integers(0, 1), label="axis")
+        step = data.draw(st.integers(1, 3), label="step")
+        count = data.draw(st.integers(0, 10), label="count")
+        checks = []
+        for _ in range(data.draw(st.integers(1, 2), label="regions")):
+            region, other = data.draw(_regions()), data.draw(_regions())
+            q = Fraction(data.draw(st.integers(1, 64)), data.draw(st.integers(1, 64)))
+            q *= Fraction(2) ** data.draw(st.integers(-12, 12))
+            if count and data.draw(st.booleans(), label="tie"):
+                # q such that the translate at t has the bound's mass exactly
+                t = data.draw(st.integers(0, count - 1))
+                m, b = point_mass(fam, translated(region, axis, t * step)), point_mass(fam, other)
+                q = m / b if m and b else q
+            checks.append((region, Bound(q, other)))
+        want, linear_checks = first_translate_linear(fam, checks, axis, step, count)
+        calls = []
+        mass_le = lattice.mass_le
+        with mock.patch.object(lattice, "mass_le", lambda *a: calls.append(a) or mass_le(*a)):
+            got = first_translate_le(fam, checks, axis, step, count)
+        assert got == want
+        if _jump_applies(fam, checks, axis, step, count):
+            probes = sum(1 for *_, bound in calls if bound is checks[0][1])
+            assert probes <= (3 if self._near_integer_start(fam, checks, axis, step) else 2)
+        else:
+            assert len(calls) == linear_checks
+        if want == count:
+            with pytest.raises(ChainSearchError) as err:
+                _first_translate(fam, checks, axis, step, count, "none", None)
+            assert err.value.stats == {"candidates": count}
+        else:
+            found = _first_translate(fam, checks, axis, step, count, "none", None)
+            assert found == [translated(r, axis, want * step) for r, _ in checks]
+
+    def test_a_start_past_a_tie_steps_back(self):
+        # mass((0, 0)) is exactly 2/3 of mass({0} x [0, 1]), but the float
+        # log2 ratio lands above 0, so the predicted start is 1: only the
+        # step down finds the tie at 0
+        fam = geometric_family(2)
+        checks = [(Box(((0, 0), (0, 0))), Bound(Fraction(2, 3), Box(((0, 0), (0, 1)))))]
+        assert lattice._translate_start(fam, checks, 0, 1, 1) == 1
+        assert first_translate_le(fam, checks, 0, 1, 1) == 0
+
+    @staticmethod
+    def _near_integer_start(fam, checks, axis, step) -> bool:
+        rate = fam.axes[axis].rate * step
+        for region, (q, other) in checks:
+            m, b = point_mass(fam, region), q * point_mass(fam, other)
+            if m and b:
+                x = (math.log2(m.numerator) - math.log2(m.denominator)
+                     - math.log2(b.numerator) + math.log2(b.denominator)) / rate
+                if abs(x - round(x)) < 1e-6:
+                    return True
+        return False
+
+
+def test_b_d2_cap_line_probes_at_most_three_times_per_search(monkeypatch, tmp_path):
+    # B-d2 (1/2, 1/2) at the n_max cap: every average-good segment search
+    # starts at its predicted translate and confirms it with <= 3 probes
+    counts, active = [], [False]
+    mass_le, find = lattice.mass_le, concat.find_good_segment_d2
+
+    def counting(*a):
+        counts[-1] += active[0]
+        return mass_le(*a)
+
+    def search(*a):
+        counts.append(0)
+        active[0] = True
+        try:
+            return find(*a)
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(lattice, "mass_le", counting)
+    monkeypatch.setattr(concat, "mass_le", counting)
+    monkeypatch.setattr(concat, "find_good_segment_d2", search)
+    argv = "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 200".split()
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2  # budget-ratio-spread fails
+    assert len(counts) == 200 and max(counts) <= 3
+
+
+def _ff_class_oracle(fam, box, k):
+    """The first stride-k class of the box's vertical set {k} x [x2, y2]
+    within the vertical set's mean, scanned class after class (the
+    coordinates reach 4^20, so `mass_le` decides)."""
+    x2, y2 = box.intervals[1]
+    classes = (Segment((k, j0), 1, (y2 - j0) // k + 1, stride=k)
+               for j0 in range(x2, x2 + min(k, y2 - x2 + 1)))
+    bound = Bound(Fraction(1, k), box.fix_axis(0, k))
+    return first_good(fam, ((c, [(c, bound)]) for c in classes), "", None)
+
+
+@pytest.mark.parametrize("family", [geometric_family(2), symmetric_geometric_family(2)])
+def test_ff_classes_are_the_first_good_ones(family):
+    # the class scan runs as two translate scans, split where the classes
+    # lose their top point; it must still find the first good class
+    seq = build_sequence("FF", d=3, n_max=40)
+    cert = build_chain("FF-d3", family, seq)
+    classes = [r for r in cert.records if r.flag_kind == "vertical-set-class"]
+    assert len(classes) > 10
+    for r in classes:
+        assert r.seg == _ff_class_oracle(family, seq.box(r.n), r.seg.anchor[0])
+
+
+def _staircase_oracle(fam, seq, n, cur, nxt_seg):
+    """The staircase from the anchor segment of Q(n) to the first target on
+    the next anchor segment whose staircase is good, target after target."""
+    d = seq.boxes[0].dim
+    overlap = seq.box(n).intersect(seq.box(n + 1))
+    m0, m_next = (n - 1) % d, n % d
+    lam_prime = lambda_prime(Fraction(2 * d - 1), HALF, d)
+    corner = tuple(lo for lo, _ in overlap.intervals)
+    bounds = [_mean_bound(lam_prime, _full_segment(overlap, a, corner), overlap)
+              for a in range(d)]
+    t0 = nxt_seg.anchor[m_next]
+    stairs = (_staircase_segments(overlap, cur, nxt_seg.point(t - t0), m0)
+              for t in range(overlap.intervals[m_next][0], overlap.intervals[m_next][1] + 1))
+    checked = ([(s, bounds[s.axis]) for s in st] for st in stairs if st)
+    return [s for s, _ in first_good(fam, ((c, c) for c in checked), "", n)]
+
+
+@pytest.mark.parametrize("d, n_max", [(3, 40), (4, 16)])
+def test_b_general_staircases_are_the_first_good_ones(d, n_max):
+    # the target scan runs as one fixed segment and the translates of the
+    # others; it must still find the first target with a good staircase
+    fam = geometric_family(d)
+    seq = build_sequence("B-general", alphas=(Fraction(1, d),) * d, n_max=n_max)
+    cert = build_chain("B-general", fam, seq)
+    anchors = {r.n: r.seg for r in cert.records if r.flag_kind == "fully-good-anchor"}
+    for n in sorted(anchors)[:-1]:
+        stair = [r.seg for r in cert.records if r.n == n and r.flag_kind == "staircase-overlap"]
+        assert stair and stair == _staircase_oracle(fam, seq, n, anchors[n], anchors[n + 1])
 
 
 def _planar_b_general(n_max):
