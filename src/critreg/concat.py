@@ -9,11 +9,12 @@ of one or more regions along one axis (`_first_translate`): FF-d3's
 stride classes are two such runs, split where the classes lose their top
 point, and a B-general staircase is one fixed segment and the translates
 of the others.  `lattice.first_translate_le` starts each scan from a
-closed-form prediction of the first good translate and lets exact probes
-confirm it, so the answer is the linear scan's.  Each builder returns its
-walk as an ordered list of legs (segment, flag kind and bound); one
-assembler, `_assemble`, derives the shared points of consecutive legs
-(`_junction`) and turns the legs into records.
+closed-form prediction of the first good translate and decides each probe
+from the split log2 parts at t = 0, shifted by the axis rate; only a tie
+builds the translate for `mass_le`, so the answer is the linear scan's.
+Each builder returns its walk as an ordered list of legs (segment, flag
+kind and bound); one assembler, `_assemble`, derives the shared points of
+consecutive legs (`_junction`) and turns the legs into records.
 
 Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
@@ -780,7 +781,9 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     n0 = chain_start_stage(seq)
     n_end = max(seq.indices())
     if n_end - n0 < 2:
-        raise ValueError("sequence too short past the start stage")
+        raise ChainSearchError(
+            "sequence too short past the start stage", n0, {"stages": len(seq.indices())}
+        )
 
     def class_leg(n: int, k: int) -> Leg:
         """First stride-k class that is average-good in its vertical set."""

@@ -18,7 +18,11 @@ form with a certified error margin, and where that cannot decide from
 the sign of one exact sum of powers of two, at any coordinates;
 `weights_le` decides point weights so, falling back to exact rationals.
 `first_translate_le` finds the first translate of regions along one axis
-that `mass_le` passes, starting where the closed form predicts it.
+that `mass_le` passes.  On a product axis of rate > 0, at coordinates >= 0
+inside the support, a translate's split parts are those of the unmoved
+region with rate times the move taken from the integer, so the scan
+starts where that closed form predicts the answer, decides each probe
+from it, and builds a translate for `mass_le` only on a tie.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import functools
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -661,34 +665,52 @@ def translated(region: Box | Segment, axis: int, delta: int) -> Box | Segment:
     if isinstance(region, Box):
         ivs = list(region.intervals)
         ivs[axis] = (ivs[axis][0] + delta, ivs[axis][1] + delta)
-        return replace(region, intervals=tuple(ivs))
+        return Box(tuple(ivs))
     anchor = list(region.anchor)
     anchor[axis] += delta
-    return replace(region, anchor=tuple(anchor))
+    return Segment(tuple(anchor), region.axis, region.count, region.step, region.stride,
+                   region.ambient)
 
 
-def _translate_start(
+def _translate_ratios(
     family: LengthFamily,
     checks: Sequence[tuple[Box | Segment, Bound]],
     axis: int,
     step: int,
     count: int,
-) -> int:
-    """Where `first_translate_le` starts: the largest predicted first index
-    over the regions when every translate lies in the support at
-    coordinates >= 0 of a product axis with rate > 0, else 0."""
+) -> tuple[int, list[tuple[int, float]] | None]:
+    """Where `first_translate_le` starts, and each check's log2 ratio at
+    t = 0 split as (E, F), E = a0 - b0 - e_q exact and F = a1 - b1 - f_q,
+    when every translate lies in the support at coordinates >= 0 of a
+    product axis with rate > 0; (0, None) elsewhere.
+
+    There a region's range on the axis is one run of `Axis._runs`, and a
+    move by delta takes rate * delta from its integer exponent and leaves
+    its tail alone, so the translate's split parts are (a0 - rate * delta,
+    a1) and its `mass_ratio_log2` is (E - rate * delta) + F, bit for bit.
+    A zero-mass region has F = -inf and a zero-mass bound F = inf, as
+    `mass_ratio_log2` has.  The start is the largest ceiling of a ratio at
+    t = 0 over rate * step, where its check starts to pass.
+    """
     if not isinstance(family, ProductFamily) or family.axes[axis].rate <= 0:
-        return 0
+        return 0, None
     ax = family.axes[axis]
-    start = 0
-    for region, bound in checks:
+    start, ratios = 0, []
+    for region, (q, other) in checks:
         lo, hi = next((lo, hi) for k, lo, hi, _ in _ranges(region) if k == axis)
         if lo < max(0, ax.lo) or hi + (count - 1) * step > ax.hi:
-            return 0
-        x = mass_ratio_log2(family, region, bound) / (ax.rate * step)
+            return 0, None
+        eq, fq = log2_parts(q)  # raises unless q > 0
+        a, b = _parts(family, region), _parts(family, other)
+        if a is None or b is None:
+            e, f = 0, NEG_INF if a is None else math.inf
+        else:
+            e, f = a[0] - b[0] - eq, a[1] - b[1] - fq
+        ratios.append((e, f))
+        x = (e + f) / (ax.rate * step)
         if x > 0:
             start = max(start, count if x >= count else math.ceil(x))
-    return start
+    return start, ratios
 
 
 def first_translate_le(
@@ -703,22 +725,37 @@ def first_translate_le(
     no t does.
 
     Where every translate lies in the support at coordinates >= 0 of a
-    product axis with rate > 0, each step multiplies a region's mass by
-    exactly 2^(-rate * step), so its check fails and then passes for good,
-    from the ceiling of its log2 ratio at t = 0 over rate * step on.  The
-    walk starts at the largest such ceiling, steps down while the previous
-    index passes, then up while the current one fails.  `mass_le` decides
-    every probe, so an error in the float start costs probes, not the
-    answer.  Elsewhere the walk starts at 0, which is the linear scan.
+    product axis with rate > 0, a translate's split parts are those at
+    t = 0 with rate * t * step taken from the integer (`_translate_ratios`),
+    so each step multiplies a region's mass by exactly 2^(-rate * step):
+    its check fails and then passes for good, from the ceiling of its log2
+    ratio at t = 0 over rate * step on.  The walk starts at the largest
+    such ceiling and steps down while the previous index passes, or else
+    up while the current one fails.  Each probe is decided by `mass_le`'s
+    own float difference, computed from the t = 0 parts, and only a
+    difference within MARGIN, a tie, builds the translate for `mass_le`'s
+    exact sign; so the answer is the linear scan's.  Elsewhere the walk
+    starts at 0 and `mass_le` decides every probe, which is the linear scan.
     """
+    t, ratios = _translate_ratios(family, checks, axis, step, count)
+    slope = 0 if ratios is None else family.axes[axis].rate * step
 
     def passes(t: int) -> bool:
-        return all(mass_le(family, translated(r, axis, t * step), b) for r, b in checks)
+        for i, (region, bound) in enumerate(checks):
+            if ratios is not None:
+                diff = (ratios[i][0] - slope * t) + ratios[i][1]
+                if diff > MARGIN:
+                    return False
+                if diff < -MARGIN:
+                    continue
+            if not mass_le(family, translated(region, axis, t * step), bound):
+                return False
+        return True
 
-    t = _translate_start(family, checks, axis, step, count)
+    down = False
     while t > 0 and passes(t - 1):
-        t -= 1
-    while t < count and not passes(t):
+        t, down = t - 1, True
+    while not down and t < count and not passes(t):
         t += 1
     return t
 

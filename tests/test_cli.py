@@ -259,6 +259,24 @@ class TestMain:
         assert main(["report", str(out / "report.json")]) == 2
         assert "[FAIL] search: value=no workable stage in range" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("family", ["geometric", "symmetric-geometric"])
+    def test_short_ff_ranges_are_search_failures(self, family, tmp_path, capsys):
+        # a range too short to hold an FF-d3 chain exits 3 with a report,
+        # whether it has no start stage (n_max <= 4) or too few stages past
+        # it (n_max 5); n_max 6 builds a chain
+        for n in range(1, 7):
+            out = tmp_path / str(n)
+            argv = ["chain-ff", "--d", "3", "--family", family, "--n-max", str(n)]
+            code = main([*argv, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == (3 if n <= 5 else 0)
+            if n <= 4:
+                assert err == f"error: no workable stage in range; stages: {n + 1}\n"
+            elif n == 5:
+                assert err == "error: sequence too short past the start stage; stages: 6\n"
+            assert main(["report", str(out / "report.json")]) == (2 if n <= 5 else 0)
+            capsys.readouterr()
+
     @pytest.mark.parametrize(
         "argv,shown",
         [(["dynamics", "--k-max", "20"], "[pass] iterate-growth-bound"),

@@ -443,18 +443,26 @@ class TestFullyGoodSearch:
     @pytest.mark.parametrize("dim, anchor", [(3, (1, 5, 3)), (4, (1, 5, 5, 3))])
     def test_box_size_taken_once_per_depth(self, dim, anchor, monkeypatch):
         # a member's size, and so its bound, depends only on its depth in
-        # the search, so no search counts box points more than depth + 1 times
-        box = Box(tuple((1, 32) for _ in range(dim)))
-        fam = geometric_family(dim)
+        # the search, so no search counts box points more than depth + 1 times.
+        # The geometric scans decide from closed forms without a `mass_le`
+        # probe, so the geometric weights of a smaller box, as a table, are
+        # searched too: there every decision is a probe
+        small = Box(((1, 8),) * dim)
+        geo = geometric_family(dim)
+        table = TableFamily({p: geo.weight(p) for p in box_points(small)})
+        want = _fully_good_segment(geo, small, 0, Fraction(7))
         probes = []
         mass_le = lattice.mass_le
         monkeypatch.setattr(lattice, "mass_le", lambda *a: probes.append(a) or mass_le(*a))
         sizes = []
         npoints = Box.npoints
         monkeypatch.setattr(Box, "npoints", lambda b: sizes.append(b) or npoints(b))
-        seg = _fully_good_segment(fam, box, 0, Fraction(7))
+        assert _fully_good_segment(table, small, 0, Fraction(7)) == want
         # more probes than sizes taken, so a size per probe would show
         assert len(probes) > dim
+        assert len(sizes) <= dim
+        sizes.clear()
+        seg = _fully_good_segment(geo, Box(((1, 32),) * dim), 0, Fraction(7))
         assert len(sizes) <= dim
         assert seg.anchor == anchor
 
@@ -570,8 +578,9 @@ class TestFirstGood:
 
 
 def _jump_applies(fam, checks, axis, step, count) -> bool:
-    """Where the translate search may start past 0: a product axis of rate
-    > 0, with every translate in the support at coordinates >= 0."""
+    """Where the translate search decides from closed forms and may start
+    past 0: a product axis of rate > 0, with every translate in the support
+    at coordinates >= 0."""
     if not isinstance(fam, ProductFamily) or fam.axes[axis].rate <= 0:
         return False
     ax = fam.axes[axis]
@@ -600,13 +609,38 @@ _TABLE = TableFamily({(i, j): Fraction(1 + (3 * i + 5 * j) % 7, 2 ** (abs(i) + a
 
 
 class TestFirstTranslate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_translate_shifts_the_integer_part(self, data):
+        # what the closed-form probes rest on: on a product axis of rate
+        # > 0, a region moved by delta, it and its translate in the support
+        # at coordinates >= 0, has the split log2 mass of the unmoved region
+        # with rate * delta taken from the integer and the float unchanged
+        kind = data.draw(st.sampled_from(["geometric", "symmetric", "scaled", "steep"]),
+                         label="family")
+        fam = _families(2)[kind]
+        region = data.draw(_regions(), label="region")
+        # a segment moves along its own axis or along the fixed one
+        axis = data.draw(st.integers(0, 1), label="axis")
+        rate = fam.axes[axis].rate
+        parts = fam.mass_log2_parts(region)
+        far = data.draw(st.integers(13, 10 ** 6), label="far")
+        for delta in [*range(-12, 13), far]:
+            other = translated(region, axis, delta)
+            if _jump_applies(fam, [(region, None), (other, None)], axis, 1, 1):
+                want = None if parts is None else (parts[0] - rate * delta, parts[1])
+                assert fam.mass_log2_parts(other) == want
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_the_linear_scan(self, data):
-        # the same index and exhausted count as the linear scan; the walk from
-        # 0 makes the linear scan's checks, and a predicted start costs at
-        # most two probes, three when a region's start is within 1e-6 of an
-        # integer (an exact tie included)
+        # the same index and exhausted count as the linear scan.  The walk
+        # from 0 makes the linear scan's checks; where a start is predicted,
+        # it lies at the answer or one past it (one before it only when a
+        # region's start is within 1e-6 of an integer), and `mass_le` runs
+        # only on ties: translates whose closed-form difference lies within
+        # MARGIN, and whose mass equals the bound's, so a draw that meets
+        # no tie makes no call
         kind = data.draw(st.sampled_from(
             ["geometric", "symmetric", "scaled", "steep", "uniform", "table"]), label="family")
         fam = _TABLE if kind == "table" else _families(2)[kind]
@@ -631,8 +665,12 @@ class TestFirstTranslate:
             got = first_translate_le(fam, checks, axis, step, count)
         assert got == want
         if _jump_applies(fam, checks, axis, step, count):
-            probes = sum(1 for *_, bound in calls if bound is checks[0][1])
-            assert probes <= (3 if self._near_integer_start(fam, checks, axis, step) else 2)
+            start, _ = lattice._translate_ratios(fam, checks, axis, step, count)
+            near = self._near_integer_start(fam, checks, axis, step)
+            assert want - near <= start <= want + 1
+            for _, region, (q, other) in calls:
+                assert abs(lattice.mass_ratio_log2(fam, region, Bound(q, other))) <= lattice.MARGIN
+                assert point_mass(fam, region) == q * point_mass(fam, other)
         else:
             assert len(calls) == linear_checks
         if want == count:
@@ -646,11 +684,16 @@ class TestFirstTranslate:
     def test_a_start_past_a_tie_steps_back(self):
         # mass((0, 0)) is exactly 2/3 of mass({0} x [0, 1]), but the float
         # log2 ratio lands above 0, so the predicted start is 1: only the
-        # step down finds the tie at 0
+        # step down finds the tie at 0, and that tie is the one `mass_le` call
         fam = geometric_family(2)
         checks = [(Box(((0, 0), (0, 0))), Bound(Fraction(2, 3), Box(((0, 0), (0, 1)))))]
-        assert lattice._translate_start(fam, checks, 0, 1, 1) == 1
-        assert first_translate_le(fam, checks, 0, 1, 1) == 0
+        start, ratios = lattice._translate_ratios(fam, checks, 0, 1, 1)
+        assert start == 1 and 0 < sum(ratios[0]) <= lattice.MARGIN
+        calls = []
+        mass_le = lattice.mass_le
+        with mock.patch.object(lattice, "mass_le", lambda *a: calls.append(a) or mass_le(*a)):
+            assert first_translate_le(fam, checks, 0, 1, 1) == 0
+        assert len(calls) == 1
 
     @staticmethod
     def _near_integer_start(fam, checks, axis, step) -> bool:
@@ -665,15 +708,18 @@ class TestFirstTranslate:
         return False
 
 
-def test_b_d2_cap_line_probes_at_most_three_times_per_search(monkeypatch, tmp_path):
+def test_b_d2_cap_line_probes_at_most_once_per_search(monkeypatch, tmp_path):
     # B-d2 (1/2, 1/2) at the n_max cap: every average-good segment search
-    # starts at its predicted translate and confirms it with <= 3 probes
+    # decides its probes from closed forms, and calls `mass_le` only on a
+    # tie, at most once per search (119 of the 200 searches meet one)
     counts, active = [], [False]
     mass_le, find = lattice.mass_le, concat.find_good_segment_d2
 
-    def counting(*a):
-        counts[-1] += active[0]
-        return mass_le(*a)
+    def counting(family, region, bound):
+        if active[0]:
+            counts[-1] += 1
+            assert abs(lattice.mass_ratio_log2(family, region, bound)) <= lattice.MARGIN
+        return mass_le(family, region, bound)
 
     def search(*a):
         counts.append(0)
@@ -688,7 +734,7 @@ def test_b_d2_cap_line_probes_at_most_three_times_per_search(monkeypatch, tmp_pa
     monkeypatch.setattr(concat, "find_good_segment_d2", search)
     argv = "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 200".split()
     assert cli.main([*argv, "--out", str(tmp_path)]) == 2  # budget-ratio-spread fails
-    assert len(counts) == 200 and max(counts) <= 3
+    assert len(counts) == 200 and max(counts) <= 1
 
 
 def _ff_class_oracle(fam, box, k):
