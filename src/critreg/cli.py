@@ -209,7 +209,7 @@ def _run_boxes(cfg: ExperimentConfig) -> dict:
 def _chain_common(kind: str, seq, fam) -> dict:
     cert = concat.build_chain(kind, fam, seq)
     ver = concat.verify_chain(cert, fam)
-    rep = concat.distortion_budget(cert, fam, min_fit_n=max(2, 4 if kind == "FF-d3" else 2))
+    rep = concat.distortion_budget(cert, fam)
     rows = [
         _row("chain-reverify", ver["all"], ver["all"], True,
              "all flags recomputed from the weight family"),

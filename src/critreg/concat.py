@@ -14,7 +14,11 @@ from the split log2 parts at t = 0, shifted by the axis rate; only a tie
 builds the translate for `mass_le`, so the answer is the linear scan's.
 Each builder returns its walk as an ordered list of legs (segment, flag
 kind and bound); one assembler, `_assemble`, derives the shared points of
-consecutive legs (`_junction`) and turns the legs into records.
+consecutive legs (`_junction`) and turns each leg into its record with
+`_record`, the one function that computes a record's stored values.
+`verify_chain` recomputes the box masses, calls `_record` again on each
+record's leg and witness points and requires the same record, and checks
+that segments lie in their boxes, the witness handovers and the power ratio.
 
 Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
@@ -118,8 +122,7 @@ def find_good_segment_d2(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
+class SegmentRecord(NamedTuple):
     n: int
     label: str
     seg: Segment
@@ -131,25 +134,20 @@ class SegmentRecord:
     mass_bound_log2: float
     power_sum_log2: float
     power_base_log2: float  # log2 of max(L_n, L_(n+1))^alpha_s (B measured over these)
-    entry: Coords | None
-    exit: Coords | None
+    entry: Coords
+    exit: Coords
 
     @property
     def points_between(self) -> int:
-        if self.entry is None or self.exit is None:
-            return self.seg.count
-        a = self.seg.index_of(self.entry)
-        b = self.seg.index_of(self.exit)
-        if a is None or b is None:
-            raise ValueError("witness escapes its segment")
-        return abs(b - a) + 1
+        """Walk points from entry to exit, both included."""
+        axis = self.seg.axis
+        return abs(self.exit[axis] - self.entry[axis]) // self.seg.stride + 1
 
 
 @dataclass
 class ChainCertificate:
     kind: str
     seq: BoxSequence
-    family_name: str
     alphas: tuple[Fraction, ...]  # per axis of the boxes
     masses_log2: dict[int, float]
     measured: dict[str, float]
@@ -163,7 +161,7 @@ def _new_cert(
     kind: str, family: LengthFamily, seq: BoxSequence, alphas, measured=None
 ) -> ChainCertificate:
     masses = {n: mass_log2(family, seq.box(n)) for n in seq.indices()}
-    return ChainCertificate(kind, seq, family.name, alphas, masses, measured or {})
+    return ChainCertificate(kind, seq, alphas, masses, measured or {})
 
 
 class Leg(NamedTuple):
@@ -195,28 +193,31 @@ def _assemble(
     joints = [_junction(a.seg, b.seg) for a, b in zip(legs, legs[1:])]
     entries = [legs[0].seg.anchor, *joints]
     exits = [*joints, legs[-1].seg.last() if last_exit is None else last_exit]
-    for (n, label, seg, kind, bound, generator), entry, exit_ in zip(legs, entries, exits):
-        alpha = float(cert.alphas[seg.axis])
-        cert.records.append(
-            SegmentRecord(
-                n=n,
-                label=label,
-                seg=seg,
-                generator=generator or f"f{seg.axis + 1}",
-                flag_kind=kind,
-                bound=bound,
-                flag_ok=mass_le(family, seg, bound),
-                mass_log2=mass_log2(family, seg),
-                mass_bound_log2=log2_fraction(bound.q) + mass_log2(family, bound.region),
-                power_sum_log2=family.segment_power_log2(seg, alpha),
-                power_base_log2=_power_base_log2(cert.masses_log2, n, alpha),
-                entry=entry,
-                exit=exit_,
-            )
-        )
+    for leg, entry, exit_ in zip(legs, entries, exits):
+        cert.records.append(_record(family, cert.masses_log2, cert.alphas, leg, entry, exit_))
     cert.stretches = _stretches_from_witnessed(cert.records, prefix_from)
     _measure(cert)
     return cert
+
+
+def _record(
+    family: LengthFamily, box_masses: dict[int, float], alphas: Sequence[Fraction],
+    leg: Leg, entry: Coords, exit_: Coords,
+) -> SegmentRecord:
+    """The record of a leg walked from entry to exit: its flag decided by
+    mass_le, the log2 masses of its segment and bound, and its power sum
+    with the base max(L_n, L_(n+1))^alpha from the box masses L."""
+    n, label, seg, kind, bound, generator = leg
+    alpha = float(alphas[seg.axis])
+    return SegmentRecord(
+        n, label, seg, generator or f"f{seg.axis + 1}", kind, bound,
+        flag_ok=mass_le(family, seg, bound),
+        mass_log2=mass_log2(family, seg),
+        mass_bound_log2=log2_fraction(bound.q) + mass_log2(family, bound.region),
+        power_sum_log2=family.segment_power_log2(seg, alpha),
+        power_base_log2=alpha * max(box_masses[n], box_masses.get(n + 1, NEG_INF)),
+        entry=entry, exit=exit_,
+    )
 
 
 def _junction(a: Segment, b: Segment) -> Coords:
@@ -242,11 +243,6 @@ def _junction(a: Segment, b: Segment) -> Coords:
     return out
 
 
-def _power_base_log2(masses_log2: dict[int, float], n: int, alpha: float) -> float:
-    """log2 of max(L_n, L_(n+1))^alpha from the box masses L of the sequence."""
-    return alpha * max(masses_log2[n], masses_log2.get(n + 1, NEG_INF))
-
-
 def _mean_bound(level: Fraction, region: Box | Segment, ambient: Box) -> Bound:
     """The bound: mean over the region at most level times the ambient mean."""
     size = region.npoints() if isinstance(region, Box) else region.count
@@ -254,14 +250,10 @@ def _mean_bound(level: Fraction, region: Box | Segment, ambient: Box) -> Bound:
 
 
 def _witness_check(records: Sequence[SegmentRecord]) -> bool:
-    for a, b in zip(records, records[1:]):
-        if a.exit is None or b.entry is None:
-            return False
-        if a.exit != b.entry:
-            return False
-        if a.seg.index_of(a.exit) is None or b.seg.index_of(b.entry) is None:
-            return False
-    return True
+    """Entries and exits lie on their segments; each record exits where the next enters."""
+    return all(
+        r.seg.index_of(p) is not None for r in records for p in (r.entry, r.exit)
+    ) and all(a.exit == b.entry for a, b in zip(records, records[1:]))
 
 
 def _stretch(entry: Coords, exit_: Coords, axis: int, stride: int = 1) -> Segment:
@@ -270,34 +262,27 @@ def _stretch(entry: Coords, exit_: Coords, axis: int, stride: int = 1) -> Segmen
     if delta % stride:
         raise ValueError("exit not reachable with this stride")
     steps = delta // stride
-    return Segment(
-        entry, axis, abs(steps) + 1, step=1 if steps >= 0 else -1, stride=stride
-    )
+    return Segment(entry, axis, abs(steps) + 1, step=1 if steps >= 0 else -1, stride=stride)
 
 
 def _measure(cert: ChainCertificate) -> None:
     """Fill the measured-constants table of a freshly built chain."""
-    alpha_min = float(min(cert.alphas))
-    cert.power_ratio_log2 = max(
-        (r.power_sum_log2 - r.power_base_log2 for r in cert.records), default=NEG_INF
-    )
-    # past float range B is inf; B_log2 keeps it readable
-    b = 2.0 ** cert.power_ratio_log2 if cert.power_ratio_log2 < 1024 else math.inf
-    d_const = 0.0
+    ratio = max((r.power_sum_log2 - r.power_base_log2 for r in cert.records), default=NEG_INF)
+    cert.power_ratio_log2 = ratio
     if cert.kind.startswith("B"):
-        count_exp = alpha_min * math.log2(2.0)  # standard 2^(n*alpha)
+        count_exp = float(min(cert.alphas))  # standard 2^(n*alpha)
     else:
         count_exp = 2.0 / cert.seq.boxes[0].dim  # standard 4^(n/(d-1))
     by_n: dict[int, list[SegmentRecord]] = {}
     for r in cert.records:
         by_n.setdefault(r.n, []).append(r)
-    for n, rows in by_n.items():
-        longest = max(r.points_between for r in rows)
-        d_const = max(d_const, 2.0 ** (n * count_exp) / longest)
-    cert.measured["B"] = b
-    cert.measured["B_log2"] = cert.power_ratio_log2
-    cert.measured["D"] = d_const
-    cert.measured["K_d"] = float(max(map(len, by_n.values()), default=0))
+    longest = {n: max(r.points_between for r in rows) for n, rows in by_n.items()}
+    cert.measured.update(
+        B=2.0 ** ratio if ratio < 1024 else math.inf,  # past float range B_log2 stays readable
+        B_log2=ratio,
+        D=max((2.0 ** (n * count_exp) / k for n, k in longest.items()), default=0.0),
+        K_d=float(max(map(len, by_n.values()), default=0)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,42 +291,32 @@ def _measure(cert: ChainCertificate) -> None:
 
 
 def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool]:
-    """Recompute all certificate flags from the weight family alone.
-
-    Masses, power sums and power bases come from the same closed forms
-    the builders use, so they must equal the stored values; each flag is
-    re-decided by `mass_le` against its stored bound pair.
-    """
+    """Recompute every stored value of the certificate from the weight
+    family alone: each record must carry a true flag and equal the record
+    `_record` builds again from its leg and witness points, with the box
+    masses recomputed here, and the stored power ratio must equal the
+    recomputed maximum."""
     box_masses = {n: mass_log2(family, cert.seq.box(n)) for n in cert.seq.indices()}
     boxes_ok = box_masses == cert.masses_log2
-    flags = all(
-        r.flag_ok
-        and mass_le(family, r.seg, r.bound)
-        and mass_log2(family, r.seg) == r.mass_log2
+    fresh = [
+        _record(family, box_masses, cert.alphas,
+                Leg(r.n, r.label, r.seg, r.flag_kind, r.bound, r.generator), r.entry, r.exit)
         for r in cert.records
-    )
-    alphas = [float(cert.alphas[r.seg.axis]) for r in cert.records]
-    power_sums = [family.segment_power_log2(r.seg, a) for r, a in zip(cert.records, alphas)]
-    powers = all(ps == r.power_sum_log2 for ps, r in zip(power_sums, cert.records))
+    ]
+    records = all(r.flag_ok and r == f for r, f in zip(cert.records, fresh))
     containment = all(
-        cert.seq.box(r.n).contains(r.seg.anchor)
-        and cert.seq.box(r.n).contains(r.seg.last())
-        for r in cert.records
+        cert.seq.box(r.n).contains(p) for r in cert.records for p in (r.seg.anchor, r.seg.last())
     )
     witnesses = _witness_check(cert.records)
-    bases = [_power_base_log2(box_masses, r.n, a) for r, a in zip(cert.records, alphas)]
-    ratio = max((ps - base for ps, base in zip(power_sums, bases)), default=NEG_INF)
-    b_ok = ratio == cert.power_ratio_log2 and all(
-        base == r.power_base_log2 for base, r in zip(bases, cert.records)
-    )
+    ratio = max((f.power_sum_log2 - f.power_base_log2 for f in fresh), default=NEG_INF)
+    b_ok = ratio == cert.power_ratio_log2
     return {
         "box_masses": boxes_ok,
-        "masses": flags,
-        "power_sums": powers,
+        "records": records,
         "containment": containment,
         "witnesses": witnesses,
         "power_bound": b_ok,
-        "all": boxes_ok and flags and powers and containment and witnesses and b_ok,
+        "all": boxes_ok and records and containment and witnesses and b_ok,
     }
 
 
@@ -369,17 +344,14 @@ def _stretches_from_witnessed(
     monotone staircase from a base point to the first entry point."""
     out: list[Segment] = []
     first = records[0].entry
-    assert first is not None
     if prefix_from is not None:
         cur = prefix_from
         for axis in range(len(first)):
             if first[axis] != cur[axis]:
-                nxt = list(cur)
-                nxt[axis] = first[axis]
-                out.append(_stretch(cur, tuple(nxt), axis))
-                cur = tuple(nxt)
+                nxt = cur[:axis] + (first[axis],) + cur[axis + 1:]
+                out.append(_stretch(cur, nxt, axis))
+                cur = nxt
     for r in records:
-        assert r.entry is not None and r.exit is not None
         out.append(_stretch(r.entry, r.exit, r.seg.axis, r.seg.stride))
     return out
 
@@ -961,16 +933,13 @@ def _stretch_entry_t(stretch: Segment, box: Box) -> int | None:
     return t_lo if t_lo <= t_hi else None
 
 
-def distortion_budget(
-    cert: ChainCertificate,
-    family: LengthFamily,
-    min_fit_n: int = 2,
-) -> BudgetReport:
+def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetReport:
     """Entry times N(n) and cumulative Holder sums along the walk.
 
     For each box index n the budget is the sum of weight(point)^a(step)
     over walk points up to the first entry into Q(n+1); the fitted constant
-    is the largest ratio budget / (ln N)^(1-alpha_min) over n >= min_fit_n.
+    is the largest ratio budget / (ln N)^(1-alpha_min) over n >= 2, or
+    n >= 4 for FF-d3, whose chains start at stage 4 (`chain_start_stage`).
 
     One pass: each stretch's own power sum is taken once, and prefix[i]
     is the running float sum of stretches 0..i-1 in walk order.  A row's
@@ -1007,17 +976,29 @@ def distortion_budget(
             return prefix[i + 1]
         return prefix[i] + own_part(i, t_hi)
 
+    # For n >= n1, the first record's index, no walk point before the first
+    # entry into Q(n) lies in Q(n+1), so the scan resumes at that entry's
+    # stretch.  Every construction only raises endpoints, so per axis both
+    # endpoints are nondecreasing in n and Q(a) & Q(c) lies in Q(b) for
+    # a < b < c.  A point p of Q(n+1) on the prefix staircase, which runs
+    # coordinatewise from a base at or below the first entry e in Q(n1), has
+    # lo(n) <= lo(n+1) <= p <= e <= hi(n1) <= hi(n); on a record of box m < n
+    # it lies in Q(m) & Q(n+1); either way in Q(n).  Records come in
+    # nondecreasing n and every box from n1 to the last row's has some, so
+    # later boxes' records come after a point of Q(n).  Rows below n1
+    # (FF-d3's prefix rows) scan from the first stretch.
     rows = []
-    indices = sorted(cert.masses_log2)
-    for n in indices:
+    first_n = cert.records[0].n
+    resume = 0
+    for n in sorted(cert.masses_log2):
         if n + 1 not in cert.masses_log2:
             continue
         nxt_box = cert.seq.box(n + 1)
         entry = None
-        for i, s in enumerate(stretches):
-            t = _stretch_entry_t(s, nxt_box)
+        for i in range(resume if n >= first_n else 0, len(stretches)):
+            t = _stretch_entry_t(stretches[i], nxt_box)
             if t is not None:
-                entry = starts[i] + t
+                entry, resume = starts[i] + t, i
                 break
         if entry is None or entry == 0:
             continue
@@ -1025,11 +1006,7 @@ def distortion_budget(
         ln = math.log(entry)
         ratio = b / ln ** (1.0 - alpha_min) if ln > 0 else math.inf
         rows.append(BudgetRow(n, entry, b, ratio))
-    fit_rows = [r for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
-    a_prime = max((r.ratio for r in fit_rows), default=0.0)
-    spread = (
-        max(r.ratio for r in fit_rows) / min(r.ratio for r in fit_rows)
-        if fit_rows
-        else math.inf
-    )
-    return BudgetReport(tuple(rows), a_prime, spread, total)
+    min_fit_n = 4 if cert.kind == "FF-d3" else 2
+    fit = [r.ratio for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
+    spread = max(fit) / min(fit) if fit else math.inf
+    return BudgetReport(tuple(rows), max(fit, default=0.0), spread, total)

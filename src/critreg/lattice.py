@@ -628,18 +628,26 @@ def mass_log2(family: LengthFamily, region: Box | Segment) -> float:
 MARGIN = 2.0 ** -40
 
 
-def mass_ratio_log2(family: LengthFamily, region: Box | Segment, bound: Bound) -> float:
-    """log2 of mass(region) / (q * mass(B)) for bound = (q, B), within
-    MARGIN when it is near 0; -inf or inf when a mass is zero."""
+def _ratio_parts(family: LengthFamily, region: Box | Segment, bound: Bound) -> tuple[int, float]:
+    """`mass_ratio_log2` split as (E, F) from the split parts of the masses
+    and of q: E = a0 - b0 - e_q exact, F = a1 - b1 - f_q; (0, -inf) for a
+    zero-mass region, else (0, inf) for a zero-mass B."""
     q, other = bound
     eq, fq = log2_parts(q)  # raises unless q > 0
     a = _parts(family, region)
     if a is None:
-        return NEG_INF
+        return 0, NEG_INF
     b = _parts(family, other)
     if b is None:
-        return math.inf
-    return (a[0] - b[0] - eq) + (a[1] - b[1] - fq)
+        return 0, math.inf
+    return a[0] - b[0] - eq, a[1] - b[1] - fq
+
+
+def mass_ratio_log2(family: LengthFamily, region: Box | Segment, bound: Bound) -> float:
+    """log2 of mass(region) / (q * mass(B)) for bound = (q, B), within
+    MARGIN when it is near 0; -inf or inf when a mass is zero."""
+    e, f = _ratio_parts(family, region, bound)
+    return e + f
 
 
 def mass_le(family: LengthFamily, region: Box | Segment, bound: Bound) -> bool:
@@ -679,33 +687,26 @@ def _translate_ratios(
     step: int,
     count: int,
 ) -> tuple[int, list[tuple[int, float]] | None]:
-    """Where `first_translate_le` starts, and each check's log2 ratio at
-    t = 0 split as (E, F), E = a0 - b0 - e_q exact and F = a1 - b1 - f_q,
-    when every translate lies in the support at coordinates >= 0 of a
-    product axis with rate > 0; (0, None) elsewhere.
+    """Where `first_translate_le` starts, and each check's `_ratio_parts`
+    at t = 0, when every translate lies in the support at coordinates >= 0
+    of a product axis with rate > 0; (0, None) elsewhere.
 
     There a region's range on the axis is one run of `Axis._runs`, and a
     move by delta takes rate * delta from its integer exponent and leaves
     its tail alone, so the translate's split parts are (a0 - rate * delta,
     a1) and its `mass_ratio_log2` is (E - rate * delta) + F, bit for bit.
-    A zero-mass region has F = -inf and a zero-mass bound F = inf, as
-    `mass_ratio_log2` has.  The start is the largest ceiling of a ratio at
-    t = 0 over rate * step, where its check starts to pass.
+    The start is the largest ceiling of a ratio at t = 0 over rate * step,
+    where its check starts to pass.
     """
     if not isinstance(family, ProductFamily) or family.axes[axis].rate <= 0:
         return 0, None
     ax = family.axes[axis]
     start, ratios = 0, []
-    for region, (q, other) in checks:
+    for region, bound in checks:
         lo, hi = next((lo, hi) for k, lo, hi, _ in _ranges(region) if k == axis)
         if lo < max(0, ax.lo) or hi + (count - 1) * step > ax.hi:
             return 0, None
-        eq, fq = log2_parts(q)  # raises unless q > 0
-        a, b = _parts(family, region), _parts(family, other)
-        if a is None or b is None:
-            e, f = 0, NEG_INF if a is None else math.inf
-        else:
-            e, f = a[0] - b[0] - eq, a[1] - b[1] - fq
+        e, f = _ratio_parts(family, region, bound)
         ratios.append((e, f))
         x = (e + f) / (ax.rate * step)
         if x > 0:

@@ -118,7 +118,7 @@ def test_05_orbit_chain():
     cert = build_chain("FF-d3", fam, seq)
     flags = all(r.flag_ok for r in cert.records if r.n <= 12)
     reverify = verify_chain(cert, fam)["all"]
-    rep = distortion_budget(cert, fam, min_fit_n=4)
+    rep = distortion_budget(cert, fam)
     window = [r for r in rep.rows if 4 <= r.n <= 12]
     ratios = [r.ratio for r in window]
     spread = max(ratios) / min(ratios)

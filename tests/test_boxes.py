@@ -124,6 +124,28 @@ class TestSequences:
             for n in list(s.indices())[:-1]:
                 assert s.box(n).intersect(s.box(n + 1)) is not None
 
+    @pytest.mark.parametrize("kind", ["B-d2", "B-general", "FF"])
+    def test_endpoints_nondecreasing(self, kind):
+        # every construction only raises endpoints, so per axis both
+        # endpoints of Q(n) are nondecreasing in n; the entry-time scan of
+        # `concat.distortion_budget` resumes at the previous row on this
+        grid = {
+            "B-d2": [{"alphas": a} for a in (
+                (HALF, HALF), (THIRD, 2 * THIRD), (2 * THIRD, THIRD),
+                (Fraction(1, 4), Fraction(3, 4)), (Fraction(4, 7), Fraction(3, 7)))],
+            "B-general": [{"alphas": a} for a in (
+                (THIRD,) * 3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                (Fraction(1, 4),) * 4, (Fraction(1, 5),) * 5)],
+            "FF": [{"d": d} for d in (3, 4, 5, 6)],
+        }[kind]
+        for kw in grid:
+            for n_max in (1, 2, 5, 12, 40, 200):
+                s = build_sequence(kind, n_max=n_max, **kw)
+                boxes = [s.box(n) for n in s.indices()]
+                for a, b in zip(boxes, boxes[1:]):
+                    for (lo_a, hi_a), (lo_b, hi_b) in zip(a.intervals, b.intervals):
+                        assert lo_a <= lo_b and hi_a <= hi_b, (kw, n_max)
+
     def test_ff_side_growth_bracket(self):
         for d in (3, 4):
             s = build_sequence("FF", d=d, n_max=20)

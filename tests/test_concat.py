@@ -262,7 +262,7 @@ class TestChains:
         seq = build_sequence("B-d2", alphas=(HALF, HALF), n_max=15)
         cert = _chain_smoke("B-d2", fam, seq)
         assert len(cert.records) == 15
-        rep = distortion_budget(cert, fam, min_fit_n=4)
+        rep = distortion_budget(cert, fam)
         assert rep.ratio_spread < 2.0
         assert rep.a_prime > 0
 
@@ -312,7 +312,7 @@ class TestChains:
                 height = odd.intervals[0][1]
                 assert r.seg.count == height
                 assert (r.seg.anchor[1] - odd.intervals[1][0]) % height == 0
-        rep = distortion_budget(cert, fam, min_fit_n=4)
+        rep = distortion_budget(cert, fam)
         assert rep.ratio_spread < 2.0
 
     def test_strip_count(self):
@@ -374,23 +374,37 @@ _CHAINS = {
 }
 
 
+def _off_segment(seg, point):
+    """The point moved by one along an axis its segment does not move on."""
+    out = list(point)
+    out[(seg.axis + 1) % len(out)] += 1
+    return tuple(out)
+
+
 def _tamper(cert, field):
     """A copy of the certificate with one stored value changed: a box mass,
-    or one field of a middle record."""
-    r = cert.records[len(cert.records) // 2]
+    the first record's entry or the last record's exit moved off its
+    segment, or one field of a middle record."""
+    k = {"entry": 0, "exit": -1}.get(field, len(cert.records) // 2)
+    r = cert.records[k]
     if field == "masses_log2":
         masses = {**cert.masses_log2, r.n: cert.masses_log2[r.n] + 1.0}
         return dataclasses.replace(cert, masses_log2=masses)
     value = {
         "flag_ok": False,
         "mass_log2": math.nextafter(r.mass_log2, -math.inf),
+        # raising a bound keeps the flag true
+        "mass_bound_log2": math.nextafter(r.mass_bound_log2, math.inf),
         # lowering a power sum keeps it under the power bound
         "power_sum_log2": math.nextafter(r.power_sum_log2, -math.inf),
         # raising a base keeps the power sum under the power bound
         "power_base_log2": r.power_base_log2 + 1.0,
+        # the walk's two ends have no neighbour to hand over to
+        "entry": _off_segment(r.seg, r.entry),
+        "exit": _off_segment(r.seg, r.exit),
     }[field]
     records = list(cert.records)
-    records[len(records) // 2] = dataclasses.replace(r, **{field: value})
+    records[k] = r._replace(**{field: value})
     return dataclasses.replace(cert, records=records)
 
 
@@ -401,7 +415,8 @@ class TestVerifyChain:
         return fam, build_chain(request.param, fam, build_sequence(seq_kind, **kw))
 
     @pytest.mark.parametrize(
-        "field", ["flag_ok", "mass_log2", "power_sum_log2", "power_base_log2", "masses_log2"]
+        "field", ["flag_ok", "mass_log2", "mass_bound_log2", "power_sum_log2",
+                  "power_base_log2", "masses_log2", "entry", "exit"]
     )
     def test_tampered_field_fails(self, built, field):
         fam, cert = built
@@ -880,8 +895,8 @@ def _resummed_budget(cert, family, min_fit_n):
                         max(fit) / min(fit) if fit else math.inf, starts[-1] + 1)
 
 
-# chains for the budget oracle: (kind, family, sequence, min_fit_n as the CLI
-# sets it).  B-general and FF-general at d = 4 walk through count-1 stretches
+# chains for the budget oracle: (kind, family, sequence, the first fitted row
+# of the kind).  B-general and FF-general at d = 4 walk through count-1 stretches
 # before their last; FF-d3 at n_max 17 has its last entry inside the final
 # stretch.
 _BUDGET_CHAINS = {
@@ -914,7 +929,7 @@ class TestBudgetOracle:
     @pytest.mark.parametrize("case", sorted(_BUDGET_CHAINS))
     def test_equals_resummed_budget(self, case):
         cert, fam, min_fit_n = _budget_case(case)
-        got = distortion_budget(cert, fam, min_fit_n=min_fit_n)
+        got = distortion_budget(cert, fam)
         want = _resummed_budget(cert, fam, min_fit_n=min_fit_n)
         assert len(got.rows) == len(want.rows) > 0
         for a, b in zip(got.rows, want.rows):
@@ -928,15 +943,15 @@ class TestBudgetOracle:
             cert, _, _ = _budget_case(case)
             assert any(s.count == 1 for s in cert.stretches[:-1]), case
         for case in ("FF-d3-geometric", "FF-d3-symmetric"):
-            cert, fam, min_fit_n = _budget_case(case)
-            rep = distortion_budget(cert, fam, min_fit_n=min_fit_n)
+            cert, fam, _ = _budget_case(case)
+            rep = distortion_budget(cert, fam)
             # the final stretch holds walk indices total - count .. total - 1
             first = rep.total_points - cert.stretches[-1].count
             assert any(first <= r.entry_index < rep.total_points - 1 for r in rep.rows), case
 
     @pytest.mark.parametrize("case", ["B-d2-third", "B-general-d4", "FF-d3-symmetric"])
     def test_one_power_sum_per_stretch_and_row(self, case, monkeypatch):
-        cert, fam, min_fit_n = _budget_case(case)
+        cert, fam, _ = _budget_case(case)
         calls = []
         inner = fam.segment_power_log2
 
@@ -945,5 +960,21 @@ class TestBudgetOracle:
             return inner(seg, alpha)
 
         monkeypatch.setattr(fam, "segment_power_log2", counted)
-        rep = distortion_budget(cert, fam, min_fit_n=min_fit_n)
+        rep = distortion_budget(cert, fam)
         assert 0 < len(calls) <= len(cert.stretches) + len(rep.rows)
+
+    @pytest.mark.parametrize("case", sorted(_BUDGET_CHAINS))
+    def test_entry_scan_resumes_at_previous_row(self, case, monkeypatch):
+        # rows from the first record's index on resume at the stretch of
+        # the previous row's entry, so the scan passes each stretch about
+        # once, not once per row; the full scan of the reference agrees
+        cert, fam, _ = _budget_case(case)
+        calls = []
+
+        def counted(stretch, box):
+            calls.append(stretch)
+            return _stretch_entry_t(stretch, box)
+
+        monkeypatch.setattr(concat, "_stretch_entry_t", counted)
+        distortion_budget(cert, fam)
+        assert 0 < len(calls) <= len(cert.stretches) + 2 * len(cert.masses_log2)

@@ -114,8 +114,10 @@ class TestWandering:
 
 class TestMapValidation:
     def test_declared_fixed_point_must_be_fixed(self):
-        with pytest.raises(ValueError):
-            SmoothMap("bad", lambda x: x + 0.5, lambda x: np.ones_like(x), 0, 1, (0.0,))
+        # a move of 1e-11 lies within FIXED_POINT_TOL, and is still a move
+        for move in (0.5, 1e-11):
+            with pytest.raises(ValueError, match="moves under the map"):
+                SmoothMap("bad", lambda x: x + move, lambda x: np.ones_like(x), 0, 1, (0.0,))
 
     def test_restrict_guard(self):
         with pytest.raises(ValueError):
