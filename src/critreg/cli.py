@@ -68,7 +68,7 @@ class ExperimentConfig:
             raise ConfigError("d outside the supported range")
         if self.n_max < 1 or self.k_max < 1 or self.samples < 1:
             raise ConfigError("n_max, k_max and samples must be positive")
-        if self.kind in ("lemma1",) and self.seed is None:
+        if "seed" in KIND_FIELDS[self.kind] and self.seed is None:
             raise ConfigError("stochastic kinds need a seed")
 
     def alpha_fractions(self) -> tuple[Fraction, ...]:
@@ -173,13 +173,17 @@ def _run_lemma1(cfg: ExperimentConfig) -> dict:
         "B": summary.bound_b, "witness": witness}}
 
 
-def _seq_for(cfg: ExperimentConfig) -> boxmod.BoxSequence:
+def _b_variant_alphas(cfg: ExperimentConfig) -> tuple[str, tuple[Fraction, ...]]:
+    """A B config's variant and exponents: B-d2 at d = 2 and B-general
+    above, and 1/d on every axis, unless the config names its own."""
     variant = cfg.variant or ("B-d2" if cfg.d == 2 else "B-general")
-    if variant == "FF":
+    return variant, cfg.alpha_fractions() or (Fraction(1, cfg.d),) * cfg.d
+
+
+def _seq_for(cfg: ExperimentConfig) -> boxmod.BoxSequence:
+    if cfg.variant == "FF":
         return boxmod.build_sequence("FF", d=cfg.d, n_max=cfg.n_max)
-    alphas = cfg.alpha_fractions() or tuple(
-        Fraction(1, cfg.d) for _ in range(cfg.d)
-    )
+    variant, alphas = _b_variant_alphas(cfg)
     return boxmod.build_sequence(variant, alphas=alphas, n_max=cfg.n_max)
 
 
@@ -221,21 +225,19 @@ def _chain_common(kind: str, seq, fam) -> dict:
     return {
         "rows": rows,
         "tables": {"budget": curve, "entry_times": entry},
-        "constants": {**cert.measured, "A_prime": rep.a_prime,
+        "constants": {**cert.levels, **concat.measured(cert), "A_prime": rep.a_prime,
                       "records": len(cert.records), "walk_points": rep.total_points},
         "notes": list(cert.notes),
     }
 
 
 def _run_chain_b(cfg: ExperimentConfig) -> dict:
-    kind = cfg.variant or ("B-d2" if cfg.d == 2 else "B-general")
+    kind, alphas = _b_variant_alphas(cfg)
     if kind not in ("B-d2", "B-d3", "B-general"):
         raise ConfigError("chain-b variants: B-d2, B-d3, B-general")
-    alphas = cfg.alpha_fractions() or tuple(Fraction(1, cfg.d) for _ in range(cfg.d))
     seq_kind = "B-d2" if kind == "B-d2" else "B-general"
     seq = boxmod.build_sequence(seq_kind, alphas=alphas, n_max=cfg.n_max)
-    fam = _family(cfg, cfg.d)
-    return _chain_common(kind, seq, fam)
+    return _chain_common(kind, seq, _family(cfg, cfg.d))
 
 
 def _run_chain_ff(cfg: ExperimentConfig) -> dict:

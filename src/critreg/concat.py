@@ -16,9 +16,11 @@ Each builder returns its walk as an ordered list of legs (segment, flag
 kind and bound); one assembler, `_assemble`, derives the shared points of
 consecutive legs (`_junction`) and turns each leg into its record with
 `_record`, the one function that computes a record's stored values.
+A certificate holds only the records, the walk's start and the builder's
+levels; box masses, stretches, B, D, K_d and the budget are derived.
 `verify_chain` recomputes the box masses, calls `_record` again on each
 record's leg and witness points and requires the same record, and checks
-that segments lie in their boxes, the witness handovers and the power ratio.
+that segments lie in their boxes and the witness handovers.
 
 Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
@@ -38,11 +40,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .boxes import BoxSequence, vertical_subdivision
+from .boxes import BoxSequence, inocent_constant, vertical_subdivision
 from .lattice import (
     Bound,
     Box,
@@ -144,24 +146,20 @@ class SegmentRecord(NamedTuple):
         return abs(self.exit[axis] - self.entry[axis]) // self.seg.stride + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainCertificate:
     kind: str
     seq: BoxSequence
     alphas: tuple[Fraction, ...]  # per axis of the boxes
-    masses_log2: dict[int, float]
-    measured: dict[str, float]
-    records: list[SegmentRecord] = field(default_factory=list)
-    stretches: list[Segment] = field(default_factory=list)
-    power_ratio_log2: float = NEG_INF  # max of power_sum_log2 - power_base_log2
-    notes: tuple[str, ...] = ()
+    records: tuple[SegmentRecord, ...]
+    start: Coords | None  # a staircase leads from here to the first entry
+    levels: dict[str, float]  # the builder's lambdas
+    notes: tuple[str, ...]
 
 
-def _new_cert(
-    kind: str, family: LengthFamily, seq: BoxSequence, alphas, measured=None
-) -> ChainCertificate:
-    masses = {n: mass_log2(family, seq.box(n)) for n in seq.indices()}
-    return ChainCertificate(kind, seq, alphas, masses, measured or {})
+def _box_masses(family: LengthFamily, seq: BoxSequence) -> dict[int, float]:
+    """The log2 mass of every box of the sequence, by index."""
+    return {n: mass_log2(family, seq.box(n)) for n in seq.indices()}
 
 
 class Leg(NamedTuple):
@@ -176,28 +174,25 @@ class Leg(NamedTuple):
 
 
 def _assemble(
-    family: LengthFamily,
-    cert: ChainCertificate,
-    legs: Sequence[Leg],
-    prefix_from: Coords | None,
-    last_exit: Coords | None = None,
+    kind: str, family: LengthFamily, seq: BoxSequence, alphas: tuple[Fraction, ...],
+    legs: Sequence[Leg], start: Coords | None, levels: dict[str, float] | None = None,
+    notes: tuple[str, ...] = (), last_exit: Coords | None = None,
 ) -> ChainCertificate:
-    """Turn a builder's walk into the certificate's records, each flag
-    decided by mass_le, then fill the stretches and measured constants.
+    """The certificate of a builder's walk: each leg becomes its record,
+    its flag decided by mass_le.
 
     The walk enters at the first leg's anchor, passes from each leg to the
     next at their `_junction` and leaves at the last leg's end point, or at
-    `last_exit` when given.  The stretches start with a monotone staircase
-    from `prefix_from` to the entry when that is given.
+    `last_exit` when given.  A walk with a `start` reaches its entry by a
+    monotone staircase from there (`walk_stretches`).
     """
+    masses = _box_masses(family, seq)
     joints = [_junction(a.seg, b.seg) for a, b in zip(legs, legs[1:])]
     entries = [legs[0].seg.anchor, *joints]
     exits = [*joints, legs[-1].seg.last() if last_exit is None else last_exit]
-    for leg, entry, exit_ in zip(legs, entries, exits):
-        cert.records.append(_record(family, cert.masses_log2, cert.alphas, leg, entry, exit_))
-    cert.stretches = _stretches_from_witnessed(cert.records, prefix_from)
-    _measure(cert)
-    return cert
+    records = tuple(_record(family, masses, alphas, leg, entry, exit_)
+                    for leg, entry, exit_ in zip(legs, entries, exits))
+    return ChainCertificate(kind, seq, alphas, records, start, levels or {}, notes)
 
 
 def _record(
@@ -249,13 +244,6 @@ def _mean_bound(level: Fraction, region: Box | Segment, ambient: Box) -> Bound:
     return Bound(Fraction(level.numerator * size, level.denominator * ambient.npoints()), ambient)
 
 
-def _witness_check(records: Sequence[SegmentRecord]) -> bool:
-    """Entries and exits lie on their segments; each record exits where the next enters."""
-    return all(
-        r.seg.index_of(p) is not None for r in records for p in (r.entry, r.exit)
-    ) and all(a.exit == b.entry for a, b in zip(records, records[1:]))
-
-
 def _stretch(entry: Coords, exit_: Coords, axis: int, stride: int = 1) -> Segment:
     """Walk piece from entry to exit inclusive along one axis."""
     delta = exit_[axis] - entry[axis]
@@ -265,24 +253,46 @@ def _stretch(entry: Coords, exit_: Coords, axis: int, stride: int = 1) -> Segmen
     return Segment(entry, axis, abs(steps) + 1, step=1 if steps >= 0 else -1, stride=stride)
 
 
-def _measure(cert: ChainCertificate) -> None:
-    """Fill the measured-constants table of a freshly built chain."""
+def _walk_start(family: LengthFamily, seq: BoxSequence) -> Coords:
+    """Walks start at the origin when the family lives there, else at the
+    first box's lower corner."""
+    origin = (0,) * seq.boxes[0].dim
+    return origin if family.contains(origin) else tuple(iv[0] for iv in seq.boxes[0].intervals)
+
+
+def walk_stretches(cert: ChainCertificate) -> list[Segment]:
+    """The walk as entry-to-exit stretches of the records, after a monotone
+    staircase from the walk's start, if any, to the first entry point."""
+    out: list[Segment] = []
+    first = cert.records[0].entry
+    if cert.start is not None:
+        cur = cert.start
+        for axis in range(len(first)):
+            if first[axis] != cur[axis]:
+                nxt = cur[:axis] + (first[axis],) + cur[axis + 1:]
+                out.append(_stretch(cur, nxt, axis))
+                cur = nxt
+    for r in cert.records:
+        out.append(_stretch(r.entry, r.exit, r.seg.axis, r.seg.stride))
+    return out
+
+
+def measured(cert: ChainCertificate) -> dict[str, float]:
+    """B (and its log2), D and K_d, read off the chain's records."""
     ratio = max((r.power_sum_log2 - r.power_base_log2 for r in cert.records), default=NEG_INF)
-    cert.power_ratio_log2 = ratio
     if cert.kind.startswith("B"):
         count_exp = float(min(cert.alphas))  # standard 2^(n*alpha)
     else:
         count_exp = 2.0 / cert.seq.boxes[0].dim  # standard 4^(n/(d-1))
-    by_n: dict[int, list[SegmentRecord]] = {}
+    by_n: dict[int, list[int]] = {}  # walk points of each record, by box
     for r in cert.records:
-        by_n.setdefault(r.n, []).append(r)
-    longest = {n: max(r.points_between for r in rows) for n, rows in by_n.items()}
-    cert.measured.update(
-        B=2.0 ** ratio if ratio < 1024 else math.inf,  # past float range B_log2 stays readable
-        B_log2=ratio,
-        D=max((2.0 ** (n * count_exp) / k for n, k in longest.items()), default=0.0),
-        K_d=float(max(map(len, by_n.values()), default=0)),
-    )
+        by_n.setdefault(r.n, []).append(r.points_between)
+    return {
+        "B": 2.0 ** ratio if ratio < 1024 else math.inf,  # past float range B_log2 stays readable
+        "B_log2": ratio,
+        "D": max((2.0 ** (n * count_exp) / max(ks) for n, ks in by_n.items()), default=0.0),
+        "K_d": float(max(map(len, by_n.values()), default=0)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +301,26 @@ def _measure(cert: ChainCertificate) -> None:
 
 
 def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool]:
-    """Recompute every stored value of the certificate from the weight
-    family alone: each record must carry a true flag and equal the record
-    `_record` builds again from its leg and witness points, with the box
-    masses recomputed here, and the stored power ratio must equal the
-    recomputed maximum."""
-    box_masses = {n: mass_log2(family, cert.seq.box(n)) for n in cert.seq.indices()}
-    boxes_ok = box_masses == cert.masses_log2
-    fresh = [
-        _record(family, box_masses, cert.alphas,
+    """Recompute every record from the weight family alone: each must carry
+    a true flag and equal the record `_record` builds again from its leg
+    and witness points; entries and exits lie on their segments, and each
+    record exits where the next enters."""
+    box_masses = _box_masses(family, cert.seq)
+    recs = cert.records
+    checks = {
+        "records": all(
+            r.flag_ok and r == _record(
+                family, box_masses, cert.alphas,
                 Leg(r.n, r.label, r.seg, r.flag_kind, r.bound, r.generator), r.entry, r.exit)
-        for r in cert.records
-    ]
-    records = all(r.flag_ok and r == f for r, f in zip(cert.records, fresh))
-    containment = all(
-        cert.seq.box(r.n).contains(p) for r in cert.records for p in (r.seg.anchor, r.seg.last())
-    )
-    witnesses = _witness_check(cert.records)
-    ratio = max((f.power_sum_log2 - f.power_base_log2 for f in fresh), default=NEG_INF)
-    b_ok = ratio == cert.power_ratio_log2
-    return {
-        "box_masses": boxes_ok,
-        "records": records,
-        "containment": containment,
-        "witnesses": witnesses,
-        "power_bound": b_ok,
-        "all": boxes_ok and records and containment and witnesses and b_ok,
+            for r in recs
+        ),
+        "containment": all(
+            cert.seq.box(r.n).contains(p) for r in recs for p in (r.seg.anchor, r.seg.last())
+        ),
+        "witnesses": all(r.seg.index_of(p) is not None for r in recs for p in (r.entry, r.exit))
+        and all(a.exit == b.entry for a, b in zip(recs, recs[1:])),
     }
+    return {**checks, "all": all(checks.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -328,42 +331,12 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
 def _build_b_d2(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     alphas = seq.alphas
     assert alphas is not None and len(alphas) == 2
-    cert = _new_cert("B-d2", family, seq, alphas)
     legs = []
     for n in seq.indices():
         orientation = "vertical" if n % 2 == 1 else "horizontal"
         seg, bound = find_good_segment_d2(family, seq.box(n), orientation)
         legs.append(Leg(n, f"g{n}", seg, "segment-average", bound))
-    return _assemble(family, cert, legs, _prefix_base(family, seq))
-
-
-def _stretches_from_witnessed(
-    records: Sequence[SegmentRecord], prefix_from: Coords | None
-) -> list[Segment]:
-    """Turn witnessed records into an entry-to-exit walk, with an optional
-    monotone staircase from a base point to the first entry point."""
-    out: list[Segment] = []
-    first = records[0].entry
-    if prefix_from is not None:
-        cur = prefix_from
-        for axis in range(len(first)):
-            if first[axis] != cur[axis]:
-                nxt = cur[:axis] + (first[axis],) + cur[axis + 1:]
-                out.append(_stretch(cur, nxt, axis))
-                cur = nxt
-    for r in records:
-        out.append(_stretch(r.entry, r.exit, r.seg.axis, r.seg.stride))
-    return out
-
-
-def _prefix_base(family: LengthFamily, seq: BoxSequence) -> Coords:
-    """Walks start at the origin when the family lives there, else at the
-    first box's lower corner."""
-    dim = seq.boxes[0].dim
-    origin = tuple([0] * dim)
-    if family.contains(origin):
-        return origin
-    return tuple(iv[0] for iv in seq.boxes[0].intervals)
+    return _assemble("B-d2", family, seq, alphas, legs, _walk_start(family, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +516,7 @@ def reach_vertical_section(
 def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     alphas = seq.alphas
     assert alphas is not None and len(alphas) == 3
-    from .boxes import inocent_constant
-
-    d2 = inocent_constant(seq)
-    lam = max(Fraction(2), 2 / d2)
-    cert = _new_cert("B-d3", family, seq, alphas, {"lambda": float(lam)})
+    lam = max(Fraction(2), 2 / inocent_constant(seq))
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
 
     def axes_of(n: int) -> tuple[int, int, int]:
@@ -594,7 +563,8 @@ def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
             Leg(n, f"g{n}.2", seg2, "shared-plane-vertical", v_bound),
             Leg(n, f"g{n}.3", seg3, "next-plane-vertical", w_bound),
         ]
-    return _assemble(family, cert, legs, _prefix_base(family, seq))
+    return _assemble("B-d3", family, seq, alphas, legs, _walk_start(family, seq),
+                     {"lambda": float(lam)})
 
 
 def _coords(values: dict[int, int]) -> Coords:
@@ -648,10 +618,6 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
     d = len(alphas)
     lam = Fraction(2 * (d - 1) + 1)
     lam_prime = lambda_prime(lam, Fraction(1, 2), d)
-    cert = _new_cert(
-        "B-general", family, seq, alphas,
-        {"lambda": float(lam), "lambda_prime": float(lam_prime)},
-    )
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
 
     def m_axis(n: int) -> int:
@@ -695,7 +661,8 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
         seg = nxt_seg
     legs.append(Leg(hi_n, f"g{hi_n}.1", seg, "fully-good-anchor",
                     _mean_bound(lam, seg, seq.box(hi_n))))
-    return _assemble(family, cert, legs, _prefix_base(family, seq))
+    return _assemble("B-general", family, seq, alphas, legs, _walk_start(family, seq),
+                     {"lambda": float(lam), "lambda_prime": float(lam_prime)})
 
 
 def _staircase_segments(
@@ -749,7 +716,6 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
         raise ValueError("needs the FF sequence with d=3")
     alphas = (Fraction(1, 3),) * 2  # 2/(d(d-1)) at d=3, on both axes of the boxes
     lam = Fraction(2)
-    cert = _new_cert("FF-d3", family, seq, alphas, {"lambda": float(lam)})
     n0 = chain_start_stage(seq)
     n_end = max(seq.indices())
     if n_end - n0 < 2:
@@ -829,10 +795,10 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
         ]
         n = nxt_even
     corner = tuple(iv[0] for iv in seq.box(min(seq.indices())).intervals)
-    cert.notes = (
-        "strip heights use the first factor's raw upper endpoint, not its side length",
+    return _assemble(
+        "FF-d3", family, seq, alphas, legs, corner, {"lambda": float(lam)},
+        ("strip heights use the first factor's raw upper endpoint, not its side length",),
     )
-    return _assemble(family, cert, legs, corner)
 
 
 def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
@@ -840,7 +806,7 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
         raise ValueError("needs an FF sequence")
     d = seq.d
     dim = d - 1
-    cert = _new_cert("FF-general", family, seq, (Fraction(2, d * (d - 1)),) * dim)
+    alphas = (Fraction(2, d * (d - 1)),) * dim
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
     # each box walks from its entry to the lower corner of its overlap with
     # the next box, one full segment per axis
@@ -859,14 +825,14 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
     lam = Fraction(2) ** _least_power_of_two(family, [
         (seg, _mean_bound(Fraction(1), seg, seq.box(n))) for n, seg in plan
     ])
-    cert.measured["lambda"] = float(lam)
     legs = [
         Leg(n, f"g{n}.{seg.axis + 1}", seg, "staircase-mean",
             _mean_bound(lam, seg, seq.box(n)), f"f({seg.axis + 2},1)")
         for n, seg in plan
     ]
     # the walk stops at the last overlap's lower corner
-    return _assemble(family, cert, legs, None, last_exit=tuple(cur))
+    return _assemble("FF-general", family, seq, alphas, legs, None, {"lambda": float(lam)},
+                     last_exit=tuple(cur))
 
 
 def build_chain(kind: str, family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
@@ -948,7 +914,7 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
     float as re-summing the stretches from the walk's start.
     """
     alpha_min = float(min(cert.alphas))
-    stretches = cert.stretches
+    stretches = walk_stretches(cert)
     starts = [0]
     for s in stretches:
         starts.append(starts[-1] + s.count - 1)
@@ -990,8 +956,9 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
     rows = []
     first_n = cert.records[0].n
     resume = 0
-    for n in sorted(cert.masses_log2):
-        if n + 1 not in cert.masses_log2:
+    indices = cert.seq.indices()
+    for n in indices:
+        if n + 1 not in indices:
             continue
         nxt_box = cert.seq.box(n + 1)
         entry = None

@@ -11,7 +11,7 @@ import pytest
 
 from critreg.boxes import build_sequence, sequence_multiplicity
 from critreg.cli import ExperimentConfig, run, write_report
-from critreg.concat import build_chain, distortion_budget, verify_chain
+from critreg.concat import build_chain, distortion_budget, measured, verify_chain
 from critreg.lattice import geometric_family, symmetric_geometric_family
 from critreg.nilpotent import (
     UnipotentMatrix,
@@ -87,7 +87,8 @@ def test_04_planar_chain():
     witnesses = all(
         a.exit == b.entry for a, b in zip(cert.records, cert.records[1:])
     )
-    d_meas = cert.measured["D"]
+    constants = measured(cert)
+    d_meas = constants["D"]
     counts = all(
         max(r.points_between for r in cert.records if r.n == n)
         >= 2.0 ** (n / 2) / d_meas * (1 - 1e-12)
@@ -104,11 +105,11 @@ def test_04_planar_chain():
         for n in seq.indices()
     )
     closed = max(d1 ** a1 * d2 ** a2, d1 ** a2 * d2 ** a1)
-    b_ok = cert.measured["B"] <= closed
+    b_ok = constants["B"] <= closed
     ok = flags and witnesses and counts and b_ok
     _verdict(
         4, ok, f"planar chain n<=15: flags={flags}, witnesses={witnesses}, "
-        f"counts={counts}, B={cert.measured['B']:.3f} <= closed form {closed:.3f}"
+        f"counts={counts}, B={constants['B']:.3f} <= closed form {closed:.3f}"
     )
 
 

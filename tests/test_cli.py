@@ -227,6 +227,13 @@ class TestDeterminism:
         b = run(_cfg(kind="identity", d=2, variant="translation", samples=30, seed=2))
         assert a["passed"] and b["passed"]  # both pass; inputs differ per seed
 
+    @pytest.mark.parametrize("kind", ["lemma1", "identity"])
+    def test_stochastic_kind_needs_a_seed(self, kind):
+        # without a seed the run would draw from OS entropy and its report
+        # would not be a function of the config
+        with pytest.raises(ConfigError, match="need a seed"):
+            run(ExperimentConfig(kind=kind, seed=None, samples=5, n_max=10))
+
 
 class TestMain:
     def test_exit_codes_and_output(self, tmp_path, capsys):
@@ -623,7 +630,8 @@ README_IDENTITY = "6a554d761fa8b163639b39cae9e7073f0d0f3fd7da4443bf808f31f405126
 
 # exit code and sha256 of report.json for the lines whose reports carry the
 # lattice's masses, log2 masses and power sums: the five CI chain-smoke
-# lines, both README boxes lines, chain-b on the symmetric family, one
+# lines, both README boxes lines, chain-b on the symmetric family,
+# FF-general at d = 5 and B-general's lambda_prime at d = 4, one
 # seeded lemma1 line per built-in family, the README lemma1 line and one
 # d=2 and one d=4 line of the 1000-sample walk-mc bench tail (so the walk
 # pass's block shapes of both bench groups are pinned).  A changed float
@@ -645,6 +653,10 @@ LATTICE_REPORTS = {
         (0, "a615742000e5701ebf248682e16d0c1f55bd7563d968e1ad7d503e6990517350"),
     "chain-b --d 2 --alpha 1/2,1/2 --family symmetric-geometric --n-max 12":
         (0, "5c8d181b6a72e30ef11fc77a7fa4be0f490354813530ae141049b5dd7b8b2a95"),
+    "chain-ff --d 5 --n-max 12":
+        (2, "2cd906523c0a779c700885feb65a8e736923ef60a23979851b78d1a0dd3cf31e"),
+    "chain-b --d 4 --variant B-general --n-max 18":
+        (0, "346dd0e84dc18fa0cfa52c288366f75e475787ae3819b5bb8243807640986b46"),
     "lemma1 --d 3 --n-max 200 --samples 500 --seed 42":
         (0, "eecca368f6e65334d2aa3cbcb618e3740cf92d7a9147b1485ea1067a86aab7d6"),
     "lemma1 --d 3 --family symmetric-geometric --n-max 200 --samples 500 --seed 42":

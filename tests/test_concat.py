@@ -27,9 +27,11 @@ from critreg.concat import (
     chain_start_stage,
     find_good_segment_d2,
     lambda_prime,
+    measured,
     reach_vertical_section,
     stride_cascade_lambda,
     verify_chain,
+    walk_stretches,
 )
 from critreg.lattice import (
     Axis,
@@ -281,17 +283,17 @@ class TestChains:
         cert = _chain_smoke("B-d3", fam, seq)
         labels = {r.label.split(".")[1] for r in cert.records}
         assert labels == {"1", "2", "3"}
-        assert cert.measured["K_d"] == 3.0
+        assert measured(cert)["K_d"] == 3.0
 
     def test_general_chain_d3_and_d4(self):
         fam = geometric_family(3)
         seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=10)
         cert = _chain_smoke("B-general", fam, seq)
-        assert cert.measured["K_d"] <= 3
+        assert measured(cert)["K_d"] <= 3
         fam4 = geometric_family(4)
         seq4 = build_sequence("B-general", alphas=(Fraction(1, 4),) * 4, n_max=8)
         cert4 = _chain_smoke("B-general", fam4, seq4)
-        assert cert4.measured["K_d"] <= 4
+        assert measured(cert4)["K_d"] <= 4
 
     def test_orbit_chain(self):
         fam = symmetric_geometric_family(2)
@@ -325,7 +327,7 @@ class TestChains:
         fam = symmetric_geometric_family(3)
         seq = build_sequence("FF", d=4, n_max=6)
         cert = _chain_smoke("FF-general", fam, seq)
-        assert cert.measured["lambda"] >= 1
+        assert cert.levels["lambda"] >= 1
 
     def test_uniform_budget_negative_control(self):
         # unit-like weights are not summable at large scale: the budget
@@ -353,7 +355,7 @@ class TestChains:
         fam = geometric_family(3)
         seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=8)
         cert = build_chain("B-d3", fam, seq)
-        lam = Fraction(cert.measured["lambda"]).limit_denominator(10 ** 6)
+        lam = Fraction(cert.levels["lambda"]).limit_denominator(10 ** 6)
         for n in seq.indices():
             box = seq.box(n)
             m2 = ((n - 1) % 3 + 2) % 3
@@ -382,14 +384,11 @@ def _off_segment(seg, point):
 
 
 def _tamper(cert, field):
-    """A copy of the certificate with one stored value changed: a box mass,
-    the first record's entry or the last record's exit moved off its
-    segment, or one field of a middle record."""
+    """A copy of the certificate with one stored value changed: the first
+    record's entry or the last record's exit moved off its segment, or one
+    field of a middle record."""
     k = {"entry": 0, "exit": -1}.get(field, len(cert.records) // 2)
     r = cert.records[k]
-    if field == "masses_log2":
-        masses = {**cert.masses_log2, r.n: cert.masses_log2[r.n] + 1.0}
-        return dataclasses.replace(cert, masses_log2=masses)
     value = {
         "flag_ok": False,
         "mass_log2": math.nextafter(r.mass_log2, -math.inf),
@@ -405,7 +404,7 @@ def _tamper(cert, field):
     }[field]
     records = list(cert.records)
     records[k] = r._replace(**{field: value})
-    return dataclasses.replace(cert, records=records)
+    return dataclasses.replace(cert, records=tuple(records))
 
 
 class TestVerifyChain:
@@ -416,19 +415,33 @@ class TestVerifyChain:
 
     @pytest.mark.parametrize(
         "field", ["flag_ok", "mass_log2", "mass_bound_log2", "power_sum_log2",
-                  "power_base_log2", "masses_log2", "entry", "exit"]
+                  "power_base_log2", "entry", "exit"]
     )
     def test_tampered_field_fails(self, built, field):
         fam, cert = built
         assert not verify_chain(_tamper(cert, field), fam)["all"]
 
-    def test_raised_power_ratio_fails(self):
-        fam, (seq_kind, kw) = _CHAINS["B-d2"]
-        cert = build_chain("B-d2", fam, build_sequence(seq_kind, **kw))
-        assert verify_chain(cert, fam)["all"]
-        raised = dataclasses.replace(cert, power_ratio_log2=cert.power_ratio_log2 + 5)
-        report = verify_chain(raised, fam)
-        assert not report["power_bound"] and not report["all"]
+    @pytest.mark.parametrize("field", ["power_sum_log2", "exit"])
+    def test_derived_values_follow_the_records(self, built, field):
+        # B and the walk's stretches are read off the records, so a changed
+        # record moves them: nothing stored beside the records can disagree
+        fam, cert = built
+        r = cert.records[-1]
+        if field == "power_sum_log2":
+            value = r.power_sum_log2 + 40.0
+        else:
+            # the walk leaves the last segment one point earlier
+            t = r.seg.index_of(r.exit)
+            value = r.seg.point(t - 1 if t else 1)
+        records = (*cert.records[:-1], r._replace(**{field: value}))
+        changed = dataclasses.replace(cert, records=records)
+        before, after = walk_stretches(cert), walk_stretches(changed)
+        if field == "power_sum_log2":
+            assert measured(changed)["B_log2"] == value - r.power_base_log2
+            assert after == before
+        else:
+            assert after[:-1] == before[:-1]
+            assert after[-1].last() == value != before[-1].last()
 
 
 class TestFullyGoodSearch:
@@ -856,7 +869,7 @@ def _resummed_budget(cert, family, min_fit_n):
     the reference for the prefix-sum pass of `distortion_budget`."""
     alphas = cert.alphas
     alpha_min = float(min(alphas))
-    stretches = cert.stretches
+    stretches = walk_stretches(cert)
     starts = [0]
     for s in stretches:
         starts.append(starts[-1] + s.count - 1)
@@ -875,8 +888,8 @@ def _resummed_budget(cert, family, min_fit_n):
         return acc
 
     rows = []
-    for n in sorted(cert.masses_log2):
-        if n + 1 not in cert.masses_log2:
+    for n in cert.seq.indices():
+        if n + 1 not in cert.seq.indices():
             continue
         nxt_box = cert.seq.box(n + 1)
         entry = None
@@ -941,12 +954,12 @@ class TestBudgetOracle:
     def test_cases_cover_short_stretches_and_final_cuts(self):
         for case in ("B-general-d4", "FF-general-d4"):
             cert, _, _ = _budget_case(case)
-            assert any(s.count == 1 for s in cert.stretches[:-1]), case
+            assert any(s.count == 1 for s in walk_stretches(cert)[:-1]), case
         for case in ("FF-d3-geometric", "FF-d3-symmetric"):
             cert, fam, _ = _budget_case(case)
             rep = distortion_budget(cert, fam)
             # the final stretch holds walk indices total - count .. total - 1
-            first = rep.total_points - cert.stretches[-1].count
+            first = rep.total_points - walk_stretches(cert)[-1].count
             assert any(first <= r.entry_index < rep.total_points - 1 for r in rep.rows), case
 
     @pytest.mark.parametrize("case", ["B-d2-third", "B-general-d4", "FF-d3-symmetric"])
@@ -961,7 +974,7 @@ class TestBudgetOracle:
 
         monkeypatch.setattr(fam, "segment_power_log2", counted)
         rep = distortion_budget(cert, fam)
-        assert 0 < len(calls) <= len(cert.stretches) + len(rep.rows)
+        assert 0 < len(calls) <= len(walk_stretches(cert)) + len(rep.rows)
 
     @pytest.mark.parametrize("case", sorted(_BUDGET_CHAINS))
     def test_entry_scan_resumes_at_previous_row(self, case, monkeypatch):
@@ -977,4 +990,4 @@ class TestBudgetOracle:
 
         monkeypatch.setattr(concat, "_stretch_entry_t", counted)
         distortion_budget(cert, fam)
-        assert 0 < len(calls) <= len(cert.stretches) + 2 * len(cert.masses_log2)
+        assert 0 < len(calls) <= len(walk_stretches(cert)) + 2 * len(cert.seq.indices())
