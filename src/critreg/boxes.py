@@ -91,8 +91,8 @@ class BoxSequence:
     kind: str
     start_index: int
     boxes: tuple[Box, ...]
+    d: int
     alphas: tuple[Fraction, ...] | None = None
-    d: int | None = None
 
     def box(self, n: int) -> Box:
         return self.boxes[n - self.start_index]
@@ -101,16 +101,11 @@ class BoxSequence:
         return range(self.start_index, self.start_index + len(self.boxes))
 
     def touched(self, n: int) -> tuple[int, int]:
-        """(lower-raised axis, upper-raised axis) of the step Q(n) -> Q(n+1)."""
-        if self.kind == "B-d2":
-            low = n % 2
-        elif self.kind == "B-general":
-            low = (n - 1) % len(self.boxes[0].intervals)
-        elif self.kind == "FF":
-            low = (n - 1) % self.boxes[0].dim
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        return low, (low + 1) % self.boxes[0].dim
+        """(lower-raised axis, upper-raised axis) of the step Q(n) -> Q(n+1)
+        of a B sequence."""
+        dim = self.boxes[0].dim
+        low = n % 2 if self.kind == "B-d2" else (n - 1) % dim
+        return low, (low + 1) % dim
 
 
 def _check_alphas(alphas: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -378,7 +373,7 @@ def vertical_subdivision(box: Box, a: Fraction) -> SubdivisionTree:
 
 def side_growth_bracket(seq: BoxSequence) -> float:
     """Smallest c with side_i(n) / 4^(i*n/(d-1)) in [1/c, c] over the FF range."""
-    if seq.kind != "FF" or seq.d is None:
+    if seq.kind != "FF":
         raise ValueError("side bracket is defined for FF sequences")
     dim = seq.d - 1
     c = 1.0

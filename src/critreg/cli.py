@@ -85,6 +85,8 @@ def _rational(field: str, text: str) -> Fraction:
 
 
 def _family(cfg: ExperimentConfig, d: int) -> lattice.LengthFamily:
+    if cfg.family_file is not None and cfg.family != "custom-file":
+        raise ConfigError("--family-file needs --family custom-file")
     if cfg.family == "geometric":
         return lattice.geometric_family(d)
     if cfg.family == "symmetric-geometric":
@@ -195,8 +197,7 @@ def _run_boxes(cfg: ExperimentConfig) -> dict:
     if seq.kind == "B-d2":
         rows.append(_row("box-multiplicity", mult == 4, mult, 4, "planar sequence"))
     else:
-        d = seq.d or len(seq.boxes[0].intervals)
-        rows.append(_row("box-multiplicity", mult <= d + 2, mult, d + 2))
+        rows.append(_row("box-multiplicity", mult <= seq.d + 2, mult, seq.d + 2))
     if seq.kind in ("B-d2", "B-general"):
         constants["D2"] = float(boxmod.inocent_constant(seq))
     if seq.kind == "FF":
@@ -225,7 +226,7 @@ def _chain_common(kind: str, seq, fam) -> dict:
     return {
         "rows": rows,
         "tables": {"budget": curve, "entry_times": entry},
-        "constants": {**cert.levels, **concat.measured(cert), "A_prime": rep.a_prime,
+        "constants": {**cert.levels, **concat.measured(cert, fam), "A_prime": rep.a_prime,
                       "records": len(cert.records), "walk_points": rep.total_points},
         "notes": list(cert.notes),
     }

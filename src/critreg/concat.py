@@ -2,33 +2,34 @@
 
 A chain certificate is a finite list of unidirectional segments, one group
 per box of an inductive sequence, such that consecutive segments share a
-lattice point and every segment carries a recomputable goodness flag and a
-power-sum bound.  Builders are deterministic: every search keeps the first
-qualifying candidate in scan order.  Every scan runs over the translates
-of one or more regions along one axis (`_first_translate`): FF-d3's
-stride classes are two such runs, split where the classes lose their top
-point, and a B-general staircase is one fixed segment and the translates
-of the others.  `lattice.first_translate_le` starts each scan from a
-closed-form prediction of the first good translate and decides each probe
-from the split log2 parts at t = 0, shifted by the axis rate; only a tie
-builds the translate for `mass_le`, so the answer is the linear scan's.
-Each builder returns its walk as an ordered list of legs (segment, flag
-kind and bound); one assembler, `_assemble`, derives the shared points of
-consecutive legs (`_junction`) and turns each leg into its record with
-`_record`, the one function that computes a record's stored values.
-A certificate holds only the records, the walk's start and the builder's
-levels; box masses, stretches, B, D, K_d and the budget are derived.
-`verify_chain` recomputes the box masses, calls `_record` again on each
-record's leg and witness points and requires the same record, and checks
-that segments lie in their boxes and the witness handovers.
+lattice point and every segment carries a goodness flag that a verifier
+decides again from the weight family.  Builders are deterministic: every
+search keeps the first qualifying candidate in scan order.  Every scan
+runs over the translates of one or more regions along one axis
+(`_first_translate`): FF-d3's stride classes are two such runs, split
+where the classes lose their top point, and a B-general staircase is one
+fixed segment and the translates of the others.
+`lattice.first_translate_le` starts each scan from a closed-form
+prediction of the first good translate and decides each probe from the
+split log2 parts at t = 0, shifted by the axis rate; only a tie builds the
+translate for `mass_le`, so the answer is the linear scan's.
+
+Each builder returns its walk as an ordered list of legs: records without
+their witness points (segment, flag kind, bound and generator).  One
+assembler, `_assemble`, adds the points where consecutive legs hand over
+(`_junction`).  A certificate holds only the records, the walk's start and
+the builder's levels; box masses, stretches, B, D, K_d and the budget are
+derived (`measured`, `walk_stretches`).  `verify_chain` re-decides each
+record's flag on its own segment and bound, and checks that segments lie
+in their boxes and the witness handovers.
 
 Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
 into an exact integer and a small float (weights like 2^-10^9 are far
 outside both float range and sane rational bit-lengths), whenever the two
 sides are further apart than a certified rounding margin, and by an exact
-sum of powers of two otherwise.  A record stores the bound pair (q, B) next to
-the flag, so `verify_chain` re-decides it from the weight family alone.
+sum of powers of two otherwise.  A record stores the bound pair (q, B) of
+its flag, so `verify_chain` re-decides it from the weight family alone.
 
 Four builders take their goodness levels from closed forms.  FF-general's
 lambda is measured from its own staircase segments: the orbit
@@ -53,7 +54,6 @@ from .lattice import (
     NEG_INF,
     Segment,
     first_translate_le,
-    log2_fraction,
     mass_le,
     mass_log2,
     mass_ratio_log2,
@@ -125,19 +125,18 @@ def find_good_segment_d2(
 
 
 class SegmentRecord(NamedTuple):
+    """One segment of a chain walk, the goodness flag it carries and the
+    walk's points on it.  A builder's leg has no points yet: `_assemble`
+    adds them."""
+
     n: int
     label: str
     seg: Segment
-    generator: str
     flag_kind: str
     bound: Bound  # the flag claims mass(seg) <= bound.q * mass(bound.region)
-    flag_ok: bool  # as decided by mass_le
-    mass_log2: float
-    mass_bound_log2: float
-    power_sum_log2: float
-    power_base_log2: float  # log2 of max(L_n, L_(n+1))^alpha_s (B measured over these)
-    entry: Coords
-    exit: Coords
+    generator: str | None = None  # None in a leg: the coordinate generator f(axis + 1)
+    entry: Coords | None = None
+    exit: Coords | None = None
 
     @property
     def points_between(self) -> int:
@@ -157,62 +156,26 @@ class ChainCertificate:
     notes: tuple[str, ...]
 
 
-def _box_masses(family: LengthFamily, seq: BoxSequence) -> dict[int, float]:
-    """The log2 mass of every box of the sequence, by index."""
-    return {n: mass_log2(family, seq.box(n)) for n in seq.indices()}
-
-
-class Leg(NamedTuple):
-    """One segment of a chain walk with the goodness flag it carries."""
-
-    n: int
-    label: str
-    seg: Segment
-    flag_kind: str
-    bound: Bound  # the flag claims mass(seg) <= bound.q * mass(bound.region)
-    generator: str | None = None  # None: the coordinate generator f(axis + 1)
-
-
 def _assemble(
-    kind: str, family: LengthFamily, seq: BoxSequence, alphas: tuple[Fraction, ...],
-    legs: Sequence[Leg], start: Coords | None, levels: dict[str, float] | None = None,
-    notes: tuple[str, ...] = (), last_exit: Coords | None = None,
+    kind: str, seq: BoxSequence, alphas: tuple[Fraction, ...], legs: Sequence[SegmentRecord],
+    start: Coords | None, levels: dict[str, float] | None = None, notes: tuple[str, ...] = (),
+    last_exit: Coords | None = None,
 ) -> ChainCertificate:
-    """The certificate of a builder's walk: each leg becomes its record,
-    its flag decided by mass_le.
+    """The certificate of a builder's walk, its legs given their points.
 
     The walk enters at the first leg's anchor, passes from each leg to the
     next at their `_junction` and leaves at the last leg's end point, or at
     `last_exit` when given.  A walk with a `start` reaches its entry by a
     monotone staircase from there (`walk_stretches`).
     """
-    masses = _box_masses(family, seq)
     joints = [_junction(a.seg, b.seg) for a, b in zip(legs, legs[1:])]
     entries = [legs[0].seg.anchor, *joints]
     exits = [*joints, legs[-1].seg.last() if last_exit is None else last_exit]
-    records = tuple(_record(family, masses, alphas, leg, entry, exit_)
-                    for leg, entry, exit_ in zip(legs, entries, exits))
-    return ChainCertificate(kind, seq, alphas, records, start, levels or {}, notes)
-
-
-def _record(
-    family: LengthFamily, box_masses: dict[int, float], alphas: Sequence[Fraction],
-    leg: Leg, entry: Coords, exit_: Coords,
-) -> SegmentRecord:
-    """The record of a leg walked from entry to exit: its flag decided by
-    mass_le, the log2 masses of its segment and bound, and its power sum
-    with the base max(L_n, L_(n+1))^alpha from the box masses L."""
-    n, label, seg, kind, bound, generator = leg
-    alpha = float(alphas[seg.axis])
-    return SegmentRecord(
-        n, label, seg, generator or f"f{seg.axis + 1}", kind, bound,
-        flag_ok=mass_le(family, seg, bound),
-        mass_log2=mass_log2(family, seg),
-        mass_bound_log2=log2_fraction(bound.q) + mass_log2(family, bound.region),
-        power_sum_log2=family.segment_power_log2(seg, alpha),
-        power_base_log2=alpha * max(box_masses[n], box_masses.get(n + 1, NEG_INF)),
-        entry=entry, exit=exit_,
+    records = tuple(
+        leg._replace(generator=leg.generator or f"f{leg.seg.axis + 1}", entry=entry, exit=exit_)
+        for leg, entry, exit_ in zip(legs, entries, exits)
     )
+    return ChainCertificate(kind, seq, alphas, records, start, levels or {}, notes)
 
 
 def _junction(a: Segment, b: Segment) -> Coords:
@@ -277,9 +240,18 @@ def walk_stretches(cert: ChainCertificate) -> list[Segment]:
     return out
 
 
-def measured(cert: ChainCertificate) -> dict[str, float]:
-    """B (and its log2), D and K_d, read off the chain's records."""
-    ratio = max((r.power_sum_log2 - r.power_base_log2 for r in cert.records), default=NEG_INF)
+def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float]:
+    """B (and its log2), D and K_d of the chain's records.  B is the largest
+    ratio of a record's power sum to max(L_n, L_(n+1))^alpha, from the box
+    masses L."""
+    masses = {n: mass_log2(family, cert.seq.box(n)) for n in cert.seq.indices()}
+
+    def power_ratio_log2(r: SegmentRecord) -> float:
+        alpha = float(cert.alphas[r.seg.axis])
+        base = alpha * max(masses[r.n], masses.get(r.n + 1, NEG_INF))
+        return family.segment_power_log2(r.seg, alpha) - base
+
+    ratio = max(map(power_ratio_log2, cert.records), default=NEG_INF)
     if cert.kind.startswith("B"):
         count_exp = float(min(cert.alphas))  # standard 2^(n*alpha)
     else:
@@ -301,19 +273,12 @@ def measured(cert: ChainCertificate) -> dict[str, float]:
 
 
 def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool]:
-    """Recompute every record from the weight family alone: each must carry
-    a true flag and equal the record `_record` builds again from its leg
-    and witness points; entries and exits lie on their segments, and each
-    record exits where the next enters."""
-    box_masses = _box_masses(family, cert.seq)
+    """Decide every record's flag again from the weight family alone, on
+    its own segment and bound; segments lie in their boxes, entries and
+    exits on their segments, and each record exits where the next enters."""
     recs = cert.records
     checks = {
-        "records": all(
-            r.flag_ok and r == _record(
-                family, box_masses, cert.alphas,
-                Leg(r.n, r.label, r.seg, r.flag_kind, r.bound, r.generator), r.entry, r.exit)
-            for r in recs
-        ),
+        "records": all(mass_le(family, r.seg, r.bound) for r in recs),
         "containment": all(
             cert.seq.box(r.n).contains(p) for r in recs for p in (r.seg.anchor, r.seg.last())
         ),
@@ -335,8 +300,8 @@ def _build_b_d2(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     for n in seq.indices():
         orientation = "vertical" if n % 2 == 1 else "horizontal"
         seg, bound = find_good_segment_d2(family, seq.box(n), orientation)
-        legs.append(Leg(n, f"g{n}", seg, "segment-average", bound))
-    return _assemble("B-d2", family, seq, alphas, legs, _walk_start(family, seq))
+        legs.append(SegmentRecord(n, f"g{n}", seg, "segment-average", bound))
+    return _assemble("B-d2", seq, alphas, legs, _walk_start(family, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +524,11 @@ def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
             m1, 1, box.side(m1), "no good cross vertical", n,
         )
         legs += [
-            Leg(n, f"g{n}.1", seg1, "plane-average-row", h_bound),
-            Leg(n, f"g{n}.2", seg2, "shared-plane-vertical", v_bound),
-            Leg(n, f"g{n}.3", seg3, "next-plane-vertical", w_bound),
+            SegmentRecord(n, f"g{n}.1", seg1, "plane-average-row", h_bound),
+            SegmentRecord(n, f"g{n}.2", seg2, "shared-plane-vertical", v_bound),
+            SegmentRecord(n, f"g{n}.3", seg3, "next-plane-vertical", w_bound),
         ]
-    return _assemble("B-d3", family, seq, alphas, legs, _walk_start(family, seq),
+    return _assemble("B-d3", seq, alphas, legs, _walk_start(family, seq),
                      {"lambda": float(lam)})
 
 
@@ -655,13 +620,15 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
             family, [(s, bounds[s.axis]) for s in stair[1:]], m_next, 1,
             overlap.side(m_next), what, n,
         )
-        legs.append(Leg(n, f"g{n}.1", seg, "fully-good-anchor", _mean_bound(lam, seg, box)))
-        legs += [Leg(n, f"g{n}.{k + 2}", s, "staircase-overlap", bounds[s.axis])
+        legs.append(
+            SegmentRecord(n, f"g{n}.1", seg, "fully-good-anchor", _mean_bound(lam, seg, box))
+        )
+        legs += [SegmentRecord(n, f"g{n}.{k + 2}", s, "staircase-overlap", bounds[s.axis])
                  for k, s in enumerate(stair)]
         seg = nxt_seg
-    legs.append(Leg(hi_n, f"g{hi_n}.1", seg, "fully-good-anchor",
-                    _mean_bound(lam, seg, seq.box(hi_n))))
-    return _assemble("B-general", family, seq, alphas, legs, _walk_start(family, seq),
+    legs.append(SegmentRecord(hi_n, f"g{hi_n}.1", seg, "fully-good-anchor",
+                              _mean_bound(lam, seg, seq.box(hi_n))))
+    return _assemble("B-general", seq, alphas, legs, _walk_start(family, seq),
                      {"lambda": float(lam), "lambda_prime": float(lam_prime)})
 
 
@@ -723,7 +690,7 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
             "sequence too short past the start stage", n0, {"stages": len(seq.indices())}
         )
 
-    def class_leg(n: int, k: int) -> Leg:
+    def class_leg(n: int, k: int) -> SegmentRecord:
         """First stride-k class that is average-good in its vertical set."""
         box = seq.box(n)
         x2, y2 = box.intervals[1]
@@ -739,7 +706,7 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
                 t = first_translate_le(family, [(first, bound)], 1, 1, count)
                 if t < count:
                     seg = translated(first, 1, t)
-                    return Leg(n, f"g{n}.1", seg, "vertical-set-class", bound, "f(3,2)")
+                    return SegmentRecord(n, f"g{n}.1", seg, "vertical-set-class", bound, "f(3,2)")
         raise ChainSearchError("no good stride class", n, {"candidates": classes})
 
     # opening stage: first k with a 2-good vertical set in Q(n0); the walk
@@ -788,21 +755,21 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
         )
         k = seg3.anchor[0]
         legs += [
-            Leg(even, f"g{even}.2", seg2, "overlap-vertical", seg2_bound, "f(3,1)"),
-            Leg(odd, f"g{odd}.1", row, "strip-row", row_bound, "f(2,1)"),
-            Leg(odd, f"g{odd}.2", seg3, "strip-overlap-vertical", seg3_bound, "f(3,1)"),
+            SegmentRecord(even, f"g{even}.2", seg2, "overlap-vertical", seg2_bound, "f(3,1)"),
+            SegmentRecord(odd, f"g{odd}.1", row, "strip-row", row_bound, "f(2,1)"),
+            SegmentRecord(odd, f"g{odd}.2", seg3, "strip-overlap-vertical", seg3_bound, "f(3,1)"),
             class_leg(nxt_even, k),
         ]
         n = nxt_even
     corner = tuple(iv[0] for iv in seq.box(min(seq.indices())).intervals)
     return _assemble(
-        "FF-d3", family, seq, alphas, legs, corner, {"lambda": float(lam)},
+        "FF-d3", seq, alphas, legs, corner, {"lambda": float(lam)},
         ("strip heights use the first factor's raw upper endpoint, not its side length",),
     )
 
 
 def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
-    if seq.kind != "FF" or seq.d is None:
+    if seq.kind != "FF":
         raise ValueError("needs an FF sequence")
     d = seq.d
     dim = d - 1
@@ -826,12 +793,12 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
         (seg, _mean_bound(Fraction(1), seg, seq.box(n))) for n, seg in plan
     ])
     legs = [
-        Leg(n, f"g{n}.{seg.axis + 1}", seg, "staircase-mean",
-            _mean_bound(lam, seg, seq.box(n)), f"f({seg.axis + 2},1)")
+        SegmentRecord(n, f"g{n}.{seg.axis + 1}", seg, "staircase-mean",
+                      _mean_bound(lam, seg, seq.box(n)), f"f({seg.axis + 2},1)")
         for n, seg in plan
     ]
     # the walk stops at the last overlap's lower corner
-    return _assemble("FF-general", family, seq, alphas, legs, None, {"lambda": float(lam)},
+    return _assemble("FF-general", seq, alphas, legs, None, {"lambda": float(lam)},
                      last_exit=tuple(cur))
 
 

@@ -407,12 +407,10 @@ def _ranges(region: Box | Segment) -> list[tuple[int, int, int, int]]:
 class LengthFamily:
     """Summable positive weights on a d-dimensional lattice.
 
-    Subclasses know their support and expose exact masses.  `support` is one
-    of "cone" (nonnegative orthant), "lattice" (all of Z^d) or "finite".
+    Subclasses know their support and expose exact masses.
     """
 
     d: int
-    support: str
     name: str
 
     def contains(self, v: Sequence[int]) -> bool:
@@ -461,10 +459,6 @@ class ProductFamily(LengthFamily):
         self._scale_parts = log2_parts(self.scale)
         self.scale_log2 = log2_fraction(self.scale)
         self.name = name
-        bounded = all(math.isfinite(a.lo) and math.isfinite(a.hi) for a in axes)
-        self.support = "finite" if bounded else (
-            "cone" if all(a.lo == 0 for a in axes) else "lattice"
-        )
 
     def contains(self, v: Sequence[int]) -> bool:
         return len(v) == self.d and all(
@@ -518,8 +512,6 @@ class ProductFamily(LengthFamily):
 
 class TableFamily(LengthFamily):
     """Finite family given by an explicit weight table."""
-
-    support = "finite"
 
     def __init__(self, weights: dict[Coords, Fraction], name: str = "table") -> None:
         if not weights:

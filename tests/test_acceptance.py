@@ -12,7 +12,7 @@ import pytest
 from critreg.boxes import build_sequence, sequence_multiplicity
 from critreg.cli import ExperimentConfig, run, write_report
 from critreg.concat import build_chain, distortion_budget, measured, verify_chain
-from critreg.lattice import geometric_family, symmetric_geometric_family
+from critreg.lattice import geometric_family, mass_le, symmetric_geometric_family
 from critreg.nilpotent import (
     UnipotentMatrix,
     Word,
@@ -82,12 +82,13 @@ def test_04_planar_chain():
     fam = geometric_family(2)
     seq = build_sequence("B-d2", alphas=(HALF, HALF), n_max=15)
     cert = build_chain("B-d2", fam, seq)
-    flags = all(r.flag_ok for r in cert.records) and verify_chain(cert, fam)["all"]
+    flags = all(mass_le(fam, r.seg, r.bound) for r in cert.records)
+    flags = flags and verify_chain(cert, fam)["all"]
     # consecutive segments share their recorded witness point
     witnesses = all(
         a.exit == b.entry for a, b in zip(cert.records, cert.records[1:])
     )
-    constants = measured(cert)
+    constants = measured(cert, fam)
     d_meas = constants["D"]
     counts = all(
         max(r.points_between for r in cert.records if r.n == n)
@@ -117,7 +118,7 @@ def test_05_orbit_chain():
     fam = symmetric_geometric_family(2)
     seq = build_sequence("FF", d=3, n_max=13)
     cert = build_chain("FF-d3", fam, seq)
-    flags = all(r.flag_ok for r in cert.records if r.n <= 12)
+    flags = all(mass_le(fam, r.seg, r.bound) for r in cert.records if r.n <= 12)
     reverify = verify_chain(cert, fam)["all"]
     rep = distortion_budget(cert, fam)
     window = [r for r in rep.rows if 4 <= r.n <= 12]

@@ -101,6 +101,22 @@ class TestRun:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: the family file's table is on Z^2, not Z^3\n"
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_family_file_without_custom_file_exits_one(self, tmp_path, capsys, form):
+        # the file is a valid table: without --family custom-file it would be
+        # ignored and the geometric family run instead
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps({f"{i},{j}": "1/64" for i in range(8) for j in range(8)}))
+        argv = ["lemma1", "--d", "2", "--n-max", "5", "--samples", "10"]
+        if form == "flag":
+            argv += ["--family-file", str(path)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"family_file": str(path)}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --family-file needs --family custom-file\n"
+
     def test_boxes_planar(self):
         report = run(_cfg(kind="boxes", d=2, variant="B-d2",
                           alphas=("1/2", "1/2"), n_max=16))

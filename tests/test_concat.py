@@ -275,7 +275,7 @@ class TestChains:
         cert = _chain_smoke("B-d2", fam, seq)
         # uniform weights make every goodness ratio exactly one
         for r in cert.records:
-            assert r.mass_log2 <= r.mass_bound_log2 + 1e-9
+            assert lattice.mass_le(fam, r.seg, r.bound)
 
     def test_spatial_plane_chain(self):
         fam = geometric_family(3)
@@ -283,17 +283,17 @@ class TestChains:
         cert = _chain_smoke("B-d3", fam, seq)
         labels = {r.label.split(".")[1] for r in cert.records}
         assert labels == {"1", "2", "3"}
-        assert measured(cert)["K_d"] == 3.0
+        assert measured(cert, fam)["K_d"] == 3.0
 
     def test_general_chain_d3_and_d4(self):
         fam = geometric_family(3)
         seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=10)
         cert = _chain_smoke("B-general", fam, seq)
-        assert measured(cert)["K_d"] <= 3
+        assert measured(cert, fam)["K_d"] <= 3
         fam4 = geometric_family(4)
         seq4 = build_sequence("B-general", alphas=(Fraction(1, 4),) * 4, n_max=8)
         cert4 = _chain_smoke("B-general", fam4, seq4)
-        assert measured(cert4)["K_d"] <= 4
+        assert measured(cert4, fam4)["K_d"] <= 4
 
     def test_orbit_chain(self):
         fam = symmetric_geometric_family(2)
@@ -383,28 +383,35 @@ def _off_segment(seg, point):
     return tuple(out)
 
 
-def _tamper(cert, field):
-    """A copy of the certificate with one stored value changed: the first
-    record's entry or the last record's exit moved off its segment, or one
-    field of a middle record."""
+def _tamper(cert, fam, field):
+    """A copy of the certificate with one record changed: the first
+    record's entry or the last record's exit moved off its segment, or a
+    middle record's segment moved one point along an axis it does not move
+    on, or its bound lowered just below the least q that passes."""
     k = {"entry": 0, "exit": -1}.get(field, len(cert.records) // 2)
     r = cert.records[k]
-    value = {
-        "flag_ok": False,
-        "mass_log2": math.nextafter(r.mass_log2, -math.inf),
-        # raising a bound keeps the flag true
-        "mass_bound_log2": math.nextafter(r.mass_bound_log2, math.inf),
-        # lowering a power sum keeps it under the power bound
-        "power_sum_log2": math.nextafter(r.power_sum_log2, -math.inf),
-        # raising a base keeps the power sum under the power bound
-        "power_base_log2": r.power_base_log2 + 1.0,
+    if field == "bound":
+        q = exact_mass(fam, r.seg) / exact_mass(fam, r.bound.region)
+        value = Bound(q * (1 - Fraction(1, 2 ** 60)), r.bound.region)
+        assert not lattice.mass_le(fam, r.seg, value)
+    elif field == "seg":
+        # the moved segment may leave its box, so it drops the box it was cut from
+        value = dataclasses.replace(r.seg, anchor=_off_segment(r.seg, r.seg.anchor), ambient=None)
+    else:
         # the walk's two ends have no neighbour to hand over to
-        "entry": _off_segment(r.seg, r.entry),
-        "exit": _off_segment(r.seg, r.exit),
-    }[field]
+        value = _off_segment(r.seg, getattr(r, field))
     records = list(cert.records)
     records[k] = r._replace(**{field: value})
     return dataclasses.replace(cert, records=tuple(records))
+
+
+def _power_ratio_log2(cert, fam, r):
+    """log2 of a record's power sum over max(L_n, L_(n+1))^alpha, from the
+    box masses L: the ratio whose largest value is B."""
+    alpha = float(cert.alphas[r.seg.axis])
+    ns = [n for n in (r.n, r.n + 1) if n in cert.seq.indices()]
+    base = alpha * max(lattice.mass_log2(fam, cert.seq.box(n)) for n in ns)
+    return fam.segment_power_log2(r.seg, alpha) - base
 
 
 class TestVerifyChain:
@@ -413,35 +420,53 @@ class TestVerifyChain:
         fam, (seq_kind, kw) = _CHAINS[request.param]
         return fam, build_chain(request.param, fam, build_sequence(seq_kind, **kw))
 
-    @pytest.mark.parametrize(
-        "field", ["flag_ok", "mass_log2", "mass_bound_log2", "power_sum_log2",
-                  "power_base_log2", "entry", "exit"]
-    )
+    @pytest.mark.parametrize("field", ["bound", "seg", "entry", "exit"])
     def test_tampered_field_fails(self, built, field):
         fam, cert = built
-        assert not verify_chain(_tamper(cert, field), fam)["all"]
+        assert not verify_chain(_tamper(cert, fam, field), fam)["all"]
+
+    def test_verify_does_not_use_the_translate_scan(self, built):
+        # the search's shortcut decides translates from shifted parts;
+        # verify decides each record's own segment and bound with mass_le
+        fam, cert = built
+
+        def raising(*args, **kwargs):
+            raise AssertionError("verify_chain called first_translate_le")
+
+        with mock.patch.object(lattice, "first_translate_le", raising), \
+                mock.patch.object(concat, "first_translate_le", raising):
+            assert verify_chain(cert, fam)["all"]
 
     @pytest.mark.parametrize("field", ["power_sum_log2", "exit"])
     def test_derived_values_follow_the_records(self, built, field):
-        # B and the walk's stretches are read off the records, so a changed
-        # record moves them: nothing stored beside the records can disagree
+        # B and the walk's stretches are computed from the records, so a
+        # changed record moves them: nothing stored beside the records can
+        # disagree
         fam, cert = built
         r = cert.records[-1]
         if field == "power_sum_log2":
-            value = r.power_sum_log2 + 40.0
+            # the last record's power sum raised: its segment moved to 0
+            # along an axis it does not move on, where the weights are heavier
+            anchor = list(r.seg.anchor)
+            anchor[(r.seg.axis + 1) % len(anchor)] = 0
+            seg = dataclasses.replace(r.seg, anchor=tuple(anchor), ambient=None)
+            changed_r = r._replace(seg=seg)
         else:
             # the walk leaves the last segment one point earlier
             t = r.seg.index_of(r.exit)
-            value = r.seg.point(t - 1 if t else 1)
-        records = (*cert.records[:-1], r._replace(**{field: value}))
+            changed_r = r._replace(exit=r.seg.point(t - 1 if t else 1))
+        records = (*cert.records[:-1], changed_r)
         changed = dataclasses.replace(cert, records=records)
         before, after = walk_stretches(cert), walk_stretches(changed)
         if field == "power_sum_log2":
-            assert measured(changed)["B_log2"] == value - r.power_base_log2
+            b_log2 = measured(changed, fam)["B_log2"]
+            assert b_log2 == _power_ratio_log2(changed, fam, changed_r)
+            assert b_log2 > measured(cert, fam)["B_log2"]
             assert after == before
         else:
+            assert measured(changed, fam)["B_log2"] == measured(cert, fam)["B_log2"]
             assert after[:-1] == before[:-1]
-            assert after[-1].last() == value != before[-1].last()
+            assert after[-1].last() == changed_r.exit != before[-1].last()
 
 
 class TestFullyGoodSearch:
@@ -856,7 +881,7 @@ def test_records_pinned_per_builder(case):
     cert = build_chain(kind, fam, make_seq())
     rows = [
         (r.n, r.label, (r.seg.anchor, r.seg.axis, r.seg.count, r.seg.step, r.seg.stride),
-         r.flag_kind, r.generator, r.flag_ok, r.entry, r.exit)
+         r.flag_kind, r.generator, lattice.mass_le(fam, r.seg, r.bound), r.entry, r.exit)
         for r in cert.records
     ]
     assert len(rows) == count

@@ -22,7 +22,7 @@ from critreg import boxes, cli, concat, lattice
 SRC = Path(critreg.__file__).resolve().parent
 
 ALGEBRA = "group algebra of UnipotentMatrix, kept by design next to the action the kinds use"
-UNIFORM = "finite uniform family, named by ProductFamily.support and kept by design"
+UNIFORM = "finite uniform family, kept as the tests' rate-0 family (all translates equal)"
 
 # a def's qualified name (module.Class.function), or the name of a class or
 # function whose methods and nested defs it covers, with the reason it stays
