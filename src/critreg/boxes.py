@@ -34,12 +34,14 @@ N_MAX_GUARD = 200
 def integer_root(x: int, q: int) -> int:
     """Largest r >= 0 with r**q <= x (exact, arbitrary precision).
 
-    For roots below 2^33 the float root is within 2^-15 of the root
-    (rounding of x and 1/q, times log of the root, and pow's ulp), so its
-    integer part is the answer or one off it.  Larger roots start from the float root of
-    x's leading bits, raised to lie above the root, and follow integer
-    Newton steps r -> ((q-1) r + x // r^(q-1)) // q, which decrease until
-    they stop on the root; `math.isqrt` does the same for q = 2.
+    For roots below 2^33 of an x below 2^1000 the float root is within
+    2^-15 of the root (rounding of x and 1/q, times log of the root, and
+    pow's ulp), so its integer part is the answer or one off it.  Larger
+    roots, and larger x, start from the float root of x's leading bits
+    (shifted by a multiple of q to below 2^1000, inside float range),
+    raised to lie above the root, and follow integer Newton steps
+    r -> ((q-1) r + x // r^(q-1)) // q, which decrease until they stop on
+    the root; `math.isqrt` does the same for q = 2.
     """
     if x < 0 or q < 1:
         raise ValueError("need x >= 0 and q >= 1")
@@ -47,7 +49,8 @@ def integer_root(x: int, q: int) -> int:
         return x
     if q == 2:
         return math.isqrt(x)
-    k = max(0, x.bit_length() // q - 32)
+    bits = x.bit_length()
+    k = max(0, bits // q - 32, -((1000 - bits) // q))
     r = int((x >> (k * q)) ** (1.0 / q))
     if k == 0:
         if r ** q > x:
@@ -95,7 +98,12 @@ class BoxSequence:
     alphas: tuple[Fraction, ...] | None = None
 
     def box(self, n: int) -> Box:
-        return self.boxes[n - self.start_index]
+        """Q(n); IndexError outside `indices()`, where an offset into
+        `boxes` would wrap or run off the end."""
+        i = n - self.start_index
+        if not 0 <= i < len(self.boxes):
+            raise IndexError(f"box index {n} outside {self.indices()}")
+        return self.boxes[i]
 
     def indices(self) -> range:
         return range(self.start_index, self.start_index + len(self.boxes))

@@ -274,13 +274,16 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float]:
 
 def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool]:
     """Decide every record's flag again from the weight family alone, on
-    its own segment and bound; segments lie in their boxes, entries and
-    exits on their segments, and each record exits where the next enters."""
-    recs = cert.records
+    its own segment and bound; records name boxes of the sequence and their
+    segments lie in them, entries and exits lie on their segments, and each
+    record exits where the next enters."""
+    recs, indices = cert.records, cert.seq.indices()
     checks = {
         "records": all(mass_le(family, r.seg, r.bound) for r in recs),
         "containment": all(
-            cert.seq.box(r.n).contains(p) for r in recs for p in (r.seg.anchor, r.seg.last())
+            r.n in indices
+            and all(cert.seq.box(r.n).contains(p) for p in (r.seg.anchor, r.seg.last()))
+            for r in recs
         ),
         "witnesses": all(r.seg.index_of(p) is not None for r in recs for p in (r.entry, r.exit))
         and all(a.exit == b.entry for a, b in zip(recs, recs[1:])),

@@ -458,6 +458,12 @@ class ProductFamily(LengthFamily):
         self._coef = self.scale * math.prod(ax.coef for ax in self.axes)
         self._scale_parts = log2_parts(self.scale)
         self.scale_log2 = log2_fraction(self.scale)
+        # (e0, f0): v's split log2 weight is (e0 - sum rate_k |v_k|, f0),
+        # the scale's and each axis' offset and coef parts summed in axis order
+        e0, f0 = self._scale_parts
+        for ax in self.axes:
+            e0, f0 = e0 + ax.offset + ax.coef_parts[0], f0 + ax.coef_parts[1]
+        self.point_base = e0, f0
         self.name = name
 
     def contains(self, v: Sequence[int]) -> bool:
@@ -470,10 +476,10 @@ class ProductFamily(LengthFamily):
         return self.mass_form(Box(tuple((c, c) for c in v))).value()
 
     def weight_log2_parts(self, v: Sequence[int]) -> Log2Parts:
-        e, f = self._scale_parts
+        e, f = self.point_base
         for ax, c in zip(self.axes, v, strict=True):
-            te, tf = ax.point_parts(c)
-            e, f = e + te, f + tf
+            ax._check(c)
+            e -= ax.rate * abs(c)
         return e, f
 
     @property

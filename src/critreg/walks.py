@@ -13,18 +13,31 @@ A_d = 1/(d-1)!:
 `batch_certificates` runs many walks in lockstep on one numpy stream.  It
 keeps their states by axis, as the kernel's cumulative thresholds, so a
 step is one comparison and one addition over the d-1 thresholds that
-move.  Everything else happens once per block of buffered steps: the
-block's draws, replayed from the generator's raw words by
-`bounded_draws` exactly as `Generator.integers` would give them step by
-step, and its costs, evaluated and summed in step order.  Their terms
-come from `log2_weights`, the vector of float log2 weights of a point
-array, which lives here because this is the one numpy caller of the
-weight families.  Terminal weights are decided as `lattice.weights_le`
-decides them, from split log2 weights with exact rationals only inside
-its margin; on a product family the split weights of all endpoints are
-one vector pass.  The first sample, in sample order, that meets both
-bounds is the witness that a certified path exists; a batch with no such
-sample has no witness.
+move.  A block of buffered steps draws at once: `bounded_draws` replays
+the block's draws from the generator's raw words exactly as
+`Generator.integers` would give them step by step.
+
+Which pass computes the costs is read from the family.  On a product
+family with one rate on every axis (both built-in families, and
+`lattice.uniform_box_family`) the weight on the orthant is
+const * 2^(-rate |v|), a function of |v| alone, so the t-th point of every
+walk has the same weight and every walk of length n the same cost.  That
+cost is n terms, evaluated once as one vector and added in step order,
+and the step loop carries only the walks' endpoints.  A table family, or
+a product family with unequal rates, takes the per-sample pass, which
+evaluates every point of every walk once per block and adds its terms to
+each sample's cost in step order.  Both passes give every sample the float
+that one addition per step gives it.  The terms come from `log2_weights`,
+the vector of float log2 weights of a point array, which lives here
+because this is the one numpy caller of the weight families; on a product
+family it reads the split form, an exact integer exponent plus a constant
+float part, with one rounding.
+
+Terminal weights are decided as `lattice.weights_le` decides them, from
+split log2 weights with exact rationals only inside its margin; on a
+product family the split weights of all endpoints are one vector pass.
+The first sample, in sample order, that meets both bounds is the witness
+that a certified path exists; a batch with no such sample has no witness.
 
 Logarithms here are base 2: the harmonic-sum comparison H_n <= log_b(n+1)
 behind the cost bound holds for every base b <= 2 and for no larger base,
@@ -51,8 +64,9 @@ from .lattice import (
 COST_REL_TOL = 1e-12
 # factor on the expectation bound of `batch_certificates`' mean cost
 MEAN_SLACK = 1.05
-# walk-state entries buffered per cost evaluation (256 kB of int64); larger
-# blocks run no faster and raise peak memory (2^18 added 8 MB)
+# int64 entries buffered per block (256 kB): the per-sample pass's walk
+# states of a block of steps, or the draws of a block for the endpoint
+# loop; larger blocks run no faster and raise peak memory (2^18 added 8 MB)
 BLOCK_INTS = 2 ** 15
 
 
@@ -95,21 +109,26 @@ class BatchSummary:
         return self.mean_cost <= self.mean_cost_bound
 
 
+def _exponents(family: ProductFamily, cols: np.ndarray) -> np.ndarray:
+    """The exact integer parts e0 - sum rate_k |c_k| of the split log2
+    weights (`weight_log2_parts`) of the points in the columns of `cols`,
+    one row per axis, as int64: offsets and rates are small integers and
+    coordinates are walk lengths, so they stay far inside its range."""
+    expo = np.full(cols.shape[1], family.point_base[0], dtype=np.int64)
+    for ax, col in zip(family.axes, cols):
+        expo -= ax.rate * (col if ax.lo >= 0 else np.abs(col))
+    return expo
+
+
 def log2_weights(family: LengthFamily, pts: np.ndarray) -> np.ndarray:
     """Float log2 weights of the points in the rows of `pts`, all in the
-    family's support.  A product family writes each axis' one-point run out,
-    -rate |i| + ((offset + log2 coef) as integer plus float), added to log2
-    of its scale in axis order; a table takes each point's own log2."""
+    family's support.  On a product family that is the split form read as
+    one float: the exact int64 exponent of `_exponents` plus the constant
+    float part f0, one rounding per point; a table takes each point's own
+    log2."""
     if not isinstance(family, ProductFamily):
         return np.array([family.log2_weight(tuple(int(c) for c in p)) for p in pts])
-    out = np.full(pts.shape[0], family.scale_log2)
-    for k, ax in enumerate(family.axes):
-        ce, cf = ax.coef_parts
-        col = pts[:, k]
-        terms = np.multiply(col if ax.lo >= 0 else np.abs(col), -ax.rate, dtype=np.float64)
-        terms += (ax.offset + ce) + cf
-        out += terms
-    return out
+    return _exponents(family, pts.T) + family.point_base[1]
 
 
 def _counts(thresholds: np.ndarray) -> np.ndarray:
@@ -170,12 +189,11 @@ def _terminal_le(family: LengthFamily, ends: np.ndarray, q: Fraction) -> np.ndar
     """`weights_le(family, endpoints, q)` as a bool array, for the endpoints
     in the columns of `ends`, one row per axis.
 
-    On a product family whose support holds every endpoint, a point's split
-    log2 weight is the first endpoint's, with exact integer exponent moved by
-    rate (c0 - c) on each axis (coordinates are nonnegative), and the same
-    float part; the points within MARGIN of log2 q go to `weights_le`, which
-    compares their exact weights.  Otherwise every point goes there, and an
-    endpoint outside a finite support raises its ValueError.
+    On a product family whose support holds every endpoint, the split log2
+    weights are `_exponents` and the constant float part f0, and the points
+    within MARGIN of log2 q go to `weights_le`, which compares their exact
+    weights.  Otherwise every point goes there, and an endpoint outside a
+    finite support raises its ValueError.
     """
     inside = isinstance(family, ProductFamily) and ends.size and all(
         ax.lo <= col.min() and col.max() <= ax.hi for ax, col in zip(family.axes, ends)
@@ -184,14 +202,7 @@ def _terminal_le(family: LengthFamily, ends: np.ndarray, q: Fraction) -> np.ndar
         points = ends.T.tolist()
         return np.fromiter(weights_le(family, points, q), dtype=bool, count=len(points))
     eq, fq = log2_parts(q)
-    first = ends[:, 0].tolist()
-    e, f = family.weight_log2_parts(first)
-    # the exact total mass behind q holds 2^offset and 2^rate, so these
-    # exponents stay far inside int64
-    expo = np.full(ends.shape[1], e - eq, dtype=np.int64)
-    for ax, col, c0 in zip(family.axes, ends, first):
-        expo += ax.rate * (c0 - col)
-    diff = expo + (f - fq)
+    diff = (_exponents(family, ends) - eq) + (family.point_base[1] - fq)
     out = diff < 0
     near = np.flatnonzero(np.abs(diff) <= MARGIN)
     out[near] = list(weights_le(family, ends[:, near].T.tolist(), q))
@@ -208,25 +219,76 @@ def batch_certificates(
     success fraction, the mean cost and the first certified sample.
 
     Walk states for all samples advance in lockstep (the step-t denominator
-    t+d is state-independent).  The state is kept by axis as the kernel's
-    cumulative thresholds acc[k] = sum_{i<=k} (1 + counts_i), a (d, samples)
-    array.  The step-t draw r in range(t+d) moves a sample along the first
-    axis j with r < acc[j], which raises acc[k] for every k >= j; as the
-    thresholds increase in k and acc[d-1] = t+d > r, those are exactly the
-    thresholds above r, so a step writes acc + (acc > r) over its d-1
-    moving rows into the next step's rows: two ufunc calls, and for d = 1
-    none of them move.  The steps run in blocks of at most BLOCK_INTS state
-    entries (or one step).  Per block, `bounded_draws` replays the draws
-    `Generator.integers(0, t+d, size=samples)` gives for all its steps at
-    once; after the steps the last threshold t+d is filled in, the
-    thresholds become coordinates in place, the log2 weights of the points
-    are evaluated on per-axis rows, and their exp2(./d) are added to the
-    costs by one reduction over the rows in step order, so the floats are
-    those of one addition per step.  Terminal weights are decided by
-    `_terminal_le`.
+    t+d is state-independent), as the kernel's cumulative thresholds
+    acc[k] = sum_{i<=k} (1 + counts_i), one row per axis.  The step-t draw
+    r in range(t+d) moves a sample along the first axis j with r < acc[j],
+    which raises acc[k] for every k >= j; as the thresholds increase in k
+    and acc[d-1] = t+d > r, those are exactly the thresholds above r, so a
+    step adds (acc > r) to the d-1 rows that move: two ufunc calls, and for
+    d = 1 none of them move.  `bounded_draws` replays the draws
+    `Generator.integers(0, t+d, size=samples)` gives for a block of steps
+    at once.
+
+    Which pass runs is read from the family.  On a product family with one
+    rate on every axis (both built-in families) the weight on the orthant
+    depends on |v| alone, so point t of every walk weighs what (t, 0, ...)
+    weighs: `_shared_cost` sums those n terms once, and `_endpoints`
+    carries only the thresholds.  Every other family (tables, unequal
+    rates) takes `_sample_pass`, which evaluates every sample's points.
+    Both give each sample the float the step-by-step sum gives it.
     """
-    d = family.d
     bitgen = np.random.default_rng(seed).bit_generator
+    if isinstance(family, ProductFamily) and len({ax.rate for ax in family.axes}) == 1:
+        costs = np.full(samples, _shared_cost(family, n))
+        ends = _endpoints(family.d, n, samples, bitgen)
+    else:
+        costs, ends = _sample_pass(family, n, samples, bitgen)
+    return _summary(family, n, costs, ends)
+
+
+def _shared_cost(family: ProductFamily, n: int) -> float:
+    """Every walk's cost on an equal-rate family: the terms
+    exp2(log2 w(t, 0, ..., 0) / d) for t < n, added in step order by one
+    running sum (`np.cumsum` adds sequentially, as the steps would)."""
+    if not n:
+        return 0.0
+    line = np.zeros((n, family.d), dtype=np.int64)
+    line[:, 0] = np.arange(n)
+    return float(np.cumsum(np.exp2(log2_weights(family, line) / family.d))[-1])
+
+
+def _endpoints(d: int, n: int, samples: int, bitgen: np.random.BitGenerator) -> np.ndarray:
+    """The walks' endpoints, one row per axis: one contiguous (d-1, samples)
+    array of moving thresholds stepped in place, in blocks of
+    BLOCK_INTS // samples draws."""
+    steps = max(1, min(n, BLOCK_INTS // max(samples, 1)))
+    acc = np.repeat(np.arange(1, d + 1, dtype=np.int64)[:, None], samples, axis=1)
+    moving = acc[:d - 1]
+    # the comparison written as int64 saves a bool temporary and its cast
+    above = np.empty_like(moving)
+    spare = np.empty(0, dtype=np.uint32)
+    for start in range(0, n, steps):
+        highs = np.arange(start + d, start + d + min(steps, n - start))
+        draws, spare = bounded_draws(bitgen, highs, samples, spare)
+        for r in draws:
+            np.greater(moving, r, out=above)
+            moving += above
+    acc[d - 1] = n + d
+    return _counts(acc)
+
+
+def _sample_pass(
+    family: LengthFamily, n: int, samples: int, bitgen: np.random.BitGenerator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample's cost and its endpoint (one row per axis), from every
+    point of every walk.  The steps run in blocks of at most BLOCK_INTS
+    state entries (or one step), kept by axis and step.  After a block's
+    steps the last threshold t+d is filled in, the thresholds become
+    coordinates in place, the log2 weights of the points are evaluated on
+    per-axis rows, and their exp2(./d) are added to the costs by one
+    reduction over the rows in step order, so the floats are those of one
+    addition per step."""
+    d = family.d
     steps = max(1, min(n, BLOCK_INTS // max(d * samples, 1)))
     # a block's thresholds by axis and step, and the state after it; axes
     # 0..d-2 move, axis d-1 is t+d
@@ -251,12 +313,18 @@ def batch_certificates(
         np.add.reduce(sums[:m + 1], axis=0, out=total)
         sums[0] = total
         acc[:d - 1, 0] = acc[:d - 1, m]
-    costs = sums[0, :samples]
     acc[d - 1, 0] = n + d
+    return sums[0, :samples], _counts(acc[:, 0])
+
+
+def _summary(family: LengthFamily, n: int, costs: np.ndarray, ends: np.ndarray) -> BatchSummary:
+    """The bounds, the two checks and the witness, from every sample's cost
+    and endpoint; terminal weights are decided by `_terminal_le`."""
+    d = family.d
     b_float, b_exact = lemma_bound(family, d)
     cb = cost_bound(b_float, d, n)
     first = costs <= cb * (1.0 + COST_REL_TOL)
-    second = _terminal_le(family, _counts(acc[:, 0]), b_exact / (n + 1) ** (d - 1))
+    second = _terminal_le(family, ends, b_exact / (n + 1) ** (d - 1))
     ok = first & second
     witness = int(np.argmax(ok)) if ok.any() else None
     mean_bound = float(family.total_mass / sphere_constant(d)) ** (1.0 / d)
@@ -264,7 +332,7 @@ def batch_certificates(
     return BatchSummary(
         d=d,
         n=n,
-        samples=samples,
+        samples=len(costs),
         success_fraction=float(np.mean(ok)),
         mean_cost=float(np.mean(costs)),
         mean_cost_bound=mean_bound,
@@ -273,4 +341,3 @@ def batch_certificates(
         witness=witness,
         witness_cost=None if witness is None else float(costs[witness]),
     )
-

@@ -58,6 +58,14 @@ class TestIntegerRoots:
         assert integer_root(3 ** 600 - 1, 3) == 3 ** 200 - 1
         assert integer_root(2 ** 1100, 5) == 2 ** 220
 
+    @pytest.mark.parametrize("x", [4 ** 999, 3 ** 2000, 2 ** 1998 - 1],
+                             ids=["4^999", "3^2000", "2^1998-1"])
+    def test_integer_root_of_a_small_root_past_float_range(self, x):
+        # the roots are 3, 9 and 3: x.bit_length() // q - 32 is 0, so the
+        # float seed alone would read all of x, past 2^1024
+        r = integer_root(x, 1000)
+        assert r ** 1000 <= x < (r + 1) ** 1000
+
     def test_floor_power(self):
         assert floor_power(4, Fraction(3, 2)) == 8
         assert floor_power(4, Fraction(1, 2)) == 2
@@ -69,6 +77,14 @@ class TestSequences:
         s = build_sequence("B-d2", alphas=(HALF, HALF), n_max=4)
         assert s.box(1).intervals == ((1, 2), (1, 4))
         assert s.box(2).intervals == ((1, 4), (2, 4))
+
+    def test_box_index_outside_the_sequence_raises(self):
+        # an offset into the boxes below the start would read from the end
+        s = build_sequence("B-d2", alphas=(HALF, HALF), n_max=10)
+        assert s.indices() == range(1, 11)
+        for n in (0, -9, 11):
+            with pytest.raises(IndexError):
+                s.box(n)
 
     def test_planar_multiplicity_is_four(self):
         s = build_sequence("B-d2", alphas=(HALF, HALF), n_max=20)

@@ -262,6 +262,19 @@ class TestMain:
         assert (out / "checks.csv").exists()
         assert main(["lemma1", "--d", "40"]) == 1
 
+    def test_thousandth_exponents_exit_without_a_traceback(self, tmp_path, capsys):
+        # alpha = 1/1000 takes thousandth roots of numbers past float range
+        # while the boxes are built: one box leaves no retention constant to
+        # measure (a usage error); the chain runs report
+        boxes_line = ["boxes", "--d", "2", "--variant", "B-d2", "--alpha", "1/1000,999/1000",
+                      "--n-max", "1"]
+        assert main([*boxes_line, "--out", str(tmp_path / "boxes")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sequence too short to measure the retention constant\n"
+        chain_line = ["chain-b", *boxes_line[1:], "--out", str(tmp_path / "chain")]
+        assert main(chain_line) == 2
+        assert (tmp_path / "chain" / "report.json").exists()
+
     def test_search_failure_exits_three(self, capsys):
         # FF d=3 up to n=2 has no stage with two strips to start a chain at;
         # the message ends with the number of stages the search examined

@@ -387,10 +387,14 @@ def _tamper(cert, fam, field):
     """A copy of the certificate with one record changed: the first
     record's entry or the last record's exit moved off its segment, or a
     middle record's segment moved one point along an axis it does not move
-    on, or its bound lowered just below the least q that passes."""
-    k = {"entry": 0, "exit": -1}.get(field, len(cert.records) // 2)
+    on, or its bound lowered just below the least q that passes, or the
+    last record's box index moved back by the sequence's length, where an
+    unchecked offset into the boxes would wrap to the same box."""
+    k = {"entry": 0, "exit": -1, "n": -1}.get(field, len(cert.records) // 2)
     r = cert.records[k]
-    if field == "bound":
+    if field == "n":
+        value = r.n - len(cert.seq.boxes)
+    elif field == "bound":
         q = exact_mass(fam, r.seg) / exact_mass(fam, r.bound.region)
         value = Bound(q * (1 - Fraction(1, 2 ** 60)), r.bound.region)
         assert not lattice.mass_le(fam, r.seg, value)
@@ -420,7 +424,7 @@ class TestVerifyChain:
         fam, (seq_kind, kw) = _CHAINS[request.param]
         return fam, build_chain(request.param, fam, build_sequence(seq_kind, **kw))
 
-    @pytest.mark.parametrize("field", ["bound", "seg", "entry", "exit"])
+    @pytest.mark.parametrize("field", ["bound", "seg", "entry", "exit", "n"])
     def test_tampered_field_fails(self, built, field):
         fam, cert = built
         assert not verify_chain(_tamper(cert, fam, field), fam)["all"]

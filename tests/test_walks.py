@@ -1,7 +1,9 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from critreg.lattice import (
     uniform_box_family,
     weights_le,
 )
+from critreg import walks
 from critreg.walks import (
     COST_REL_TOL,
     BatchSummary,
@@ -247,14 +250,26 @@ def simplex_table(d, radius):
     })
 
 
+def unequal_rate_family(d):
+    """A scaled product family whose axes alternate rates 1 and 2 (at d = 1
+    only rate 1), so the weight on the orthant is not a function of |v| and
+    path costs differ."""
+    five_thirds = Fraction(5, 3)
+    steep = Axis(0, math.inf, five_thirds, log2_parts(five_thirds), 3, 2)
+    axes = [geometric_axis() if k % 2 == 0 else steep for k in range(d)]
+    return ProductFamily(axes, scale=Fraction(2, 7), name="unequal-rates")
+
+
 def batch_families(d, n):
     """The families of the oracle grid; the finite ones hold every walk of
-    length n.  The table family is left out where its simplex would exceed
-    about 2 * 10^4 points (d >= 3 at n = 200)."""
+    length n.  All but the table and the unequal-rate family have one rate
+    on every axis.  The table family is left out where its simplex would
+    exceed about 2 * 10^4 points (d >= 3 at n = 200)."""
     fams = {
         "geometric": geometric_family(d),
         "symmetric-geometric": symmetric_geometric_family(d),
         "uniform": uniform_box_family(Box(((0, n),) * d)),
+        "unequal-rates": unequal_rate_family(d),
     }
     if math.comb(n + d, d) <= 25_000:
         fams["table"] = simplex_table(d, n)
@@ -279,6 +294,29 @@ class TestBatch:
                     want = reference_batch_certificates(fam, n, samples, seed)
                     # dataclass equality compares every float bitwise
                     assert got == want, (name, samples, seed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pass_follows_the_family_rates(self, d):
+        # equal-rate product families share one cost sum and step only the
+        # thresholds; tables and unequal rates evaluate every sample's
+        # points.  The pass that must not run raises.
+        def raising(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{name} ran")
+            return fail
+
+        n = 7
+        fams = batch_families(d, n)
+        shared = ["geometric", "symmetric-geometric", "uniform"]
+        per_sample = ["table"] + (["unequal-rates"] if d > 1 else [])
+        for names, blocked in ((shared, ["_sample_pass"]),
+                               (per_sample, ["_shared_cost", "_endpoints"])):
+            with contextlib.ExitStack() as stack:
+                for name in blocked:
+                    stack.enter_context(mock.patch.object(walks, name, raising(name)))
+                for name in names:
+                    got = batch_certificates(fams[name], n, 3, 11)
+                    assert got == reference_batch_certificates(fams[name], n, 3, 11), name
 
     @pytest.mark.parametrize("above", [False, True])
     def test_terminal_tie_is_decided_exactly(self, above):
@@ -356,11 +394,12 @@ class TestBatch:
     @pytest.mark.parametrize("d", [1, 3])
     def test_log2_weights_match_exact_weights(self, d):
         # the vector form against each point's exact weight, on an axis that
-        # starts at 0, one that covers Z and a table
+        # starts at 0, one that covers Z, a scaled family of unequal rates
+        # and a table
         pts = np.array(list(product(range(-3, 4), repeat=d)), dtype=np.int64)
         cone = pts[(pts >= 0).all(axis=1)]
         cases = [(geometric_family(d), cone), (symmetric_geometric_family(d), pts),
-                 (simplex_table(d, 3), cone[cone.sum(axis=1) <= 3])]
+                 (unequal_rate_family(d), cone), (simplex_table(d, 3), cone[cone.sum(axis=1) <= 3])]
         for fam, rows in cases:
             got = log2_weights(fam, rows)
             assert got.shape == (len(rows),)
