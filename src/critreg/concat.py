@@ -21,7 +21,8 @@ assembler, `_assemble`, adds the points where consecutive legs hand over
 the builder's levels; box masses, stretches, B, D, K_d and the budget are
 derived (`measured`, `walk_stretches`).  `verify_chain` re-decides each
 record's flag on its own segment and bound, and checks that segments lie
-in their boxes and the witness handovers.
+in their boxes, the witness handovers, and that the records fill the
+kind's stages (`stage_counts`).
 
 Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -272,11 +274,30 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
+def stage_counts(kind: str, seq: BoxSequence) -> dict[int, int]:
+    """The records a chain of the kind holds at each stage, by the kind's
+    own rule on the sequence: one per index on B-d2, two on FF-d3 (from
+    `chain_start_stage` to the last even index) and dim on the others;
+    the last stage holds one, except on B-d3 and FF-general, which end
+    the walk in the stage before it."""
+    stages = seq.indices()
+    lo, hi = min(stages), max(stages)
+    if kind == "FF-d3":
+        lo = chain_start_stage(seq)
+        hi -= (hi - lo) % 2
+    counts = dict.fromkeys(range(lo, hi), {"B-d2": 1, "FF-d3": 2}.get(kind, seq.boxes[0].dim))
+    if kind not in ("B-d3", "FF-general"):
+        counts[hi] = 1
+    return counts
+
+
 def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool]:
     """Decide every record's flag again from the weight family alone, on
     its own segment and bound; records name boxes of the sequence and their
     segments lie in them, entries and exits lie on their segments, and each
-    record exits where the next enters."""
+    record exits where the next enters.  The walk's box index never falls,
+    and its records fill the kind's stages (`stage_counts`), so a
+    truncated certificate fails."""
     recs, indices = cert.records, cert.seq.indices()
     checks = {
         "records": all(mass_le(family, r.seg, r.bound) for r in recs),
@@ -287,6 +308,8 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
         ),
         "witnesses": all(r.seg.index_of(p) is not None for r in recs for p in (r.entry, r.exit))
         and all(a.exit == b.entry for a, b in zip(recs, recs[1:])),
+        "stages": all(a.n <= b.n for a, b in zip(recs, recs[1:]))
+        and Counter(r.n for r in recs) == stage_counts(cert.kind, cert.seq),
     }
     return {**checks, "all": all(checks.values())}
 

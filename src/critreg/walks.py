@@ -10,28 +10,23 @@ A_d = 1/(d-1)!:
                    <= B * (log2(n+1))^(1-1/d)
 * terminal bound:  weight at the endpoint <= B / (n+1)^(d-1)
 
-`batch_certificates` runs many walks in lockstep on one numpy stream.  It
-keeps their states by axis, as the kernel's cumulative thresholds, so a
-step is one comparison and one addition over the d-1 thresholds that
-move.  A block of buffered steps draws at once: `bounded_draws` replays
-the block's draws from the generator's raw words exactly as
-`Generator.integers` would give them step by step.
-
-Which pass computes the costs is read from the family.  On a product
-family with one rate on every axis (both built-in families, and
-`lattice.uniform_box_family`) the weight on the orthant is
-const * 2^(-rate |v|), a function of |v| alone, so the t-th point of every
-walk has the same weight and every walk of length n the same cost.  That
-cost is n terms, evaluated once as one vector and added in step order,
-and the step loop carries only the walks' endpoints.  A table family, or
-a product family with unequal rates, takes the per-sample pass, which
-evaluates every point of every walk once per block and adds its terms to
-each sample's cost in step order.  Both passes give every sample the float
-that one addition per step gives it.  The terms come from `log2_weights`,
-the vector of float log2 weights of a point array, which lives here
-because this is the one numpy caller of the weight families; on a product
-family it reads the split form, an exact integer exponent plus a constant
-float part, with one rounding.
+Which pass runs is read from the family.  On a product family with one
+rate on every axis (both built-in families, and `lattice.uniform_box_family`)
+whose support holds every walk of length n, the weight on the orthant is
+const * 2^(-rate |v|): point t of every walk weighs what (t, 0, ..., 0)
+weighs, and every endpoint, on the sphere |v| = n, what (n, 0, ..., 0)
+weighs.  The batch is then decided from one cost sum and that one endpoint,
+and nothing is drawn.  Every other family (tables, unequal rates, finite
+supports a walk can leave) runs the walks in lockstep on one numpy stream,
+their states kept by axis as the kernel's cumulative thresholds, and
+evaluates every point of every walk; a block of buffered steps draws at
+once, as `bounded_draws` replays the block's draws from the generator's raw
+words exactly as `Generator.integers` would give them step by step.  Both
+passes give every sample the float that one addition per step gives it.
+The terms come from `log2_weights`, the vector of float log2 weights of a
+point array, which lives here because this is the one numpy caller of the
+weight families; on a product family it reads the split form, an exact
+integer exponent plus a constant float part, with one rounding.
 
 Terminal weights are decided as `lattice.weights_le` decides them, from
 split log2 weights with exact rationals only inside its margin; on a
@@ -65,8 +60,8 @@ COST_REL_TOL = 1e-12
 # factor on the expectation bound of `batch_certificates`' mean cost
 MEAN_SLACK = 1.05
 # int64 entries buffered per block (256 kB): the per-sample pass's walk
-# states of a block of steps, or the draws of a block for the endpoint
-# loop; larger blocks run no faster and raise peak memory (2^18 added 8 MB)
+# states of a block of steps; larger blocks run no faster and raise peak
+# memory (2^18 added 8 MB)
 BLOCK_INTS = 2 ** 15
 
 
@@ -218,31 +213,20 @@ def batch_certificates(
     """Vectorized Monte-Carlo pass on the family's lattice Z^d: the joint
     success fraction, the mean cost and the first certified sample.
 
-    Walk states for all samples advance in lockstep (the step-t denominator
-    t+d is state-independent), as the kernel's cumulative thresholds
-    acc[k] = sum_{i<=k} (1 + counts_i), one row per axis.  The step-t draw
-    r in range(t+d) moves a sample along the first axis j with r < acc[j],
-    which raises acc[k] for every k >= j; as the thresholds increase in k
-    and acc[d-1] = t+d > r, those are exactly the thresholds above r, so a
-    step adds (acc > r) to the d-1 rows that move: two ufunc calls, and for
-    d = 1 none of them move.  `bounded_draws` replays the draws
-    `Generator.integers(0, t+d, size=samples)` gives for a block of steps
-    at once.
-
-    Which pass runs is read from the family.  On a product family with one
-    rate on every axis (both built-in families) the weight on the orthant
-    depends on |v| alone, so point t of every walk weighs what (t, 0, ...)
-    weighs: `_shared_cost` sums those n terms once, and `_endpoints`
-    carries only the thresholds.  Every other family (tables, unequal
-    rates) takes `_sample_pass`, which evaluates every sample's points.
-    Both give each sample the float the step-by-step sum gives it.
+    On an equal-rate product family whose support holds [0, n] on every
+    axis (both built-in families) every sample costs the one sum
+    `_shared_cost` and meets the terminal bound exactly when the endpoint
+    (n, 0, ..., 0) does, so no walk is stepped; every other family takes
+    `_sample_pass` on the seed's stream.
     """
-    bitgen = np.random.default_rng(seed).bit_generator
-    if isinstance(family, ProductFamily) and len({ax.rate for ax in family.axes}) == 1:
+    d = family.d
+    if (isinstance(family, ProductFamily) and len({ax.rate for ax in family.axes}) == 1
+            and all(ax.lo <= 0 and n <= ax.hi for ax in family.axes)):
         costs = np.full(samples, _shared_cost(family, n))
-        ends = _endpoints(family.d, n, samples, bitgen)
+        ends = np.zeros((d, 1), dtype=np.int64)
+        ends[0] = n
     else:
-        costs, ends = _sample_pass(family, n, samples, bitgen)
+        costs, ends = _sample_pass(family, n, samples, seed)
     return _summary(family, n, costs, ends)
 
 
@@ -257,38 +241,25 @@ def _shared_cost(family: ProductFamily, n: int) -> float:
     return float(np.cumsum(np.exp2(log2_weights(family, line) / family.d))[-1])
 
 
-def _endpoints(d: int, n: int, samples: int, bitgen: np.random.BitGenerator) -> np.ndarray:
-    """The walks' endpoints, one row per axis: one contiguous (d-1, samples)
-    array of moving thresholds stepped in place, in blocks of
-    BLOCK_INTS // samples draws."""
-    steps = max(1, min(n, BLOCK_INTS // max(samples, 1)))
-    acc = np.repeat(np.arange(1, d + 1, dtype=np.int64)[:, None], samples, axis=1)
-    moving = acc[:d - 1]
-    # the comparison written as int64 saves a bool temporary and its cast
-    above = np.empty_like(moving)
-    spare = np.empty(0, dtype=np.uint32)
-    for start in range(0, n, steps):
-        highs = np.arange(start + d, start + d + min(steps, n - start))
-        draws, spare = bounded_draws(bitgen, highs, samples, spare)
-        for r in draws:
-            np.greater(moving, r, out=above)
-            moving += above
-    acc[d - 1] = n + d
-    return _counts(acc)
-
-
 def _sample_pass(
-    family: LengthFamily, n: int, samples: int, bitgen: np.random.BitGenerator
+    family: LengthFamily, n: int, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every sample's cost and its endpoint (one row per axis), from every
-    point of every walk.  The steps run in blocks of at most BLOCK_INTS
-    state entries (or one step), kept by axis and step.  After a block's
-    steps the last threshold t+d is filled in, the thresholds become
-    coordinates in place, the log2 weights of the points are evaluated on
-    per-axis rows, and their exp2(./d) are added to the costs by one
-    reduction over the rows in step order, so the floats are those of one
-    addition per step."""
+    point of every walk on the stream of `seed`.
+
+    The states advance in lockstep (the step-t denominator t+d is
+    state-independent) as the cumulative thresholds
+    acc[k] = sum_{i<=k} (1 + counts_i), one row per axis.  The step-t draw
+    r in range(t+d) moves a sample along the first axis j with r < acc[j],
+    which raises exactly the thresholds above r, so a step adds (acc > r)
+    to the d-1 rows that move; for d = 1 none moves, and nothing is drawn.
+    The steps run in blocks of at most BLOCK_INTS state entries (or one
+    step); after a block the thresholds become coordinates in place, and
+    the exp2(log2 w / d) of its points are added to the costs by one
+    reduction over the rows in step order, the floats of one addition per
+    step."""
     d = family.d
+    bitgen = np.random.default_rng(seed).bit_generator
     steps = max(1, min(n, BLOCK_INTS // max(d * samples, 1)))
     # a block's thresholds by axis and step, and the state after it; axes
     # 0..d-2 move, axis d-1 is t+d
@@ -303,9 +274,10 @@ def _sample_pass(
     for start in range(0, n, steps):
         m = min(steps, n - start)
         highs = np.arange(start + d, start + d + m)
-        draws, spare = bounded_draws(bitgen, highs, samples, spare)
-        for a, b, r in zip(moving, moving[1:], draws):
-            np.add(a, a > r, out=b)
+        if d > 1:
+            draws, spare = bounded_draws(bitgen, highs, samples, spare)
+            for a, b, r in zip(moving, moving[1:], draws):
+                np.add(a, a > r, out=b)
         acc[d - 1, :m] = highs[:, None]
         pts = _counts(acc[:, :m]).reshape(d, m * samples)
         lw = log2_weights(family, pts.T)

@@ -373,6 +373,7 @@ _CHAINS = {
     "B-d2": (geometric_family(2), ("B-d2", dict(alphas=(HALF, HALF), n_max=10))),
     "B-d3": (geometric_family(3), ("B-general", dict(alphas=(THIRD,) * 3, n_max=8))),
     "FF-d3": (symmetric_geometric_family(2), ("FF", dict(d=3, n_max=13))),
+    "B-general": (geometric_family(3), ("B-general", dict(alphas=(THIRD,) * 3, n_max=10))),
 }
 
 
@@ -389,7 +390,14 @@ def _tamper(cert, fam, field):
     middle record's segment moved one point along an axis it does not move
     on, or its bound lowered just below the least q that passes, or the
     last record's box index moved back by the sequence's length, where an
-    unchecked offset into the boxes would wrap to the same box."""
+    unchecked offset into the boxes would wrap to the same box; or the
+    certificate truncated by its last record, or by every record of its
+    last recorded stage."""
+    if field == "last-record":
+        return dataclasses.replace(cert, records=cert.records[:-1])
+    if field == "last-stage":
+        last = cert.records[-1].n
+        return dataclasses.replace(cert, records=tuple(r for r in cert.records if r.n != last))
     k = {"entry": 0, "exit": -1, "n": -1}.get(field, len(cert.records) // 2)
     r = cert.records[k]
     if field == "n":
@@ -424,10 +432,28 @@ class TestVerifyChain:
         fam, (seq_kind, kw) = _CHAINS[request.param]
         return fam, build_chain(request.param, fam, build_sequence(seq_kind, **kw))
 
-    @pytest.mark.parametrize("field", ["bound", "seg", "entry", "exit", "n"])
+    @pytest.mark.parametrize("field", ["bound", "seg", "entry", "exit", "n",
+                                       "last-record", "last-stage"])
     def test_tampered_field_fails(self, built, field):
         fam, cert = built
         assert not verify_chain(_tamper(cert, fam, field), fam)["all"]
+
+    @pytest.mark.parametrize("change", ["order", "count"])
+    def test_stage_shape_is_checked(self, built, change):
+        # two records of neighbouring stages swapped keep every stage's
+        # count but let n fall; one record dropped from a middle stage keeps
+        # the stage range but not its count
+        fam, cert = built
+        recs = list(cert.records)
+        if change == "order":
+            i = next(i for i, (a, b) in enumerate(zip(recs, recs[1:])) if a.n != b.n)
+            recs[i], recs[i + 1] = recs[i + 1], recs[i]
+        else:
+            middle = recs[len(recs) // 2].n
+            recs.remove(next(r for r in recs if r.n == middle))
+        changed = dataclasses.replace(cert, records=tuple(recs))
+        assert verify_chain(cert, fam)["stages"]
+        assert not verify_chain(changed, fam)["stages"]
 
     def test_verify_does_not_use_the_translate_scan(self, built):
         # the search's shortcut decides translates from shifted parts;

@@ -25,7 +25,7 @@ from critreg.lattice import (
     uniform_box_family,
     weights_le,
 )
-from critreg import walks
+from critreg import cli, walks
 from critreg.walks import (
     COST_REL_TOL,
     BatchSummary,
@@ -276,6 +276,12 @@ def batch_families(d, n):
     return fams
 
 
+def raising(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return fail
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -297,26 +303,82 @@ class TestBatch:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pass_follows_the_family_rates(self, d):
-        # equal-rate product families share one cost sum and step only the
-        # thresholds; tables and unequal rates evaluate every sample's
-        # points.  The pass that must not run raises.
-        def raising(name):
-            def fail(*args, **kwargs):
-                raise AssertionError(f"{name} ran")
-            return fail
-
+        # equal-rate product families whose support holds every walk are
+        # decided from one endpoint and draw nothing; tables, unequal rates
+        # and an equal-rate box that walks leave step every sample.  The
+        # code that must not run raises.
         n = 7
         fams = batch_families(d, n)
-        shared = ["geometric", "symmetric-geometric", "uniform"]
-        per_sample = ["table"] + (["unequal-rates"] if d > 1 else [])
-        for names, blocked in ((shared, ["_sample_pass"]),
-                               (per_sample, ["_shared_cost", "_endpoints"])):
+        decided = [fams[name] for name in ("geometric", "symmetric-geometric", "uniform")]
+        stepped = [fams["table"]] + ([fams["unequal-rates"]] if d > 1 else [])
+        stepped.append(uniform_box_family(Box(((0, n - 1),) * 2)))
+        decided_ends = []
+
+        def terminal_le(family, ends, q):
+            if family in decided:
+                decided_ends.append(ends.T.tolist())
+            return _terminal_le(family, ends, q)
+
+        for families, blocked in ((decided, ["bounded_draws", "_sample_pass"]),
+                                  (stepped, ["_shared_cost"])):
             with contextlib.ExitStack() as stack:
                 for name in blocked:
                     stack.enter_context(mock.patch.object(walks, name, raising(name)))
-                for name in names:
-                    got = batch_certificates(fams[name], n, 3, 11)
-                    assert got == reference_batch_certificates(fams[name], n, 3, 11), name
+                stack.enter_context(mock.patch.object(walks, "_terminal_le", terminal_le))
+                for fam in families:
+                    args = (fam, n, 3, 11)
+                    assert outcome(batch_certificates, *args) == \
+                        outcome(reference_batch_certificates, *args), fam
+        # a decided batch is decided at the one endpoint (n, 0, ..., 0)
+        assert decided_ends == [[[n] + [0] * (d - 1)]] * len(decided)
+
+    def test_one_dimensional_table_draws_nothing(self):
+        # at d = 1 no threshold moves, so the per-sample pass reads no draw
+        fam = simplex_table(1, 40)
+        with mock.patch.object(walks, "bounded_draws", raising("bounded_draws")):
+            for samples, seed in ((1, 0), (250, 11)):
+                got = batch_certificates(fam, 40, samples, seed)
+                assert got == reference_batch_certificates(fam, 40, samples, seed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_spheres_have_one_weight_on_equal_rate_families(self, d):
+        # the premise of the decided pass: on the orthant an equal-rate
+        # product family weighs every point of a sphere |v| = n alike, in
+        # exact and in split form
+        steep = Axis(0, math.inf, Fraction(5, 3), log2_parts(Fraction(5, 3)), 3, 2)
+        fams = (geometric_family(d), symmetric_geometric_family(d),
+                ProductFamily([steep] * d, scale=Fraction(2, 7)))
+        for fam in fams:
+            for n in range(9):
+                points = list(sphere_points(d, n))
+                assert len({fam.weight(v) for v in points}) == 1, (fam, n)
+                assert len({fam.weight_log2_parts(v) for v in points}) == 1, (fam, n)
+
+    @pytest.mark.parametrize("side", ["cost", "terminal"])
+    def test_decided_batch_can_fail(self, side, tmp_path):
+        # a bound that one side cannot meet fails every sample of a decided
+        # batch, and the lemma1 kind exits 2
+        real = walks.lemma_bound
+
+        def lowered(family, d):
+            b_float, b_exact = real(family, d)
+            if side == "cost":
+                return b_float / 1e6, b_exact
+            return b_float, b_exact / 2 ** 100
+
+        argv = "lemma1 --d 3 --n-max 50 --samples 20 --seed 1 --out".split()
+        with mock.patch.object(walks, "lemma_bound", lowered), \
+                mock.patch.object(walks, "_sample_pass", raising("_sample_pass")):
+            for fam in (geometric_family(3), symmetric_geometric_family(2)):
+                s = batch_certificates(fam, 50, 20, seed=1)
+                # only the lowered side fails: the shared cost meets its
+                # bound unless that bound was lowered
+                assert (s.mean_cost > s.cost_bound) == (side == "cost")
+                assert s.success_fraction == 0.0
+                assert s.witness is None and s.witness_cost is None
+            assert cli.main([*argv, str(tmp_path / side)]) == 2
+        # unpatched, the same line passes every row
+        assert cli.main([*argv, str(tmp_path / "real")]) == 0
 
     @pytest.mark.parametrize("above", [False, True])
     def test_terminal_tie_is_decided_exactly(self, above):
