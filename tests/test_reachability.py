@@ -31,10 +31,6 @@ ALLOWLIST = {
         "exact point weight for weights_le's fallback, which lemma1 reaches only on a "
         "terminal tie within 2^-40, and no built-in family has one"
     ),
-    "lattice.ProductFamily.weight_log2_parts": (
-        "split point weight for weights_le, which lemma1 reaches on a product family only "
-        "at a terminal tie within MARGIN; walks._exponents is its vector form"
-    ),
     "nilpotent.UnipotentMatrix.__post_init__": ALGEBRA,
     "nilpotent.UnipotentMatrix.__mul__": ALGEBRA,
     "nilpotent.UnipotentMatrix.inverse": ALGEBRA,

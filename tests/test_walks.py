@@ -1,5 +1,8 @@
 import contextlib
+import io
+import json
 import math
+import re
 import random
 from fractions import Fraction
 from itertools import product
@@ -20,7 +23,6 @@ from critreg.lattice import (
     geometric_family,
     log2_parts,
     sphere_constant,
-    symmetric_geometric_axis,
     symmetric_geometric_family,
     uniform_box_family,
     weights_le,
@@ -29,9 +31,8 @@ from critreg import cli, walks
 from critreg.walks import (
     COST_REL_TOL,
     BatchSummary,
-    _terminal_le,
+    _first_unreached,
     batch_certificates,
-    bounded_draws,
     cost_bound,
     lemma_bound,
     log2_weights,
@@ -41,6 +42,7 @@ from oracles import (
     OracleSizeError,
     WalkKernel,
     arrival_distribution,
+    box_points,
     brute_min_cost,
     enumerate_min_cost,
     geodesic,
@@ -303,42 +305,29 @@ class TestBatch:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pass_follows_the_family_rates(self, d):
-        # equal-rate product families whose support holds every walk are
-        # decided from one endpoint and draw nothing; tables, unequal rates
-        # and an equal-rate box that walks leave step every sample.  The
+        # equal-rate product families are decided from one endpoint and
+        # draw nothing; tables and unequal rates step every sample.  The
         # code that must not run raises.
         n = 7
         fams = batch_families(d, n)
         decided = [fams[name] for name in ("geometric", "symmetric-geometric", "uniform")]
         stepped = [fams["table"]] + ([fams["unequal-rates"]] if d > 1 else [])
-        stepped.append(uniform_box_family(Box(((0, n - 1),) * 2)))
         decided_ends = []
+        real = walks.weights_le
 
-        def terminal_le(family, ends, q):
+        def spy(family, points, q):
             if family in decided:
-                decided_ends.append(ends.T.tolist())
-            return _terminal_le(family, ends, q)
+                decided_ends.append(points)
+            return real(family, points, q)
 
-        for families, blocked in ((decided, ["bounded_draws", "_sample_pass"]),
-                                  (stepped, ["_shared_cost"])):
-            with contextlib.ExitStack() as stack:
-                for name in blocked:
-                    stack.enter_context(mock.patch.object(walks, name, raising(name)))
-                stack.enter_context(mock.patch.object(walks, "_terminal_le", terminal_le))
+        for families, blocked in ((decided, "_sample_pass"), (stepped, "_shared_cost")):
+            with mock.patch.object(walks, blocked, raising(blocked)), \
+                    mock.patch.object(walks, "weights_le", spy):
                 for fam in families:
                     args = (fam, n, 3, 11)
-                    assert outcome(batch_certificates, *args) == \
-                        outcome(reference_batch_certificates, *args), fam
+                    assert batch_certificates(*args) == reference_batch_certificates(*args), fam
         # a decided batch is decided at the one endpoint (n, 0, ..., 0)
         assert decided_ends == [[[n] + [0] * (d - 1)]] * len(decided)
-
-    def test_one_dimensional_table_draws_nothing(self):
-        # at d = 1 no threshold moves, so the per-sample pass reads no draw
-        fam = simplex_table(1, 40)
-        with mock.patch.object(walks, "bounded_draws", raising("bounded_draws")):
-            for samples, seed in ((1, 0), (250, 11)):
-                got = batch_certificates(fam, 40, samples, seed)
-                assert got == reference_batch_certificates(fam, 40, samples, seed)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_spheres_have_one_weight_on_equal_rate_families(self, d):
@@ -401,8 +390,12 @@ class TestBatch:
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("d,seed", [(2, 4), (3, 0)])
     def test_product_terminal_tie_is_decided_exactly(self, d, seed, above):
-        # the vector decision on a product family at w(end) = B / 6^(d-1),
-        # and at 1/(1 - 2^-60) times it, where only the exact weight decides
+        # the terminal decision on a product family at w(end) = B / 6^(d-1),
+        # and at 1/(1 - 2^-60) times it, where only the exact weight decides.
+        # A product family whose support holds every walk weighs an endpoint
+        # at most L / (n+1) < B / 6^(d-1) at d = 2, so the tie family's
+        # support is the one point on its last axis, which walks leave: the
+        # batch raises, and `_summary` decides the reference walk's endpoint
         n = 5
         end = reference_endpoint(d, n, seed)
         fam = tie_family(end, above)
@@ -414,44 +407,60 @@ class TestBatch:
         eq, fq = log2_parts(q)
         assert abs((e - eq) + (f - fq)) <= MARGIN
         assert list(weights_le(fam, [end], q)) == [not above]
-        got = batch_certificates(fam, n, 1, seed)
-        assert got == reference_batch_certificates(fam, n, 1, seed)
+        with pytest.raises(ValueError, match="outside the family's support"):
+            batch_certificates(fam, n, 1, seed)
+        want = reference_batch_certificates(fam, n, 1, seed)
+        got = walks._summary(fam, n, np.array([want.mean_cost]), np.array([end]))
+        assert got == want
         assert got.success_fraction == (0.0 if above else 1.0)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_vector_terminal_decision_matches_weights_le(self, d):
-        # q at a point's exact weight, and 2^-60 (relative) to either side,
-        # on axes that start at 0, cover Z, are finite, shifted or constant.
-        # At d = 1 a walk's terminal bound B = 3L exceeds every weight, so
-        # no pass meets a tie there; the decision is checked directly.
-        rng = random.Random(d)
-        axes = [geometric_axis(), symmetric_geometric_axis(),
-                Axis(0, 40, Fraction(5, 3), log2_parts(Fraction(5, 3)), 3, 2),
-                Axis(2, 30, Fraction(1, 7), log2_parts(Fraction(1, 7)), 0, 0)]
-        for trial in range(20):
-            fam = ProductFamily([rng.choice(axes) for _ in range(d)],
-                                scale=Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-            ends = np.array([[rng.randint(max(0, ax.lo), 30) for _ in range(40)]
-                             for ax in fam.axes], dtype=np.int64)
-            w = fam.weight(ends[:, rng.randrange(40)].tolist())
-            for q in (w, w * (1 + Fraction(1, 2 ** 60)), w * (1 - Fraction(1, 2 ** 60))):
-                want = list(weights_le(fam, ends.T.tolist(), q))
-                assert _terminal_le(fam, ends, q).tolist() == want
-
     def test_endpoint_outside_finite_support_raises_as_before(self):
+        # a support that a walk of length n can leave raises at every seed,
+        # naming the first simplex point it misses, before any draw
         d, n = 2, 7
         families = (
-            simplex_table(d, n - 1),  # every endpoint is outside
-            uniform_box_family(Box(((0, n - 1), (0, n - 1)))),  # the axis ends are
+            (simplex_table(d, n - 1), (0, 7)),  # every endpoint is outside
+            (uniform_box_family(Box(((0, n - 1), (0, n - 1)))), (0, 7)),  # the axis ends are
+            (uniform_box_family(Box(((0, n), (1, n)))), (0, 0)),  # the origin is
         )
-        raised = 0
-        for fam in families:
-            for seed in range(6):
-                args = (fam, n, 50, seed)
-                got = outcome(batch_certificates, *args)
-                assert got == outcome(reference_batch_certificates, *args)
-                raised += isinstance(got, tuple)
-        assert raised >= 7
+        with mock.patch.object(walks, "_sample_pass", raising("_sample_pass")):
+            for fam, missing in families:
+                for seed in range(6):
+                    with pytest.raises(ValueError, match=re.escape(f"reach {missing}, outside")):
+                        batch_certificates(fam, n, 50, seed)
+
+    def test_table_that_a_walk_can_leave_raises_at_every_seed(self, tmp_path):
+        # the 6x6 table w(i, j) = 2^-(i+j+2) misses (0, 6) at n = 7, though
+        # some seeds' walks stay on it; a table that holds exactly the
+        # simplex |v| <= 7 steps every seed as the reference does
+        n = 7
+        square = {(i, j): Fraction(1, 2 ** (i + j + 2)) for i in range(6) for j in range(6)}
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({f"{i},{j}": str(w) for (i, j), w in square.items()}))
+        simplex = simplex_table(2, n)
+        for seed in range(1, 9):
+            with pytest.raises(ValueError, match=re.escape("reach (0, 6), outside")):
+                batch_certificates(TableFamily(square), n, 3, seed)
+            argv = ["lemma1", "--d", "2", "--family", "custom-file", "--family-file", str(path),
+                    "--n-max", str(n), "--samples", "3", "--seed", str(seed),
+                    "--out", str(tmp_path / f"out-{seed}")]
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 1
+            args = (simplex, n, 3, seed)
+            assert batch_certificates(*args) == reference_batch_certificates(*args)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_first_unreached_point_of_a_product_family(self, d):
+        # the product-family rule against the first simplex point outside
+        # the support, and against a table on the same box
+        n = 6
+        for bounds in product([(0, 2), (0, 4), (-1, 6), (1, 5), (-3, -1)], repeat=d):
+            box = Box(bounds)
+            want = next((v for r in range(n + 1) for v in sphere_points(d, r)
+                         if not box.contains(v)), None)
+            assert _first_unreached(uniform_box_family(box), n) == want, bounds
+            table = TableFamily({v: Fraction(1) for v in box_points(box)})
+            assert _first_unreached(table, n) == want, bounds
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_log2_weights_match_exact_weights(self, d):
@@ -491,70 +500,6 @@ def tie_family(end, above):
     middle = [Axis(end[1], end[1] + 2, third, log2_parts(third), 0, 0)] if len(end) == 3 else []
     last = Axis(end[-1], end[-1], Fraction(1), (0, 0.0), 0, 0)
     return ProductFamily([first, *middle, last], scale=Fraction(2))
-
-
-def lemire_draws(words, highs, samples):
-    """numpy's bounded sampler for `integers(0, h, size=samples)`, h in
-    [1, 2^32], one draw at a time on the 32-bit outputs of the raw words
-    (low half first): the draws by h, and how many outputs each h rejected."""
-    outs = (w >> s & 0xFFFFFFFF for w in map(int, words) for s in (0, 32))
-    rows, rejected = [], []
-    for h in map(int, highs):
-        row, bad = [0] * samples, 0
-        for i in range(samples if h > 1 else 0):
-            m = next(outs) * h
-            while m & 0xFFFFFFFF < (1 << 32) % h:
-                bad += 1
-                m = next(outs) * h
-            row[i] = m >> 32
-        rows.append(row)
-        rejected.append(bad)
-    return rows, rejected
-
-
-def replay_blocks(seed, blocks, samples):
-    """`bounded_draws` over the blocks of highs in turn, as the walk pass
-    calls it, stacked."""
-    bitgen = np.random.default_rng(seed).bit_generator
-    spare = np.empty(0, dtype=np.uint32)
-    out = []
-    for highs in blocks:
-        rows, spare = bounded_draws(bitgen, np.array(highs, dtype=np.int64), samples, spare)
-        out.append(rows)
-    return np.vstack(out)
-
-
-class TestDraws:
-    """`bounded_draws` against `Generator.integers` called once per h: a
-    numpy whose sampler differs fails here and in the bitwise batch test."""
-
-    @pytest.mark.parametrize("samples", [1, 3, 250, 1001])
-    def test_walk_blocks_replay_integers(self, samples):
-        # the highs of a d = 1 pass, starting at h = 1 (no draw), in blocks
-        # of uneven length; odd counts leave half a raw word to the next one
-        blocks = [[1], [2, 3], list(range(4, 11)), list(range(11, 40))]
-        for seed in (0, 7):
-            rng = np.random.default_rng(seed)
-            want = [rng.integers(0, h, size=samples) for block in blocks for h in block]
-            assert np.array_equal(replay_blocks(seed, blocks, samples), np.array(want))
-
-    @pytest.mark.parametrize("samples", [1, 3, 250, 1001])
-    def test_rejections_near_two_to_the_32(self, samples):
-        # 2^32 mod h is 2^30 at 3 * 2^30 and 2^31 - 1 at 2^31 + 1, so about
-        # a quarter and a half of the outputs are rejected; 2^32 - 1 rejects
-        # one output value and 2^32 none
-        blocks = [[3 * 2 ** 30, 3 * 2 ** 30 + 1], [2 ** 31 + 1], [2 ** 31 + 1] * 3,
-                  [2 ** 32 - 1, 2 ** 32]]
-        highs = [h for block in blocks for h in block]
-        seed = 11
-        rng = np.random.default_rng(seed)
-        want = np.array([rng.integers(0, h, size=samples) for h in highs])
-        words = np.random.default_rng(seed).bit_generator.random_raw(4 * len(highs) * samples)
-        rows, rejected = lemire_draws(words, highs, samples)
-        assert np.array_equal(np.array(rows), want)
-        counts = iter(rejected)
-        assert max(sum(next(counts) for _ in block) for block in blocks) >= 2
-        assert np.array_equal(replay_blocks(seed, blocks, samples), want)
 
 
 class TestBruteMinCost:
