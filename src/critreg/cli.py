@@ -5,7 +5,8 @@ machine identifiers, JSON is emitted with sorted keys, and all randomness
 flows through the config's seed, so identical configs give byte-identical
 files.  Exit codes: 0 all checked inequalities hold, 2 at least one fails,
 1 for usage or validation errors (unreadable or malformed config and report
-files, and a report that cannot be written, among them), 3 when a chain
+files, a report that cannot be written and a size that cannot be allocated,
+among them), 3 when a chain
 search found no qualifying object; with --out, that run still writes a
 report, whose one failing row holds the error and its search stats.  A
 lemma1 batch with no certified sample is a failing row (exit 2), not a
@@ -308,20 +309,13 @@ def _run_dynamics(cfg: ExperimentConfig) -> dict:
              f"least slack of C*sum_(i<k)|g^i J|^alpha - var_J log Dg^k over k <= "
              f"{cfg.k_max}; first failing k: {rep.distortion.first_failure}; "
              "C is a grid estimate, so this is a necessary condition"),
-        _row("holder-sum-closed-form", rep.closed_form.passed, rep.closed_form.least,
-             -smooth.GROWTH_TOL,
-             f"least slack of C*|I|^alpha*k^(1-alpha) - C*sum_(i<k)|g^i J|^alpha; "
-             f"first failing k: {rep.closed_form.first_failure}"),
-        _row("wandering-disjoint", rep.disjoint, rep.disjoint, True,
-             "forward images of J, sharing their computed endpoints"),
-        _row("wandering-sum", rep.within_interval, rep.partial_sums[-1],
-             g.length, "partial sums of forward image lengths"),
     ]
     curve = [(k + 1, s) for k, s in enumerate(rep.partial_sums[:200])]
     return {
         "rows": rows,
         "tables": {"wandering": curve},
-        "constants": {"holder_constant": c},
+        "constants": {"holder_constant": c, "holder_sum": rep.distortion.last_bound,
+                      "wandering_sum": rep.partial_sums[-1]},
     }
 
 
@@ -522,14 +516,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         return _main(argv)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def _main(argv: list[str] | None) -> int:
-    """One call's exit code; a usage, validation or I/O error, the report
-    writes included, propagates to ``main``, which exits 1."""
+    """One call's exit code; a usage, validation, I/O or allocation error,
+    the report writes included, propagates to ``main``, which exits 1."""
     args = _parser().parse_args(argv)
     if args.command == "report":
         report = _load_report(args.path)

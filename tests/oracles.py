@@ -519,7 +519,7 @@ def restrict(g: SmoothMap, a2: float, b2: float) -> SmoothMap:
 
 def renormalize(g: SmoothMap) -> SmoothMap:
     """Affine conjugate living on [0,1]; its derivative is df(phi^-1(u))."""
-    a, b, L = g.a, g.b, g.length
+    a, b, L = g.a, g.b, g.b - g.a
     f, df = g.f, g.df
     return SmoothMap(
         f"{g.name}~",

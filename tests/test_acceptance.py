@@ -7,8 +7,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from critreg import smooth
 from critreg.boxes import build_sequence, sequence_multiplicity
 from critreg.cli import ExperimentConfig, run, write_report
 from critreg.concat import build_chain, distortion_budget, measured, verify_chain
@@ -166,12 +168,25 @@ def _domain_rows(c, alpha, k_max):
     )
 
 
+def _image_lengths(c, k_max):
+    """|g^k J| for k < k_max on the parabolic map, and whether the images
+    form one rightward chain of shared endpoints (so are disjoint)."""
+    _, ends = smooth._domain_orbit(parabolic_map(c), k_max)
+    steps = ends[:, 1] - ends[:, 0]
+    chain = np.array_equal(ends[1:, 0], ends[:-1, 1]) and bool((steps >= 0).all())
+    return steps[:-1], chain
+
+
 def test_08_growth_bound_suite():
     ok = True
     for c in (0.5, 1.0, 2.0):
+        lengths, _ = _image_lengths(c, 10_000)
+        ks = np.arange(1, 10_001)
         for alpha in (1 / 3, 1 / 2):
             rep = _domain_rows(c, alpha, 10_000)
-            ok = ok and rep.distortion.passed and rep.closed_form.passed
+            # |I| = 1
+            closed_form = (np.cumsum(lengths ** alpha) <= ks ** (1 - alpha)).all()
+            ok = ok and rep.distortion.passed and bool(closed_form)
     rng = random.Random(5)
     renorm_ok = True
     for _ in range(10):
@@ -190,8 +205,8 @@ def test_08_growth_bound_suite():
 
 
 def test_09_wandering_images():
-    w = _domain_rows(1.0, 0.5, 1000)
-    ok = w.disjoint and w.within_interval
+    _, chain = _image_lengths(1.0, 1000)
+    ok = chain and _domain_rows(1.0, 0.5, 1000).partial_sums[-1] <= 1.0
     _verdict(
         9, ok, "forward images of J: sums <= |I| with exact disjointness, k<=1000"
     )
