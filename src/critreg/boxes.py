@@ -91,11 +91,21 @@ def _scale_ceil_inv(value: int, base2_exponent: Fraction) -> int:
 
 @dataclass(frozen=True)
 class BoxSequence:
+    """Boxes Q(n), n in `indices()`.  Every construction only raises
+    endpoints, and the type enforces it: on every axis both endpoints are
+    nondecreasing in n, or construction raises ValueError."""
+
     kind: str
     start_index: int
     boxes: tuple[Box, ...]
     d: int
     alphas: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self) -> None:
+        for n, (a, b) in enumerate(zip(self.boxes, self.boxes[1:]), self.start_index):
+            for (lo_a, hi_a), (lo_b, hi_b) in zip(a.intervals, b.intervals, strict=True):
+                if lo_b < lo_a or hi_b < hi_a:
+                    raise ValueError(f"an endpoint falls from Q({n}) to Q({n + 1})")
 
     def box(self, n: int) -> Box:
         """Q(n); IndexError outside `indices()`, where an offset into
@@ -220,38 +230,24 @@ def build_sequence(
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
-def sequence_multiplicity(seq: BoxSequence | Sequence[Box]) -> int:
+def sequence_multiplicity(seq: BoxSequence) -> int:
     """Maximum number of boxes covering a common lattice point.
 
-    Sweeps the corner-induced cell decomposition instead of enumerating
-    points: the cover count is constant on every cell of the arrangement.
+    Both endpoints are nondecreasing in n on every axis, so a point of Q(a)
+    and Q(c) lies in every Q(b) between them, and boxes a..b share a point
+    exactly when lo(b) <= hi(a) on every axis (the corner lo(b) is one).
+    The multiplicity is the longest such run.  One two-pointer pass finds
+    it: the run from a ends at the last b with lo(b) <= hi(a), and that b
+    never falls as a rises, because hi(a) never falls.
     """
-    boxes = tuple(seq.boxes if isinstance(seq, BoxSequence) else seq)
-    if not boxes:
-        return 0
-    dim = boxes[0].dim
-    cuts = []
-    for k in range(dim):
-        vals = set()
-        for b in boxes:
-            lo, hi = b.intervals[k]
-            vals.add(lo)
-            vals.add(hi + 1)
-        cuts.append(sorted(vals)[:-1])  # cell representatives: left edges
-    best = 0
-
-    def rec(k: int, partial: list[Box]) -> None:
-        nonlocal best
-        if k == dim:
-            if len(partial) > best:
-                best = len(partial)
-            return
-        for v in cuts[k]:
-            nxt = [b for b in partial if b.intervals[k][0] <= v <= b.intervals[k][1]]
-            if len(nxt) > best:
-                rec(k + 1, nxt)
-
-    rec(0, list(boxes))
+    boxes = seq.boxes
+    best = b = 0
+    for a, top in enumerate(boxes):
+        his = [hi for _, hi in top.intervals]
+        while b + 1 < len(boxes) and all(
+                lo <= hi for (lo, _), hi in zip(boxes[b + 1].intervals, his)):
+            b += 1
+        best = max(best, b - a + 1)
     return best
 
 

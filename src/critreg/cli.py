@@ -176,22 +176,31 @@ def _run_lemma1(cfg: ExperimentConfig) -> dict:
         "B": summary.bound_b, "witness": witness}}
 
 
-def _b_variant_alphas(cfg: ExperimentConfig) -> tuple[str, tuple[Fraction, ...]]:
-    """A B config's variant and exponents: B-d2 at d = 2 and B-general
-    above, and 1/d on every axis, unless the config names its own."""
-    variant = cfg.variant or ("B-d2" if cfg.d == 2 else "B-general")
-    return variant, cfg.alpha_fractions() or (Fraction(1, cfg.d),) * cfg.d
+def _variant(cfg: ExperimentConfig) -> str:
+    """A boxes or chain-b config's variant: its own, or else B-d2 at d = 2
+    and B-general above."""
+    return cfg.variant or ("B-d2" if cfg.d == 2 else "B-general")
 
 
-def _seq_for(cfg: ExperimentConfig) -> boxmod.BoxSequence:
-    if cfg.variant == "FF":
-        return boxmod.build_sequence("FF", d=cfg.d, n_max=cfg.n_max)
-    variant, alphas = _b_variant_alphas(cfg)
-    return boxmod.build_sequence(variant, alphas=alphas, n_max=cfg.n_max)
+def _seq_for(cfg: ExperimentConfig, kind: str) -> boxmod.BoxSequence:
+    """The config's box sequence of one kind, which must fit the config's d.
+    FF takes no exponents; a B sequence has one axis per exponent, and
+    takes 1/d on every axis unless the config names its own."""
+    if kind == "FF":
+        seq = boxmod.build_sequence("FF", d=cfg.d, n_max=cfg.n_max)
+        if cfg.alphas:
+            raise ConfigError(f"FF takes no exponents, got {len(cfg.alphas)} at d = {cfg.d}")
+        return seq
+    alphas = cfg.alpha_fractions() or (Fraction(1, cfg.d),) * cfg.d
+    seq = boxmod.build_sequence(kind, alphas=alphas, n_max=cfg.n_max)
+    if seq.d != cfg.d:
+        raise ConfigError(
+            f"{len(alphas)} exponents give a {seq.d}-dimensional {kind} sequence, not d = {cfg.d}")
+    return seq
 
 
 def _run_boxes(cfg: ExperimentConfig) -> dict:
-    seq = _seq_for(cfg)
+    seq = _seq_for(cfg, _variant(cfg))
     mult = boxmod.sequence_multiplicity(seq)
     rows = []
     constants: dict = {"multiplicity": mult}
@@ -234,11 +243,10 @@ def _chain_common(kind: str, seq, fam) -> dict:
 
 
 def _run_chain_b(cfg: ExperimentConfig) -> dict:
-    kind, alphas = _b_variant_alphas(cfg)
+    kind = _variant(cfg)
     if kind not in ("B-d2", "B-d3", "B-general"):
         raise ConfigError("chain-b variants: B-d2, B-d3, B-general")
-    seq_kind = "B-d2" if kind == "B-d2" else "B-general"
-    seq = boxmod.build_sequence(seq_kind, alphas=alphas, n_max=cfg.n_max)
+    seq = _seq_for(cfg, "B-d2" if kind == "B-d2" else "B-general")
     return _chain_common(kind, seq, _family(cfg, cfg.d))
 
 

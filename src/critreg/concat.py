@@ -937,8 +937,8 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
 
     # For n >= n1, the first record's index, no walk point before the first
     # entry into Q(n) lies in Q(n+1), so the scan resumes at that entry's
-    # stretch.  Every construction only raises endpoints, so per axis both
-    # endpoints are nondecreasing in n and Q(a) & Q(c) lies in Q(b) for
+    # stretch.  `BoxSequence` checks at construction that per axis both
+    # endpoints are nondecreasing in n, so Q(a) & Q(c) lies in Q(b) for
     # a < b < c.  A point p of Q(n+1) on the prefix staircase, which runs
     # coordinatewise from a base at or below the first entry e in Q(n1), has
     # lo(n) <= lo(n+1) <= p <= e <= hi(n1) <= hi(n); on a record of box m < n

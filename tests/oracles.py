@@ -3,14 +3,15 @@
 None of these runs in a CLI kind.  Each is a slow or brute-force twin of
 something the package computes in closed form (the point weights of the
 built-in axes, exact arrival laws and minimum-cost paths of the walks,
-sphere enumeration, box enumeration, subdivision leaves and the share of
-non-admissible levels, per-point mean goodness and the goodness of a
-segment's flag, the linear scans and the depth-first fully-good search
-that the chain searches replaced, exact packed lengths, every prefix of a
-word and the per-step orbit of a fundamental domain), a small fixture map
-for the derivative checks, or an input of those oracles (the walk kernel
-and lattice paths).  `exact_mass` is no oracle: it reads the package's own
-exact mass form as a rational, for tests of something else.
+sphere enumeration, box enumeration, the corner sweep of cover
+multiplicity, subdivision leaves and the share of non-admissible levels,
+per-point mean goodness and the goodness of a segment's flag, the linear
+scans and the depth-first fully-good search that the chain searches
+replaced, exact packed lengths, every prefix of a word and the per-step
+orbit of a fundamental domain), a small fixture map for the derivative
+checks, or an input of those oracles (the walk kernel and lattice paths).
+`exact_mass` is no oracle: it reads the package's own exact mass form as
+a rational, for tests of something else.
 """
 
 from __future__ import annotations
@@ -94,6 +95,37 @@ def sphere_points(d: int, n: int) -> Iterator[Coords]:
 def box_points(box: Box) -> Iterator[Coords]:
     """Every lattice point of a box, in lexicographic order."""
     return product(*(range(lo, hi + 1) for lo, hi in box.intervals))
+
+
+def sweep_multiplicity(boxes: Sequence[Box]) -> int:
+    """Maximum number of boxes covering a common lattice point, for any list
+    of boxes: the cover count is constant on every cell of the arrangement
+    cut at the boxes' corners, so one point per cell is swept."""
+    if not boxes:
+        return 0
+    dim = boxes[0].dim
+    cuts = []
+    for k in range(dim):
+        vals = set()
+        for b in boxes:
+            lo, hi = b.intervals[k]
+            vals.add(lo)
+            vals.add(hi + 1)
+        cuts.append(sorted(vals)[:-1])  # cell representatives: left edges
+    best = 0
+
+    def rec(k: int, partial: list[Box]) -> None:
+        nonlocal best
+        if k == dim:
+            best = max(best, len(partial))
+            return
+        for v in cuts[k]:
+            nxt = [b for b in partial if b.intervals[k][0] <= v <= b.intervals[k][1]]
+            if len(nxt) > best:
+                rec(k + 1, nxt)
+
+    rec(0, list(boxes))
+    return best
 
 
 def geodesic(path: LatticePath) -> bool:

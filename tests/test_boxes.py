@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critreg.boxes import (
+    BoxSequence,
     build_sequence,
     floor_power,
     inocent_constant,
@@ -19,7 +20,7 @@ from critreg.boxes import (
 )
 from critreg.lattice import Box
 
-from oracles import leaves, nodes, non_admissible_fraction
+from oracles import leaves, nodes, non_admissible_fraction, sweep_multiplicity
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -129,7 +130,38 @@ class TestSequences:
             assert sequence_multiplicity(s) <= bound
 
     def test_single_box_multiplicity(self):
-        assert sequence_multiplicity([Box(((1, 5), (2, 9)))]) == 1
+        assert sequence_multiplicity(BoxSequence("FF", 0, (Box(((1, 5), (2, 9))),), d=3)) == 1
+
+    @pytest.mark.parametrize("kind,kws,n_max", [
+        ("B-d2", [{"alphas": (Fraction(p, q), 1 - Fraction(p, q))} for p, q in (
+            (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (4, 7), (2, 5),
+            (1, 8), (7, 8))], 60),
+        # its build takes seconds past n = 30: the roots of 4^(999 m / 1000)
+        ("B-d2", [{"alphas": (Fraction(1, 1000), Fraction(999, 1000))}], 30),
+        ("B-general", [{"alphas": a} for a in (
+            (THIRD,) * 3, (HALF, THIRD, Fraction(1, 6)), (HALF, Fraction(1, 4), Fraction(1, 4)),
+            (Fraction(1, 4),) * 4, (HALF, Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
+            (Fraction(1, 5),) * 5, (Fraction(1, 6),) * 6)], 40),
+        ("FF", [{"d": d} for d in (3, 4, 5, 6)], 40),
+    ], ids=["B-d2", "B-d2-1/1000", "B-general", "FF"])
+    def test_multiplicity_matches_corner_sweep(self, kind, kws, n_max):
+        # every prefix of each sequence: the run form against the sweep,
+        # which holds for any list of boxes
+        for kw in kws:
+            s = build_sequence(kind, n_max=n_max, **kw)
+            for k in range(1, len(s.boxes) + 1):
+                prefix = BoxSequence(s.kind, s.start_index, s.boxes[:k], s.d, s.alphas)
+                assert sequence_multiplicity(prefix) == sweep_multiplicity(prefix.boxes), (kw, k)
+
+    @pytest.mark.parametrize("second", [((0, 6), (3, 9)), ((1, 4), (3, 9)), ((1, 5), (3, 8))],
+                             ids=["lower-falls", "upper-falls", "upper-falls-on-axis-2"])
+    def test_falling_endpoint_raises(self, second):
+        with pytest.raises(ValueError, match="falls from Q\\(4\\) to Q\\(5\\)"):
+            BoxSequence("B-d2", 4, (Box(((1, 5), (2, 9))), Box(second)), d=2)
+
+    def test_mixed_dimensions_raise(self):
+        with pytest.raises(ValueError):
+            BoxSequence("B-d2", 1, (Box(((1, 5), (2, 9))), Box(((1, 5),))), d=2)
 
     def test_consecutive_boxes_overlap(self):
         for s in (
@@ -143,8 +175,9 @@ class TestSequences:
     @pytest.mark.parametrize("kind", ["B-d2", "B-general", "FF"])
     def test_endpoints_nondecreasing(self, kind):
         # every construction only raises endpoints, so per axis both
-        # endpoints of Q(n) are nondecreasing in n; the entry-time scan of
-        # `concat.distortion_budget` resumes at the previous row on this
+        # endpoints of Q(n) are nondecreasing in n (`BoxSequence` raises
+        # otherwise); the cover multiplicity's run form and the entry-time
+        # scan of `concat.distortion_budget` rest on this
         grid = {
             "B-d2": [{"alphas": a} for a in (
                 (HALF, HALF), (THIRD, 2 * THIRD), (2 * THIRD, THIRD),

@@ -425,6 +425,34 @@ class TestMain:
         assert main(argv) == 1
         assert "error: B-d2 takes two exponents" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,d,variant,alphas,shown", [
+        ("chain-b", 2, "B-general", ["1/3"] * 3,
+         "3 exponents give a 3-dimensional B-general sequence, not d = 2"),
+        ("chain-b", 3, "B-d2", ["1/2"] * 2, "2 exponents give a 2-dimensional B-d2 sequence, not d = 3"),
+        ("boxes", 5, "B-d2", ["1/2"] * 2, "2 exponents give a 2-dimensional B-d2 sequence, not d = 5"),
+        ("boxes", 3, "FF", ["1/2"] * 2, "FF takes no exponents, got 2 at d = 3"),
+    ])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_exponents_must_fit_the_dimension(self, tmp_path, capsys, kind, d, variant, alphas,
+                                              shown, form):
+        # the sequence would be built on another lattice than the family, or
+        # its report would name a d it does not have
+        if form == "flag":
+            argv = [kind, "--d", str(d), "--variant", variant, "--alpha", ",".join(alphas)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"d": d, "variant": variant, "alphas": alphas}))
+            argv = [kind, "--config", str(config)]
+        assert main([*argv, "--n-max", "6", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_general_sequence_message_comes_first(self, capsys):
+        # two exponents do not fit d = 3 either, but the builder names them
+        argv = ["chain-b", "--d", "3", "--variant", "B-general", "--alpha", "1/2,1/2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: B-general needs d >= 3 (use B-d2 for two factors)\n"
+
     @pytest.mark.parametrize(
         "content",
         [None, "not json {", '{"rows": 3, "passed": true}', '{"rows": [1], "passed": true}',
@@ -674,12 +702,14 @@ README_IDENTITY = "6a554d761fa8b163639b39cae9e7073f0d0f3fd7da4443bf808f31f405126
 
 # exit code and sha256 of report.json for the lines whose reports carry the
 # lattice's masses, log2 masses and power sums: the five CI chain-smoke
-# lines, both README boxes lines, chain-b on the symmetric family,
-# FF-general at d = 5 and B-general's lambda_prime at d = 4, one
-# seeded lemma1 line per built-in family, the README lemma1 line and one
-# d=2 and one d=4 line of the 1000-sample walk-mc bench tail (so the walk
-# pass's block shapes of both bench groups are pinned).  A changed float
-# in any of those forms shows as a changed digest.
+# lines, both README boxes lines, the FF d=6 boxes line at the n_max cap
+# (its digest taken from the corner sweep that the run form replaced),
+# chain-b on the symmetric family, FF-general at d = 5 and B-general's
+# lambda_prime at d = 4, one seeded lemma1 line per built-in family, the
+# README lemma1 line and one d=2 and one d=4 line of the 1000-sample
+# walk-mc bench tail (so the walk pass's block shapes of both bench groups
+# are pinned).  A changed float in any of those forms shows as a changed
+# digest.
 LATTICE_REPORTS = {
     "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 15":
         (0, "de5c4f666597d68315e96af5d0135da1f7fd4cc709777356af879c2fd5027031"),
@@ -695,6 +725,8 @@ LATTICE_REPORTS = {
         (0, "8b2eb5e4f89f1ac351ae0d6dc7a1e5bc8d747d314ff671873a02700c02f262bc"),
     "boxes --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 20":
         (0, "a615742000e5701ebf248682e16d0c1f55bd7563d968e1ad7d503e6990517350"),
+    "boxes --d 6 --variant FF --n-max 200":
+        (0, "cab6fe3b632143b2d5d9fe049fd276c4225629ae94b67d02c5d2f93a7a475f0d"),
     "chain-b --d 2 --alpha 1/2,1/2 --family symmetric-geometric --n-max 12":
         (0, "5c8d181b6a72e30ef11fc77a7fa4be0f490354813530ae141049b5dd7b8b2a95"),
     "chain-ff --d 5 --n-max 12":

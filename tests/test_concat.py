@@ -403,9 +403,18 @@ def _tamper(cert, fam, field):
     if field == "n":
         value = r.n - len(cert.seq.boxes)
     elif field == "bound":
-        q = exact_mass(fam, r.seg) / exact_mass(fam, r.bound.region)
-        value = Bound(q * (1 - Fraction(1, 2 ** 60)), r.bound.region)
+        # the least q that passes is the mass ratio.  Its split log2 form is
+        # within MARGIN of it; lowering that q by 2^-60, 2^-59, ... of itself
+        # until `mass_le` rejects it stays within MARGIN of the ratio, where
+        # `mass_le` decides on the exact dyadic forms
+        (a0, a1), (b0, b1) = (fam.mass_log2_parts(x) for x in (r.seg, r.bound.region))
+        ratio = Fraction(2) ** (a0 - b0) * Fraction(2.0 ** (a1 - b1))
+        for shift in range(60, 40, -1):
+            value = Bound(ratio * (1 - Fraction(1, 2 ** shift)), r.bound.region)
+            if not lattice.mass_le(fam, r.seg, value):
+                break
         assert not lattice.mass_le(fam, r.seg, value)
+        assert abs(lattice.mass_ratio_log2(fam, r.seg, value)) <= lattice.MARGIN
     elif field == "seg":
         # the moved segment may leave its box, so it drops the box it was cut from
         value = dataclasses.replace(r.seg, anchor=_off_segment(r.seg, r.seg.anchor), ambient=None)
