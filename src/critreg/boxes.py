@@ -37,10 +37,13 @@ def integer_root(x: int, q: int) -> int:
     For roots below 2^33 of an x below 2^1000 the float root is within
     2^-15 of the root (rounding of x and 1/q, times log of the root, and
     pow's ulp), so its integer part is the answer or one off it.  Larger
-    roots, and larger x, start from the float root of x's leading bits
-    (shifted by a multiple of q to below 2^1000, inside float range),
-    raised to lie above the root, and follow integer Newton steps
-    r -> ((q-1) r + x // r^(q-1)) // q, which decrease until they stop on
+    roots, and larger x, start from the root's log2, (low + log2 t) / q
+    for the top 53 bits t = x >> low of x.  Its float error is below 2^-45
+    for any q (log2 t to one ulp of 53, t short of x / 2^low by under 2^-52
+    relative, and one rounding each of the sum and the quotient), so
+    raised by 2^-40 and rounded up it gives a start above the root, 2^-40
+    from it in relative terms.  Integer Newton steps
+    r -> ((q-1) r + x // r^(q-1)) // q then decrease until they stop on
     the root; `math.isqrt` does the same for q = 2.
     """
     if x < 0 or q < 1:
@@ -51,12 +54,19 @@ def integer_root(x: int, q: int) -> int:
         return math.isqrt(x)
     bits = x.bit_length()
     k = max(0, bits // q - 32, -((1000 - bits) // q))
-    r = int((x >> (k * q)) ** (1.0 / q))
     if k == 0:
+        r = int(x ** (1.0 / q))
         if r ** q > x:
             return r - 1
         return r + 1 if (r + 1) ** q <= x else r
-    r = (r + 2) << k
+    # here x has more than 53 bits; the start is 2^(a + f), f in [0, 19)
+    low = bits - 53
+    a, b = divmod(low, q)
+    f = (b + math.log2(x >> low)) / q + 2.0 ** -40
+    e = math.floor(f)
+    top = int(2.0 ** (f - e + 52)) + 1  # above 2^(f - e + 52), below 2^53 + 2
+    shift = a + e - 52
+    r = top << shift if shift >= 0 else -(-top >> -shift)
     while True:
         s = ((q - 1) * r + x // r ** (q - 1)) // q
         if s >= r:

@@ -484,19 +484,24 @@ def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
 
 
 def _load_report(path: str) -> dict:
-    """Read a saved report.json; ConfigError unless it has rows and a verdict."""
+    """Read a saved report.json; ConfigError unless it has rows and a verdict
+    that they agree with."""
     report = json.loads(Path(path).read_text())
     rows = report.get("rows") if isinstance(report, dict) else None
     keys = {"check", "passed", "value", "bound"}
     if (
         not isinstance(rows, list)
-        or not all(isinstance(r, dict) and keys <= r.keys() for r in rows)
+        or not rows
+        or not all(isinstance(r, dict) and keys <= r.keys() and isinstance(r["passed"], bool)
+                   for r in rows)
         or "passed" not in report
     ):
         raise ConfigError(
-            f"{path} is not a report: needs 'passed' and 'rows', a list of objects "
-            "with check, passed, value and bound"
+            f"{path} is not a report: needs 'passed' and 'rows', a nonempty list of "
+            "objects with check, passed (true or false), value and bound"
         )
+    if report["passed"] is not all(r["passed"] for r in rows):
+        raise ConfigError(f"{path}: 'passed' is not the verdict of its rows")
     return report
 
 

@@ -815,17 +815,19 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
     # segment's mean ratio.  The orbit construction's roundness-driven level
     # needs a target proportion below 1/a^2, and every FF sequence has
     # a >= (1 + 4^(d+1))^(d-1), the roundness constant of its first box
-    lam = Fraction(2) ** _least_power_of_two(family, [
+    m = _least_power_of_two(family, [
         (seg, _mean_bound(Fraction(1), seg, seq.box(n))) for n, seg in plan
     ])
+    lam = Fraction(2) ** m
     legs = [
         SegmentRecord(n, f"g{n}.{seg.axis + 1}", seg, "staircase-mean",
                       _mean_bound(lam, seg, seq.box(n)), f"f({seg.axis + 2},1)")
         for n, seg in plan
     ]
     # the walk stops at the last overlap's lower corner
-    return _assemble("FF-general", seq, alphas, legs, None, {"lambda": float(lam)},
-                     last_exit=tuple(cur))
+    # past float range lambda reads inf, as B does in `measured`
+    return _assemble("FF-general", seq, alphas, legs, None,
+                     {"lambda": 2.0 ** m if m < 1024 else math.inf}, last_exit=tuple(cur))
 
 
 def build_chain(kind: str, family: LengthFamily, seq: BoxSequence) -> ChainCertificate:

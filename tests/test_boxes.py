@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critreg.boxes import (
@@ -38,8 +38,11 @@ class TestIntegerRoots:
             st.integers(0, 2 ** 4000),
             st.builds(lambda b: 2 ** b, st.integers(0, 4000)),
         ),
-        st.integers(1, 7),
+        st.one_of(st.integers(1, 7), st.integers(8, 1200)),
     )
+    # the slowest roots of B-d2 at (1/1000, 999/1000) up to n_max 30 and 40
+    @example(x=4 ** (999 * 13), q=1000)
+    @example(x=4 ** (999 * 39), q=1000)
     @settings(max_examples=300, deadline=None)
     def test_integer_root_at_any_size(self, x, q):
         r = integer_root(x, q)

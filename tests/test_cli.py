@@ -48,6 +48,37 @@ BAD_CONFIGS = {
 }
 
 
+# files that lines of REPORTS and USAGE_ERRORS name by paths relative to the
+# directory they run in, so that a report's config block does not depend on it
+FILES = {
+    # w(i, j) = 2^-(i+j+2) on a 6x6 square: B-d2 chain segments up to n = 8,
+    # and lemma1 walks of length 7, can leave it
+    "square-table.json": json.dumps(
+        {f"{i},{j}": f"1/{2 ** (i + j + 2)}" for i in range(6) for j in range(6)}),
+    # a weight that is not a function of |v|, on the points with i + j <= 5,
+    # so every lemma1 walk of length 5 is stepped on it
+    "simplex-table.json": json.dumps(
+        {f"{i},{j}": f"{1 + (3 * i + 5 * j) % 7}/{2 ** (i + j)}"
+         for i in range(6) for j in range(6 - i)}),
+    "unread-key.json": '{"n_max": 5}',
+    "string-n-max.json": '{"n_max": "5"}',
+    "float-d.json": '{"d": 2.5}',
+    "string-c-param.json": '{"c_param": "x"}',
+    "zero-alpha.json": '{"d": 2, "alphas": ["1/0", "1/2"]}',
+    "zero-alpha-holder.json": '{"alpha_holder": "1/0"}',
+    "family-file-key.json": '{"family_file": "square-table.json"}',
+    "regular-file": "",
+}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """A fresh directory holding FILES, made the working directory."""
+    for name, content in FILES.items():
+        (tmp_path / name).write_text(content)
+    monkeypatch.chdir(tmp_path)
+
+
 def _cfg(**kw):
     base = dict(kind="dynamics", k_max=200, seed=3, samples=50)
     base.update(kw)
@@ -456,7 +487,14 @@ class TestMain:
     @pytest.mark.parametrize(
         "content",
         [None, "not json {", '{"rows": 3, "passed": true}', '{"rows": [1], "passed": true}',
-         '{"rows": [{"check": "x"}], "passed": true}', '{"rows": []}', "[]"],
+         '{"rows": [{"check": "x"}], "passed": true}', '{"rows": []}', "[]",
+         # a verdict that its rows contradict, no rows, and a row's verdict
+         # that is not a bool
+         '{"rows": [{"check": "budget-ratio-spread", "passed": false, "value": 2.5,'
+         ' "bound": 2.0}], "passed": true}',
+         '{"rows": [], "passed": true}',
+         '{"rows": [{"check": "x", "passed": "false", "value": 1, "bound": 0}],'
+         ' "passed": true}'],
     )
     def test_bad_report_file_exits_one(self, tmp_path, capsys, content):
         p = tmp_path / "report.json"
@@ -507,6 +545,46 @@ UNREAD_FLAGS = {
     "dynamics": ["--d", "5"],
 }
 
+# usage errors: an unread flag, an unread config key, config values of the
+# wrong type, exponents with a zero denominator (as flags and as config
+# values) or past float range, negative values in exponent notation, a family
+# file without --family custom-file (as a flag and as a config key), a
+# translation model past Z^6, an --out under a regular file, a B-d2 sequence
+# of one box at alpha 1/1000 (whose roots start past float range), a lemma1
+# table that a walk can leave, a lemma1 batch or a dynamics orbit of 10^17
+# floats (refused before anything is allocated), exponents whose count does
+# not fit --d, and exponents on an FF sequence
+USAGE_ERRORS = [
+    "dynamics --d 3",
+    "dynamics --config unread-key.json",
+    "lemma1 --config string-n-max.json",
+    "lemma1 --config float-d.json",
+    "dynamics --config string-c-param.json",
+    "chain-b --d 2 --alpha 1/0,1/2",
+    "boxes --d 2 --variant B-d2 --alpha 1/0,1/2",
+    "dynamics --alpha-holder 1/0",
+    "dynamics --alpha-holder 1e400",
+    "dynamics --alpha-holder -1e-3",
+    "dynamics --c-param -1e-3",
+    "chain-b --d 2 --alpha -1e-1,1/2",
+    "chain-b --config zero-alpha.json",
+    "boxes --config zero-alpha.json",
+    "dynamics --config zero-alpha-holder.json",
+    "lemma1 --d 2 --family-file square-table.json",
+    "lemma1 --config family-file-key.json",
+    "identity --d 6 --variant translation",
+    "dynamics --k-max 20 --out regular-file/sub",
+    "boxes --d 2 --variant B-d2 --alpha 1/1000,999/1000 --n-max 1",
+    "lemma1 --d 2 --family custom-file --family-file square-table.json --n-max 7 --samples 3"
+    " --seed 1",
+    "lemma1 --d 2 --n-max 5 --samples 100000000000000000",
+    "dynamics --k-max 100000000000000000",
+    "chain-b --d 2 --variant B-general --alpha 1/3,1/3,1/3 --n-max 6",
+    "chain-b --d 3 --variant B-d2 --alpha 1/2,1/2",
+    "boxes --d 5 --variant B-d2 --alpha 1/2,1/2",
+    "boxes --d 3 --variant FF --alpha 1/2,1/2",
+]
+
 SMALL = {
     "lemma1": ["--d", "2", "--n-max", "20", "--samples", "30", "--seed", "4"],
     "boxes": ["--d", "2", "--variant", "B-d2", "--alpha", "1/2,1/2", "--n-max", "8"],
@@ -528,11 +606,16 @@ class TestFlags:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv", [["lemma1", "--bogus", "1"], [], ["lemma1", "--n-max", "x"], ["nonsense"]]
+        "argv", [["lemma1", "--bogus", "1"], [], ["lemma1", "--n-max", "x"], ["nonsense"],
+                 *(pytest.param(line.split(), id=line) for line in USAGE_ERRORS)]
     )
-    def test_usage_errors_exit_one(self, argv, capsys):
+    def test_usage_errors_exit_one(self, argv, capsys, workdir):
+        # one error: line ends the output, never a traceback, and no value
+        # is read as a flag
         assert main(argv) == 1
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ")
+        assert "expected one argument" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -659,99 +742,88 @@ class TestStartup:
                 assert (out / kind / name).read_bytes() == (here / name).read_bytes(), name
 
 
-# sha256 of report.json for --samples 40 at every allowed (model, d) and
-# three seeds, and for the README identity line, as written before the
-# identity kind moved from Fraction lengths to integer exponents
-IDENTITY_REPORTS = {
-    ("translation", 1, 1): "94672de1abcbdc8114bc8ab2bae55d7d5ce85903dd9db62c95a452f7efa61b46",
-    ("translation", 1, 2): "5b1ee837bd541c078638690b2ee1d4f1479b8a707fbe3c022792a8a41e791aa5",
-    ("translation", 1, 3): "e07c4ebe52a224f8d17f1cd1c95db52ee2a6e1ca31ae3536e719c3b4972a2c5d",
-    ("translation", 2, 1): "3d4c7ff08fdaafa75fc63420c7389e07687ee829185b179276ea9abcbeed522c",
-    ("translation", 2, 2): "942e05d8a0440950d8da18518e27733fd6dba78b2499536b74ec6cd1b899ca65",
-    ("translation", 2, 3): "15b680d2e9c5d1daa3c956647124f5f90d1604f740edad12487a9930a59a0f44",
-    ("translation", 3, 1): "5d8f37209637e94fb27aacacf3a754a4bd5fa1aaa0ac69af5476f39dfbbbbf02",
-    ("translation", 3, 2): "03321d11dabf0296aae004f57749e5ef5e423e88b4138e1d4832a1cf816711cf",
-    ("translation", 3, 3): "0d1fa02f13597c663d680efc827847ce987c3b4d794ee81a8743564ecb67aa77",
-    ("translation", 4, 1): "42411676c2d10b744d73af0eaebd1af9e891b8a83985a3aba54c0de75617e1f4",
-    ("translation", 4, 2): "f9e1b572e4d8782459770625816c48fce47f462590f6afb2d8da6701ad824533",
-    ("translation", 4, 3): "a563e492f87be913343f1837be29661717c91fe99362fbba38173772683abbc3",
-    ("translation", 5, 1): "b2be432e90694598be1b0036b3106564c81f902aee10d261bf9ed9d2231fa4d6",
-    ("translation", 5, 2): "d8a8312958aa9539274134f566c37fabde0b3bc611d8f496a389fe27170c10a1",
-    ("translation", 5, 3): "8671ba6ff123af4fad7fbf5b8b0def320269b59fedc6aeb4b059017a3c04acca",
-    ("ff", 1, 1): "4f44bd5415e5106179dbf8e6442e6628077b145bc63beea7728e431e74629123",
-    ("ff", 1, 2): "f21fe95e01f49837c7a3ee0bed147cae4de6cc384c9be9d4c0747db716eb259c",
-    ("ff", 1, 3): "0d6f026456e14a833606507e9204b3fe062f5b216ec0beaa944ea95af7a3ae10",
-    ("ff", 2, 1): "65ff8923bbb74d5a6c86b2998476513919056195b18d3aee0452163fea1182f3",
-    ("ff", 2, 2): "ae12c8d21daae796133f3d7faca85bad0442b07f580ab7b5c01be01e46d0c3fd",
-    ("ff", 2, 3): "b92645e58a55a3e8daa2e3d97201c09865766bedd424f7f954cd59fae7e17330",
-    ("ff", 3, 1): "b1557a074c205271a529e4838242fe545536e37d93c1f2c6559f4fd40f4e61dc",
-    ("ff", 3, 2): "58a46675903b832acca4aa153a63676a13ac8fbd4a261085c476b30caebb3015",
-    ("ff", 3, 3): "23be81ee3e8a0eedbc23bbeb1f9cd5571af7d09e34cd2915e74dbaddd0a31927",
-    ("ff", 4, 1): "d74f818928b52e6d94d5cf8e05d3c04497b88d193bd895e7e5e710dfe5c332c6",
-    ("ff", 4, 2): "dcd8cf43bb37d2af230a320c37181f719c73e375171e085e5a80255236531a54",
-    ("ff", 4, 3): "0a5078adc86f7645225d59fbb482347f385694c7cab4795a8de9fd62e37ac43d",
-    ("ff", 5, 1): "47490f0824be9943d1a795b4ca3adfaa3d24b6331220a317d900f5d8fa642439",
-    ("ff", 5, 2): "7f9bfbd11371b406fe62e9f6bc7a737ae9f05a99245a1d64598464d53b9e88ef",
-    ("ff", 5, 3): "1b4354d82ee385847962d3c1657a54b11c8ff433150a8338c212f2b2b7b10d55",
-    ("ff", 6, 1): "5261e5c352ef18c0cea5b0c0eb20174d3f5a80e6b4e98f41c5b89930da0f537c",
-    ("ff", 6, 2): "955b44a5058b23708d86de48cdec5f43b4cf875e9af7747ccba71818467435ac",
-    ("ff", 6, 3): "fda2637ef6eb96edf0802f18ac43bf0dd65d36d7b042e426164b2fa290a650ad",
-}
-README_IDENTITY = "6a554d761fa8b163639b39cae9e7073f0d0f3fd7da4443bf808f31f405126ecb"
-
-
-# exit code and sha256 of report.json for the lines whose reports carry the
-# lattice's masses, log2 masses and power sums: the five CI chain-smoke
-# lines, both README boxes lines, the FF d=6 boxes line at the n_max cap
-# (its digest taken from the corner sweep that the run form replaced),
-# chain-b on the symmetric family, FF-general at d = 5 and B-general's
-# lambda_prime at d = 4, one seeded lemma1 line per built-in family, the
-# README lemma1 line and one d=2 and one d=4 line of the 1000-sample
-# walk-mc bench tail (so the walk pass's block shapes of both bench groups
-# are pinned).  A changed float in any of those forms shows as a changed
-# digest.
-LATTICE_REPORTS = {
-    "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 15":
-        (0, "de5c4f666597d68315e96af5d0135da1f7fd4cc709777356af879c2fd5027031"),
-    "chain-b --d 3 --variant B-d3 --n-max 12":
-        (0, "c781b45bfcfef280f39236285b3d41dcdfc45107e5d8ed940608eb225287abf0"),
-    "chain-b --d 3 --variant B-general --n-max 40":
-        (2, "40a655a4d7436dcae8efb2bf4bd07d9cdb6ff93e3877bb392fe6ddf29bce416b"),
-    "chain-ff --d 3 --family symmetric-geometric --n-max 13":
-        (0, "550eeed448e9378b28e4f64ccba0a2236ca817a1ae41ae61b26a7b362bca3547"),
-    "chain-ff --d 4 --n-max 10":
-        (2, "f945cfa32ca708c4adcee27034897a799809de4ae5a3ee66699fa0346ed391ec"),
+# exit code and sha256 of report.json for each CLI line.  A changed float in
+# a mass, a power sum, a walk cost, an orbit or a Holder estimate shows as a
+# changed digest.  The boxes line at the n_max cap was pinned from the corner
+# sweep that the run form replaced.
+REPORTS = {
+    # the eight README lines
+    "lemma1 --d 3 --n-max 1000 --samples 10000 --seed 42":
+        (0, "b522dc439d1eb652779fd53c9b1487f48b1e3dd9f5e78e7d2eacf93ddfd9994e"),
     "boxes --d 3 --variant FF --n-max 16":
         (0, "8b2eb5e4f89f1ac351ae0d6dc7a1e5bc8d747d314ff671873a02700c02f262bc"),
     "boxes --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 20":
         (0, "a615742000e5701ebf248682e16d0c1f55bd7563d968e1ad7d503e6990517350"),
-    "boxes --d 6 --variant FF --n-max 200":
-        (0, "cab6fe3b632143b2d5d9fe049fd276c4225629ae94b67d02c5d2f93a7a475f0d"),
-    "chain-b --d 2 --alpha 1/2,1/2 --family symmetric-geometric --n-max 12":
-        (0, "5c8d181b6a72e30ef11fc77a7fa4be0f490354813530ae141049b5dd7b8b2a95"),
-    "chain-ff --d 5 --n-max 12":
-        (2, "2cd906523c0a779c700885feb65a8e736923ef60a23979851b78d1a0dd3cf31e"),
+    "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 15":
+        (0, "de5c4f666597d68315e96af5d0135da1f7fd4cc709777356af879c2fd5027031"),
+    "chain-b --d 3 --variant B-d3 --n-max 12":
+        (0, "c781b45bfcfef280f39236285b3d41dcdfc45107e5d8ed940608eb225287abf0"),
+    "chain-ff --d 3 --family symmetric-geometric --n-max 13":
+        (0, "550eeed448e9378b28e4f64ccba0a2236ca817a1ae41ae61b26a7b362bca3547"),
+    "identity --d 3 --variant ff --samples 1000 --seed 7":
+        (0, "6a554d761fa8b163639b39cae9e7073f0d0f3fd7da4443bf808f31f405126ecb"),
+    "dynamics --c-param 1.0 --alpha-holder 1/2 --k-max 10000":
+        (0, "3b3a3176258cb9c83ff48912e990266d1335aa635301973e8b6fb14bf15cf9b4"),
+    # chains, and the boxes cap line: every builder, the symmetric family
+    # and a table whose segments leave it, ties near 2^40 (n_max 100 and
+    # 35), the n_max cap of 200, FF-general's lambda past float range, and
+    # the search failures of FF-d3 short of a start stage (n_max <= 4) or of
+    # stages past it (5)
+    "chain-b --d 3 --variant B-general --n-max 40":
+        (2, "40a655a4d7436dcae8efb2bf4bd07d9cdb6ff93e3877bb392fe6ddf29bce416b"),
     "chain-b --d 4 --variant B-general --n-max 18":
         (0, "346dd0e84dc18fa0cfa52c288366f75e475787ae3819b5bb8243807640986b46"),
+    "chain-ff --d 4 --n-max 10":
+        (2, "f945cfa32ca708c4adcee27034897a799809de4ae5a3ee66699fa0346ed391ec"),
+    "chain-ff --d 5 --n-max 12":
+        (2, "2cd906523c0a779c700885feb65a8e736923ef60a23979851b78d1a0dd3cf31e"),
+    "chain-b --d 2 --alpha 1/2,1/2 --family symmetric-geometric --n-max 12":
+        (0, "5c8d181b6a72e30ef11fc77a7fa4be0f490354813530ae141049b5dd7b8b2a95"),
+    "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 8"
+    " --family custom-file --family-file square-table.json":
+        (0, "9bb4545d11ea7d751892adb4980b77e0cd19393eb84f13c60e6dd9410fbc699a"),
+    "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 100":
+        (2, "716e593f894fb5cc07712b87cbddb162c520a55e27f971f30de4683404352cc3"),
+    "chain-ff --d 3 --n-max 35":
+        (2, "d6e4efaf16d99daaa97b9697d8aadc0645348eeb0bbf495fe09a5272d474209c"),
+    "chain-ff --d 3 --n-max 200":
+        (2, "829f7c5332cc0938b8f1ec0a887599b74598a741825a68ea92ff8f8385d4fce7"),
+    "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 200":
+        (2, "b8166e1cc42a4b2d0acacf0fb4e746920b6e18fd75683598def5b940da316436"),
+    "chain-b --d 3 --variant B-general --n-max 200":
+        (2, "536120fdaf8c21ee5b9275d5c1cf316b644cc00eeccfd93d1eb6da03572f663f"),
+    "chain-ff --d 6 --n-max 180":
+        (2, "e259bec7ab6f9fdca1595925f76a2c90548f9852e138be06d848654a2b8985ff"),
+    "boxes --d 6 --variant FF --n-max 200":
+        (0, "cab6fe3b632143b2d5d9fe049fd276c4225629ae94b67d02c5d2f93a7a475f0d"),
+    "chain-ff --d 3 --n-max 2":
+        (3, "dfa897a380ee888499edb5ad6a412eff886fdb660fa01b5b1e6720cb9fca0a06"),
+    "chain-ff --d 3 --n-max 3":
+        (3, "66696384486ead650faaa9006b0eed7cbc721018c87fca3020b17ff8a3aec00e"),
+    "chain-ff --d 3 --n-max 4":
+        (3, "fa207ac7ae6e39a94cd83412043157dc9b8892ceed6d8e9a931687532af7358a"),
+    "chain-ff --d 3 --n-max 5":
+        (3, "87a55335acf74e0165f809d4e30d5980417a6bf0f829107a045806e32317a039"),
+    # lemma1: the README line at another seed, which a built-in family
+    # decides without a draw, so only the seed in the config block differs;
+    # one line per built-in family, one d=2 and one d=4 line of the
+    # 1000-sample walk-mc bench tail, and a table, which steps every walk
+    "lemma1 --d 3 --n-max 1000 --samples 10000 --seed 43":
+        (0, "2c06e642e698edb41d26a4890048f2f587556c44032d73d9cd9fc3a436d73c8b"),
     "lemma1 --d 3 --n-max 200 --samples 500 --seed 42":
         (0, "eecca368f6e65334d2aa3cbcb618e3740cf92d7a9147b1485ea1067a86aab7d6"),
     "lemma1 --d 3 --family symmetric-geometric --n-max 200 --samples 500 --seed 42":
         (0, "b8b2112811ed3b7829a891d288882fb9e618522c0441cd6575194f19b3be274f"),
-    "lemma1 --d 3 --n-max 1000 --samples 10000 --seed 42":
-        (0, "b522dc439d1eb652779fd53c9b1487f48b1e3dd9f5e78e7d2eacf93ddfd9994e"),
     "lemma1 --d 2 --n-max 700 --samples 1000 --seed 5":
         (0, "1dce5ffa74eb5e9384534d69db362342e2ecd8e400760d71a90745ef3af22784"),
     "lemma1 --d 4 --n-max 480 --samples 1000 --seed 9":
         (0, "3020048ea0ffedba8a6ad864833af2331e505afb1065c01cb08d4bc6b14c53e1"),
-}
-
-# exit code and sha256 of report.json for dynamics lines: the README line,
-# k_max one below, at and one above smooth.ORBIT_BLOCK_STEPS (128) and twice
-# it, both ends of the c range and the Holder exponents 1/10, 9/10 and 1.  A
-# changed float in the orbit or the Holder estimate shows as a changed digest.
-DYNAMICS_REPORTS = {
-    "dynamics --c-param 1.0 --alpha-holder 1/2 --k-max 10000":
-        (0, "3b3a3176258cb9c83ff48912e990266d1335aa635301973e8b6fb14bf15cf9b4"),
+    "lemma1 --d 2 --family custom-file --family-file simplex-table.json"
+    " --n-max 5 --samples 50 --seed 3":
+        (0, "9c07a18a64ea99cd0e713206f3b664308ea36e7fd530bea76a3c559a870dd872"),
+    # dynamics: k_max one below, at and one above smooth.ORBIT_BLOCK_STEPS
+    # (128) and twice it, both ends of the c range and the Holder exponents
+    # 1/10, 9/10 and 1
     "dynamics --c-param 1.0 --alpha-holder 1/2 --k-max 127":
         (0, "8896587ea3337a5a09c82101d7e959eb4737413cfdc7e20986fec79848525b88"),
     "dynamics --c-param 1.0 --alpha-holder 1/2 --k-max 128":
@@ -770,34 +842,93 @@ DYNAMICS_REPORTS = {
         (0, "a2658ba861ee8c2b391a9db78e8656203eaf94cdc7c05b28ea6fbb238d1809fb"),
     "dynamics --c-param 1.0 --alpha-holder 1 --k-max 750":
         (0, "3dafc0275aa54a8f5606e5c38d28b7f980551c44556e7bfa45c6211d92a81352"),
+    # identity at every allowed (model, d) and three seeds, as written
+    # before the kind moved from Fraction lengths to integer exponents
+    "identity --d 1 --variant translation --samples 40 --seed 1":
+        (0, "94672de1abcbdc8114bc8ab2bae55d7d5ce85903dd9db62c95a452f7efa61b46"),
+    "identity --d 1 --variant translation --samples 40 --seed 2":
+        (0, "5b1ee837bd541c078638690b2ee1d4f1479b8a707fbe3c022792a8a41e791aa5"),
+    "identity --d 1 --variant translation --samples 40 --seed 3":
+        (0, "e07c4ebe52a224f8d17f1cd1c95db52ee2a6e1ca31ae3536e719c3b4972a2c5d"),
+    "identity --d 2 --variant translation --samples 40 --seed 1":
+        (0, "3d4c7ff08fdaafa75fc63420c7389e07687ee829185b179276ea9abcbeed522c"),
+    "identity --d 2 --variant translation --samples 40 --seed 2":
+        (0, "942e05d8a0440950d8da18518e27733fd6dba78b2499536b74ec6cd1b899ca65"),
+    "identity --d 2 --variant translation --samples 40 --seed 3":
+        (0, "15b680d2e9c5d1daa3c956647124f5f90d1604f740edad12487a9930a59a0f44"),
+    "identity --d 3 --variant translation --samples 40 --seed 1":
+        (0, "5d8f37209637e94fb27aacacf3a754a4bd5fa1aaa0ac69af5476f39dfbbbbf02"),
+    "identity --d 3 --variant translation --samples 40 --seed 2":
+        (0, "03321d11dabf0296aae004f57749e5ef5e423e88b4138e1d4832a1cf816711cf"),
+    "identity --d 3 --variant translation --samples 40 --seed 3":
+        (0, "0d1fa02f13597c663d680efc827847ce987c3b4d794ee81a8743564ecb67aa77"),
+    "identity --d 4 --variant translation --samples 40 --seed 1":
+        (0, "42411676c2d10b744d73af0eaebd1af9e891b8a83985a3aba54c0de75617e1f4"),
+    "identity --d 4 --variant translation --samples 40 --seed 2":
+        (0, "f9e1b572e4d8782459770625816c48fce47f462590f6afb2d8da6701ad824533"),
+    "identity --d 4 --variant translation --samples 40 --seed 3":
+        (0, "a563e492f87be913343f1837be29661717c91fe99362fbba38173772683abbc3"),
+    "identity --d 5 --variant translation --samples 40 --seed 1":
+        (0, "b2be432e90694598be1b0036b3106564c81f902aee10d261bf9ed9d2231fa4d6"),
+    "identity --d 5 --variant translation --samples 40 --seed 2":
+        (0, "d8a8312958aa9539274134f566c37fabde0b3bc611d8f496a389fe27170c10a1"),
+    "identity --d 5 --variant translation --samples 40 --seed 3":
+        (0, "8671ba6ff123af4fad7fbf5b8b0def320269b59fedc6aeb4b059017a3c04acca"),
+    "identity --d 1 --variant ff --samples 40 --seed 1":
+        (0, "4f44bd5415e5106179dbf8e6442e6628077b145bc63beea7728e431e74629123"),
+    "identity --d 1 --variant ff --samples 40 --seed 2":
+        (0, "f21fe95e01f49837c7a3ee0bed147cae4de6cc384c9be9d4c0747db716eb259c"),
+    "identity --d 1 --variant ff --samples 40 --seed 3":
+        (0, "0d6f026456e14a833606507e9204b3fe062f5b216ec0beaa944ea95af7a3ae10"),
+    "identity --d 2 --variant ff --samples 40 --seed 1":
+        (0, "65ff8923bbb74d5a6c86b2998476513919056195b18d3aee0452163fea1182f3"),
+    "identity --d 2 --variant ff --samples 40 --seed 2":
+        (0, "ae12c8d21daae796133f3d7faca85bad0442b07f580ab7b5c01be01e46d0c3fd"),
+    "identity --d 2 --variant ff --samples 40 --seed 3":
+        (0, "b92645e58a55a3e8daa2e3d97201c09865766bedd424f7f954cd59fae7e17330"),
+    "identity --d 3 --variant ff --samples 40 --seed 1":
+        (0, "b1557a074c205271a529e4838242fe545536e37d93c1f2c6559f4fd40f4e61dc"),
+    "identity --d 3 --variant ff --samples 40 --seed 2":
+        (0, "58a46675903b832acca4aa153a63676a13ac8fbd4a261085c476b30caebb3015"),
+    "identity --d 3 --variant ff --samples 40 --seed 3":
+        (0, "23be81ee3e8a0eedbc23bbeb1f9cd5571af7d09e34cd2915e74dbaddd0a31927"),
+    "identity --d 4 --variant ff --samples 40 --seed 1":
+        (0, "d74f818928b52e6d94d5cf8e05d3c04497b88d193bd895e7e5e710dfe5c332c6"),
+    "identity --d 4 --variant ff --samples 40 --seed 2":
+        (0, "dcd8cf43bb37d2af230a320c37181f719c73e375171e085e5a80255236531a54"),
+    "identity --d 4 --variant ff --samples 40 --seed 3":
+        (0, "0a5078adc86f7645225d59fbb482347f385694c7cab4795a8de9fd62e37ac43d"),
+    "identity --d 5 --variant ff --samples 40 --seed 1":
+        (0, "47490f0824be9943d1a795b4ca3adfaa3d24b6331220a317d900f5d8fa642439"),
+    "identity --d 5 --variant ff --samples 40 --seed 2":
+        (0, "7f9bfbd11371b406fe62e9f6bc7a737ae9f05a99245a1d64598464d53b9e88ef"),
+    "identity --d 5 --variant ff --samples 40 --seed 3":
+        (0, "1b4354d82ee385847962d3c1657a54b11c8ff433150a8338c212f2b2b7b10d55"),
+    "identity --d 6 --variant ff --samples 40 --seed 1":
+        (0, "5261e5c352ef18c0cea5b0c0eb20174d3f5a80e6b4e98f41c5b89930da0f537c"),
+    "identity --d 6 --variant ff --samples 40 --seed 2":
+        (0, "955b44a5058b23708d86de48cdec5f43b4cf875e9af7747ccba71818467435ac"),
+    "identity --d 6 --variant ff --samples 40 --seed 3":
+        (0, "fda2637ef6eb96edf0802f18ac43bf0dd65d36d7b042e426164b2fa290a650ad"),
 }
 
 
-def _report_digest(argv, out, code=0):
+@pytest.mark.parametrize("line", REPORTS)
+def test_pinned_report(line, workdir):
+    # the exit-code policy: `critreg report` exits as the run did, or 2 after
+    # a search failure (exit 3), whose report holds one failing row; the
+    # config block, passed back as --config, reproduces the report; and a
+    # chain's flags, re-decided from the family, pass
+    code, digest = REPORTS[line]
+    kind, *flags = line.split()
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--out", str(out)]) == code
-    return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
-
-
-@pytest.mark.parametrize("line", LATTICE_REPORTS)
-def test_lattice_report_bytes_are_pinned(line, tmp_path):
-    code, digest = LATTICE_REPORTS[line]
-    assert _report_digest(line.split(), tmp_path, code) == digest
-
-
-@pytest.mark.parametrize("line", DYNAMICS_REPORTS)
-def test_dynamics_report_bytes_are_pinned(line, tmp_path):
-    code, digest = DYNAMICS_REPORTS[line]
-    assert _report_digest(line.split(), tmp_path, code) == digest
-
-
-class TestIdentityReports:
-    @pytest.mark.parametrize("model,d,seed", IDENTITY_REPORTS)
-    def test_report_bytes_are_pinned(self, model, d, seed, tmp_path):
-        argv = ["identity", "--d", str(d), "--variant", model, "--samples", "40",
-                "--seed", str(seed)]
-        assert _report_digest(argv, tmp_path) == IDENTITY_REPORTS[model, d, seed]
-
-    def test_readme_line_bytes_are_pinned(self, tmp_path):
-        argv = ["identity", "--d", "3", "--variant", "ff", "--samples", "1000", "--seed", "7"]
-        assert _report_digest(argv, tmp_path) == README_IDENTITY
+        assert main([kind, *flags, "--out", "first"]) == code
+        first = Path("first/report.json").read_bytes()
+        assert hashlib.sha256(first).hexdigest() == digest
+        assert main(["report", "first/report.json"]) == (2 if code == 3 else code)
+        report = json.loads(first)
+        Path("config.json").write_text(json.dumps(report["config"]))
+        assert main([kind, "--config", "config.json", "--out", "again"]) == code
+    assert Path("again/report.json").read_bytes() == first
+    if kind.startswith("chain") and code != 3:
+        assert [r["passed"] for r in report["rows"] if r["check"] == "chain-reverify"] == [True]
