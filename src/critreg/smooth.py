@@ -19,7 +19,7 @@ is a grid estimate, so the first inequality is tested as a necessary
 condition.  Derivative products are accumulated in log space so iterate
 counts in the tens of thousands cannot overflow.
 
-Three arguments make the float results exact where it matters:
+Four arguments make the float results exact where it matters:
 
 - The Holder estimate needs the largest ratio |ld_j - ld_i| / |x_j - x_i|^alpha
   over all grid pairs.  Entry (i, j) and entry (j, i) of the pair matrix
@@ -34,6 +34,11 @@ Three arguments make the float results exact where it matters:
   no skipped offset can raise the maximum.  An offset whose U_k is not a
   finite float (a NaN, a zero gap, a power below the normal range) is
   always computed, so NaN and inf reach the result as in the full matrix.
+- When the grid is an exact progression x_i = i h with h a power of two,
+  as ``linspace(0, 1, 2^m + 1)`` is, every x_(i+k) = (i + k) h and k h =
+  x_k are floats, so the subtraction x_(i+k) - x_i is exact and every
+  pair at offset k has the gap G_k = x_k.  The first pass then takes M_k
+  alone; on any other grid it takes G_k as well.
 - The grid of J starts at x0 and ends at the float g(x0).  ``f`` acts
   elementwise, so after k steps the left end of the orbit is g^k applied
   to x0 and the right end is g^(k-1) applied to that same float g(x0):
@@ -43,14 +48,21 @@ Three arguments make the float results exact where it matters:
   monotone, the images are disjoint and their lengths telescope to
   |g^k(x0) - x0| <= |I|.
 - The positions x_(k+1) = clip(g(x_k)) do not depend on the derivative,
-  so the orbit moves the points alone for ``ORBIT_BLOCK_STEPS`` steps and
-  then takes Dg, its positivity check and its log at all the block's
-  positions at once; ``df`` and ``log`` act elementwise, so each value is
-  the float a per-step call gives.  ``cumsum`` down the block adds the
-  rows one after another onto the carried log product, the same
-  additions in the same order as a per-step running sum.  A nonpositive
-  derivative raises at the end of its block, before any result is
-  returned.
+  so the orbit moves the points alone, without the clip, for
+  ``ORBIT_BLOCK_STEPS`` steps and checks the block once.
+  ``np.maximum(v, a)`` returns v itself when v > a, ``np.minimum(v, b)``
+  does when v < b, and NaN passes through both, so a block whose
+  positions all lie strictly inside (a, b), or are NaN, holds the clipped
+  floats.  Any other block is taken again from its first row with the
+  clip at every step; touching an end is enough, since at v = a the clip
+  returns a, which is +0.0 when v is -0.0.  The parabolic maps never
+  leave (0, 1), so they take no second pass.  The orbit then takes Dg,
+  its positivity check and its log at all the block's positions at once;
+  ``df`` and ``log`` act elementwise, so each value is the float a
+  per-step call gives.  ``cumsum`` down the block adds the rows one after
+  another onto the carried log product, the same additions in the same
+  order as a per-step running sum.  A nonpositive derivative raises at
+  the end of its block, before any result is returned.
 """
 
 from __future__ import annotations
@@ -65,7 +77,9 @@ FIXED_POINT_TOL = 1e-10
 # a row holds at k while bound - value >= -GROWTH_TOL
 GROWTH_TOL = 1e-12
 # grid rows whose pairs the Holder bound pass takes at once, in one buffer
-# of 64 x (grid + 64) floats (0.56 MB at the 1025-point grid)
+# of 64 x (grid + 64) floats (0.56 MB at the 1025-point grid) that the
+# numerators and then, on a grid that is not an exact progression, the
+# gaps reuse
 HOLDER_BLOCK_ROWS = 64
 # Every computed ratio fl(fl(|ld_(i+k) - ld_i|) / fl(fl(|x_(i+k) - x_i|)^alpha))
 # at offset k is at most U_k = fl(fl(M_k / fl(G_k^alpha)) * HOLDER_SLACK)
@@ -88,6 +102,8 @@ class SmoothMap:
 
     ``f`` and ``df`` act elementwise on float64 arrays of any shape, treat
     -0.0 and +0.0 alike and return new arrays, which the orbit overwrites.
+    The orbit clips a block only after stepping it, so ``f`` can also meet
+    points outside [a, b] that an earlier step of the block reached.
     """
 
     name: str
@@ -110,17 +126,35 @@ class SmoothMap:
 
 def parabolic_map(c: float) -> SmoothMap:
     """x + c*x^2*(1-x)^2 on [0,1]: both endpoints parabolic, no interior
-    fixed points, derivative positive for c < 3*sqrt(3)."""
+    fixed points, derivative positive for c < 3*sqrt(3).
+
+    ``f`` and ``df`` below work in place on their own temporaries, with
+    the operations and order of ``x + c * x ** 2 * (1 - x) ** 2`` and
+    ``1 + 2 * c * x * (1 - x) * (1 - 2 * x)``; IEEE + and * commute, so
+    every value rounds as in those expressions.  The squares stay ``** 2``
+    and ``**= 2``: on an ``np.float64`` scalar they call libm ``pow``, which
+    can differ from ``x * x`` by one ulp (x = 0.2518727338099447), so
+    ``x * x`` or ``np.square`` would move g(x0) on some intervals."""
     if not 0 < c < 4:
         raise ValueError("parameter must lie in (0, 4)")
-    return SmoothMap(
-        f"parabolic({c})",
-        lambda x: x + c * x ** 2 * (1 - x) ** 2,
-        lambda x: 1 + 2 * c * x * (1 - x) * (1 - 2 * x),
-        0.0,
-        1.0,
-        (0.0, 1.0),
-    )
+
+    def f(x):
+        y = x ** 2
+        y *= c
+        t = 1 - x
+        t **= 2
+        y *= t
+        y += x
+        return y
+
+    def df(x):
+        y = 2 * c * x
+        y *= 1 - x
+        y *= 1 - 2 * x
+        y += 1
+        return y
+
+    return SmoothMap(f"parabolic({c})", f, df, 0.0, 1.0, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +166,12 @@ def _require_positive(d: np.ndarray) -> None:
     # fmin skips NaN, which is not <= 0 either
     if np.fmin.reduce(d, axis=None) <= 0:
         raise ValueError("derivative must stay positive")
+
+
+def _exact_progression(x: np.ndarray) -> bool:
+    """Whether x_i = i h for every i, with h = x_1 a power of two."""
+    return len(x) > 1 and np.frexp(x[1])[0] == 0.5 and np.array_equal(
+        x, np.arange(len(x)) * x[1])
 
 
 @dataclass(frozen=True)
@@ -158,14 +198,19 @@ def holder_constant_estimate(
     # Columns past the grid are padding that neither max nor min picks, so
     # a NaN still passes on
     top = np.full(grid, -np.inf)  # M_k
-    gap = np.full(grid, np.inf)  # G_k
+    passes = [(ld, -np.inf, np.maximum, top)]
+    if _exact_progression(x):
+        gap = x  # G_k = x_k, see the module docstring
+    else:
+        gap = np.full(grid, np.inf)
+        passes.append((x, np.inf, np.minimum, gap))
     buf = np.empty(HOLDER_BLOCK_ROWS * (grid + HOLDER_BLOCK_ROWS + 1))
     for r0 in range(0, grid, HOLDER_BLOCK_ROWS):
         rows, width = min(HOLDER_BLOCK_ROWS, grid - r0), grid - r0
         wide = width + rows
         block = buf[: rows * wide].reshape(rows, wide)
         skew = buf[: rows * (wide + 1)].reshape(rows, wide + 1)[:, :width]
-        for v, pad, fold, out in ((ld, -np.inf, np.maximum, top), (x, np.inf, np.minimum, gap)):
+        for v, pad, fold, out in passes:
             np.subtract(v[r0:], v[r0 : r0 + rows, None], out=block[:, :width])
             np.abs(block[:, :width], out=block[:, :width])
             block[:, width:] = pad
@@ -221,7 +266,13 @@ def _domain_orbit(g: SmoothMap, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     for k0 in range(0, k_max, ORBIT_BLOCK_STEPS):
         steps = min(ORBIT_BLOCK_STEPS, k_max - k0)
         for s in range(steps):
-            np.minimum(np.maximum(g.f(pos[s]), g.a, out=pos[s + 1]), g.b, out=pos[s + 1])
+            pos[s + 1] = g.f(pos[s])
+        moved = pos[1 : steps + 1]
+        # fmin and fmax skip NaN, which the clip passes on as well
+        lo, hi = np.fmin.reduce(moved, axis=None), np.fmax.reduce(moved, axis=None)
+        if not (g.a < lo and hi < g.b):
+            for s in range(steps):
+                np.minimum(np.maximum(g.f(pos[s]), g.a, out=pos[s + 1]), g.b, out=pos[s + 1])
         d = g.df(pos[:steps])
         _require_positive(d)
         np.log(d, out=d)

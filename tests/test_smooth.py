@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critreg import smooth
@@ -206,12 +206,30 @@ class TestExactness:
     @pytest.mark.parametrize("name", sorted(EXACT_MAPS))
     def test_holder_matches_full_matrix(self, name):
         g, _ = EXACT_MAPS[name]
+        grids = (1, 2, 3, 64, 65, 200, 1025)
+        # both ways of taking the gaps: read off an exact progression (2, 3,
+        # 65 and 1025 points on [0, 1]) and the block pass (the others)
+        assert {smooth._exact_progression(g.grid(n)) for n in grids} == {True, False}
         for alpha in (1 / 3, 0.5, 2 / 3, 1.0):
-            for grid in (1, 2, 3, 64, 65, 200, 1025):
+            for grid in grids:
                 got = holder_constant_estimate(g, alpha, grid).constant
                 assert got == full_matrix_holder(g, alpha, grid), (alpha, grid)
             with pytest.raises(ValueError):  # an empty grid has no pair
                 holder_constant_estimate(g, alpha, 0)
+
+    @pytest.mark.parametrize("m", [1, 6, 10])
+    def test_dyadic_grids_are_exact_progressions(self, m):
+        # x_i = i 2^-m, so x_(i+k) - x_i is the float x_k at every i
+        x = np.linspace(0, 1, 2 ** m + 1)
+        assert smooth._exact_progression(x)
+        for k in (1, 2 ** m // 2, 2 ** m):
+            assert (x[k:] - x[:-k] == x[k]).all()
+
+    def test_other_grids_take_the_gap_pass(self):
+        few_ulps = np.linspace(1.0, 1 + 1000 * 2.0 ** -52, 257)  # test_holder_gaps_of_few_ulps
+        for x in (np.linspace(0, 1, 1000), few_ulps, np.linspace(0, 1, 1025) + 2.0 ** -10,
+                  np.linspace(0.25, 0.75, 1025), np.linspace(0, 1, 1)):
+            assert not smooth._exact_progression(x)
 
     def test_holder_coincident_points_give_nan(self):
         # on two adjacent floats the grid repeats points, and a pair with
@@ -274,6 +292,105 @@ class TestExactness:
             want_variation, want_ends = domain_orbit(g, 40)
             assert np.array_equal(variation, want_variation)
             assert np.array_equal(ends, want_ends)
+
+
+def translate_out(n):
+    """J = [1/2, 1/2 + 1/512] moves right by 1/512 a step on
+    I = [1/2 - (2n + 1)/1024, 1/2 + (2n + 1)/1024], on exact binary
+    fractions, so the right end of J lies strictly inside I up to step n - 1
+    and first leaves it at step n; log Dg varies across J."""
+    return SmoothMap(f"translate-out({n})", lambda x: x + 1 / 512, lambda x: 1 + x * x,
+                     0.5 - (2 * n + 1) / 1024, 0.5 + (2 * n + 1) / 1024)
+
+
+def counting(g):
+    """g with a counter of its ``f`` calls, which starts at 0."""
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return g.f(x)
+
+    wrapped = SmoothMap(g.name, f, g.df, g.a, g.b, g.fixed_points)
+    calls.clear()
+    return wrapped, calls
+
+
+class TestOrbitBlocks:
+    @pytest.mark.parametrize("c", [0.05, 1.0, 3.9])
+    def test_parabolic_orbit_is_never_clipped(self, c):
+        # g(x0) once, then one call a step: no block is taken a second time
+        for k_max in (1, *BLOCK_EDGES, 750):
+            g, calls = counting(parabolic_map(c))
+            smooth._domain_orbit(g, k_max)
+            assert len(calls) == k_max + 1, k_max
+
+    # the first step of the second block, its middle and its last step
+    @pytest.mark.parametrize("n", [smooth.ORBIT_BLOCK_STEPS + 1, 200,
+                                   2 * smooth.ORBIT_BLOCK_STEPS])
+    def test_orbit_leaving_in_a_later_block(self, n):
+        for k_max in (n - 1, n, 2 * smooth.ORBIT_BLOCK_STEPS + 1, 3 * smooth.ORBIT_BLOCK_STEPS):
+            g, calls = counting(translate_out(n))
+            variation, ends = smooth._domain_orbit(g, k_max)
+            # only the blocks from the one holding step n on are taken again
+            assert len(calls) > k_max + 1 if k_max >= n else len(calls) == k_max + 1
+            want_variation, want_ends = domain_orbit(g, k_max)
+            assert np.array_equal(variation.view(np.int64), want_variation.view(np.int64))
+            assert np.array_equal(ends.view(np.int64), want_ends.view(np.int64))
+        assert ends[n - 1, 1] < g.b and (ends[n:, 1] == g.b).all()
+
+    def test_orbit_onto_a_zero_end_is_clipped(self):
+        # positions that land on -0.0 at a = 0.0 are clipped to +0.0, the
+        # float np.maximum(-0.0, 0.0) gives; np.clip in the oracle keeps
+        # -0.0, which equals it as a value
+        g = SmoothMap("onto-zero", lambda x: np.where(x < 0.2, -0.0, x - 1 / 8),
+                      lambda x: 1 + x * x, 0.0, 1.0)
+        for k_max in (10, *BLOCK_EDGES):
+            variation, ends = smooth._domain_orbit(g, k_max)
+            want_variation, want_ends = domain_orbit(g, k_max)
+            assert np.array_equal(variation, want_variation)
+            assert np.array_equal(ends, want_ends)
+            assert (ends[5:] == 0).all() and not np.signbit(ends).any()
+
+
+def plain_parabolic(c):
+    """The parabolic map and its derivative as plain expressions."""
+    return (lambda x: x + c * x ** 2 * (1 - x) ** 2,
+            lambda x: 1 + 2 * c * x * (1 - x) * (1 - 2 * x))
+
+
+# zeros of both signs, the ends of I, subnormals, points outside [0, 1],
+# and two points where an np.float64 square by ** 2 (libm pow) and by a
+# product differ by one ulp, which moves g at c = 1: x ** 2 at the first,
+# (1 - x) ** 2 at the second
+SPECIAL_POINTS = (0.0, -0.0, 1.0, 5e-324, -5e-324, 2.0 ** -1030, 1 - 2.0 ** -53,
+                  -0.75, 1.5, -3e5, 1e200, 0.2518727338099447, 0.3074938682082511)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+class TestParabolicInPlace:
+    @given(
+        st.floats(0, 4, exclude_min=True, exclude_max=True),
+        st.lists(st.one_of(st.sampled_from(SPECIAL_POINTS), st.floats(-1, 2),
+                           st.floats(allow_nan=False)), min_size=1, max_size=30),
+    )
+    @example(1.0, list(SPECIAL_POINTS))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_plain_expressions(self, c, values):
+        g = parabolic_map(c)
+        f, df = plain_parabolic(c)
+        x = np.array(values)
+        block = np.resize(x, (smooth.ORBIT_BLOCK_STEPS, 257))
+        with np.errstate(all="ignore"):
+            for arg in (x, block, *map(np.float64, values)):
+                for got, want in ((g.f, f), (g.df, df)):
+                    before = arg.copy()
+                    assert_same_bits(got(arg), want(arg))
+                    assert_same_bits(arg, before)  # the input is left as it was
 
 
 def translate_then_kink(n):
