@@ -149,16 +149,18 @@ def _build_b_d2(alphas: Sequence[Fraction], n_max: int) -> BoxSequence:
     if len(alphas) != 2:
         raise ValueError("B-d2 takes two exponents")
     a1, a2 = _check_alphas(alphas)
+    # the endpoints floor(4^(m*a)), once each for m up to the last box's m + 2
+    top = (n_max - 1) // 2 + 3
+    p1 = [floor_power(4, m * a1) for m in range(top)]
+    p2 = [floor_power(4, m * a2) for m in range(top)]
     boxes = []
     for n in range(1, n_max + 1):
         m, odd = divmod(n - 1, 2)
         if odd == 0:  # n = 2m+1
-            iv1 = (floor_power(4, m * a1), floor_power(4, (m + 1) * a1))
-            iv2 = (floor_power(4, m * a2), floor_power(4, (m + 2) * a2))
+            ivs = ((p1[m], p1[m + 1]), (p2[m], p2[m + 2]))
         else:  # n = 2m+2
-            iv1 = (floor_power(4, m * a1), floor_power(4, (m + 2) * a1))
-            iv2 = (floor_power(4, (m + 1) * a2), floor_power(4, (m + 2) * a2))
-        boxes.append(Box((iv1, iv2)))
+            ivs = ((p1[m], p1[m + 2]), (p2[m + 1], p2[m + 2]))
+        boxes.append(Box(ivs))
     return BoxSequence("B-d2", 1, tuple(boxes), alphas=(a1, a2), d=2)
 
 
@@ -271,19 +273,20 @@ def minimal_round_constant(box: Box) -> Fraction | None:
 
     The constraints compare every endpoint and side of factor i against the
     i-th power of the first side length; they force positive coordinates.
+    The largest ratio num/den is found by integer cross-multiplication (all
+    denominators are positive) and made a Fraction once.
     """
     s = box.side(0)
-    out = Fraction(1)
-    for i in range(1, box.dim + 1):
-        x, y = box.intervals[i - 1]
+    num = den = 1
+    for i, (x, y) in enumerate(box.intervals, 1):
         if x <= 0:
             return None
-        p = Fraction(s) ** i
+        p = s ** i
         side = 1 + y - x
-        for c in (p / x, Fraction(y) / p, p / side, Fraction(side) / p):
-            if c > out:
-                out = c
-    return out
+        for a, b in ((p, x), (y, p), (p, side), (side, p)):
+            if a * den > num * b:
+                num, den = a, b
+    return Fraction(num, den)
 
 
 def is_a_round(box: Box, a: Fraction) -> bool:
@@ -404,20 +407,18 @@ def inocent_constant(seq: BoxSequence) -> Fraction:
     """Largest D2 with the two side-retention inequalities along the sequence.
 
     Measures min over steps of new-side/old-side for the lower-raised factor
-    and old-side/new-side for the upper-raised factor.
+    and old-side/new-side for the upper-raised factor.  The least ratio
+    num/den is found by integer cross-multiplication (sides are positive)
+    and made a Fraction once.
     """
     if seq.kind not in ("B-d2", "B-general"):
         raise ValueError("inocent constant applies to B sequences")
-    out = None
-    for n in seq.indices():
-        if n + 1 not in seq.indices():
-            break
-        cur, nxt = seq.box(n), seq.box(n + 1)
+    num = den = None
+    for n, (cur, nxt) in enumerate(zip(seq.boxes, seq.boxes[1:]), seq.start_index):
         low, up = seq.touched(n)
-        r1 = Fraction(nxt.side(low), cur.side(low))
-        r2 = Fraction(cur.side(up), nxt.side(up))
-        for r in (r1, r2):
-            out = r if out is None else min(out, r)
-    if out is None or out <= 0:
+        for a, b in ((nxt.side(low), cur.side(low)), (cur.side(up), nxt.side(up))):
+            if num is None or a * den < num * b:
+                num, den = a, b
+    if num is None:
         raise ValueError("sequence too short to measure the retention constant")
-    return out
+    return Fraction(num, den)

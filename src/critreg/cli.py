@@ -18,11 +18,14 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import boxes as boxmod
@@ -344,9 +347,8 @@ def run(cfg: ExperimentConfig) -> dict:
 
 
 def _report(cfg: ExperimentConfig, body: dict) -> dict:
-    fields = asdict(cfg)
     return {
-        "config": {k: fields[k] for k in ("kind", *KIND_FIELDS[cfg.kind])},
+        "config": {k: getattr(cfg, k) for k in ("kind", *KIND_FIELDS[cfg.kind])},
         "kind": cfg.kind,
         "rows": body["rows"],
         "constants": body.get("constants", {}),
@@ -365,22 +367,74 @@ def _search_failure_report(cfg: ExperimentConfig, exc: Exception) -> dict:
     return _report(cfg, {"rows": [row], "constants": stats})
 
 
+_CONTAINERS = (dict, list, tuple)
+_ROWS = (list, tuple)
+
+
+@functools.cache
+def _encoder(indent: str) -> json.JSONEncoder:
+    """The C encoder of the items of a container whose items sit at
+    `indent`: it puts each item on its own line."""
+    return json.JSONEncoder(sort_keys=True, default=str, separators=(",\n" + indent, ": "))
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, default=str)`` of a
+    value with string keys that sits at `indent`, in few C encoder calls.
+
+    A container whose children are all leaves (non-containers) is one
+    call, wrapped in its bracket lines.  So is a list of nonempty lists and
+    tuples of leaves, such as a report table: in that call's text the rows
+    meet where a separator follows "]" and precedes "[", which no leaf's
+    text ends or starts with (a string keeps its brackets inside quotes and
+    holds no raw newline), and each meeting gets the rows' bracket lines.
+    Other containers recurse.
+    """
+    if not isinstance(value, _CONTAINERS):
+        return _encoder(indent).encode(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    children = value.values() if isinstance(value, dict) else value
+    if not any(map(isinstance, children, repeat(_CONTAINERS))):
+        text = _encoder(inner).encode(value)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
+    if (isinstance(value, _ROWS) and all(map(isinstance, value, repeat(_ROWS))) and all(value)
+            and not any(map(isinstance, chain.from_iterable(value), repeat(_CONTAINERS)))):
+        cell = inner + "  "
+        text = _encoder(cell).encode(value)[2:-2].replace(
+            f"],\n{cell}[", f"\n{inner}],\n{inner}[\n{cell}")
+        return f"[\n{inner}[\n{cell}{text}\n{inner}]\n{indent}]"
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def write_report(report: dict, out_dir: str | Path) -> Path:
-    """Emit report.json plus CSV tables and two-column growth data files."""
+    """Emit report.json plus CSV tables and two-column growth data files.
+
+    report.json is ``json.dumps(report, sort_keys=True, indent=2,
+    default=str)`` and a newline; checks.csv is in the csv module's default
+    dialect (CRLF rows); each table's line is "a b".  Each file is built as
+    one string and written once.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2, default=str) + "\n")
-    rows_path = out / "checks.csv"
-    with rows_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["check", "passed", "value", "bound", "note"])
-        for r in report["rows"]:
-            w.writerow([r["check"], r["passed"], r["value"], r["bound"], r["note"]])
+    path.write_text(_json_text(report) + "\n")
+    rows = io.StringIO()
+    w = csv.writer(rows)
+    w.writerow(["check", "passed", "value", "bound", "note"])
+    w.writerows([r["check"], r["passed"], r["value"], r["bound"], r["note"]]
+                for r in report["rows"])
+    (out / "checks.csv").write_text(rows.getvalue(), newline="")
     for name, table in report.get("tables", {}).items():
-        with (out / f"{name}.dat").open("w") as fh:
-            for a, b in table:
-                fh.write(f"{a} {b}\n")
+        (out / f"{name}.dat").write_text("".join([f"{a} {b}\n" for a, b in table]))
     return path
 
 

@@ -54,14 +54,14 @@ COST_REL_TOL = 1e-12
 MEAN_SLACK = 1.05
 
 
-def lemma_bound(family: LengthFamily, d: int) -> tuple[float, Fraction]:
-    """(B as float, exact rational used for the terminal-weight side).
+def lemma_bound(L: Fraction, d: int) -> tuple[float, Fraction]:
+    """(B as float, exact rational used for the terminal-weight side), for
+    a family of total mass L on Z^d.
 
     When L/A_d >= 1 the max is attained by the exact branch 3L/A_d; in the
     other case the float value is frozen into an exact binary rational so
     the terminal check stays deterministic.
     """
-    L = family.total_mass
     a_d = sphere_constant(d)
     exact = 3 * L / a_d
     root = 3.0 * float(L / a_d) ** (1.0 / d)
@@ -207,14 +207,15 @@ def _summary(family: LengthFamily, n: int, costs: np.ndarray, ends: np.ndarray) 
     and the endpoints in the rows of `ends` (one row stands for every
     sample); terminal weights are decided by `lattice.weights_le`."""
     d = family.d
-    b_float, b_exact = lemma_bound(family, d)
+    mass = family.total_mass
+    b_float, b_exact = lemma_bound(mass, d)
     cb = cost_bound(b_float, d, n)
     first = costs <= cb * (1.0 + COST_REL_TOL)
     q = b_exact / (n + 1) ** (d - 1)
     second = np.fromiter(weights_le(family, ends.tolist(), q), dtype=bool, count=len(ends))
     ok = first & second
     witness = int(np.argmax(ok)) if ok.any() else None
-    mean_bound = float(family.total_mass / sphere_constant(d)) ** (1.0 / d)
+    mean_bound = float(mass / sphere_constant(d)) ** (1.0 / d)
     mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * MEAN_SLACK
     return BatchSummary(
         d=d,

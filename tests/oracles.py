@@ -4,27 +4,32 @@ None of these runs in a CLI kind.  Each is a slow or brute-force twin of
 something the package computes in closed form (the point weights of the
 built-in axes, exact arrival laws and minimum-cost paths of the walks,
 sphere enumeration, box enumeration, the corner sweep of cover
-multiplicity, subdivision leaves and the share of non-admissible levels,
-per-point mean goodness and the goodness of a segment's flag, the linear
-scans and the depth-first fully-good search that the chain searches
-replaced, exact packed lengths, every prefix of a word and the per-step
-orbit of a fundamental domain), a small fixture map for the derivative
-checks, or an input of those oracles (the walk kernel and lattice paths).
+multiplicity, B-d2 boxes and the roundness and retention constants in
+their Fraction forms, subdivision leaves and the share of non-admissible
+levels, per-point mean goodness and the goodness of a segment's flag, the
+linear scans and the depth-first fully-good search that the chain
+searches replaced, exact packed lengths, every prefix of a word, the
+per-step orbit of a fundamental domain and the report writer's
+row-by-row form), a small fixture map for the derivative checks, or an
+input of those oracles (the walk kernel and lattice paths).
 `exact_mass` is no oracle: it reads the package's own exact mass form as
 a rational, for tests of something else.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from critreg.boxes import SubdivisionTree, _piece
+from critreg.boxes import BoxSequence, SubdivisionTree, _piece, floor_power
 from critreg.concat import ChainSearchError
 from critreg.lattice import (
     Bound,
@@ -563,10 +568,19 @@ def renormalize(g: SmoothMap) -> SmoothMap:
     )
 
 
-def domain_orbit(g: SmoothMap, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+def clip_to(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """x clipped to [a, b] as `smooth._domain_orbit` clips it, by
+    np.maximum then np.minimum: -0.0 at a = 0.0 becomes +0.0, which
+    np.clip would keep."""
+    return np.minimum(np.maximum(x, a), b)
+
+
+def domain_orbit(
+    g: SmoothMap, k_max: int, clip: Callable[..., np.ndarray] = clip_to
+) -> tuple[np.ndarray, np.ndarray]:
     """The orbit of 257 points of J = [x0, g(x0)], x0 the midpoint of I, one
-    plain step at a time: var_J log Dg^k for k = 1..k_max and the (left,
-    right) ends of g^k J for k = 0..k_max."""
+    plain step at a time, each image clipped to I by `clip`: var_J log Dg^k
+    for k = 1..k_max and the (left, right) ends of g^k J for k = 0..k_max."""
     x0 = 0.5 * (g.a + g.b)
     x = np.linspace(x0, float(g.f(np.float64(x0))), 257)
     logprod = np.zeros_like(x)
@@ -577,7 +591,72 @@ def domain_orbit(g: SmoothMap, k_max: int) -> tuple[np.ndarray, np.ndarray]:
         if np.any(d <= 0):
             raise ValueError("derivative must stay positive")
         logprod = logprod + np.log(d)
-        x = np.clip(g.f(x), g.a, g.b)
+        x = clip(g.f(x), g.a, g.b)
         variation.append(logprod.max() - logprod.min())
         ends.append((x[0], x[-1]))
     return np.array(variation), np.array(ends)
+
+
+# ---------------------------------------------------------------------------
+# box constants and the report writer, in their first forms
+# ---------------------------------------------------------------------------
+
+
+def b_d2_box(alphas: tuple[Fraction, Fraction], n: int) -> Box:
+    """Q(n) of the B-d2 sequence at exponents (a1, a2), each of its four
+    endpoints its own floor(4^(k*a))."""
+    a1, a2 = alphas
+    m, odd = divmod(n - 1, 2)
+    if odd == 0:  # n = 2m+1
+        iv1 = (floor_power(4, m * a1), floor_power(4, (m + 1) * a1))
+        iv2 = (floor_power(4, m * a2), floor_power(4, (m + 2) * a2))
+    else:  # n = 2m+2
+        iv1 = (floor_power(4, m * a1), floor_power(4, (m + 2) * a1))
+        iv2 = (floor_power(4, (m + 1) * a2), floor_power(4, (m + 2) * a2))
+    return Box((iv1, iv2))
+
+
+def round_constant_fractions(box: Box) -> Fraction | None:
+    """The least A >= 1 making the box A-round as a running max of the
+    Fraction bounds of every axis, or None at a lower endpoint <= 0."""
+    s = box.side(0)
+    out = Fraction(1)
+    for i in range(1, box.dim + 1):
+        x, y = box.intervals[i - 1]
+        if x <= 0:
+            return None
+        p = Fraction(s) ** i
+        side = 1 + y - x
+        for c in (p / x, Fraction(y) / p, p / side, Fraction(side) / p):
+            if c > out:
+                out = c
+    return out
+
+
+def retention_constant_fractions(seq: BoxSequence) -> Fraction | None:
+    """The least side-retention ratio over the steps of a B sequence as a
+    running min of Fractions; None for a single box."""
+    out = None
+    for n in seq.indices()[:-1]:
+        cur, nxt = seq.box(n), seq.box(n + 1)
+        low, up = seq.touched(n)
+        for r in (Fraction(nxt.side(low), cur.side(low)), Fraction(cur.side(up), nxt.side(up))):
+            out = r if out is None else min(out, r)
+    return out
+
+
+def write_report_rows(report: dict, out: Path) -> None:
+    """The files of `cli.write_report`, by the standard library's indented
+    JSON encoder and one write per CSV row and per table line."""
+    out.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(report, sort_keys=True, indent=2, default=str)
+    (out / "report.json").write_text(text + "\n")
+    with (out / "checks.csv").open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["check", "passed", "value", "bound", "note"])
+        for r in report["rows"]:
+            w.writerow([r["check"], r["passed"], r["value"], r["bound"], r["note"]])
+    for name, table in report.get("tables", {}).items():
+        with (out / f"{name}.dat").open("w") as fh:
+            for a, b in table:
+                fh.write(f"{a} {b}\n")

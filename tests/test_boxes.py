@@ -20,7 +20,15 @@ from critreg.boxes import (
 )
 from critreg.lattice import Box
 
-from oracles import leaves, nodes, non_admissible_fraction, sweep_multiplicity
+from oracles import (
+    b_d2_box,
+    leaves,
+    nodes,
+    non_admissible_fraction,
+    retention_constant_fractions,
+    round_constant_fractions,
+    sweep_multiplicity,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -253,6 +261,72 @@ class TestRoundness:
         assert is_a_round(box, a)
         if a > 1:
             assert not is_a_round(box, a * Fraction(99, 100))
+
+
+EXPONENT_PAIRS = st.integers(2, 1000).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: (Fraction(p, q), 1 - Fraction(p, q))))
+# lower endpoints at or below 0 (no roundness constant), small and large
+# integers, and rationals in (0, 2]: on integer boxes side = 1 + y - x <= y,
+# so only a lower endpoint below 1 makes side / p the largest bound
+LOWER = st.one_of(st.integers(-2, 40), st.integers(1, 10 ** 9),
+                  st.fractions(0, 2, max_denominator=12))
+BOXES = st.lists(st.tuples(LOWER, st.integers(0, 60) | st.integers(0, 10 ** 9)),
+                 min_size=1, max_size=4).map(lambda ivs: Box(tuple((x, x + w) for x, w in ivs)))
+
+
+@st.composite
+def raised_sequences(draw):
+    """A B sequence of random boxes whose endpoints never fall."""
+    dim = draw(st.integers(2, 4))
+    box = draw(st.lists(st.tuples(st.integers(1, 30), st.integers(0, 30)),
+                        min_size=dim, max_size=dim))
+    ivs = [(x, x + w) for x, w in box]
+    boxes = [Box(tuple(ivs))]
+    for _ in range(draw(st.integers(0, 8))):
+        ups = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                            min_size=dim, max_size=dim))
+        ivs = [(x + a, max(y + b, x + a)) for (x, y), (a, b) in zip(ivs, ups)]
+        boxes.append(Box(tuple(ivs)))
+    return BoxSequence("B-d2" if dim == 2 else "B-general", 1, tuple(boxes), d=dim)
+
+
+class TestIntegerConstants:
+    """The builders' and constants' integer forms against their first,
+    Fraction forms in tests/oracles.py."""
+
+    @given(EXPONENT_PAIRS, st.integers(1, 40))
+    @example(alphas=(Fraction(1, 1000), Fraction(999, 1000)), n_max=40)
+    @example(alphas=(Fraction(999, 1000), Fraction(1, 1000)), n_max=40)
+    @example(alphas=(HALF, HALF), n_max=1)
+    @settings(max_examples=40, deadline=None)
+    def test_b_d2_endpoints_match_per_box_powers(self, alphas, n_max):
+        seq = build_sequence("B-d2", alphas=alphas, n_max=n_max)
+        assert seq.boxes == tuple(b_d2_box(alphas, n) for n in seq.indices())
+
+    @given(BOXES)
+    @example(Box(((0, 3), (1, 9))))  # x <= 0: None
+    @example(Box(((1, 2), (1, 16))))  # p/x, y/p and side/p tie at 4
+    @example(Box(((1, 1), (1, 1), (1, 1))))  # every bound is 1
+    @example(Box(((1, 1), (Fraction(1, 2), 100))))  # side/p = 201/2 is the largest
+    @settings(max_examples=300, deadline=None)
+    def test_round_constant_matches_fraction_form(self, box):
+        assert minimal_round_constant(box) == round_constant_fractions(box)
+
+    @given(st.one_of(
+        raised_sequences(),
+        st.builds(lambda a, n: build_sequence("B-d2", alphas=a, n_max=n),
+                  EXPONENT_PAIRS, st.integers(1, 20)),
+        st.builds(lambda d, n: build_sequence("B-general", alphas=(Fraction(1, d),) * d,
+                                              n_max=n), st.integers(3, 5), st.integers(1, 20)),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_retention_constant_matches_fraction_form(self, seq):
+        want = retention_constant_fractions(seq)
+        if want is None:
+            with pytest.raises(ValueError, match="too short"):
+                inocent_constant(seq)
+        else:
+            assert inocent_constant(seq) == want
 
 
 class TestSubdivision:

@@ -179,7 +179,7 @@ class TestSampling:
 
     def test_lemma_bound_exact_branch(self):
         fam = geometric_family(3)
-        b_float, b_exact = lemma_bound(fam, 3)
+        b_float, b_exact = lemma_bound(fam.total_mass, 3)
         assert b_exact == 6 and b_float == 6.0
 
 
@@ -197,7 +197,7 @@ def reference_batch_certificates(family, n, samples, seed, mean_slack=1.05):
         cum = np.cumsum(counts + 1, axis=1)
         j = np.argmax(r[:, None] < cum, axis=1)
         counts[np.arange(samples), j] += 1
-    b_float, b_exact = lemma_bound(family, d)
+    b_float, b_exact = lemma_bound(family.total_mass, d)
     cb = cost_bound(b_float, d, n)
     first = costs <= cb * (1.0 + COST_REL_TOL)
     rhs = b_exact
@@ -303,6 +303,18 @@ class TestBatch:
                     # dataclass equality compares every float bitwise
                     assert got == want, (name, samples, seed)
 
+    def test_exact_mass_is_read_once_per_batch(self):
+        # a table's mass sums every weight; the bound B and the mean cost
+        # bound share that one sum
+        for fam in batch_families(2, 7).values():
+            cls = type(fam)
+            real = cls.total_mass.fget(fam)
+            with mock.patch.object(cls, "total_mass", new_callable=mock.PropertyMock,
+                                   return_value=real) as mass:
+                got = batch_certificates(fam, 7, 3, 11)
+            assert mass.call_count == 1, fam
+            assert got == reference_batch_certificates(fam, 7, 3, 11)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pass_follows_the_family_rates(self, d):
         # equal-rate product families are decided from one endpoint and
@@ -349,8 +361,8 @@ class TestBatch:
         # batch, and the lemma1 kind exits 2
         real = walks.lemma_bound
 
-        def lowered(family, d):
-            b_float, b_exact = real(family, d)
+        def lowered(mass, d):
+            b_float, b_exact = real(mass, d)
             if side == "cost":
                 return b_float / 1e6, b_exact
             return b_float, b_exact / 2 ** 100
@@ -379,7 +391,7 @@ class TestBatch:
         excess = Fraction(1, 2 ** 60) if above else Fraction(0)
         end = reference_endpoint(d, n, seed)
         fam = spike_table(d, n, end, 1 + excess)
-        b_float, b_exact = lemma_bound(fam, d)
+        b_float, b_exact = lemma_bound(fam.total_mass, d)
         assert b_exact == 3 * fam.total_mass
         q = b_exact / (n + 1) ** (d - 1)
         assert fam.weight_log2_parts(end) == log2_parts(q)
@@ -399,7 +411,7 @@ class TestBatch:
         n = 5
         end = reference_endpoint(d, n, seed)
         fam = tie_family(end, above)
-        b_float, b_exact = lemma_bound(fam, d)
+        b_float, b_exact = lemma_bound(fam.total_mass, d)
         assert b_exact == 3 * fam.total_mass * math.factorial(d - 1)
         q = b_exact / (n + 1) ** (d - 1)
         assert (fam.weight(end) > q) == above
