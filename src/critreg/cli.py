@@ -218,10 +218,13 @@ def _run_boxes(cfg: ExperimentConfig) -> dict:
         a_min = max(float(boxmod.minimal_round_constant(b)) for b in seq.boxes)
         constants.update({"growth_bracket": boxmod.side_growth_bracket(seq),
                           "max_min_roundness": a_min})
-    table = [
-        (n, json.dumps(seq.box(n).intervals)) for n in seq.indices()
-    ]
+    table = [(n, _intervals_text(box.intervals)) for n, box in zip(seq.indices(), seq.boxes)]
     return {"rows": rows, "tables": {"boxes": table}, "constants": constants}
+
+
+def _intervals_text(intervals: tuple[tuple[int, int], ...]) -> str:
+    """`json.dumps` of a box's integer intervals."""
+    return "[" + ", ".join(f"[{lo}, {hi}]" for lo, hi in intervals) + "]"
 
 
 def _chain_common(kind: str, seq, fam) -> dict:

@@ -203,9 +203,9 @@ def _junction(a: Segment, b: Segment) -> Coords:
     return out
 
 
-def _mean_bound(level: Fraction, region: Box | Segment, ambient: Box) -> Bound:
-    """The bound: mean over the region at most level times the ambient mean."""
-    size = region.npoints() if isinstance(region, Box) else region.count
+def _mean_bound(level: Fraction, size: int, ambient: Box) -> Bound:
+    """The bound: mean over a region of `size` points at most level times
+    the ambient mean."""
     return Bound(Fraction(level.numerator * size, level.denominator * ambient.npoints()), ambient)
 
 
@@ -447,7 +447,7 @@ def reach_vertical_section(
     for k in range(1, len(level.chain) + 1):
         piece = tree.chain_box(level.chain[:k])
         restricted = Box(fiber_ivs + (piece.intervals[-1],))
-        members.append((restricted, _mean_bound(Fraction(1), restricted, box)))
+        members.append((restricted, _mean_bound(Fraction(1), restricted.npoints(), box)))
     if mu is None:
         mu_val = Fraction(2) ** _least_power_of_two(family, members)
     else:
@@ -469,7 +469,7 @@ def reach_vertical_section(
         return Segment(anchor, dim - 1, count, stride=stride)
 
     def seg_ok(s: Segment) -> bool:
-        return mass_le(family, s, _mean_bound(lam, s, box))
+        return mass_le(family, s, _mean_bound(lam, s.count, box))
 
     covered: set[int] = set()
     chains: dict[int, tuple[Segment, ...]] = {}
@@ -590,11 +590,11 @@ def _fully_good_segment(
     order = [(axis - t) % dim for t in range(1, dim)]
     # the member at depth t fixes the axes order[:t+1], so its size, and
     # with it the bound of `_mean_bound`, depends on t alone
-    total = size = box.npoints()
+    size = box.npoints()
     member = box
     for a in order:
         size //= box.side(a)
-        bound = Bound(Fraction(lam.numerator * size, lam.denominator * total), box)
+        bound = _mean_bound(lam, size, box)
         (member,) = _first_translate(
             family, [(member.fix_axis(a, box.intervals[a][0]), bound)], a, 1, box.side(a),
             "no fully good segment in box", None,
@@ -624,9 +624,7 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
         nxt_seg = _fully_good_segment(family, nxt, m_next, lam)
         # every staircase segment is a full overlap segment, so its bound
         # depends only on its axis
-        corner = tuple(lo for lo, _ in overlap.intervals)
-        bounds = [_mean_bound(lam_prime, _full_segment(overlap, a, corner), overlap)
-                  for a in range(d)]
+        bounds = [_mean_bound(lam_prime, overlap.side(a), overlap) for a in range(d)]
         # choose the target point on the next anchor segment, scanning its
         # span, so that the connecting staircase in the overlap is good.  The
         # staircase's first segment runs along m_next, the same for every
@@ -647,13 +645,14 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
             overlap.side(m_next), what, n,
         )
         legs.append(
-            SegmentRecord(n, f"g{n}.1", seg, "fully-good-anchor", _mean_bound(lam, seg, box))
+            SegmentRecord(n, f"g{n}.1", seg, "fully-good-anchor",
+                          _mean_bound(lam, seg.count, box))
         )
         legs += [SegmentRecord(n, f"g{n}.{k + 2}", s, "staircase-overlap", bounds[s.axis])
                  for k, s in enumerate(stair)]
         seg = nxt_seg
     legs.append(SegmentRecord(hi_n, f"g{hi_n}.1", seg, "fully-good-anchor",
-                              _mean_bound(lam, seg, seq.box(hi_n))))
+                              _mean_bound(lam, seg.count, seq.box(hi_n))))
     return _assemble("B-general", seq, alphas, legs, _walk_start(family, seq),
                      {"lambda": float(lam), "lambda_prime": float(lam_prime)})
 
@@ -816,12 +815,12 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
     # needs a target proportion below 1/a^2, and every FF sequence has
     # a >= (1 + 4^(d+1))^(d-1), the roundness constant of its first box
     m = _least_power_of_two(family, [
-        (seg, _mean_bound(Fraction(1), seg, seq.box(n))) for n, seg in plan
+        (seg, _mean_bound(Fraction(1), seg.count, seq.box(n))) for n, seg in plan
     ])
     lam = Fraction(2) ** m
     legs = [
         SegmentRecord(n, f"g{n}.{seg.axis + 1}", seg, "staircase-mean",
-                      _mean_bound(lam, seg, seq.box(n)), f"f({seg.axis + 2},1)")
+                      _mean_bound(lam, seg.count, seq.box(n)), f"f({seg.axis + 2},1)")
         for n, seg in plan
     ]
     # the walk stops at the last overlap's lower corner
@@ -918,8 +917,10 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
     def own_part(i: int, t_hi: int) -> float:
         """Sum of weight^alpha over points 0..t_hi of stretch i."""
         s = stretches[i]
-        part = Segment(s.anchor, s.axis, t_hi + 1, step=s.step, stride=s.stride)
-        return 2.0 ** family.segment_power_log2(part, float(cert.alphas[s.axis]))
+        a = s.anchor[s.axis]
+        b = a + t_hi * s.step * s.stride
+        return 2.0 ** family.range_power_log2(
+            s.anchor, s.axis, min(a, b), max(a, b), s.stride, float(cert.alphas[s.axis]))
 
     # a stretch owns its points up to the next stretch's start; the last one
     # owns its end point too, and a non-final one-point stretch owns nothing

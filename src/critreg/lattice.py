@@ -27,7 +27,6 @@ from it, and builds a translate for `mass_le` only on a tie.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import defaultdict
@@ -69,14 +68,17 @@ class Box:
         lo, hi = self.intervals[k]
         return hi - lo + 1
 
-    def sides(self) -> tuple[int, ...]:
-        return tuple(self.side(k) for k in range(self.dim))
-
     def npoints(self) -> int:
-        return math.prod(self.sides())
+        n = 1
+        for lo, hi in self.intervals:
+            n *= hi - lo + 1
+        return n
 
     def contains(self, v: Sequence[int]) -> bool:
-        return all(lo <= c <= hi for c, (lo, hi) in zip(v, self.intervals, strict=True))
+        for c, (lo, hi) in zip(v, self.intervals, strict=True):
+            if not lo <= c <= hi:
+                return False
+        return True
 
     def intersect(self, other: "Box") -> "Box | None":
         ivs = []
@@ -123,9 +125,18 @@ class Segment:
         if not 0 <= self.axis < len(self.anchor):
             raise ValueError("axis out of range")
         if self.ambient is not None:
-            for p in (self.anchor, self.point(self.count - 1)):
-                if not self.ambient.contains(p):
-                    raise ValueError(f"segment point {p} escapes ambient box")
+            # the anchor coordinate by coordinate, as `Box.contains` reads it,
+            # with the last point's moving coordinate on the way
+            axis, last_in = self.axis, True
+            end = self.anchor[axis] + (self.count - 1) * self.step * self.stride
+            for k, (c, (lo, hi)) in enumerate(zip(self.anchor, self.ambient.intervals,
+                                                  strict=True)):
+                if not lo <= c <= hi:
+                    raise ValueError(f"segment point {self.anchor} escapes ambient box")
+                if k == axis:
+                    last_in = lo <= end <= hi
+            if not last_in:
+                raise ValueError(f"segment point {self.last()} escapes ambient box")
 
     def point(self, t: int) -> Coords:
         c = list(self.anchor)
@@ -141,8 +152,8 @@ class Segment:
     def axis_values(self) -> tuple[int, int, int]:
         """(lo, hi, stride) of the moving coordinate, lo <= hi."""
         a = self.anchor[self.axis]
-        b = self.last()[self.axis]
-        return (min(a, b), max(a, b), self.stride)
+        b = a + (self.count - 1) * self.step * self.stride
+        return (a, b, self.stride) if a <= b else (b, a, self.stride)
 
     def index_of(self, v: Sequence[int]) -> int | None:
         """Position of lattice point v on the segment, or None."""
@@ -397,11 +408,14 @@ class MassForm(NamedTuple):
 
 def _ranges(region: Box | Segment) -> list[tuple[int, int, int, int]]:
     """(axis, lo, hi, stride) over a box's axes, or over a segment's fixed
-    axes and then its moving one, the order in which log2 masses are summed."""
+    axes and then its moving one, the order in which log2 masses are summed;
+    a product family's memo keys."""
     if isinstance(region, Box):
         return [(k, lo, hi, 1) for k, (lo, hi) in enumerate(region.intervals)]
-    fixed = [(k, c, c, 1) for k, c in enumerate(region.anchor) if k != region.axis]
-    return [*fixed, (region.axis, *region.axis_values())]
+    axis = region.axis
+    out = [(k, c, c, 1) for k, c in enumerate(region.anchor) if k != axis]
+    out.append((axis, *region.axis_values()))
+    return out
 
 
 class LengthFamily:
@@ -439,6 +453,13 @@ class LengthFamily:
         """log2 of the sum of weight^alpha over the segment's points."""
         raise NotImplementedError
 
+    def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
+                         alpha: float) -> float:
+        """`segment_power_log2` of the segment through anchor whose moving
+        coordinate runs over lo, lo + stride, ..., hi; anchor[axis] is lo or
+        hi, the end the segment starts from."""
+        raise NotImplementedError
+
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
         """log2 mass of a box or segment as an exact integer plus a float
         of magnitude below 16; None on zero mass."""
@@ -465,6 +486,9 @@ class ProductFamily(LengthFamily):
             e0, f0 = e0 + ax.offset + ax.coef_parts[0], f0 + ax.coef_parts[1]
         self.point_base = e0, f0
         self.name = name
+        # axis k's split log2 mass of lo, lo + stride, ... <= hi, by (k, lo, hi,
+        # stride); it lives and dies with the family
+        self._memo: dict[tuple[int, int, int, int], Log2Parts | None] = {}
 
     def contains(self, v: Sequence[int]) -> bool:
         return len(v) == self.d and all(
@@ -495,9 +519,13 @@ class ProductFamily(LengthFamily):
         return self._form([self.axes[k].form(lo, hi, s) for k, lo, hi, s in _ranges(region)])
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
+        memo = self._memo
         e, f = self._scale_parts
-        for k, lo, hi, s in _ranges(region):
-            term = self.axes[k].log2_parts(lo, hi, s)
+        for key in _ranges(region):
+            term = memo.get(key, memo)
+            if term is memo:
+                k, lo, hi, s = key
+                term = memo[key] = self.axes[k].log2_parts(lo, hi, s)
             # a fixed coordinate outside its axis' support leaves no point
             if term is None:
                 return None
@@ -505,15 +533,18 @@ class ProductFamily(LengthFamily):
         return e, f
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
-        """log2 of the sum of weight^alpha over the segment's points."""
+        return self.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha)
+
+    def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
+                         alpha: float) -> float:
         m = alpha * self.scale_log2
-        for k, c in enumerate(seg.anchor):
-            if k != seg.axis:
+        for k, c in enumerate(anchor):
+            if k != axis:
                 if not self.axes[k].contains(c):
                     return NEG_INF
                 e, f = self.axes[k].point_parts(c)
                 m += alpha * (e + f)
-        return m + self.axes[seg.axis].power_log2(*seg.axis_values(), alpha)
+        return m + self.axes[axis].power_log2(lo, hi, stride, alpha)
 
 
 class TableFamily(LengthFamily):
@@ -531,6 +562,9 @@ class TableFamily(LengthFamily):
         if any(v <= 0 for v in self.table.values()):
             raise ValueError("weights must be positive")
         self.name = name
+        # split log2 masses by region: a scan compares many translates with
+        # one bound, whose mass sums the whole table
+        self._memo: dict[Box | Segment, Log2Parts | None] = {}
 
     def contains(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.table
@@ -551,11 +585,24 @@ class TableFamily(LengthFamily):
         total = sum((self.table[p] for p in pts if p in self.table), Fraction(0))
         return MassForm(total, ONE, ONE)
 
+    def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
+        out = self._memo.get(region, self._memo)
+        if out is self._memo:
+            out = self._memo[region] = super().mass_log2_parts(region)
+        return out
+
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
-        out = NEG_INF
-        for p in seg.points():
-            if p in self.table:
-                out = log2_add(out, alpha * self.log2_weight(p))
+        return self.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha)
+
+    def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
+                         alpha: float) -> float:
+        # the points in the segment's order, from its anchor on
+        out, p = NEG_INF, list(anchor)
+        ts = range(lo, hi + 1, stride) if anchor[axis] == lo else range(hi, lo - 1, -stride)
+        for t in ts:
+            p[axis] = t
+            if (v := tuple(p)) in self.table:
+                out = log2_add(out, alpha * self.log2_weight(v))
         return out
 
 
@@ -590,16 +637,9 @@ class Bound(NamedTuple):
     region: Box | Segment
 
 
-# bounded: scans compare many regions with one bound, and the cache keeps
-# at most this many families alive
-@functools.lru_cache(maxsize=1024)
-def _parts(family: LengthFamily, region: Box | Segment) -> Log2Parts | None:
-    return family.mass_log2_parts(region)
-
-
 def mass_log2(family: LengthFamily, region: Box | Segment) -> float:
     """log2 mass of a box or segment, from the split closed form."""
-    parts = _parts(family, region)
+    parts = family.mass_log2_parts(region)
     return NEG_INF if parts is None else parts[0] + parts[1]
 
 
@@ -632,10 +672,10 @@ def _ratio_parts(family: LengthFamily, region: Box | Segment, bound: Bound) -> t
     zero-mass region, else (0, inf) for a zero-mass B."""
     q, other = bound
     eq, fq = log2_parts(q)  # raises unless q > 0
-    a = _parts(family, region)
+    a = family.mass_log2_parts(region)
     if a is None:
         return 0, NEG_INF
-    b = _parts(family, other)
+    b = family.mass_log2_parts(other)
     if b is None:
         return 0, math.inf
     return a[0] - b[0] - eq, a[1] - b[1] - fq
@@ -701,7 +741,12 @@ def _translate_ratios(
     ax = family.axes[axis]
     start, ratios = 0, []
     for region, bound in checks:
-        lo, hi = next((lo, hi) for k, lo, hi, _ in _ranges(region) if k == axis)
+        if isinstance(region, Box):
+            lo, hi = region.intervals[axis]
+        elif region.axis == axis:
+            lo, hi, _ = region.axis_values()
+        else:
+            lo = hi = region.anchor[axis]
         if lo < max(0, ax.lo) or hi + (count - 1) * step > ax.hi:
             return 0, None
         e, f = _ratio_parts(family, region, bound)

@@ -36,8 +36,13 @@ from critreg.lattice import (
     Box,
     Coords,
     LengthFamily,
+    Log2Parts,
+    ProductFamily,
     Segment,
     _check_dimension,
+    log2_add,
+    log2_fraction,
+    log2_parts,
     mass_le,
     translated,
 )
@@ -285,6 +290,97 @@ def enumerate_min_cost(family: LengthFamily, d: int, n: int) -> float:
 
     rec([0] * d, 0, 0.0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# split log2 masses and power sums without a memo, and the two-point
+# ambient check of a segment
+# ---------------------------------------------------------------------------
+
+
+def _axis_ranges(region: Box | Segment) -> list[tuple[int, int, int, int]]:
+    """(axis, lo, hi, stride) over a box's axes, or over a segment's fixed
+    axes and then its moving one, with lo and hi read from its end points."""
+    if isinstance(region, Box):
+        return [(k, lo, hi, 1) for k, (lo, hi) in enumerate(region.intervals)]
+    ends = region.anchor[region.axis], region.last()[region.axis]
+    fixed = [(k, c, c, 1) for k, c in enumerate(region.anchor) if k != region.axis]
+    return [*fixed, (region.axis, min(ends), max(ends), region.stride)]
+
+
+def mass_log2_parts_unmemoized(family: LengthFamily, region: Box | Segment) -> Log2Parts | None:
+    """The split log2 mass with no memo: on a product family log2_parts of
+    the scale, then each axis' `Axis.log2_parts` added in `_axis_ranges`
+    order; elsewhere log2_parts of the exact mass.  None on zero mass."""
+    if not isinstance(family, ProductFamily):
+        m = family.mass_form(region).value()
+        return log2_parts(m) if m else None
+    e, f = log2_parts(family.scale)
+    for k, lo, hi, s in _axis_ranges(region):
+        term = family.axes[k].log2_parts(lo, hi, s)
+        if term is None:
+            return None
+        e, f = e + term[0], f + term[1]
+    return e, f
+
+
+def mass_ratio_log2_unmemoized(family: LengthFamily, region: Box | Segment, bound: Bound) -> float:
+    """`mass_ratio_log2` from `mass_log2_parts_unmemoized`: the integer and
+    float differences, each minus log2_parts of q, summed."""
+    q, other = bound
+    eq, fq = log2_parts(q)
+    a = mass_log2_parts_unmemoized(family, region)
+    if a is None:
+        return -math.inf
+    b = mass_log2_parts_unmemoized(family, other)
+    if b is None:
+        return math.inf
+    return (a[0] - b[0] - eq) + (a[1] - b[1] - fq)
+
+
+def segment_power_log2_unmemoized(family: LengthFamily, seg: Segment, alpha: float) -> float:
+    """log2 of the sum of weight^alpha over the segment: on a product family
+    alpha times the scale's float log2 and each fixed point's split parts,
+    plus the moving axis' `Axis.power_log2`; on a table the point terms
+    joined by log2_add in the segment's order."""
+    if not isinstance(family, ProductFamily):
+        out = -math.inf
+        for p in seg.points():
+            if p in family.table:
+                out = log2_add(out, alpha * family.log2_weight(p))
+        return out
+    m = alpha * log2_fraction(family.scale)
+    for k, c in enumerate(seg.anchor):
+        if k != seg.axis:
+            ax = family.axes[k]
+            if not ax.lo <= c <= ax.hi:
+                return -math.inf
+            e, f = ax.point_parts(c)
+            m += alpha * (e + f)
+    _, lo, hi, s = _axis_ranges(seg)[-1]
+    return m + family.axes[seg.axis].power_log2(lo, hi, s, alpha)
+
+
+def box_contains_all(box: Box, v: Sequence[int]) -> bool:
+    """`Box.contains` as one `all` over a generator, as it was written."""
+    return all(lo <= c <= hi for c, (lo, hi) in zip(v, box.intervals, strict=True))
+
+
+def ambient_error(anchor: Coords, axis: int, count: int, step: int, stride: int,
+                  ambient: Box) -> str | None:
+    """The message of the ValueError that a segment's ambient check raised
+    when it tested the anchor and then the last point with
+    `box_contains_all`, or None when both lie in the box."""
+    last = list(anchor)
+    last[axis] += (count - 1) * step * stride
+    for p in (anchor, tuple(last)):
+        try:
+            inside = box_contains_all(ambient, p)
+        except ValueError as exc:
+            return str(exc)
+        if not inside:
+            return f"segment point {p} escapes ambient box"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,12 @@ class TestReportText:
             for name in names:
                 assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
+    @given(st.lists(st.tuples(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70)),
+                    max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_intervals_text_is_their_dump(self, intervals):
+        assert cli._intervals_text(tuple(intervals)) == json.dumps(tuple(intervals))
+
     def test_file_formats(self, tmp_path):
         # the formats README states: the indented dump and a newline, CSV
         # rows in the default dialect (CRLF), and "a b" lines

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -18,7 +20,6 @@ from critreg.concat import (
     _full_segment,
     _fully_good_segment,
     _junction,
-    _mean_bound,
     _staircase_segments,
     _stretch_entry_t,
     _strip_count,
@@ -860,8 +861,9 @@ def _staircase_oracle(fam, seq, n, cur, nxt_seg):
     m0, m_next = (n - 1) % d, n % d
     lam_prime = lambda_prime(Fraction(2 * d - 1), HALF, d)
     corner = tuple(lo for lo, _ in overlap.intervals)
-    bounds = [_mean_bound(lam_prime, _full_segment(overlap, a, corner), overlap)
-              for a in range(d)]
+    # the mean over each full overlap segment at most lambda' times the overlap's
+    segs = [_full_segment(overlap, a, corner) for a in range(d)]
+    bounds = [Bound(lam_prime * Fraction(s.count, overlap.npoints()), overlap) for s in segs]
     t0 = nxt_seg.anchor[m_next]
     stairs = (_staircase_segments(overlap, cur, nxt_seg.point(t - t0), m0)
               for t in range(overlap.intervals[m_next][0], overlap.intervals[m_next][1] + 1))
@@ -1030,13 +1032,13 @@ class TestBudgetOracle:
     def test_one_power_sum_per_stretch_and_row(self, case, monkeypatch):
         cert, fam, _ = _budget_case(case)
         calls = []
-        inner = fam.segment_power_log2
+        inner = fam.range_power_log2
 
-        def counted(seg, alpha):
-            calls.append(seg)
-            return inner(seg, alpha)
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
 
-        monkeypatch.setattr(fam, "segment_power_log2", counted)
+        monkeypatch.setattr(fam, "range_power_log2", counted)
         rep = distortion_budget(cert, fam)
         assert 0 < len(calls) <= len(walk_stretches(cert)) + len(rep.rows)
 
@@ -1055,3 +1057,24 @@ class TestBudgetOracle:
         monkeypatch.setattr(concat, "_stretch_entry_t", counted)
         distortion_budget(cert, fam)
         assert 0 < len(calls) <= len(walk_stretches(cert)) + 2 * len(cert.seq.indices())
+
+
+@pytest.mark.parametrize("kind", ["B-general", "B-d2-table"])
+def test_no_module_level_cache_keeps_a_family_alive(kind):
+    # the memo lives on the family: once the caller drops it, after a chain
+    # was built, verified, budgeted and measured on it, it is garbage
+    if kind == "B-general":
+        fam = geometric_family(3)
+        seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=8)
+    else:
+        fam = TableFamily({(i, j): Fraction(1 + (3 * i + 5 * j) % 7, 2 ** (i + j))
+                           for i in range(9) for j in range(9)})
+        kind, seq = "B-d2", build_sequence("B-d2", alphas=(HALF, HALF), n_max=4)
+    cert = build_chain(kind, fam, seq)
+    assert verify_chain(cert, fam)["all"]
+    distortion_budget(cert, fam)
+    measured(cert, fam)
+    ref = weakref.ref(fam)
+    del fam
+    gc.collect()
+    assert ref() is None

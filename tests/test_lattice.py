@@ -15,6 +15,7 @@ from critreg.lattice import (
     ProductFamily,
     Segment,
     TableFamily,
+    first_translate_le,
     geometric_axis,
     geometric_family,
     log2_fraction,
@@ -31,12 +32,17 @@ from critreg.lattice import (
 
 from oracles import (
     LatticePath,
+    ambient_error,
+    box_contains_all,
     box_points,
     exact_mass,
     exact_sum,
     geodesic,
     geometric_weight,
+    mass_log2_parts_unmemoized,
+    mass_ratio_log2_unmemoized,
     point_weights,
+    segment_power_log2_unmemoized,
     sphere_points,
     sphere_size,
     symmetric_geometric_weight,
@@ -509,3 +515,140 @@ class TestWeightComparison:
             with pytest.raises(ValueError) as got:
                 list(weights_le(fam, [v], Fraction(1)))
             assert str(got.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# the family's memo against the unmemoized sums, and the region checks
+# against their generator-based forms
+# ---------------------------------------------------------------------------
+
+_memo_rng = random.Random(11)
+_MEMO_TABLE = {
+    p: Fraction(_memo_rng.randint(1, 9), 2 ** (sum(p) + 8))
+    for p in product(range(-2, 7), repeat=2)
+}
+
+# a fresh family per example, so that its memo starts empty; the uniform
+# box's sides differ, so its axes give different parts on one range
+MEMO_FAMILIES = {
+    "geometric": geometric_family,
+    "symmetric-geometric": symmetric_geometric_family,
+    "uniform": lambda d: uniform_box_family(Box(((-2, 3), (0, 9), (1, 4))[:d]), Fraction(5)),
+    "table": lambda d: TableFamily(_MEMO_TABLE),
+}
+
+
+@st.composite
+def _memo_queries(draw):
+    """A family name, its dimension and regions across its support's edges:
+    boxes, and segments with step +-1 and strides up to 4, from a small grid
+    so that ranges repeat with other strides and on other axes."""
+    name = draw(st.sampled_from(sorted(MEMO_FAMILIES)))
+    d = 2 if name == "table" else draw(st.integers(2, 3))
+    coord = st.integers(-4, 10)
+    regions = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            regions.append(Box(tuple((c, c + draw(st.integers(0, 8)))
+                                     for c in (draw(coord) for _ in range(d)))))
+        else:
+            regions.append(Segment(
+                tuple(draw(coord) for _ in range(d)), draw(st.integers(0, d - 1)),
+                draw(st.integers(1, 8)), step=draw(st.sampled_from((1, -1))),
+                stride=draw(st.integers(1, 4)),
+            ))
+    return name, d, regions
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestFamilyMemo:
+    @given(_memo_queries(), st.sampled_from((1 / 3, 1 / 2, 2 / 3)),
+           st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_unmemoized_sums_bit_for_bit(self, case, alpha, q):
+        name, d, regions = case
+        fam = MEMO_FAMILIES[name](d)
+        for _ in range(2):  # the second pass reads what the first memoized
+            for region, other in zip(regions, regions[::-1]):
+                assert fam.mass_log2_parts(region) == mass_log2_parts_unmemoized(fam, region)
+                bound = Bound(q, other)
+                assert mass_ratio_log2(fam, region, bound) == mass_ratio_log2_unmemoized(
+                    fam, region, bound)
+                if isinstance(region, Segment):
+                    want = segment_power_log2_unmemoized(fam, region, alpha)
+                    assert fam.segment_power_log2(region, alpha) == want
+                    lo, hi, s = region.axis_values()
+                    assert fam.range_power_log2(
+                        region.anchor, region.axis, lo, hi, s, alpha) == want
+
+    def test_keys_tell_strides_and_axes_apart(self):
+        # one range 0..6 of the second axis with stride 1, then 3, then on
+        # the first axis, whose cells are 1/6 against the second's 1/10 and
+        # whose support ends at 3
+        fam = uniform_box_family(Box(((-2, 3), (0, 9))))
+        regions = [Segment((0, 0), 1, 7), Segment((0, 0), 1, 3, stride=3),
+                   Box(((0, 6), (0, 0))), Segment((0, 0), 0, 7), Box(((0, 0), (0, 6)))]
+        got = [fam.mass_log2_parts(r) for r in regions]
+        assert got == [mass_log2_parts_unmemoized(fam, r) for r in regions]
+        assert len(set(got[:3])) == 3
+
+    def test_a_table_scan_sums_each_bound_region_once(self, monkeypatch):
+        # the linear scan decides every probe against the one bound region,
+        # whose mass sums the whole table: once per family
+        fam = TableFamily(_MEMO_TABLE)
+        box = Box(((-2, 6), (-2, 6)))
+        calls = []
+        inner = fam.mass_form
+
+        def counted(region):
+            calls.append(region)
+            return inner(region)
+
+        monkeypatch.setattr(fam, "mass_form", counted)
+        column = Box(((-2, -2), (-2, 6)))
+        t = first_translate_le(fam, [(column, Bound(Fraction(1, 40), box))], 0, 1, 9)
+        assert 3 <= t < 9
+        assert calls.count(box) == 1
+        assert len(calls) == t + 2  # every probed column once, and the box
+
+
+class TestRegionChecks:
+    @given(st.integers(1, 4), st.integers(-1, 1), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_match_the_generator_forms(self, d, extra, data):
+        # the ambient box may have one axis more or fewer than the segment
+        dim = min(max(d + extra, 1), 6)
+        ivs = [(lo, lo + data.draw(st.integers(0, 4)))
+               for lo in data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))]
+        ambient = Box(tuple(ivs))
+        anchor = tuple(data.draw(st.lists(st.integers(-4, 8), min_size=d, max_size=d)))
+        axis = data.draw(st.integers(0, d - 1))
+        count, step = data.draw(st.integers(1, 5)), data.draw(st.sampled_from((1, -1)))
+        stride = data.draw(st.integers(1, 3))
+        try:
+            Segment(anchor, axis, count, step, stride, ambient)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == ambient_error(anchor, axis, count, step, stride, ambient)
+        for v in (anchor, tuple(ivs_lo for ivs_lo, _ in ivs)):
+            assert _outcome(ambient.contains, v) == _outcome(box_contains_all, ambient, v)
+
+    def test_escapes_at_either_end_name_their_point(self):
+        box = Box(((0, 4), (0, 4)))
+        with pytest.raises(ValueError, match=r"point \(0, 5\) escapes"):
+            Segment((0, 5), 1, 2, step=-1, ambient=box)
+        with pytest.raises(ValueError, match=r"point \(0, 6\) escapes"):
+            Segment((0, 2), 1, 3, stride=2, ambient=box)
+        with pytest.raises(ValueError, match=r"point \(0, -2\) escapes"):
+            Segment((0, 2), 1, 3, step=-1, stride=2, ambient=box)
+        with pytest.raises(ValueError, match="zip"):
+            Segment((0, 2, 0), 1, 1, ambient=box)
+        assert Segment((4, 4), 0, 1, ambient=box).count == 1
