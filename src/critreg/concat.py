@@ -19,10 +19,12 @@ their witness points (segment, flag kind, bound and generator).  One
 assembler, `_assemble`, adds the points where consecutive legs hand over
 (`_junction`).  A certificate holds only the records, the walk's start and
 the builder's levels; box masses, stretches, B, D, K_d and the budget are
-derived (`measured`, `walk_stretches`).  `verify_chain` re-decides each
-record's flag on its own segment and bound, and checks that segments lie
-in their boxes, the witness handovers, and that the records fill the
-kind's stages (`stage_counts`).
+derived (`measured`, `walk_stretches`).  The budget's power sums are read
+from a stretch's anchor, axis and range (`range_power_log2`), with no
+segment built to hold them.  `verify_chain` re-decides each record's flag
+on its own segment and bound, and checks that segments lie in their
+boxes, the witness handovers, and that the records fill the kind's stages
+(`stage_counts`).
 
 Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
@@ -247,9 +249,10 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float]:
     ratio of a record's power sum to max(L_n, L_(n+1))^alpha, from the box
     masses L."""
     masses = {n: mass_log2(family, cert.seq.box(n)) for n in cert.seq.indices()}
+    alphas = [float(a) for a in cert.alphas]
 
     def power_ratio_log2(r: SegmentRecord) -> float:
-        alpha = float(cert.alphas[r.seg.axis])
+        alpha = alphas[r.seg.axis]
         base = alpha * max(masses[r.n], masses.get(r.n + 1, NEG_INF))
         return family.segment_power_log2(r.seg, alpha) - base
 
@@ -908,6 +911,7 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
     float as re-summing the stretches from the walk's start.
     """
     alpha_min = float(min(cert.alphas))
+    alphas = [float(a) for a in cert.alphas]
     stretches = walk_stretches(cert)
     starts = [0]
     for s in stretches:
@@ -920,7 +924,7 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
         a = s.anchor[s.axis]
         b = a + t_hi * s.step * s.stride
         return 2.0 ** family.range_power_log2(
-            s.anchor, s.axis, min(a, b), max(a, b), s.stride, float(cert.alphas[s.axis]))
+            s.anchor, s.axis, min(a, b), max(a, b), s.stride, alphas[s.axis])
 
     # a stretch owns its points up to the next stretch's start; the last one
     # owns its end point too, and a non-final one-point stretch owns nothing

@@ -11,7 +11,10 @@ the float log2 of a power sum with a fractional exponent.  A point's
 weight is its one-point range; its split log2 weight writes that one run
 out.  This module imports no numpy, so neither do the kinds built on it
 alone; the vector of float log2 weights of a point array is
-`walks.log2_weights`.
+`walks.log2_weights`.  A family memoizes its split parts itself: a product
+family per axis range, keyed by (axis, lo, hi, stride), a table per region.
+Nothing is cached at module level, as every run builds its own family and
+a process-wide cache would only keep dead families alive.
 
 Goodness decisions go through `mass_le`, which decides from the split
 form with a certified error margin, and where that cannot decide from
@@ -69,10 +72,7 @@ class Box:
         return hi - lo + 1
 
     def npoints(self) -> int:
-        n = 1
-        for lo, hi in self.intervals:
-            n *= hi - lo + 1
-        return n
+        return math.prod(hi - lo + 1 for lo, hi in self.intervals)
 
     def contains(self, v: Sequence[int]) -> bool:
         for c, (lo, hi) in zip(v, self.intervals, strict=True):
@@ -125,17 +125,11 @@ class Segment:
         if not 0 <= self.axis < len(self.anchor):
             raise ValueError("axis out of range")
         if self.ambient is not None:
-            # the anchor coordinate by coordinate, as `Box.contains` reads it,
-            # with the last point's moving coordinate on the way
-            axis, last_in = self.axis, True
-            end = self.anchor[axis] + (self.count - 1) * self.step * self.stride
-            for k, (c, (lo, hi)) in enumerate(zip(self.anchor, self.ambient.intervals,
-                                                  strict=True)):
-                if not lo <= c <= hi:
-                    raise ValueError(f"segment point {self.anchor} escapes ambient box")
-                if k == axis:
-                    last_in = lo <= end <= hi
-            if not last_in:
+            if not self.ambient.contains(self.anchor):
+                raise ValueError(f"segment point {self.anchor} escapes ambient box")
+            # the last point leaves the anchor's coordinates on the moving axis alone
+            lo, hi = self.ambient.intervals[self.axis]
+            if not lo <= self.anchor[self.axis] + (self.count - 1) * self.step * self.stride <= hi:
                 raise ValueError(f"segment point {self.last()} escapes ambient box")
 
     def point(self, t: int) -> Coords:
@@ -412,10 +406,8 @@ def _ranges(region: Box | Segment) -> list[tuple[int, int, int, int]]:
     a product family's memo keys."""
     if isinstance(region, Box):
         return [(k, lo, hi, 1) for k, (lo, hi) in enumerate(region.intervals)]
-    axis = region.axis
-    out = [(k, c, c, 1) for k, c in enumerate(region.anchor) if k != axis]
-    out.append((axis, *region.axis_values()))
-    return out
+    fixed = [(k, c, c, 1) for k, c in enumerate(region.anchor) if k != region.axis]
+    return [*fixed, (region.axis, *region.axis_values())]
 
 
 class LengthFamily:
@@ -451,13 +443,6 @@ class LengthFamily:
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
         """log2 of the sum of weight^alpha over the segment's points."""
-        raise NotImplementedError
-
-    def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
-                         alpha: float) -> float:
-        """`segment_power_log2` of the segment through anchor whose moving
-        coordinate runs over lo, lo + stride, ..., hi; anchor[axis] is lo or
-        hi, the end the segment starts from."""
         raise NotImplementedError
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
@@ -537,13 +522,20 @@ class ProductFamily(LengthFamily):
 
     def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
                          alpha: float) -> float:
-        m = alpha * self.scale_log2
+        """`segment_power_log2` of the segment through anchor whose moving
+        coordinate runs over lo, lo + stride, ..., hi; anchor[axis] is lo or
+        hi, the end the segment starts from."""
+        m, memo = alpha * self.scale_log2, self._memo
         for k, c in enumerate(anchor):
             if k != axis:
-                if not self.axes[k].contains(c):
+                # a point's parts, None outside the support, as in mass_log2_parts
+                key = k, c, c, 1
+                term = memo.get(key, memo)
+                if term is memo:
+                    term = memo[key] = self.axes[k].log2_parts(c, c, 1)
+                if term is None:
                     return NEG_INF
-                e, f = self.axes[k].point_parts(c)
-                m += alpha * (e + f)
+                m += alpha * (term[0] + term[1])
         return m + self.axes[axis].power_log2(lo, hi, stride, alpha)
 
 
@@ -586,17 +578,16 @@ class TableFamily(LengthFamily):
         return MassForm(total, ONE, ONE)
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
-        out = self._memo.get(region, self._memo)
-        if out is self._memo:
-            out = self._memo[region] = super().mass_log2_parts(region)
-        return out
+        if region not in self._memo:
+            self._memo[region] = super().mass_log2_parts(region)
+        return self._memo[region]
 
     def segment_power_log2(self, seg: Segment, alpha: float) -> float:
         return self.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha)
 
     def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
                          alpha: float) -> float:
-        # the points in the segment's order, from its anchor on
+        # `ProductFamily.range_power_log2`, summed in the segment's order
         out, p = NEG_INF, list(anchor)
         ts = range(lo, hi + 1, stride) if anchor[axis] == lo else range(hi, lo - 1, -stride)
         for t in ts:

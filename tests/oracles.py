@@ -9,8 +9,10 @@ their Fraction forms, subdivision leaves and the share of non-admissible
 levels, per-point mean goodness and the goodness of a segment's flag, the
 linear scans and the depth-first fully-good search that the chain
 searches replaced, exact packed lengths, every prefix of a word, the
-per-step orbit of a fundamental domain and the report writer's
-row-by-row form), a small fixture map for the derivative checks, or an
+per-step orbit of a fundamental domain, the report writer's row-by-row
+form, the split log2 masses, mass ratios and power sums summed with no
+memo, and the two-point, generator-based region checks of `Box` and
+`Segment`), a small fixture map for the derivative checks, or an
 input of those oracles (the walk kernel and lattice paths).
 `exact_mass` is no oracle: it reads the package's own exact mass form as
 a rational, for tests of something else.
