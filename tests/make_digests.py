@@ -23,6 +23,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from critreg.cli import main as cli_main
+
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "digests.json"
 
@@ -35,10 +37,8 @@ CAP_LINES = (
 
 def run_line(line: str, out: Path) -> dict:
     """Exit code and per-file sha256 of one argv line run with --out."""
-    from critreg.cli import main
-
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main([*line.split(), "--out", str(out)])
+        code = cli_main([*line.split(), "--out", str(out)])
     files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
              for f in sorted(out.iterdir())} if out.is_dir() else {}
     return {"exit": code, "files": files}
