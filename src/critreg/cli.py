@@ -20,6 +20,7 @@ import csv
 import functools
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -418,27 +419,64 @@ def _json_text(value, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
+def _write_file(path: str, text: str) -> None:
+    """``Path(path).write_text(text, newline="")`` as one open, write and
+    close: the same bytes, mode and errors, without a text-mode file.
+
+    Text mode encodes in the locale's encoding.  Every locale encoding on
+    POSIX extends ASCII, so ASCII text (every CLI report) is encoded as
+    ASCII, without importing `locale`; other text takes the locale's."""
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        if text.isascii():
+            data = memoryview(text.encode("ascii"))
+        else:
+            import locale
+
+            data = memoryview(text.encode(locale.getpreferredencoding(False)))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def write_report(report: dict, out_dir: str | Path) -> Path:
     """Emit report.json plus CSV tables and two-column growth data files.
 
     report.json is ``json.dumps(report, sort_keys=True, indent=2,
     default=str)`` and a newline; checks.csv is in the csv module's default
-    dialect (CRLF rows); each table's line is "a b".  Each file is built as
-    one string and written once.
+    dialect (CRLF rows); each table's line is "a b".  Every file of a CLI
+    report is ASCII and is written with one open/write/close: built as one
+    string, encoded as text mode encodes it on POSIX ("\\n" kept as is),
+    and truncating any file of the same name.
+    The directory, files, modes and errors are those of ``Path.mkdir(
+    parents=True, exist_ok=True)`` and ``Path.write_text``.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "report.json"
-    path.write_text(_json_text(report) + "\n")
+    base = str(out)
+    # `out.mkdir(parents=True, exist_ok=True)`, which starts with this mkdir
+    try:
+        os.mkdir(base)
+    except FileNotFoundError:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        if not out.is_dir():
+            raise
+    # `out / name` as a string: the same path, so the same error messages
+    prefix = "" if base == "." else os.path.join(base, "")
+    _write_file(prefix + "report.json", _json_text(report) + "\n")
     rows = io.StringIO()
     w = csv.writer(rows)
     w.writerow(["check", "passed", "value", "bound", "note"])
     w.writerows([r["check"], r["passed"], r["value"], r["bound"], r["note"]]
                 for r in report["rows"])
-    (out / "checks.csv").write_text(rows.getvalue(), newline="")
+    _write_file(prefix + "checks.csv", rows.getvalue())
     for name, table in report.get("tables", {}).items():
-        (out / f"{name}.dat").write_text("".join([f"{a} {b}\n" for a, b in table]))
-    return path
+        _write_file(f"{prefix}{name}.dat", "".join([f"{a} {b}\n" for a, b in table]))
+    return out / "report.json"
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +609,10 @@ def _parser() -> argparse.ArgumentParser:
         description="run the chain, walk, action and dynamics verifiers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each kind's own parser, which `_parse` calls directly
+    parser.kind_parsers = {}
     for kind, fields in KIND_FIELDS.items():
-        p = sub.add_parser(kind)
+        p = parser.kind_parsers[kind] = sub.add_parser(kind)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         for field in fields:
             flag, options = FLAGS[field]
@@ -591,10 +631,29 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``: the same namespace, output, errors
+    and exits.  An argv whose first word is a kind goes straight to that
+    kind's parser, which is where the top parser would send all of it; a
+    word that the kind does not read is the top parser's usage error, as
+    there.  Any other argv takes the top parser."""
+    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    kind_parser = parser.kind_parsers.get(argv[0]) if argv else None
+    if kind_parser is None:
+        return parser.parse_args(argv)
+    args, extra = kind_parser.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def _main(argv: list[str] | None) -> int:
     """One call's exit code; a usage, validation, I/O or allocation error,
     the report writes included, propagates to ``main``, which exits 1."""
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     if args.command == "report":
         report = _load_report(args.path)
     else:

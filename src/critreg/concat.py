@@ -205,10 +205,11 @@ def _junction(a: Segment, b: Segment) -> Coords:
     return out
 
 
-def _mean_bound(level: Fraction, size: int, ambient: Box) -> Bound:
+def _mean_bound(level: Fraction, size: int, ambient: Box, points: int) -> Bound:
     """The bound: mean over a region of `size` points at most level times
-    the ambient mean."""
-    return Bound(Fraction(level.numerator * size, level.denominator * ambient.npoints()), ambient)
+    the mean of the ambient box, which has `points` points (its `npoints()`,
+    counted once by the caller for all the bounds on that box)."""
+    return Bound(Fraction(level.numerator * size, level.denominator * points), ambient)
 
 
 def _stretch(entry: Coords, exit_: Coords, axis: int, stride: int = 1) -> Segment:
@@ -446,11 +447,13 @@ def reach_vertical_section(
     # fully good check along the chain restricted to the fiber: each
     # member's mean is at most mu times the box mean
     fiber_ivs = tuple((c, c) for c in point[:-1])
+    box_points = box.npoints()
     members = []
     for k in range(1, len(level.chain) + 1):
         piece = tree.chain_box(level.chain[:k])
         restricted = Box(fiber_ivs + (piece.intervals[-1],))
-        members.append((restricted, _mean_bound(Fraction(1), restricted.npoints(), box)))
+        members.append(
+            (restricted, _mean_bound(Fraction(1), restricted.npoints(), box, box_points)))
     if mu is None:
         mu_val = Fraction(2) ** _least_power_of_two(family, members)
     else:
@@ -472,7 +475,7 @@ def reach_vertical_section(
         return Segment(anchor, dim - 1, count, stride=stride)
 
     def seg_ok(s: Segment) -> bool:
-        return mass_le(family, s, _mean_bound(lam, s.count, box))
+        return mass_le(family, s, _mean_bound(lam, s.count, box, box_points))
 
     covered: set[int] = set()
     chains: dict[int, tuple[Segment, ...]] = {}
@@ -593,11 +596,11 @@ def _fully_good_segment(
     order = [(axis - t) % dim for t in range(1, dim)]
     # the member at depth t fixes the axes order[:t+1], so its size, and
     # with it the bound of `_mean_bound`, depends on t alone
-    size = box.npoints()
+    size = points = box.npoints()
     member = box
     for a in order:
         size //= box.side(a)
-        bound = _mean_bound(lam, size, box)
+        bound = _mean_bound(lam, size, box, points)
         (member,) = _first_translate(
             family, [(member.fix_axis(a, box.intervals[a][0]), bound)], a, 1, box.side(a),
             "no fully good segment in box", None,
@@ -627,7 +630,8 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
         nxt_seg = _fully_good_segment(family, nxt, m_next, lam)
         # every staircase segment is a full overlap segment, so its bound
         # depends only on its axis
-        bounds = [_mean_bound(lam_prime, overlap.side(a), overlap) for a in range(d)]
+        points = overlap.npoints()
+        bounds = [_mean_bound(lam_prime, overlap.side(a), overlap, points) for a in range(d)]
         # choose the target point on the next anchor segment, scanning its
         # span, so that the connecting staircase in the overlap is good.  The
         # staircase's first segment runs along m_next, the same for every
@@ -649,13 +653,14 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
         )
         legs.append(
             SegmentRecord(n, f"g{n}.1", seg, "fully-good-anchor",
-                          _mean_bound(lam, seg.count, box))
+                          _mean_bound(lam, seg.count, box, box.npoints()))
         )
         legs += [SegmentRecord(n, f"g{n}.{k + 2}", s, "staircase-overlap", bounds[s.axis])
                  for k, s in enumerate(stair)]
         seg = nxt_seg
+    last = seq.box(hi_n)
     legs.append(SegmentRecord(hi_n, f"g{hi_n}.1", seg, "fully-good-anchor",
-                              _mean_bound(lam, seg.count, seq.box(hi_n))))
+                              _mean_bound(lam, seg.count, last, last.npoints())))
     return _assemble("B-general", seq, alphas, legs, _walk_start(family, seq),
                      {"lambda": float(lam), "lambda_prime": float(lam_prime)})
 
@@ -817,13 +822,14 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
     # segment's mean ratio.  The orbit construction's roundness-driven level
     # needs a target proportion below 1/a^2, and every FF sequence has
     # a >= (1 + 4^(d+1))^(d-1), the roundness constant of its first box
+    points = {n: seq.box(n).npoints() for n in range(lo_n, hi_n)}
     m = _least_power_of_two(family, [
-        (seg, _mean_bound(Fraction(1), seg.count, seq.box(n))) for n, seg in plan
+        (seg, _mean_bound(Fraction(1), seg.count, seq.box(n), points[n])) for n, seg in plan
     ])
     lam = Fraction(2) ** m
     legs = [
         SegmentRecord(n, f"g{n}.{seg.axis + 1}", seg, "staircase-mean",
-                      _mean_bound(lam, seg.count, seq.box(n)), f"f({seg.axis + 2},1)")
+                      _mean_bound(lam, seg.count, seq.box(n), points[n]), f"f({seg.axis + 2},1)")
         for n, seg in plan
     ]
     # the walk stops at the last overlap's lower corner

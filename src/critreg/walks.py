@@ -174,12 +174,14 @@ def batch_certificates(
 def _shared_cost(family: ProductFamily, n: int) -> float:
     """Every walk's cost on an equal-rate family: the terms
     exp2(log2 w(t, 0, ..., 0) / d) for t < n, added in step order by one
-    running sum (`np.cumsum` adds sequentially, as the steps would)."""
+    running sum (`np.cumsum` adds sequentially, as the steps would).  The
+    log2 weights are `log2_weights` of that line, read off the split form:
+    the int64 exponent e0 - rate t plus f0, one rounding per point."""
     if not n:
         return 0.0
-    line = np.zeros((n, family.d), dtype=np.int64)
-    line[:, 0] = np.arange(n)
-    return float(np.cumsum(np.exp2(log2_weights(family, line) / family.d))[-1])
+    e0, f0 = family.point_base
+    log2_w = (e0 - family.axes[0].rate * np.arange(n)) + f0
+    return float(np.cumsum(np.exp2(log2_w / family.d))[-1])
 
 
 def _sample_pass(
@@ -213,19 +215,27 @@ def _summary(family: LengthFamily, n: int, costs: np.ndarray, ends: np.ndarray) 
     first = costs <= cb * (1.0 + COST_REL_TOL)
     q = b_exact / (n + 1) ** (d - 1)
     second = np.fromiter(weights_le(family, ends.tolist(), q), dtype=bool, count=len(ends))
-    ok = first & second
-    witness = int(np.argmax(ok)) if ok.any() else None
+    witness, success_fraction = _certified(first & second)
     mean_bound = float(mass / sphere_constant(d)) ** (1.0 / d)
     mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * MEAN_SLACK
     return BatchSummary(
         d=d,
         n=n,
         samples=len(costs),
-        success_fraction=float(np.mean(ok)),
-        mean_cost=float(np.mean(costs)),
+        success_fraction=success_fraction,
+        mean_cost=float(np.mean(costs)),  # numpy's pairwise sum, as reported
         mean_cost_bound=mean_bound,
         cost_bound=cb,
         bound_b=b_float,
         witness=witness,
         witness_cost=None if witness is None else float(costs[witness]),
     )
+
+
+def _certified(ok: np.ndarray) -> tuple[int | None, float]:
+    """The first certified sample (None if there is none) and the share
+    of certified samples, from one pass over the nonempty bool array `ok`.
+    The share is the float `np.mean(ok)` gives: its sum of ones is exact,
+    and both divide once, correctly rounded."""
+    hits = np.flatnonzero(ok)
+    return (int(hits[0]) if len(hits) else None), len(hits) / len(ok)

@@ -11,8 +11,9 @@ linear scans and the depth-first fully-good search that the chain
 searches replaced, exact packed lengths, every prefix of a word, the
 per-step orbit of a fundamental domain, the report writer's row-by-row
 form, the split log2 masses, mass ratios and power sums summed with no
-memo, and the two-point, generator-based region checks of `Box` and
-`Segment`), a small fixture map for the derivative checks, or an
+memo, the two-point, generator-based region checks of `Box` and
+`Segment`, and the decided walk pass's cost line and summary as
+`log2_weights` and `np.mean`/`np.argmax` gave them), a small fixture map for the derivative checks, or an
 input of those oracles (the walk kernel and lattice paths).
 `exact_mass` is no oracle: it reads the package's own exact mass form as
 a rational, for tests of something else.
@@ -50,6 +51,7 @@ from critreg.lattice import (
 )
 from critreg.nilpotent import IntervalPacking, UnipotentMatrix, Word, _identity_rows
 from critreg.smooth import SmoothMap
+from critreg.walks import log2_weights
 
 
 class OracleSizeError(ValueError):
@@ -758,3 +760,19 @@ def write_report_rows(report: dict, out: Path) -> None:
         with (out / f"{name}.dat").open("w") as fh:
             for a, b in table:
                 fh.write(f"{a} {b}\n")
+
+
+def shared_cost_line(family: ProductFamily, n: int) -> float:
+    """`walks._shared_cost` by `walks.log2_weights` over the (n, d) point
+    array of the line (t, 0, ..., 0), t < n, summed by one running sum."""
+    if not n:
+        return 0.0
+    line = np.zeros((n, family.d), dtype=np.int64)
+    line[:, 0] = np.arange(n)
+    return float(np.cumsum(np.exp2(log2_weights(family, line) / family.d))[-1])
+
+
+def certified_mean_argmax(ok: np.ndarray) -> tuple[int | None, float]:
+    """`walks._certified` as `np.argmax` and `np.mean` of the bool array."""
+    witness = int(np.argmax(ok)) if ok.any() else None
+    return witness, float(np.mean(ok))

@@ -21,6 +21,7 @@ from critreg.cli import (
     KINDS,
     ConfigError,
     ExperimentConfig,
+    _parse,
     _parser,
     _read_table,
     main,
@@ -28,6 +29,7 @@ from critreg.cli import (
     write_report,
 )
 
+from make_digests import LEDGER
 from oracles import write_report_rows
 
 
@@ -362,6 +364,81 @@ class TestReportText:
         assert (tmp_path / "t.dat").read_bytes() == b"1 0.5\n2 s\n"
 
 
+def _report_of(argv: list[str]) -> dict:
+    """The report `main(argv)` writes with --out: the run's, or the search
+    failure's."""
+    args = _parse(argv)
+    cfg = cli._config_from(args, args.command)
+    try:
+        return run(cfg)
+    except concat.ChainSearchError as exc:
+        return cli._search_failure_report(cfg, exc)
+
+
+def _tree(root: Path) -> dict:
+    """Each file and directory under root: its bytes (None for a directory)
+    and its mode."""
+    return {str(f.relative_to(root)): (None if f.is_dir() else f.read_bytes(), f.stat().st_mode)
+            for f in sorted(root.rglob("*"))}
+
+
+@contextlib.contextmanager
+def _umask(mask: int):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+class TestWriter:
+    """`write_report` writes each file with one open, write and close: the
+    bytes, modes and errors of `Path.mkdir` and `Path.write_text`."""
+
+    def test_overwrites_longer_files_with_exactly_the_new_bytes(self, tmp_path):
+        report = run(_cfg(kind="dynamics", k_max=30))
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        write_report(report, fresh)
+        reused.mkdir()
+        for f in fresh.iterdir():
+            (reused / f.name).write_bytes(b"x" * (3 * f.stat().st_size + 100))
+        assert write_report(report, reused) == reused / "report.json"
+        assert _tree(reused) == _tree(fresh)
+
+    @pytest.mark.parametrize("mask", [0o022, 0o002, 0o027, 0o077])
+    def test_modes_are_those_of_write_text(self, mask, tmp_path):
+        report = run(_cfg(kind="lemma1", d=2, n_max=20, samples=30))
+        with _umask(mask):
+            write_report(report, tmp_path / "a" / "b")
+            write_report_rows(report, tmp_path / "c" / "b")
+        assert _tree(tmp_path / "a") == _tree(tmp_path / "c")
+        assert (tmp_path / "a").stat().st_mode == (tmp_path / "c").stat().st_mode
+
+    @pytest.mark.parametrize("out", ["regular-file", "regular-file/sub",
+                                     "regular-file/sub/deeper", "dir-report/",
+                                     "./dir-checks", "dir-table", ".", "./"])
+    def test_errors_are_those_of_write_text(self, out, workdir):
+        # an --out that is a file, one or two levels under a file, or holds
+        # a directory in place of report.json, checks.csv or a table
+        for name in ("dir-report/report.json", "dir-checks/checks.csv",
+                     "dir-table/wandering.dat", "report.json"):
+            Path(name).mkdir(parents=True)
+        report = run(_cfg(kind="dynamics", k_max=30))
+        with pytest.raises(OSError) as got:
+            write_report(report, out)
+        with pytest.raises(OSError) as want:
+            write_report_rows(report, Path(out))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("out", [".", "./"])
+    def test_current_directory(self, out, workdir, capsys):
+        # the files land in the working directory, and the path printed is
+        # the one a Path join gives
+        assert main(["dynamics", "--k-max", "30", "--out", out]) == 0
+        assert capsys.readouterr().out.endswith("report written to report.json\n")
+        assert Path("report.json").is_file() and Path("wandering.dat").is_file()
+
+
 class TestMain:
     def test_exit_codes_and_output(self, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -664,6 +741,9 @@ USAGE_ERRORS = [
     "boxes --d 3 --variant FF --alpha 1/2,1/2",
 ]
 
+# usage errors that need no file
+INLINE_USAGE_ERRORS = [["lemma1", "--bogus", "1"], [], ["lemma1", "--n-max", "x"], ["nonsense"]]
+
 SMALL = {
     "lemma1": ["--d", "2", "--n-max", "20", "--samples", "30", "--seed", "4"],
     "boxes": ["--d", "2", "--variant", "B-d2", "--alpha", "1/2,1/2", "--n-max", "8"],
@@ -685,7 +765,7 @@ class TestFlags:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv", [["lemma1", "--bogus", "1"], [], ["lemma1", "--n-max", "x"], ["nonsense"],
+        "argv", [*INLINE_USAGE_ERRORS,
                  *(pytest.param(line.split(), id=line) for line in USAGE_ERRORS)]
     )
     def test_usage_errors_exit_one(self, argv, capsys, workdir):
@@ -765,6 +845,63 @@ class TestFlags:
         path.write_text(json.dumps(config))
         main([kind, "--config", str(path), "--out", str(second)])
         assert (second / "report.json").read_bytes() == (first / "report.json").read_bytes()
+
+
+def _parse_outcome(parse, argv: list[str]) -> tuple:
+    """What parsing argv gives: the namespace, a SystemExit code or a usage
+    error's message, and everything written to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except ConfigError as exc:
+            result = ("usage error", str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+# every ledger argv, with and without --out, every usage-error line, and
+# argvs at the edges of the kind parsers: unknown words and flags, help,
+# "--", a flag without its value, and argvs the top parser takes
+PARSE_LINES = [
+    *(line.split() for line in json.loads(LEDGER.read_text())),
+    *([*line.split(), "--out", "rep"] for line in json.loads(LEDGER.read_text())),
+    *(line.split() for line in USAGE_ERRORS),
+    *([kind, *SMALL[kind], *UNREAD_FLAGS[kind]] for kind in KINDS),
+    *INLINE_USAGE_ERRORS,
+    ["lemma1", "--bogus"], ["lemma1", "extra"], ["lemma1", "--help"], ["lemma1", "--he"],
+    ["lemma1", "-h", "--bogus"], ["lemma1", "--", "x"], ["lemma1", "--out"],
+    ["lemma1", "--d=3", "--d", "2"], ["dynamics", "--help"], ["-h"], ["--help"], ["report"],
+    ["report", "-h"], ["report", "a", "b"], ["report", "a.json"], ["-x"], ["--", "lemma1"], [],
+]
+
+
+class TestParse:
+    """`_parse` sends an argv that starts with a kind to that kind's parser,
+    and gives what the top parser gives."""
+
+    def test_same_as_the_top_parser(self):
+        # the namespace, or the exit code or usage error, and the full
+        # stdout and stderr, argv by argv
+        differ = [argv for argv in PARSE_LINES
+                  if _parse_outcome(_parse, argv) != _parse_outcome(_parser().parse_args, argv)]
+        assert len(PARSE_LINES) > 1600 and not differ, differ
+
+    @pytest.mark.parametrize("argv", [["lemma1", "--bogus"], ["lemma1", "extra"],
+                                      ["lemma1", "--help"], ["-h"], ["report"], []])
+    def test_errors_and_help(self, argv):
+        # the lines compared above fail or exit as they should: help exits
+        # 0 with no stderr, a usage error prints a usage line first
+        (what, value), out, err = _parse_outcome(_parse, argv)
+        if "-h" in argv or "--help" in argv:
+            assert (what, value, err) == ("exit", 0, "") and out.startswith("usage: critreg")
+        else:
+            assert what == "usage error" and not out and err.startswith("usage: critreg")
+
+    def test_reads_sys_argv_when_given_none(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["critreg", "lemma1", "--d", "3"])
+        assert _parse(None) == _parser().parse_args(["lemma1", "--d", "3"])
 
 
 # Runs critreg.cli.main on each argv of sys.argv[1] (a JSON list) in one fresh
@@ -1137,3 +1274,12 @@ def test_pinned_report(line, workdir):
     assert Path("again/report.json").read_bytes() == first
     if kind.startswith("chain") and code != 3:
         assert [r["passed"] for r in report["rows"] if r["check"] == "chain-reverify"] == [True]
+
+
+@pytest.mark.parametrize("line", REPORTS)
+def test_pinned_report_equals_the_row_by_row_writer(line, workdir):
+    # the bytes and modes of every file, against `Path.write_text` row by row
+    report = _report_of(line.split())
+    assert write_report(report, "first") == Path("first", "report.json")
+    write_report_rows(report, Path("want"))
+    assert _tree(Path("first")) == _tree(Path("want"))

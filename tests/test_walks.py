@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from critreg.lattice import (
     MARGIN,
@@ -44,8 +45,10 @@ from oracles import (
     arrival_distribution,
     box_points,
     brute_min_cost,
+    certified_mean_argmax,
     enumerate_min_cost,
     geodesic,
+    shared_cost_line,
     sphere_points,
     transition_distribution,
 )
@@ -497,6 +500,37 @@ class TestBatch:
         # geometric weights make every path cost identical
         expected = sum(2.0 ** (-(j + 2) / 2) for j in range(100))
         assert math.isclose(s.mean_cost, expected, rel_tol=1e-9)
+
+
+class TestDecidedPassForms:
+    """The decided pass's exponent line and its witness and success
+    fraction equal, with ==, the forms they replaced (`tests/oracles.py`)."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_shared_cost_is_the_log2_weights_line(self, d):
+        fams = (geometric_family(d), symmetric_geometric_family(d),
+                uniform_box_family(Box(((0, 712),) * d)),
+                # uneven sides, a negative lower end and a scale: unequal coefs
+                uniform_box_family(Box(((-3, 720),) + ((0, 4),) * (d - 1)), Fraction(7, 5)))
+        for fam in fams:
+            for n in (0, 1, 2, 63, 64, 712):
+                assert walks._shared_cost(fam, n) == shared_cost_line(fam, n), (fam.name, n)
+
+    @given(arrays(np.bool_, st.integers(1, 3000)))
+    @settings(max_examples=200, deadline=None)
+    def test_certified_is_argmax_and_mean(self, ok):
+        witness, fraction = walks._certified(ok)
+        want_witness, want_fraction = certified_mean_argmax(ok)
+        assert witness == want_witness and type(witness) is type(want_witness)
+        assert fraction == want_fraction and type(fraction) is float
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 128, 129, 1000, 4097])
+    def test_certified_on_all_none_and_last(self, size):
+        # block edges of numpy's pairwise sum, with no, every and only the
+        # last sample certified
+        for ok in (np.zeros(size, bool), np.ones(size, bool),
+                   np.arange(size) == size - 1):
+            assert walks._certified(ok) == certified_mean_argmax(ok)
 
 
 def tie_family(end, above):
