@@ -557,7 +557,9 @@ def _check_config_value(field: str, value) -> None:
 def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     fields = KIND_FIELDS[kind]
     base: dict = {}
-    if args.config:
+    if args.config is not None:
+        if not args.config:
+            raise ConfigError("--config needs a file path, not an empty string")
         base = json.loads(Path(args.config).read_text())
         if not isinstance(base, dict):
             raise ConfigError("the config file must hold a JSON object")
@@ -657,13 +659,15 @@ def _main(argv: list[str] | None) -> int:
     if args.command == "report":
         report = _load_report(args.path)
     else:
+        if args.out == "":
+            raise ConfigError("--out needs a directory path, not an empty string")
         cfg = _config_from(args, args.command)
         try:
             report = run(cfg)
         except concat.ChainSearchError as exc:
             stats = "".join(f"; {k}: {v}" for k, v in getattr(exc, "stats", {}).items())
             print(f"error: {exc}{stats}", file=sys.stderr)
-            if args.out:
+            if args.out is not None:
                 path = write_report(_search_failure_report(cfg, exc), args.out)
                 print(f"report written to {path}")
             return 3
@@ -672,7 +676,7 @@ def _main(argv: list[str] | None) -> int:
         print(f"[{status}] {r['check']}: value={r['value']} bound={r['bound']}")
     if args.command == "report":
         print("overall:", "pass" if report["passed"] else "FAIL")
-    elif args.out:
+    elif args.out is not None:
         path = write_report(report, args.out)
         print(f"report written to {path}")
     return 0 if report["passed"] else 2

@@ -59,10 +59,17 @@ Four arguments make the float results exact where it matters:
   leave (0, 1), so they take no second pass.  The orbit then takes Dg,
   its positivity check and its log at all the block's positions at once;
   ``df`` and ``log`` act elementwise, so each value is the float a
-  per-step call gives.  ``cumsum`` down the block adds the rows one after
-  another onto the carried log product, the same additions in the same
+  per-step call gives.  Each row of logs then gets the row before it
+  added, the carried log product first: the same additions in the same
   order as a per-step running sum.  A nonpositive derivative raises at
   the end of its block, before any result is returned.
+
+The orbit works in arrays it allocates once per call: the block's position
+rows and its log rows, each with a row 0 that carries the block's start.
+Each step writes g straight into the next position row, and Dg and its log
+are taken in the log rows (``f`` and ``df`` take numpy's ``out=``), so no
+step copies a row and a block allocates no block-sized array but the one
+temporary of ``df``.
 """
 
 from __future__ import annotations
@@ -92,7 +99,11 @@ HOLDER_BLOCK_ROWS = 64
 # while U_k is at least M_k / (G_k^alpha (1 + e)) * (1 - u)^2 * SLACK.
 # SLACK >= (1 + e)(1 + u) / ((1 - e)(1 - u)^2), about 1 + 2^-43, suffices.
 HOLDER_SLACK = 1.0 + 2.0 ** -40
-# orbit steps whose derivatives are taken at once (128 x 257 floats, 0.26 MB)
+# orbit steps whose derivatives are taken at once (128 x 257 floats, 0.26 MB).
+# A block-sized array is past glibc's 128 KiB mmap threshold, so each new one
+# is a fresh mapping whose pages fault on first touch (about 225 minor faults
+# per 750-step dynamics op when every block allocated its own); the orbit
+# allocates its block arrays once per call and works in them
 ORBIT_BLOCK_STEPS = 128
 
 
@@ -100,10 +111,14 @@ ORBIT_BLOCK_STEPS = 128
 class SmoothMap:
     """Closed-form interval map with derivative access.
 
-    ``f`` and ``df`` act elementwise on float64 arrays of any shape, treat
-    -0.0 and +0.0 alike and return new arrays, which the orbit overwrites.
-    The orbit clips a block only after stepping it, so ``f`` can also meet
-    points outside [a, b] that an earlier step of the block reached.
+    ``f`` and ``df`` act elementwise on float64 arrays of any shape and on
+    ``np.float64`` scalars, and treat -0.0 and +0.0 alike.  Each takes
+    numpy's ``out=`` convention: ``f(x, out=y)`` writes the values into y,
+    an array of x's shape that is not x, and returns y; without ``out`` it
+    returns a new array (a scalar for a scalar).  The orbit passes ``out``;
+    g(x0) and the fixed-point checks do not.  The orbit clips a block only
+    after stepping it, so ``f`` can also meet points outside [a, b] that an
+    earlier step of the block reached.
     """
 
     name: str
@@ -128,18 +143,20 @@ def parabolic_map(c: float) -> SmoothMap:
     """x + c*x^2*(1-x)^2 on [0,1]: both endpoints parabolic, no interior
     fixed points, derivative positive for c < 3*sqrt(3).
 
-    ``f`` and ``df`` below work in place on their own temporaries, with
-    the operations and order of ``x + c * x ** 2 * (1 - x) ** 2`` and
-    ``1 + 2 * c * x * (1 - x) * (1 - 2 * x)``; IEEE + and * commute, so
-    every value rounds as in those expressions.  The squares stay ``** 2``
-    and ``**= 2``: on an ``np.float64`` scalar they call libm ``pow``, which
-    can differ from ``x * x`` by one ulp (x = 0.2518727338099447), so
-    ``x * x`` or ``np.square`` would move g(x0) on some intervals."""
+    ``f`` and ``df`` below work in ``out``, or in a new array, and one
+    temporary, with the operations and order of ``x + c * x ** 2 * (1 - x) ** 2``
+    and ``1 + 2 * c * x * (1 - x) * (1 - 2 * x)``; IEEE + and * commute, so
+    every value rounds as in those expressions.  An array's ``** 2`` is
+    ``np.square``, so ``f`` squares into ``out`` with it; without ``out``
+    the squares stay ``** 2`` and ``**= 2``: on an ``np.float64`` scalar
+    they call libm ``pow``, which can differ from ``x * x`` by one ulp
+    (x = 0.2518727338099447), so ``x * x`` or ``np.square`` would move
+    g(x0) on some intervals."""
     if not 0 < c < 4:
         raise ValueError("parameter must lie in (0, 4)")
 
-    def f(x):
-        y = x ** 2
+    def f(x, out=None):
+        y = x ** 2 if out is None else np.square(x, out=out)
         y *= c
         t = 1 - x
         t **= 2
@@ -147,10 +164,11 @@ def parabolic_map(c: float) -> SmoothMap:
         y += x
         return y
 
-    def df(x):
-        y = 2 * c * x
-        y *= 1 - x
-        y *= 1 - 2 * x
+    def df(x, out=None):
+        y = np.multiply(2 * c, x, out=out)
+        t = np.empty(np.shape(x))  # an array even for a scalar x, to hold both factors
+        y *= np.subtract(1, x, out=t)
+        y *= np.subtract(1, np.multiply(2, x, out=t), out=t)
         y += 1
         return y
 
@@ -257,31 +275,39 @@ def _domain_orbit(g: SmoothMap, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     steps forward.  Returns var_J log Dg^k for k = 1..k_max (max - min over
     the grid) and the (left, right) ends of g^k J for k = 0..k_max."""
     x0 = 0.5 * (g.a + g.b)
-    pos = np.empty((ORBIT_BLOCK_STEPS + 1, 257))
+    rows = min(k_max, ORBIT_BLOCK_STEPS)
+    # positions, then the running log products of the block's steps; row 0
+    # of each carries the block's start.  One allocation: once it is freed,
+    # glibc serves allocations up to its size from the heap, so the next
+    # call's arrays and the block temporary of df fault no fresh pages in
+    pos, logs = np.empty((2, rows + 1, 257))
+    # the rows as views, taken once: indexing costs as much as a row's add
+    pos_rows, log_rows = list(pos), list(logs)
     pos[0] = np.linspace(x0, float(g.f(np.float64(x0))), 257)
-    logprod = np.zeros(257)
+    logs[0] = 0.0
     variation = np.empty(k_max)
     ends = np.empty((k_max + 1, 2))
     ends[0] = pos[0, 0], pos[0, -1]
     for k0 in range(0, k_max, ORBIT_BLOCK_STEPS):
         steps = min(ORBIT_BLOCK_STEPS, k_max - k0)
-        for s in range(steps):
-            pos[s + 1] = g.f(pos[s])
+        for x, y in zip(pos_rows, pos_rows[1 : steps + 1]):
+            g.f(x, out=y)
         moved = pos[1 : steps + 1]
         # fmin and fmax skip NaN, which the clip passes on as well
         lo, hi = np.fmin.reduce(moved, axis=None), np.fmax.reduce(moved, axis=None)
         if not (g.a < lo and hi < g.b):
-            for s in range(steps):
-                np.minimum(np.maximum(g.f(pos[s]), g.a, out=pos[s + 1]), g.b, out=pos[s + 1])
-        d = g.df(pos[:steps])
-        _require_positive(d)
-        np.log(d, out=d)
-        d[0] += logprod
-        np.cumsum(d, axis=0, out=d)
-        variation[k0 : k0 + steps] = np.ptp(d, axis=1)
-        ends[k0 + 1 : k0 + steps + 1] = pos[1 : steps + 1, [0, -1]]
-        logprod = d[-1]
+            for x, y in zip(pos_rows, pos_rows[1 : steps + 1]):
+                np.minimum(np.maximum(g.f(x, out=y), g.a, out=y), g.b, out=y)
+        block = logs[1 : steps + 1]
+        g.df(pos[:steps], out=block)
+        _require_positive(block)
+        np.log(block, out=block)
+        for carried, y in zip(log_rows, log_rows[1 : steps + 1]):
+            np.add(carried, y, out=y)
+        np.ptp(block, axis=1, out=variation[k0 : k0 + steps])
+        ends[k0 + 1 : k0 + steps + 1] = moved[:, [0, -1]]
         pos[0] = pos[steps]
+        logs[0] = logs[steps]
     return variation, ends
 
 

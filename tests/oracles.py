@@ -603,8 +603,27 @@ def prefixes(word: Word) -> list[UnipotentMatrix]:
 # ---------------------------------------------------------------------------
 
 
+def plain_map(name: str, f: Callable, df: Callable, a: float, b: float,
+              fixed_points: tuple[float, ...] = ()) -> SmoothMap:
+    """The map of the plain elementwise expressions f and df, in the
+    ``out=`` form `SmoothMap` takes: given ``out``, each call writes the
+    expression's floats there and returns it."""
+    return SmoothMap(name, _into_out(f), _into_out(df), a, b, fixed_points)
+
+
+def _into_out(fn: Callable) -> Callable:
+    def call(x, out=None):
+        y = fn(x)
+        if out is None:
+            return y
+        out[...] = y
+        return out
+
+    return call
+
+
 def identity_map() -> SmoothMap:
-    return SmoothMap("identity", lambda x: x, lambda x: np.ones_like(x), 0.0, 1.0, (0.0, 1.0))
+    return plain_map("identity", lambda x: x, lambda x: np.ones_like(x), 0.0, 1.0, (0.0, 1.0))
 
 
 def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
@@ -612,7 +631,7 @@ def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
     if slope <= 0:
         raise ValueError("slope must be positive")
     fps = (a,) if slope != 1 else (a, b)
-    return SmoothMap(
+    return plain_map(
         f"affine({slope})",
         lambda x: a + slope * (x - a),
         lambda x: np.full_like(np.asarray(x, dtype=float), slope),
@@ -624,7 +643,7 @@ def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
 
 def doubling_fixed_point_map() -> SmoothMap:
     """2x/(1+x) on [0,1]: hyperbolic at 0 with derivative 2."""
-    return SmoothMap(
+    return plain_map(
         "mobius-doubling",
         lambda x: 2 * x / (1 + x),
         lambda x: 2 / (1 + x) ** 2,
@@ -636,7 +655,7 @@ def doubling_fixed_point_map() -> SmoothMap:
 
 def mobius_contraction_map() -> SmoothMap:
     """x/(2-x) on [0,1]: onto, contracting toward 0 (inverse of doubling)."""
-    return SmoothMap(
+    return plain_map(
         "mobius-contraction",
         lambda x: x / (2 - x),
         lambda x: 2 / (2 - x) ** 2,
@@ -658,7 +677,7 @@ def renormalize(g: SmoothMap) -> SmoothMap:
     """Affine conjugate living on [0,1]; its derivative is df(phi^-1(u))."""
     a, b, L = g.a, g.b, g.b - g.a
     f, df = g.f, g.df
-    return SmoothMap(
+    return plain_map(
         f"{g.name}~",
         lambda u: (f(a + L * u) - a) / L,
         lambda u: df(a + L * u),

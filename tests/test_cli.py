@@ -741,8 +741,9 @@ USAGE_ERRORS = [
     "boxes --d 3 --variant FF --alpha 1/2,1/2",
 ]
 
-# usage errors that need no file
-INLINE_USAGE_ERRORS = [["lemma1", "--bogus", "1"], [], ["lemma1", "--n-max", "x"], ["nonsense"]]
+# usage errors that need no file, among them an empty --out and --config
+INLINE_USAGE_ERRORS = [["lemma1", "--bogus", "1"], [], ["lemma1", "--n-max", "x"], ["nonsense"],
+                       ["dynamics", "--k-max", "20", "--out", ""], ["dynamics", "--config", ""]]
 
 SMALL = {
     "lemma1": ["--d", "2", "--n-max", "20", "--samples", "30", "--seed", "4"],
@@ -775,6 +776,17 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error: ")
         assert "expected one argument" not in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    def test_empty_path_exits_one_before_the_run(self, flag, capsys, tmp_path, monkeypatch):
+        # an empty path names no file: the kind does not run, nothing is
+        # written, and one error: line says which flag
+        monkeypatch.chdir(tmp_path)
+        assert main(["dynamics", "--k-max", "20", flag, ""]) == 1
+        out, err = capsys.readouterr()
+        assert not out and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {flag} needs a ")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

@@ -19,6 +19,7 @@ from oracles import (
     doubling_fixed_point_map,
     identity_map,
     mobius_contraction_map,
+    plain_map,
     renormalize,
     restrict,
 )
@@ -45,7 +46,7 @@ class TestHolder:
         assert holder_constant_estimate(identity_map(), 0.5).constant == 0.0
 
     def test_quarter_parabola_bound(self):
-        g = SmoothMap("q", lambda x: x + x ** 2 / 4, lambda x: 1 + x / 2, 0, 1, (0.0,))
+        g = plain_map("q", lambda x: x + x ** 2 / 4, lambda x: 1 + x / 2, 0, 1, (0.0,))
         est = holder_constant_estimate(g, 0.5)
         assert est.constant <= 0.5
 
@@ -74,7 +75,7 @@ class TestGrowthBound:
     def test_hyperbolic_fixed_points_pass(self):
         # the lemma on J needs no parabolic fixed point: both ends of this
         # map have derivative 5/4 and 3/4
-        g = SmoothMap(
+        g = plain_map(
             "hyp", lambda x: x + x * (1 - x) / 4, lambda x: 1 + (1 - 2 * x) / 4,
             0.0, 1.0, (0.0, 1.0),
         )
@@ -145,7 +146,7 @@ class TestMapValidation:
         # a move of 1e-11 lies within FIXED_POINT_TOL, and is still a move
         for move in (0.5, 1e-11):
             with pytest.raises(ValueError, match="moves under the map"):
-                SmoothMap("bad", lambda x: x + move, lambda x: np.ones_like(x), 0, 1, (0.0,))
+                plain_map("bad", lambda x: x + move, lambda x: np.ones_like(x), 0, 1, (0.0,))
 
     def test_restrict_guard(self):
         with pytest.raises(ValueError):
@@ -237,7 +238,7 @@ class TestExactness:
         # estimate
         b = np.nextafter(1.0, 2.0)
         for df in (lambda x: 1 + x, lambda x: np.where(x > 1, 3.0, 2.0)):
-            g = SmoothMap("two-floats", lambda x: x, df, 1.0, b)
+            g = plain_map("two-floats", lambda x: x, df, 1.0, b)
             for alpha in (1 / 3, 0.5, 1.0):
                 for grid in (3, 5, 64, 65, 200):
                     with np.errstate(invalid="ignore"):
@@ -250,7 +251,7 @@ class TestExactness:
         # with alpha near 1 the largest ratio (at the widest pair) then sits
         # below the bound of a narrower offset, and only the stop rule
         # against the exact ratios finds it
-        g = SmoothMap("few-ulps", lambda x: x, lambda x: np.exp((x - 1) * 2.0 ** 40),
+        g = plain_map("few-ulps", lambda x: x, lambda x: np.exp((x - 1) * 2.0 ** 40),
                       1.0, 1 + 1000 * 2.0 ** -52)
         for alpha in (1 / 3, 0.5, 0.99, 0.999, 1.0):
             for grid in (65, 200, 257):
@@ -299,7 +300,7 @@ def translate_out(n):
     I = [1/2 - (2n + 1)/1024, 1/2 + (2n + 1)/1024], on exact binary
     fractions, so the right end of J lies strictly inside I up to step n - 1
     and first leaves it at step n; log Dg varies across J."""
-    return SmoothMap(f"translate-out({n})", lambda x: x + 1 / 512, lambda x: 1 + x * x,
+    return plain_map(f"translate-out({n})", lambda x: x + 1 / 512, lambda x: 1 + x * x,
                      0.5 - (2 * n + 1) / 1024, 0.5 + (2 * n + 1) / 1024)
 
 
@@ -307,9 +308,9 @@ def counting(g):
     """g with a counter of its ``f`` calls, which starts at 0."""
     calls = []
 
-    def f(x):
+    def f(x, out=None):
         calls.append(1)
-        return g.f(x)
+        return g.f(x, out=out)
 
     wrapped = SmoothMap(g.name, f, g.df, g.a, g.b, g.fixed_points)
     calls.clear()
@@ -344,7 +345,7 @@ class TestOrbitBlocks:
         # float np.maximum(-0.0, 0.0) gives; np.clip keeps -0.0, which
         # equals it as a value but not as bits, so an oracle that clips
         # with np.clip fails the bit comparison
-        g = SmoothMap("onto-zero", lambda x: np.where(x < 0.2, -0.0, x - 1 / 8),
+        g = plain_map("onto-zero", lambda x: np.where(x < 0.2, -0.0, x - 1 / 8),
                       lambda x: 1 + x * x, 0.0, 1.0)
         for k_max in (10, *BLOCK_EDGES):
             variation, ends = smooth._domain_orbit(g, k_max)
@@ -388,13 +389,19 @@ class TestParabolicInPlace:
         g = parabolic_map(c)
         f, df = plain_parabolic(c)
         x = np.array(values)
+        row = np.resize(x, 257)
         block = np.resize(x, (smooth.ORBIT_BLOCK_STEPS, 257))
         with np.errstate(all="ignore"):
-            for arg in (x, block, *map(np.float64, values)):
+            for arg in (x, row, block, *map(np.float64, values)):
                 for got, want in ((g.f, f), (g.df, df)):
                     before = arg.copy()
                     assert_same_bits(got(arg), want(arg))
                     assert_same_bits(arg, before)  # the input is left as it was
+                    if np.ndim(arg):  # the orbit's form: into a given array
+                        out = np.full_like(arg, np.nan)
+                        assert got(arg, out=out) is out
+                        assert_same_bits(out, want(arg))
+                        assert_same_bits(arg, before)
 
 
 def translate_then_kink(n):
@@ -402,7 +409,7 @@ def translate_then_kink(n):
     fractions; the derivative is 0 at the one point 1/2 + n/512, which the
     right end of J reaches after n - 1 steps, so step n meets it."""
     kink = 0.5 + n / 512
-    return SmoothMap(
+    return plain_map(
         f"translate-then-kink({n})",
         lambda x: x + 1 / 512,
         lambda x: np.where(x == kink, 0.0, 1.0),
@@ -413,7 +420,7 @@ def translate_then_kink(n):
 
 class TestPositivity:
     def test_negative_derivative_from_the_start(self):
-        g = SmoothMap("flip", lambda x: 1 - x, lambda x: -np.ones_like(x), 0.0, 1.0)
+        g = plain_map("flip", lambda x: 1 - x, lambda x: -np.ones_like(x), 0.0, 1.0)
         for run in (
             lambda: smooth._domain_orbit(g, 5),
             lambda: holder_constant_estimate(g, 0.5),
@@ -458,3 +465,16 @@ def test_holder_memory_is_blockwise():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_orbit_memory_is_blockwise():
+    # the positions and the log products of one block, and one block-sized
+    # temporary of the derivative: 0.85 MB at k_max 750
+    g = parabolic_map(1.0)
+    tracemalloc.start()
+    try:
+        smooth._domain_orbit(g, 750)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
