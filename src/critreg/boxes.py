@@ -271,19 +271,24 @@ def sequence_multiplicity(seq: BoxSequence) -> int:
 def minimal_round_constant(box: Box) -> Fraction | None:
     """Least A >= 1 making the box A-round, or None if no A works.
 
-    The constraints compare every endpoint and side of factor i against the
-    i-th power of the first side length; they force positive coordinates.
-    The largest ratio num/den is found by integer cross-multiplication (all
-    denominators are positive) and made a Fraction once.
+    The box must have integer endpoints, as every builder makes them; any
+    other endpoint raises ValueError.  The constraints compare every
+    endpoint and side of factor i against p = s^i, the i-th power of the
+    first side length; they force positive coordinates.  Of the four
+    bounds p/x, y/p, p/side and side/p, the last never binds: with integer
+    x >= 1, side = 1 + y - x <= y, so side/p <= y/p.  The largest ratio
+    num/den is found by integer cross-multiplication (all denominators are
+    positive) and made a Fraction once.
     """
+    if not all(isinstance(v, int) for iv in box.intervals for v in iv):
+        raise ValueError(f"the round constant needs integer endpoints, got {box.intervals}")
     s = box.side(0)
     num = den = 1
     for i, (x, y) in enumerate(box.intervals, 1):
         if x <= 0:
             return None
         p = s ** i
-        side = 1 + y - x
-        for a, b in ((p, x), (y, p), (p, side), (side, p)):
+        for a, b in ((p, x), (y, p), (p, 1 + y - x)):
             if a * den > num * b:
                 num, den = a, b
     return Fraction(num, den)

@@ -781,6 +781,13 @@ def write_report_rows(report: dict, out: Path) -> None:
                 fh.write(f"{a} {b}\n")
 
 
+def file_tree(root: Path) -> dict:
+    """Each file and directory under root: its bytes (None for a directory)
+    and its mode, as the writer comparisons compare them."""
+    return {str(f.relative_to(root)): (None if f.is_dir() else f.read_bytes(), f.stat().st_mode)
+            for f in sorted(root.rglob("*"))}
+
+
 def shared_cost_line(family: ProductFamily, n: int) -> float:
     """`walks._shared_cost` by `walks.log2_weights` over the (n, d) point
     array of the line (t, 0, ..., 0), t < n, summed by one running sum."""

@@ -265,11 +265,9 @@ class TestRoundness:
 
 EXPONENT_PAIRS = st.integers(2, 1000).flatmap(
     lambda q: st.integers(1, q - 1).map(lambda p: (Fraction(p, q), 1 - Fraction(p, q))))
-# lower endpoints at or below 0 (no roundness constant), small and large
-# integers, and rationals in (0, 2]: on integer boxes side = 1 + y - x <= y,
-# so only a lower endpoint below 1 makes side / p the largest bound
-LOWER = st.one_of(st.integers(-2, 40), st.integers(1, 10 ** 9),
-                  st.fractions(0, 2, max_denominator=12))
+# lower endpoints at or below 0 (no roundness constant), and small and large
+# integers
+LOWER = st.one_of(st.integers(-2, 40), st.integers(1, 10 ** 9))
 BOXES = st.lists(st.tuples(LOWER, st.integers(0, 60) | st.integers(0, 10 ** 9)),
                  min_size=1, max_size=4).map(lambda ivs: Box(tuple((x, x + w) for x, w in ivs)))
 
@@ -307,10 +305,17 @@ class TestIntegerConstants:
     @example(Box(((0, 3), (1, 9))))  # x <= 0: None
     @example(Box(((1, 2), (1, 16))))  # p/x, y/p and side/p tie at 4
     @example(Box(((1, 1), (1, 1), (1, 1))))  # every bound is 1
-    @example(Box(((1, 1), (Fraction(1, 2), 100))))  # side/p = 201/2 is the largest
     @settings(max_examples=300, deadline=None)
     def test_round_constant_matches_fraction_form(self, box):
+        # the oracle takes all four bounds, side/p among them
         assert minimal_round_constant(box) == round_constant_fractions(box)
+
+    @pytest.mark.parametrize("box", [Box(((1, 1), (Fraction(1, 2), 100))),
+                                     Box(((Fraction(3), 4),)), Box(((0, 3), (1, 2.5)))])
+    def test_round_constant_refuses_endpoints_that_are_not_integers(self, box):
+        # at the lower endpoint 1/2, side/p = 201/2 would be the largest bound
+        with pytest.raises(ValueError, match="integer endpoints"):
+            minimal_round_constant(box)
 
     @given(st.one_of(
         raised_sequences(),
