@@ -1,7 +1,9 @@
 """Desk-scale verifiers for distortion machinery of interval actions.
 
-The numpy-backed modules, `critreg.walks` and `critreg.smooth`, are not
-re-exported here: `import critreg` and the exact kinds load no numpy.
+Three modules are not re-exported here, so `import critreg` does not load
+them: the numpy-backed `critreg.walks` and `critreg.smooth`, which only the
+lemma1 and dynamics kinds use, and `critreg.nilpotent`, which only the
+identity kind uses.  Import them by name.  Every other kind loads no numpy.
 """
 
 __version__ = "0.1.0"
@@ -31,11 +33,4 @@ from .lattice import (  # noqa: F401
     geometric_family,
     symmetric_geometric_family,
     uniform_box_family,
-)
-from .nilpotent import (  # noqa: F401
-    IntervalPacking,
-    UnipotentMatrix,
-    conjugacy_distortion_check,
-    full_group_model,
-    translation_model,
 )

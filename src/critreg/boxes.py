@@ -22,9 +22,8 @@ Three box constructions are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import Box
 
@@ -99,23 +98,30 @@ def _scale_ceil_inv(value: int, base2_exponent: Fraction) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class BoxSequence:
-    """Boxes Q(n), n in `indices()`.  Every construction only raises
-    endpoints, and the type enforces it: on every axis both endpoints are
-    nondecreasing in n, or construction raises ValueError."""
-
+class _BoxSequenceFields(NamedTuple):
     kind: str
     start_index: int
     boxes: tuple[Box, ...]
     d: int
     alphas: tuple[Fraction, ...] | None = None
 
-    def __post_init__(self) -> None:
-        for n, (a, b) in enumerate(zip(self.boxes, self.boxes[1:]), self.start_index):
+
+class BoxSequence(_BoxSequenceFields):
+    """Boxes Q(n), n in `indices()`.  Every construction only raises
+    endpoints, and the type enforces it: on every axis both endpoints are
+    nondecreasing in n, or construction raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, kind: str, start_index: int, boxes: tuple[Box, ...], d: int,
+        alphas: tuple[Fraction, ...] | None = None,
+    ) -> BoxSequence:
+        for n, (a, b) in enumerate(zip(boxes, boxes[1:]), start_index):
             for (lo_a, hi_a), (lo_b, hi_b) in zip(a.intervals, b.intervals, strict=True):
                 if lo_b < lo_a or hi_b < hi_a:
                     raise ValueError(f"an endpoint falls from Q({n}) to Q({n + 1})")
+        return tuple.__new__(cls, (kind, start_index, boxes, d, alphas))
 
     def box(self, n: int) -> Box:
         """Q(n); IndexError outside `indices()`, where an offset into
@@ -307,8 +313,7 @@ def is_a_round(box: Box, a: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelInfo:
+class LevelInfo(NamedTuple):
     level: int
     chain: tuple[int, ...]
     admissible: bool
@@ -323,8 +328,7 @@ def _piece(lo: int, hi: int, plen: int, m: int) -> tuple[int, int, bool]:
     return p_lo, p_hi, p_hi == hi
 
 
-@dataclass(frozen=True)
-class SubdivisionTree:
+class SubdivisionTree(NamedTuple):
     """Nested cut of an A-round box along its last coordinate.
 
     At depth k the pieces have last-axis extent ``piece_lengths[k-1]`` (the

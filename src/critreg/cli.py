@@ -23,16 +23,17 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from . import boxes as boxmod
 # `walks` and `smooth` compute with numpy, so only the lemma1 and dynamics
-# runners import them: the other kinds and `report` start without numpy
-from . import concat, lattice, nilpotent
+# runners import them: the other kinds and `report` start without numpy.
+# `nilpotent` serves identity alone, so its runner imports it too
+from . import concat, lattice
 
 # the config fields each kind reads: its flags, its accepted config keys
 # and its report's config block (with "kind") all come from this table
@@ -51,8 +52,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     kind: str
     d: int = 2
     alphas: tuple[str, ...] = ()
@@ -266,6 +266,8 @@ def _run_chain_ff(cfg: ExperimentConfig) -> dict:
 
 def _run_identity(cfg: ExperimentConfig) -> dict:
     import random
+
+    from . import nilpotent
 
     rng = random.Random(cfg.seed)
     model = cfg.variant or "translation"
@@ -539,7 +541,7 @@ def _check_config_value(field: str, value) -> None:
     _, options = FLAGS[field]
     kind = options.get("type", str)
     json_type, what = CONFIG_TYPES[kind]
-    if value is None and getattr(ExperimentConfig, field) is None:
+    if value is None and ExperimentConfig._field_defaults[field] is None:
         return
     if (
         isinstance(value, bool)

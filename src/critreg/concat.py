@@ -45,7 +45,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -149,8 +148,7 @@ class SegmentRecord(NamedTuple):
         return abs(self.exit[axis] - self.entry[axis]) // self.seg.stride + 1
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(NamedTuple):
     kind: str
     seq: BoxSequence
     alphas: tuple[Fraction, ...]  # per axis of the boxes
@@ -373,8 +371,7 @@ def _full_segment(box: Box, axis: int, fixed: Sequence[int]) -> Segment:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerticalReach:
+class VerticalReach(NamedTuple):
     reachable: frozenset[int]  # last-coordinate values reached
     chains: dict[int, tuple[Segment, ...]]
     lam: Fraction
@@ -864,16 +861,14 @@ def build_chain(kind: str, family: LengthFamily, seq: BoxSequence) -> ChainCerti
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BudgetRow:
+class BudgetRow(NamedTuple):
     n: int
     entry_index: int
     budget: float
     ratio: float  # budget / (ln N)^(1-alpha)
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(NamedTuple):
     rows: tuple[BudgetRow, ...]
     a_prime: float
     ratio_spread: float  # max/min of ratio over the reported rows

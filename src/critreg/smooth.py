@@ -74,8 +74,7 @@ temporary of ``df``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -107,8 +106,16 @@ HOLDER_SLACK = 1.0 + 2.0 ** -40
 ORBIT_BLOCK_STEPS = 128
 
 
-@dataclass(frozen=True)
-class SmoothMap:
+class _SmoothMapFields(NamedTuple):
+    name: str
+    f: Callable[[np.ndarray], np.ndarray]
+    df: Callable[[np.ndarray], np.ndarray]
+    a: float
+    b: float
+    fixed_points: tuple[float, ...] = ()
+
+
+class SmoothMap(_SmoothMapFields):
     """Closed-form interval map with derivative access.
 
     ``f`` and ``df`` act elementwise on float64 arrays of any shape and on
@@ -121,19 +128,19 @@ class SmoothMap:
     earlier step of the block reached.
     """
 
-    name: str
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
-    a: float
-    b: float
-    fixed_points: tuple[float, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.a < self.b:
+    def __new__(
+        cls, name: str, f: Callable[[np.ndarray], np.ndarray],
+        df: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+        fixed_points: tuple[float, ...] = (),
+    ) -> SmoothMap:
+        if not a < b:
             raise ValueError("need a < b")
-        for p in self.fixed_points:
-            if float(self.f(np.float64(p))) != p:
+        for p in fixed_points:
+            if float(f(np.float64(p))) != p:
                 raise ValueError(f"declared fixed point {p} moves under the map")
+        return tuple.__new__(cls, (name, f, df, a, b, fixed_points))
 
     def grid(self, n: int) -> np.ndarray:
         return np.linspace(self.a, self.b, n)
@@ -192,8 +199,7 @@ def _exact_progression(x: np.ndarray) -> bool:
         x, np.arange(len(x)) * x[1])
 
 
-@dataclass(frozen=True)
-class HolderEstimate:
+class HolderEstimate(NamedTuple):
     alpha: float
     constant: float
     grid: int
@@ -246,8 +252,7 @@ def holder_constant_estimate(
     return HolderEstimate(alpha, float(best), grid, grid * (grid - 1) // 2)
 
 
-@dataclass(frozen=True)
-class Slack:
+class Slack(NamedTuple):
     """The least of bound - value over k = 1..k_max, the first k where it
     falls below -GROWTH_TOL (None when the row holds for every k), and the
     bound at k = k_max."""
@@ -261,8 +266,7 @@ class Slack:
         return self.first_failure is None
 
 
-@dataclass(frozen=True)
-class DomainReport:
+class DomainReport(NamedTuple):
     """The dynamics row and the wandering sums of one forward orbit of
     J = [x0, g(x0)]."""
 

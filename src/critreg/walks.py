@@ -41,9 +41,8 @@ so base 2 is the choice that keeps the stated constants valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -74,8 +73,7 @@ def cost_bound(b: float, d: int, n: int) -> float:
     return b * math.log2(n + 1) ** (1.0 - 1.0 / d)
 
 
-@dataclass(frozen=True)
-class BatchSummary:
+class BatchSummary(NamedTuple):
     d: int
     n: int
     samples: int

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -226,7 +225,7 @@ class TestRun:
 
         def scaled(g, alpha):
             est = estimate(g, alpha)
-            return dataclasses.replace(est, constant=est.constant / 20)
+            return est._replace(constant=est.constant / 20)
 
         monkeypatch.setattr(smooth, "holder_constant_estimate", scaled)
         report = run(_cfg(c_param=0.5, alpha_holder="2/3", k_max=750))
@@ -899,6 +898,25 @@ print(json.dumps([codes, before, sys.modules.get("numpy") is not None]))
 
 EXACT_KINDS = ("boxes", "chain-b", "chain-ff", "identity")
 
+# Imports critreg and critreg.cli in a fresh interpreter and prints the
+# late-loaded modules already present, the critreg classes that are
+# dataclasses, and whether critreg.nilpotent is loaded after one identity
+# run (argv in sys.argv[1], a JSON list).
+FRESH_IMPORT = """
+import contextlib, dataclasses, inspect, io, json, sys
+import critreg, critreg.cli
+late = ["numpy", "critreg.nilpotent", "critreg.walks", "critreg.smooth"]
+loaded = [name for name in late if name in sys.modules]
+generated = sorted(
+    f"{name}.{cls.__name__}"
+    for name, module in list(sys.modules.items()) if name.startswith("critreg")
+    for cls in vars(module).values()
+    if inspect.isclass(cls) and cls.__module__ == name and dataclasses.is_dataclass(cls))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = critreg.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([loaded, generated, code, "critreg.nilpotent" in sys.modules]))
+"""
+
 
 class TestStartup:
     """The exact kinds and `report` run without numpy; lemma1 loads it."""
@@ -919,6 +937,20 @@ class TestStartup:
         _, (codes, before, after) = self._fresh(tmp_path, "plain")
         assert all(code in (0, 2) for code in codes), codes
         assert not before and after
+
+    def test_import_builds_no_dataclass_and_identity_loads_nilpotent(self, tmp_path):
+        # a fresh interpreter, so that nothing pytest imported can mask a load
+        argv = ["identity", *SMALL["identity"], "--out", str(tmp_path / "identity")]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_IMPORT, json.dumps(argv)],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, generated, code, nilpotent_after = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == []
+        assert generated == []
+        assert code == 0 and nilpotent_after
 
     def test_exact_kinds_run_where_numpy_cannot_load(self, tmp_path):
         out, (codes, _, _) = self._fresh(tmp_path, "block")

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import math
@@ -395,10 +394,10 @@ def _tamper(cert, fam, field):
     certificate truncated by its last record, or by every record of its
     last recorded stage."""
     if field == "last-record":
-        return dataclasses.replace(cert, records=cert.records[:-1])
+        return cert._replace(records=cert.records[:-1])
     if field == "last-stage":
         last = cert.records[-1].n
-        return dataclasses.replace(cert, records=tuple(r for r in cert.records if r.n != last))
+        return cert._replace(records=tuple(r for r in cert.records if r.n != last))
     k = {"entry": 0, "exit": -1, "n": -1}.get(field, len(cert.records) // 2)
     r = cert.records[k]
     if field == "n":
@@ -418,13 +417,13 @@ def _tamper(cert, fam, field):
         assert abs(lattice.mass_ratio_log2(fam, r.seg, value)) <= lattice.MARGIN
     elif field == "seg":
         # the moved segment may leave its box, so it drops the box it was cut from
-        value = dataclasses.replace(r.seg, anchor=_off_segment(r.seg, r.seg.anchor), ambient=None)
+        value = r.seg._replace(anchor=_off_segment(r.seg, r.seg.anchor), ambient=None)
     else:
         # the walk's two ends have no neighbour to hand over to
         value = _off_segment(r.seg, getattr(r, field))
     records = list(cert.records)
     records[k] = r._replace(**{field: value})
-    return dataclasses.replace(cert, records=tuple(records))
+    return cert._replace(records=tuple(records))
 
 
 def _power_ratio_log2(cert, fam, r):
@@ -461,7 +460,7 @@ class TestVerifyChain:
         else:
             middle = recs[len(recs) // 2].n
             recs.remove(next(r for r in recs if r.n == middle))
-        changed = dataclasses.replace(cert, records=tuple(recs))
+        changed = cert._replace(records=tuple(recs))
         assert verify_chain(cert, fam)["stages"]
         assert not verify_chain(changed, fam)["stages"]
 
@@ -489,14 +488,14 @@ class TestVerifyChain:
             # along an axis it does not move on, where the weights are heavier
             anchor = list(r.seg.anchor)
             anchor[(r.seg.axis + 1) % len(anchor)] = 0
-            seg = dataclasses.replace(r.seg, anchor=tuple(anchor), ambient=None)
+            seg = r.seg._replace(anchor=tuple(anchor), ambient=None)
             changed_r = r._replace(seg=seg)
         else:
             # the walk leaves the last segment one point earlier
             t = r.seg.index_of(r.exit)
             changed_r = r._replace(exit=r.seg.point(t - 1 if t else 1))
         records = (*cert.records[:-1], changed_r)
-        changed = dataclasses.replace(cert, records=records)
+        changed = cert._replace(records=records)
         before, after = walk_stretches(cert), walk_stretches(changed)
         if field == "power_sum_log2":
             b_log2 = measured(changed, fam)["B_log2"]

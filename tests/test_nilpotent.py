@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -365,7 +364,7 @@ class TestExponents:
         same = Axis(-math.inf, math.inf, Fraction(1, 3), (0, -LOG2_3), 0, 1)
         assert IntervalPacking(ProductFamily([same] * 2)).dim == 2
         half = ProductFamily(symmetric_geometric_family(2).axes, scale=Fraction(1, 2))
-        steep = ProductFamily([dataclasses.replace(symmetric_geometric_axis(), rate=2)] * 2)
+        steep = ProductFamily([symmetric_geometric_axis()._replace(rate=2)] * 2)
         table = TableFamily({(0, 0): Fraction(1)})
         for family in (geometric_family(2), half, steep, table):
             with pytest.raises(ValueError, match="symmetric-geometric"):

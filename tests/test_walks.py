@@ -303,7 +303,7 @@ class TestBatch:
                 for seed in (0, 11, 2024):
                     got = batch_certificates(fam, n, samples, seed)
                     want = reference_batch_certificates(fam, n, samples, seed)
-                    # dataclass equality compares every float bitwise
+                    # record equality compares every field, floats by ==
                     assert got == want, (name, samples, seed)
 
     def test_exact_mass_is_read_once_per_batch(self):
