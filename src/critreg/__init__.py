@@ -12,7 +12,6 @@ from .boxes import (  # noqa: F401
     BoxSequence,
     SubdivisionTree,
     build_sequence,
-    is_a_round,
     minimal_round_constant,
     sequence_multiplicity,
     vertical_subdivision,
@@ -21,7 +20,6 @@ from .concat import (  # noqa: F401
     ChainCertificate,
     build_chain,
     distortion_budget,
-    find_good_segment_d2,
     lambda_prime,
     reach_vertical_section,
     verify_chain,
@@ -32,5 +30,4 @@ from .lattice import (  # noqa: F401
     Segment,
     geometric_family,
     symmetric_geometric_family,
-    uniform_box_family,
 )

@@ -300,14 +300,6 @@ def minimal_round_constant(box: Box) -> Fraction | None:
     return Fraction(num, den)
 
 
-def is_a_round(box: Box, a: Fraction) -> bool:
-    """Check the four inequality families of roundness exactly."""
-    if a < 1:
-        raise ValueError("roundness constant must be >= 1")
-    m = minimal_round_constant(box)
-    return m is not None and m <= a
-
-
 # ---------------------------------------------------------------------------
 # vertical subdivision
 # ---------------------------------------------------------------------------
@@ -378,8 +370,11 @@ def vertical_subdivision(box: Box, a: Fraction) -> SubdivisionTree:
     """
     if box.dim < 2:
         raise ValueError("vertical subdivision needs at least 2 axes")
-    if not is_a_round(box, a):
-        raise ValueError(f"box is not {a}-round (minimal {minimal_round_constant(box)})")
+    if a < 1:
+        raise ValueError("roundness constant must be >= 1")
+    least = minimal_round_constant(box)
+    if least is None or least > a:
+        raise ValueError(f"box is not {a}-round (minimal {least})")
     dim = box.dim
     depth = dim - 1
     plens = []

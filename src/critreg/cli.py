@@ -219,13 +219,8 @@ def _run_boxes(cfg: ExperimentConfig) -> dict:
         a_min = max(float(boxmod.minimal_round_constant(b)) for b in seq.boxes)
         constants.update({"growth_bracket": boxmod.side_growth_bracket(seq),
                           "max_min_roundness": a_min})
-    table = [(n, _intervals_text(box.intervals)) for n, box in zip(seq.indices(), seq.boxes)]
+    table = [(n, json.dumps(box.intervals)) for n, box in zip(seq.indices(), seq.boxes)]
     return {"rows": rows, "tables": {"boxes": table}, "constants": constants}
-
-
-def _intervals_text(intervals: tuple[tuple[int, int], ...]) -> str:
-    """`json.dumps` of a box's integer intervals."""
-    return "[" + ", ".join(f"[{lo}, {hi}]" for lo, hi in intervals) + "]"
 
 
 def _chain_common(kind: str, seq, fam) -> dict:
@@ -296,11 +291,11 @@ def _run_identity(cfg: ExperimentConfig) -> dict:
         word = nilpotent.Word(tuple(letters_w), lattice_d + 1)
         k = rng.randint(1, 5)
         idx = tuple(rng.randint(-3, 3) for _ in range(lattice_d))
-        rep = nilpotent.conjugacy_distortion_check(
+        residuals = nilpotent.conjugacy_distortion_check(
             packing, word, g, k, [idx], gk=powers[k]
         )
-        if not rep.all_zero:
-            worst = max(worst, *map(abs, rep.residuals))
+        if any(residuals):
+            worst = max(worst, *map(abs, residuals))
         checked += 1
     rows = [
         _row("identity-residual-zero", worst == 0, str(worst), "0",
@@ -318,7 +313,7 @@ def _run_dynamics(cfg: ExperimentConfig) -> dict:
         raise ConfigError("exponent must lie in (0, 1]")
     alpha = float(exponent)
     g = smooth.parabolic_map(cfg.c_param)
-    c = smooth.holder_constant_estimate(g, alpha).constant
+    c = smooth.holder_constant_estimate(g, alpha)
     rep = smooth.fundamental_domain_check(g, alpha, c, cfg.k_max)
     rows = [
         _row("iterate-growth-bound", rep.distortion.passed, rep.distortion.least,
@@ -454,19 +449,11 @@ def write_report(report: dict, out_dir: str | Path) -> Path:
     report is ASCII and is written with one open/write/close: built as one
     string, encoded as text mode encodes it on POSIX ("\\n" kept as is),
     and truncating any file of the same name.
-    The directory, files, modes and errors are those of ``Path.mkdir(
-    parents=True, exist_ok=True)`` and ``Path.write_text``.
+    The files, modes and errors are those of ``Path.write_text``.
     """
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     base = str(out)
-    # `out.mkdir(parents=True, exist_ok=True)`, which starts with this mkdir
-    try:
-        os.mkdir(base)
-    except FileNotFoundError:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        if not out.is_dir():
-            raise
     # `out / name` as a string: the same path, so the same error messages
     prefix = "" if base == "." else os.path.join(base, "")
     _write_file(prefix + "report.json", _json_text(report) + "\n")

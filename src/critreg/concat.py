@@ -98,30 +98,6 @@ def _first_translate(
     return [translated(region, axis, t * step) for region, _ in checks]
 
 
-def find_good_segment_d2(
-    family: LengthFamily, box: Box, orientation: str
-) -> tuple[Segment, Bound]:
-    """First segment with mass at most the family average (exists by
-    averaging), with that bound; horizontal segments fix the second
-    coordinate."""
-    if box.dim != 2:
-        raise ValueError("two-dimensional boxes only")
-    if orientation == "horizontal":
-        fixed_axis, direction = 1, 0
-    elif orientation == "vertical":
-        fixed_axis, direction = 0, 1
-    else:
-        raise ValueError("orientation must be horizontal or vertical")
-    bound = Bound(Fraction(1, box.side(fixed_axis)), box)
-    # (c, c) fixes the other coordinate at c; _full_segment resets its own
-    c = box.intervals[fixed_axis][0]
-    (seg,) = _first_translate(
-        family, [(_full_segment(box, direction, (c, c)), bound)], fixed_axis, 1,
-        box.side(fixed_axis), "no average-good segment", None,
-    )
-    return seg, bound
-
-
 # ---------------------------------------------------------------------------
 # records, stretches, certificates
 # ---------------------------------------------------------------------------
@@ -253,7 +229,8 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float]:
     def power_ratio_log2(r: SegmentRecord) -> float:
         alpha = alphas[r.seg.axis]
         base = alpha * max(masses[r.n], masses.get(r.n + 1, NEG_INF))
-        return family.segment_power_log2(r.seg, alpha) - base
+        seg = r.seg
+        return family.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha) - base
 
     ratio = max(map(power_ratio_log2, cert.records), default=NEG_INF)
     if cert.kind.startswith("B"):
@@ -326,8 +303,17 @@ def _build_b_d2(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     assert alphas is not None and len(alphas) == 2
     legs = []
     for n in seq.indices():
-        orientation = "vertical" if n % 2 == 1 else "horizontal"
-        seg, bound = find_good_segment_d2(family, seq.box(n), orientation)
+        # the first segment along axis n % 2 with mass at most the box
+        # average (one exists by averaging), scanned along the other axis
+        box, axis = seq.box(n), n % 2
+        scan = 1 - axis
+        bound = Bound(Fraction(1, box.side(scan)), box)
+        # (c, c) fixes the scanned coordinate at c; _full_segment resets its own
+        c = box.intervals[scan][0]
+        (seg,) = _first_translate(
+            family, [(_full_segment(box, axis, (c, c)), bound)], scan, 1, box.side(scan),
+            "no average-good segment", n,
+        )
         legs.append(SegmentRecord(n, f"g{n}", seg, "segment-average", bound))
     return _assemble("B-d2", seq, alphas, legs, _walk_start(family, seq))
 

@@ -454,8 +454,11 @@ class LengthFamily:
         """The exact mass of a box or segment as c * num / den."""
         raise NotImplementedError
 
-    def segment_power_log2(self, seg: Segment, alpha: float) -> float:
-        """log2 of the sum of weight^alpha over the segment's points."""
+    def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
+                         alpha: float) -> float:
+        """log2 of the sum of weight^alpha over the segment through anchor
+        whose moving coordinate runs over lo, lo + stride, ..., hi; anchor[axis]
+        is lo or hi, the end the segment starts from."""
         raise NotImplementedError
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
@@ -530,14 +533,8 @@ class ProductFamily(LengthFamily):
             e, f = e + term[0], f + term[1]
         return e, f
 
-    def segment_power_log2(self, seg: Segment, alpha: float) -> float:
-        return self.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha)
-
     def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
                          alpha: float) -> float:
-        """`segment_power_log2` of the segment through anchor whose moving
-        coordinate runs over lo, lo + stride, ..., hi; anchor[axis] is lo or
-        hi, the end the segment starts from."""
         m, memo = alpha * self.scale_log2, self._memo
         for k, c in enumerate(anchor):
             if k != axis:
@@ -595,12 +592,9 @@ class TableFamily(LengthFamily):
             self._memo[region] = super().mass_log2_parts(region)
         return self._memo[region]
 
-    def segment_power_log2(self, seg: Segment, alpha: float) -> float:
-        return self.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha)
-
     def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
                          alpha: float) -> float:
-        # `ProductFamily.range_power_log2`, summed in the segment's order
+        # the point terms, summed in the segment's order
         out, p = NEG_INF, list(anchor)
         ts = range(lo, hi + 1, stride) if anchor[axis] == lo else range(hi, lo - 1, -stride)
         for t in ts:
@@ -620,13 +614,6 @@ def symmetric_geometric_family(d: int) -> ProductFamily:
     """Z^d-symmetric dyadic weights w(v) = prod 2^-|v_k|/3, total 1."""
     _check_dimension(d)
     return ProductFamily([symmetric_geometric_axis()] * d, name="symmetric-geometric")
-
-
-def uniform_box_family(box: Box, total: Fraction = Fraction(1)) -> ProductFamily:
-    """Constant weights on a finite box, renormalized to the given total."""
-    cells = [Fraction(1, hi - lo + 1) for lo, hi in box.intervals]
-    axes = [Axis(lo, hi, c, log2_parts(c), 0, 0) for (lo, hi), c in zip(box.intervals, cells)]
-    return ProductFamily(axes, scale=Fraction(total), name="uniform")
 
 
 # ---------------------------------------------------------------------------

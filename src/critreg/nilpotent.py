@@ -17,22 +17,17 @@ an exact `Fraction` only when it is nonzero.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .lattice import (
-    DIMENSION_CAP,
-    Coords,
-    LengthFamily,
-    ProductFamily,
-    symmetric_geometric_axis,
-    symmetric_geometric_family,
-)
+from .lattice import DIMENSION_CAP, Coords, _check_dimension
 
 
-@dataclass(frozen=True)
-class UnipotentMatrix:
+class _UnipotentMatrixFields(NamedTuple):
+    rows: tuple[tuple[int, ...], ...]
+
+
+class UnipotentMatrix(_UnipotentMatrixFields):
     """A lower-unitriangular integer matrix, rows as tuples of ints.
 
     The public constructor ``UnipotentMatrix(rows)`` validates its input.
@@ -42,24 +37,23 @@ class UnipotentMatrix:
     lower-unitriangular by construction.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        for i, row in enumerate(self.rows):
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> UnipotentMatrix:
+        n = len(rows)
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("matrix must be square")
             if row[i] != 1:
                 raise ValueError("diagonal entries must be 1")
             if any(row[j] != 0 for j in range(i + 1, n)):
                 raise ValueError("matrix must be lower triangular")
+        return tuple.__new__(cls, (rows,))
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "UnipotentMatrix":
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> UnipotentMatrix:
         """Wrap rows known to be lower-unitriangular, without validation."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        return m
+        return tuple.__new__(cls, (rows,))
 
     @property
     def size(self) -> int:
@@ -154,17 +148,21 @@ def _identity_rows(size: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class Word:
-    """A composition of generators, applied left to right."""
-
+class _WordFields(NamedTuple):
     letters: tuple[tuple[int, int, int], ...]  # (i, j, exponent +-1)
     size: int
 
-    def __post_init__(self) -> None:
-        for i, j, _ in self.letters:
-            if not 1 <= j < i <= self.size:
-                raise ValueError(f"letter f({i},{j}) outside the rank-{self.size} group")
+
+class Word(_WordFields):
+    """A composition of generators, applied left to right."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters: tuple[tuple[int, int, int], ...], size: int) -> Word:
+        for i, j, _ in letters:
+            if not 1 <= j < i <= size:
+                raise ValueError(f"letter f({i},{j}) outside the rank-{size} group")
+        return tuple.__new__(cls, (letters, size))
 
     def product(self) -> UnipotentMatrix:
         """h = f_n * ... * f_1, the whole word as one matrix.
@@ -188,19 +186,14 @@ class IntervalPacking:
     """Lexicographic packing of the symmetric-geometric weights into [0,1]:
     the v-th interval has length 2^e(v) / 3^dim, with e(v) = -sum |v_k|.
 
-    Both models build this family, and only this one: its slopes are exact
-    powers of two, which the residuals below rely on.
+    Both models pack these weights, and only these: their slopes are exact
+    powers of two, which the residuals below rely on.  The packing holds
+    only its dimension, as every length it needs is 2^e(v) / 3^dim.
     """
 
-    def __init__(self, family: LengthFamily) -> None:
-        if not (
-            isinstance(family, ProductFamily)
-            and family.scale == 1
-            and all(ax == symmetric_geometric_axis() for ax in family.axes)
-        ):
-            raise ValueError("packing needs the symmetric-geometric family")
-        self.family = family
-        self.dim = family.d
+    def __init__(self, dim: int) -> None:
+        _check_dimension(dim)
+        self.dim = dim
 
     @staticmethod
     def exponent(v: Sequence[int]) -> int:
@@ -219,23 +212,17 @@ def translation_model(d: int) -> IntervalPacking:
             f"translation needs d <= {DIMENSION_CAP - 1}, since its packing "
             f"lives on Z^(d+1); got d={d}"
         )
-    return IntervalPacking(symmetric_geometric_family(d + 1))
+    return IntervalPacking(d + 1)
 
 
 def full_group_model(d: int) -> IntervalPacking:
     """Packing over Z^d for the full rank-(d+1) unipotent action."""
-    return IntervalPacking(symmetric_geometric_family(d))
+    return IntervalPacking(d)
 
 
 # ---------------------------------------------------------------------------
 # distortion identity
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    residuals: tuple[Fraction, ...]
-    all_zero: bool
 
 
 def conjugacy_distortion_check(
@@ -246,8 +233,9 @@ def conjugacy_distortion_check(
     indices: Iterable[Sequence[int]],
     *,
     gk: UnipotentMatrix | None = None,
-) -> DistortionReport:
-    """Verify the exact slope identity of the conjugated power on intervals.
+) -> tuple[Fraction, ...]:
+    """The residuals of the exact slope identity of the conjugated power on
+    intervals, one per index (`_residuals`).
 
     With h the word's product and y-index = g^k(v), the claim is
 
@@ -267,8 +255,7 @@ def conjugacy_distortion_check(
             raise ValueError(f"letter {letter} does not commute with g")
     if gk is None:
         gk = g.power(k)
-    residuals = _residuals(packing, word.product(), gk, indices)
-    return DistortionReport(residuals, not any(residuals))
+    return _residuals(packing, word.product(), gk, indices)
 
 
 _ZERO = Fraction(0)

@@ -199,17 +199,8 @@ def _exact_progression(x: np.ndarray) -> bool:
         x, np.arange(len(x)) * x[1])
 
 
-class HolderEstimate(NamedTuple):
-    alpha: float
-    constant: float
-    grid: int
-    pairs: int
-
-
-def holder_constant_estimate(
-    g: SmoothMap, alpha: float, grid: int = 1025
-) -> HolderEstimate:
-    """Grid-pair estimate of the Holder constant of log(Dg)."""
+def holder_constant_estimate(g: SmoothMap, alpha: float, grid: int = 1025) -> float:
+    """Grid-pair estimate C of the Holder constant of log(Dg)."""
     if not 0 < alpha <= 1:
         raise ValueError("exponent must lie in (0, 1]")
     x = g.grid(grid)
@@ -249,7 +240,7 @@ def holder_constant_estimate(
             break
         ratio = np.abs(ld[k:] - ld[:-k]) / np.abs(x[k:] - x[:-k]) ** alpha
         best = np.maximum(best, ratio.max())
-    return HolderEstimate(alpha, float(best), grid, grid * (grid - 1) // 2)
+    return float(best)
 
 
 class Slack(NamedTuple):

@@ -15,8 +15,11 @@ memo, the two-point, generator-based region checks of `Box` and
 `Segment`, and the decided walk pass's cost line and summary as
 `log2_weights` and `np.mean`/`np.argmax` gave them), a small fixture map for the derivative checks, or an
 input of those oracles (the walk kernel and lattice paths).
-`exact_mass` is no oracle: it reads the package's own exact mass form as
-a rational, for tests of something else.
+`exact_mass` and `segment_power_log2` are no oracles: they read the
+package's own exact mass form as a rational and its power sum of a
+segment's range, for tests of something else; nor is `uniform_box_family`,
+the tests' finite family of rate-0 axes, on which every translate of a
+region has the same mass.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 from critreg.boxes import BoxSequence, SubdivisionTree, _piece, floor_power
 from critreg.concat import ChainSearchError
 from critreg.lattice import (
+    Axis,
     Bound,
     Box,
     Coords,
@@ -47,6 +51,7 @@ from critreg.lattice import (
     log2_fraction,
     log2_parts,
     mass_le,
+    symmetric_geometric_family,
     translated,
 )
 from critreg.nilpotent import IntervalPacking, UnipotentMatrix, Word, _identity_rows
@@ -181,6 +186,19 @@ def point_weights(
 def exact_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
     """A region's exact mass: the family's `mass_form` read as a rational."""
     return family.mass_form(region).value()
+
+
+def segment_power_log2(family: LengthFamily, seg: Segment, alpha: float) -> float:
+    """log2 of the sum of weight^alpha over the segment's points: the
+    family's `range_power_log2` of the segment's range."""
+    return family.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha)
+
+
+def uniform_box_family(box: Box, total: Fraction = Fraction(1)) -> ProductFamily:
+    """Constant weights on a finite box, renormalized to the given total."""
+    cells = [Fraction(1, hi - lo + 1) for lo, hi in box.intervals]
+    axes = [Axis(lo, hi, c, log2_parts(c), 0, 0) for (lo, hi), c in zip(box.intervals, cells)]
+    return ProductFamily(axes, scale=Fraction(total), name="uniform")
 
 
 def exact_sum(ws: Iterable[Fraction]) -> Fraction:
@@ -579,8 +597,9 @@ def non_admissible_fraction(tree: SubdivisionTree) -> Fraction:
 
 
 def length(packing: IntervalPacking, v: Coords) -> Fraction:
-    """The exact length of the v-th packed interval, a product of Fractions."""
-    return packing.family.weight(v)
+    """The exact length of the v-th packed interval, a product of Fractions:
+    the weight of the symmetric-geometric family over Z^dim at v."""
+    return symmetric_geometric_family(packing.dim).weight(v)
 
 
 def prefixes(word: Word) -> list[UnipotentMatrix]:

@@ -155,8 +155,8 @@ def test_07_distortion_identity():
             word = Word(letters, lattice_d + 1)
             k = rng.randint(1, 5)
             idx = tuple(rng.randint(-3, 3) for _ in range(lattice_d))
-            rep = conjugacy_distortion_check(packing, word, g, k, [idx])
-            ok = ok and rep.all_zero
+            residuals = conjugacy_distortion_check(packing, word, g, k, [idx])
+            ok = ok and not any(residuals)
             total += 1
     _verdict(7, ok, f"slope identity residual exactly zero on {total} random triples")
 
@@ -164,7 +164,7 @@ def test_07_distortion_identity():
 def _domain_rows(c, alpha, k_max):
     g = parabolic_map(c)
     return fundamental_domain_check(
-        g, alpha, holder_constant_estimate(g, alpha).constant, k_max
+        g, alpha, holder_constant_estimate(g, alpha), k_max
     )
 
 
@@ -193,8 +193,8 @@ def test_08_growth_bound_suite():
         a = rng.uniform(0.0, 0.6)
         b = rng.uniform(a + 0.2, min(a + 0.7, 1.0))
         g = restrict(parabolic_map(1.0), a, b)
-        c1 = holder_constant_estimate(g, 0.5).constant
-        c2 = holder_constant_estimate(renormalize(g), 0.5).constant
+        c1 = holder_constant_estimate(g, 0.5)
+        c2 = holder_constant_estimate(renormalize(g), 0.5)
         renorm_ok = renorm_ok and abs(c2 - c1 * (b - a) ** 0.5) < 1e-8
     ok = ok and renorm_ok
     _verdict(

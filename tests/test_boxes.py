@@ -12,7 +12,6 @@ from critreg.boxes import (
     floor_power,
     inocent_constant,
     integer_root,
-    is_a_round,
     minimal_round_constant,
     sequence_multiplicity,
     side_growth_bracket,
@@ -217,16 +216,28 @@ class TestSequences:
         assert inocent_constant(s) > 0
 
 
+def _is_round(box, a):
+    """The four inequality families of A-roundness, from the definition:
+    on axis i, each endpoint and the side lie within a factor a of p = s^i,
+    s the first side; so the lower endpoints are positive."""
+    s = box.side(0)
+    for i, (x, y) in enumerate(box.intervals, 1):
+        p, side = s ** i, y - x + 1
+        if x <= 0 or p > a * x or y > a * p or p > a * side or side > a * p:
+            return False
+    return True
+
+
 class TestRoundness:
     def test_worked_example(self):
         box = Box(((2, 4), (4, 16)))
         assert minimal_round_constant(box) == Fraction(9, 4)
-        assert is_a_round(box, Fraction(9, 4))
-        assert not is_a_round(box, Fraction(2))
+        assert _is_round(box, Fraction(9, 4))
+        assert not _is_round(box, Fraction(2))
 
     def test_degenerate_unit_box(self):
         assert minimal_round_constant(Box(((1, 1), (1, 1), (1, 1)))) == 1
-        assert is_a_round(Box(((1, 1), (1, 1))), Fraction(1))
+        assert _is_round(Box(((1, 1), (1, 1))), Fraction(1))
 
     def test_nonpositive_coordinates_never_round(self):
         assert minimal_round_constant(Box(((0, 3), (1, 9)))) is None
@@ -258,9 +269,9 @@ class TestRoundness:
         box = Box(((x1, x1 + w1), (x2, x2 + w2)))
         a = minimal_round_constant(box)
         assert a is not None
-        assert is_a_round(box, a)
+        assert _is_round(box, a)
         if a > 1:
-            assert not is_a_round(box, a * Fraction(99, 100))
+            assert not _is_round(box, a * Fraction(99, 100))
 
 
 EXPONENT_PAIRS = st.integers(2, 1000).flatmap(
@@ -425,8 +436,12 @@ class TestSubdivision:
         assert not lv.admissible  # the only piece is the trailing one
 
     def test_requires_roundness(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^box is not 1-round \(minimal 8\)$"):
             vertical_subdivision(Box(((1, 2), (1, 4), (1, 8))), Fraction(1))
+        with pytest.raises(ValueError, match=r"^box is not 9-round \(minimal None\)$"):
+            vertical_subdivision(Box(((0, 2), (1, 4))), Fraction(9))
+        with pytest.raises(ValueError, match="^roundness constant must be >= 1$"):
+            vertical_subdivision(Box(((1, 2), (1, 4))), Fraction(1, 2))
 
     def test_branching_counts_within_bounds(self):
         s = build_sequence("FF", d=4, n_max=10)

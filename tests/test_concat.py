@@ -25,7 +25,6 @@ from critreg.concat import (
     build_chain,
     distortion_budget,
     chain_start_stage,
-    find_good_segment_d2,
     lambda_prime,
     measured,
     reach_vertical_section,
@@ -47,7 +46,6 @@ from critreg.lattice import (
     symmetric_geometric_axis,
     symmetric_geometric_family,
     translated,
-    uniform_box_family,
 )
 
 from oracles import (
@@ -60,6 +58,8 @@ from oracles import (
     fully_good_dfs,
     goodness_ratio,
     point_mass,
+    segment_power_log2,
+    uniform_box_family,
 )
 
 HALF = Fraction(1, 2)
@@ -127,18 +127,28 @@ def _oracle_masses(fam, seg, bound):
     return mass, bound.q * other
 
 
+def _first_average_row(fam, box):
+    """The search of B-d2's even stages: the first horizontal segment of a
+    planar box with mass at most the box average, and that bound."""
+    bound = Bound(Fraction(1, box.side(1)), box)
+    c = box.intervals[1][0]
+    (seg,) = _first_translate(fam, [(_full_segment(box, 0, (c, c)), bound)], 1, 1,
+                              box.side(1), "no average-good segment", None)
+    return seg, bound
+
+
 class TestGoodSegmentPlanar:
     def test_constant_returns_first(self):
         box = Box(((1, 4), (2, 4)))
         fam = uniform_box_family(box)
-        seg, bound = find_good_segment_d2(fam, box, "horizontal")
+        seg, bound = _first_average_row(fam, box)
         mass, limit = _oracle_masses(fam, seg, bound)
         assert seg.anchor == (1, 2) and mass == limit
 
     def test_geometric_picks_far_row(self):
         box = Box(((1, 4), (2, 4)))
         fam = geometric_family(2)
-        seg, bound = find_good_segment_d2(fam, box, "horizontal")
+        seg, bound = _first_average_row(fam, box)
         mass, limit = _oracle_masses(fam, seg, bound)
         assert mass <= limit
         assert seg.anchor[1] > 2  # the heavy first row cannot qualify
@@ -149,7 +159,7 @@ class TestGoodSegmentPlanar:
         for p in box_points(box):
             w[p] = Fraction(100) if p[1] == 0 else Fraction(1)
         fam = TableFamily(w)
-        seg, bound = find_good_segment_d2(fam, box, "horizontal")
+        seg, bound = _first_average_row(fam, box)
         mass, limit = _oracle_masses(fam, seg, bound)
         assert seg.anchor[1] != 0 and mass <= limit
 
@@ -432,7 +442,7 @@ def _power_ratio_log2(cert, fam, r):
     alpha = float(cert.alphas[r.seg.axis])
     ns = [n for n in (r.n, r.n + 1) if n in cert.seq.indices()]
     base = alpha * max(lattice.mass_log2(fam, cert.seq.box(n)) for n in ns)
-    return fam.segment_power_log2(r.seg, alpha) - base
+    return segment_power_log2(fam, r.seg, alpha) - base
 
 
 class TestVerifyChain:
@@ -805,7 +815,7 @@ def test_b_d2_cap_line_probes_at_most_once_per_search(monkeypatch, tmp_path):
     # decides its probes from closed forms, and calls `mass_le` only on a
     # tie, at most once per search (119 of the 200 searches meet one)
     counts, active = [], [False]
-    mass_le, find = lattice.mass_le, concat.find_good_segment_d2
+    mass_le, find = lattice.mass_le, concat._first_translate
 
     def counting(family, region, bound):
         if active[0]:
@@ -823,7 +833,7 @@ def test_b_d2_cap_line_probes_at_most_once_per_search(monkeypatch, tmp_path):
 
     monkeypatch.setattr(lattice, "mass_le", counting)
     monkeypatch.setattr(concat, "mass_le", counting)
-    monkeypatch.setattr(concat, "find_good_segment_d2", search)
+    monkeypatch.setattr(concat, "_first_translate", search)
     argv = "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 200".split()
     assert cli.main([*argv, "--out", str(tmp_path)]) == 2  # budget-ratio-spread fails
     assert len(counts) == 200 and max(counts) <= 1
@@ -949,7 +959,7 @@ def _resummed_budget(cert, family, min_fit_n):
             if t_hi < 0:
                 continue
             part = Segment(s.anchor, s.axis, t_hi + 1, step=s.step, stride=s.stride)
-            acc += 2.0 ** family.segment_power_log2(part, float(alphas[s.axis]))
+            acc += 2.0 ** segment_power_log2(family, part, float(alphas[s.axis]))
         return acc
 
     rows = []

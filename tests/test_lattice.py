@@ -26,7 +26,6 @@ from critreg.lattice import (
     sphere_constant,
     symmetric_geometric_axis,
     symmetric_geometric_family,
-    uniform_box_family,
     weights_le,
 )
 
@@ -42,10 +41,12 @@ from oracles import (
     mass_log2_parts_unmemoized,
     mass_ratio_log2_unmemoized,
     point_weights,
+    segment_power_log2,
     segment_power_log2_unmemoized,
     sphere_points,
     sphere_size,
     symmetric_geometric_weight,
+    uniform_box_family,
     uniform_weight,
 )
 
@@ -218,7 +219,7 @@ class TestMassesAgainstPointWeights:
             assert mass_log2(fam, region) == -math.inf
         if isinstance(region, Segment):
             brute = sum(float(w) ** alpha for w in ws if w)
-            got = fam.segment_power_log2(region, alpha)
+            got = segment_power_log2(fam, region, alpha)
             assert math.isclose(2.0 ** got, brute, rel_tol=1e-12) if brute else got == -math.inf
 
     def test_fixed_coordinate_outside_the_support_has_no_mass(self):
@@ -228,7 +229,7 @@ class TestMassesAgainstPointWeights:
         seg = Segment((-1, 0), 1, 6)
         assert exact_mass(geo, seg) == exact_mass(geo, Box(((-1, -1), (0, 5)))) == 0
         assert geo.mass_log2_parts(seg) is None
-        assert geo.segment_power_log2(seg, 0.5) == -math.inf
+        assert segment_power_log2(geo, seg, 0.5) == -math.inf
         assert mass_le(geo, seg, (Fraction(1), Box(((0, 0), (0, 0)))))
 
     def test_strided_range_below_the_support_keeps_its_grid(self):
@@ -239,7 +240,7 @@ class TestMassesAgainstPointWeights:
         assert exact_mass(geo, seg) == Fraction(5, 32)
         assert abs(mass_log2(geo, seg) - math.log2(5 / 32)) <= MARGIN
         expected = (1 / 8) ** 0.5 + (1 / 32) ** 0.5
-        assert math.isclose(2.0 ** geo.segment_power_log2(seg, 0.5), expected, rel_tol=1e-12)
+        assert math.isclose(2.0 ** segment_power_log2(geo, seg, 0.5), expected, rel_tol=1e-12)
         uniform = uniform_box_family(Box(((0, 4), (0, 0))))
         seg = Segment((-1, 0), 0, 4, stride=2)
         assert exact_mass(uniform, seg) == Fraction(2, 5)
@@ -256,7 +257,7 @@ class TestMassesAgainstPointWeights:
         assert exact_mass(fam, seg) == exact_mass(fam, Box(((2, 2), (3, 8)))) == sum(inside)
         assert abs(mass_log2(fam, seg) - math.log2(sum(inside))) <= MARGIN
         expected = sum(float(w) ** 0.5 for w in inside)
-        assert math.isclose(2.0 ** fam.segment_power_log2(seg, 0.5), expected, rel_tol=1e-12)
+        assert math.isclose(2.0 ** segment_power_log2(fam, seg, 0.5), expected, rel_tol=1e-12)
         assert mass_le(fam, seg, Bound(Fraction(1), Box(((2, 2), (3, 5)))))
 
 
@@ -583,7 +584,6 @@ class TestFamilyMemo:
                     fam, region, bound)
                 if isinstance(region, Segment):
                     want = segment_power_log2_unmemoized(fam, region, alpha)
-                    assert fam.segment_power_log2(region, alpha) == want
                     lo, hi, s = region.axis_values()
                     assert fam.range_power_log2(
                         region.anchor, region.axis, lo, hi, s, alpha) == want

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -6,16 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critreg.lattice import (
-    DIMENSION_CAP,
-    LOG2_3,
-    Axis,
-    ProductFamily,
-    TableFamily,
-    geometric_family,
-    symmetric_geometric_axis,
-    symmetric_geometric_family,
-)
+from critreg.lattice import DIMENSION_CAP
 from critreg.nilpotent import (
     IntervalPacking,
     UnipotentMatrix,
@@ -164,15 +154,13 @@ class TestDistortionIdentity:
         pk = translation_model(2)
         g = UnipotentMatrix.generator(4, 4, 1)
         word = Word(((2, 1, 1), (3, 1, -1), (4, 1, 1), (2, 1, 1)), 4)
-        rep = conjugacy_distortion_check(pk, word, g, 3, [(0, 0, 0), (1, 2, -1)])
-        assert rep.all_zero
+        assert conjugacy_distortion_check(pk, word, g, 3, [(0, 0, 0), (1, 2, -1)]) == (0, 0)
 
     def test_ff_model_zero_residual(self):
         pk = full_group_model(3)
         g = UnipotentMatrix.generator(4, 4, 1)
         word = Word(((2, 1, 1), (3, 2, 1), (4, 3, -1), (3, 1, 1)), 4)
-        rep = conjugacy_distortion_check(pk, word, g, 2, [(0, 0, 0), (-1, 2, 0)])
-        assert rep.all_zero
+        assert conjugacy_distortion_check(pk, word, g, 2, [(0, 0, 0), (-1, 2, 0)]) == (0, 0)
 
     def test_noncommuting_letter_rejected(self):
         pk = full_group_model(3)
@@ -224,10 +212,8 @@ def _naive_prefixes(word):
 
 def _exact_residual(pk, h, gk, v):
     """The slope identity's residual from exact Fraction lengths."""
-    weight = pk.family.weight
-
     def slope(m, u):
-        return weight(_naive_act(m, u)) / weight(u)
+        return length(pk, _naive_act(m, u)) / length(pk, u)
 
     return slope(gk, v) - slope(h, v) / slope(h, _naive_act(gk, v)) * slope(gk, _naive_act(h, v))
 
@@ -313,12 +299,12 @@ class TestTrustedAction:
             st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=3
         ))
         g = UnipotentMatrix.generator(d + 1, d + 1, 1)
-        rep = conjugacy_distortion_check(pk, word, g, k, idx)
+        residuals = conjugacy_distortion_check(pk, word, g, k, idx)
 
         h = _naive_prefixes(word)[-1]
         gk = _naive_power(g, k)
-        assert rep.residuals == tuple(_exact_residual(pk, h, gk, v) for v in idx)
-        assert rep.all_zero
+        assert residuals == tuple(_exact_residual(pk, h, gk, v) for v in idx)
+        assert not any(residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +344,15 @@ class TestExponents:
         # so the residual is 2^(-15+10) * (1 - 2^(-17+16)) = 1/64
         assert got == (Fraction(1, 2), Fraction(1, 64), Fraction(2), Fraction(-2))
 
-    def test_packing_takes_only_the_symmetric_geometric_family(self):
-        assert IntervalPacking(symmetric_geometric_family(3)).dim == 3
-        # axes are compared by value: an equal axis built by hand is accepted
-        same = Axis(-math.inf, math.inf, Fraction(1, 3), (0, -LOG2_3), 0, 1)
-        assert IntervalPacking(ProductFamily([same] * 2)).dim == 2
-        half = ProductFamily(symmetric_geometric_family(2).axes, scale=Fraction(1, 2))
-        steep = ProductFamily([symmetric_geometric_axis()._replace(rate=2)] * 2)
-        table = TableFamily({(0, 0): Fraction(1)})
-        for family in (geometric_family(2), half, steep, table):
-            with pytest.raises(ValueError, match="symmetric-geometric"):
-                IntervalPacking(family)
+    def test_packing_takes_only_a_lattice_dimension(self):
+        # the packing holds its dimension alone, checked as every lattice
+        # constructor checks it
+        assert IntervalPacking(3).dim == full_group_model(3).dim == 3
+        for dim in (0, DIMENSION_CAP + 1):
+            with pytest.raises(ValueError, match=f"^dimension must be in \\[1, {DIMENSION_CAP}\\]"):
+                IntervalPacking(dim)
+        with pytest.raises(ValueError, match="^dimension must be in"):
+            full_group_model(DIMENSION_CAP + 1)
 
     def test_translation_model_names_its_dimension_limit(self):
         assert translation_model(DIMENSION_CAP - 1).dim == DIMENSION_CAP

@@ -22,7 +22,6 @@ from critreg import boxes, cli, concat, lattice
 SRC = Path(critreg.__file__).resolve().parent
 
 ALGEBRA = "group algebra of UnipotentMatrix, kept by design next to the action the kinds use"
-UNIFORM = "finite uniform family, kept as the tests' rate-0 family (all translates equal)"
 
 # a def's qualified name (module.Class.function), or the name of a class or
 # function whose methods and nested defs it covers, with the reason it stays
@@ -31,11 +30,10 @@ ALLOWLIST = {
         "exact point weight for weights_le's fallback, which lemma1 reaches only on a "
         "terminal tie within 2^-40, and no built-in family has one"
     ),
-    "nilpotent.UnipotentMatrix.__post_init__": ALGEBRA,
+    "nilpotent.UnipotentMatrix.__new__": ALGEBRA,
     "nilpotent.UnipotentMatrix.__mul__": ALGEBRA,
     "nilpotent.UnipotentMatrix.inverse": ALGEBRA,
     "nilpotent.UnipotentMatrix.identity": ALGEBRA,
-    "lattice.uniform_box_family": UNIFORM,
 }
 
 

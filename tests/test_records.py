@@ -1,7 +1,7 @@
 """What the package relies on from its validated records.
 
-`Box`, `Segment`, `BoxSequence` and `SmoothMap` check their fields when
-they are built, cannot be changed afterwards, and hash as the tuple of
+`Box`, `Segment`, `BoxSequence`, `SmoothMap`, `UnipotentMatrix` and `Word`
+check their fields when they are built, cannot be changed afterwards, and hash as the tuple of
 their fields, so family memos keyed by regions and the order of sets of
 them do not depend on how a record is implemented.
 """
@@ -13,6 +13,7 @@ import pytest
 
 from critreg.boxes import BoxSequence
 from critreg.lattice import Box, Segment
+from critreg.nilpotent import UnipotentMatrix, Word
 from critreg.smooth import SmoothMap
 
 SQUARE = Box(((0, 5), (0, 5)))
@@ -44,6 +45,11 @@ INVALID = {
                            "need a < b"),
     "moving fixed point": (lambda: SmoothMap("half", _half, _half, 0.0, 1.0, (0.0, 1.0)),
                            "declared fixed point 1.0 moves under the map"),
+    "ragged matrix": (lambda: UnipotentMatrix(((1, 0), (0,))), "matrix must be square"),
+    "diagonal": (lambda: UnipotentMatrix(((2, 0), (0, 1))), "diagonal entries must be 1"),
+    "upper entry": (lambda: UnipotentMatrix(((1, 1), (0, 1))), "matrix must be lower triangular"),
+    "letter off the group": (lambda: Word(((5, 1, 1),), 3),
+                             "letter f(5,1) outside the rank-3 group"),
 }
 
 
@@ -59,6 +65,8 @@ VALID = {
     "segment": (Segment((0, 1), 0, 6, ambient=SQUARE), "count"),
     "sequence": (BoxSequence("B-d2", 1, (SQUARE, Box(((0, 6), (0, 5)))), 2), "boxes"),
     "map": (SmoothMap("id", _identity, _identity, 0.0, 1.0, (0.5,)), "a"),
+    "matrix": (UnipotentMatrix(((1, 0), (3, 1))), "rows"),
+    "word": (Word(((2, 1, 1),), 2), "letters"),
 }
 
 
@@ -79,3 +87,8 @@ def test_records_hash_as_their_field_tuples():
     assert hash(Segment((1, 2), 1, 2)) == hash(((1, 2), 1, 2, 1, 1, None))
     # equal fields make equal records, whichever call built them
     assert Segment((1, 2), 1, 2) == Segment(anchor=(1, 2), axis=1, count=2, step=1, stride=1)
+    rows = ((1, 0, 0), (2, 1, 0), (0, 0, 1))
+    assert hash(UnipotentMatrix(rows)) == hash((rows,))
+    assert UnipotentMatrix(rows) == UnipotentMatrix._trusted(rows)
+    assert UnipotentMatrix.generator(3, 2, 1).power(2) == UnipotentMatrix(rows)
+    assert hash(Word(((2, 1, -1),), 3)) == hash((((2, 1, -1),), 3))

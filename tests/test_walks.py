@@ -25,7 +25,6 @@ from critreg.lattice import (
     log2_parts,
     sphere_constant,
     symmetric_geometric_family,
-    uniform_box_family,
     weights_le,
 )
 from critreg import cli, walks
@@ -51,6 +50,7 @@ from oracles import (
     shared_cost_line,
     sphere_points,
     transition_distribution,
+    uniform_box_family,
 )
 
 
