@@ -227,11 +227,13 @@ def _chain_common(kind: str, seq, fam) -> dict:
     cert = concat.build_chain(kind, fam, seq)
     ver = concat.verify_chain(cert, fam)
     rep = concat.distortion_budget(cert, fam)
+    spread = rep.ratio_spread
     rows = [
         _row("chain-reverify", ver["all"], ver["all"], True,
              "all flags recomputed from the weight family"),
-        _row("budget-ratio-spread", rep.ratio_spread < 2.0, rep.ratio_spread, 2.0,
-             "cumulative Holder budget over (ln N)^(1-alpha)"),
+        _row("budget-ratio-spread", spread is not None and spread < 2.0, spread, 2.0,
+             "cumulative Holder budget over (ln N)^(1-alpha)"
+             + ("" if spread is not None else "; the fit is empty")),
     ]
     curve = [(r.n, r.budget) for r in rep.rows]
     entry = [(r.n, r.entry_index) for r in rep.rows]
@@ -376,12 +378,14 @@ _ROWS = (list, tuple)
 def _encoder(indent: str) -> json.JSONEncoder:
     """The C encoder of the items of a container whose items sit at
     `indent`: it puts each item on its own line."""
-    return json.JSONEncoder(sort_keys=True, default=str, separators=(",\n" + indent, ": "))
+    return json.JSONEncoder(sort_keys=True, default=str, allow_nan=False,
+                            separators=(",\n" + indent, ": "))
 
 
 def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2, default=str)`` of a
-    value with string keys that sits at `indent`, in few C encoder calls.
+    """``json.dumps(value, sort_keys=True, indent=2, default=str,
+    allow_nan=False)`` of a value with string keys that sits at `indent`, in
+    few C encoder calls; the same ValueError on a NaN or an infinity.
 
     A container whose children are all leaves (non-containers) is one
     call, wrapped in its bracket lines.  So is a list of nonempty lists and
@@ -444,7 +448,8 @@ def write_report(report: dict, out_dir: str | Path) -> Path:
     """Emit report.json plus CSV tables and two-column growth data files.
 
     report.json is ``json.dumps(report, sort_keys=True, indent=2,
-    default=str)`` and a newline; checks.csv is in the csv module's default
+    default=str, allow_nan=False)`` and a newline, so strict JSON: a NaN or
+    an infinity raises ValueError before any file is written; checks.csv is in the csv module's default
     dialect (CRLF rows); each table's line is "a b".  Every file of a CLI
     report is ASCII and is written with one open/write/close: built as one
     string, encoded as text mode encodes it on POSIX ("\\n" kept as is),

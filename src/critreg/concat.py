@@ -130,7 +130,7 @@ class ChainCertificate(NamedTuple):
     alphas: tuple[Fraction, ...]  # per axis of the boxes
     records: tuple[SegmentRecord, ...]
     start: Coords | None  # a staircase leads from here to the first entry
-    levels: dict[str, float]  # the builder's lambdas
+    levels: dict[str, float | None]  # the builder's lambdas; None past float range
     notes: tuple[str, ...]
 
 
@@ -241,7 +241,7 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float]:
     for r in cert.records:
         by_n.setdefault(r.n, []).append(r.points_between)
     return {
-        "B": 2.0 ** ratio if ratio < 1024 else math.inf,  # past float range B_log2 stays readable
+        "B": 2.0 ** ratio if ratio < 1024 else None,  # past float range B_log2 stays readable
         "B_log2": ratio,
         "D": max((2.0 ** (n * count_exp) / max(ks) for n, ks in by_n.items()), default=0.0),
         "K_d": float(max(map(len, by_n.values()), default=0)),
@@ -816,9 +816,9 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
         for n, seg in plan
     ]
     # the walk stops at the last overlap's lower corner
-    # past float range lambda reads inf, as B does in `measured`
+    # past float range lambda is None, as B is in `measured`
     return _assemble("FF-general", seq, alphas, legs, None,
-                     {"lambda": 2.0 ** m if m < 1024 else math.inf}, last_exit=tuple(cur))
+                     {"lambda": 2.0 ** m if m < 1024 else None}, last_exit=tuple(cur))
 
 
 def build_chain(kind: str, family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
@@ -857,7 +857,7 @@ class BudgetRow(NamedTuple):
 class BudgetReport(NamedTuple):
     rows: tuple[BudgetRow, ...]
     a_prime: float
-    ratio_spread: float  # max/min of ratio over the reported rows
+    ratio_spread: float | None  # max/min of ratio over the fitted rows; None for no row
     total_points: int
 
 
@@ -962,5 +962,5 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
         rows.append(BudgetRow(n, entry, b, ratio))
     min_fit_n = 4 if cert.kind == "FF-d3" else 2
     fit = [r.ratio for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
-    spread = max(fit) / min(fit) if fit else math.inf
+    spread = max(fit) / min(fit) if fit else None
     return BudgetReport(tuple(rows), max(fit, default=0.0), spread, total)

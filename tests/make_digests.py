@@ -19,7 +19,8 @@ README, so nothing under `bench/` is imported at test time.
 - `LEMMA1_LINES`: lemma1 at other seeds, families and dimensions;
 - `DYNAMICS_LINES`: k_max around the orbit block and the ends of c and alpha;
 - `IDENTITY_LINES`: every allowed (model, d) at three seeds;
-- `PROBE_LINES`: chains whose `report.json` is not strict JSON.
+- `PROBE_LINES`: chains whose `report.json` held Infinity before it was
+  strict JSON.
 
 Each group's comment gives its reason.  The lines name the tables by paths
 relative to the directory they run in, so that a report's config block
@@ -120,8 +121,10 @@ IDENTITY_LINES = tuple(
     for d in range(1, top + 1) for seed in (1, 2, 3)
 )
 
-# chains that write Infinity into report.json: budget-ratio-spread over an
-# empty fit (the first three) and B = inf past float range
+# chains whose report.json held Infinity before reports became strict JSON
+# and now holds null: budget-ratio-spread over an empty fit (the first three)
+# and B past float range; `chain-ff --d 6 --n-max 180` (CHAIN_LINES) is the
+# fifth, with B and lambda past float range
 PROBE_LINES = (
     "chain-b --d 2 --alpha 1/2,1/2 --n-max 1",
     "chain-b --d 2 --alpha 1/2,1/2 --n-max 2",

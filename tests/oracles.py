@@ -785,9 +785,9 @@ def retention_constant_fractions(seq: BoxSequence) -> Fraction | None:
 
 def write_report_rows(report: dict, out: Path) -> None:
     """The files of `cli.write_report`, by the standard library's indented
-    JSON encoder and one write per CSV row and per table line."""
+    strict JSON encoder and one write per CSV row and per table line."""
     out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, sort_keys=True, indent=2, default=str)
+    text = json.dumps(report, sort_keys=True, indent=2, default=str, allow_nan=False)
     (out / "report.json").write_text(text + "\n")
     with (out / "checks.csv").open("w", newline="") as fh:
         w = csv.writer(fh)

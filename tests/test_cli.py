@@ -297,7 +297,14 @@ class TestReportText:
     @given(JSON_VALUES)
     @settings(max_examples=200, deadline=None)
     def test_json_text_is_the_indented_dump(self, value):
-        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
+        # strict JSON: a NaN or an infinity raises a ValueError, as in the dump
+        try:
+            want = json.dumps(value, sort_keys=True, indent=2, default=str, allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError, match="^Out of range float values"):
+                cli._json_text(value)
+        else:
+            assert cli._json_text(value) == want
 
     @given(
         st.dictionaries(st.text(), JSON_VALUES, max_size=4),
@@ -306,13 +313,22 @@ class TestReportText:
         st.dictionaries(st.text("abcxyz_", min_size=1, max_size=6),
                         st.lists(st.tuples(LEAVES, LEAVES), max_size=4), max_size=3),
     )
-    @settings(max_examples=60, deadline=None)
+    # about two examples in three hold a NaN or an infinity, which both
+    # writers refuse, so 150 examples compare about 50 pairs of files
+    @settings(max_examples=150, deadline=None)
     def test_files_match_the_row_by_row_writer(self, extra, rows, tables):
         report = {**extra, "rows": rows, "tables": tables}
         with tempfile.TemporaryDirectory() as tmp:
             out, want = Path(tmp, "out"), Path(tmp, "want")
+            try:
+                write_report_rows(report, want)
+            except ValueError:
+                # a NaN or an infinity: both writers refuse it before any file
+                with pytest.raises(ValueError):
+                    write_report(report, out)
+                assert file_tree(out) == file_tree(want) == {}
+                return
             assert write_report(report, out) == out / "report.json"
-            write_report_rows(report, want)
             names = sorted(f.name for f in want.iterdir())
             assert sorted(f.name for f in out.iterdir()) == names
             for name in names:
@@ -471,13 +487,13 @@ class TestMain:
 
     def test_power_ratio_past_float_range_exits_two(self, tmp_path, capsys):
         # B-d2 (1/3, 2/3) at n_max 105 has a power ratio above 2^1024: B is
-        # inf, the run still writes its report, and budget-ratio-spread fails
+        # null, the run still writes its report, and budget-ratio-spread fails
         out = tmp_path / "rep"
         argv = ["chain-b", "--d", "2", "--variant", "B-d2", "--alpha", "1/3,2/3",
                 "--n-max", "105", "--out", str(out)]
         assert main(argv) == 2
         report = json.loads((out / "report.json").read_text())
-        assert report["constants"]["B"] == float("inf")
+        assert report["constants"]["B"] is None
         assert "Traceback" not in capsys.readouterr().err
 
     def test_power_ratio_log2_reported_past_float_range(self, tmp_path):
@@ -486,7 +502,7 @@ class TestMain:
                 "--n-max", "110", "--out", str(out)]
         assert main(argv) == 2
         constants = json.loads((out / "report.json").read_text())["constants"]
-        assert constants["B"] == float("inf")
+        assert constants["B"] is None
         assert 1024 <= constants["B_log2"] < float("inf")
 
     def test_power_ratio_log2_matches_finite_b(self):

@@ -980,7 +980,7 @@ def _resummed_budget(cert, family, min_fit_n):
         rows.append(BudgetRow(n, entry, b, b / ln ** (1.0 - alpha_min) if ln > 0 else math.inf))
     fit = [r.ratio for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
     return BudgetReport(tuple(rows), max(fit, default=0.0),
-                        max(fit) / min(fit) if fit else math.inf, starts[-1] + 1)
+                        max(fit) / min(fit) if fit else None, starts[-1] + 1)
 
 
 # chains for the budget oracle: (kind, family, sequence, the first fitted row

@@ -23,16 +23,9 @@ PINS = json.loads(LEDGER.read_text())
 # each line runs in its own directory, named by its place in the ledger
 INDEX = {line: i for i, line in enumerate(PINS)}
 
-# the lines whose report.json is not strict JSON: it holds Infinity, from
-# budget-ratio-spread over an empty fit, B past float range or FF-general's
-# lambda past float range.  A report format without Infinity empties it.
-NON_STRICT = (
-    "chain-b --d 2 --alpha 1/2,1/2 --n-max 1",
-    "chain-b --d 2 --alpha 1/2,1/2 --n-max 2",
-    "chain-b --d 3 --variant B-d3 --n-max 2",
-    "chain-b --d 2 --alpha 1/3,2/3 --n-max 110",
-    "chain-ff --d 6 --n-max 180",
-)
+# the lines whose report.json is not strict JSON.  None is: a value past
+# float range (B, FF-general's lambda) or a spread over an empty fit is null
+NON_STRICT = ()
 
 
 def _strict(text: str) -> bool:
