@@ -1,6 +1,7 @@
 """Write `tests/digests.json`, the ledger of pinned reports.
 
     PYTHONPATH=src python3 tests/make_digests.py
+    PYTHONPATH=src python3 tests/make_digests.py --check
 
 The ledger maps a `critreg` argv line to its exit code and the sha256 of
 every file its `--out` directory holds.  It is the only store of pinned
@@ -26,10 +27,12 @@ Each group's comment gives its reason.  The lines name the tables by paths
 relative to the directory they run in, so that a report's config block
 does not depend on it; `write_tables` puts them there.
 
-A change that alters a report regenerates the ledger with the command
-above.  Before it writes, the script prints the lines added, removed and
+A change that alters a report regenerates the ledger with the first
+command.  Before it writes, the script prints the lines added, removed and
 changed against the committed ledger; the change names each with its
-reason.
+reason.  `--check` runs no line and writes nothing: it prints the lines
+that `ledger_lines()` gives and the ledger lacks, and those the ledger
+holds beyond them, and exits 1 when there are any.
 """
 
 from __future__ import annotations
@@ -180,7 +183,22 @@ def changes(old: dict, new: dict) -> list[str]:
     return shown
 
 
+def check() -> int:
+    """1 when the ledger's lines are not exactly `ledger_lines()`, after
+    printing each line missing from it or extra to it; else 0."""
+    want, have = set(ledger_lines()), set(json.loads(LEDGER.read_text()))
+    for line in sorted(want - have):
+        print("not in the ledger:", line)
+    for line in sorted(have - want):
+        print("in the ledger but not a ledger line:", line)
+    return int(want != have)
+
+
 def main() -> None:
+    if sys.argv[1:] == ["--check"]:
+        raise SystemExit(check())
+    if sys.argv[1:]:
+        raise SystemExit("usage: make_digests.py [--check]")
     old = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
     out = {}
     here = os.getcwd()

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from critreg import cli
+import make_digests
 from make_digests import CAP_LINES, LEDGER, ROOT, TABLES, changes, run_line, write_tables
 from oracles import file_tree, write_report_rows
 
@@ -118,3 +119,21 @@ def test_ledger_covers_every_kind_exit_and_named_line():
     assert len(readme) == 8
     missing = [line for line in (*CAP_LINES, *readme, *NON_STRICT) if line not in PINS]
     assert not missing, missing
+
+
+def test_check_names_lines_missing_from_the_ledger_and_extra_to_it(tmp_path, monkeypatch, capsys):
+    # `make_digests.py --check`, the CI step: 0 on the committed ledger, 1
+    # and both kinds of line named on a ledger that has drifted
+    assert make_digests.check() == 0
+    drifted = dict(PINS)
+    missing = next(iter(drifted))
+    del drifted[missing]
+    drifted["boxes --d 2 --n-max 3"] = {"exit": 0, "files": {}}
+    monkeypatch.setattr(make_digests, "LEDGER", tmp_path / "digests.json")
+    make_digests.LEDGER.write_text(json.dumps(drifted))
+    capsys.readouterr()
+    assert make_digests.check() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"not in the ledger: {missing}",
+        "in the ledger but not a ledger line: boxes --d 2 --n-max 3",
+    ]
