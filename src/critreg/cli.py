@@ -449,8 +449,9 @@ def write_report(report: dict, out_dir: str | Path) -> Path:
 
     report.json is ``json.dumps(report, sort_keys=True, indent=2,
     default=str, allow_nan=False)`` and a newline, so strict JSON: a NaN or
-    an infinity raises ValueError before any file is written; checks.csv is in the csv module's default
-    dialect (CRLF rows); each table's line is "a b".  Every file of a CLI
+    an infinity raises ValueError before any file is written; checks.csv
+    is in the csv module's default dialect (CRLF rows); each table's line
+    is "a b".  Every file of a CLI
     report is ASCII and is written with one open/write/close: built as one
     string, encoded as text mode encodes it on POSIX ("\\n" kept as is),
     and truncating any file of the same name.

@@ -219,10 +219,10 @@ def walk_stretches(cert: ChainCertificate) -> list[Segment]:
     return out
 
 
-def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float]:
+def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float | None]:
     """B (and its log2), D and K_d of the chain's records.  B is the largest
     ratio of a record's power sum to max(L_n, L_(n+1))^alpha, from the box
-    masses L."""
+    masses L; None past float range."""
     masses = {n: mass_log2(family, cert.seq.box(n)) for n in cert.seq.indices()}
     alphas = [float(a) for a in cert.alphas]
 
