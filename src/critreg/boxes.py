@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 from .lattice import Box
 
 N_MAX_GUARD = 200
+RADICAND_BITS_GUARD = 1 << 19
 
 
 def integer_root(x: int, q: int) -> int:
@@ -73,29 +74,25 @@ def integer_root(x: int, q: int) -> int:
         r = s
 
 
-def floor_power(base: int, exponent: Fraction) -> int:
-    """floor(base**exponent) for a nonnegative rational exponent, exactly."""
+def scaled_root(value: int, base: int, exponent: Fraction, *, ceil: bool = False) -> int:
+    """floor(value * base**exponent), or with `ceil` its ceiling, exactly,
+    for value >= 0, base >= 1 and a rational exponent p/q of either sign.
+
+    It is the q-th root of value^q * base^p, one `integer_root` of the
+    radicand's integer part; the ceiling is the floor, plus one unless the
+    root is exact.  A radicand longer than RADICAND_BITS_GUARD bits, by
+    the bound q * bits(value) + |p| * bits(base), raises ValueError before
+    it is built.
+    """
     e = Fraction(exponent)
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return integer_root(base ** e.numerator, e.denominator)
-
-
-def _scale_floor(value: int, base2_exponent: Fraction) -> int:
-    """floor(2**base2_exponent * value) exactly, for value >= 0."""
-    e = Fraction(base2_exponent)
-    return integer_root((2 ** e.numerator) * value ** e.denominator, e.denominator)
-
-
-def _scale_ceil_inv(value: int, base2_exponent: Fraction) -> int:
-    """ceil(value / 2**base2_exponent) exactly, for value >= 0."""
-    e = Fraction(base2_exponent)
     p, q = e.numerator, e.denominator
-    target = value ** q
-    r = integer_root(target // (2 ** p), q)
-    while r ** q * 2 ** p < target:
-        r += 1
-    return r
+    if q * value.bit_length() + abs(p) * base.bit_length() > RADICAND_BITS_GUARD:
+        raise ValueError(
+            f"{value} * {base}^({e}) needs a root of a radicand past "
+            f"{RADICAND_BITS_GUARD} bits; use exponents with smaller denominators")
+    num, den = value ** q * base ** max(p, 0), base ** max(-p, 0)
+    r = integer_root(num // den, q)
+    return r + 1 if ceil and r ** q * den != num else r
 
 
 class _BoxSequenceFields(NamedTuple):
@@ -157,8 +154,8 @@ def _build_b_d2(alphas: Sequence[Fraction], n_max: int) -> BoxSequence:
     a1, a2 = _check_alphas(alphas)
     # the endpoints floor(4^(m*a)), once each for m up to the last box's m + 2
     top = (n_max - 1) // 2 + 3
-    p1 = [floor_power(4, m * a1) for m in range(top)]
-    p2 = [floor_power(4, m * a2) for m in range(top)]
+    p1 = [scaled_root(1, 4, m * a1) for m in range(top)]
+    p2 = [scaled_root(1, 4, m * a2) for m in range(top)]
     boxes = []
     for n in range(1, n_max + 1):
         m, odd = divmod(n - 1, 2)
@@ -186,12 +183,12 @@ def _build_b_general(alphas: Sequence[Fraction], n_max: int) -> BoxSequence:
         # the raised lower endpoint also catches up to within one growth
         # factor of the upper one; without the catch-up the seed's aspect
         # ratio 4^d persists and the cover multiplicity exceeds d+2
-        new_x = max(_scale_floor(x, growth[m]), _scale_ceil_inv(y, growth[m]))
+        new_x = max(scaled_root(x, 2, growth[m]), scaled_root(y, 2, -growth[m], ceil=True))
         if new_x > y:
             raise ValueError(f"sequence degenerates at step {n}: {new_x} > {y}")
         ivs[m] = (new_x, y)
         x2, y2 = ivs[mm]
-        ivs[mm] = (x2, _scale_floor(y2, growth[mm]))
+        ivs[mm] = (x2, scaled_root(y2, 2, growth[mm]))
         boxes.append(Box(tuple(ivs)))
     return BoxSequence("B-general", 1, tuple(boxes), alphas=a, d=d)
 

@@ -29,11 +29,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
-from . import boxes as boxmod
-# `walks` and `smooth` compute with numpy, so only the lemma1 and dynamics
-# runners import them: the other kinds and `report` start without numpy.
-# `nilpotent` serves identity alone, so its runner imports it too
-from . import concat, lattice
+# each runner imports the modules it runs: `walks` and `smooth` compute
+# with numpy and serve lemma1 and dynamics, `nilpotent` serves identity,
+# `boxes` serves boxes and the chains, and `concat` the chains alone
+from . import lattice
 
 # the config fields each kind reads: its flags, its accepted config keys
 # and its report's config block (with "kind") all come from this table
@@ -190,6 +189,8 @@ def _seq_for(cfg: ExperimentConfig, kind: str) -> boxmod.BoxSequence:
     """The config's box sequence of one kind, which must fit the config's d.
     FF takes no exponents; a B sequence has one axis per exponent, and
     takes 1/d on every axis unless the config names its own."""
+    from . import boxes as boxmod
+
     if kind == "FF":
         seq = boxmod.build_sequence("FF", d=cfg.d, n_max=cfg.n_max)
         if cfg.alphas:
@@ -204,6 +205,8 @@ def _seq_for(cfg: ExperimentConfig, kind: str) -> boxmod.BoxSequence:
 
 
 def _run_boxes(cfg: ExperimentConfig) -> dict:
+    from . import boxes as boxmod
+
     seq = _seq_for(cfg, _variant(cfg))
     mult = boxmod.sequence_multiplicity(seq)
     rows = []
@@ -224,6 +227,8 @@ def _run_boxes(cfg: ExperimentConfig) -> dict:
 
 
 def _chain_common(kind: str, seq, fam) -> dict:
+    from . import concat
+
     cert = concat.build_chain(kind, fam, seq)
     ver = concat.verify_chain(cert, fam)
     rep = concat.distortion_budget(cert, fam)
@@ -255,7 +260,7 @@ def _run_chain_b(cfg: ExperimentConfig) -> dict:
 
 
 def _run_chain_ff(cfg: ExperimentConfig) -> dict:
-    seq = boxmod.build_sequence("FF", d=cfg.d, n_max=cfg.n_max)
+    seq = _seq_for(cfg, "FF")  # chain-ff reads no exponents
     fam = _family(cfg, cfg.d - 1)
     kind = cfg.variant or ("FF-d3" if cfg.d == 3 else "FF-general")
     return _chain_common(kind, seq, fam)
@@ -576,9 +581,14 @@ def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
 
 
 def _load_report(path: str) -> dict:
-    """Read a saved report.json; ConfigError unless it has rows and a verdict
-    that they agree with."""
-    report = json.loads(Path(path).read_text())
+    """Read a saved report.json; ConfigError unless it is strict JSON (no
+    NaN or infinity, which no writer emits) with rows and a verdict that
+    they agree with."""
+
+    def refuse(name: str):
+        raise ConfigError(f"{path} is not strict JSON: it holds {name}")
+
+    report = json.loads(Path(path).read_text(), parse_constant=refuse)
     rows = report.get("rows") if isinstance(report, dict) else None
     keys = {"check", "passed", "value", "bound"}
     if (
@@ -659,7 +669,7 @@ def _main(argv: list[str] | None) -> int:
         cfg = _config_from(args, args.command)
         try:
             report = run(cfg)
-        except concat.ChainSearchError as exc:
+        except lattice.ChainSearchError as exc:
             stats = "".join(f"; {k}: {v}" for k, v in getattr(exc, "stats", {}).items())
             print(f"error: {exc}{stats}", file=sys.stderr)
             if args.out is not None:

@@ -52,6 +52,7 @@ from .boxes import BoxSequence, inocent_constant, vertical_subdivision
 from .lattice import (
     Bound,
     Box,
+    ChainSearchError,
     Coords,
     LengthFamily,
     NEG_INF,
@@ -62,15 +63,6 @@ from .lattice import (
     mass_ratio_log2,
     translated,
 )
-
-
-class ChainSearchError(RuntimeError):
-    """A good-object search exhausted its box; carries observed proportions."""
-
-    def __init__(self, message: str, n: int | None = None, stats: dict | None = None):
-        super().__init__(message)
-        self.n = n
-        self.stats = stats or {}
 
 
 # ---------------------------------------------------------------------------

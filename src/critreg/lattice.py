@@ -748,6 +748,15 @@ def _translate_ratios(
     return start, ratios
 
 
+class ChainSearchError(RuntimeError):
+    """A good-object search exhausted its box; carries observed proportions."""
+
+    def __init__(self, message: str, n: int | None = None, stats: dict | None = None):
+        super().__init__(message)
+        self.n = n
+        self.stats = stats or {}
+
+
 def first_translate_le(
     family: LengthFamily,
     checks: Sequence[tuple[Box | Segment, Bound]],

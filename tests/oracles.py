@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from critreg.boxes import BoxSequence, SubdivisionTree, _piece, floor_power
+from critreg.boxes import BoxSequence, SubdivisionTree, _piece, integer_root
 from critreg.concat import ChainSearchError
 from critreg.lattice import (
     Axis,
@@ -738,6 +738,12 @@ def domain_orbit(
 # ---------------------------------------------------------------------------
 # box constants and the report writer, in their first forms
 # ---------------------------------------------------------------------------
+
+
+def floor_power(base: int, exponent: Fraction) -> int:
+    """floor(base**exponent) for a nonnegative rational exponent, as the
+    root of the whole power."""
+    return integer_root(base ** exponent.numerator, exponent.denominator)
 
 
 def b_d2_box(alphas: tuple[Fraction, Fraction], n: int) -> Box:

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from critreg.boxes import (
     BoxSequence,
+    RADICAND_BITS_GUARD,
     build_sequence,
-    floor_power,
     inocent_constant,
     integer_root,
     minimal_round_constant,
+    scaled_root,
     sequence_multiplicity,
     side_growth_bracket,
     vertical_subdivision,
@@ -78,9 +79,33 @@ class TestIntegerRoots:
         assert r ** 1000 <= x < (r + 1) ** 1000
 
     def test_floor_power(self):
-        assert floor_power(4, Fraction(3, 2)) == 8
-        assert floor_power(4, Fraction(1, 2)) == 2
-        assert floor_power(2, Fraction(5, 3)) == 3  # 2^(5/3) = 3.17...
+        assert scaled_root(1, 4, Fraction(3, 2)) == 8
+        assert scaled_root(1, 4, Fraction(1, 2)) == 2
+        assert scaled_root(1, 2, Fraction(5, 3)) == 3  # 2^(5/3) = 3.17...
+
+    @given(st.integers(0, 2 ** 80), st.integers(1, 7), st.integers(-400, 400),
+           st.integers(1, 60), st.booleans())
+    @example(value=64, base=2, p=-3, q=1, ceil=True)  # an exact root: 64 / 8
+    @example(value=7, base=4, p=-1, q=2, ceil=True)  # 7 / 2 rounds up to 4
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_root_brackets_the_scaled_value(self, value, base, p, q, ceil):
+        # with x = value * base^(p/q), r <= x < r + 1 for the floor and
+        # r - 1 < x <= r for the ceiling, compared as q-th powers
+        r = scaled_root(value, base, Fraction(p, q), ceil=ceil)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        num, den = value ** q * base ** max(p, 0), base ** max(-p, 0)
+        if ceil:
+            assert (r - 1) ** q * den < num <= r ** q * den if num else r == 0
+        else:
+            assert r ** q * den <= num < (r + 1) ** q * den
+
+    def test_scaled_root_refuses_a_radicand_past_the_guard(self):
+        # value 1 and base 4 take 1 and 3 bits, so 4^(+-1/q) is bounded by q + 3
+        assert scaled_root(1, 4, Fraction(1, RADICAND_BITS_GUARD - 3)) == 1
+        for sign in (1, -1):
+            with pytest.raises(ValueError, match="radicand past"):
+                scaled_root(1, 4, Fraction(sign, RADICAND_BITS_GUARD - 2))
 
 
 class TestSequences:

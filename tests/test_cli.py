@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -578,6 +579,32 @@ class TestMain:
         assert code == 0
         assert "box-multiplicity" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["boxes", "--d", "2", "--variant", "B-d2", "--alpha", "1/100000,99999/100000",
+         "--n-max", "200"],
+        ["boxes", "--d", "3", "--variant", "B-general", "--alpha",
+         "33333/100000,33333/100000,16667/50000", "--n-max", "24"],
+    ], ids=["B-d2", "B-general"])
+    def test_extreme_exponents_exit_one_promptly(self, capsys, argv):
+        # exponents of denominator 10^5 ask for roots of radicands of
+        # millions of bits: the first line ran past 60 s, the second 10 s
+        class Hung(BaseException):  # no handler of `main` catches it
+            pass
+
+        def hang(signum, frame):
+            raise Hung
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "radicand past" in err
+
     def test_planar_takes_two_exponents(self, capsys):
         argv = ["boxes", "--d", "2", "--variant", "B-d2", "--alpha", "1/3,1/3,1/3"]
         assert main(argv) == 1
@@ -630,6 +657,17 @@ class TestMain:
         assert main(["report", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_report_that_is_not_strict_json_exits_one(self, tmp_path, capsys, constant):
+        # a well-formed report but for one value that no writer emits
+        p = tmp_path / "report.json"
+        p.write_text('{"rows": [{"check": "x", "passed": true, "value": %s, "bound": 1,'
+                     ' "note": ""}], "passed": true}' % constant)
+        assert main(["report", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: {p} is not strict JSON: it holds {constant}\n"
 
     @pytest.mark.parametrize(
         "content",
@@ -888,21 +926,30 @@ class TestParse:
 
 
 # Runs critreg.cli.main on each argv of sys.argv[1] (a JSON list) in one fresh
-# interpreter and prints the exit codes and whether numpy was loaded after
-# them, and after a small lemma1 run.  With sys.argv[2] == "block", numpy
-# cannot be imported at all.
+# interpreter and prints the exit codes, whether numpy was loaded after them
+# and after a small lemma1 run, and the critreg modules loaded after
+# `import critreg`, after `import critreg.cli` and after each argv.  With
+# sys.argv[2] == "block", numpy cannot be imported at all.
 FRESH_RUN = """
 import contextlib, io, json, sys
 calls, block = json.loads(sys.argv[1]), sys.argv[2] == "block"
 if block:
     sys.modules["numpy"] = None
-import critreg, critreg.cli
+def ours():
+    return sorted(name for name in sys.modules if name.startswith("critreg"))
+import critreg
+loaded = [ours()]
+import critreg.cli
+loaded.append(ours())
+codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [critreg.cli.main(argv) for argv in calls]
+    for argv in calls:
+        codes.append(critreg.cli.main(argv))
+        loaded.append(ours())
     before = sys.modules.get("numpy") is not None
     if not block:
         critreg.cli.main(["lemma1", "--d", "2", "--n-max", "5", "--samples", "3"])
-print(json.dumps([codes, before, sys.modules.get("numpy") is not None]))
+print(json.dumps([codes, before, sys.modules.get("numpy") is not None, loaded]))
 """
 
 EXACT_KINDS = ("boxes", "chain-b", "chain-ff", "identity")
@@ -934,12 +981,14 @@ print(json.dumps([loaded, on_import, generated(), code,
 
 
 class TestStartup:
-    """The exact kinds and `report` run without numpy; lemma1 loads it."""
+    """The exact kinds and `report` run without numpy; lemma1 loads it.
+    Each kind loads only the critreg modules it runs."""
 
-    def _fresh(self, tmp_path, mode):
+    def _fresh(self, tmp_path, mode, calls=None):
         out = tmp_path / mode
-        calls = [[kind, *SMALL[kind], "--out", str(out / kind)] for kind in EXACT_KINDS]
-        calls.append(["report", str(out / "boxes" / "report.json")])
+        if calls is None:
+            calls = [[kind, *SMALL[kind], "--out", str(out / kind)] for kind in EXACT_KINDS]
+            calls.append(["report", str(out / "boxes" / "report.json")])
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         proc = subprocess.run(
             [sys.executable, "-c", FRESH_RUN, json.dumps(calls), mode],
@@ -949,9 +998,32 @@ class TestStartup:
         return out, json.loads(proc.stdout.splitlines()[-1])
 
     def test_exact_kinds_do_not_import_numpy(self, tmp_path):
-        _, (codes, before, after) = self._fresh(tmp_path, "plain")
+        _, (codes, before, after, _) = self._fresh(tmp_path, "plain")
         assert all(code in (0, 2) for code in codes), codes
         assert not before and after
+
+    @pytest.mark.parametrize("kind", [*KINDS, "report"])
+    def test_each_kind_loads_only_the_modules_it_runs(self, tmp_path, kind):
+        # a fresh interpreter per kind, as each `critreg` command is
+        if kind == "report":
+            report = tmp_path / "report.json"
+            report.write_text('{"rows": [{"check": "x", "passed": true, "value": 1,'
+                              ' "bound": 1, "note": ""}], "passed": true}')
+            argv = ["report", str(report)]
+        else:
+            argv = [kind, *SMALL[kind]]
+        _, (codes, _, _, loaded) = self._fresh(tmp_path, "plain", [argv])
+        on_import, on_cli_import, after = loaded
+        assert codes == [0]
+        assert on_import == ["critreg"]
+        assert on_cli_import == ["critreg", "critreg.cli", "critreg.lattice"]
+        chain_code = {"critreg.boxes", "critreg.concat"}
+        if kind in ("chain-b", "chain-ff"):
+            assert chain_code <= set(after)
+        elif kind == "boxes":
+            assert "critreg.boxes" in after and "critreg.concat" not in after
+        else:
+            assert not chain_code & set(after), after
 
     def test_import_builds_no_dataclass_and_identity_loads_nilpotent(self, tmp_path):
         # a fresh interpreter, so that nothing pytest imported can mask a load
@@ -970,7 +1042,7 @@ class TestStartup:
         assert not dataclasses_after
 
     def test_exact_kinds_run_where_numpy_cannot_load(self, tmp_path):
-        out, (codes, _, _) = self._fresh(tmp_path, "block")
+        out, (codes, _, _, _) = self._fresh(tmp_path, "block")
         assert all(code in (0, 2) for code in codes), codes
         for kind in EXACT_KINDS:
             here = tmp_path / "here" / kind

@@ -1,7 +1,7 @@
 """Every function in src/critreg serves a CLI kind, or is listed with a reason.
 
-A small config set of every kind (plus `report`, an exit-1 and an exit-3
-run, and the benchmark's two direct library calls) runs in process under
+A small config set of every kind (plus `report`, exit-1 and exit-3
+runs, and the benchmark's two direct library calls) runs in process under
 `sys.setprofile`.  Every `def` of the package that none of them calls must
 be on ALLOWLIST, and no ALLOWLIST entry may be called or stop existing.
 Test oracles live in tests/oracles.py, not in the package.
@@ -88,6 +88,7 @@ def kind_runs(tmp: Path) -> list[tuple[list[str], int]]:
              for i in range(9) for j in range(9)}
     lemma1 = _write(tmp / "lemma1.json", {"d": 2, "n_max": 4, "samples": 5, "seed": 3})
     wrong_type = _write(tmp / "wrong.json", {"n_max": "5"})
+    infinite = _write(tmp / "infinite.json", {"rows": [], "passed": float("inf")})
     return [
         (["lemma1", "--config", lemma1, "--out", str(out)], 0),
         (["lemma1", "--d", "2", "--family", "symmetric-geometric", "--n-max", "4",
@@ -111,6 +112,7 @@ def kind_runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["dynamics", "--k-max", "20"], 0),
         (["report", str(out / "report.json")], 0),
         (["lemma1", "--config", wrong_type], 1),
+        (["report", infinite], 1),
         (["dynamics", "--d", "3"], 1),
         (["chain-ff", "--d", "3", "--n-max", "2", "--out", str(tmp / "exit3")], 3),
     ]

@@ -16,10 +16,16 @@ import pytest
 from critreg.boxes import build_sequence
 from critreg.cli import main
 from critreg.concat import build_chain, distortion_budget, stage_counts
-from critreg.lattice import geometric_family, symmetric_geometric_family
+from critreg.lattice import (
+    ProductFamily,
+    TableFamily,
+    geometric_family,
+    symmetric_geometric_family,
+)
 
 # w(i, j) = 2^-(i+j+2) on a 6x6 square, as in `make_digests.TABLES`
 SQUARE = {(i, j): Fraction(1, 2 ** (i + j + 2)) for i in range(6) for j in range(6)}
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
 def _verdicts(tmp_path, name, table, n_max):
@@ -54,6 +60,48 @@ def test_scaling_every_weight_changes_no_verdict(tmp_path, n_max):
     assert _verdicts(tmp_path, "half", half, n_max) == _verdicts(tmp_path, "square", SQUARE, n_max)
 
 
+def _halved_parts(family, halved, cert):
+    """The split log2 masses (an exact integer and a float, or None on zero
+    mass), on the family and on its halved copy, of every region the
+    chain's decisions read: each record's segment and bound region, and
+    each box of its sequence.  The chain is built on both families and must
+    be the same."""
+    assert build_chain(cert.kind, halved, cert.seq).records == cert.records
+    regions = [*(r.seg for r in cert.records), *(r.bound.region for r in cert.records),
+               *cert.seq.boxes]
+    return ([family.mass_log2_parts(r) for r in regions],
+            [halved.mass_log2_parts(r) for r in regions])
+
+
+def _shift_by_one_halving(parts):
+    return [None if p is None else (p[0] - 1, p[1]) for p in parts]
+
+
+@pytest.mark.parametrize("n_max", [4, 6, 8])
+def test_halving_a_table_shifts_every_split_mass_by_exactly_one(n_max):
+    """Scale, on the split log2 masses the decisions read.  Halving every
+    weight halves every mass, which the split form states exactly: the
+    integer part falls by one and the float part is bit for bit the same,
+    so no float of a comparison moves."""
+    seq = build_sequence("B-d2", alphas=(HALF, HALF), n_max=n_max)
+    family = TableFamily(SQUARE)
+    halved = TableFamily({v: w / 2 for v, w in SQUARE.items()})
+    parts, halved_parts = _halved_parts(family, halved, build_chain("B-d2", family, seq))
+    assert any(parts)
+    assert halved_parts == _shift_by_one_halving(parts)
+
+
+def test_halving_a_product_family_shifts_every_split_mass_by_exactly_one():
+    """Scale, for a product family: the symmetric-geometric family at
+    scale 1/2, on B-general at d = 3."""
+    seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=12)
+    family = symmetric_geometric_family(3)
+    halved = ProductFamily(family.axes, scale=HALF, name="halved")
+    parts, halved_parts = _halved_parts(family, halved, build_chain("B-general", family, seq))
+    assert all(parts)
+    assert halved_parts == _shift_by_one_halving(parts)
+
+
 SEQUENCES = {
     "B-d2 (1/2, 1/2)": dict(kind="B-d2", alphas=(Fraction(1, 2), Fraction(1, 2))),
     "B-d2 (1/3, 2/3)": dict(kind="B-d2", alphas=(Fraction(1, 3), Fraction(2, 3))),
@@ -73,8 +121,6 @@ def test_a_shorter_sequence_is_a_prefix_of_a_longer_one(name):
     assert short.start_index == long.start_index
     assert short.boxes == long.boxes[: len(short.boxes)]
 
-
-HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 # (chain kind, sequence arguments, dimension of the boxes)
 CHAINS = {
     "B-d2 (1/2, 1/2)": ("B-d2", dict(kind="B-d2", alphas=(HALF, HALF)), 2),
