@@ -1,10 +1,7 @@
 """Desk-scale verifiers for distortion machinery of interval actions.
 
-`import critreg` loads none of its modules: import each by name.  A CLI
-kind imports only the modules it runs (see README, Start-up): the numpy-
-backed `critreg.walks` and `critreg.smooth` serve lemma1 and dynamics,
-`critreg.nilpotent` serves identity, `critreg.boxes` serves boxes and the
-chains, and `critreg.concat` only the chains.
+`import critreg` loads none of its modules: import each by name.  The
+modules each CLI kind loads are listed in README, Start-up.
 """
 
 __version__ = "0.1.0"

@@ -27,12 +27,13 @@ from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-# each runner imports the modules it runs: `walks` and `smooth` compute
-# with numpy and serve lemma1 and dynamics, `nilpotent` serves identity,
-# `boxes` serves boxes and the chains, and `concat` the chains alone
+# each runner imports the modules it runs, so a kind loads no code it skips
 from . import lattice
+
+if TYPE_CHECKING:
+    from .boxes import BoxSequence
 
 # the config fields each kind reads: its flags, its accepted config keys
 # and its report's config block (with "kind") all come from this table
@@ -185,7 +186,7 @@ def _variant(cfg: ExperimentConfig) -> str:
     return cfg.variant or ("B-d2" if cfg.d == 2 else "B-general")
 
 
-def _seq_for(cfg: ExperimentConfig, kind: str) -> boxmod.BoxSequence:
+def _seq_for(cfg: ExperimentConfig, kind: str) -> BoxSequence:
     """The config's box sequence of one kind, which must fit the config's d.
     FF takes no exponents; a B sequence has one axis per exponent, and
     takes 1/d on every axis unless the config names its own."""

@@ -954,15 +954,16 @@ print(json.dumps([codes, before, sys.modules.get("numpy") is not None, loaded]))
 
 EXACT_KINDS = ("boxes", "chain-b", "chain-ff", "identity")
 
-# Imports critreg and critreg.cli in a fresh interpreter and prints the
+# Imports critreg, critreg.cli and the chain modules (which the CLI loads
+# only for the kinds that run them) in a fresh interpreter and prints the
 # late-loaded modules already present, the critreg classes that are
 # dataclasses (by the field table `dataclasses.is_dataclass` reads, so the
 # script itself leaves `dataclasses` unloaded) after the import and again
-# after one identity run (argv in sys.argv[1], a JSON list), and whether
-# that run left critreg.nilpotent and dataclasses loaded.
+# after each run (argvs in sys.argv[1], a JSON list), their exit codes, and
+# whether the runs left critreg.nilpotent and dataclasses loaded.
 FRESH_IMPORT = """
 import contextlib, io, json, sys
-import critreg, critreg.cli
+import critreg, critreg.cli, critreg.boxes, critreg.concat
 late = ["numpy", "critreg.nilpotent", "critreg.walks", "critreg.smooth"]
 loaded = [name for name in late if name in sys.modules]
 def generated():
@@ -973,9 +974,11 @@ def generated():
         if isinstance(cls, type) and cls.__module__ == name
         and "__dataclass_fields__" in vars(cls))
 on_import = generated()
+codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    code = critreg.cli.main(json.loads(sys.argv[1]))
-print(json.dumps([loaded, on_import, generated(), code,
+    for argv in json.loads(sys.argv[1]):
+        codes.append(critreg.cli.main(argv))
+print(json.dumps([loaded, on_import, generated(), codes,
                   "critreg.nilpotent" in sys.modules, "dataclasses" in sys.modules]))
 """
 
@@ -1027,18 +1030,20 @@ class TestStartup:
 
     def test_import_builds_no_dataclass_and_identity_loads_nilpotent(self, tmp_path):
         # a fresh interpreter, so that nothing pytest imported can mask a load
-        argv = ["identity", *SMALL["identity"], "--out", str(tmp_path / "identity")]
+        # and one identity and one chain-b run generate none either
+        argvs = [[kind, *SMALL[kind], "--out", str(tmp_path / kind)]
+                 for kind in ("identity", "chain-b")]
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         proc = subprocess.run(
-            [sys.executable, "-c", FRESH_IMPORT, json.dumps(argv)],
+            [sys.executable, "-c", FRESH_IMPORT, json.dumps(argvs)],
             env=env, capture_output=True, text=True, check=False,
         )
         assert proc.returncode == 0, proc.stderr
-        loaded, on_import, after_identity, code, nilpotent_after, dataclasses_after = (
+        loaded, on_import, after_runs, codes, nilpotent_after, dataclasses_after = (
             json.loads(proc.stdout.splitlines()[-1]))
         assert loaded == []
-        assert on_import == after_identity == []
-        assert code == 0 and nilpotent_after
+        assert on_import == after_runs == []
+        assert codes == [0, 0] and nilpotent_after
         assert not dataclasses_after
 
     def test_exact_kinds_run_where_numpy_cannot_load(self, tmp_path):
