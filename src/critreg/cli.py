@@ -90,6 +90,8 @@ def _rational(field: str, text: str) -> Fraction:
 
 
 def _family(cfg: ExperimentConfig, d: int) -> lattice.LengthFamily:
+    """The config's weight family on the kind's lattice Z^d; a family file
+    whose table lives on another lattice is a ConfigError."""
     if cfg.family_file is not None and cfg.family != "custom-file":
         raise ConfigError("--family-file needs --family custom-file")
     if cfg.family == "geometric":
@@ -99,7 +101,10 @@ def _family(cfg: ExperimentConfig, d: int) -> lattice.LengthFamily:
     if cfg.family == "custom-file":
         if not cfg.family_file:
             raise ConfigError("custom-file family needs --family-file")
-        return lattice.TableFamily(_read_table(cfg.family_file))
+        table = lattice.TableFamily(_read_table(cfg.family_file))
+        if table.d != d:
+            raise ConfigError(f"the family file's table is on Z^{table.d}, not Z^{d}")
+        return table
     raise ConfigError(f"unknown family {cfg.family!r}")
 
 
@@ -147,8 +152,6 @@ def _run_lemma1(cfg: ExperimentConfig) -> dict:
     from . import walks
 
     fam = _family(cfg, cfg.d)
-    if fam.d != cfg.d:
-        raise ConfigError(f"the family file's table is on Z^{fam.d}, not Z^{cfg.d}")
     summary = walks.batch_certificates(fam, cfg.n_max, cfg.samples, cfg.seed)
     witness = summary.witness
     rows = [
@@ -239,7 +242,8 @@ def _chain_common(kind: str, seq, fam) -> dict:
              "all flags recomputed from the weight family"),
         _row("budget-ratio-spread", spread is not None and spread < 2.0, spread, 2.0,
              "cumulative Holder budget over (ln N)^(1-alpha)"
-             + ("" if spread is not None else "; the fit is empty")),
+             + ("" if spread is not None else "; a fitted budget is zero" if rep.fitted
+                else "; the fit is empty")),
     ]
     curve = [(r.n, r.budget) for r in rep.rows]
     entry = [(r.n, r.entry_index) for r in rep.rows]

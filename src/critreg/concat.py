@@ -214,7 +214,8 @@ def walk_stretches(cert: ChainCertificate) -> list[Segment]:
 def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float | None]:
     """B (and its log2), D and K_d of the chain's records.  B is the largest
     ratio of a record's power sum to max(L_n, L_(n+1))^alpha, from the box
-    masses L; None past float range."""
+    masses L; None past float range.  A record of zero power sum gives
+    -inf, and B_log2 is None unless it is finite."""
     masses = {n: mass_log2(family, cert.seq.box(n)) for n in cert.seq.indices()}
     alphas = [float(a) for a in cert.alphas]
 
@@ -222,7 +223,8 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float | 
         alpha = alphas[r.seg.axis]
         base = alpha * max(masses[r.n], masses.get(r.n + 1, NEG_INF))
         seg = r.seg
-        return family.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha) - base
+        power = family.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha)
+        return power - base if power > NEG_INF else NEG_INF
 
     ratio = max(map(power_ratio_log2, cert.records), default=NEG_INF)
     if cert.kind.startswith("B"):
@@ -234,7 +236,7 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float | 
         by_n.setdefault(r.n, []).append(r.points_between)
     return {
         "B": 2.0 ** ratio if ratio < 1024 else None,  # past float range B_log2 stays readable
-        "B_log2": ratio,
+        "B_log2": ratio if math.isfinite(ratio) else None,
         "D": max((2.0 ** (n * count_exp) / max(ks) for n, ks in by_n.items()), default=0.0),
         "K_d": float(max(map(len, by_n.values()), default=0)),
     }
@@ -849,7 +851,9 @@ class BudgetRow(NamedTuple):
 class BudgetReport(NamedTuple):
     rows: tuple[BudgetRow, ...]
     a_prime: float
-    ratio_spread: float | None  # max/min of ratio over the fitted rows; None for no row
+    # max/min of ratio over the fitted rows; None for no row or a zero min
+    ratio_spread: float | None
+    fitted: int  # the rows in the fit
     total_points: int
 
 
@@ -954,5 +958,5 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
         rows.append(BudgetRow(n, entry, b, ratio))
     min_fit_n = 4 if cert.kind == "FF-d3" else 2
     fit = [r.ratio for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
-    spread = max(fit) / min(fit) if fit else None
-    return BudgetReport(tuple(rows), max(fit, default=0.0), spread, total)
+    spread = max(fit) / min(fit) if fit and min(fit) > 0 else None
+    return BudgetReport(tuple(rows), max(fit, default=0.0), spread, len(fit), total)

@@ -214,15 +214,6 @@ def log2_parts(q: Fraction) -> Log2Parts:
     return shift, math.log2(p / (r << shift) if shift >= 0 else (p << -shift) / r)
 
 
-def log2_fraction(q: Fraction) -> float:
-    """log2 of a positive rational, exact-int based so huge values are fine."""
-    if q <= 0:
-        raise ValueError("log2 of non-positive rational")
-    p, r = q.numerator, q.denominator
-    # math.log2 on big ints keeps ~double precision of the true log
-    return math.log2(p) - math.log2(r)
-
-
 def _geometric_sum_log2(first_log2: float, ratio_log2: float, count: int) -> float:
     """log2 of  2^first * (1 + 2^ratio + ... + 2^(ratio*(count-1))),  ratio <= 0."""
     if count <= 0:
@@ -438,9 +429,6 @@ class LengthFamily:
     def weight(self, v: Sequence[int]) -> Fraction:
         raise NotImplementedError
 
-    def log2_weight(self, v: Sequence[int]) -> float:
-        return log2_fraction(self.weight(v))
-
     def weight_log2_parts(self, v: Sequence[int]) -> Log2Parts:
         """log2 weight at v as an exact integer plus a small float; raises
         the ValueError of `weight` outside the support."""
@@ -479,7 +467,7 @@ class ProductFamily(LengthFamily):
         self.scale = Fraction(scale)
         self._coef = self.scale * math.prod(ax.coef for ax in self.axes)
         self._scale_parts = log2_parts(self.scale)
-        self.scale_log2 = log2_fraction(self.scale)
+        self.scale_log2 = sum(self._scale_parts)
         # (e0, f0): v's split log2 weight is (e0 - sum rate_k |v_k|, f0),
         # the scale's and each axis' offset and coef parts summed in axis order
         e0, f0 = self._scale_parts
@@ -600,7 +588,7 @@ class TableFamily(LengthFamily):
         for t in ts:
             p[axis] = t
             if (v := tuple(p)) in self.table:
-                out = log2_add(out, alpha * self.log2_weight(v))
+                out = log2_add(out, alpha * sum(self.weight_log2_parts(v)))
         return out
 
 

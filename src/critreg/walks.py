@@ -15,18 +15,18 @@ Before any draw the family's support must hold every orthant point with
 probability; otherwise the batch raises ValueError naming the first one
 missing, whatever the seed.  Which pass runs is then read from the
 family.  On a product family with one rate on every axis (both built-in
-families, and `lattice.uniform_box_family`) the weight on the orthant is
-const * 2^(-rate |v|): point t of every walk weighs what (t, 0, ..., 0)
-weighs, and every endpoint, on the sphere |v| = n, what (n, 0, ..., 0)
-weighs.  The batch is then decided from one cost sum and that one
-endpoint, and nothing is drawn.  Every other family (tables, unequal
-rates) steps all walks in lockstep, one `Generator.integers` call per
-step on one numpy stream, and evaluates every point of every walk.  Both
+families, and `uniform_box_family` of `tests/oracles.py`) the weight on
+the orthant is const * 2^(-rate |v|): point t of every walk weighs what
+(t, 0, ..., 0) weighs, and every endpoint, on the sphere |v| = n, what
+(n, 0, ..., 0) weighs.  The batch is then decided from one cost sum and
+that one endpoint, and nothing is drawn.  Every other family (tables,
+unequal rates) steps all walks in lockstep, one `Generator.integers` call
+per step on one numpy stream, and evaluates every point of every walk.  Both
 passes give every sample the float that one addition per step gives it.
 The terms come from `log2_weights`, the vector of float log2 weights of a
 point array, which lives here because this is the one numpy caller of the
-weight families; on a product family it reads the split form, an exact
-integer exponent plus a constant float part, with one rounding.
+weight families; it reads each weight's split form, an exact integer
+exponent plus a small float part, with one rounding.
 
 Terminal weights are decided by `lattice.weights_le`, from split log2
 weights with exact rationals only inside its margin.  The first sample,
@@ -97,9 +97,10 @@ def log2_weights(family: LengthFamily, pts: np.ndarray) -> np.ndarray:
     one float: the exact integer exponent e0 - sum rate_k |c_k| in int64
     (offsets and rates are small integers and coordinates are walk
     lengths, so it stays far inside that range) plus the constant float
-    part f0, one rounding per point; a table takes each point's own log2."""
+    part f0, one rounding per point.  Any other family reads each point's
+    own split parts `weight_log2_parts` as one float the same way."""
     if not isinstance(family, ProductFamily):
-        return np.array([family.log2_weight(p) for p in pts.tolist()])
+        return np.array([sum(family.weight_log2_parts(p)) for p in pts.tolist()])
     expo = np.full(len(pts), family.point_base[0], dtype=np.int64)
     for ax, col in zip(family.axes, pts.T):
         expo -= ax.rate * (col if ax.lo >= 0 else np.abs(col))

@@ -16,7 +16,7 @@ README, so nothing under `bench/` is imported at test time.
 - `CAP_LINES`, the three chain lines at the n_max cap;
 - `CHAIN_LINES`: builders, families and ties that the pools miss;
 - `SEARCH_FAILURE_LINES`: the FF-d3 ranges that exit 3;
-- `TABLE_LINES`: a chain and a walk on the two tables of `TABLES`;
+- `TABLE_LINES`: chains and a walk on the three tables of `TABLES`;
 - `LEMMA1_LINES`: lemma1 at other seeds, families and dimensions;
 - `DYNAMICS_LINES`: k_max around the orbit block and the ends of c and alpha;
 - `IDENTITY_LINES`: every allowed (model, d) at three seeds;
@@ -61,6 +61,10 @@ TABLES = {
     "simplex-table.json": json.dumps(
         {f"{i},{j}": f"{1 + (3 * i + 5 * j) % 7}/{2 ** (i + j)}"
          for i in range(6) for j in range(6 - i)}),
+    # unit weights on the block (500..502)^2 only, which no chain walk of
+    # n_max 6 reaches: every power sum, budget and fitted ratio is zero
+    "far-block-table.json": json.dumps(
+        {f"{i},{j}": "1" for i in range(500, 503) for j in range(500, 503)}),
 }
 
 CAP_LINES = (
@@ -86,13 +90,17 @@ CHAIN_LINES = (
 # stages past it (5)
 SEARCH_FAILURE_LINES = tuple(f"chain-ff --d 3 --n-max {n}" for n in range(2, 6))
 
-# a B-d2 chain on a table whose segments leave it, and a table that steps
-# every lemma1 walk
+# a B-d2 chain on a table whose segments leave it, a table that steps
+# every lemma1 walk, and a B-d2 and an FF-d3 chain whose walks get zero
+# weight (a null budget-ratio-spread and B_log2, exit 2)
 TABLE_LINES = (
     "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 8"
     " --family custom-file --family-file square-table.json",
     "lemma1 --d 2 --family custom-file --family-file simplex-table.json"
     " --n-max 5 --samples 50 --seed 3",
+    "chain-b --d 2 --alpha 1/2,1/2 --family custom-file --family-file far-block-table.json"
+    " --n-max 6",
+    "chain-ff --d 3 --family custom-file --family-file far-block-table.json --n-max 6",
 )
 
 # lemma1: the README line at another seed, which a built-in family decides

@@ -48,7 +48,6 @@ from critreg.lattice import (
     Segment,
     _check_dimension,
     log2_add,
-    log2_fraction,
     log2_parts,
     mass_le,
     symmetric_geometric_family,
@@ -274,7 +273,7 @@ def brute_min_cost(
     for _ in range(n):
         nxt: dict[Coords, tuple[float, Coords | None]] = {}
         for state in frontier:
-            base = best[state][0] + 2.0 ** (family.log2_weight(state) / d)
+            base = best[state][0] + 2.0 ** (sum(family.weight_log2_parts(state)) / d)
             for j in range(d):
                 t = list(state)
                 t[j] += 1
@@ -304,7 +303,7 @@ def enumerate_min_cost(family: LengthFamily, d: int, n: int) -> float:
         if j == n:
             best = min(best, acc)
             return
-        acc += 2.0 ** (family.log2_weight(tuple(state)) / d)
+        acc += 2.0 ** (sum(family.weight_log2_parts(tuple(state))) / d)
         for k in range(d):
             state[k] += 1
             rec(state, j + 1, acc)
@@ -362,16 +361,17 @@ def mass_ratio_log2_unmemoized(family: LengthFamily, region: Box | Segment, boun
 
 def segment_power_log2_unmemoized(family: LengthFamily, seg: Segment, alpha: float) -> float:
     """log2 of the sum of weight^alpha over the segment: on a product family
-    alpha times the scale's float log2 and each fixed point's split parts,
-    plus the moving axis' `Axis.power_log2`; on a table the point terms
-    joined by log2_add in the segment's order."""
+    alpha times the scale's and each fixed point's split parts, plus the
+    moving axis' `Axis.power_log2`; on a table the point terms, each
+    alpha times the point's split parts, joined by log2_add in the
+    segment's order."""
     if not isinstance(family, ProductFamily):
         out = -math.inf
         for p in seg.points():
             if p in family.table:
-                out = log2_add(out, alpha * family.log2_weight(p))
+                out = log2_add(out, alpha * sum(family.weight_log2_parts(p)))
         return out
-    m = alpha * log2_fraction(family.scale)
+    m = alpha * sum(log2_parts(family.scale))
     for k, c in enumerate(seg.anchor):
         if k != seg.axis:
             ax = family.axes[k]

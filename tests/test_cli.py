@@ -124,11 +124,23 @@ class TestRun:
         assert "[FAIL] walk-single-certificate: value=None" in capsys.readouterr().out
 
     def test_lemma1_family_file_of_another_dimension_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "plane.json"
-        path.write_text(json.dumps({f"{i},{j}": "1/64" for i in range(8) for j in range(8)}))
-        argv = ["lemma1", "--d", "3", "--family", "custom-file", "--family-file", str(path)]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: the family file's table is on Z^2, not Z^3\n"
+        # every kind that reads a family checks its table against the kind's
+        # lattice: Z^d for lemma1 and chain-b, Z^(d-1) for chain-ff
+        plane, cube = tmp_path / "plane.json", tmp_path / "cube.json"
+        plane.write_text(json.dumps({f"{i},{j}": "1/64" for i in range(9) for j in range(9)}))
+        cube.write_text(json.dumps({f"{i},{j},{k}": "1/64"
+                                    for i in range(4) for j in range(4) for k in range(4)}))
+        cases = [
+            ("lemma1 --d 3", plane, 2, 3),
+            ("chain-b --d 3 --variant B-d3 --n-max 5", plane, 2, 3),
+            ("chain-b --d 2 --n-max 4", cube, 3, 2),
+            ("chain-ff --d 3 --n-max 6", cube, 3, 2),
+        ]
+        for line, path, table_d, kind_d in cases:
+            argv = [*line.split(), "--family", "custom-file", "--family-file", str(path)]
+            assert main(argv) == 1, line
+            err = capsys.readouterr().err
+            assert err == f"error: the family file's table is on Z^{table_d}, not Z^{kind_d}\n", line
 
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_family_file_without_custom_file_exits_one(self, tmp_path, capsys, form):

@@ -980,7 +980,8 @@ def _resummed_budget(cert, family, min_fit_n):
         rows.append(BudgetRow(n, entry, b, b / ln ** (1.0 - alpha_min) if ln > 0 else math.inf))
     fit = [r.ratio for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
     return BudgetReport(tuple(rows), max(fit, default=0.0),
-                        max(fit) / min(fit) if fit else None, starts[-1] + 1)
+                        max(fit) / min(fit) if fit and min(fit) > 0 else None, len(fit),
+                        starts[-1] + 1)
 
 
 # chains for the budget oracle: (kind, family, sequence, the first fitted row
@@ -1024,6 +1025,7 @@ class TestBudgetOracle:
             assert a == b
         assert got.a_prime == want.a_prime
         assert got.ratio_spread == want.ratio_spread
+        assert got.fitted == want.fitted
         assert got.total_points == want.total_points
 
     def test_cases_cover_short_stretches_and_final_cuts(self):

@@ -109,7 +109,7 @@ def test_ledger_line(line, written):
 
 def test_ledger_covers_every_kind_exit_and_named_line():
     # so that no group of lines leaves the ledger unnoticed: every kind, the
-    # exit codes of a report (a usage error writes none), both tables, the
+    # exit codes of a report (a usage error writes none), every table, the
     # cap lines, the README lines and the NON_STRICT lines
     assert {line.split()[0] for line in PINS} == set(cli.RUNNERS)
     assert {pin["exit"] for pin in PINS.values()} == {0, 2, 3}

@@ -18,7 +18,6 @@ from critreg.lattice import (
     first_translate_le,
     geometric_axis,
     geometric_family,
-    log2_fraction,
     log2_parts,
     mass_le,
     mass_log2,
@@ -290,9 +289,10 @@ class TestTypes:
             fam.weight((2, 2))
 
 
-def test_log2_fraction_huge_values():
+def test_log2_parts_huge_values():
     q = Fraction(1, 2 ** 100_000)
-    assert math.isclose(log2_fraction(q), -100_000.0, rel_tol=1e-12)
+    assert log2_parts(q) == (-100_000, 0.0)
+    assert math.isclose(sum(log2_parts(q)), -100_000.0, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,14 @@ class TestBatch:
             for row, value in zip(rows.tolist(), got):
                 assert math.isclose(value, math.log2(fam.weight(row)), rel_tol=1e-15, abs_tol=1e-12)
 
+    def test_table_weight_near_one_keeps_its_log2(self):
+        # log2 (2^200 + 2^150)/2^200 is about 1.28e-15: log2 p - log2 r of
+        # the two integers cancels to 0.0, the split parts keep it
+        fam = TableFamily({(0, 0): Fraction(2 ** 200 + 2 ** 150, 2 ** 200)})
+        want = math.log1p(2.0 ** -50) / math.log(2)
+        assert log2_weights(fam, np.zeros((1, 2), dtype=np.int64)).tolist() == [want]
+        assert fam.range_power_log2((0, 0), 0, 0, 0, 1, 1.0) == want
+
     def test_success_fraction_and_mean(self):
         fam = geometric_family(2)
         s = batch_certificates(fam, 100, 500, seed=42)
