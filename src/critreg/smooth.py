@@ -25,20 +25,39 @@ Four arguments make the float results exact where it matters:
   over all grid pairs.  Entry (i, j) and entry (j, i) of the pair matrix
   are the same floats, since rounded subtraction is antisymmetric and both
   sides take absolute values, and the diagonal contributes 0; so only the
-  pairs (i, i + k), k >= 1, count.  For each offset k a first pass takes
-  M_k, the largest numerator, and G_k, the least gap, and the bound
-  U_k = M_k / G_k^alpha * ``HOLDER_SLACK`` is at least every computed
-  ratio at that offset (see ``HOLDER_SLACK``).  The offsets are then
-  visited by descending U_k, each one's ratios computed exactly as the
-  full matrix computes them, until U_k is at most the best ratio so far:
-  no skipped offset can raise the maximum.  An offset whose U_k is not a
-  finite float (a NaN, a zero gap, a power below the normal range) is
-  always computed, so NaN and inf reach the result as in the full matrix.
+  pairs (i, i + k), k >= 1, count.  At offset k let M_k be the largest
+  numerator and G_k the least gap: U_k = M_k / G_k^alpha * ``HOLDER_SLACK``
+  is at least every computed ratio at k, and stays so with M_k replaced by
+  any larger float and G_k by any smaller positive one (see
+  ``HOLDER_SLACK``).  Blocks give such bounds.  Fold ld into blocks of s
+  consecutive points, keeping each block's max and min (``np.maximum`` and
+  ``np.minimum``, which pass NaN on).  A pair (i, i + k) with i in block p
+  has its other end in block q = p + floor(k/s) or q = p + ceil(k/s), the
+  first alone when s divides k.  Rounding is monotone, so
+  fl(ld_j - ld_i) <= fl(max_q - min_p) and fl(ld_i - ld_j) <= fl(max_p - min_q);
+  the largest of these two over the block pairs (p, q) at those two
+  distances bounds M_k.  The gaps mirror it: fl|x_j - x_i| is at least
+  fl(min_q - max_p) and at least fl(min_p - max_q), so the least over the
+  same block pairs of the larger of the two bounds G_k from below (an exact
+  progression keeps G_k = x_k, next bullet).  With s = 1 the blocks are
+  the points, and the bounds are M_k and G_k themselves.
+  The scan takes a first best ratio from one offset's row
+  (``_seed_offset``).  It bounds every offset from at most
+  ``HOLDER_BLOCKS`` blocks, keeps the offsets whose bound exceeds the best
+  ratio, and bounds those again from blocks ``HOLDER_SHRINK`` times
+  smaller, down to s = 1, where the bound is U_k.  The offsets left are
+  visited by descending U_k, each one's ratios computed exactly as the full
+  matrix computes them, until U_k is at most the best ratio so far: no
+  skipped offset can raise the maximum.  A bound that is not a finite
+  float (a NaN, a gap bound of zero or less, a power below the normal
+  range) always keeps its offset.  A NaN in ld makes the fold of its block
+  NaN, and so the bound of every offset whose pairs hold it; so NaN and inf
+  reach the result as in the full matrix.
 - When the grid is an exact progression x_i = i h with h a power of two,
   as ``linspace(0, 1, 2^m + 1)`` is, every x_(i+k) = (i + k) h and k h =
   x_k are floats, so the subtraction x_(i+k) - x_i is exact and every
-  pair at offset k has the gap G_k = x_k.  The first pass then takes M_k
-  alone; on any other grid it takes G_k as well.
+  pair at offset k has the gap G_k = x_k.  The scan then folds ld alone;
+  on any other grid it folds x as well.
 - The grid of J starts at x0 and ends at the float g(x0).  ``f`` acts
   elementwise, so after k steps the left end of the orbit is g^k applied
   to x0 and the right end is g^(k-1) applied to that same float g(x0):
@@ -82,21 +101,24 @@ import numpy as np
 FIXED_POINT_TOL = 1e-10
 # a row holds at k while bound - value >= -GROWTH_TOL
 GROWTH_TOL = 1e-12
-# grid rows whose pairs the Holder bound pass takes at once, in one buffer
-# of 64 x (grid + 64) floats (0.56 MB at the 1025-point grid) that the
-# numerators and then, on a grid that is not an exact progression, the
-# gaps reuse
-HOLDER_BLOCK_ROWS = 64
+# the Holder scan bounds every offset from at most HOLDER_BLOCKS blocks of
+# the grid, keeps the offsets whose bound exceeds the best ratio so far, and
+# bounds them again from blocks HOLDER_SHRINK times smaller, down to points
+HOLDER_BLOCKS = 128
+HOLDER_SHRINK = 4
+# block differences that one pass of the scan holds (two arrays of 0.26 MB)
+HOLDER_PASS = 1 << 15
 # Every computed ratio fl(fl(|ld_(i+k) - ld_i|) / fl(fl(|x_(i+k) - x_i|)^alpha))
 # at offset k is at most U_k = fl(fl(M_k / fl(G_k^alpha)) * HOLDER_SLACK)
 # whenever fl(G_k^alpha) is a normal float, by ulp accounting (u = 2^-53;
 # each power within 2^8 ulp, e = 2^-44 relative, of the true one: glibc
 # documents 1 ulp for pow, as `lattice.MARGIN` assumes, and numpy's SIMD
 # power loops read within 1 ulp of glibc on an AVX-512 x86-64 host).
-# The numerators and gaps are the same floats in both, and x -> x^alpha
+# The numerators are at most M_k and the gaps at least G_k, and x -> x^alpha
 # increases, so a ratio is at most M_k / (G_k^alpha (1 - e)) * (1 + u),
 # while U_k is at least M_k / (G_k^alpha (1 + e)) * (1 - u)^2 * SLACK.
-# SLACK >= (1 + e)(1 + u) / ((1 - e)(1 - u)^2), about 1 + 2^-43, suffices.
+# SLACK >= (1 + e)(1 + u) / ((1 - e)(1 - u)^2), about 1 + 2^-43, suffices,
+# and the same holds for U computed from any M >= M_k and 0 < G <= G_k.
 HOLDER_SLACK = 1.0 + 2.0 ** -40
 # orbit steps whose derivatives are taken at once (128 x 257 floats, 0.26 MB).
 # A block-sized array is past glibc's 128 KiB mmap threshold, so each new one
@@ -199,6 +221,79 @@ def _exact_progression(x: np.ndarray) -> bool:
         x, np.arange(len(x)) * x[1])
 
 
+def _blocks(v: np.ndarray, s: int, fold: np.ufunc) -> tuple[int, np.ndarray, np.ndarray, np.ufunc]:
+    """v in blocks of s points, for a bound at each offset k on the largest
+    (fold ``np.maximum``) or the least (``np.minimum``) |v_(i+k) - v_i|: the
+    block size, each block's max and min (min and max for the least), each
+    followed by one pad more than there are blocks, and the fold."""
+    if s == 1:
+        hi = lo = v
+    else:
+        starts = np.arange(0, len(v), s)
+        hi, lo = np.maximum.reduceat(v, starts), np.minimum.reduceat(v, starts)
+    pad = -np.inf if fold is np.maximum else np.inf
+    top, bottom = (hi, lo) if fold is np.maximum else (lo, hi)
+    return (s, np.concatenate([top, np.full(len(top) + 1, pad)]),
+            np.concatenate([bottom, np.full(len(top) + 1, -pad)]), fold)
+
+
+def _skew(v: np.ndarray, d0: int, m: int, rows: int) -> np.ndarray:
+    """The (m, rows) view w[d, p] = v[d0 + d + p] of a contiguous float64 v."""
+    return np.ndarray((m, rows), np.float64, v, 8 * d0, (8, 8))
+
+
+def _block_bound(blocks: tuple, k0: int, k1: int) -> np.ndarray:
+    """The bound of ``_blocks`` at offsets k0..k1-1: the fold, over the block
+    pairs (p, p + d) at d = floor(k/s) and ceil(k/s), of
+    max(top_(p+d) - bottom_p, top_p - bottom_(p+d)).  A pair past the last
+    block meets a pad and reads -inf (+inf for the least), which the fold
+    does not pick."""
+    s, top, bottom, fold = blocks
+    ks = np.arange(k0, k1)
+    near, far = ks // s, -(-ks // s)
+    d0 = k0 // s
+    m, rows = int(far[-1]) - d0 + 1, (len(top) - 1) // 2 - d0  # blocks p < len - d0
+    diff = _skew(top, d0, m, rows) - bottom[:rows]
+    np.maximum(diff, top[:rows] - _skew(bottom, d0, m, rows), out=diff)
+    reach = fold.reduce(diff, axis=1)
+    return fold(reach[near - d0], reach[far - d0])
+
+
+def _offset_bounds(ld: np.ndarray, x: np.ndarray, exact: bool, alpha: float, s: int,
+                   ks: np.ndarray) -> np.ndarray:
+    """U at each offset of ks from blocks of s points, inf where the power
+    of the gap bound is not a normal float; with s = 1, U_k itself."""
+    numerators = _blocks(ld, s, np.maximum)
+    gaps = None if exact else _blocks(x, s, np.minimum)
+    # a pass bounds the kept offsets of one span, about HOLDER_PASS differences
+    span = max(1, s * (HOLDER_PASS // (len(x) // s + 1) - 2))
+    u = []
+    with np.errstate(all="ignore"):
+        for part in np.split(ks, np.flatnonzero(np.diff((ks - ks[0]) // span)) + 1):
+            k0, k1 = int(part[0]), int(part[-1]) + 1
+            power = (x[k0:k1] if exact else _block_bound(gaps, k0, k1)) ** alpha
+            top = _block_bound(numerators, k0, k1)
+            bound = np.where(power >= np.finfo(float).tiny, top / power * HOLDER_SLACK, np.inf)
+            u.append(bound[part - k0])
+    return np.concatenate(u)
+
+
+def _seed_offset(ld: np.ndarray, x: np.ndarray, alpha: float, s: int) -> int:
+    """A guess at the offset of the largest ratio: the multiple of s whose
+    pairs of points i s and (i + d) s give the largest ratio, taken against
+    the gap x_(d s) - x_0."""
+    points = ld[::s]
+    with np.errstate(all="ignore"):
+        ratio = _block_bound(_blocks(points, 1, np.maximum), 1, len(points)) / (
+            x[s::s] - x[0]) ** alpha
+    return s * (int(np.argmax(ratio)) + 1)
+
+
+def _ratio_max(ld: np.ndarray, x: np.ndarray, alpha: float, k: int) -> np.float64:
+    """The largest ratio at offset k, computed as the full pair matrix does."""
+    return (np.abs(ld[k:] - ld[:-k]) / np.abs(x[k:] - x[:-k]) ** alpha).max()
+
+
 def holder_constant_estimate(g: SmoothMap, alpha: float, grid: int = 1025) -> float:
     """Grid-pair estimate C of the Holder constant of log(Dg)."""
     if not 0 < alpha <= 1:
@@ -207,39 +302,24 @@ def holder_constant_estimate(g: SmoothMap, alpha: float, grid: int = 1025) -> fl
     d = g.df(x)
     _require_positive(d)
     ld = np.log(d)
-    # row block [r0, r1) against columns r0.. writes |v_j - v_i| at row i,
-    # column j - r0, of a block `wide` columns wide; read with one more
-    # element per row, the same memory has offset j - i down each column.
-    # Columns past the grid are padding that neither max nor min picks, so
-    # a NaN still passes on
-    top = np.full(grid, -np.inf)  # M_k
-    passes = [(ld, -np.inf, np.maximum, top)]
-    if _exact_progression(x):
-        gap = x  # G_k = x_k, see the module docstring
-    else:
-        gap = np.full(grid, np.inf)
-        passes.append((x, np.inf, np.minimum, gap))
-    buf = np.empty(HOLDER_BLOCK_ROWS * (grid + HOLDER_BLOCK_ROWS + 1))
-    for r0 in range(0, grid, HOLDER_BLOCK_ROWS):
-        rows, width = min(HOLDER_BLOCK_ROWS, grid - r0), grid - r0
-        wide = width + rows
-        block = buf[: rows * wide].reshape(rows, wide)
-        skew = buf[: rows * (wide + 1)].reshape(rows, wide + 1)[:, :width]
-        for v, pad, fold, out in passes:
-            np.subtract(v[r0:], v[r0 : r0 + rows, None], out=block[:, :width])
-            np.abs(block[:, :width], out=block[:, :width])
-            block[:, width:] = pad
-            fold(out[:width], fold.reduce(skew, axis=0), out=out[:width])
-    power = gap[1:] ** alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(power >= np.finfo(float).tiny, top[1:] / power * HOLDER_SLACK, np.inf)
-    # NaN sorts last, so descending order visits NaN, then inf, first
-    best = np.float64(0.0)
-    for k in np.argsort(bound)[::-1] + 1:
-        if np.isnan(best) or (bound[k - 1] <= best and bound[k - 1] < np.inf):
+    if grid < 2:
+        return 0.0
+    exact = _exact_progression(x)  # G_k = x_k, see the module docstring
+    s = -(-grid // HOLDER_BLOCKS)
+    best = _ratio_max(ld, x, alpha, _seed_offset(ld, x, alpha, s))
+    ks, u = np.arange(1, grid), np.empty(0)
+    while not np.isnan(best):
+        u = _offset_bounds(ld, x, exact, alpha, s, ks)
+        keep = ~((u <= best) & (u < np.inf))  # NaN and inf stay
+        ks, u = ks[keep], u[keep]
+        if s == 1 or not len(ks):
             break
-        ratio = np.abs(ld[k:] - ld[:-k]) / np.abs(x[k:] - x[:-k]) ** alpha
-        best = np.maximum(best, ratio.max())
+        s = max(1, s // HOLDER_SHRINK)
+    # the offsets left by descending U_k, as the full scan would visit them
+    for i in np.argsort(u)[::-1]:
+        if np.isnan(best) or (u[i] <= best and u[i] < np.inf):
+            break
+        best = np.maximum(best, _ratio_max(ld, x, alpha, ks[i]))
     return float(best)
 
 

@@ -735,6 +735,23 @@ def domain_orbit(
     return np.array(variation), np.array(ends)
 
 
+def holder_by_offsets(g: SmoothMap, alpha: float, grid: int) -> float:
+    """The grid Holder estimate one offset k at a time, in memory linear in
+    the grid: the largest |ld_(i+k) - ld_i| / |x_(i+k) - x_i|^alpha at each
+    k, then the largest over k, NaN passing through both (np.max and
+    np.maximum), as the full pair matrix gives it."""
+    x = g.grid(grid)
+    d = g.df(x)
+    if np.any(d <= 0):
+        raise ValueError("derivative must stay positive")
+    ld = np.log(d)
+    best = np.float64(0.0)  # the diagonal's 0 / 1
+    for k in range(1, grid):
+        ratio = np.abs(ld[k:] - ld[:-k]) / np.abs(x[k:] - x[:-k]) ** alpha
+        best = np.maximum(best, ratio.max())
+    return float(best)
+
+
 # ---------------------------------------------------------------------------
 # box constants and the report writer, in their first forms
 # ---------------------------------------------------------------------------
