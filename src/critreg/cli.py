@@ -279,19 +279,21 @@ def _run_identity(cfg: ExperimentConfig) -> dict:
     rng = random.Random(cfg.seed)
     model = cfg.variant or "translation"
     if model == "translation":
-        packing = nilpotent.translation_model(cfg.d)
+        if cfg.d >= lattice.DIMENSION_CAP:
+            raise ConfigError(
+                f"translation needs d <= {lattice.DIMENSION_CAP - 1}, since its packing "
+                f"lives on Z^(d+1); got d={cfg.d}"
+            )
         lattice_d = cfg.d + 1
         gens = [(j + 1, 1) for j in range(1, lattice_d + 1)]
-        g = nilpotent.UnipotentMatrix.generator(lattice_d + 1, lattice_d + 1, 1)
     elif model == "ff":
-        packing = nilpotent.full_group_model(cfg.d)
         lattice_d = cfg.d
         gens = [
             (i, j) for i in range(2, lattice_d + 2) for j in range(1, i)
         ]
-        g = nilpotent.UnipotentMatrix.generator(lattice_d + 1, lattice_d + 1, 1)
     else:
         raise ConfigError("identity variants: translation, ff")
+    g = nilpotent.UnipotentMatrix.generator(lattice_d + 1, lattice_d + 1, 1)
     powers = {k: g.power(k) for k in range(1, 6)}
     worst = Fraction(0)
     checked = 0
@@ -303,9 +305,7 @@ def _run_identity(cfg: ExperimentConfig) -> dict:
         word = nilpotent.Word(tuple(letters_w), lattice_d + 1)
         k = rng.randint(1, 5)
         idx = tuple(rng.randint(-3, 3) for _ in range(lattice_d))
-        residuals = nilpotent.conjugacy_distortion_check(
-            packing, word, g, k, [idx], gk=powers[k]
-        )
+        residuals = nilpotent.conjugacy_distortion_check(word, powers[k], [idx])
         if any(residuals):
             worst = max(worst, *map(abs, residuals))
         checked += 1

@@ -113,7 +113,7 @@ class SegmentRecord(NamedTuple):
     def points_between(self) -> int:
         """Walk points from entry to exit, both included."""
         axis = self.seg.axis
-        return abs(self.exit[axis] - self.entry[axis]) // self.seg.stride + 1
+        return abs(self.exit[axis] - self.entry[axis]) // abs(self.seg.step) + 1
 
 
 class ChainCertificate(NamedTuple):
@@ -179,12 +179,12 @@ def _mean_bound(level: Fraction, size: int, ambient: Box, points: int) -> Bound:
 
 
 def _stretch(entry: Coords, exit_: Coords, axis: int, stride: int = 1) -> Segment:
-    """Walk piece from entry to exit inclusive along one axis."""
-    delta = exit_[axis] - entry[axis]
-    if delta % stride:
+    """Walk piece from entry to exit inclusive along one axis, its points
+    `stride` apart."""
+    steps, r = divmod(exit_[axis] - entry[axis], stride)
+    if r:
         raise ValueError("exit not reachable with this stride")
-    steps = delta // stride
-    return Segment(entry, axis, abs(steps) + 1, step=1 if steps >= 0 else -1, stride=stride)
+    return Segment(entry, axis, abs(steps) + 1, stride if steps >= 0 else -stride)
 
 
 def _walk_start(family: LengthFamily, seq: BoxSequence) -> Coords:
@@ -207,7 +207,7 @@ def walk_stretches(cert: ChainCertificate) -> list[Segment]:
                 out.append(_stretch(cur, nxt, axis))
                 cur = nxt
     for r in cert.records:
-        out.append(_stretch(r.entry, r.exit, r.seg.axis, r.seg.stride))
+        out.append(_stretch(r.entry, r.exit, r.seg.axis, abs(r.seg.step)))
     return out
 
 
@@ -343,7 +343,7 @@ def _full_segment(box: Box, axis: int, fixed: Sequence[int]) -> Segment:
     lo, hi = box.intervals[axis]
     anchor = list(fixed)
     anchor[axis] = lo
-    return Segment(tuple(anchor), axis, hi - lo + 1, ambient=box)
+    return Segment(tuple(anchor), axis, hi - lo + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ def reach_vertical_section(
         first = start_j - ((start_j - s_lo) // stride) * stride
         count = (s_hi - first) // stride + 1
         anchor = point[:-1] + (first,)
-        return Segment(anchor, dim - 1, count, stride=stride)
+        return Segment(anchor, dim - 1, count, stride)
 
     def seg_ok(s: Segment) -> bool:
         return mass_le(family, s, _mean_bound(lam, s.count, box, box_points))
@@ -583,7 +583,7 @@ def _fully_good_segment(
             "no fully good segment in box", None,
         )
     anchor = [lo for lo, _ in member.intervals]
-    return Segment(tuple(anchor), axis, box.side(axis), ambient=box)
+    return Segment(tuple(anchor), axis, box.side(axis))
 
 
 def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
@@ -712,7 +712,7 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
         full = (y2 - x2) % k + 1
         for j0, count, npts in ((x2, full, c0), (x2 + full, classes - full, c0 - 1)):
             if count > 0:
-                first = Segment((k, j0), 1, npts, stride=k)
+                first = Segment((k, j0), 1, npts, k)
                 t = first_translate_le(family, [(first, bound)], 1, 1, count)
                 if t < count:
                     seg = translated(first, 1, t)
@@ -866,16 +866,11 @@ def _stretch_entry_t(stretch: Segment, box: Box) -> int | None:
         if not lo <= c <= hi:
             return None
     lo, hi = box.intervals[stretch.axis]
-    a = stretch.anchor[stretch.axis]
-    ss = stretch.step * stretch.stride
-    if ss > 0:
-        t_lo = -(-(lo - a) // ss) if lo > a else 0
-        t_hi = (hi - a) // ss
-    else:
-        t_lo = -(-(a - hi) // -ss) if a > hi else 0
-        t_hi = (a - lo) // -ss
-    t_lo = max(t_lo, 0)
-    t_hi = min(t_hi, stretch.count - 1)
+    a, step = stretch.anchor[stretch.axis], stretch.step
+    # the points enter the interval at `near` and leave it at `far`
+    near, far = (lo, hi) if step > 0 else (hi, lo)
+    t_lo = max(-((a - near) // step), 0)
+    t_hi = min((far - a) // step, stretch.count - 1)
     return t_lo if t_lo <= t_hi else None
 
 
@@ -905,9 +900,9 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
         """Sum of weight^alpha over points 0..t_hi of stretch i."""
         s = stretches[i]
         a = s.anchor[s.axis]
-        b = a + t_hi * s.step * s.stride
+        b = a + t_hi * s.step
         return 2.0 ** family.range_power_log2(
-            s.anchor, s.axis, min(a, b), max(a, b), s.stride, alphas[s.axis])
+            s.anchor, s.axis, min(a, b), max(a, b), abs(s.step), alphas[s.axis])
 
     # a stretch owns its points up to the next stretch's start; the last one
     # owns its end point too, and a non-final one-point stretch owns nothing

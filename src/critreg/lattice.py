@@ -1,5 +1,9 @@
 """Core lattice substrate: boxes, segments and weight families.
 
+A segment is (anchor, axis, count, step): count points from the anchor,
+a nonzero signed step apart along one axis.  It names no box; a chain's
+segments are checked against their boxes by `concat.verify_chain`.
+
 A product family's weight is a rational scale times one `Axis` per
 coordinate, w(i) = coef * 2^(offset - rate |i|) on an integer interval.
 A strided range of an axis is at most two geometric runs of integer log2
@@ -106,46 +110,30 @@ class _SegmentFields(NamedTuple):
     axis: int
     count: int
     step: int = 1
-    stride: int = 1
-    ambient: Box | None = None
 
 
 class Segment(_SegmentFields):
-    """Unidirectional run of lattice points, possibly with a stride.
+    """Unidirectional run of lattice points: anchor + t*step along `axis`
+    for t = 0..count-1, with a nonzero signed step.
 
-    Points are anchor + t*step*stride along `axis` for t = 0..count-1.  The
-    plain unit-step segments of the combinatorial chains use stride 1; the
-    stride field carries the arithmetic-progression runs generated by the
-    interval action.
+    The combinatorial chains walk unit steps, +1 or -1; a larger |step| is
+    an arithmetic-progression run generated by the interval action.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, anchor: Coords, axis: int, count: int, step: int = 1, stride: int = 1,
-        ambient: Box | None = None,
-    ) -> Segment:
+    def __new__(cls, anchor: Coords, axis: int, count: int, step: int = 1) -> Segment:
         if count < 1:
             raise ValueError("segment needs at least one point")
-        if step not in (1, -1):
-            raise ValueError("step must be +1 or -1")
-        if stride < 1:
-            raise ValueError("stride must be positive")
+        if not step:
+            raise ValueError("step must be nonzero")
         if not 0 <= axis < len(anchor):
             raise ValueError("axis out of range")
-        self = tuple.__new__(cls, (anchor, axis, count, step, stride, ambient))
-        if ambient is not None:
-            if not ambient.contains(anchor):
-                raise ValueError(f"segment point {anchor} escapes ambient box")
-            # the last point leaves the anchor's coordinates on the moving axis alone
-            lo, hi = ambient.intervals[axis]
-            if not lo <= anchor[axis] + (count - 1) * step * stride <= hi:
-                raise ValueError(f"segment point {self.last()} escapes ambient box")
-        return self
+        return tuple.__new__(cls, (anchor, axis, count, step))
 
     def point(self, t: int) -> Coords:
         c = list(self.anchor)
-        c[self.axis] += t * self.step * self.stride
+        c[self.axis] += t * self.step
         return tuple(c)
 
     def points(self) -> Iterator[Coords]:
@@ -155,20 +143,20 @@ class Segment(_SegmentFields):
         return self.point(self.count - 1)
 
     def axis_values(self) -> tuple[int, int, int]:
-        """(lo, hi, stride) of the moving coordinate, lo <= hi."""
+        """(lo, hi, |step|) of the moving coordinate, lo <= hi."""
         # one unpacking: a field read of a tuple costs about twice an attribute's
-        anchor, axis, count, step, stride, _ = self
+        anchor, axis, count, step = self
         a = anchor[axis]
-        b = a + (count - 1) * step * stride
-        return (a, b, stride) if a <= b else (b, a, stride)
+        b = a + (count - 1) * step
+        return (a, b, step) if step > 0 else (b, a, -step)
 
     def index_of(self, v: Sequence[int]) -> int | None:
         """Position of lattice point v on the segment, or None."""
-        anchor, axis, count, step, stride, _ = self
+        anchor, axis, count, step = self
         for k, c in enumerate(v):
             if k != axis and c != anchor[k]:
                 return None
-        t, r = divmod(v[axis] - anchor[axis], step * stride)
+        t, r = divmod(v[axis] - anchor[axis], step)
         if r != 0 or not 0 <= t < count:
             return None
         return t
@@ -693,8 +681,8 @@ def translated(region: Box | Segment, axis: int, delta: int) -> Box | Segment:
         return Box(tuple(ivs))
     anchor = list(region.anchor)
     anchor[axis] += delta
-    return Segment(tuple(anchor), region.axis, region.count, region.step, region.stride,
-                   region.ambient)
+    # count, axis and step do not move, so there is nothing to check again
+    return region._replace(anchor=tuple(anchor))
 
 
 def _translate_ratios(

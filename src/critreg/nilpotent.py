@@ -8,10 +8,12 @@ packing a summable family of interval lengths in lexicographic order then
 turns every group element into a piecewise-affine homeomorphism of [0,1]
 whose slope on the v-th interval is weight(f(v)) / weight(v).
 
-Both models pack the symmetric-geometric weights 2^-|v|_1 / 3^d, so every
-slope is an exact power of two: the packing hands out integer log2
-exponents, and the slope identity compares integers.  A residual becomes
-an exact `Fraction` only when it is nonzero.
+Both models of the identity kind pack the symmetric-geometric weights
+2^-|v|_1 / 3^d, so every slope is an exact power of two: `exponent` gives
+the integer log2 of a length times 3^d, and the slope identity compares
+integers.  A residual becomes an exact `Fraction` only when it is nonzero.
+The packing holds no state: the lattice Z^d is the matrices' own, whose
+action checks an index's dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .lattice import DIMENSION_CAP, Coords, _check_dimension
+from .lattice import Coords
 
 
 class _UnipotentMatrixFields(NamedTuple):
@@ -178,94 +180,46 @@ class Word(_WordFields):
 
 
 # ---------------------------------------------------------------------------
-# interval packing
+# interval packing and the distortion identity
 # ---------------------------------------------------------------------------
 
 
-class IntervalPacking:
-    """Lexicographic packing of the symmetric-geometric weights into [0,1]:
-    the v-th interval has length 2^e(v) / 3^dim, with e(v) = -sum |v_k|.
-
-    Both models pack these weights, and only these: their slopes are exact
-    powers of two, which the residuals below rely on.  The packing holds
-    only its dimension, as every length it needs is 2^e(v) / 3^dim.
-    """
-
-    def __init__(self, dim: int) -> None:
-        _check_dimension(dim)
-        self.dim = dim
-
-    @staticmethod
-    def exponent(v: Sequence[int]) -> int:
-        """e(v), the log2 of the v-th length times 3^dim."""
-        return -sum(map(abs, v))
-
-
-def translation_model(d: int) -> IntervalPacking:
-    """Packing over Z^(d+1) for words in the d+1 coordinate shifts.
-
-    The shifts are the generators f(j+1,1); they commute pairwise, so the
-    slope identity below holds with zero residual for any word in them.
-    """
-    if not 1 <= d < DIMENSION_CAP:
-        raise ValueError(
-            f"translation needs d <= {DIMENSION_CAP - 1}, since its packing "
-            f"lives on Z^(d+1); got d={d}"
-        )
-    return IntervalPacking(d + 1)
-
-
-def full_group_model(d: int) -> IntervalPacking:
-    """Packing over Z^d for the full rank-(d+1) unipotent action."""
-    return IntervalPacking(d)
-
-
-# ---------------------------------------------------------------------------
-# distortion identity
-# ---------------------------------------------------------------------------
+def exponent(v: Sequence[int]) -> int:
+    """e(v) = -sum |v_k|: the v-th interval of the lexicographic packing of
+    the symmetric-geometric weights over Z^d has length 2^e(v) / 3^d."""
+    return -sum(map(abs, v))
 
 
 def conjugacy_distortion_check(
-    packing: IntervalPacking,
-    word: Word,
-    g: UnipotentMatrix,
-    k: int,
-    indices: Iterable[Sequence[int]],
-    *,
-    gk: UnipotentMatrix | None = None,
+    word: Word, gk: UnipotentMatrix, indices: Iterable[Sequence[int]]
 ) -> tuple[Fraction, ...]:
-    """The residuals of the exact slope identity of the conjugated power on
-    intervals, one per index (`_residuals`).
+    """The residuals of the exact slope identity of the conjugated power
+    gk = g^k on intervals, one per index (`_residuals`).
 
-    With h the word's product and y-index = g^k(v), the claim is
+    With h the word's product and y-index = gk(v), the claim is
 
-        slope(g^k, v) = slope(h, v) / slope(h, g^k v) * slope(g^k, h v),
+        slope(gk, v) = slope(h, v) / slope(h, gk v) * slope(gk, h v),
 
-    which holds with exact-zero residual whenever g commutes with every
-    letter of the word.  ``gk`` is g.power(k), for a caller that checks
-    many words against the same few powers and builds them once.
+    which holds with exact-zero residual whenever gk commutes with every
+    letter of the word.  The group is torsion-free nilpotent, so for k != 0
+    that is exactly when g does; a caller checks many words against a few
+    powers and builds each once.  An index off the group's lattice raises
+    the ValueError of `UnipotentMatrix.act`.
     """
-    if g.size != word.size:
+    if gk.size != word.size:
         raise ValueError("size mismatch")
-    if packing.dim != g.size - 1:
-        raise ValueError(f"packing over Z^{packing.dim} for a rank-{g.size} group")
-    # g commutes with f(i,j)^e exactly when it commutes with f(i,j)
+    # gk commutes with f(i,j)^e exactly when it commutes with f(i,j)
     for letter in word.letters:
-        if not g.commutes_with_generator(letter[0], letter[1]):
-            raise ValueError(f"letter {letter} does not commute with g")
-    if gk is None:
-        gk = g.power(k)
-    return _residuals(packing, word.product(), gk, indices)
+        if not gk.commutes_with_generator(letter[0], letter[1]):
+            raise ValueError(f"letter {letter} does not commute with g^k")
+    return _residuals(word.product(), gk, indices)
 
 
 _ZERO = Fraction(0)
 
 
 def _residuals(
-    packing: IntervalPacking,
-    h: UnipotentMatrix,
-    gk: UnipotentMatrix,
-    indices: Iterable[Sequence[int]],
+    h: UnipotentMatrix, gk: UnipotentMatrix, indices: Iterable[Sequence[int]]
 ) -> tuple[Fraction, ...]:
     """slope(gk, v) - slope(h, v) / slope(h, gk v) * slope(gk, h v) per index.
 
@@ -275,7 +229,6 @@ def _residuals(
 
     which is zero exactly when the two exponents of the bracket agree.
     """
-    exponent = packing.exponent
     out = []
     for v in indices:
         yv = gk.act(v)

@@ -41,6 +41,7 @@ so base 2 is the choice that keeps the stated constants valid.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -59,14 +60,22 @@ def lemma_bound(L: Fraction, d: int) -> tuple[float, Fraction]:
 
     When L/A_d >= 1 the max is attained by the exact branch 3L/A_d; in the
     other case the float value is frozen into an exact binary rational so
-    the terminal check stays deterministic.
+    the terminal check stays deterministic.  ValueError unless L/A_d and B
+    are finite normal floats: past them the float forms overflow, or
+    underflow to a bound of 0.
     """
     a_d = sphere_constant(d)
-    exact = 3 * L / a_d
-    root = 3.0 * float(L / a_d) ** (1.0 / d)
-    if exact >= root:
-        return float(exact), exact
-    return root, Fraction(root)
+    ratio = L / a_d
+    exact = 3 * ratio
+    if sys.float_info.min <= ratio and exact <= sys.float_info.max:
+        root = 3.0 * float(ratio) ** (1.0 / d)
+        if exact >= root:
+            return float(exact), exact
+        if root < math.inf:
+            return root, Fraction(root)
+    size = "small" if ratio < 1 else "large"
+    raise ValueError(f"lemma 1's bound B needs L/A_d in the normal float range; "
+                     f"the family's total mass L is too {size}")
 
 
 def cost_bound(b: float, d: int, n: int) -> float:
@@ -155,14 +164,17 @@ def batch_certificates(
     The support must hold every point a walk of length n can reach;
     otherwise this raises ValueError, before any draw.  On a product
     family with one rate on every axis (both built-in families) every
-    sample then costs the one sum `_shared_cost` and meets the terminal
-    bound exactly when the endpoint (n, 0, ..., 0) does, so no walk is
-    stepped; every other family takes `_sample_pass` on the seed's stream.
+    sample then costs the one sum `_shared_cost`, which is the batch's mean
+    whatever `samples` is, and meets the terminal bound exactly when the
+    endpoint (n, 0, ..., 0) does, so no walk is stepped; every other
+    family takes `_sample_pass` on the seed's stream.
     """
     missing = _first_unreached(family, n)
     if missing is not None:
         raise ValueError(f"a walk of length {n} can reach {missing}, outside the family's support")
     if isinstance(family, ProductFamily) and len({ax.rate for ax in family.axes}) == 1:
+        # a cost per sample, as the stepped pass holds: a batch too large to
+        # hold is refused (MemoryError) whichever pass would run it
         costs = np.full(samples, _shared_cost(family, n))
         ends = np.array([[n] + [0] * (family.d - 1)])
     else:
@@ -206,7 +218,8 @@ def _sample_pass(
 def _summary(family: LengthFamily, n: int, costs: np.ndarray, ends: np.ndarray) -> BatchSummary:
     """The bounds, the two checks and the witness, from every sample's cost
     and the endpoints in the rows of `ends` (one row stands for every
-    sample); terminal weights are decided by `lattice.weights_le`."""
+    sample, and then so does the first cost, which is the mean); terminal
+    weights are decided by `lattice.weights_le`."""
     d = family.d
     mass = family.total_mass
     b_float, b_exact = lemma_bound(mass, d)
@@ -222,7 +235,8 @@ def _summary(family: LengthFamily, n: int, costs: np.ndarray, ends: np.ndarray) 
         n=n,
         samples=len(costs),
         success_fraction=success_fraction,
-        mean_cost=float(np.mean(costs)),  # numpy's pairwise sum, as reported
+        # numpy's pairwise mean would move the one cost by its last bits
+        mean_cost=float(costs[0] if len(ends) == 1 else np.mean(costs)),
         mean_cost_bound=mean_bound,
         cost_bound=cb,
         bound_b=b_float,

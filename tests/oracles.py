@@ -53,7 +53,7 @@ from critreg.lattice import (
     symmetric_geometric_family,
     translated,
 )
-from critreg.nilpotent import IntervalPacking, UnipotentMatrix, Word, _identity_rows
+from critreg.nilpotent import UnipotentMatrix, Word, _identity_rows
 from critreg.smooth import SmoothMap
 from critreg.walks import log2_weights
 
@@ -314,8 +314,7 @@ def enumerate_min_cost(family: LengthFamily, d: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# split log2 masses and power sums without a memo, and the two-point
-# ambient check of a segment
+# split log2 masses and power sums without a memo
 # ---------------------------------------------------------------------------
 
 
@@ -326,7 +325,7 @@ def _axis_ranges(region: Box | Segment) -> list[tuple[int, int, int, int]]:
         return [(k, lo, hi, 1) for k, (lo, hi) in enumerate(region.intervals)]
     ends = region.anchor[region.axis], region.last()[region.axis]
     fixed = [(k, c, c, 1) for k, c in enumerate(region.anchor) if k != region.axis]
-    return [*fixed, (region.axis, min(ends), max(ends), region.stride)]
+    return [*fixed, (region.axis, min(ends), max(ends), abs(region.step))]
 
 
 def mass_log2_parts_unmemoized(family: LengthFamily, region: Box | Segment) -> Log2Parts | None:
@@ -388,23 +387,6 @@ def box_contains_all(box: Box, v: Sequence[int]) -> bool:
     return all(lo <= c <= hi for c, (lo, hi) in zip(v, box.intervals, strict=True))
 
 
-def ambient_error(anchor: Coords, axis: int, count: int, step: int, stride: int,
-                  ambient: Box) -> str | None:
-    """The message of the ValueError that a segment's ambient check raised
-    when it tested the anchor and then the last point with
-    `box_contains_all`, or None when both lie in the box."""
-    last = list(anchor)
-    last[axis] += (count - 1) * step * stride
-    for p in (anchor, tuple(last)):
-        try:
-            inside = box_contains_all(ambient, p)
-        except ValueError as exc:
-            return str(exc)
-        if not inside:
-            return f"segment point {p} escapes ambient box"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # goodness of a region by per-point means
 # ---------------------------------------------------------------------------
@@ -413,8 +395,8 @@ def ambient_error(anchor: Coords, axis: int, count: int, step: int, stride: int,
 def _region_box(region: Box | Segment) -> Box:
     if isinstance(region, Box):
         return region
-    if region.stride != 1:
-        raise ValueError("region boxes need unit-stride segments")
+    if abs(region.step) != 1:
+        raise ValueError("region boxes need unit-step segments")
     lo, hi, _ = region.axis_values()
     ivs = [(c, c) for c in region.anchor]
     ivs[region.axis] = (lo, hi)
@@ -534,7 +516,7 @@ def fully_good_dfs(family: LengthFamily, box: Box, axis: int, lam: Fraction) -> 
     if not dfs(0):
         return None
     anchor = [fixed.get(a, box.intervals[a][0]) for a in range(dim)]
-    return Segment(tuple(anchor), axis, box.side(axis), ambient=box)
+    return Segment(tuple(anchor), axis, box.side(axis))
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +578,10 @@ def non_admissible_fraction(tree: SubdivisionTree) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def length(packing: IntervalPacking, v: Coords) -> Fraction:
+def length(v: Coords) -> Fraction:
     """The exact length of the v-th packed interval, a product of Fractions:
-    the weight of the symmetric-geometric family over Z^dim at v."""
-    return symmetric_geometric_family(packing.dim).weight(v)
+    the weight of the symmetric-geometric family over Z^len(v) at v."""
+    return symmetric_geometric_family(len(v)).weight(v)
 
 
 def prefixes(word: Word) -> list[UnipotentMatrix]:

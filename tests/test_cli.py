@@ -123,6 +123,20 @@ class TestRun:
         assert report["constants"] == {"B": 9.0, "witness": None}
         assert "[FAIL] walk-single-certificate: value=None" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("weight, size", [("1e400", "large"), ("1e-400", "small")])
+    def test_lemma1_mass_outside_float_range_exits_one(self, tmp_path, capsys, weight, size):
+        # every point of |v| <= 7 on Z^2 weighs 1e400, where B overflows a
+        # float, or 1e-400, where L/A_d underflows and B would round to 0.0
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({f"{i},{j}": weight for i in range(8) for j in range(8 - i)}))
+        argv = ["lemma1", "--d", "2", "--family", "custom-file", "--family-file", str(path),
+                "--n-max", "5", "--samples", "5", "--out", str(tmp_path / "rep")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: lemma 1's bound B needs L/A_d in the normal float range; "
+            f"the family's total mass L is too {size}\n")
+        assert not (tmp_path / "rep").exists()
+
     def test_lemma1_family_file_of_another_dimension_exits_one(self, tmp_path, capsys):
         # every kind that reads a family checks its table against the kind's
         # lattice: Z^d for lemma1 and chain-b, Z^(d-1) for chain-ff

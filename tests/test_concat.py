@@ -20,6 +20,7 @@ from critreg.concat import (
     _fully_good_segment,
     _junction,
     _staircase_segments,
+    _stretch,
     _stretch_entry_t,
     _strip_count,
     build_chain,
@@ -315,7 +316,7 @@ class TestChains:
         # stride segments are genuine group-action runs
         for r in cert.records:
             if r.generator == "f(3,2)":
-                assert r.seg.stride == r.seg.anchor[0]
+                assert r.seg.step == r.seg.anchor[0]
         # the vertical pieces through a strip span one whole strip of the odd
         # box, cut every y_(1,odd) levels from the bottom of its second axis
         for r in cert.records:
@@ -426,8 +427,7 @@ def _tamper(cert, fam, field):
         assert not lattice.mass_le(fam, r.seg, value)
         assert abs(lattice.mass_ratio_log2(fam, r.seg, value)) <= lattice.MARGIN
     elif field == "seg":
-        # the moved segment may leave its box, so it drops the box it was cut from
-        value = r.seg._replace(anchor=_off_segment(r.seg, r.seg.anchor), ambient=None)
+        value = r.seg._replace(anchor=_off_segment(r.seg, r.seg.anchor))
     else:
         # the walk's two ends have no neighbour to hand over to
         value = _off_segment(r.seg, getattr(r, field))
@@ -498,7 +498,7 @@ class TestVerifyChain:
             # along an axis it does not move on, where the weights are heavier
             anchor = list(r.seg.anchor)
             anchor[(r.seg.axis + 1) % len(anchor)] = 0
-            seg = r.seg._replace(anchor=tuple(anchor), ambient=None)
+            seg = r.seg._replace(anchor=tuple(anchor))
             changed_r = r._replace(seg=seg)
         else:
             # the walk leaves the last segment one point earlier
@@ -590,6 +590,46 @@ class TestFullyGoodSearch:
         assert _fully_good_segment(fam, box, axis, lam) == fully_good_dfs(fam, box, axis, lam)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_segment_forms_match_a_list_of_points(d, data):
+    # a segment and the stretches and translates made from it, against the
+    # list of its points anchor + t * step, in order
+    anchor = data.draw(st.tuples(*[st.integers(-20, 20)] * d))
+    axis = data.draw(st.integers(0, d - 1))
+    count = data.draw(st.integers(1, 6))
+    step = data.draw(st.sampled_from((1, -1))) * data.draw(st.integers(1, 5))
+    seg = Segment(anchor, axis, count, step)
+
+    def moved(p, k, delta):
+        return p[:k] + (p[k] + delta,) + p[k + 1:]
+
+    pts = [moved(anchor, axis, t * step) for t in range(count)]
+    assert [seg.point(t) for t in range(count)] == list(seg.points()) == pts
+    assert seg.last() == pts[-1]
+    on_axis = [p[axis] for p in pts]
+    assert seg.axis_values() == (min(on_axis), max(on_axis), abs(step))
+    # every point of the line near the segment, on and off the progression
+    for offset in range(-abs(step) - 1, count * abs(step) + 2):
+        v = moved(anchor, axis, offset * (1 if step > 0 else -1))
+        assert seg.index_of(v) == (pts.index(v) if v in pts else None)
+        if d > 1:
+            assert seg.index_of(moved(v, (axis + 1) % d, 1)) is None
+    k, delta = data.draw(st.integers(0, d - 1)), data.draw(st.integers(-9, 9))
+    moved_seg = translated(seg, k, delta)
+    assert type(moved_seg) is Segment
+    assert moved_seg[1:] == seg[1:] and list(moved_seg.points()) == [moved(p, k, delta) for p in pts]
+    # a stretch between two points of the segment, walked either way
+    i, j = data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, count - 1))
+    stretch = _stretch(pts[i], pts[j], axis, abs(step))
+    assert list(stretch.points()) == (pts[i:j + 1] if i <= j else pts[j:i + 1][::-1])
+    # the first point of the stretch in a box
+    corner = [c + data.draw(st.integers(-8, 8)) for c in anchor]
+    box = Box(tuple((lo, lo + data.draw(st.integers(0, 8))) for lo in corner))
+    inside = [t for t, p in enumerate(stretch.points()) if box.contains(p)]
+    assert _stretch_entry_t(stretch, box) == (inside[0] if inside else None)
+
+
 class TestJunction:
     def test_crossing(self):
         row = Segment((1, 5), 0, 10)  # x = 1..10 at y = 5
@@ -598,7 +638,7 @@ class TestJunction:
 
     def test_unit_run_against_strided_run(self):
         # FF-d3 hands over between a stride-k class and a strip's unit run
-        cls = Segment((5, 3), 1, 20, stride=5)  # y = 3, 8, 13, ..., 98
+        cls = Segment((5, 3), 1, 20, 5)  # y = 3, 8, 13, ..., 98
         strip = Segment((5, 10), 1, 5)  # y = 10..14
         assert _junction(cls, strip) == _junction(strip, cls) == (5, 13)
 
@@ -615,7 +655,7 @@ class TestJunction:
             (Segment((0, 0), 0, 5), Segment((0, 1), 0, 5)),  # parallel lines
             (Segment((0, 0), 0, 3), Segment((5, 0), 1, 3)),  # crossing off a
             (Segment((0, 0), 0, 3), Segment((10, 0), 0, 3)),  # one line, apart
-            (Segment((0, 0), 0, 9, stride=2), Segment((1, 0), 0, 9, stride=2)),
+            (Segment((0, 0), 0, 9, 2), Segment((1, 0), 0, 9, 2)),
             (Segment((0, 0, 0), 0, 4), Segment((1, 2, 0), 1, 4)),  # skew lines
         ],
     )
@@ -629,8 +669,8 @@ class TestJunction:
         st.integers(-20, 20), st.integers(1, 12), st.integers(1, 6),
     )
     def test_collinear_runs_meet_at_lowest_common_point(self, a0, ac, s, b0, bc, t):
-        a = Segment((7, a0), 1, ac, stride=s)
-        b = Segment((7, b0), 1, bc, stride=t)
+        a = Segment((7, a0), 1, ac, s)
+        b = Segment((7, b0), 1, bc, t)
         common = set(a.points()) & set(b.points())
         if not common:
             with pytest.raises(ValueError):
@@ -702,7 +742,7 @@ def _regions(draw):
                          (draw(st.integers(-6, 10)), draw(st.integers(-6, 10)))))
     anchor = (draw(st.integers(-6, 10)), draw(st.integers(-6, 10)))
     return Segment(anchor, draw(st.integers(0, 1)), draw(st.integers(1, 5)),
-                   step=draw(st.sampled_from([1, -1])), stride=draw(st.integers(1, 3)))
+                   draw(st.sampled_from([1, -1])) * draw(st.integers(1, 3)))
 
 
 # a table over [-4, 12]^2 whose weights neither fall nor rise along an axis
@@ -844,7 +884,7 @@ def _ff_class_oracle(fam, box, k):
     within the vertical set's mean, scanned class after class (the
     coordinates reach 4^20, so `mass_le` decides)."""
     x2, y2 = box.intervals[1]
-    classes = (Segment((k, j0), 1, (y2 - j0) // k + 1, stride=k)
+    classes = (Segment((k, j0), 1, (y2 - j0) // k + 1, k)
                for j0 in range(x2, x2 + min(k, y2 - x2 + 1)))
     bound = Bound(Fraction(1, k), box.fix_axis(0, k))
     return first_good(fam, ((c, [(c, bound)]) for c in classes), "", None)
@@ -929,8 +969,11 @@ _PINNED = {
 def test_records_pinned_per_builder(case):
     kind, fam, make_seq, count, digest = _PINNED[case]
     cert = build_chain(kind, fam, make_seq())
+    # each signed step is written as the (direction, |step|) pair of the
+    # segments the digests were pinned from
     rows = [
-        (r.n, r.label, (r.seg.anchor, r.seg.axis, r.seg.count, r.seg.step, r.seg.stride),
+        (r.n, r.label,
+         (r.seg.anchor, r.seg.axis, r.seg.count, 1 if r.seg.step > 0 else -1, abs(r.seg.step)),
          r.flag_kind, r.generator, lattice.mass_le(fam, r.seg, r.bound), r.entry, r.exit)
         for r in cert.records
     ]
@@ -958,7 +1001,7 @@ def _resummed_budget(cert, family, min_fit_n):
             t_hi = min(own_hi, m_cut - starts[i])
             if t_hi < 0:
                 continue
-            part = Segment(s.anchor, s.axis, t_hi + 1, step=s.step, stride=s.stride)
+            part = s._replace(count=t_hi + 1)
             acc += 2.0 ** segment_power_log2(family, part, float(alphas[s.axis]))
         return acc
 

@@ -30,7 +30,6 @@ from critreg.lattice import (
 
 from oracles import (
     LatticePath,
-    ambient_error,
     box_contains_all,
     box_points,
     exact_mass,
@@ -114,7 +113,7 @@ class TestAxisClosedForms:
         # the exact form of a strided range, read as a rational, against the
         # hand-written point weights
         fam = ProductFamily([symmetric_geometric_axis()])
-        seg = Segment((lo,), 0, width // stride + 1, stride=stride)
+        seg = Segment((lo,), 0, width // stride + 1, stride)
         ws = point_weights((symmetric_geometric_weight,), Fraction(1), seg.points())
         assert exact_mass(fam, seg) == sum(ws, Fraction(0))
 
@@ -193,8 +192,8 @@ def _oracle_cases(draw):
     axis = draw(st.integers(0, 1))
     anchor = [draw(st.sampled_from(edges)) + draw(st.integers(-12, 12)) for _ in range(2)]
     return name, Segment(
-        tuple(anchor), axis, draw(st.integers(1, 8)), step=draw(st.sampled_from((1, -1))),
-        stride=draw(st.integers(1, 5)),
+        tuple(anchor), axis, draw(st.integers(1, 8)),
+        draw(st.sampled_from((1, -1))) * draw(st.integers(1, 5)),
     )
 
 
@@ -235,13 +234,13 @@ class TestMassesAgainstPointWeights:
         # the points on axis 0 are -1, 1, 3 (and 5 on the uniform box): the closed
         # forms must count (1, 0) and (3, 0), not restart the grid at 0
         geo = geometric_family(2)
-        seg = Segment((-1, 0), 0, 3, stride=2)
+        seg = Segment((-1, 0), 0, 3, 2)
         assert exact_mass(geo, seg) == Fraction(5, 32)
         assert abs(mass_log2(geo, seg) - math.log2(5 / 32)) <= MARGIN
         expected = (1 / 8) ** 0.5 + (1 / 32) ** 0.5
         assert math.isclose(2.0 ** segment_power_log2(geo, seg, 0.5), expected, rel_tol=1e-12)
         uniform = uniform_box_family(Box(((0, 4), (0, 0))))
-        seg = Segment((-1, 0), 0, 4, stride=2)
+        seg = Segment((-1, 0), 0, 4, 2)
         assert exact_mass(uniform, seg) == Fraction(2, 5)
         assert abs(mass_log2(uniform, seg) - math.log2(2 / 5)) <= MARGIN
 
@@ -272,15 +271,11 @@ class TestTypes:
         assert not geodesic(p)
 
     def test_segment_points_and_lookup(self):
-        s = Segment((3, 5), axis=1, count=4, stride=2)
+        s = Segment((3, 5), axis=1, count=4, step=2)
         assert list(s.points()) == [(3, 5), (3, 7), (3, 9), (3, 11)]
         assert s.index_of((3, 9)) == 2
         assert s.index_of((3, 8)) is None
         assert s.index_of((4, 9)) is None
-
-    def test_segment_ambient_guard(self):
-        with pytest.raises(ValueError):
-            Segment((0, 0), 0, 5, ambient=Box(((0, 2), (0, 2))))
 
     def test_table_family(self):
         fam = TableFamily({(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)})
@@ -343,8 +338,7 @@ def _regions(draw, origins):
     if draw(st.booleans()):
         return Box(tuple((c, c + draw(st.integers(0, 15))) for c in corner))
     return Segment(
-        tuple(corner), draw(st.integers(0, 1)), draw(st.integers(1, 8)),
-        stride=draw(st.integers(1, 4)),
+        tuple(corner), draw(st.integers(0, 1)), draw(st.integers(1, 8)), draw(st.integers(1, 4)),
     )
 
 
@@ -467,8 +461,8 @@ class TestMassComparison:
         # has exactly half the mass, and a third point adds a relative
         # 2^-(2 * stride) that only the exact sum sees
         fam = geometric_family(2)
-        two, three = Segment((5, 0), 0, 2, stride=stride), Segment((5, 0), 0, 3, stride=stride)
-        up = Segment((5, 1), 0, 2, stride=stride)
+        two, three = Segment((5, 0), 0, 2, stride), Segment((5, 0), 0, 3, stride)
+        up = Segment((5, 1), 0, 2, stride)
         for region, q, other, holds in (
             (two, Fraction(2), up, True),
             (up, Fraction(1, 2), two, True),
@@ -555,8 +549,8 @@ def _memo_queries(draw):
         else:
             regions.append(Segment(
                 tuple(draw(coord) for _ in range(d)), draw(st.integers(0, d - 1)),
-                draw(st.integers(1, 8)), step=draw(st.sampled_from((1, -1))),
-                stride=draw(st.integers(1, 4)),
+                draw(st.integers(1, 8)),
+                draw(st.sampled_from((1, -1))) * draw(st.integers(1, 4)),
             ))
     return name, d, regions
 
@@ -593,7 +587,7 @@ class TestFamilyMemo:
         # the first axis, whose cells are 1/6 against the second's 1/10 and
         # whose support ends at 3
         fam = uniform_box_family(Box(((-2, 3), (0, 9))))
-        regions = [Segment((0, 0), 1, 7), Segment((0, 0), 1, 3, stride=3),
+        regions = [Segment((0, 0), 1, 7), Segment((0, 0), 1, 3, 3),
                    Box(((0, 6), (0, 0))), Segment((0, 0), 0, 7), Box(((0, 0), (0, 6)))]
         got = [fam.mass_log2_parts(r) for r in regions]
         assert got == [mass_log2_parts_unmemoized(fam, r) for r in regions]
@@ -623,32 +617,11 @@ class TestRegionChecks:
     @given(st.integers(1, 4), st.integers(-1, 1), st.data())
     @settings(max_examples=300, deadline=None)
     def test_match_the_generator_forms(self, d, extra, data):
-        # the ambient box may have one axis more or fewer than the segment
+        # the box may have one axis more or fewer than the point
         dim = min(max(d + extra, 1), 6)
         ivs = [(lo, lo + data.draw(st.integers(0, 4)))
                for lo in data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))]
-        ambient = Box(tuple(ivs))
-        anchor = tuple(data.draw(st.lists(st.integers(-4, 8), min_size=d, max_size=d)))
-        axis = data.draw(st.integers(0, d - 1))
-        count, step = data.draw(st.integers(1, 5)), data.draw(st.sampled_from((1, -1)))
-        stride = data.draw(st.integers(1, 3))
-        try:
-            Segment(anchor, axis, count, step, stride, ambient)
-            got = None
-        except ValueError as exc:
-            got = str(exc)
-        assert got == ambient_error(anchor, axis, count, step, stride, ambient)
-        for v in (anchor, tuple(ivs_lo for ivs_lo, _ in ivs)):
-            assert _outcome(ambient.contains, v) == _outcome(box_contains_all, ambient, v)
-
-    def test_escapes_at_either_end_name_their_point(self):
-        box = Box(((0, 4), (0, 4)))
-        with pytest.raises(ValueError, match=r"point \(0, 5\) escapes"):
-            Segment((0, 5), 1, 2, step=-1, ambient=box)
-        with pytest.raises(ValueError, match=r"point \(0, 6\) escapes"):
-            Segment((0, 2), 1, 3, stride=2, ambient=box)
-        with pytest.raises(ValueError, match=r"point \(0, -2\) escapes"):
-            Segment((0, 2), 1, 3, step=-1, stride=2, ambient=box)
-        with pytest.raises(ValueError, match="zip"):
-            Segment((0, 2, 0), 1, 1, ambient=box)
-        assert Segment((4, 4), 0, 1, ambient=box).count == 1
+        box = Box(tuple(ivs))
+        point = tuple(data.draw(st.lists(st.integers(-4, 8), min_size=d, max_size=d)))
+        for v in (point, tuple(lo for lo, _ in ivs)):
+            assert _outcome(box.contains, v) == _outcome(box_contains_all, box, v)

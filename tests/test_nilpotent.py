@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from critreg.lattice import DIMENSION_CAP
 from critreg.nilpotent import (
-    IntervalPacking,
     UnipotentMatrix,
     Word,
     _residuals,
     conjugacy_distortion_check,
-    full_group_model,
-    translation_model,
+    exponent,
 )
 
 from oracles import length, prefixes
@@ -48,9 +46,9 @@ class TestMatrices:
             UnipotentMatrix(((2, 0), (0, 1)))  # diagonal
 
 
-def _slope(pk, m, v):
+def _slope(m, v):
     """Slope of the piecewise-affine map of m on the v-th packed interval."""
-    return length(pk, m.act(v)) / length(pk, v)
+    return length(m.act(v)) / length(v)
 
 
 class TestCommutators:
@@ -91,19 +89,16 @@ class TestWords:
 
 class TestRealization:
     def test_slope_example(self):
-        pk = full_group_model(2)
-        assert length(pk, (0, 0)) == Fraction(1, 9)
-        assert _slope(pk, F21, (0, 0)) == Fraction(1, 2)
+        assert length((0, 0)) == Fraction(1, 9)
+        assert _slope(F21, (0, 0)) == Fraction(1, 2)
 
     def test_identity_realization(self):
-        pk = full_group_model(2)
         for v in ((0, 0), (2, -1), (-3, 3)):
-            assert _slope(pk, UnipotentMatrix.identity(3), v) == 1
+            assert _slope(UnipotentMatrix.identity(3), v) == 1
 
     def test_homomorphism_on_random_words(self):
         # the chain rule of the slopes: the action of a product is the
         # composition of the actions
-        pk = full_group_model(2)
         rng = random.Random(11)
         gens = [F21, F31, F32, F21.inverse(), F31.inverse(), F32.inverse()]
         for _ in range(1000):
@@ -112,13 +107,12 @@ class TestRealization:
             for _ in range(3):
                 v = (rng.randint(-4, 4), rng.randint(-4, 4))
                 assert a.act(b.act(v)) == (a * b).act(v)
-                assert _slope(pk, a, b.act(v)) * _slope(pk, b, v) == _slope(pk, a * b, v)
+                assert _slope(a, b.act(v)) * _slope(b, v) == _slope(a * b, v)
 
     def test_center_commutes_pointwise(self):
-        pk = full_group_model(2)
         for f in (F21, F32):
             for v in ((0, 0), (1, -1), (-2, 3)):
-                assert _slope(pk, f * F31, v) == _slope(pk, F31 * f, v)
+                assert _slope(f * F31, v) == _slope(F31 * f, v)
                 assert f.act(F31.act(v)) == F31.act(f.act(v))
 
 
@@ -151,19 +145,16 @@ class TestOrbitStructure:
 
 class TestDistortionIdentity:
     def test_translation_model_zero_residual(self):
-        pk = translation_model(2)
-        g = UnipotentMatrix.generator(4, 4, 1)
+        gk = UnipotentMatrix.generator(4, 4, 1).power(3)
         word = Word(((2, 1, 1), (3, 1, -1), (4, 1, 1), (2, 1, 1)), 4)
-        assert conjugacy_distortion_check(pk, word, g, 3, [(0, 0, 0), (1, 2, -1)]) == (0, 0)
+        assert conjugacy_distortion_check(word, gk, [(0, 0, 0), (1, 2, -1)]) == (0, 0)
 
     def test_ff_model_zero_residual(self):
-        pk = full_group_model(3)
-        g = UnipotentMatrix.generator(4, 4, 1)
+        gk = UnipotentMatrix.generator(4, 4, 1).power(2)
         word = Word(((2, 1, 1), (3, 2, 1), (4, 3, -1), (3, 1, 1)), 4)
-        assert conjugacy_distortion_check(pk, word, g, 2, [(0, 0, 0), (-1, 2, 0)]) == (0, 0)
+        assert conjugacy_distortion_check(word, gk, [(0, 0, 0), (-1, 2, 0)]) == (0, 0)
 
     def test_noncommuting_letter_rejected(self):
-        pk = full_group_model(3)
         g = UnipotentMatrix.generator(4, 3, 2)  # commutes with f(3,1), not f(2,1)
         for letters in (
             ((2, 1, 1),),
@@ -171,7 +162,7 @@ class TestDistortionIdentity:
             ((3, 1, 1), (3, 1, -1), (3, 1, 1), (2, 1, 1)),  # after a repeated commuting letter
         ):
             with pytest.raises(ValueError, match="does not commute"):
-                conjugacy_distortion_check(pk, Word(letters, 4), g, 1, [(0, 0, 0)])
+                conjugacy_distortion_check(Word(letters, 4), g, [(0, 0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +201,10 @@ def _naive_prefixes(word):
     return out
 
 
-def _exact_residual(pk, h, gk, v):
+def _exact_residual(h, gk, v):
     """The slope identity's residual from exact Fraction lengths."""
     def slope(m, u):
-        return length(pk, _naive_act(m, u)) / length(pk, u)
+        return length(_naive_act(m, u)) / length(u)
 
     return slope(gk, v) - slope(h, v) / slope(h, _naive_act(gk, v)) * slope(gk, _naive_act(h, v))
 
@@ -283,6 +274,16 @@ class TestTrustedAction:
         assert g.commutes_with_generator(i, j) == expected
         assert expected == (g * f.inverse() == f.inverse() * g)
 
+    @given(_matrices(entries=st.sampled_from((0, 0, 0, 1, -2))), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_powers_commute_with_the_generators_g_commutes_with(self, g, k):
+        # the group is torsion-free nilpotent, so for k != 0 g^k commutes with
+        # f(i,j) exactly when g does: the identity check tests the power alone
+        gk = g.power(k)
+        for i in range(2, g.size + 1):
+            for j in range(1, i):
+                assert gk.commutes_with_generator(i, j) == g.commutes_with_generator(i, j)
+
     def test_generators_are_valid(self):
         for n in range(2, 6):
             for i in range(2, n + 1):
@@ -292,18 +293,17 @@ class TestTrustedAction:
     @given(st.integers(2, 4), st.data())
     @settings(max_examples=40, deadline=None)
     def test_conjugacy_check_matches_naive_reference(self, d, data):
-        pk = full_group_model(d)
         word = data.draw(_words(size=d + 1))
         k = data.draw(st.integers(1, 5))
         idx = data.draw(st.lists(
             st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=3
         ))
         g = UnipotentMatrix.generator(d + 1, d + 1, 1)
-        residuals = conjugacy_distortion_check(pk, word, g, k, idx)
+        residuals = conjugacy_distortion_check(word, g.power(k), idx)
 
         h = _naive_prefixes(word)[-1]
         gk = _naive_power(g, k)
-        assert residuals == tuple(_exact_residual(pk, h, gk, v) for v in idx)
+        assert residuals == tuple(_exact_residual(h, gk, v) for v in idx)
         assert not any(residuals)
 
 
@@ -316,51 +316,34 @@ class TestExponents:
     @given(st.integers(1, DIMENSION_CAP), st.data())
     @settings(max_examples=60, deadline=None)
     def test_exponent_gives_the_exact_length(self, d, data):
-        pk = full_group_model(d)
         v = data.draw(st.tuples(*[st.integers(-40, 40)] * d))
-        assert Fraction(2) ** pk.exponent(v) / 3 ** d == length(pk, v)
+        assert Fraction(2) ** exponent(v) / 3 ** d == length(v)
 
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=80, deadline=None)
     def test_residuals_match_exact_lengths(self, d, data):
         # h and gk are arbitrary matrices, so they need not commute and the
         # residuals need not vanish
-        pk = full_group_model(d)
         h = data.draw(_matrices(size=d + 1))
         gk = data.draw(_matrices(size=d + 1))
         idx = data.draw(st.lists(
             st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=4
         ))
-        got = _residuals(pk, h, gk, idx)
-        assert got == tuple(_exact_residual(pk, h, gk, v) for v in idx)
+        got = _residuals(h, gk, idx)
+        assert got == tuple(_exact_residual(h, gk, v) for v in idx)
         assert all(type(r) is Fraction for r in got)
 
     def test_noncommuting_pair_has_nonzero_residuals(self):
-        pk = full_group_model(2)
         idx = [(0, 0), (5, 5), (-2, 3), (1, -4)]
-        got = _residuals(pk, F21, F32, idx)
-        assert got == tuple(_exact_residual(pk, F21, F32, v) for v in idx)
+        got = _residuals(F21, F32, idx)
+        assert got == tuple(_exact_residual(F21, F32, v) for v in idx)
         # e.g. v = (5, 5): g^k v = (5, 10), h g^k v = (6, 10), g^k h v = (6, 11),
         # so the residual is 2^(-15+10) * (1 - 2^(-17+16)) = 1/64
         assert got == (Fraction(1, 2), Fraction(1, 64), Fraction(2), Fraction(-2))
 
-    def test_packing_takes_only_a_lattice_dimension(self):
-        # the packing holds its dimension alone, checked as every lattice
-        # constructor checks it
-        assert IntervalPacking(3).dim == full_group_model(3).dim == 3
-        for dim in (0, DIMENSION_CAP + 1):
-            with pytest.raises(ValueError, match=f"^dimension must be in \\[1, {DIMENSION_CAP}\\]"):
-                IntervalPacking(dim)
-        with pytest.raises(ValueError, match="^dimension must be in"):
-            full_group_model(DIMENSION_CAP + 1)
-
-    def test_translation_model_names_its_dimension_limit(self):
-        assert translation_model(DIMENSION_CAP - 1).dim == DIMENSION_CAP
-        with pytest.raises(ValueError, match=f"translation needs d <= {DIMENSION_CAP - 1}"):
-            translation_model(DIMENSION_CAP)
-
-    def test_packing_must_match_the_group(self):
+    def test_index_must_match_the_group(self):
+        # the index lattice is the matrices' own: a rank-4 word moves Z^3
         word = Word(((2, 1, 1),), 4)
         g = UnipotentMatrix.generator(4, 4, 1)
-        with pytest.raises(ValueError, match="packing over Z\\^2"):
-            conjugacy_distortion_check(full_group_model(2), word, g, 1, [(0, 0, 0)])
+        with pytest.raises(ValueError, match="^index must have 3 coordinates$"):
+            conjugacy_distortion_check(word, g, [(0, 0)])

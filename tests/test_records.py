@@ -31,13 +31,8 @@ INVALID = {
     "empty interval": (lambda: Box(((0, 3), (2, 1))), "empty interval [2, 1]"),
     "too many axes": (lambda: Box(((0, 1),) * 7), "dimension must be in [1, 6], got 7"),
     "no points": (lambda: Segment((0, 0), 0, 0), "segment needs at least one point"),
-    "step": (lambda: Segment((0, 0), 0, 2, step=2), "step must be +1 or -1"),
-    "stride": (lambda: Segment((0, 0), 0, 2, stride=0), "stride must be positive"),
+    "step": (lambda: Segment((0, 0), 0, 2, step=0), "step must be nonzero"),
     "axis": (lambda: Segment((0, 0), 2, 2), "axis out of range"),
-    "anchor escapes": (lambda: Segment((6, 0), 0, 1, ambient=SQUARE),
-                       "segment point (6, 0) escapes ambient box"),
-    "last point escapes": (lambda: Segment((0, 4), 1, 3, ambient=SQUARE),
-                           "segment point (0, 6) escapes ambient box"),
     "falling endpoint": (
         lambda: BoxSequence("B-d2", 1, (Box(((0, 3), (0, 3))), Box(((1, 4), (0, 2)))), 2),
         "an endpoint falls from Q(1) to Q(2)"),
@@ -62,7 +57,7 @@ def test_constructor_rejects_invalid_fields(case):
 
 VALID = {
     "box": (SQUARE, "intervals"),
-    "segment": (Segment((0, 1), 0, 6, ambient=SQUARE), "count"),
+    "segment": (Segment((0, 1), 0, 6, -2), "count"),
     "sequence": (BoxSequence("B-d2", 1, (SQUARE, Box(((0, 6), (0, 5)))), 2), "boxes"),
     "map": (SmoothMap("id", _identity, _identity, 0.0, 1.0, (0.5,)), "a"),
     "matrix": (UnipotentMatrix(((1, 0), (3, 1))), "rows"),
@@ -82,11 +77,11 @@ def test_fields_cannot_be_assigned(case):
 def test_records_hash_as_their_field_tuples():
     intervals = ((0, 5), (2, 3))
     assert hash(Box(intervals)) == hash((intervals,))
-    seg = Segment((0, 2), 0, 4, 1, 1, Box(intervals))
-    assert hash(seg) == hash(((0, 2), 0, 4, 1, 1, Box(intervals)))
-    assert hash(Segment((1, 2), 1, 2)) == hash(((1, 2), 1, 2, 1, 1, None))
+    assert hash(Segment((0, 2), 0, 4, -3)) == hash(((0, 2), 0, 4, -3))
+    assert hash(Segment((1, 2), 1, 2)) == hash(((1, 2), 1, 2, 1))
     # equal fields make equal records, whichever call built them
-    assert Segment((1, 2), 1, 2) == Segment(anchor=(1, 2), axis=1, count=2, step=1, stride=1)
+    assert Segment((1, 2), 1, 2) == Segment(anchor=(1, 2), axis=1, count=2, step=1)
+    assert Segment((1, 2), 1, 2, -1)._fields == ("anchor", "axis", "count", "step")
     rows = ((1, 0, 0), (2, 1, 0), (0, 0, 1))
     assert hash(UnipotentMatrix(rows)) == hash((rows,))
     assert UnipotentMatrix(rows) == UnipotentMatrix._trusted(rows)

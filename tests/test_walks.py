@@ -4,6 +4,7 @@ import json
 import math
 import re
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -185,11 +186,23 @@ class TestSampling:
         b_float, b_exact = lemma_bound(fam.total_mass, 3)
         assert b_exact == 6 and b_float == 6.0
 
+    def test_lemma_bound_needs_normal_floats(self):
+        # on Z^1, A_1 = 1: L/A_d = L must be a normal float and B = 3L a
+        # finite one
+        tiny, huge = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+        assert lemma_bound(tiny, 1)[0] == 3.0 * sys.float_info.min
+        assert lemma_bound(huge / 4, 1)[0] == float(3 * huge / 4)
+        for mass in (tiny * (1 - Fraction(1, 2 ** 60)), huge / 3 * (1 + Fraction(1, 2 ** 60)),
+                     Fraction(10) ** 400, Fraction(1, 10 ** 400)):
+            with pytest.raises(ValueError, match="^lemma 1's bound B needs L/A_d in the normal"):
+                lemma_bound(mass, 1)
+
 
 def reference_batch_certificates(family, n, samples, seed, mean_slack=1.05):
     """The lockstep pass as it was before its state was kept by axis: one
     cumsum and argmax per step, an exact Fraction per terminal weight, and
-    the witness found by scanning the samples in order."""
+    the witness found by scanning the samples in order.  Every walk on an
+    equal-rate product family costs the same, and that one cost is the mean."""
     d = family.d
     rng = np.random.default_rng(seed)
     counts = np.zeros((samples, d), dtype=np.int64)
@@ -215,12 +228,13 @@ def reference_batch_certificates(family, n, samples, seed, mean_slack=1.05):
     mean_bound = float(family.total_mass / sphere_constant(d)) ** (1.0 / d)
     mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * mean_slack
     witness = next((i for i in range(samples) if first[i] and second[i]), None)
+    decided = isinstance(family, ProductFamily) and len({ax.rate for ax in family.axes}) == 1
     return BatchSummary(
         d=d,
         n=n,
         samples=samples,
         success_fraction=float(np.mean(first & second)),
-        mean_cost=float(np.mean(costs)),
+        mean_cost=float(costs[0] if decided else np.mean(costs)),
         mean_cost_bound=mean_bound,
         cost_bound=cb,
         bound_b=b_float,
@@ -343,6 +357,17 @@ class TestBatch:
                     assert batch_certificates(*args) == reference_batch_certificates(*args), fam
         # a decided batch is decided at the one endpoint (n, 0, ..., 0)
         assert decided_ends == [[[n] + [0] * (d - 1)]] * len(decided)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_decided_summary_does_not_depend_on_samples(self, d):
+        # a decided batch reports its one cost as its mean: only `samples`
+        # differs between two sample counts
+        for fam in (geometric_family(d), symmetric_geometric_family(d)):
+            for n in (20, 100, 316):
+                few, many = (batch_certificates(fam, n, samples, 1) for samples in (100, 10000))
+                assert (few.samples, many.samples) == (100, 10000)
+                assert few._replace(samples=0) == many._replace(samples=0), (fam.name, n)
+                assert few.mean_cost == walks._shared_cost(fam, n)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_spheres_have_one_weight_on_equal_rate_families(self, d):
