@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critreg.cli import ConfigError, ExperimentConfig, _run_identity
 from critreg.lattice import DIMENSION_CAP
 from critreg.nilpotent import (
     UnipotentMatrix,
@@ -340,6 +341,14 @@ class TestExponents:
         # e.g. v = (5, 5): g^k v = (5, 10), h g^k v = (6, 10), g^k h v = (6, 11),
         # so the residual is 2^(-15+10) * (1 - 2^(-17+16)) = 1/64
         assert got == (Fraction(1, 2), Fraction(1, 64), Fraction(2), Fraction(-2))
+
+    def test_translation_model_names_its_dimension_limit(self):
+        # the translation model packs Z^(d+1), so the identity runner takes
+        # d up to DIMENSION_CAP - 1 and refuses the cap itself by name
+        ok = ExperimentConfig("identity", d=DIMENSION_CAP - 1, samples=3)
+        assert _run_identity(ok)["constants"]["checked"] == 3
+        with pytest.raises(ConfigError, match=f"translation needs d <= {DIMENSION_CAP - 1}"):
+            _run_identity(ExperimentConfig("identity", d=DIMENSION_CAP, samples=3))
 
     def test_index_must_match_the_group(self):
         # the index lattice is the matrices' own: a rank-4 word moves Z^3
