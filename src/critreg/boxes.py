@@ -1,7 +1,7 @@
 """Inductive parallelepiped sequences, their multiplicity, roundness, and
 the vertical subdivision with level classification.
 
-A vertical subdivision stores only its per-depth piece lengths and counts;
+A vertical subdivision stores only its box and per-depth piece lengths;
 level chains and admissibility are computed from them in O(dim).
 
 Three box constructions are provided:
@@ -303,7 +303,6 @@ def minimal_round_constant(box: Box) -> Fraction | None:
 
 
 class LevelInfo(NamedTuple):
-    level: int
     chain: tuple[int, ...]
     admissible: bool
 
@@ -321,18 +320,15 @@ class SubdivisionTree(NamedTuple):
     """Nested cut of an A-round box along its last coordinate.
 
     At depth k the pieces have last-axis extent ``piece_lengths[k-1]`` (the
-    trailing piece may be shorter) and there are ``counts[k-1]`` of them per
-    full parent.  A level is admissible when its chain never lands in a
+    trailing piece may be shorter), and the tree's depth is the number of
+    piece lengths.  A level is admissible when its chain never lands in a
     trailing piece.  Levels, chains and pieces are mixed-radix arithmetic on
     ``piece_lengths``, computed on demand in O(depth); the tree stores
     nothing whose size grows with the box.
     """
 
     box: Box
-    a: Fraction
-    depth: int
     piece_lengths: tuple[int, ...]
-    counts: tuple[int, ...]
 
     def level(self, i: int) -> LevelInfo:
         """Chain of pieces containing last-axis value i, up to a trailing one."""
@@ -345,8 +341,8 @@ class SubdivisionTree(NamedTuple):
             chain.append(m)
             lo, hi, trailing = _piece(lo, hi, plen, m)
             if trailing:
-                return LevelInfo(i, tuple(chain), False)
-        return LevelInfo(i, tuple(chain), True)
+                return LevelInfo(tuple(chain), False)
+        return LevelInfo(tuple(chain), True)
 
     def chain_box(self, chain: Sequence[int]) -> Box:
         """The nested piece reached by a (1-based) chain prefix."""
@@ -362,8 +358,7 @@ def vertical_subdivision(box: Box, a: Fraction) -> SubdivisionTree:
 
     Depth-k pieces have last-axis length ``y_(dim-k) - 1`` taken from the
     ambient box's upper endpoints, so the piece lengths shrink geometrically
-    down to ``y_1 - 1``.  Per-depth branching counts are uniform because all
-    non-trailing pieces at one depth share the same extent.
+    down to ``y_1 - 1``.
     """
     if box.dim < 2:
         raise ValueError("vertical subdivision needs at least 2 axes")
@@ -372,21 +367,13 @@ def vertical_subdivision(box: Box, a: Fraction) -> SubdivisionTree:
     least = minimal_round_constant(box)
     if least is None or least > a:
         raise ValueError(f"box is not {a}-round (minimal {least})")
-    dim = box.dim
-    depth = dim - 1
     plens = []
-    for k in range(1, depth + 1):
-        y = box.intervals[dim - k - 1][1]
+    for k in range(1, box.dim):
+        y = box.intervals[box.dim - k - 1][1]
         if y < 2:
             raise ValueError(f"degenerate piece length from endpoint y={y}")
         plens.append(y - 1)
-    # uniform per-depth counts: root extent for depth 1, full piece after that
-    counts = []
-    extent = box.side(dim - 1)
-    for plen in plens:
-        counts.append(max(1, -(-extent // plen)))
-        extent = plen
-    return SubdivisionTree(box, Fraction(a), depth, tuple(plens), tuple(counts))
+    return SubdivisionTree(box, tuple(plens))
 
 
 def side_growth_bracket(seq: BoxSequence) -> float:

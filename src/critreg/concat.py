@@ -399,7 +399,6 @@ def reach_vertical_section(
     a,
     point: Coords,
     kappa,
-    mu=None,
 ) -> VerticalReach:
     """Reach most of a vertical section from an admissible fully good point.
 
@@ -407,9 +406,8 @@ def reach_vertical_section(
     through the point's finest subdivision piece, then runs whose strides
     are the point's own coordinates (the strides the group action offers on
     that fiber), each spanning the whole section and flagged against lambda
-    times the box mean.  Segment lengths are reported through D'.  A given
-    mu must make the point fully mu-good (ValueError otherwise); without
-    one, mu is the least power of two that does.
+    times the box mean.  Segment lengths are reported through D', and mu
+    is the least power of two that makes the point fully mu-good.
     """
     a = Fraction(a)
     kappa = Fraction(kappa)
@@ -431,13 +429,8 @@ def reach_vertical_section(
         restricted = Box(fiber_ivs + (piece.intervals[-1],))
         members.append(
             (restricted, _mean_bound(Fraction(1), restricted.npoints(), box, box_points)))
-    if mu is None:
-        mu_val = Fraction(2) ** _least_power_of_two(family, members)
-    else:
-        mu_val = Fraction(mu)
-        if not all(mass_le(family, r, Bound(mu_val * q, b)) for r, (q, b) in members):
-            raise ValueError(f"point is not fully {mu_val}-good")
-    lam = stride_cascade_lambda(mu_val, a, d, kappa)
+    mu = Fraction(2) ** _least_power_of_two(family, members)
+    lam = stride_cascade_lambda(mu, a, d, kappa)
     lo, hi = box.intervals[-1]
     strides = [1] + [abs(c) for c in point[:-1] if abs(c) >= 1]
     strides = strides[: dim - 1]
@@ -478,7 +471,7 @@ def reach_vertical_section(
     fraction = Fraction(len(covered), section_points)
     d_prime = max_count / (box.side(0))
     return VerticalReach(
-        frozenset(covered), chains, lam, mu_val, d_prime, fraction, fraction >= kappa
+        frozenset(covered), chains, lam, mu, d_prime, fraction, fraction >= kappa
     )
 
 

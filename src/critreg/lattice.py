@@ -409,7 +409,6 @@ class LengthFamily:
     """
 
     d: int
-    name: str
 
     def contains(self, v: Sequence[int]) -> bool:
         raise NotImplementedError
@@ -447,8 +446,7 @@ class LengthFamily:
 class ProductFamily(LengthFamily):
     """Product of per-axis weights times a rational scale."""
 
-    def __init__(self, axes: Sequence[Axis], scale: Fraction = Fraction(1),
-                 name: str = "product") -> None:
+    def __init__(self, axes: Sequence[Axis], scale: Fraction = Fraction(1)) -> None:
         _check_dimension(len(axes))
         self.axes = tuple(axes)
         self.d = len(axes)
@@ -462,7 +460,6 @@ class ProductFamily(LengthFamily):
         for ax in self.axes:
             e0, f0 = e0 + ax.offset + ax.coef_parts[0], f0 + ax.coef_parts[1]
         self.point_base = e0, f0
-        self.name = name
         # axis k's split log2 mass of lo, lo + stride, ... <= hi, by (k, lo, hi,
         # stride); it lives and dies with the family
         self._memo: dict[tuple[int, int, int, int], Log2Parts | None] = {}
@@ -528,7 +525,7 @@ class ProductFamily(LengthFamily):
 class TableFamily(LengthFamily):
     """Finite family given by an explicit weight table."""
 
-    def __init__(self, weights: dict[Coords, Fraction], name: str = "table") -> None:
+    def __init__(self, weights: dict[Coords, Fraction]) -> None:
         if not weights:
             raise ValueError("empty weight table")
         dims = {len(k) for k in weights}
@@ -539,7 +536,6 @@ class TableFamily(LengthFamily):
         self.table = {k: Fraction(v) for k, v in weights.items()}
         if any(v <= 0 for v in self.table.values()):
             raise ValueError("weights must be positive")
-        self.name = name
         # split log2 masses by region: a scan compares many translates with
         # one bound, whose mass sums the whole table
         self._memo: dict[Box | Segment, Log2Parts | None] = {}
@@ -583,13 +579,13 @@ class TableFamily(LengthFamily):
 def geometric_family(d: int) -> ProductFamily:
     """Product-geometric weights on the cone: w(v) = prod 2^-(v_k+1), total 1."""
     _check_dimension(d)
-    return ProductFamily([geometric_axis()] * d, name="geometric")
+    return ProductFamily([geometric_axis()] * d)
 
 
 def symmetric_geometric_family(d: int) -> ProductFamily:
     """Z^d-symmetric dyadic weights w(v) = prod 2^-|v_k|/3, total 1."""
     _check_dimension(d)
-    return ProductFamily([symmetric_geometric_axis()] * d, name="symmetric-geometric")
+    return ProductFamily([symmetric_geometric_axis()] * d)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ the integer log2 of a length times 3^d, and the slope identity compares
 integers.  A residual becomes an exact `Fraction` only when it is nonzero.
 The packing holds no state: the lattice Z^d is the matrices' own, whose
 action checks an index's dimension.
+
+The module holds only what the identity kind computes with: the action,
+the powers of one elementary matrix, a word's product and a matrix's
+commutation with a generator.  General products and inverses are left to
+the tests' naive reference.
 """
 
 from __future__ import annotations
@@ -33,10 +38,9 @@ class UnipotentMatrix(_UnipotentMatrixFields):
     """A lower-unitriangular integer matrix, rows as tuples of ints.
 
     The public constructor ``UnipotentMatrix(rows)`` validates its input.
-    ``identity``, ``generator``, ``*``, ``inverse``, ``power`` and
-    ``Word.product`` build their results through the trusted
-    ``_trusted`` constructor, which skips that check: each result is
-    lower-unitriangular by construction.
+    ``generator``, ``power`` and ``Word.product`` build their results
+    through the trusted ``_trusted`` constructor, which skips that check:
+    each result is lower-unitriangular by construction.
     """
 
     __slots__ = ()
@@ -62,10 +66,6 @@ class UnipotentMatrix(_UnipotentMatrixFields):
         return len(self.rows)
 
     @staticmethod
-    def identity(size: int) -> "UnipotentMatrix":
-        return UnipotentMatrix._trusted(_identity_rows(size))
-
-    @staticmethod
     def generator(size: int, i: int, j: int) -> "UnipotentMatrix":
         """f(i,j): single off-diagonal 1 at row i, column j (1-based, i > j)."""
         if not 1 <= j < i <= size:
@@ -79,48 +79,16 @@ class UnipotentMatrix(_UnipotentMatrixFields):
         row = rows[i][:j] + (c,) + rows[i][j + 1:]
         return UnipotentMatrix._trusted(rows[:i] + (row,) + rows[i + 1:])
 
-    def __mul__(self, other: "UnipotentMatrix") -> "UnipotentMatrix":
-        n = self.size
-        if other.size != n:
-            raise ValueError("size mismatch")
-        # both factors are lower-unitriangular, so is the product: compute
-        # its strict lower triangle only, the diagonal and above are fixed
-        cols = list(zip(*other.rows))
-        return UnipotentMatrix._trusted(tuple(
-            tuple([sum(map(operator.mul, row, col)) for col in cols[:i]])
-            + (1,) + (0,) * (n - i - 1)
-            for i, row in enumerate(self.rows)
-        ))
-
-    def inverse(self) -> "UnipotentMatrix":
-        """Exact integer inverse by forward substitution."""
-        n = self.size
-        inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i):
-                s = sum(self.rows[i][k] * inv[k][j] for k in range(j, i))
-                inv[i][j] = -s
-        return UnipotentMatrix._trusted(tuple(tuple(r) for r in inv))
-
     def power(self, k: int) -> "UnipotentMatrix":
-        """self^k: I + k*c*E_ij for a single off-diagonal entry c (E_ij^2 = 0),
-        binary exponentiation otherwise."""
+        """self^k of an elementary matrix I + c*E_ij: since E_ij^2 = 0 it is
+        I + k*c*E_ij.  Any other matrix raises ValueError."""
         off = [
             (i, j, c) for i, row in enumerate(self.rows) for j, c in enumerate(row[:i]) if c
         ]
-        if len(off) == 1:
-            i, j, c = off[0]
-            return UnipotentMatrix._elementary(self.size, i, j, k * c)
-        out = UnipotentMatrix.identity(self.size)
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        if len(off) != 1:
+            raise ValueError("power needs an elementary matrix I + c*E_ij")
+        i, j, c = off[0]
+        return UnipotentMatrix._elementary(self.size, i, j, k * c)
 
     def commutes_with_generator(self, i: int, j: int) -> bool:
         """Whether self commutes with f(i,j), and so with f(i,j)^-1, in O(size).

@@ -129,7 +129,6 @@ ORBIT_BLOCK_STEPS = 128
 
 
 class _SmoothMapFields(NamedTuple):
-    name: str
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     a: float
@@ -153,16 +152,15 @@ class SmoothMap(_SmoothMapFields):
     __slots__ = ()
 
     def __new__(
-        cls, name: str, f: Callable[[np.ndarray], np.ndarray],
-        df: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-        fixed_points: tuple[float, ...] = (),
+        cls, f: Callable[[np.ndarray], np.ndarray], df: Callable[[np.ndarray], np.ndarray],
+        a: float, b: float, fixed_points: tuple[float, ...] = (),
     ) -> SmoothMap:
         if not a < b:
             raise ValueError("need a < b")
         for p in fixed_points:
             if float(f(np.float64(p))) != p:
                 raise ValueError(f"declared fixed point {p} moves under the map")
-        return tuple.__new__(cls, (name, f, df, a, b, fixed_points))
+        return tuple.__new__(cls, (f, df, a, b, fixed_points))
 
     def grid(self, n: int) -> np.ndarray:
         return np.linspace(self.a, self.b, n)
@@ -201,7 +199,7 @@ def parabolic_map(c: float) -> SmoothMap:
         y += 1
         return y
 
-    return SmoothMap(f"parabolic({c})", f, df, 0.0, 1.0, (0.0, 1.0))
+    return SmoothMap(f, df, 0.0, 1.0, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ families, and `uniform_box_family` of `tests/oracles.py`) the weight on
 the orthant is const * 2^(-rate |v|): point t of every walk weighs what
 (t, 0, ..., 0) weighs, and every endpoint, on the sphere |v| = n, what
 (n, 0, ..., 0) weighs.  The batch is then decided from one cost sum and
-that one endpoint, and nothing is drawn.  Every other family (tables,
-unequal rates) steps all walks in lockstep, one `Generator.integers` call
-per step on one numpy stream, and evaluates every point of every walk.  Both
-passes give every sample the float that one addition per step gives it.
+that one endpoint, and nothing is drawn or held per sample.  Every other
+family (tables, unequal rates) steps all walks in lockstep, one
+`Generator.integers` call per step on one numpy stream, and evaluates
+every point of every walk.  Both passes give every sample the float that
+one addition per step gives it.
 The terms come from `log2_weights`, the vector of float log2 weights of a
 point array, which lives here because this is the one numpy caller of the
 weight families; it reads each weight's split form, an exact integer
@@ -83,9 +84,6 @@ def cost_bound(b: float, d: int, n: int) -> float:
 
 
 class BatchSummary(NamedTuple):
-    d: int
-    n: int
-    samples: int
     success_fraction: float
     mean_cost: float
     mean_cost_bound: float
@@ -167,15 +165,15 @@ def batch_certificates(
     sample then costs the one sum `_shared_cost`, which is the batch's mean
     whatever `samples` is, and meets the terminal bound exactly when the
     endpoint (n, 0, ..., 0) does, so no walk is stepped; every other
-    family takes `_sample_pass` on the seed's stream.
+    family takes `_sample_pass` on the seed's stream.  Bounds past float
+    range raise the ValueError of `_summary`.
     """
     missing = _first_unreached(family, n)
     if missing is not None:
         raise ValueError(f"a walk of length {n} can reach {missing}, outside the family's support")
     if isinstance(family, ProductFamily) and len({ax.rate for ax in family.axes}) == 1:
-        # a cost per sample, as the stepped pass holds: a batch too large to
-        # hold is refused (MemoryError) whichever pass would run it
-        costs = np.full(samples, _shared_cost(family, n))
+        # one cost and one endpoint stand for every sample
+        costs = np.array([_shared_cost(family, n)])
         ends = np.array([[n] + [0] * (family.d - 1)])
     else:
         costs, ends = _sample_pass(family, n, samples, seed)
@@ -217,26 +215,26 @@ def _sample_pass(
 
 def _summary(family: LengthFamily, n: int, costs: np.ndarray, ends: np.ndarray) -> BatchSummary:
     """The bounds, the two checks and the witness, from every sample's cost
-    and the endpoints in the rows of `ends` (one row stands for every
-    sample, and then so does the first cost, which is the mean); terminal
-    weights are decided by `lattice.weights_le`."""
+    and endpoint, one per row of `ends` (or one cost and one endpoint that
+    stand for every sample); terminal weights are decided by
+    `lattice.weights_le`.  ValueError when the cost bound or the mean bound
+    is past float range, as `lemma_bound` refuses B."""
     d = family.d
     mass = family.total_mass
     b_float, b_exact = lemma_bound(mass, d)
     cb = cost_bound(b_float, d, n)
+    mean_bound = float(mass / sphere_constant(d)) ** (1.0 / d)
+    mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * MEAN_SLACK
+    if not math.isfinite(cb) or not math.isfinite(mean_bound):
+        raise ValueError("lemma 1's cost bounds are past float range; "
+                         "the family's total mass L is too large")
     first = costs <= cb * (1.0 + COST_REL_TOL)
     q = b_exact / (n + 1) ** (d - 1)
     second = np.fromiter(weights_le(family, ends.tolist(), q), dtype=bool, count=len(ends))
     witness, success_fraction = _certified(first & second)
-    mean_bound = float(mass / sphere_constant(d)) ** (1.0 / d)
-    mean_bound *= math.log2(n + 1) ** (1.0 - 1.0 / d) * MEAN_SLACK
     return BatchSummary(
-        d=d,
-        n=n,
-        samples=len(costs),
         success_fraction=success_fraction,
-        # numpy's pairwise mean would move the one cost by its last bits
-        mean_cost=float(costs[0] if len(ends) == 1 else np.mean(costs)),
+        mean_cost=float(np.mean(costs)),
         mean_cost_bound=mean_bound,
         cost_bound=cb,
         bound_b=b_float,

@@ -197,7 +197,7 @@ def uniform_box_family(box: Box, total: Fraction = Fraction(1)) -> ProductFamily
     """Constant weights on a finite box, renormalized to the given total."""
     cells = [Fraction(1, hi - lo + 1) for lo, hi in box.intervals]
     axes = [Axis(lo, hi, c, log2_parts(c), 0, 0) for (lo, hi), c in zip(box.intervals, cells)]
-    return ProductFamily(axes, scale=Fraction(total), name="uniform")
+    return ProductFamily(axes, scale=Fraction(total))
 
 
 def exact_sum(ws: Iterable[Fraction]) -> Fraction:
@@ -532,7 +532,7 @@ class SubdivisionNode:
     trailing: bool  # True when this piece has index M at its level
 
     def is_leaf(self, tree: SubdivisionTree) -> bool:
-        return self.trailing or self.depth == tree.depth
+        return self.trailing or self.depth == len(tree.piece_lengths)
 
 
 def nodes(tree: SubdivisionTree) -> Iterator[SubdivisionNode]:
@@ -556,9 +556,22 @@ def leaves(tree: SubdivisionTree) -> Iterator[SubdivisionNode]:
     return (n for n in nodes(tree) if n.depth > 0 and n.is_leaf(tree))
 
 
+def branching_counts(tree: SubdivisionTree) -> tuple[int, ...]:
+    """Pieces per full parent at each depth: the root's last-axis extent is
+    cut first, then each full piece of the depth above.  The counts are
+    uniform per depth because every non-trailing piece at one depth has
+    the same extent."""
+    out = []
+    extent = tree.box.side(tree.box.dim - 1)
+    for plen in tree.piece_lengths:
+        out.append(max(1, -(-extent // plen)))
+        extent = plen
+    return tuple(out)
+
+
 def non_admissible_fraction(tree: SubdivisionTree) -> Fraction:
     """Share of levels whose chain ends in a trailing piece, from the
-    per-depth piece lengths and counts.
+    per-depth piece lengths and `branching_counts`.
 
     A parent of extent E cut into c pieces of length plen has a trailing
     piece of E - (c-1)*plen levels, all non-admissible; each of its c-1
@@ -566,7 +579,7 @@ def non_admissible_fraction(tree: SubdivisionTree) -> Fraction:
     """
     total = extent = tree.box.side(tree.box.dim - 1)
     bad, full = 0, 1  # full: number of non-trailing pieces at this depth
-    for plen, c in zip(tree.piece_lengths, tree.counts):
+    for plen, c in zip(tree.piece_lengths, branching_counts(tree)):
         bad += full * (extent - (c - 1) * plen)
         full *= c - 1
         extent = plen
@@ -604,12 +617,12 @@ def prefixes(word: Word) -> list[UnipotentMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def plain_map(name: str, f: Callable, df: Callable, a: float, b: float,
+def plain_map(f: Callable, df: Callable, a: float, b: float,
               fixed_points: tuple[float, ...] = ()) -> SmoothMap:
     """The map of the plain elementwise expressions f and df, in the
     ``out=`` form `SmoothMap` takes: given ``out``, each call writes the
     expression's floats there and returns it."""
-    return SmoothMap(name, _into_out(f), _into_out(df), a, b, fixed_points)
+    return SmoothMap(_into_out(f), _into_out(df), a, b, fixed_points)
 
 
 def _into_out(fn: Callable) -> Callable:
@@ -624,7 +637,7 @@ def _into_out(fn: Callable) -> Callable:
 
 
 def identity_map() -> SmoothMap:
-    return plain_map("identity", lambda x: x, lambda x: np.ones_like(x), 0.0, 1.0, (0.0, 1.0))
+    return plain_map(lambda x: x, lambda x: np.ones_like(x), 0.0, 1.0, (0.0, 1.0))
 
 
 def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
@@ -633,7 +646,6 @@ def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
         raise ValueError("slope must be positive")
     fps = (a,) if slope != 1 else (a, b)
     return plain_map(
-        f"affine({slope})",
         lambda x: a + slope * (x - a),
         lambda x: np.full_like(np.asarray(x, dtype=float), slope),
         a,
@@ -645,7 +657,6 @@ def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
 def doubling_fixed_point_map() -> SmoothMap:
     """2x/(1+x) on [0,1]: hyperbolic at 0 with derivative 2."""
     return plain_map(
-        "mobius-doubling",
         lambda x: 2 * x / (1 + x),
         lambda x: 2 / (1 + x) ** 2,
         0.0,
@@ -657,7 +668,6 @@ def doubling_fixed_point_map() -> SmoothMap:
 def mobius_contraction_map() -> SmoothMap:
     """x/(2-x) on [0,1]: onto, contracting toward 0 (inverse of doubling)."""
     return plain_map(
-        "mobius-contraction",
         lambda x: x / (2 - x),
         lambda x: 2 / (2 - x) ** 2,
         0.0,
@@ -671,7 +681,7 @@ def restrict(g: SmoothMap, a2: float, b2: float) -> SmoothMap:
     if not g.a <= a2 < b2 <= g.b:
         raise ValueError("subinterval escapes the domain")
     fps = tuple(p for p in g.fixed_points if a2 <= p <= b2)
-    return SmoothMap(f"{g.name}|[{a2},{b2}]", g.f, g.df, a2, b2, fps)
+    return SmoothMap(g.f, g.df, a2, b2, fps)
 
 
 def renormalize(g: SmoothMap) -> SmoothMap:
@@ -679,7 +689,6 @@ def renormalize(g: SmoothMap) -> SmoothMap:
     a, b, L = g.a, g.b, g.b - g.a
     f, df = g.f, g.df
     return plain_map(
-        f"{g.name}~",
         lambda u: (f(a + L * u) - a) / L,
         lambda u: df(a + L * u),
         0.0,

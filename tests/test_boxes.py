@@ -22,6 +22,7 @@ from critreg.lattice import Box
 
 from oracles import (
     b_d2_box,
+    branching_counts,
     leaves,
     nodes,
     non_admissible_fraction,
@@ -375,10 +376,13 @@ class TestSubdivision:
         box = Box(((1, 3), (1, 9), (1, 27)))
         t = vertical_subdivision(box, Fraction(27))
         assert t.piece_lengths == (8, 2)
-        assert t.counts == (4, 4)
+        assert branching_counts(t) == (4, 4)
         # depth-1 pieces: 8, 8, 8, 3 along the last axis
         depth1 = [n.box.side(2) for n in nodes(t) if n.depth == 1]
         assert depth1 == [8, 8, 8, 3]
+        # and a full depth-1 piece of 8 levels splits into 2, 2, 2, 2
+        depth2 = [n.box.side(2) for n in nodes(t) if n.depth == 2 and n.chain[0] == 1]
+        assert depth2 == [2, 2, 2, 2]
 
     def test_leaves_partition_points(self):
         box = Box(((1, 3), (1, 9), (1, 27)))
@@ -390,9 +394,9 @@ class TestSubdivision:
         t = vertical_subdivision(box, minimal_round_constant(box))
         # pieces of length 3 then 1: trailing pieces poison admissibility
         levels = [t.level(i) for i in range(1, 9)]
-        for lv in levels:
+        for i, lv in enumerate(levels, 1):
             chain_box = t.chain_box(lv.chain)
-            assert chain_box.contains((1, 1, lv.level))
+            assert chain_box.contains((1, 1, i))
         assert any(lv.admissible for lv in levels)
         assert any(not lv.admissible for lv in levels)
         frac = non_admissible_fraction(t)
@@ -426,10 +430,9 @@ class TestSubdivision:
         for i in range(z_lo, z_lo + z_width + 1):
             (leaf,) = [n for n in leaf_nodes if n.box.intervals[-1][0] <= i <= n.box.intervals[-1][1]]
             lv = t.level(i)
-            assert lv.level == i
             assert lv.chain == leaf.chain
             assert t.chain_box(lv.chain) == leaf.box
-            assert lv.admissible == (leaf.depth == t.depth and not leaf.trailing)
+            assert lv.admissible == (leaf.depth == len(t.piece_lengths) and not leaf.trailing)
             bad += not lv.admissible
         assert non_admissible_fraction(t) == Fraction(bad, box.side(dim - 1))
 
@@ -475,5 +478,5 @@ class TestSubdivision:
         t = vertical_subdivision(box, a)
         lo = (1 + box.side(0) - 1) / a ** 2
         hi = 1 + a ** 2 * box.side(0)
-        for m in t.counts:
+        for m in branching_counts(t):
             assert lo <= m <= hi

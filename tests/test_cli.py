@@ -137,6 +137,24 @@ class TestRun:
             f"the family's total mass L is too {size}\n")
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_lemma1_cost_bound_past_float_range_exits_one(self, tmp_path, capsys, out):
+        # weights 1.5e306 over |v| <= 7 keep L/A_d and B inside float range,
+        # but the cost bound B * log2(6)^(1/2) overflows to infinity: no row
+        # is printed and no report is written, with --out or without
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({f"{i},{j}": "1.5e306" for i in range(8) for j in range(8 - i)}))
+        argv = ["lemma1", "--d", "2", "--family", "custom-file", "--family-file", str(path),
+                "--n-max", "5", "--samples", "5"]
+        if out:
+            argv += ["--out", str(tmp_path / "rep")]
+        assert main(argv) == 1
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err == ("error: lemma 1's cost bounds are past float range; "
+                       "the family's total mass L is too large\n")
+        assert not (tmp_path / "rep").exists()
+
     def test_lemma1_family_file_of_another_dimension_exits_one(self, tmp_path, capsys):
         # every kind that reads a family checks its table against the kind's
         # lattice: Z^d for lemma1 and chain-b, Z^(d-1) for chain-ff
@@ -742,9 +760,9 @@ UNREAD_FLAGS = {
 # file without --family custom-file (as a flag and as a config key), a
 # translation model past Z^6, an --out under a regular file, a B-d2 sequence
 # of one box at alpha 1/1000 (whose roots start past float range), a lemma1
-# table that a walk can leave, a lemma1 batch or a dynamics orbit of 10^17
-# floats (refused before anything is allocated), exponents whose count does
-# not fit --d, and exponents on an FF sequence
+# table that a walk can leave, a stepped lemma1 batch or a dynamics orbit of
+# 10^17 samples (refused before anything is allocated), exponents whose count
+# does not fit --d, and exponents on an FF sequence
 USAGE_ERRORS = [
     "dynamics --d 3",
     "dynamics --config unread-key.json",
@@ -768,7 +786,8 @@ USAGE_ERRORS = [
     "boxes --d 2 --variant B-d2 --alpha 1/1000,999/1000 --n-max 1",
     "lemma1 --d 2 --family custom-file --family-file square-table.json --n-max 7 --samples 3"
     " --seed 1",
-    "lemma1 --d 2 --n-max 5 --samples 100000000000000000",
+    "lemma1 --d 2 --family custom-file --family-file simplex-table.json --n-max 5"
+    " --samples 100000000000000000",
     "dynamics --k-max 100000000000000000",
     "chain-b --d 2 --variant B-general --alpha 1/3,1/3,1/3 --n-max 6",
     "chain-b --d 3 --variant B-d2 --alpha 1/2,1/2",
@@ -855,17 +874,28 @@ class TestFlags:
 
     @pytest.mark.parametrize(
         "argv",
-        [["lemma1", "--d", "2", "--n-max", "5", "--samples", "10" + "0" * 16],
+        [["lemma1", "--d", "2", "--family", "custom-file", "--family-file", "simplex-table.json",
+          "--n-max", "5", "--samples", "10" + "0" * 16],
          ["dynamics", "--k-max", "10" + "0" * 16]],
         ids=["lemma1-samples", "dynamics-k-max"],
     )
-    def test_size_that_cannot_be_allocated_exits_one(self, argv, capsys):
-        # the first array of each run holds 10^17 floats (8e17 bytes), past
-        # the 2^57-byte user address space of any x86-64 or arm64 kernel, so
-        # numpy is refused under any overcommit policy and nothing is
-        # allocated; its MemoryError ends as error: <message>
+    def test_size_that_cannot_be_allocated_exits_one(self, argv, capsys, workdir):
+        # the first array of each run holds 10^17 rows of at least 8 bytes,
+        # past the 2^57-byte user address space of any x86-64 or arm64
+        # kernel, so numpy is refused under any overcommit policy and nothing
+        # is allocated; its MemoryError ends as error: <message>.  The table
+        # family is stepped, so its batch holds a walk per sample
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+    def test_decided_lemma1_takes_any_sample_count(self, capsys):
+        # an equal-rate product family is decided from one cost and one
+        # endpoint, so 10^17 samples give the rows of 100 samples
+        rows = []
+        for samples in ("100", "10" + "0" * 16):
+            assert main(["lemma1", "--d", "2", "--n-max", "5", "--samples", samples]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

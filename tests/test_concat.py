@@ -115,8 +115,8 @@ def _families(dim: int) -> dict:
     return {
         "geometric": geometric_family(dim),
         "symmetric": symmetric_geometric_family(dim),
-        "scaled": ProductFamily(mixed[:dim], scale=Fraction(5, 7), name="scaled"),
-        "steep": ProductFamily([steep, *mixed[1:dim]], name="steep"),
+        "scaled": ProductFamily(mixed[:dim], scale=Fraction(5, 7)),
+        "steep": ProductFamily([steep, *mixed[1:dim]]),
         "uniform": uniform_box_family(Box(((-4, 12),) * dim)),
     }
 
@@ -209,16 +209,15 @@ class TestVerticalReach:
         with pytest.raises(ValueError):
             reach_vertical_section(fam, box, a, (2, 5, 27), kappa=HALF)
 
-    def test_caller_mu_checked_at_large_coordinates(self):
+    def test_least_mu_at_large_coordinates(self):
         # FF d=3 Q(2) has coordinates up to 4112; the point's flag is only
-        # about 2044.5-good, so a caller's mu = 2^-20 must be refused
+        # about 2044.5-good, so the least power of two that makes it fully
+        # mu-good is 2^11
         seq = build_sequence("FF", d=3, n_max=2)
         box = seq.box(2)
         a = minimal_round_constant(box)
         fam = geometric_family(2)
         assert max(box.intervals[-1]) > 4096
-        with pytest.raises(ValueError):
-            reach_vertical_section(fam, box, a, (4, 16), kappa=HALF, mu=Fraction(1, 2 ** 20))
         assert reach_vertical_section(fam, box, a, (4, 16), kappa=HALF).mu == 2048
 
     def test_chains_against_exhaustive_enumeration(self):

@@ -21,8 +21,6 @@ from critreg import boxes, cli, concat, lattice
 
 SRC = Path(critreg.__file__).resolve().parent
 
-ALGEBRA = "group algebra of UnipotentMatrix, kept by design next to the action the kinds use"
-
 # a def's qualified name (module.Class.function), or the name of a class or
 # function whose methods and nested defs it covers, with the reason it stays
 ALLOWLIST = {
@@ -30,10 +28,10 @@ ALLOWLIST = {
         "exact point weight for weights_le's fallback, which lemma1 reaches only on a "
         "terminal tie within 2^-40, and no built-in family has one"
     ),
-    "nilpotent.UnipotentMatrix.__new__": ALGEBRA,
-    "nilpotent.UnipotentMatrix.__mul__": ALGEBRA,
-    "nilpotent.UnipotentMatrix.inverse": ALGEBRA,
-    "nilpotent.UnipotentMatrix.identity": ALGEBRA,
+    "nilpotent.UnipotentMatrix.__new__": (
+        "the validated constructor: the kinds build matrices through the trusted "
+        "builders only, and a caller's own rows are checked here"
+    ),
 }
 
 

@@ -36,9 +36,8 @@ INVALID = {
     "falling endpoint": (
         lambda: BoxSequence("B-d2", 1, (Box(((0, 3), (0, 3))), Box(((1, 4), (0, 2)))), 2),
         "an endpoint falls from Q(1) to Q(2)"),
-    "empty map interval": (lambda: SmoothMap("id", _identity, _identity, 1.0, 1.0),
-                           "need a < b"),
-    "moving fixed point": (lambda: SmoothMap("half", _half, _half, 0.0, 1.0, (0.0, 1.0)),
+    "empty map interval": (lambda: SmoothMap(_identity, _identity, 1.0, 1.0), "need a < b"),
+    "moving fixed point": (lambda: SmoothMap(_half, _half, 0.0, 1.0, (0.0, 1.0)),
                            "declared fixed point 1.0 moves under the map"),
     "ragged matrix": (lambda: UnipotentMatrix(((1, 0), (0,))), "matrix must be square"),
     "diagonal": (lambda: UnipotentMatrix(((2, 0), (0, 1))), "diagonal entries must be 1"),
@@ -59,7 +58,7 @@ VALID = {
     "box": (SQUARE, "intervals"),
     "segment": (Segment((0, 1), 0, 6, -2), "count"),
     "sequence": (BoxSequence("B-d2", 1, (SQUARE, Box(((0, 6), (0, 5)))), 2), "boxes"),
-    "map": (SmoothMap("id", _identity, _identity, 0.0, 1.0, (0.5,)), "a"),
+    "map": (SmoothMap(_identity, _identity, 0.0, 1.0, (0.5,)), "a"),
     "matrix": (UnipotentMatrix(((1, 0), (3, 1))), "rows"),
     "word": (Word(((2, 1, 1),), 2), "letters"),
 }

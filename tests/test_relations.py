@@ -96,7 +96,7 @@ def test_halving_a_product_family_shifts_every_split_mass_by_exactly_one():
     scale 1/2, on B-general at d = 3."""
     seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=12)
     family = symmetric_geometric_family(3)
-    halved = ProductFamily(family.axes, scale=HALF, name="halved")
+    halved = ProductFamily(family.axes, scale=HALF)
     parts, halved_parts = _halved_parts(family, halved, build_chain("B-general", family, seq))
     assert all(parts)
     assert halved_parts == _shift_by_one_halving(parts)

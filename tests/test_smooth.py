@@ -47,7 +47,7 @@ class TestHolder:
         assert holder_constant_estimate(identity_map(), 0.5) == 0.0
 
     def test_quarter_parabola_bound(self):
-        g = plain_map("q", lambda x: x + x ** 2 / 4, lambda x: 1 + x / 2, 0, 1, (0.0,))
+        g = plain_map(lambda x: x + x ** 2 / 4, lambda x: 1 + x / 2, 0, 1, (0.0,))
         assert holder_constant_estimate(g, 0.5) <= 0.5
 
     def test_monotone_in_refinement(self):
@@ -76,7 +76,7 @@ class TestGrowthBound:
         # the lemma on J needs no parabolic fixed point: both ends of this
         # map have derivative 5/4 and 3/4
         g = plain_map(
-            "hyp", lambda x: x + x * (1 - x) / 4, lambda x: 1 + (1 - 2 * x) / 4,
+            lambda x: x + x * (1 - x) / 4, lambda x: 1 + (1 - 2 * x) / 4,
             0.0, 1.0, (0.0, 1.0),
         )
         assert check(g, 0.5, 500).distortion.passed
@@ -146,7 +146,7 @@ class TestMapValidation:
         # a move of 1e-11 lies within FIXED_POINT_TOL, and is still a move
         for move in (0.5, 1e-11):
             with pytest.raises(ValueError, match="moves under the map"):
-                plain_map("bad", lambda x: x + move, lambda x: np.ones_like(x), 0, 1, (0.0,))
+                plain_map(lambda x: x + move, lambda x: np.ones_like(x), 0, 1, (0.0,))
 
     def test_restrict_guard(self):
         with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ class TestExactness:
                 assert holder_by_offsets(g, alpha, grid) == want, (alpha, grid)
         # NaN passes through both, from 0 / 0 on coincident points
         b = np.nextafter(1.0, 2.0)
-        g = plain_map("two-floats", lambda x: x, lambda x: 1 + x, 1.0, b)
+        g = plain_map(lambda x: x, lambda x: 1 + x, 1.0, b)
         with np.errstate(invalid="ignore"):
             assert np.isnan(holder_by_offsets(g, 0.5, 65))
             assert np.isnan(full_matrix_holder(g, 0.5, 65))
@@ -276,7 +276,7 @@ class TestExactness:
         # estimate
         b = np.nextafter(1.0, 2.0)
         for df in (lambda x: 1 + x, lambda x: np.where(x > 1, 3.0, 2.0)):
-            g = plain_map("two-floats", lambda x: x, df, 1.0, b)
+            g = plain_map(lambda x: x, df, 1.0, b)
             for alpha in (1 / 3, 0.5, 1.0):
                 for grid in (3, 5, 64, 65, 200):
                     with np.errstate(invalid="ignore"):
@@ -289,7 +289,7 @@ class TestExactness:
         # largest finite ratios, about 1, sit at the widest offsets, which
         # pass over the middle point; a block fold that drops NaN (np.fmax)
         # would bound the offsets through it below 1 and skip them
-        g = plain_map("nan-middle", lambda x: x,
+        g = plain_map(lambda x: x,
                       lambda x: np.where(x == 0.5, np.nan, np.exp(x)), 0.0, 1.0)
         for alpha in (1 / 3, 0.5):
             for grid in (65, 1025, 4097):
@@ -303,7 +303,7 @@ class TestExactness:
         # with alpha near 1 the largest ratio (at the widest pair) then sits
         # below the bound of a narrower offset, and only the stop rule
         # against the exact ratios finds it
-        g = plain_map("few-ulps", lambda x: x, lambda x: np.exp((x - 1) * 2.0 ** 40),
+        g = plain_map(lambda x: x, lambda x: np.exp((x - 1) * 2.0 ** 40),
                       1.0, 1 + 1000 * 2.0 ** -52)
         for alpha in (1 / 3, 0.5, 0.99, 0.999, 1.0):
             for grid in (65, 200, 257):
@@ -352,7 +352,7 @@ def translate_out(n):
     I = [1/2 - (2n + 1)/1024, 1/2 + (2n + 1)/1024], on exact binary
     fractions, so the right end of J lies strictly inside I up to step n - 1
     and first leaves it at step n; log Dg varies across J."""
-    return plain_map(f"translate-out({n})", lambda x: x + 1 / 512, lambda x: 1 + x * x,
+    return plain_map(lambda x: x + 1 / 512, lambda x: 1 + x * x,
                      0.5 - (2 * n + 1) / 1024, 0.5 + (2 * n + 1) / 1024)
 
 
@@ -364,7 +364,7 @@ def counting(g):
         calls.append(1)
         return g.f(x, out=out)
 
-    wrapped = SmoothMap(g.name, f, g.df, g.a, g.b, g.fixed_points)
+    wrapped = SmoothMap(f, g.df, g.a, g.b, g.fixed_points)
     calls.clear()
     return wrapped, calls
 
@@ -397,7 +397,7 @@ class TestOrbitBlocks:
         # float np.maximum(-0.0, 0.0) gives; np.clip keeps -0.0, which
         # equals it as a value but not as bits, so an oracle that clips
         # with np.clip fails the bit comparison
-        g = plain_map("onto-zero", lambda x: np.where(x < 0.2, -0.0, x - 1 / 8),
+        g = plain_map(lambda x: np.where(x < 0.2, -0.0, x - 1 / 8),
                       lambda x: 1 + x * x, 0.0, 1.0)
         for k_max in (10, *BLOCK_EDGES):
             variation, ends = smooth._domain_orbit(g, k_max)
@@ -462,7 +462,6 @@ def translate_then_kink(n):
     right end of J reaches after n - 1 steps, so step n meets it."""
     kink = 0.5 + n / 512
     return plain_map(
-        f"translate-then-kink({n})",
         lambda x: x + 1 / 512,
         lambda x: np.where(x == kink, 0.0, 1.0),
         0.0,
@@ -472,7 +471,7 @@ def translate_then_kink(n):
 
 class TestPositivity:
     def test_negative_derivative_from_the_start(self):
-        g = plain_map("flip", lambda x: 1 - x, lambda x: -np.ones_like(x), 0.0, 1.0)
+        g = plain_map(lambda x: 1 - x, lambda x: -np.ones_like(x), 0.0, 1.0)
         for run in (
             lambda: smooth._domain_orbit(g, 5),
             lambda: holder_constant_estimate(g, 0.5),
