@@ -786,8 +786,8 @@ USAGE_ERRORS = [
     "boxes --d 2 --variant B-d2 --alpha 1/1000,999/1000 --n-max 1",
     "lemma1 --d 2 --family custom-file --family-file square-table.json --n-max 7 --samples 3"
     " --seed 1",
-    "lemma1 --d 2 --family custom-file --family-file simplex-table.json --n-max 5"
-    " --samples 100000000000000000",
+    "lemma1 --d 2 --n-max 5 --samples 100000000000000000 --family custom-file"
+    " --family-file simplex-table.json",
     "dynamics --k-max 100000000000000000",
     "chain-b --d 2 --variant B-general --alpha 1/3,1/3,1/3 --n-max 6",
     "chain-b --d 3 --variant B-d2 --alpha 1/2,1/2",
