@@ -106,7 +106,9 @@ class _BoxSequenceFields(NamedTuple):
 class BoxSequence(_BoxSequenceFields):
     """Boxes Q(n), n in `indices()`.  Every construction only raises
     endpoints, and the type enforces it: on every axis both endpoints are
-    nondecreasing in n, or construction raises ValueError."""
+    nondecreasing in n, or construction raises ValueError.  `alphas` are
+    the chains' per-axis Holder exponents: a B sequence's own, and
+    2/(d(d-1)) on every axis of an FF sequence."""
 
     __slots__ = ()
 
@@ -212,7 +214,7 @@ def _build_ff(d: int, n_max: int) -> BoxSequence:
         x2, y2 = ivs[j]
         ivs[j] = (x2, 4 ** (j + 1) * y2)
         boxes.append(Box(tuple(ivs)))
-    return BoxSequence("FF", 0, tuple(boxes), d=d)
+    return BoxSequence("FF", 0, tuple(boxes), d=d, alphas=(Fraction(2, d * (d - 1)),) * dim)
 
 
 def build_sequence(

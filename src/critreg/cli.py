@@ -230,9 +230,17 @@ def _run_boxes(cfg: ExperimentConfig) -> dict:
     return {"rows": rows, "tables": {"boxes": table}, "constants": constants}
 
 
-def _chain_common(kind: str, seq, fam) -> dict:
+def _chain_common(cfg: ExperimentConfig, kind: str) -> dict:
+    """A chain-b or chain-ff run of one chain kind, which `concat.CHAINS`
+    must walk on an FF sequence exactly when the runner is chain-ff."""
     from . import concat
 
+    ff = cfg.kind == "chain-ff"
+    variants = [k for k, (seq_kind, _, _) in concat.CHAINS.items() if (seq_kind == "FF") == ff]
+    if kind not in variants:
+        raise ConfigError(f"{cfg.kind} variants: {', '.join(variants)}")
+    seq = _seq_for(cfg, concat.CHAINS[kind][0])
+    fam = _family(cfg, seq.boxes[0].dim)
     cert = concat.build_chain(kind, fam, seq)
     ver = concat.verify_chain(cert, fam)
     rep = concat.distortion_budget(cert, fam)
@@ -257,18 +265,11 @@ def _chain_common(kind: str, seq, fam) -> dict:
 
 
 def _run_chain_b(cfg: ExperimentConfig) -> dict:
-    kind = _variant(cfg)
-    if kind not in ("B-d2", "B-d3", "B-general"):
-        raise ConfigError("chain-b variants: B-d2, B-d3, B-general")
-    seq = _seq_for(cfg, "B-d2" if kind == "B-d2" else "B-general")
-    return _chain_common(kind, seq, _family(cfg, cfg.d))
+    return _chain_common(cfg, _variant(cfg))
 
 
 def _run_chain_ff(cfg: ExperimentConfig) -> dict:
-    seq = _seq_for(cfg, "FF")  # chain-ff reads no exponents
-    fam = _family(cfg, cfg.d - 1)
-    kind = cfg.variant or ("FF-d3" if cfg.d == 3 else "FF-general")
-    return _chain_common(kind, seq, fam)
+    return _chain_common(cfg, cfg.variant or ("FF-d3" if cfg.d == 3 else "FF-general"))
 
 
 def _run_identity(cfg: ExperimentConfig) -> dict:

@@ -19,12 +19,14 @@ their witness points (segment, flag kind, bound and generator).  One
 assembler, `_assemble`, adds the points where consecutive legs hand over
 (`_junction`).  A certificate holds only the records, the walk's start and
 the builder's levels; box masses, stretches, B, D, K_d and the budget are
-derived (`measured`, `walk_stretches`).  The budget's power sums are read
-from a stretch's anchor, axis and range (`range_power_log2`), with no
-segment built to hold them.  `verify_chain` re-decides each record's flag
-on its own segment and bound, and checks that segments lie in their
-boxes, the witness handovers, and that the records fill the kind's stages
-(`stage_counts`).
+derived (`measured`, `walk_stretches`), and the Holder exponents are the
+sequence's (`BoxSequence.alphas`).  A power sum is taken over the segment
+it sums (`range_power_log2`), a stretch's first points as the stretch cut
+short.  `CHAINS` names each kind's sequence and builder, and
+`build_chain` checks the sequence once.  `verify_chain` re-decides each
+record's flag on its own segment and bound, and checks that segments lie
+in their boxes, the witness handovers, and that the records fill the
+kind's stages (`stage_counts`).
 
 Every goodness decision has the form mass(A) <= q * mass(B) and goes
 through `lattice.mass_le`.  It decides from the log2 closed forms, split
@@ -118,8 +120,7 @@ class SegmentRecord(NamedTuple):
 
 class ChainCertificate(NamedTuple):
     kind: str
-    seq: BoxSequence
-    alphas: tuple[Fraction, ...]  # per axis of the boxes
+    seq: BoxSequence  # its alphas are the chain's per-axis Holder exponents
     records: tuple[SegmentRecord, ...]
     start: Coords | None  # a staircase leads from here to the first entry
     levels: dict[str, float | None]  # the builder's lambdas; None past float range
@@ -127,8 +128,8 @@ class ChainCertificate(NamedTuple):
 
 
 def _assemble(
-    kind: str, seq: BoxSequence, alphas: tuple[Fraction, ...], legs: Sequence[SegmentRecord],
-    start: Coords | None, levels: dict[str, float] | None = None, notes: tuple[str, ...] = (),
+    kind: str, seq: BoxSequence, legs: Sequence[SegmentRecord], start: Coords | None,
+    levels: dict[str, float] | None = None, notes: tuple[str, ...] = (),
     last_exit: Coords | None = None,
 ) -> ChainCertificate:
     """The certificate of a builder's walk, its legs given their points.
@@ -145,7 +146,7 @@ def _assemble(
         leg._replace(generator=leg.generator or f"f{leg.seg.axis + 1}", entry=entry, exit=exit_)
         for leg, entry, exit_ in zip(legs, entries, exits)
     )
-    return ChainCertificate(kind, seq, alphas, records, start, levels or {}, notes)
+    return ChainCertificate(kind, seq, records, start, levels or {}, notes)
 
 
 def _junction(a: Segment, b: Segment) -> Coords:
@@ -217,18 +218,17 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float | 
     masses L; None past float range.  A record of zero power sum gives
     -inf, and B_log2 is None unless it is finite."""
     masses = {n: mass_log2(family, cert.seq.box(n)) for n in cert.seq.indices()}
-    alphas = [float(a) for a in cert.alphas]
+    alphas = [float(a) for a in cert.seq.alphas]
 
     def power_ratio_log2(r: SegmentRecord) -> float:
         alpha = alphas[r.seg.axis]
         base = alpha * max(masses[r.n], masses.get(r.n + 1, NEG_INF))
-        seg = r.seg
-        power = family.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha)
+        power = family.range_power_log2(r.seg, alpha)
         return power - base if power > NEG_INF else NEG_INF
 
     ratio = max(map(power_ratio_log2, cert.records), default=NEG_INF)
     if cert.kind.startswith("B"):
-        count_exp = float(min(cert.alphas))  # standard 2^(n*alpha)
+        count_exp = min(alphas)  # standard 2^(n*alpha)
     else:
         count_exp = 2.0 / cert.seq.boxes[0].dim  # standard 4^(n/(d-1))
     by_n: dict[int, list[int]] = {}  # walk points of each record, by box
@@ -293,8 +293,6 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
 
 
 def _build_b_d2(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
-    alphas = seq.alphas
-    assert alphas is not None and len(alphas) == 2
     legs = []
     for n in seq.indices():
         # the first segment along axis n % 2 with mass at most the box
@@ -309,7 +307,7 @@ def _build_b_d2(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
             "no average-good segment", n,
         )
         legs.append(SegmentRecord(n, f"g{n}", seg, "segment-average", bound))
-    return _assemble("B-d2", seq, alphas, legs, _walk_start(family, seq))
+    return _assemble("B-d2", seq, legs, _walk_start(family, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +479,6 @@ def reach_vertical_section(
 
 
 def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
-    alphas = seq.alphas
-    assert alphas is not None and len(alphas) == 3
     lam = max(Fraction(2), 2 / inocent_constant(seq))
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
 
@@ -530,7 +526,7 @@ def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
             SegmentRecord(n, f"g{n}.2", seg2, "shared-plane-vertical", v_bound),
             SegmentRecord(n, f"g{n}.3", seg3, "next-plane-vertical", w_bound),
         ]
-    return _assemble("B-d3", seq, alphas, legs, _walk_start(family, seq),
+    return _assemble("B-d3", seq, legs, _walk_start(family, seq),
                      {"lambda": float(lam)})
 
 
@@ -580,9 +576,7 @@ def _fully_good_segment(
 
 
 def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
-    alphas = seq.alphas
-    assert alphas is not None
-    d = len(alphas)
+    d = seq.d
     lam = Fraction(2 * (d - 1) + 1)
     lam_prime = lambda_prime(lam, Fraction(1, 2), d)
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
@@ -631,7 +625,7 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
     last = seq.box(hi_n)
     legs.append(SegmentRecord(hi_n, f"g{hi_n}.1", seg, "fully-good-anchor",
                               _mean_bound(lam, seg.count, last, last.npoints())))
-    return _assemble("B-general", seq, alphas, legs, _walk_start(family, seq),
+    return _assemble("B-general", seq, legs, _walk_start(family, seq),
                      {"lambda": float(lam), "lambda_prime": float(lam_prime)})
 
 
@@ -682,9 +676,6 @@ def chain_start_stage(seq: BoxSequence) -> int:
 
 
 def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
-    if seq.kind != "FF" or seq.d != 3:
-        raise ValueError("needs the FF sequence with d=3")
-    alphas = (Fraction(1, 3),) * 2  # 2/(d(d-1)) at d=3, on both axes of the boxes
     lam = Fraction(2)
     n0 = chain_start_stage(seq)
     n_end = max(seq.indices())
@@ -766,17 +757,13 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
         n = nxt_even
     corner = tuple(iv[0] for iv in seq.box(min(seq.indices())).intervals)
     return _assemble(
-        "FF-d3", seq, alphas, legs, corner, {"lambda": float(lam)},
+        "FF-d3", seq, legs, corner, {"lambda": float(lam)},
         ("strip heights use the first factor's raw upper endpoint, not its side length",),
     )
 
 
 def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
-    if seq.kind != "FF":
-        raise ValueError("needs an FF sequence")
-    d = seq.d
-    dim = d - 1
-    alphas = (Fraction(2, d * (d - 1)),) * dim
+    dim = seq.d - 1
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
     # each box walks from its entry to the lower corner of its overlap with
     # the next box, one full segment per axis
@@ -804,29 +791,30 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
     ]
     # the walk stops at the last overlap's lower corner
     # past float range lambda is None, as B is in `measured`
-    return _assemble("FF-general", seq, alphas, legs, None,
+    return _assemble("FF-general", seq, legs, None,
                      {"lambda": 2.0 ** m if m < 1024 else None}, last_exit=tuple(cur))
 
 
+# each chain kind: the sequence kind it walks, the d it needs (None for
+# any) and its builder
+CHAINS = {
+    "B-d2": ("B-d2", None, _build_b_d2),
+    "B-d3": ("B-general", 3, _build_b_d3),
+    "B-general": ("B-general", None, _build_b_general),
+    "FF-d3": ("FF", 3, _build_ff_d3),
+    "FF-general": ("FF", None, _build_ff_general),
+}
+
+
 def build_chain(kind: str, family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
-    """Build one of the deterministic concatenated chains over a sequence."""
-    if kind == "B-d2":
-        if seq.kind != "B-d2":
-            raise ValueError("sequence kind mismatch")
-        return _build_b_d2(family, seq)
-    if kind == "B-d3":
-        if seq.kind != "B-general" or seq.d != 3:
-            raise ValueError("needs the B-general sequence with d=3")
-        return _build_b_d3(family, seq)
-    if kind == "B-general":
-        if seq.kind != "B-general":
-            raise ValueError("sequence kind mismatch")
-        return _build_b_general(family, seq)
-    if kind == "FF-d3":
-        return _build_ff_d3(family, seq)
-    if kind == "FF-general":
-        return _build_ff_general(family, seq)
-    raise ValueError(f"unknown chain kind {kind!r}")
+    """Build one of the deterministic concatenated chains over a sequence;
+    ValueError unless the sequence is the one `CHAINS` names for the kind."""
+    if kind not in CHAINS:
+        raise ValueError(f"unknown chain kind {kind!r}")
+    seq_kind, d, build = CHAINS[kind]
+    if seq.kind != seq_kind or d not in (None, seq.d):
+        raise ValueError(f"{kind} needs the {seq_kind} sequence" + (f" with d={d}" if d else ""))
+    return build(family, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +860,8 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
 
     For each box index n the budget is the sum of weight(point)^a(step)
     over walk points up to the first entry into Q(n+1); the fitted constant
-    is the largest ratio budget / (ln N)^(1-alpha_min) over n >= 2, or
-    n >= 4 for FF-d3, whose chains start at stage 4 (`chain_start_stage`).
+    is the largest ratio budget / (ln N)^(1-alpha_min) over n >= 2 from
+    the chain's first stage on (FF-d3's is `chain_start_stage`).
 
     One pass: each stretch's own power sum is taken once, and prefix[i]
     is the running float sum of stretches 0..i-1 in walk order.  A row's
@@ -881,8 +869,8 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
     that holds its cut.  Since 0.0 + x == x, every budget is the same
     float as re-summing the stretches from the walk's start.
     """
-    alpha_min = float(min(cert.alphas))
-    alphas = [float(a) for a in cert.alphas]
+    alphas = [float(a) for a in cert.seq.alphas]
+    alpha_min = min(alphas)
     stretches = walk_stretches(cert)
     starts = [0]
     for s in stretches:
@@ -892,10 +880,8 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
     def own_part(i: int, t_hi: int) -> float:
         """Sum of weight^alpha over points 0..t_hi of stretch i."""
         s = stretches[i]
-        a = s.anchor[s.axis]
-        b = a + t_hi * s.step
-        return 2.0 ** family.range_power_log2(
-            s.anchor, s.axis, min(a, b), max(a, b), abs(s.step), alphas[s.axis])
+        return 2.0 ** family.range_power_log2(Segment(s.anchor, s.axis, t_hi + 1, s.step),
+                                              alphas[s.axis])
 
     # a stretch owns its points up to the next stretch's start; the last one
     # owns its end point too, and a non-final one-point stretch owns nothing
@@ -944,7 +930,6 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
         ln = math.log(entry)
         ratio = b / ln ** (1.0 - alpha_min) if ln > 0 else math.inf
         rows.append(BudgetRow(n, entry, b, ratio))
-    min_fit_n = 4 if cert.kind == "FF-d3" else 2
-    fit = [r.ratio for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
+    fit = [r.ratio for r in rows if r.n >= max(2, first_n) and math.isfinite(r.ratio)]
     spread = max(fit) / min(fit) if fit and min(fit) > 0 else None
     return BudgetReport(tuple(rows), max(fit, default=0.0), spread, len(fit), total)

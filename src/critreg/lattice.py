@@ -429,11 +429,9 @@ class LengthFamily:
         """The exact mass of a box or segment as c * num / den."""
         raise NotImplementedError
 
-    def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
-                         alpha: float) -> float:
-        """log2 of the sum of weight^alpha over the segment through anchor
-        whose moving coordinate runs over lo, lo + stride, ..., hi; anchor[axis]
-        is lo or hi, the end the segment starts from."""
+    def range_power_log2(self, seg: Segment, alpha: float) -> float:
+        """log2 of the sum of weight^alpha over the segment's points; -inf
+        when none lies in the support."""
         raise NotImplementedError
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
@@ -506,9 +504,9 @@ class ProductFamily(LengthFamily):
             e, f = e + term[0], f + term[1]
         return e, f
 
-    def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
-                         alpha: float) -> float:
+    def range_power_log2(self, seg: Segment, alpha: float) -> float:
         m, memo = alpha * self.scale_log2, self._memo
+        anchor, axis = seg.anchor, seg.axis
         for k, c in enumerate(anchor):
             if k != axis:
                 # a point's parts, None outside the support, as in mass_log2_parts
@@ -519,7 +517,7 @@ class ProductFamily(LengthFamily):
                 if term is None:
                     return NEG_INF
                 m += alpha * (term[0] + term[1])
-        return m + self.axes[axis].power_log2(lo, hi, stride, alpha)
+        return m + self.axes[axis].power_log2(*seg.axis_values(), alpha)
 
 
 class TableFamily(LengthFamily):
@@ -564,14 +562,11 @@ class TableFamily(LengthFamily):
             self._memo[region] = super().mass_log2_parts(region)
         return self._memo[region]
 
-    def range_power_log2(self, anchor: Coords, axis: int, lo: int, hi: int, stride: int,
-                         alpha: float) -> float:
+    def range_power_log2(self, seg: Segment, alpha: float) -> float:
         # the point terms, summed in the segment's order
-        out, p = NEG_INF, list(anchor)
-        ts = range(lo, hi + 1, stride) if anchor[axis] == lo else range(hi, lo - 1, -stride)
-        for t in ts:
-            p[axis] = t
-            if (v := tuple(p)) in self.table:
+        out = NEG_INF
+        for v in seg.points():
+            if v in self.table:
                 out = log2_add(out, alpha * sum(self.weight_log2_parts(v)))
         return out
 

@@ -15,9 +15,8 @@ memo, the two-point, generator-based region checks of `Box` and
 `Segment`, and the decided walk pass's cost line and summary as
 `log2_weights` and `np.mean`/`np.argmax` gave them), a small fixture map for the derivative checks, or an
 input of those oracles (the walk kernel and lattice paths).
-`exact_mass` and `segment_power_log2` are no oracles: they read the
-package's own exact mass form as a rational and its power sum of a
-segment's range, for tests of something else; nor is `uniform_box_family`,
+`exact_mass` is no oracle: it reads the package's own exact mass form
+as a rational, for tests of something else; nor is `uniform_box_family`,
 the tests' finite family of rate-0 axes, on which every translate of a
 region has the same mass.
 """
@@ -185,12 +184,6 @@ def point_weights(
 def exact_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
     """A region's exact mass: the family's `mass_form` read as a rational."""
     return family.mass_form(region).value()
-
-
-def segment_power_log2(family: LengthFamily, seg: Segment, alpha: float) -> float:
-    """log2 of the sum of weight^alpha over the segment's points: the
-    family's `range_power_log2` of the segment's range."""
-    return family.range_power_log2(seg.anchor, seg.axis, *seg.axis_values(), alpha)
 
 
 def uniform_box_family(box: Box, total: Fraction = Fraction(1)) -> ProductFamily:

@@ -682,6 +682,19 @@ class TestMain:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: B-general needs d >= 3 (use B-d2 for two factors)\n"
 
+    @pytest.mark.parametrize("argv,shown", [
+        (["chain-ff", "--variant", "B-d2"], "chain-ff variants: FF-d3, FF-general"),
+        (["chain-ff", "--variant", "nope"], "chain-ff variants: FF-d3, FF-general"),
+        (["chain-ff", "--d", "4", "--variant", "FF-d3"], "FF-d3 needs the FF sequence with d=3"),
+        (["chain-b", "--d", "3", "--variant", "FF-d3"], "chain-b variants: B-d2, B-d3, B-general"),
+        (["chain-b", "--d", "4", "--variant", "B-d3"],
+         "B-d3 needs the B-general sequence with d=3"),
+    ])
+    def test_chain_runners_name_their_variants(self, tmp_path, capsys, argv, shown):
+        assert main([*argv, "--n-max", "8", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "content",
         [None, "not json {", '{"rows": 3, "passed": true}', '{"rows": [1], "passed": true}',

@@ -59,7 +59,6 @@ from oracles import (
     fully_good_dfs,
     goodness_ratio,
     point_mass,
-    segment_power_log2,
     uniform_box_family,
 )
 
@@ -379,6 +378,91 @@ class TestChains:
             assert Fraction(good, box.side(m2)) > 1 - 1 / lam
 
 
+# the sequences the chain table is tried on; the B-d2 boxes relabelled as
+# B-general are the planar staircase case of
+# `test_failing_staircase_scan_reports_its_count`
+_TABLE_SEQS = {
+    "B-d2": lambda: build_sequence("B-d2", alphas=(HALF, HALF), n_max=8),
+    "B-general-d3": lambda: build_sequence("B-general", alphas=(THIRD,) * 3, n_max=8),
+    "B-general-d4": lambda: build_sequence("B-general", alphas=(Fraction(1, 4),) * 4, n_max=8),
+    "FF-d3": lambda: build_sequence("FF", d=3, n_max=8),
+    "FF-d4": lambda: build_sequence("FF", d=4, n_max=6),
+    "B-general-planar": lambda: BoxSequence(
+        "B-general", 1, build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=10).boxes,
+        alphas=(THIRD, 2 * THIRD), d=2),
+}
+# the sequences each chain kind walks, and its refusal of any other
+_WALKS = {
+    "B-d2": ({"B-d2"}, "B-d2 needs the B-d2 sequence"),
+    "B-d3": ({"B-general-d3"}, "B-d3 needs the B-general sequence with d=3"),
+    "B-general": ({"B-general-d3", "B-general-d4", "B-general-planar"},
+                  "B-general needs the B-general sequence"),
+    "FF-d3": ({"FF-d3"}, "FF-d3 needs the FF sequence with d=3"),
+    "FF-general": ({"FF-d3", "FF-d4"}, "FF-general needs the FF sequence"),
+}
+
+
+@pytest.mark.parametrize("seq_name", sorted(_TABLE_SEQS))
+@pytest.mark.parametrize("kind", sorted(_WALKS))
+def test_chain_table_checks_each_sequence(kind, seq_name):
+    assert set(concat.CHAINS) == set(_WALKS)
+    seq = _TABLE_SEQS[seq_name]()
+    fam = geometric_family(seq.boxes[0].dim)
+    walks, refusal = _WALKS[kind]
+    if seq_name not in walks:
+        with pytest.raises(ValueError) as err:
+            build_chain(kind, fam, seq)
+        assert str(err.value) == refusal
+        return
+    try:
+        cert = build_chain(kind, fam, seq)
+    except ChainSearchError:
+        # the relabelled planar boxes reach the staircase search and fail it
+        assert seq_name == "B-general-planar"
+        return
+    assert cert.kind == kind and verify_chain(cert, fam)["all"]
+
+
+def test_unknown_chain_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown chain kind 'nope'"):
+        build_chain("nope", geometric_family(2), _TABLE_SEQS["B-d2"]())
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_ff_sequences_carry_the_chain_exponent(d):
+    assert build_sequence("FF", d=d, n_max=2).alphas == (Fraction(2, d * (d - 1)),) * (d - 1)
+
+
+@pytest.mark.parametrize("kind, alphas", [
+    ("B-d2", (THIRD, 2 * THIRD)),
+    ("B-general", (Fraction(1, 4), Fraction(1, 4), HALF)),
+])
+def test_b_sequences_keep_their_exponents(kind, alphas):
+    assert build_sequence(kind, alphas=alphas, n_max=6).alphas == alphas
+
+
+@pytest.mark.parametrize("kind, fam, make_seq, other", [
+    ("B-d2", geometric_family(2),
+     lambda: build_sequence("B-d2", alphas=(HALF, HALF), n_max=10), (THIRD, 2 * THIRD)),
+    ("B-general", geometric_family(3),
+     lambda: build_sequence("B-general", alphas=(THIRD,) * 3, n_max=8),
+     (Fraction(1, 4), Fraction(1, 4), HALF)),
+    ("FF-d3", symmetric_geometric_family(2),
+     lambda: build_sequence("FF", d=3, n_max=13), (Fraction(1, 4),) * 2),
+])
+def test_budget_reads_the_sequence_exponents(kind, fam, make_seq, other):
+    # the builders read no exponent; the budget and B read the sequence's
+    seq = make_seq()
+    cert = build_chain(kind, fam, seq)
+    moved = build_chain(kind, fam, seq._replace(alphas=other))
+    assert moved.seq.alphas == other != seq.alphas
+    assert moved.records == cert.records
+    rep, moved_rep = distortion_budget(cert, fam), distortion_budget(moved, fam)
+    assert [r.entry_index for r in rep.rows] == [r.entry_index for r in moved_rep.rows]
+    assert rep.rows and all(a.budget != b.budget for a, b in zip(rep.rows, moved_rep.rows))
+    assert measured(cert, fam)["B_log2"] != measured(moved, fam)["B_log2"]
+
+
 _CHAINS = {
     "B-d2": (geometric_family(2), ("B-d2", dict(alphas=(HALF, HALF), n_max=10))),
     "B-d3": (geometric_family(3), ("B-general", dict(alphas=(THIRD,) * 3, n_max=8))),
@@ -438,10 +522,10 @@ def _tamper(cert, fam, field):
 def _power_ratio_log2(cert, fam, r):
     """log2 of a record's power sum over max(L_n, L_(n+1))^alpha, from the
     box masses L: the ratio whose largest value is B."""
-    alpha = float(cert.alphas[r.seg.axis])
+    alpha = float(cert.seq.alphas[r.seg.axis])
     ns = [n for n in (r.n, r.n + 1) if n in cert.seq.indices()]
     base = alpha * max(lattice.mass_log2(fam, cert.seq.box(n)) for n in ns)
-    return segment_power_log2(fam, r.seg, alpha) - base
+    return fam.range_power_log2(r.seg, alpha) - base
 
 
 class TestVerifyChain:
@@ -984,7 +1068,7 @@ def test_records_pinned_per_builder(case):
 def _resummed_budget(cert, family, min_fit_n):
     """The budget pass that re-sums the walk from its start for every row:
     the reference for the prefix-sum pass of `distortion_budget`."""
-    alphas = cert.alphas
+    alphas = cert.seq.alphas
     alpha_min = float(min(alphas))
     stretches = walk_stretches(cert)
     starts = [0]
@@ -1001,7 +1085,7 @@ def _resummed_budget(cert, family, min_fit_n):
             if t_hi < 0:
                 continue
             part = s._replace(count=t_hi + 1)
-            acc += 2.0 ** segment_power_log2(family, part, float(alphas[s.axis]))
+            acc += 2.0 ** family.range_power_log2(part, float(alphas[s.axis]))
         return acc
 
     rows = []

@@ -39,7 +39,6 @@ from oracles import (
     mass_log2_parts_unmemoized,
     mass_ratio_log2_unmemoized,
     point_weights,
-    segment_power_log2,
     segment_power_log2_unmemoized,
     sphere_points,
     sphere_size,
@@ -217,7 +216,7 @@ class TestMassesAgainstPointWeights:
             assert mass_log2(fam, region) == -math.inf
         if isinstance(region, Segment):
             brute = sum(float(w) ** alpha for w in ws if w)
-            got = segment_power_log2(fam, region, alpha)
+            got = fam.range_power_log2(region, alpha)
             assert math.isclose(2.0 ** got, brute, rel_tol=1e-12) if brute else got == -math.inf
 
     def test_fixed_coordinate_outside_the_support_has_no_mass(self):
@@ -227,7 +226,7 @@ class TestMassesAgainstPointWeights:
         seg = Segment((-1, 0), 1, 6)
         assert exact_mass(geo, seg) == exact_mass(geo, Box(((-1, -1), (0, 5)))) == 0
         assert geo.mass_log2_parts(seg) is None
-        assert segment_power_log2(geo, seg, 0.5) == -math.inf
+        assert geo.range_power_log2(seg, 0.5) == -math.inf
         assert mass_le(geo, seg, (Fraction(1), Box(((0, 0), (0, 0)))))
 
     def test_strided_range_below_the_support_keeps_its_grid(self):
@@ -238,7 +237,7 @@ class TestMassesAgainstPointWeights:
         assert exact_mass(geo, seg) == Fraction(5, 32)
         assert abs(mass_log2(geo, seg) - math.log2(5 / 32)) <= MARGIN
         expected = (1 / 8) ** 0.5 + (1 / 32) ** 0.5
-        assert math.isclose(2.0 ** segment_power_log2(geo, seg, 0.5), expected, rel_tol=1e-12)
+        assert math.isclose(2.0 ** geo.range_power_log2(seg, 0.5), expected, rel_tol=1e-12)
         uniform = uniform_box_family(Box(((0, 4), (0, 0))))
         seg = Segment((-1, 0), 0, 4, 2)
         assert exact_mass(uniform, seg) == Fraction(2, 5)
@@ -255,7 +254,7 @@ class TestMassesAgainstPointWeights:
         assert exact_mass(fam, seg) == exact_mass(fam, Box(((2, 2), (3, 8)))) == sum(inside)
         assert abs(mass_log2(fam, seg) - math.log2(sum(inside))) <= MARGIN
         expected = sum(float(w) ** 0.5 for w in inside)
-        assert math.isclose(2.0 ** segment_power_log2(fam, seg, 0.5), expected, rel_tol=1e-12)
+        assert math.isclose(2.0 ** fam.range_power_log2(seg, 0.5), expected, rel_tol=1e-12)
         assert mass_le(fam, seg, Bound(Fraction(1), Box(((2, 2), (3, 5)))))
 
 
@@ -578,9 +577,7 @@ class TestFamilyMemo:
                     fam, region, bound)
                 if isinstance(region, Segment):
                     want = segment_power_log2_unmemoized(fam, region, alpha)
-                    lo, hi, s = region.axis_values()
-                    assert fam.range_power_log2(
-                        region.anchor, region.axis, lo, hi, s, alpha) == want
+                    assert fam.range_power_log2(region, alpha) == want
 
     def test_keys_tell_strides_and_axes_apart(self):
         # one range 0..6 of the second axis with stride 1, then 3, then on
@@ -611,6 +608,27 @@ class TestFamilyMemo:
         assert 3 <= t < 9
         assert calls.count(box) == 1
         assert len(calls) == t + 2  # every probed column once, and the box
+
+
+class TestPowerSumOverASegment:
+    """`range_power_log2` sums over the segment it is given, whichever way
+    its step points and however far apart its points lie."""
+
+    SEGMENTS = [Segment((0, 3), 0, 6), Segment((5, 2), 0, 6, -1), Segment((1, 0), 1, 5, 2),
+                Segment((2, 9), 1, 5, -2), Segment((-2, 4), 0, 4, 3), Segment((6, -1), 0, 5, -3)]
+
+    @pytest.mark.parametrize("alpha", [1 / 3, 1 / 2])
+    @pytest.mark.parametrize("name", ["geometric", "symmetric-geometric", "table"])
+    def test_matches_the_oracle_and_its_first_points(self, name, alpha):
+        fam = MEMO_FAMILIES[name](2)
+        for seg in self.SEGMENTS:
+            assert fam.range_power_log2(seg, alpha) == segment_power_log2_unmemoized(
+                fam, seg, alpha)
+            points = list(seg.points())
+            for k in range(1, seg.count + 1):
+                ws = [float(fam.weight(p)) ** alpha for p in points[:k] if fam.contains(p)]
+                got = fam.range_power_log2(seg._replace(count=k), alpha)
+                assert math.isclose(2.0 ** got, sum(ws), rel_tol=1e-12) if ws else got == -math.inf
 
 
 class TestRegionChecks:

@@ -20,6 +20,7 @@ from critreg.lattice import (
     Axis,
     Box,
     ProductFamily,
+    Segment,
     TableFamily,
     geometric_axis,
     geometric_family,
@@ -519,7 +520,7 @@ class TestBatch:
         fam = TableFamily({(0, 0): Fraction(2 ** 200 + 2 ** 150, 2 ** 200)})
         want = math.log1p(2.0 ** -50) / math.log(2)
         assert log2_weights(fam, np.zeros((1, 2), dtype=np.int64)).tolist() == [want]
-        assert fam.range_power_log2((0, 0), 0, 0, 0, 1, 1.0) == want
+        assert fam.range_power_log2(Segment((0, 0), 0, 1), 1.0) == want
 
     def test_success_fraction_and_mean(self):
         fam = geometric_family(2)
