@@ -325,6 +325,8 @@ def _run_dynamics(cfg: ExperimentConfig) -> dict:
     if not 0 < exponent <= 1:
         raise ConfigError("exponent must lie in (0, 1]")
     alpha = float(exponent)
+    if not alpha:
+        raise ConfigError(f"exponent {cfg.alpha_holder} underflows to 0.0 as a float")
     g = smooth.parabolic_map(cfg.c_param)
     c = smooth.holder_constant_estimate(g, alpha)
     rep = smooth.fundamental_domain_check(g, alpha, c, cfg.k_max)

@@ -589,7 +589,6 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
     for n in range(lo_n, hi_n):
         box, nxt = seq.box(n), seq.box(n + 1)
         overlap = box.intersect(nxt)
-        assert overlap is not None
         m_next = m_axis(n + 1)
         nxt_seg = _fully_good_segment(family, nxt, m_next, lam)
         # every staircase segment is a full overlap segment, so its bound
@@ -721,7 +720,6 @@ def _build_ff_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
         if big_r < 2:
             raise ChainSearchError("degenerate strip decomposition", odd, {"strips": big_r})
         overlap_col = box_e.intersect(box_o)
-        assert overlap_col is not None
         # joint strip scan: overlap-vertical 2-good and strip 2-good
         seg2_bound = Bound(lam / big_r, overlap_col.fix_axis(0, k))
         strip_bound = Bound(lam / big_r, box_o)
@@ -771,7 +769,6 @@ def _build_ff_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificat
     plan: list[tuple[int, Segment]] = []
     for n in range(lo_n, hi_n):
         overlap = seq.box(n).intersect(seq.box(n + 1))
-        assert overlap is not None
         for axis in range(dim):
             plan.append((n, _full_segment(seq.box(n), axis, tuple(cur))))
             cur[axis] = overlap.intervals[axis][0]
@@ -914,9 +911,7 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
     first_n = cert.records[0].n
     resume = 0
     indices = cert.seq.indices()
-    for n in indices:
-        if n + 1 not in indices:
-            continue
+    for n in indices[:-1]:
         nxt_box = cert.seq.box(n + 1)
         entry = None
         for i in range(resume if n >= first_n else 0, len(stretches)):

@@ -87,12 +87,12 @@ class Box(_BoxFields):
                 return False
         return True
 
-    def intersect(self, other: "Box") -> "Box | None":
+    def intersect(self, other: "Box") -> "Box":
         ivs = []
         for (a, b), (c, d) in zip(self.intervals, other.intervals, strict=True):
             lo, hi = max(a, c), min(b, d)
             if lo > hi:
-                return None
+                raise ValueError(f"boxes {self.intervals} and {other.intervals} are disjoint")
             ivs.append((lo, hi))
         return Box(tuple(ivs))
 
@@ -170,16 +170,13 @@ NEG_INF = float("-inf")
 
 
 def log2_add(a: float, b: float) -> float:
-    """log2(2^a + 2^b), robust to huge magnitude differences."""
+    """log2(2^a + 2^b), robust to huge magnitude differences: past 1075
+    bits apart, and when b is -inf, 2.0 ** (lo - hi) is 0.0 and the larger
+    one comes back."""
     if a == NEG_INF:
         return b
-    if b == NEG_INF:
-        return a
     hi, lo = (a, b) if a >= b else (b, a)
-    diff = lo - hi
-    if diff < -1074:
-        return hi
-    return hi + math.log1p(2.0 ** diff) / LN2
+    return hi + math.log1p(2.0 ** (lo - hi)) / LN2
 
 
 def log2_one_minus_pow2(x: float) -> float:
@@ -203,9 +200,8 @@ def log2_parts(q: Fraction) -> Log2Parts:
 
 
 def _geometric_sum_log2(first_log2: float, ratio_log2: float, count: int) -> float:
-    """log2 of  2^first * (1 + 2^ratio + ... + 2^(ratio*(count-1))),  ratio <= 0."""
-    if count <= 0:
-        return NEG_INF
+    """log2 of  2^first * (1 + 2^ratio + ... + 2^(ratio*(count-1))),  ratio <= 0,
+    count >= 1 (a run of `Axis._runs`)."""
     if ratio_log2 == 0:
         return first_log2 + math.log2(count)
     if ratio_log2 > 0:

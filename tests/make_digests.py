@@ -27,6 +27,11 @@ Each group's comment gives its reason.  The lines name the tables by paths
 relative to the directory they run in, so that a report's config block
 does not depend on it; `write_tables` puts them there.
 
+A refusal writes no report, so the ledger cannot pin it.  `REFUSALS` maps
+each argv line that exits 1 to its one `error:` line instead;
+`tests/test_cli.py` checks those lines and `tests/test_reachability.py`
+counts the code they reach.
+
 A change that alters a report regenerates the ledger with the first
 command.  Before it writes, the script prints the lines added, removed and
 changed against the committed ledger; the change names each with its
@@ -42,6 +47,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -142,6 +148,96 @@ PROBE_LINES = (
     "chain-b --d 3 --variant B-d3 --n-max 2",
     "chain-b --d 2 --alpha 1/3,2/3 --n-max 110",
 )
+
+
+# the files that REFUSALS name: the tables and inputs that are usage errors
+REFUSAL_FILES = {
+    **TABLES,
+    "unread-key.json": '{"n_max": 5}',
+    "string-n-max.json": '{"n_max": "5"}',
+    "float-d.json": '{"d": 2.5}',
+    "string-c-param.json": '{"c_param": "x"}',
+    "zero-alpha.json": '{"d": 2, "alphas": ["1/0", "1/2"]}',
+    "zero-alpha-holder.json": '{"alpha_holder": "1/0"}',
+    "family-file-key.json": '{"family_file": "square-table.json"}',
+    "regular-file": "",
+    "infinite-passed.json": '{"rows": [], "passed": Infinity}',
+    "tiny-mass-table.json": '{"0,0": "1e-400", "1,0": "1e-400", "0,1": "1e-400"}',
+}
+
+# argv lines (shell-quoted) that exit 1, run in a directory that holds
+# REFUSAL_FILES, and their error line after "error: ": a string, or a pattern
+# where argparse, numpy or the OS words part of it.  Among them: parser
+# errors, an empty --out and --config, an unread flag or config key, config
+# values of the wrong type, exponents that are no rational (as flags and as
+# config values), outside (0, 1] or past float range either way, negative
+# values in exponent notation, a family file without --family custom-file (as
+# a flag and as a config key), a translation model past Z^6, an --out under a
+# regular file, sequences too short to measure, a B-d2 sequence at alpha
+# 1/1000 (whose roots start past float range), a lemma1 table that a walk
+# can leave, a stepped lemma1 batch or a dynamics orbit of 10^17 samples
+# (refused before anything is allocated), exponents or variants that do not
+# fit --d, dynamics parameters outside their range, a lemma1 table whose
+# mass leaves float range and a report that is not strict JSON
+REFUSALS = {
+    "lemma1 --bogus 1": "unrecognized arguments: --bogus 1",
+    "": "the following arguments are required: command",
+    "lemma1 --n-max x": "argument --n-max: invalid int value: 'x'",
+    "nonsense": re.compile(r"argument command: invalid choice: 'nonsense' \(choose from .*\)"),
+    "dynamics --k-max 20 --out ''": "--out needs a directory path, not an empty string",
+    "dynamics --config ''": "--config needs a file path, not an empty string",
+    "dynamics --d 3": "unrecognized arguments: --d 3",
+    "dynamics --config unread-key.json": "dynamics does not read config keys n_max",
+    "lemma1 --config string-n-max.json": 'config value n_max="5" is not an integer',
+    "lemma1 --config float-d.json": "config value d=2.5 is not an integer",
+    "dynamics --config string-c-param.json": 'config value c_param="x" is not a number',
+    "chain-b --d 2 --alpha 1/0,1/2": "alpha '1/0' is not a rational",
+    "boxes --d 2 --variant B-d2 --alpha 1/0,1/2": "alpha '1/0' is not a rational",
+    "dynamics --alpha-holder 1/0": "alpha-holder '1/0' is not a rational",
+    "dynamics --alpha-holder 1e400": "exponent must lie in (0, 1]",
+    "dynamics --alpha-holder -1e-3": "exponent must lie in (0, 1]",
+    "dynamics --c-param -1e-3": "parameter must lie in (0, 4)",
+    "chain-b --d 2 --alpha -1e-1,1/2": "exponents must lie in (0, 1]",
+    "chain-b --config zero-alpha.json": "alpha '1/0' is not a rational",
+    "boxes --config zero-alpha.json": "alpha '1/0' is not a rational",
+    "dynamics --config zero-alpha-holder.json": "alpha-holder '1/0' is not a rational",
+    "lemma1 --d 2 --family-file square-table.json": "--family-file needs --family custom-file",
+    "lemma1 --config family-file-key.json": "--family-file needs --family custom-file",
+    "identity --d 6 --variant translation":
+        "translation needs d <= 5, since its packing lives on Z^(d+1); got d=6",
+    "dynamics --k-max 20 --out regular-file/sub":
+        re.compile(r"\[Errno \d+\] Not a directory: 'regular-file/sub'"),
+    "boxes --d 2 --variant B-d2 --alpha 1/1000,999/1000 --n-max 1":
+        "sequence too short to measure the retention constant",
+    "lemma1 --d 2 --family custom-file --family-file square-table.json --n-max 7 --samples 3"
+    " --seed 1": "a walk of length 7 can reach (0, 6), outside the family's support",
+    "lemma1 --d 2 --n-max 5 --samples 100000000000000000 --family custom-file"
+    " --family-file simplex-table.json": re.compile("Unable to allocate .*"),
+    "dynamics --k-max 100000000000000000": re.compile("Unable to allocate .*"),
+    "chain-b --d 2 --variant B-general --alpha 1/3,1/3,1/3 --n-max 6":
+        "3 exponents give a 3-dimensional B-general sequence, not d = 2",
+    "chain-b --d 3 --variant B-d2 --alpha 1/2,1/2":
+        "2 exponents give a 2-dimensional B-d2 sequence, not d = 3",
+    "boxes --d 5 --variant B-d2 --alpha 1/2,1/2":
+        "2 exponents give a 2-dimensional B-d2 sequence, not d = 5",
+    "boxes --d 3 --variant FF --alpha 1/2,1/2": "FF takes no exponents, got 2 at d = 3",
+    "chain-b --d 4 --variant B-d3 --n-max 5": "B-d3 needs the B-general sequence with d=3",
+    "chain-ff --d 4 --variant FF-d3 --n-max 5": "FF-d3 needs the FF sequence with d=3",
+    "chain-b --d 3 --variant B-d3 --n-max 1":
+        "sequence too short to measure the retention constant",
+    "boxes --d 3 --variant nope": "unknown sequence kind 'nope'",
+    "boxes --d 3 --n-max 201": "n_max must be in [1, 200]",
+    "boxes --d 2 --variant B-d2 --alpha 1/3,1/3": "exponent sum must be 1, got 2/3",
+    "boxes --d 2 --variant B-d2 --alpha 1/3,1/3,1/3": "B-d2 takes two exponents",
+    "boxes --d 2 --variant FF": "FF sequence needs d >= 3",
+    "dynamics --c-param 5 --k-max 20": "parameter must lie in (0, 4)",
+    "dynamics --c-param 1e-12 --k-max 20": "0.5 is (numerically) a fixed point",
+    "dynamics --alpha-holder 1e-400 --k-max 20": "exponent 1e-400 underflows to 0.0 as a float",
+    "lemma1 --d 2 --family custom-file --family-file tiny-mass-table.json --n-max 1":
+        "lemma 1's bound B needs L/A_d in the normal float range; the family's total mass L"
+        " is too small",
+    "report infinite-passed.json": "infinite-passed.json is not strict JSON: it holds Infinity",
+}
 
 
 def write_tables(directory: Path) -> None:

@@ -400,7 +400,7 @@ def goodness_ratio(family: LengthFamily, region: Box | Segment, ambient: Box) ->
     """Exact least lambda making a sub-box (or unit segment) lambda-good in
     an ambient box: the region's mean weight over the ambient mean."""
     rbox = _region_box(region)
-    if ambient.intersect(rbox) is None or ambient.intersect(rbox) != rbox:
+    if not all(a <= c and d <= b for (a, b), (c, d) in zip(ambient.intervals, rbox.intervals)):
         raise ValueError("region must be contained in the ambient box")
     rmass = exact_mass(family, rbox)
     amass = exact_mass(family, ambient)

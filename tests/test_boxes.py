@@ -127,6 +127,19 @@ class TestSequences:
         s = build_sequence("B-d2", alphas=(HALF, HALF), n_max=20)
         assert sequence_multiplicity(s) == 4
 
+    @pytest.mark.parametrize("a1, mult", [
+        *((a1, 4) for a1 in ("1/2", "1/3", "2/3")),
+        *((a1, 5) for a1 in ("1/4", "1/5", "1/6", "1/8", "1/10", "1/16", "1/32", "1/100",
+                             "1/1000", "3/4", "9/10", "999/1000")),
+    ])
+    def test_planar_multiplicity_table(self, a1, mult):
+        # B-d2 at (a1, 1 - a1), n_max 60; the same values hold at 20 and 200.
+        # The bound d + 2 = 4 fails at every 5: known failing cells that
+        # ROADMAP items 13 and 31 own, pinned as they are
+        a = Fraction(a1)
+        s = build_sequence("B-d2", alphas=(a, 1 - a), n_max=60)
+        assert sequence_multiplicity(s) == mult
+
     def test_general_seed_and_touched_factors(self):
         s = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=3)
         assert s.box(1).intervals == ((1, 64),) * 3

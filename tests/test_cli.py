@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -28,7 +30,7 @@ from critreg.cli import (
     write_report,
 )
 
-from make_digests import LEDGER, TABLES, file_digests
+from make_digests import LEDGER, REFUSAL_FILES, REFUSALS, file_digests
 from oracles import file_tree, write_report_rows
 
 
@@ -55,25 +57,10 @@ BAD_CONFIGS = {
 }
 
 
-# files that lines of USAGE_ERRORS name by paths relative to the directory
-# they run in: the ledger's two tables and inputs that are usage errors
-FILES = {
-    **TABLES,
-    "unread-key.json": '{"n_max": 5}',
-    "string-n-max.json": '{"n_max": "5"}',
-    "float-d.json": '{"d": 2.5}',
-    "string-c-param.json": '{"c_param": "x"}',
-    "zero-alpha.json": '{"d": 2, "alphas": ["1/0", "1/2"]}',
-    "zero-alpha-holder.json": '{"alpha_holder": "1/0"}',
-    "family-file-key.json": '{"family_file": "square-table.json"}',
-    "regular-file": "",
-}
-
-
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
-    """A fresh directory holding FILES, made the working directory."""
-    for name, content in FILES.items():
+    """A fresh directory holding REFUSAL_FILES, made the working directory."""
+    for name, content in REFUSAL_FILES.items():
         (tmp_path / name).write_text(content)
     monkeypatch.chdir(tmp_path)
 
@@ -767,51 +754,6 @@ UNREAD_FLAGS = {
     "dynamics": ["--d", "5"],
 }
 
-# usage errors: an unread flag, an unread config key, config values of the
-# wrong type, exponents with a zero denominator (as flags and as config
-# values) or past float range, negative values in exponent notation, a family
-# file without --family custom-file (as a flag and as a config key), a
-# translation model past Z^6, an --out under a regular file, a B-d2 sequence
-# of one box at alpha 1/1000 (whose roots start past float range), a lemma1
-# table that a walk can leave, a stepped lemma1 batch or a dynamics orbit of
-# 10^17 samples (refused before anything is allocated), exponents whose count
-# does not fit --d, and exponents on an FF sequence
-USAGE_ERRORS = [
-    "dynamics --d 3",
-    "dynamics --config unread-key.json",
-    "lemma1 --config string-n-max.json",
-    "lemma1 --config float-d.json",
-    "dynamics --config string-c-param.json",
-    "chain-b --d 2 --alpha 1/0,1/2",
-    "boxes --d 2 --variant B-d2 --alpha 1/0,1/2",
-    "dynamics --alpha-holder 1/0",
-    "dynamics --alpha-holder 1e400",
-    "dynamics --alpha-holder -1e-3",
-    "dynamics --c-param -1e-3",
-    "chain-b --d 2 --alpha -1e-1,1/2",
-    "chain-b --config zero-alpha.json",
-    "boxes --config zero-alpha.json",
-    "dynamics --config zero-alpha-holder.json",
-    "lemma1 --d 2 --family-file square-table.json",
-    "lemma1 --config family-file-key.json",
-    "identity --d 6 --variant translation",
-    "dynamics --k-max 20 --out regular-file/sub",
-    "boxes --d 2 --variant B-d2 --alpha 1/1000,999/1000 --n-max 1",
-    "lemma1 --d 2 --family custom-file --family-file square-table.json --n-max 7 --samples 3"
-    " --seed 1",
-    "lemma1 --d 2 --n-max 5 --samples 100000000000000000 --family custom-file"
-    " --family-file simplex-table.json",
-    "dynamics --k-max 100000000000000000",
-    "chain-b --d 2 --variant B-general --alpha 1/3,1/3,1/3 --n-max 6",
-    "chain-b --d 3 --variant B-d2 --alpha 1/2,1/2",
-    "boxes --d 5 --variant B-d2 --alpha 1/2,1/2",
-    "boxes --d 3 --variant FF --alpha 1/2,1/2",
-]
-
-# usage errors that need no file, among them an empty --out and --config
-INLINE_USAGE_ERRORS = [["lemma1", "--bogus", "1"], [], ["lemma1", "--n-max", "x"], ["nonsense"],
-                       ["dynamics", "--k-max", "20", "--out", ""], ["dynamics", "--config", ""]]
-
 SMALL = {
     "lemma1": ["--d", "2", "--n-max", "20", "--samples", "30", "--seed", "4"],
     "boxes": ["--d", "2", "--variant", "B-d2", "--alpha", "1/2,1/2", "--n-max", "8"],
@@ -832,16 +774,20 @@ class TestFlags:
         assert f"error: unrecognized arguments: {' '.join(UNREAD_FLAGS[kind])}" in err
         assert not out.exists()
 
+    # pytest numbers the first six lines argv0 to argv5 and names the others
     @pytest.mark.parametrize(
-        "argv", [*INLINE_USAGE_ERRORS,
-                 *(pytest.param(line.split(), id=line) for line in USAGE_ERRORS)]
+        "argv", [shlex.split(line) if k < 6 else pytest.param(shlex.split(line), id=line)
+                 for k, line in enumerate(REFUSALS)]
     )
     def test_usage_errors_exit_one(self, argv, capsys, workdir):
-        # one error: line ends the output, never a traceback, and no value
-        # is read as a flag
+        # one error: line, the refusal's own, ends the output, never a
+        # traceback, and no value is read as a flag
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith("error: ")
+        head, _, got = err.splitlines()[-1].partition(" ")
+        want = REFUSALS[shlex.join(argv)]
+        assert head == "error:" and (
+            re.fullmatch(want, got) if isinstance(want, re.Pattern) else got == want), got
         assert "expected one argument" not in err
 
     @pytest.mark.parametrize("flag", ["--out", "--config"])
@@ -951,15 +897,14 @@ def _parse_outcome(parse, argv: list[str]) -> tuple:
     return result, out.getvalue(), err.getvalue()
 
 
-# every ledger argv, with and without --out, every usage-error line, and
+# every ledger argv, with and without --out, every refusal line, and
 # argvs at the edges of the kind parsers: unknown words and flags, help,
 # "--", a flag without its value, and argvs the top parser takes
 PARSE_LINES = [
     *(line.split() for line in json.loads(LEDGER.read_text())),
     *([*line.split(), "--out", "rep"] for line in json.loads(LEDGER.read_text())),
-    *(line.split() for line in USAGE_ERRORS),
+    *(shlex.split(line) for line in REFUSALS),
     *([kind, *SMALL[kind], *UNREAD_FLAGS[kind]] for kind in KINDS),
-    *INLINE_USAGE_ERRORS,
     ["lemma1", "--bogus"], ["lemma1", "extra"], ["lemma1", "--help"], ["lemma1", "--he"],
     ["lemma1", "-h", "--bogus"], ["lemma1", "--", "x"], ["lemma1", "--out"],
     ["lemma1", "--d=3", "--d", "2"], ["dynamics", "--help"], ["-h"], ["--help"], ["report"],
