@@ -88,7 +88,9 @@ rows and its log rows, each with a row 0 that carries the block's start.
 Each step writes g straight into the next position row, and Dg and its log
 are taken in the log rows (``f`` and ``df`` take numpy's ``out=``), so no
 step copies a row and a block allocates no block-sized array but the one
-temporary of ``df``.
+temporary of ``df``.  A step is then one ``f`` call on a 257-float row: six
+ufunc calls with no scalar operand to convert (``parabolic_map``), whose
+per-call overhead, not the arithmetic, is most of the orbit's time.
 """
 
 from __future__ import annotations
@@ -178,14 +180,23 @@ def parabolic_map(c: float) -> SmoothMap:
     the squares stay ``** 2`` and ``**= 2``: on an ``np.float64`` scalar
     they call libm ``pow``, which can differ from ``x * x`` by one ulp
     (x = 0.2518727338099447), so ``x * x`` or ``np.square`` would move
-    g(x0) on some intervals."""
+    g(x0) on some intervals.
+
+    ``f`` takes c and 1 as 0-d float64 arrays, built once here: numpy
+    converts a Python float or an ``np.float64`` operand on every call,
+    which on a 257-float orbit row costs about as much as the arithmetic,
+    and takes a 0-d array as it is.  On float64 x, NEP 50 gives a 0-d
+    float64 array and a Python float the same float64 loop, so every value
+    rounds as in the expression, and an ``np.float64`` x still gives an
+    ``np.float64``."""
     if not 0 < c < 4:
         raise ValueError("parameter must lie in (0, 4)")
+    c0, one = np.array(c, dtype=np.float64), np.array(1.0)
 
     def f(x, out=None):
         y = x ** 2 if out is None else np.square(x, out=out)
-        y *= c
-        t = 1 - x
+        y *= c0
+        t = one - x
         t **= 2
         y *= t
         y += x

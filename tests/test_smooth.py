@@ -455,6 +455,45 @@ class TestParabolicInPlace:
                         assert_same_bits(out, want(arg))
                         assert_same_bits(arg, before)
 
+    @pytest.mark.parametrize("c", [0.05, 0.6, 1.0, 2.5, 3.9])
+    def test_orbit_rows_match_the_iterated_expression(self, c):
+        # the orbit's calling pattern: each row of one 2-D array written
+        # from the row before, over two blocks and a step, from the special
+        # points and from points of J = [1/2, g(1/2)]
+        g = parabolic_map(c)
+        want_f, _ = plain_parabolic(c)
+        steps = 2 * smooth.ORBIT_BLOCK_STEPS + 1
+        rows = np.empty((steps + 1, 257))
+        rows[0] = np.resize([*SPECIAL_POINTS, *np.linspace(0.5, want_f(0.5), 200)], 257)
+        want = rows[0].copy()
+        with np.errstate(all="ignore"):
+            for k in range(steps):
+                out = rows[k + 1]
+                assert g.f(rows[k], out=out) is out
+                want = want_f(want)
+                assert_same_bits(out, want)
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 3.9])
+    def test_no_state_between_calls(self, c):
+        # block, row and scalar calls, in both orders, each give the plain
+        # expression's floats, and no later call changes an earlier result;
+        # the scalar path stays np.float64
+        want_f, _ = plain_parabolic(c)
+        calls = []
+        for points in (SPECIAL_POINTS, SPECIAL_POINTS[::-1]):
+            row = np.resize(np.array(points), 257)
+            block = np.resize(row, (smooth.ORBIT_BLOCK_STEPS, 257))
+            calls += [(block, False), (block, True), (row, False), (row, True),
+                      *((np.float64(x), False) for x in points[-2:])]
+        with np.errstate(all="ignore"):
+            for order in (calls, calls[::-1]):
+                g = parabolic_map(c)
+                results = [(arg, g.f(arg, out=np.empty_like(arg) if out else None))
+                           for arg, out in order]
+                for arg, got in results:
+                    assert_same_bits(got, want_f(arg))
+        assert type(parabolic_map(c).f(np.float64(0.3))) is np.float64
+
 
 def translate_then_kink(n):
     """J = [1/2, 1/2 + 1/512] moves right by 1/512 a step, on exact binary
