@@ -109,19 +109,22 @@ def _family(cfg: ExperimentConfig, d: int) -> lattice.LengthFamily:
 
 
 def _read_table(path: str) -> dict[tuple[int, ...], Fraction]:
-    """A weight table file: a JSON object mapping "i,j,..." to a number or a
-    rational string; ConfigError for any other content."""
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
+    """A weight table file: a JSON object mapping each "i,j,..." once to a
+    number or a rational string; ConfigError for any other content."""
+    # every object as the tuple of its (key, value) pairs, repeats kept
+    raw = json.loads(Path(path).read_text(), object_pairs_hook=tuple)
+    if not isinstance(raw, tuple):
         raise ConfigError(f"{path} must hold a JSON object of index -> weight")
     table = {}
-    for key, value in raw.items():
+    for key, value in raw:
         try:
             index = tuple(int(t) for t in key.split(","))
         except ValueError:
             raise ConfigError(
                 f"{path}: key {key!r} is not comma-separated integers"
             ) from None
+        if index in table:
+            raise ConfigError(f"{path}: index {index} is named twice, again as key {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ConfigError(f"{path}: weight of {key!r} is not a number or a rational")
         try:
@@ -374,13 +377,16 @@ def _report(cfg: ExperimentConfig, body: dict) -> dict:
     }
 
 
-def _search_failure_report(cfg: ExperimentConfig, exc: Exception) -> dict:
+def _stat_items(exc: lattice.ChainSearchError) -> list[str]:
+    """A failed search's stats as "k: v" items, joined by "; " on stderr and in its row note."""
+    return [f"{k}: {v}" for k, v in exc.stats.items()]
+
+
+def _search_failure_report(cfg: ExperimentConfig, exc: lattice.ChainSearchError) -> dict:
     """The report of a run whose search found no qualifying object (exit 3):
     one failing row with the error message, and the search stats."""
-    stats = getattr(exc, "stats", {})
-    note = "; ".join(f"{k}: {v}" for k, v in stats.items())
-    row = _row("search", False, str(exc), None, note)
-    return _report(cfg, {"rows": [row], "constants": stats})
+    row = _row("search", False, str(exc), None, "; ".join(_stat_items(exc)))
+    return _report(cfg, {"rows": [row], "constants": exc.stats})
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -437,20 +443,13 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 def _write_file(path: str, text: str) -> None:
-    """``Path(path).write_text(text, newline="")`` as one open, write and
-    close: the same bytes, mode and errors, without a text-mode file.
-
-    Text mode encodes in the locale's encoding.  Every locale encoding on
-    POSIX extends ASCII, so ASCII text (every CLI report) is encoded as
-    ASCII, without importing `locale`; other text takes the locale's."""
+    """``Path(path).write_text(text, newline="")`` of ASCII text as one
+    open, write and close: the same bytes, mode and errors, without a
+    text-mode file.  Other text raises UnicodeEncodeError (a ValueError)
+    before the file is opened."""
+    data = memoryview(text.encode("ascii"))
     fd = os.open(path, _WRITE_FLAGS, 0o666)
     try:
-        if text.isascii():
-            data = memoryview(text.encode("ascii"))
-        else:
-            import locale
-
-            data = memoryview(text.encode(locale.getpreferredencoding(False)))
         while data:
             data = data[os.write(fd, data):]
     finally:
@@ -464,11 +463,11 @@ def write_report(report: dict, out_dir: str | Path) -> Path:
     default=str, allow_nan=False)`` and a newline, so strict JSON: a NaN or
     an infinity raises ValueError before any file is written; checks.csv
     is in the csv module's default dialect (CRLF rows); each table's line
-    is "a b".  Every file of a CLI
-    report is ASCII and is written with one open/write/close: built as one
-    string, encoded as text mode encodes it on POSIX ("\\n" kept as is),
-    and truncating any file of the same name.
-    The files, modes and errors are those of ``Path.write_text``.
+    is "a b".  Every file is ASCII, built as one string and written with one
+    open/write/close, truncating any file of the same name; a non-ASCII CSV
+    or table cell raises UnicodeEncodeError, a ValueError, before its file
+    (not those before it) is opened.  The files, modes and errors are
+    otherwise those of ``Path.write_text``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -678,8 +677,7 @@ def _main(argv: list[str] | None) -> int:
         try:
             report = run(cfg)
         except lattice.ChainSearchError as exc:
-            stats = "".join(f"; {k}: {v}" for k, v in getattr(exc, "stats", {}).items())
-            print(f"error: {exc}{stats}", file=sys.stderr)
+            print("; ".join([f"error: {exc}", *_stat_items(exc)]), file=sys.stderr)
             if args.out is not None:
                 path = write_report(_search_failure_report(cfg, exc), args.out)
                 print(f"report written to {path}")

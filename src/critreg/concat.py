@@ -227,10 +227,10 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float | 
         return power - base if power > NEG_INF else NEG_INF
 
     ratio = max(map(power_ratio_log2, cert.records), default=NEG_INF)
-    if cert.kind.startswith("B"):
-        count_exp = min(alphas)  # standard 2^(n*alpha)
-    else:
+    if cert.seq.kind == "FF":
         count_exp = 2.0 / cert.seq.boxes[0].dim  # standard 4^(n/(d-1))
+    else:
+        count_exp = min(alphas)  # standard 2^(n*alpha)
     by_n: dict[int, list[int]] = {}  # walk points of each record, by box
     for r in cert.records:
         by_n.setdefault(r.n, []).append(r.points_between)

@@ -11,14 +11,15 @@ exponents, split at 0 where |i| turns, and every closed form is one
 function of those runs: the exact dyadic mass, the log2 mass split into
 an exact integer and a small float (`mass_log2_parts`, read as one float
 by `mass_log2`) so that astronomically small weights stay computable, and
-the float log2 of a power sum with a fractional exponent.  A point's
-weight is its one-point range; its split log2 weight writes that one run
-out.  This module imports no numpy, so neither do the kinds built on it
-alone; the vector of float log2 weights of a point array is
-`walks.log2_weights`.  A family memoizes its split parts itself: a product
-family per axis range, keyed by (axis, lo, hi, stride), a table per region.
-Nothing is cached at module level, as every run builds its own family and
-a process-wide cache would only keep dead families alive.
+the float log2 of a power sum with a fractional exponent, the last two
+with one geometric tail, `_geometric_sum_log2`.  A point's weight is its
+one-point range; its split log2 weight writes that one run out.  This
+module imports no numpy, so neither do the kinds built on it alone; the
+vector of float log2 weights of a point array is `walks.log2_weights`.
+A family memoizes its split parts itself: a product family per axis
+range, keyed by (axis, lo, hi, stride), a table per region.  Nothing is
+cached at module level, as every run builds its own family and a
+process-wide cache would only keep dead families alive.
 
 Goodness decisions go through `mass_le`, which decides from the split
 form with a certified error margin, and where that cannot decide from
@@ -317,12 +318,10 @@ class Axis(NamedTuple):
         out = None
         for e, r, c in self._runs(lo, hi, stride):
             # the tail, log2 of 1 + 2^r + ... + 2^(r(c-1)): integer + float in [0, 1]
-            if c == 1:
-                te, tf = 0, 0.0
-            elif r == 0:
+            if r == 0:
                 te, tf = log2_parts(c)
             else:
-                te, tf = 0, log2_one_minus_pow2(r * c) - log2_one_minus_pow2(r)
+                te, tf = 0, _geometric_sum_log2(0.0, r, c)
             e, f = e + ce + te, tf + cf
             if out is not None:
                 top = max(out[0], e)

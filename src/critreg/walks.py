@@ -26,8 +26,8 @@ every point of every walk.  Both passes give every sample the float that
 one addition per step gives it.
 The terms come from `log2_weights`, the vector of float log2 weights of a
 point array, which lives here because this is the one numpy caller of the
-weight families; it reads each weight's split form, an exact integer
-exponent plus a small float part, with one rounding.
+weight families; it reads each point's split parts `weight_log2_parts`,
+an exact integer exponent plus a small float part, with one rounding.
 
 Terminal weights are decided by `lattice.weights_le`, from split log2
 weights with exact rationals only inside its margin.  The first sample,
@@ -100,18 +100,9 @@ class BatchSummary(NamedTuple):
 
 def log2_weights(family: LengthFamily, pts: np.ndarray) -> np.ndarray:
     """Float log2 weights of the points in the rows of `pts`, all in the
-    family's support.  On a product family that is the split form read as
-    one float: the exact integer exponent e0 - sum rate_k |c_k| in int64
-    (offsets and rates are small integers and coordinates are walk
-    lengths, so it stays far inside that range) plus the constant float
-    part f0, one rounding per point.  Any other family reads each point's
-    own split parts `weight_log2_parts` as one float the same way."""
-    if not isinstance(family, ProductFamily):
-        return np.array([sum(family.weight_log2_parts(p)) for p in pts.tolist()])
-    expo = np.full(len(pts), family.point_base[0], dtype=np.int64)
-    for ax, col in zip(family.axes, pts.T):
-        expo -= ax.rate * (col if ax.lo >= 0 else np.abs(col))
-    return expo + family.point_base[1]
+    family's support: each point's split parts `weight_log2_parts`, an
+    exact integer plus a small float, read as one float with one rounding."""
+    return np.array([sum(family.weight_log2_parts(p)) for p in pts.tolist()])
 
 
 def _simplex(d: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -134,20 +125,12 @@ def _first_unreached(family: LengthFamily, n: int) -> tuple[int, ...] | None:
     None if the support holds them all.  A walk of length n visits each of
     these points with positive probability, and no other point.
 
-    On a product family that is the origin if an axis misses 0, else the
-    point r e_k, at the smallest r = hi_k + 1 and the last such axis k.  A
-    table stops at its first missing point, so it reads at most
-    len(table) + 1 points of the simplex."""
-    d = family.d
-    if not isinstance(family, ProductFamily):
-        return next((v for v in _simplex(d, n) if not family.contains(v)), None)
-    if not all(ax.lo <= 0 <= ax.hi for ax in family.axes):
-        return (0,) * d
-    r = min(ax.hi for ax in family.axes) + 1
-    if r > n:
+    A product family whose every axis holds [0, n] (both built-in
+    families) holds them all; any other family is scanned in simplex
+    order, so a table reads at most len(table) + 1 points."""
+    if isinstance(family, ProductFamily) and all(ax.lo <= 0 and n <= ax.hi for ax in family.axes):
         return None
-    k = max(k for k, ax in enumerate(family.axes) if ax.hi + 1 == r)
-    return tuple(r if j == k else 0 for j in range(d))
+    return next((v for v in _simplex(family.d, n) if not family.contains(v)), None)
 
 
 def batch_certificates(

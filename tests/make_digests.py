@@ -163,6 +163,7 @@ REFUSAL_FILES = {
     "regular-file": "",
     "infinite-passed.json": '{"rows": [], "passed": Infinity}',
     "tiny-mass-table.json": '{"0,0": "1e-400", "1,0": "1e-400", "0,1": "1e-400"}',
+    "repeated-index-table.json": '{"0,0": "1/2", "0, 0": "1/4", "1,0": "1/8", "0,1": "1/8"}',
 }
 
 # argv lines (shell-quoted) that exit 1, run in a directory that holds
@@ -178,7 +179,8 @@ REFUSAL_FILES = {
 # can leave, a stepped lemma1 batch or a dynamics orbit of 10^17 samples
 # (refused before anything is allocated), exponents or variants that do not
 # fit --d, dynamics parameters outside their range, a lemma1 table whose
-# mass leaves float range and a report that is not strict JSON
+# mass leaves float range, a table that names one index twice and a report
+# that is not strict JSON
 REFUSALS = {
     "lemma1 --bogus 1": "unrecognized arguments: --bogus 1",
     "": "the following arguments are required: command",
@@ -236,6 +238,8 @@ REFUSALS = {
     "lemma1 --d 2 --family custom-file --family-file tiny-mass-table.json --n-max 1":
         "lemma 1's bound B needs L/A_d in the normal float range; the family's total mass L"
         " is too small",
+    "lemma1 --d 2 --family custom-file --family-file repeated-index-table.json --n-max 1":
+        "repeated-index-table.json: index (0, 0) is named twice, again as key '0, 0'",
     "report infinite-passed.json": "infinite-passed.json is not strict JSON: it holds Infinity",
 }
 

@@ -10,7 +10,7 @@ levels, per-point mean goodness and the goodness of a segment's flag, the
 linear scans and the depth-first fully-good search that the chain
 searches replaced, exact packed lengths, every prefix of a word, the
 per-step orbit of a fundamental domain, the report writer's row-by-row
-form, the split log2 masses, mass ratios and power sums summed with no
+ASCII form, the split log2 masses, mass ratios and power sums summed with no
 memo, the two-point, generator-based region checks of `Box` and
 `Segment`, and the decided walk pass's cost line and summary as
 `log2_weights` and `np.mean`/`np.argmax` gave them), a small fixture map for the derivative checks, or an
@@ -23,6 +23,7 @@ region has the same mass.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -790,19 +791,34 @@ def retention_constant_fractions(seq: BoxSequence) -> Fraction | None:
     return out
 
 
+@contextlib.contextmanager
+def _ascii_file(path: Path, **kwargs) -> Iterator[Any]:
+    """`path` opened for writing ASCII text.  A non-ASCII write removes the
+    file and raises its UnicodeEncodeError, so no file of refused text is
+    left, as `cli.write_report` refuses such text before it opens a file."""
+    try:
+        with path.open("w", encoding="ascii", **kwargs) as fh:
+            yield fh
+    except UnicodeEncodeError:
+        path.unlink()
+        raise
+
+
 def write_report_rows(report: dict, out: Path) -> None:
     """The files of `cli.write_report`, by the standard library's indented
-    strict JSON encoder and one write per CSV row and per table line."""
+    strict JSON encoder and one write per CSV row and per table line, in
+    ASCII."""
     out.mkdir(parents=True, exist_ok=True)
     text = json.dumps(report, sort_keys=True, indent=2, default=str, allow_nan=False)
-    (out / "report.json").write_text(text + "\n")
-    with (out / "checks.csv").open("w", newline="") as fh:
+    with _ascii_file(out / "report.json") as fh:
+        fh.write(text + "\n")
+    with _ascii_file(out / "checks.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["check", "passed", "value", "bound", "note"])
         for r in report["rows"]:
             w.writerow([r["check"], r["passed"], r["value"], r["bound"], r["note"]])
     for name, table in report.get("tables", {}).items():
-        with (out / f"{name}.dat").open("w") as fh:
+        with _ascii_file(out / f"{name}.dat") as fh:
             for a, b in table:
                 fh.write(f"{a} {b}\n")
 

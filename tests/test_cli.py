@@ -345,8 +345,9 @@ class TestReportText:
         st.dictionaries(st.text("abcxyz_", min_size=1, max_size=6),
                         st.lists(st.tuples(LEAVES, LEAVES), max_size=4), max_size=3),
     )
-    # about two examples in three hold a NaN or an infinity, which both
-    # writers refuse, so 150 examples compare about 50 pairs of files
+    # most examples hold a NaN or an infinity, or a non-ASCII CSV or table
+    # cell, which both writers refuse; the two file trees are compared
+    # either way
     @settings(max_examples=150, deadline=None)
     def test_files_match_the_row_by_row_writer(self, extra, rows, tables):
         report = {**extra, "rows": rows, "tables": tables}
@@ -354,17 +355,32 @@ class TestReportText:
             out, want = Path(tmp, "out"), Path(tmp, "want")
             try:
                 write_report_rows(report, want)
-            except ValueError:
-                # a NaN or an infinity: both writers refuse it before any file
-                with pytest.raises(ValueError):
+            except ValueError as exc:
+                # a NaN or an infinity: both writers refuse it before any
+                # file; a non-ASCII CSV or table cell: both write the files
+                # before its own and refuse that one
+                with pytest.raises(type(exc)):
                     write_report(report, out)
-                assert file_tree(out) == file_tree(want) == {}
+                assert file_tree(out) == file_tree(want)
+                if not isinstance(exc, UnicodeEncodeError):
+                    assert file_tree(want) == {}
                 return
             assert write_report(report, out) == out / "report.json"
             names = sorted(f.name for f in want.iterdir())
             assert sorted(f.name for f in out.iterdir()) == names
             for name in names:
                 assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+    @pytest.mark.parametrize("where", ["note", "table"])
+    def test_non_ascii_cell_is_refused(self, tmp_path, where):
+        # report.json escapes every string, so a non-ASCII cell reaches a
+        # file only through checks.csv or a table: that file is not opened
+        note, table = ("pi \u03c0", [(1, 2)]) if where == "note" else ("", [(1, "\u03c0")])
+        report = {"rows": [cli._row("a", True, 1, None, note)], "tables": {"t": table}}
+        with pytest.raises(ValueError):
+            write_report(report, tmp_path)
+        written = {"report.json"} | ({"checks.csv"} if where == "table" else set())
+        assert {f.name for f in tmp_path.iterdir()} == written
 
     def test_file_formats(self, tmp_path):
         # the formats README states: the indented dump and a newline, CSV
@@ -717,7 +733,7 @@ class TestMain:
         "content",
         [None, "not json {", "[1, 2]", '{"1,2": [1]}', '{"1,2": {"w": 1}}', '{"1,2": true}',
          '{"1,2": null}', '{"a,2": 1}', '{"": 1}', '{"1,2": "abc"}', '{"1,2": "1/0"}',
-         '{"1,2": Infinity}', '{"1,2": NaN}'],
+         '{"1,2": Infinity}', '{"1,2": NaN}', '{"1,2": 1, "1,2": 2}', '{"1,2": 1, " 1,2 ": 2}'],
     )
     def test_bad_family_file_exits_one(self, tmp_path, capsys, content):
         p = tmp_path / "family.json"
@@ -734,6 +750,16 @@ class TestMain:
         assert _read_table(str(p)) == {
             (0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 0): Fraction(1)
         }
+
+    @pytest.mark.parametrize("second", ['"0,0"', '"0, 0"', '" 0,0"', '"00,-0"'])
+    def test_family_file_that_names_an_index_twice_is_refused(self, tmp_path, second):
+        # the later weight would otherwise replace the earlier one unseen
+        p = tmp_path / "family.json"
+        p.write_text(f'{{"0,0": "1/2", "1,0": "1/8", {second}: "1/4"}}')
+        key = json.loads(second)
+        with pytest.raises(ConfigError) as info:
+            _read_table(str(p))
+        assert str(info.value) == f"{p}: index (0, 0) is named twice, again as key {key!r}"
 
     @pytest.mark.parametrize("content", BAD_CONFIGS)
     def test_bad_config_file_exits_one(self, tmp_path, capsys, content):

@@ -326,6 +326,21 @@ class TestChains:
         rep = distortion_budget(cert, fam)
         assert rep.ratio_spread < 2.0
 
+    def test_box_growth_is_read_from_the_sequence(self):
+        # D's count exponent is a fact of the box sequence (FF boxes grow as
+        # 4^(n/(d-1)), B boxes as 2^(n alpha)), so a certificate whose kind
+        # is relabelled measures the same
+        cases = [
+            ("B-d2", geometric_family(2), build_sequence("B-d2", alphas=(HALF, HALF), n_max=8),
+             "FF-d3"),
+            ("FF-d3", symmetric_geometric_family(2), build_sequence("FF", d=3, n_max=13), "B-d2"),
+        ]
+        for kind, fam, seq, other in cases:
+            cert = build_chain(kind, fam, seq)
+            want = measured(cert, fam)
+            assert want["D"] > 0
+            assert measured(cert._replace(kind=other), fam) == want
+
     def test_strip_count(self):
         # levels 3..12 cut every 4: [3, 6], [7, 10] and the short [11, 12]
         assert _strip_count(Box(((1, 5), (3, 12))), 4) == 3

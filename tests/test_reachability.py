@@ -72,11 +72,6 @@ ALLOWLIST = {
     ("walks._shared_cost", "return 0.0"): (
         "a walk of length 0 costs nothing; batch_certificates takes n = 0, and the CLI "
         "validates n_max >= 1"),
-    **dict.fromkeys(_in(
-        "cli._write_file", "import locale",
-        "data = memoryview(text.encode(locale.getpreferredencoding(False)))"),
-        "non-ASCII text, which write_report encodes as Path.write_text does; every CLI "
-        "report is ASCII"),
     **dict.fromkeys([
         *_in("cli._run_identity", "worst = max(worst, *map(abs, residuals))"),
         *_in("nilpotent._residuals", "two = Fraction(2)",
@@ -95,31 +90,19 @@ ALLOWLIST = {
         "np.minimum(np.maximum(g.f(x, out=y), g.a, out=y), g.b, out=y)"),
         "the clip of an orbit that rounding carries out of [a, b]: parabolic_map's image of "
         "[0, 1] stays inside for every c in (0, 4); item 11 owns this loop"),
-    **dict.fromkeys(_in(
-        "walks.log2_weights",
-        "expo = np.full(len(pts), family.point_base[0], dtype=np.int64)",
-        "for ax, col in zip(family.axes, pts.T):",
-        "expo -= ax.rate * (col if ax.lo >= 0 else np.abs(col))",
-        "return expo + family.point_base[1]"),
-        "the product-family form of a stepped walk's weights, which only a product family "
-        "with unequal rates takes: item 4's per-axis power law needs it, and both CLI "
-        "families have one rate"),
     **dict.fromkeys([
         *_in("lattice.Axis._runs", "lo += -((lo - self.lo) // stride) * stride",
              "hi = self.hi", "return []", "lo = top + stride",
              "top = min(hi - (hi - lo) % stride, -1 - (-1 - lo) % stride)",
              "out.append((self.offset + self.rate * top, ratio, (top - lo) // stride + 1))"),
-        *_in("lattice.Axis.log2_parts", "te, tf = 0, 0.0", "te, tf = log2_parts(c)",
+        *_in("lattice.Axis.log2_parts", "te, tf = log2_parts(c)",
              "top = max(out[0], e)",
              "e, f = top, log2_add(out[1] + (out[0] - top), f + (e - top))"),
         *_in("lattice.Axis.total_form", "return self.form(self.lo, self.hi)"),
         *_in("lattice._geometric_sum_log2", "return first_log2 + math.log2(count)"),
         *_in("lattice.ProductFamily.mass_log2_parts", "return None"),
         *_in("lattice.ProductFamily.range_power_log2", "return NEG_INF"),
-        *_in("lattice._translate_ratios", "return 0, None"),
-        *_in("walks._first_unreached", "return (0,) * d",
-             "k = max(k for k, ax in enumerate(family.axes) if ax.hi + 1 == r)",
-             "return tuple(r if j == k else 0 for j in range(d))")],
+        *_in("lattice._translate_ratios", "return 0, None")],
         "a product axis whose support has an end, reaches negative indices or has rate 0: "
         "Axis and ProductFamily take any such axis (the tests' uniform-box families do), but "
         "the CLI's two families have rate 1 on [0, inf) or Z, and every region a kind "

@@ -199,6 +199,17 @@ class TestSampling:
                 lemma_bound(mass, 1)
 
 
+def reference_log2_weights(family, pts):
+    """The float log2 weights of a point array, a product family's read
+    off its closed form at any point, in its support or not: the int64
+    exponent e0 - sum rate_k |c_k| plus f0, one rounding per point.  Any
+    other family by `log2_weights`."""
+    if not isinstance(family, ProductFamily):
+        return log2_weights(family, pts)
+    e0, f0 = family.point_base
+    return (e0 - np.abs(pts) @ np.array([ax.rate for ax in family.axes])) + f0
+
+
 def reference_batch_certificates(family, n, samples, seed, mean_slack=1.05):
     """The lockstep pass as it was before its state was kept by axis: one
     cumsum and argmax per step, an exact Fraction per terminal weight, and
@@ -209,7 +220,7 @@ def reference_batch_certificates(family, n, samples, seed, mean_slack=1.05):
     counts = np.zeros((samples, d), dtype=np.int64)
     costs = np.zeros(samples)
     for t in range(n):
-        costs += np.exp2(log2_weights(family, counts) / d)
+        costs += np.exp2(reference_log2_weights(family, counts) / d)
         r = rng.integers(0, t + d, size=samples)
         cum = np.cumsum(counts + 1, axis=1)
         j = np.argmax(r[:, None] < cum, axis=1)
@@ -489,15 +500,26 @@ class TestBatch:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_first_unreached_point_of_a_product_family(self, d):
         # the product-family rule against the first simplex point outside
-        # the support, and against a table on the same box
+        # the support, and against a table on the same box; (0, 5) stops at
+        # n - 1, (0, 6) at n, and (1, 6) reaches n but misses 0
         n = 6
-        for bounds in product([(0, 2), (0, 4), (-1, 6), (1, 5), (-3, -1)], repeat=d):
+        for bounds in product([(0, 2), (0, 4), (0, 5), (0, 6), (-1, 6), (1, 5), (1, 6), (-3, -1)],
+                              repeat=d):
             box = Box(bounds)
             want = next((v for r in range(n + 1) for v in sphere_points(d, r)
                          if not box.contains(v)), None)
             assert _first_unreached(uniform_box_family(box), n) == want, bounds
             table = TableFamily({v: Fraction(1) for v in box_points(box)})
             assert _first_unreached(table, n) == want, bounds
+
+    def test_first_unreached_scans_only_where_an_axis_misses_0_to_n(self):
+        # axes that all hold [0, n] answer without a scan, whatever n is; an
+        # endless axis from 1 is scanned and misses the origin
+        with mock.patch.object(walks, "_simplex", raising("_simplex")):
+            assert _first_unreached(geometric_family(3), 10 ** 9) is None
+            assert _first_unreached(uniform_box_family(Box(((-1, 6), (0, 8)))), 6) is None
+        from_one = Axis(1, math.inf, Fraction(1), (0, 0.0), -1, 1)
+        assert _first_unreached(ProductFamily([geometric_axis(), from_one]), 6) == (0, 0)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_log2_weights_match_exact_weights(self, d):
@@ -511,6 +533,7 @@ class TestBatch:
         for fam, rows in cases:
             got = log2_weights(fam, rows)
             assert got.shape == (len(rows),)
+            assert got.tolist() == reference_log2_weights(fam, rows).tolist()
             for row, value in zip(rows.tolist(), got):
                 assert math.isclose(value, math.log2(fam.weight(row)), rel_tol=1e-15, abs_tol=1e-12)
 
