@@ -110,19 +110,18 @@ def _family(cfg: ExperimentConfig, d: int) -> lattice.LengthFamily:
 
 def _read_table(path: str) -> dict[tuple[int, ...], Fraction]:
     """A weight table file: a JSON object mapping each "i,j,..." once to a
-    number or a rational string; ConfigError for any other content."""
+    number or a rational string, each index ASCII digits with an optional
+    sign; ConfigError for any other content."""
     # every object as the tuple of its (key, value) pairs, repeats kept
     raw = json.loads(Path(path).read_text(), object_pairs_hook=tuple)
     if not isinstance(raw, tuple):
         raise ConfigError(f"{path} must hold a JSON object of index -> weight")
     table = {}
     for key, value in raw:
-        try:
-            index = tuple(int(t) for t in key.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"{path}: key {key!r} is not comma-separated integers"
-            ) from None
+        # int() alone also reads "1_0" as 10, and digits outside ASCII
+        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*(,\s*[+-]?[0-9]+\s*)*", key):
+            raise ConfigError(f"{path}: key {key!r} is not comma-separated integers")
+        index = tuple(map(int, key.split(",")))
         if index in table:
             raise ConfigError(f"{path}: index {index} is named twice, again as key {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):

@@ -207,8 +207,7 @@ def _geometric_sum_log2(first_log2: float, ratio_log2: float, count: int) -> flo
         return first_log2 + math.log2(count)
     if ratio_log2 > 0:
         raise ValueError("ratio must be <= 1")
-    total_tail = ratio_log2 * count
-    num = log2_one_minus_pow2(total_tail) if total_tail < 0 else NEG_INF
+    num = log2_one_minus_pow2(ratio_log2 * count)
     den = log2_one_minus_pow2(ratio_log2)
     return first_log2 + num - den
 
@@ -232,7 +231,8 @@ def _product(k: int, *sums: Dyadic) -> Dyadic:
 
 
 def _sign(terms: Iterable[tuple[int, int]]) -> int:
-    """The exact sign of sum c 2^e over (e, c) terms, read from the top e down.
+    """The exact sign of sum c 2^e over (e, c) terms, some c != 0 (as in
+    `mass_le`, where both masses are positive), read from the top e down.
 
     acc holds the terms read so far in units of 2^top.  The terms from e
     down are below 2^(e + b), b the bit length of their total |c|, so once
@@ -241,7 +241,7 @@ def _sign(terms: Iterable[tuple[int, int]]) -> int:
     """
     items = sorted(((e, c) for e, c in terms if c), reverse=True)
     below = list(itertools.accumulate(abs(c) for _, c in reversed(items)))[::-1]
-    acc, top = 0, items[0][0] if items else 0
+    acc, top = 0, items[0][0]
     for (e, c), total in zip(items, below):
         if acc and top - e >= total.bit_length():
             break
@@ -713,10 +713,10 @@ def _translate_ratios(
 class ChainSearchError(RuntimeError):
     """A good-object search exhausted its box; carries observed proportions."""
 
-    def __init__(self, message: str, n: int | None = None, stats: dict | None = None):
+    def __init__(self, message: str, n: int | None, stats: dict):
         super().__init__(message)
         self.n = n
-        self.stats = stats or {}
+        self.stats = stats
 
 
 def first_translate_le(

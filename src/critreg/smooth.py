@@ -36,11 +36,8 @@ Four arguments make the float results exact where it matters:
   first alone when s divides k.  Rounding is monotone, so
   fl(ld_j - ld_i) <= fl(max_q - min_p) and fl(ld_i - ld_j) <= fl(max_p - min_q);
   the largest of these two over the block pairs (p, q) at those two
-  distances bounds M_k.  The gaps mirror it: fl|x_j - x_i| is at least
-  fl(min_q - max_p) and at least fl(min_p - max_q), so the least over the
-  same block pairs of the larger of the two bounds G_k from below (an exact
-  progression keeps G_k = x_k, next bullet).  With s = 1 the blocks are
-  the points, and the bounds are M_k and G_k themselves.
+  distances bounds M_k.  With s = 1 the blocks are the points, and the
+  bound is M_k itself.
   The scan takes a first best ratio from one offset's row
   (``_seed_offset``).  It bounds every offset from at most
   ``HOLDER_BLOCKS`` blocks, keeps the offsets whose bound exceeds the best
@@ -49,15 +46,17 @@ Four arguments make the float results exact where it matters:
   visited by descending U_k, each one's ratios computed exactly as the full
   matrix computes them, until U_k is at most the best ratio so far: no
   skipped offset can raise the maximum.  A bound that is not a finite
-  float (a NaN, a gap bound of zero or less, a power below the normal
-  range) always keeps its offset.  A NaN in ld makes the fold of its block
+  float (a NaN, or a power of the gap below the normal range) always
+  keeps its offset.  A NaN in ld makes the fold of its block
   NaN, and so the bound of every offset whose pairs hold it; so NaN and inf
   reach the result as in the full matrix.
 - When the grid is an exact progression x_i = i h with h a power of two,
   as ``linspace(0, 1, 2^m + 1)`` is, every x_(i+k) = (i + k) h and k h =
   x_k are floats, so the subtraction x_(i+k) - x_i is exact and every
-  pair at offset k has the gap G_k = x_k.  The scan then folds ld alone;
-  on any other grid it folds x as well.
+  pair at offset k has the gap G_k = x_k; the scan above runs on such
+  grids alone.  Any other grid, such as one on an interval other than
+  [0, 1] or of a size other than 2^m + 1, takes the largest ratio at
+  every offset, as the full matrix does.
 - The grid of J starts at x0 and ends at the float g(x0).  ``f`` acts
   elementwise, so after k steps the left end of the orbit is g^k applied
   to x0 and the right end is g^(k-1) applied to that same float g(x0):
@@ -230,20 +229,17 @@ def _exact_progression(x: np.ndarray) -> bool:
         x, np.arange(len(x)) * x[1])
 
 
-def _blocks(v: np.ndarray, s: int, fold: np.ufunc) -> tuple[int, np.ndarray, np.ndarray, np.ufunc]:
+def _blocks(v: np.ndarray, s: int) -> tuple[int, np.ndarray, np.ndarray]:
     """v in blocks of s points, for a bound at each offset k on the largest
-    (fold ``np.maximum``) or the least (``np.minimum``) |v_(i+k) - v_i|: the
-    block size, each block's max and min (min and max for the least), each
-    followed by one pad more than there are blocks, and the fold."""
+    |v_(i+k) - v_i|: the block size and each block's max and min, each
+    followed by one pad more than there are blocks."""
     if s == 1:
         hi = lo = v
     else:
         starts = np.arange(0, len(v), s)
         hi, lo = np.maximum.reduceat(v, starts), np.minimum.reduceat(v, starts)
-    pad = -np.inf if fold is np.maximum else np.inf
-    top, bottom = (hi, lo) if fold is np.maximum else (lo, hi)
-    return (s, np.concatenate([top, np.full(len(top) + 1, pad)]),
-            np.concatenate([bottom, np.full(len(top) + 1, -pad)]), fold)
+    pad = np.full(len(hi) + 1, np.inf)
+    return s, np.concatenate([hi, -pad]), np.concatenate([lo, pad])
 
 
 def _skew(v: np.ndarray, d0: int, m: int, rows: int) -> np.ndarray:
@@ -252,35 +248,33 @@ def _skew(v: np.ndarray, d0: int, m: int, rows: int) -> np.ndarray:
 
 
 def _block_bound(blocks: tuple, k0: int, k1: int) -> np.ndarray:
-    """The bound of ``_blocks`` at offsets k0..k1-1: the fold, over the block
-    pairs (p, p + d) at d = floor(k/s) and ceil(k/s), of
+    """The bound of ``_blocks`` at offsets k0..k1-1: the largest, over the
+    block pairs (p, p + d) at d = floor(k/s) and ceil(k/s), of
     max(top_(p+d) - bottom_p, top_p - bottom_(p+d)).  A pair past the last
-    block meets a pad and reads -inf (+inf for the least), which the fold
-    does not pick."""
-    s, top, bottom, fold = blocks
+    block meets a pad and reads -inf, which the maximum does not pick."""
+    s, top, bottom = blocks
     ks = np.arange(k0, k1)
     near, far = ks // s, -(-ks // s)
     d0 = k0 // s
     m, rows = int(far[-1]) - d0 + 1, (len(top) - 1) // 2 - d0  # blocks p < len - d0
     diff = _skew(top, d0, m, rows) - bottom[:rows]
     np.maximum(diff, top[:rows] - _skew(bottom, d0, m, rows), out=diff)
-    reach = fold.reduce(diff, axis=1)
-    return fold(reach[near - d0], reach[far - d0])
+    reach = np.maximum.reduce(diff, axis=1)
+    return np.maximum(reach[near - d0], reach[far - d0])
 
 
-def _offset_bounds(ld: np.ndarray, x: np.ndarray, exact: bool, alpha: float, s: int,
+def _offset_bounds(ld: np.ndarray, x: np.ndarray, alpha: float, s: int,
                    ks: np.ndarray) -> np.ndarray:
-    """U at each offset of ks from blocks of s points, inf where the power
-    of the gap bound is not a normal float; with s = 1, U_k itself."""
-    numerators = _blocks(ld, s, np.maximum)
-    gaps = None if exact else _blocks(x, s, np.minimum)
+    """U at each offset of ks from blocks of s points of ld on an exact
+    progression x, inf where x_k^alpha is not a normal float; with s = 1, U_k."""
+    numerators = _blocks(ld, s)
     # a pass bounds the kept offsets of one span, about HOLDER_PASS differences
     span = max(1, s * (HOLDER_PASS // (len(x) // s + 1) - 2))
     u = []
     with np.errstate(all="ignore"):
         for part in np.split(ks, np.flatnonzero(np.diff((ks - ks[0]) // span)) + 1):
             k0, k1 = int(part[0]), int(part[-1]) + 1
-            power = (x[k0:k1] if exact else _block_bound(gaps, k0, k1)) ** alpha
+            power = x[k0:k1] ** alpha
             top = _block_bound(numerators, k0, k1)
             bound = np.where(power >= np.finfo(float).tiny, top / power * HOLDER_SLACK, np.inf)
             u.append(bound[part - k0])
@@ -293,7 +287,7 @@ def _seed_offset(ld: np.ndarray, x: np.ndarray, alpha: float, s: int) -> int:
     the gap x_(d s) - x_0."""
     points = ld[::s]
     with np.errstate(all="ignore"):
-        ratio = _block_bound(_blocks(points, 1, np.maximum), 1, len(points)) / (
+        ratio = _block_bound(_blocks(points, 1), 1, len(points)) / (
             x[s::s] - x[0]) ** alpha
     return s * (int(np.argmax(ratio)) + 1)
 
@@ -313,12 +307,14 @@ def holder_constant_estimate(g: SmoothMap, alpha: float, grid: int = 1025) -> fl
     ld = np.log(d)
     if grid < 2:
         return 0.0
-    exact = _exact_progression(x)  # G_k = x_k, see the module docstring
+    if not _exact_progression(x):  # G_k = x_k only there, see the module docstring
+        return float(np.maximum.reduce(
+            [_ratio_max(ld, x, alpha, k) for k in range(1, grid)]))
     s = -(-grid // HOLDER_BLOCKS)
     best = _ratio_max(ld, x, alpha, _seed_offset(ld, x, alpha, s))
     ks, u = np.arange(1, grid), np.empty(0)
     while not np.isnan(best):
-        u = _offset_bounds(ld, x, exact, alpha, s, ks)
+        u = _offset_bounds(ld, x, alpha, s, ks)
         keep = ~((u <= best) & (u < np.inf))  # NaN and inf stay
         ks, u = ks[keep], u[keep]
         if s == 1 or not len(ks):

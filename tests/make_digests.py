@@ -16,7 +16,7 @@ README, so nothing under `bench/` is imported at test time.
 - `CAP_LINES`, the three chain lines at the n_max cap;
 - `CHAIN_LINES`: builders, families and ties that the pools miss;
 - `SEARCH_FAILURE_LINES`: the FF-d3 ranges that exit 3;
-- `TABLE_LINES`: chains and a walk on the three tables of `TABLES`;
+- `TABLE_LINES`: chains and walks on the four tables of `TABLES`;
 - `LEMMA1_LINES`: lemma1 at other seeds, families and dimensions;
 - `DYNAMICS_LINES`: k_max around the orbit block and the ends of c and alpha;
 - `IDENTITY_LINES`: every allowed (model, d) at three seeds;
@@ -71,6 +71,11 @@ TABLES = {
     # n_max 6 reaches: every power sum, budget and fitted ratio is zero
     "far-block-table.json": json.dumps(
         {f"{i},{j}": "1" for i in range(500, 503) for j in range(500, 503)}),
+    # 1/1000 on the points with i + j <= 4 but 9/10 at (4, 0), past lemma 1's
+    # terminal bound: a walk of length 4 that ends there is not certified
+    "heavy-endpoint-table.json": json.dumps(
+        {f"{i},{j}": "9/10" if (i, j) == (4, 0) else "1/1000"
+         for i in range(5) for j in range(5 - i)}),
 }
 
 CAP_LINES = (
@@ -97,8 +102,10 @@ CHAIN_LINES = (
 SEARCH_FAILURE_LINES = tuple(f"chain-ff --d 3 --n-max {n}" for n in range(2, 6))
 
 # a B-d2 chain on a table whose segments leave it, a table that steps
-# every lemma1 walk, and a B-d2 and an FF-d3 chain whose walks get zero
-# weight (a null budget-ratio-spread and B_log2, exit 2)
+# every lemma1 walk, a B-d2 and an FF-d3 chain whose walks get zero
+# weight (a null budget-ratio-spread and B_log2, exit 2), and a lemma1
+# walk whose one sample ends at the heavy point (4, 0), so no sample is
+# certified (exit 2)
 TABLE_LINES = (
     "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 8"
     " --family custom-file --family-file square-table.json",
@@ -107,6 +114,8 @@ TABLE_LINES = (
     "chain-b --d 2 --alpha 1/2,1/2 --family custom-file --family-file far-block-table.json"
     " --n-max 6",
     "chain-ff --d 3 --family custom-file --family-file far-block-table.json --n-max 6",
+    "lemma1 --d 2 --family custom-file --family-file heavy-endpoint-table.json"
+    " --n-max 4 --samples 1 --seed 6",
 )
 
 # lemma1: the README line at another seed, which a built-in family decides
@@ -164,6 +173,9 @@ REFUSAL_FILES = {
     "infinite-passed.json": '{"rows": [], "passed": Infinity}',
     "tiny-mass-table.json": '{"0,0": "1e-400", "1,0": "1e-400", "0,1": "1e-400"}',
     "repeated-index-table.json": '{"0,0": "1/2", "0, 0": "1/4", "1,0": "1/8", "0,1": "1/8"}',
+    "underscore-key-table.json": '{"1_0,0": "1/2", "0,0": "1/4", "0,1": "1/8"}',
+    "huge-mass-table.json": '{"0,0": "1e400", "1,0": "1", "0,1": "1"}',
+    "list-report.json": "[]",
 }
 
 # argv lines (shell-quoted) that exit 1, run in a directory that holds
@@ -179,8 +191,9 @@ REFUSAL_FILES = {
 # can leave, a stepped lemma1 batch or a dynamics orbit of 10^17 samples
 # (refused before anything is allocated), exponents or variants that do not
 # fit --d, dynamics parameters outside their range, a lemma1 table whose
-# mass leaves float range, a table that names one index twice and a report
-# that is not strict JSON
+# mass leaves float range either way, a table that names one index twice
+# and one whose key `int()` reads but that is not ASCII digits, and a report
+# that is not strict JSON and one that is not a JSON object
 REFUSALS = {
     "lemma1 --bogus 1": "unrecognized arguments: --bogus 1",
     "": "the following arguments are required: command",
@@ -240,7 +253,14 @@ REFUSALS = {
         " is too small",
     "lemma1 --d 2 --family custom-file --family-file repeated-index-table.json --n-max 1":
         "repeated-index-table.json: index (0, 0) is named twice, again as key '0, 0'",
+    "lemma1 --d 2 --family custom-file --family-file huge-mass-table.json --n-max 1"
+    " --samples 1": "lemma 1's bound B needs L/A_d in the normal float range; the family's"
+    " total mass L is too large",
+    "lemma1 --d 2 --family custom-file --family-file underscore-key-table.json --n-max 1":
+        "underscore-key-table.json: key '1_0,0' is not comma-separated integers",
     "report infinite-passed.json": "infinite-passed.json is not strict JSON: it holds Infinity",
+    "report list-report.json": "list-report.json is not a report: needs 'passed' and 'rows', a"
+    " nonempty list of objects with check, passed (true or false), value and bound",
 }
 
 

@@ -11,7 +11,8 @@ linear scans and the depth-first fully-good search that the chain
 searches replaced, exact packed lengths, every prefix of a word, the
 per-step orbit of a fundamental domain, the report writer's row-by-row
 ASCII form, the split log2 masses, mass ratios and power sums summed with no
-memo, the two-point, generator-based region checks of `Box` and
+memo, `measured`'s B_log2 with the integer parts subtracted exactly,
+the two-point, generator-based region checks of `Box` and
 `Segment`, and the decided walk pass's cost line and summary as
 `log2_weights` and `np.mean`/`np.argmax` gave them), a small fixture map for the derivative checks, or an
 input of those oracles (the walk kernel and lattice paths).
@@ -36,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from critreg.boxes import BoxSequence, SubdivisionTree, _piece, integer_root
-from critreg.concat import ChainSearchError
+from critreg.concat import ChainCertificate, ChainSearchError
 from critreg.lattice import (
     Axis,
     Bound,
@@ -374,6 +375,51 @@ def segment_power_log2_unmemoized(family: LengthFamily, seg: Segment, alpha: flo
             m += alpha * (e + f)
     _, lo, hi, s = _axis_ranges(seg)[-1]
     return m + family.axes[seg.axis].power_log2(lo, hi, s, alpha)
+
+
+def _tail_log2(x: float, count: int) -> float:
+    """log2(1 + 2^x + ... + 2^(x (count - 1))) for x <= 0."""
+    if x == 0:
+        return math.log2(count)
+    ln2 = math.log(2)
+    return math.log2(-math.expm1(x * count * ln2)) - math.log2(-math.expm1(x * ln2))
+
+
+def b_log2_split(cert: ChainCertificate, family: ProductFamily) -> float:
+    """`concat.measured`'s B_log2 on a product family whose support holds
+    the chain, with each log2 mass and power sum kept as an exact rational
+    plus a small float until they are subtracted: alpha is the sequence's
+    Fraction, so alpha times an integer exponent is exact, and only the
+    difference, near 0, is rounded.  `measured` rounds each log2 to one
+    float first, and so loses the difference once the integer parts are
+    many times 2^53 larger than it."""
+
+    def power_parts(seg: Segment, alpha: Fraction) -> tuple[Fraction, float]:
+        a = float(alpha)
+        e, f = log2_parts(family.scale)
+        e, f = alpha * e, a * f
+        *fixed, (k, lo, hi, s) = _axis_ranges(seg)
+        for j, c, _, _ in fixed:
+            pe, pf = family.axes[j].point_parts(c)
+            e, f = e + alpha * pe, f + a * pf
+        ax = family.axes[k]
+        ce, cf = ax.coef_parts
+        runs = [(alpha * (re + ce), a * cf + _tail_log2(a * r, count))
+                for re, r, count in ax._runs(lo, hi, s)]
+        tail = -math.inf
+        for re, rf in runs:
+            tail = log2_add(tail, float(re - runs[0][0]) + rf)
+        return e + runs[0][0], f + tail
+
+    masses = {n: mass_log2_parts_unmemoized(family, cert.seq.box(n)) for n in cert.seq.indices()}
+    best = -math.inf
+    for r in cert.records:
+        alpha = cert.seq.alphas[r.seg.axis]
+        bases = [masses[n] for n in (r.n, r.n + 1) if n in masses]
+        be, bf = max(bases, key=lambda p: float(p[0] - bases[0][0]) + p[1])
+        pe, pf = power_parts(r.seg, alpha)
+        best = max(best, float(pe - alpha * be) + (pf - float(alpha) * bf))
+    return best
 
 
 def box_contains_all(box: Box, v: Sequence[int]) -> bool:

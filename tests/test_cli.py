@@ -57,6 +57,10 @@ BAD_CONFIGS = {
 }
 
 
+# the JSON members "i,j": 1 of the points of Z^2 with i, j >= 0 and i + j <= 10
+ORTHANT_10 = ", ".join(f'"{i},{j}": 1' for i in range(11) for j in range(11 - i))
+
+
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     """A fresh directory holding REFUSAL_FILES, made the working directory."""
@@ -733,7 +737,11 @@ class TestMain:
         "content",
         [None, "not json {", "[1, 2]", '{"1,2": [1]}', '{"1,2": {"w": 1}}', '{"1,2": true}',
          '{"1,2": null}', '{"a,2": 1}', '{"": 1}', '{"1,2": "abc"}', '{"1,2": "1/0"}',
-         '{"1,2": Infinity}', '{"1,2": NaN}', '{"1,2": 1, "1,2": 2}', '{"1,2": 1, " 1,2 ": 2}'],
+         '{"1,2": Infinity}', '{"1,2": NaN}', '{"1,2": 1, "1,2": 2}', '{"1,2": 1, " 1,2 ": 2}',
+         # keys that int() reads as (11, 0) and (12, 0), beside every point a
+         # walk of length 10 (the default n_max) can reach
+         pytest.param(f'{{{ORTHANT_10}, "1_1,0": 1}}', id="underscore-key"),
+         pytest.param(f'{{{ORTHANT_10}, "\\uff11\\uff12,0": 1}}', id="full-width-key")],
     )
     def test_bad_family_file_exits_one(self, tmp_path, capsys, content):
         p = tmp_path / "family.json"

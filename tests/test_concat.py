@@ -50,6 +50,7 @@ from critreg.lattice import (
 )
 
 from oracles import (
+    b_log2_split,
     box_points,
     exact_mass,
     first_good,
@@ -484,6 +485,31 @@ _CHAINS = {
     "FF-d3": (symmetric_geometric_family(2), ("FF", dict(d=3, n_max=13))),
     "B-general": (geometric_family(3), ("B-general", dict(alphas=(THIRD,) * 3, n_max=10))),
 }
+
+
+def _ff_general_b_log2(d: int, n_max: int) -> tuple[float, float]:
+    """`measured`'s B_log2 of the `chain-ff --d d` chain and its split
+    recomputation."""
+    seq = build_sequence("FF", d=d, n_max=n_max)
+    fam = geometric_family(seq.boxes[0].dim)
+    cert = build_chain("FF-general", fam, seq)
+    return measured(cert, fam)["B_log2"], b_log2_split(cert, fam)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_ff_general_b_log2_matches_the_split_recomputation(d):
+    got, want = _ff_general_b_log2(d, 12)
+    assert abs(got - want) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 19: measured subtracts float log2 values whose integer parts are far "
+    "past 2^53, so B_log2 at n_max 40 is rounding noise (8388608.0 at d = 4, 256.0 at "
+    "d = 5, against 2.696 and 3.500); the split form of item 19 mends it"))
+@pytest.mark.parametrize("d", [4, 5])
+def test_ff_general_b_log2_keeps_the_split_value_at_n_max_40(d):
+    got, want = _ff_general_b_log2(d, 40)
+    assert abs(got - want) <= 1e-9
 
 
 def _off_segment(seg, point):

@@ -216,8 +216,8 @@ class TestExactness:
     def test_holder_matches_full_matrix(self, name):
         g, _ = EXACT_MAPS[name]
         grids = (1, 2, 3, 64, 65, 200, 1025)
-        # both ways of taking the gaps: read off an exact progression (2, 3,
-        # 65 and 1025 points on [0, 1]) and the block pass (the others)
+        # both paths: the scan on an exact progression (2, 3, 65 and 1025
+        # points on [0, 1]) and every offset on the others
         assert {smooth._exact_progression(g.grid(n)) for n in grids} == {True, False}
         for alpha in (1 / 3, 0.5, 2 / 3, 1.0):
             for grid in grids:
@@ -252,7 +252,7 @@ class TestExactness:
            st.booleans())
     @settings(max_examples=12, deadline=None)
     def test_random_parabolic_past_the_full_matrix(self, c, alpha, grid, unit):
-        # no grid on [0.1, 0.7] is an exact progression, so x is folded too
+        # no grid on [0.1, 0.7] is an exact progression, so every offset is taken
         g = parabolic_map(c) if unit else restrict(parabolic_map(c), 0.1, 0.7)
         assert holder_constant_estimate(g, alpha, grid) == holder_by_offsets(g, alpha, grid)
 
@@ -264,7 +264,7 @@ class TestExactness:
         for k in (1, 2 ** m // 2, 2 ** m):
             assert (x[k:] - x[:-k] == x[k]).all()
 
-    def test_other_grids_take_the_gap_pass(self):
+    def test_other_grids_take_every_offset(self):
         few_ulps = np.linspace(1.0, 1 + 1000 * 2.0 ** -52, 257)  # test_holder_gaps_of_few_ulps
         for x in (np.linspace(0, 1, 1000), few_ulps, np.linspace(0, 1, 1025) + 2.0 ** -10,
                   np.linspace(0.25, 0.75, 1025), np.linspace(0, 1, 1)):
@@ -298,11 +298,9 @@ class TestExactness:
             assert np.isnan(full_matrix_holder(g, alpha, 1025))
 
     def test_holder_gaps_of_few_ulps(self):
-        # on 1000 ulps of 1.0 the grid's gaps differ by whole ulps, so an
-        # offset's bound M_k / G_k^alpha can exceed its ratios by 1/(4k);
-        # with alpha near 1 the largest ratio (at the widest pair) then sits
-        # below the bound of a narrower offset, and only the stop rule
-        # against the exact ratios finds it
+        # on 1000 ulps of 1.0 the grid's gaps differ by whole ulps, so no
+        # offset has one gap and the grid is no exact progression; with
+        # alpha near 1 the largest ratio sits at the widest pair
         g = plain_map(lambda x: x, lambda x: np.exp((x - 1) * 2.0 ** 40),
                       1.0, 1 + 1000 * 2.0 ** -52)
         for alpha in (1 / 3, 0.5, 0.99, 0.999, 1.0):
