@@ -9,6 +9,7 @@ their Fraction forms, subdivision leaves and the share of non-admissible
 levels, per-point mean goodness and the goodness of a segment's flag, the
 linear scans and the depth-first fully-good search that the chain
 searches replaced, exact packed lengths, every prefix of a word, the
+identity kind's alphabets and its draws in their call order, the
 per-step orbit of a fundamental domain, the report writer's row-by-row
 ASCII form, the split log2 masses, mass ratios and power sums summed with no
 memo, `measured`'s B_log2 with the integer parts subtracted exactly,
@@ -649,6 +650,32 @@ def prefixes(word: Word) -> list[UnipotentMatrix]:
         new = tuple(x + e * y for x, y in zip(rows[i - 1], rows[j - 1]))
         rows = rows[: i - 1] + (new,) + rows[i:]
         out.append(UnipotentMatrix._trusted(rows))
+    return out
+
+
+def identity_alphabet(model: str, d: int) -> tuple[list[tuple[int, int]], int]:
+    """The generators (i, j) an identity-kind word is drawn from, and the
+    dimension of its index lattice: f(j+1, 1) for j = 1 .. d+1 on Z^(d+1)
+    for the translation model, every f(i, j) of rank d+1 on Z^d for ff."""
+    if model == "translation":
+        return [(i, 1) for i in range(2, d + 3)], d + 1
+    return [(i, j) for i in range(2, d + 2) for j in range(1, i)], d
+
+
+def identity_triples(rng, gens: Sequence[tuple[int, int]], lattice_d: int,
+                     samples: int) -> list[tuple[tuple[tuple[int, int, int], ...], int, Coords]]:
+    """The identity kind's (letters, k, index) draws, in its call order: per
+    sample `randint(1, 6)` letters, each `choice(gens)` and then
+    `choice((1, -1))`; then `randint(1, 5)` for k; then `lattice_d`
+    coordinates, each `randint(-3, 3)`."""
+    out = []
+    for _ in range(samples):
+        letters = []
+        for _ in range(rng.randint(1, 6)):
+            i, j = rng.choice(gens)
+            letters.append((i, j, rng.choice((1, -1))))
+        k = rng.randint(1, 5)
+        out.append((tuple(letters), k, tuple(rng.randint(-3, 3) for _ in range(lattice_d))))
     return out
 
 

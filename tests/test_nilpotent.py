@@ -15,7 +15,7 @@ from critreg.nilpotent import (
     exponent,
 )
 
-from oracles import length, prefixes
+from oracles import identity_alphabet, identity_triples, length, prefixes
 
 F21 = UnipotentMatrix.generator(3, 2, 1)
 F31 = UnipotentMatrix.generator(3, 3, 1)
@@ -365,3 +365,75 @@ class TestExponents:
         g = UnipotentMatrix.generator(4, 4, 1)
         with pytest.raises(ValueError, match="^index must have 3 coordinates$"):
             conjugacy_distortion_check(word, g, [(0, 0)])
+
+
+# ---------------------------------------------------------------------------
+# the identity kind's draw stream
+# ---------------------------------------------------------------------------
+
+
+class _Recorder(random.Random):
+    """A `random.Random` that logs each `randint` and `choice` call, with
+    its arguments and result, in call order."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def randint(self, a, b):
+        out = super().randint(a, b)
+        self.calls.append(("randint", (a, b), out))
+        return out
+
+    def choice(self, seq):
+        out = super().choice(seq)
+        self.calls.append(("choice", tuple(seq), out))
+        return out
+
+
+class _Replay:
+    """Hands back a recorded stream call by call, and fails on a call that
+    differs from the recorded one in name or arguments."""
+
+    def __init__(self, calls):
+        self.calls = list(calls)
+
+    def _next(self, name, args):
+        got, got_args, out = self.calls.pop(0)
+        assert (got, got_args) == (name, args)
+        return out
+
+    def randint(self, a, b):
+        return self._next("randint", (a, b))
+
+    def choice(self, seq):
+        return self._next("choice", tuple(seq))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("model", ["translation", "ff"])
+def test_runner_checks_the_reference_draws(monkeypatch, model, d, seed):
+    # the runner builds its own random.Random; the recorder takes its place,
+    # so the triples are read from the one stream the runner consumes
+    rngs = []
+
+    class Recorder(_Recorder):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    samples = 25
+    monkeypatch.setattr(random, "Random", Recorder)
+    out = _run_identity(ExperimentConfig("identity", d=d, variant=model, samples=samples,
+                                         seed=seed))
+    monkeypatch.undo()
+    (rng,) = rngs
+    gens, lattice_d = identity_alphabet(model, d)
+    replay = _Replay(rng.calls)
+    drawn = identity_triples(replay, gens, lattice_d, samples)
+    assert not replay.calls  # nothing drawn past the last sample
+    assert drawn == identity_triples(random.Random(seed), gens, lattice_d, samples)
+    assert out["constants"]["checked"] == samples
+    assert all(len(v) == lattice_d and 1 <= k <= 5 and 1 <= len(letters) <= 6
+               for letters, k, v in drawn)
