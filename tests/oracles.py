@@ -8,8 +8,8 @@ multiplicity, B-d2 boxes and the roundness and retention constants in
 their Fraction forms, subdivision leaves and the share of non-admissible
 levels, per-point mean goodness and the goodness of a segment's flag, the
 linear scans and the depth-first fully-good search that the chain
-searches replaced, exact packed lengths, every prefix of a word, the
-identity kind's alphabets and its draws in their call order, the
+searches replaced, exact packed lengths, the identity kind's alphabets
+and its draws in their call order, the
 per-step orbit of a fundamental domain, the report writer's row-by-row
 ASCII form, the split log2 masses, mass ratios and power sums summed with no
 memo, `measured`'s B_log2 with the integer parts subtracted exactly,
@@ -55,7 +55,6 @@ from critreg.lattice import (
     symmetric_geometric_family,
     translated,
 )
-from critreg.nilpotent import UnipotentMatrix, Word, _identity_rows
 from critreg.smooth import SmoothMap
 from critreg.walks import log2_weights
 
@@ -628,7 +627,7 @@ def non_admissible_fraction(tree: SubdivisionTree) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the unipotent action: exact lengths and word prefixes
+# the unipotent action: exact lengths and the identity kind's draws
 # ---------------------------------------------------------------------------
 
 
@@ -636,21 +635,6 @@ def length(v: Coords) -> Fraction:
     """The exact length of the v-th packed interval, a product of Fractions:
     the weight of the symmetric-geometric family over Z^len(v) at v."""
     return symmetric_geometric_family(len(v)).weight(v)
-
-
-def prefixes(word: Word) -> list[UnipotentMatrix]:
-    """h_0 = id, h_1, ..., h_n: the product of each prefix of the word.
-
-    Later letters act last, so h_t = f_t * h_(t-1): left-multiplying by
-    f(i,j)^e adds e * row j to row i, and every other row is shared.
-    """
-    rows = _identity_rows(word.size)
-    out = [UnipotentMatrix._trusted(rows)]
-    for i, j, e in word.letters:
-        new = tuple(x + e * y for x, y in zip(rows[i - 1], rows[j - 1]))
-        rows = rows[: i - 1] + (new,) + rows[i:]
-        out.append(UnipotentMatrix._trusted(rows))
-    return out
 
 
 def identity_alphabet(model: str, d: int) -> tuple[list[tuple[int, int]], int]:

@@ -15,7 +15,7 @@ from critreg.boxes import build_sequence, sequence_multiplicity
 from critreg.cli import ExperimentConfig, run, write_report
 from critreg.concat import build_chain, distortion_budget, measured, verify_chain
 from critreg.lattice import geometric_family, mass_le, symmetric_geometric_family
-from critreg.nilpotent import UnipotentMatrix, Word, conjugacy_distortion_check
+from critreg.nilpotent import conjugacy_distortion_check, generator
 from critreg.smooth import (
     fundamental_domain_check,
     holder_constant_estimate,
@@ -23,7 +23,14 @@ from critreg.smooth import (
 )
 from critreg.walks import batch_certificates
 
-from oracles import WalkKernel, arrival_distribution, renormalize, restrict
+from oracles import (
+    WalkKernel,
+    arrival_distribution,
+    identity_alphabet,
+    identity_triples,
+    renormalize,
+    restrict,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -132,24 +139,13 @@ def test_07_distortion_identity():
     ok = True
     total = 0
     for model, d in (("translation", 2), ("translation", 3), ("ff", 3)):
-        if model == "translation":
-            lattice_d = d + 1
-            gens = [(j, 1) for j in range(2, lattice_d + 2)]
-        else:
-            lattice_d = d
-            gens = [(i, j) for i in range(2, lattice_d + 2) for j in range(1, i)]
-        g = UnipotentMatrix.generator(lattice_d + 1, lattice_d + 1, 1)
-        for _ in range(1000):
-            letters = tuple(
-                (*rng.choice(gens), rng.choice((1, -1)))
-                for _ in range(rng.randint(1, 6))
-            )
-            word = Word(letters, lattice_d + 1)
-            k = rng.randint(1, 5)
-            idx = tuple(rng.randint(-3, 3) for _ in range(lattice_d))
-            residuals = conjugacy_distortion_check(word, g.power(k), [idx])
-            ok = ok and not any(residuals)
-            total += 1
+        gens, lattice_d = identity_alphabet(model, d)
+        n = lattice_d + 1
+        powers = {k: generator(n, n, 1, k) for k in range(1, 6)}
+        check = conjugacy_distortion_check(powers, gens)
+        residuals = [check(*t) for t in identity_triples(rng, gens, lattice_d, 1000)]
+        ok = ok and not any(residuals)
+        total += len(residuals)
     _verdict(7, ok, f"slope identity residual exactly zero on {total} random triples")
 
 

@@ -64,9 +64,6 @@ ALLOWLIST = {
                      ("lattice.weights_le", "family.weight(v) <= q")],
         "exact point weight for weights_le's fallback, which lemma1 reaches only on a "
         "terminal tie within 2^-40, and no built-in family has one"),
-    "nilpotent.UnipotentMatrix.__new__": (
-        "the validated constructor: the kinds build matrices through the trusted "
-        "builders only, and a caller's own rows are checked here"),
     **dict.fromkeys(_in("boxes.integer_root", "return r - 1", "r + 1"),
         "a float root that rounds past the integer root next to a perfect power, up "
         "(r - 1) or down (r + 1); no B exponent pair or triple tried at n_max up to 200 "
@@ -108,9 +105,9 @@ ALLOWLIST = {
         "a walk of length 0 costs nothing; batch_certificates takes n = 0, and the CLI "
         "validates n_max >= 1"),
     **dict.fromkeys([
-        *_in("cli._run_identity", "worst = max(worst, *map(abs, residuals))"),
-        *_in("nilpotent._residuals", "two = Fraction(2)",
-             "out.append(two ** (exponent(yv) - exponent(v)) * (1 - two ** tail))")],
+        *_in("cli._run_identity", "worst = max(worst, abs(residual))"),
+        *_in("nilpotent._residual", "two = Fraction(2)",
+             "return two ** (sum(map(abs, w)) - sum(map(abs, gw))) * (1 - two ** tail)")],
         "the failing path of identity-residual-zero: the exact action leaves no residual on "
         "any word the kind draws"),
     **dict.fromkeys([

@@ -1,9 +1,11 @@
 """What the package relies on from its validated records.
 
-`Box`, `Segment`, `BoxSequence`, `SmoothMap`, `UnipotentMatrix` and `Word`
-check their fields when they are built, cannot be changed afterwards, and hash as the tuple of
+`Box`, `Segment`, `BoxSequence` and `SmoothMap` check their fields when
+they are built, cannot be changed afterwards, and hash as the tuple of
 their fields, so family memos keyed by regions and the order of sets of
-them do not depend on how a record is implemented.
+them do not depend on how a record is implemented.  The identity check's
+matrices and words are plain tuples; it checks a caller's powers and
+generators before its first sample.
 """
 
 import re
@@ -13,7 +15,7 @@ import pytest
 
 from critreg.boxes import BoxSequence
 from critreg.lattice import Box, Segment
-from critreg.nilpotent import UnipotentMatrix, Word
+from critreg.nilpotent import conjugacy_distortion_check, generator
 from critreg.smooth import SmoothMap
 
 SQUARE = Box(((0, 5), (0, 5)))
@@ -25,6 +27,13 @@ def _identity(x, out=None):
 
 def _half(x, out=None):
     return np.multiply(x, 0.5, out=out)
+
+
+_NOT_UNIPOTENT = "g^1 is not a lower-unitriangular 2x2 matrix"
+
+
+def _power(rows):
+    return conjugacy_distortion_check({1: rows}, [])
 
 
 INVALID = {
@@ -39,11 +48,12 @@ INVALID = {
     "empty map interval": (lambda: SmoothMap(_identity, _identity, 1.0, 1.0), "need a < b"),
     "moving fixed point": (lambda: SmoothMap(_half, _half, 0.0, 1.0, (0.0, 1.0)),
                            "declared fixed point 1.0 moves under the map"),
-    "ragged matrix": (lambda: UnipotentMatrix(((1, 0), (0,))), "matrix must be square"),
-    "diagonal": (lambda: UnipotentMatrix(((2, 0), (0, 1))), "diagonal entries must be 1"),
-    "upper entry": (lambda: UnipotentMatrix(((1, 1), (0, 1))), "matrix must be lower triangular"),
-    "letter off the group": (lambda: Word(((5, 1, 1),), 3),
-                             "letter f(5,1) outside the rank-3 group"),
+    "ragged matrix": (lambda: _power(((1, 0), (0,))), _NOT_UNIPOTENT),
+    "diagonal": (lambda: _power(((2, 0), (0, 1))), _NOT_UNIPOTENT),
+    "upper entry": (lambda: _power(((1, 1), (0, 1))), _NOT_UNIPOTENT),
+    "letter off the group": (
+        lambda: conjugacy_distortion_check({1: generator(3, 3, 1)}, [(5, 1)]),
+        "letter f(5,1) outside the rank-3 group"),
 }
 
 
@@ -59,8 +69,6 @@ VALID = {
     "segment": (Segment((0, 1), 0, 6, -2), "count"),
     "sequence": (BoxSequence("B-d2", 1, (SQUARE, Box(((0, 6), (0, 5)))), 2), "boxes"),
     "map": (SmoothMap(_identity, _identity, 0.0, 1.0, (0.5,)), "a"),
-    "matrix": (UnipotentMatrix(((1, 0), (3, 1))), "rows"),
-    "word": (Word(((2, 1, 1),), 2), "letters"),
 }
 
 
@@ -81,8 +89,3 @@ def test_records_hash_as_their_field_tuples():
     # equal fields make equal records, whichever call built them
     assert Segment((1, 2), 1, 2) == Segment(anchor=(1, 2), axis=1, count=2, step=1)
     assert Segment((1, 2), 1, 2, -1)._fields == ("anchor", "axis", "count", "step")
-    rows = ((1, 0, 0), (2, 1, 0), (0, 0, 1))
-    assert hash(UnipotentMatrix(rows)) == hash((rows,))
-    assert UnipotentMatrix(rows) == UnipotentMatrix._trusted(rows)
-    assert UnipotentMatrix.generator(3, 2, 1).power(2) == UnipotentMatrix(rows)
-    assert hash(Word(((2, 1, -1),), 3)) == hash((((2, 1, -1),), 3))
