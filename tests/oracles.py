@@ -8,8 +8,7 @@ multiplicity, B-d2 boxes and the roundness and retention constants in
 their Fraction forms, subdivision leaves and the share of non-admissible
 levels, per-point mean goodness and the goodness of a segment's flag, the
 linear scans and the depth-first fully-good search that the chain
-searches replaced, exact packed lengths, the identity kind's alphabets
-and its draws in their call order, the
+searches replaced, exact packed lengths, the identity kind's draws, the
 per-step orbit of a fundamental domain, the report writer's row-by-row
 ASCII form, the split log2 masses, mass ratios and power sums summed with no
 memo, `measured`'s B_log2 with the integer parts subtracted exactly,

@@ -108,8 +108,8 @@ ALLOWLIST = {
         *_in("cli._run_identity", "worst = max(worst, abs(residual))"),
         *_in("nilpotent._residual", "two = Fraction(2)",
              "return two ** (sum(map(abs, w)) - sum(map(abs, gw))) * (1 - two ** tail)")],
-        "the failing path of identity-residual-zero: the exact action leaves no residual on "
-        "any word the kind draws"),
+        "the failing path of identity-residual-zero: the kind's g = f(n,1) is central, so "
+        "g^k commutes with every word it draws and the residual is zero by algebra"),
     **dict.fromkeys([
         *_in("boxes.SubdivisionTree.level", "return LevelInfo(tuple(chain), False)"),
         *_in("concat.stride_cascade_lambda",
