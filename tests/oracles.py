@@ -48,6 +48,7 @@ from critreg.lattice import (
     ProductFamily,
     Segment,
     _check_dimension,
+    _geometric_sum_log2,
     log2_add,
     log2_parts,
     mass_le,
@@ -354,8 +355,10 @@ def mass_ratio_log2_unmemoized(family: LengthFamily, region: Box | Segment, boun
 
 def segment_power_log2_unmemoized(family: LengthFamily, seg: Segment, alpha: float) -> float:
     """log2 of the sum of weight^alpha over the segment: on a product family
-    alpha times the scale's and each fixed point's split parts, plus the
-    moving axis' `Axis.power_log2`; on a table the point terms, each
+    alpha times the scale's and each fixed point's split parts, plus every
+    run of the moving axis' `Axis._runs`, each its `_geometric_sum_log2`,
+    joined by log2_add from -inf (not `Axis.power_log2`, so that a shortcut
+    there is checked against the join); on a table the point terms, each
     alpha times the point's split parts, joined by log2_add in the
     segment's order."""
     if not isinstance(family, ProductFamily):
@@ -373,7 +376,12 @@ def segment_power_log2_unmemoized(family: LengthFamily, seg: Segment, alpha: flo
             e, f = ax.point_parts(c)
             m += alpha * (e + f)
     _, lo, hi, s = _axis_ranges(seg)[-1]
-    return m + family.axes[seg.axis].power_log2(lo, hi, s, alpha)
+    ax = family.axes[seg.axis]
+    ce, cf = ax.coef_parts
+    out = -math.inf
+    for e, r, count in ax._runs(lo, hi, s):
+        out = log2_add(out, _geometric_sum_log2(alpha * (e + ce) + alpha * cf, alpha * r, count))
+    return m + out
 
 
 def _tail_log2(x: float, count: int) -> float:
