@@ -143,7 +143,7 @@ def _assemble(
     entries = [legs[0].seg.anchor, *joints]
     exits = [*joints, legs[-1].seg.last() if last_exit is None else last_exit]
     records = tuple(
-        leg._replace(generator=leg.generator or f"f{leg.seg.axis + 1}", entry=entry, exit=exit_)
+        SegmentRecord(*leg[:5], leg.generator or f"f{leg.seg.axis + 1}", entry, exit_)
         for leg, entry, exit_ in zip(legs, entries, exits)
     )
     return ChainCertificate(kind, seq, records, start, levels or {}, notes)
@@ -876,9 +876,9 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
 
     def own_part(i: int, t_hi: int) -> float:
         """Sum of weight^alpha over points 0..t_hi of stretch i."""
-        s = stretches[i]
-        return 2.0 ** family.range_power_log2(Segment(s.anchor, s.axis, t_hi + 1, s.step),
-                                              alphas[s.axis])
+        anchor, axis, _, step = stretches[i]
+        cut = Segment._make((anchor, axis, t_hi + 1, step))  # unchecked: t_hi >= 0
+        return 2.0 ** family.range_power_log2(cut, alphas[axis])
 
     # a stretch owns its points up to the next stretch's start; the last one
     # owns its end point too, and a non-final one-point stretch owns nothing

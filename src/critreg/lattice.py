@@ -95,7 +95,7 @@ class Box(_BoxFields):
             if lo > hi:
                 raise ValueError(f"boxes {self.intervals} and {other.intervals} are disjoint")
             ivs.append((lo, hi))
-        return Box(tuple(ivs))
+        return Box._make((tuple(ivs),))
 
     def fix_axis(self, k: int, value: int) -> "Box":
         lo, hi = self.intervals[k]
@@ -103,7 +103,7 @@ class Box(_BoxFields):
             raise ValueError(f"value {value} outside axis-{k} range [{lo}, {hi}]")
         ivs = list(self.intervals)
         ivs[k] = (value, value)
-        return Box(tuple(ivs))
+        return Box._make((tuple(ivs),))
 
 
 class _SegmentFields(NamedTuple):
@@ -386,17 +386,6 @@ class MassForm(NamedTuple):
         return self.c * Fraction(n, m)
 
 
-def _ranges(region: Box | Segment) -> list[tuple[int, int, int, int]]:
-    """(axis, lo, hi, stride) over a box's axes, or over a segment's fixed
-    axes and then its moving one, the order in which log2 masses are summed;
-    a product family's memo keys."""
-    if isinstance(region, Box):
-        return [(k, lo, hi, 1) for k, (lo, hi) in enumerate(region.intervals)]
-    axis = region.axis
-    fixed = [(k, c, c, 1) for k, c in enumerate(region.anchor) if k != axis]
-    return [*fixed, (axis, *region.axis_values())]
-
-
 class LengthFamily:
     """Summable positive weights on a d-dimensional lattice.
 
@@ -483,21 +472,46 @@ class ProductFamily(LengthFamily):
         return MassForm(self._coef, _product(1, *nums), _product(1, *dens))
 
     def mass_form(self, region: Box | Segment) -> MassForm:
-        return self._form([self.axes[k].form(lo, hi, s) for k, lo, hi, s in _ranges(region)])
+        if isinstance(region, Box):
+            ranges = region.intervals
+        else:
+            ranges = [(c, c) for c in region.anchor]
+            ranges[region.axis] = region.axis_values()
+        return self._form([self.axes[k].form(*r) for k, r in enumerate(ranges)])
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
-        memo = self._memo
+        # memoized axis terms: a box's axes, or a segment's fixed axes then its moving one
+        memo, axes = self._memo, self.axes
         e, f = self._scale_parts
-        for key in _ranges(region):
-            term = memo.get(key, memo)
-            if term is memo:
-                k, lo, hi, s = key
-                term = memo[key] = self.axes[k].log2_parts(lo, hi, s)
-            # a fixed coordinate outside its axis' support leaves no point
-            if term is None:
-                return None
-            e, f = e + term[0], f + term[1]
-        return e, f
+        if isinstance(region, Box):
+            k = 0
+            for lo, hi in region.intervals:
+                key = k, lo, hi, 1
+                term = memo.get(key, memo)
+                if term is memo:
+                    term = memo[key] = axes[k].log2_parts(lo, hi, 1)
+                if term is None:
+                    return None
+                e, f, k = e + term[0], f + term[1], k + 1
+            return e, f
+        anchor, axis = region.anchor, region.axis
+        for k, c in enumerate(anchor):
+            if k != axis:
+                key = k, c, c, 1
+                term = memo.get(key, memo)
+                if term is memo:
+                    term = memo[key] = axes[k].log2_parts(c, c, 1)
+                if term is None:
+                    return None
+                e, f = e + term[0], f + term[1]
+        lo, hi, s = region.axis_values()
+        key = axis, lo, hi, s
+        term = memo.get(key, memo)
+        if term is memo:
+            term = memo[key] = axes[axis].log2_parts(lo, hi, s)
+        if term is None:
+            return None
+        return e + term[0], f + term[1]
 
     def range_power_log2(self, seg: Segment, alpha: float) -> float:
         m, memo = alpha * self.scale_log2, self._memo
@@ -648,7 +662,8 @@ def mass_le(family: LengthFamily, region: Box | Segment, bound: Bound) -> bool:
     apart than MARGIN; otherwise the two `mass_form`s, c * num / den, are
     cross-multiplied into one dyadic sum, whose sign decides at any size.
     """
-    diff = mass_ratio_log2(family, region, bound)
+    e, f = _ratio_parts(family, region, bound)
+    diff = e + f
     if abs(diff) > MARGIN:
         return diff < 0
     q, other = bound
@@ -660,15 +675,15 @@ def mass_le(family: LengthFamily, region: Box | Segment, bound: Bound) -> bool:
 
 
 def translated(region: Box | Segment, axis: int, delta: int) -> Box | Segment:
-    """The box or segment moved by delta along one axis."""
+    """The box or segment moved by delta along one axis.  A move changes no
+    field that the constructors check, so `_make` builds it unchecked."""
     if isinstance(region, Box):
         ivs = list(region.intervals)
         ivs[axis] = (ivs[axis][0] + delta, ivs[axis][1] + delta)
-        return Box(tuple(ivs))
+        return Box._make((tuple(ivs),))
     anchor = list(region.anchor)
     anchor[axis] += delta
-    # count, axis and step do not move, so there is nothing to check again
-    return region._replace(anchor=tuple(anchor))
+    return Segment._make((tuple(anchor), region.axis, region.count, region.step))
 
 
 def _translate_ratios(
