@@ -7,10 +7,11 @@ the package names `critreg_old` and `critreg_new`, which the package's
 relative imports allow, so both run in one interpreter.  Each rep runs
 every line once on each side with `--out`, the two sides interleaved and
 the side that goes first alternating from line to line and from rep to
-rep, and times each call with `time.perf_counter`.  The lines come from
-FILE, one argv line a line, or else from `make_digests.ledger_lines()`;
-they run in a temporary directory that holds the tables of
-`make_digests.TABLES`.
+rep, and times each call with `time.perf_counter`; each side's first call
+pays its lazy imports, which the medians of several reps leave out.  The
+lines come from FILE, one argv line a line, or else from
+`make_digests.ledger_lines()`; they run in a temporary directory that
+holds the tables of `make_digests.TABLES`.
 
 It prints, per side, the median over reps of the summed line time and
 the median and 90th percentile over lines of each line's median time,
