@@ -23,7 +23,8 @@ derived (`measured`, `walk_stretches`), and the Holder exponents are the
 sequence's (`BoxSequence.alphas`).  A power sum is taken over the segment
 it sums (`range_power_log2`), a stretch's first points as the stretch cut
 short.  `CHAINS` names each kind's sequence and builder, and
-`build_chain` checks the sequence once.  `verify_chain` re-decides each
+`build_chain` checks the sequence once, and each entry point checks the
+family's dimension against the boxes once.  `verify_chain` re-decides each
 record's flag on its own segment and bound, and checks that segments lie
 in their boxes, the witness handovers, and that the records fill the
 kind's stages (`stage_counts`).
@@ -195,6 +196,14 @@ def _walk_start(family: LengthFamily, seq: BoxSequence) -> Coords:
     return origin if family.contains(origin) else tuple(iv[0] for iv in seq.boxes[0].intervals)
 
 
+def _check_family(family: LengthFamily, seq: BoxSequence) -> None:
+    """ValueError unless the family lives on the lattice of the sequence's
+    boxes."""
+    dim = seq.boxes[0].dim
+    if family.d != dim:
+        raise ValueError(f"the family is on Z^{family.d}, but the boxes are on Z^{dim}")
+
+
 def walk_stretches(cert: ChainCertificate) -> list[Segment]:
     """The walk as entry-to-exit stretches of the records, after a monotone
     staircase from the walk's start, if any, to the first entry point."""
@@ -217,6 +226,7 @@ def measured(cert: ChainCertificate, family: LengthFamily) -> dict[str, float | 
     ratio of a record's power sum to max(L_n, L_(n+1))^alpha, from the box
     masses L; None past float range.  A record of zero power sum gives
     -inf, and B_log2 is None unless it is finite."""
+    _check_family(family, cert.seq)
     masses = {n: mass_log2(family, cert.seq.box(n)) for n in cert.seq.indices()}
     alphas = [float(a) for a in cert.seq.alphas]
 
@@ -271,6 +281,7 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
     record exits where the next enters.  The walk's box index never falls,
     and its records fill the kind's stages (`stage_counts`), so a
     truncated certificate fails."""
+    _check_family(family, cert.seq)
     recs, indices = cert.records, cert.seq.indices()
     checks = {
         "records": all(mass_le(family, r.seg, r.bound) for r in recs),
@@ -805,12 +816,14 @@ CHAINS = {
 
 def build_chain(kind: str, family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     """Build one of the deterministic concatenated chains over a sequence;
-    ValueError unless the sequence is the one `CHAINS` names for the kind."""
+    ValueError unless the sequence is the one `CHAINS` names for the kind
+    and the family lives on its boxes' lattice."""
     if kind not in CHAINS:
         raise ValueError(f"unknown chain kind {kind!r}")
     seq_kind, d, build = CHAINS[kind]
     if seq.kind != seq_kind or d not in (None, seq.d):
         raise ValueError(f"{kind} needs the {seq_kind} sequence" + (f" with d={d}" if d else ""))
+    _check_family(family, seq)
     return build(family, seq)
 
 
@@ -866,6 +879,7 @@ def distortion_budget(cert: ChainCertificate, family: LengthFamily) -> BudgetRep
     that holds its cut.  Since 0.0 + x == x, every budget is the same
     float as re-summing the stretches from the walk's start.
     """
+    _check_family(family, cert.seq)
     alphas = [float(a) for a in cert.seq.alphas]
     alpha_min = min(alphas)
     stretches = walk_stretches(cert)

@@ -444,6 +444,21 @@ def test_unknown_chain_kind_is_refused():
         build_chain("nope", geometric_family(2), _TABLE_SEQS["B-d2"]())
 
 
+@pytest.mark.parametrize("kind, d", [("B-d2", 3), ("B-d2", 1), ("FF-d3", 3), ("FF-d3", 1)])
+def test_a_family_of_another_dimension_is_refused(kind, d):
+    # B-d2 and FF-d3 boxes lie on Z^2.  A family on Z^3 was read on two of
+    # its axes (on B-d2 at n_max 8: 8 records, verified, A' = 0.663), and one
+    # on Z^1 died of an IndexError
+    seq = _TABLE_SEQS[kind]()
+    cert = build_chain(kind, geometric_family(2), seq)
+    other = geometric_family(d)
+    message = f"^the family is on Z\\^{d}, but the boxes are on Z\\^2$"
+    for call in (lambda: build_chain(kind, other, seq), lambda: verify_chain(cert, other),
+                 lambda: measured(cert, other), lambda: distortion_budget(cert, other)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("d", range(3, 7))
 def test_ff_sequences_carry_the_chain_exponent(d):
     assert build_sequence("FF", d=d, n_max=2).alphas == (Fraction(2, d * (d - 1)),) * (d - 1)
