@@ -21,16 +21,18 @@ README, so nothing under `bench/` is imported at test time.
 - `DYNAMICS_LINES`: k_max around the orbit block and the ends of c and alpha;
 - `IDENTITY_LINES`: every allowed (model, d) at three seeds;
 - `PROBE_LINES`: chains whose `report.json` held Infinity before it was
-  strict JSON.
+  strict JSON;
+- `REACH_LINES`: the reach gate's small runs that no other group holds.
 
 Each group's comment gives its reason.  The lines name the tables by paths
 relative to the directory they run in, so that a report's config block
 does not depend on it; `write_tables` puts them there.
 
 A refusal writes no report, so the ledger cannot pin it.  `REFUSALS` maps
-each argv line that exits 1 to its one `error:` line instead;
-`tests/test_cli.py` checks those lines and `tests/test_reachability.py`
-counts the code they reach.
+each argv line that exits 1 to its one `error:` line instead, and is the
+only place a refusal is pinned: `tests/test_cli.py` holds every line to one
+refusal contract and `tests/test_reachability.py` counts the code they
+reach.
 
 A change that alters a report regenerates the ledger with the first
 command.  Before it writes, the script prints the lines added, removed and
@@ -76,6 +78,16 @@ TABLES = {
     "heavy-endpoint-table.json": json.dumps(
         {f"{i},{j}": "9/10" if (i, j) == (4, 0) else "1/1000"
          for i in range(5) for j in range(5 - i)}),
+    # the simplex table's weights over 2^6, on the points with i + j <= 6: a
+    # total mass below 1, where lemma 1's B takes its root branch
+    "light-simplex-table.json": json.dumps(
+        {f"{i},{j}": f"{1 + (3 * i + 5 * j) % 7}/{2 ** (i + j + 6)}"
+         for i in range(7) for j in range(7 - i)}),
+    # the simplex table's weights on the 9x9 square, which a B-d2 chain of
+    # n_max 4 does not leave
+    "plane-table.json": json.dumps(
+        {f"{i},{j}": f"{1 + (3 * i + 5 * j) % 7}/{2 ** (i + j)}"
+         for i in range(9) for j in range(9)}),
 }
 
 CAP_LINES = (
@@ -158,8 +170,51 @@ PROBE_LINES = (
     "chain-b --d 2 --alpha 1/3,2/3 --n-max 110",
 )
 
+# the small runs of every kind that the reach gate (tests/test_reachability.py)
+# traces and no other group holds: the symmetric family, both lemma1 B
+# branches, boxes of every builder (the ceiling of an inexact root at
+# 1/5,2/5,2/5, and roots so large that their Newton start is a left shift at
+# n_max 200), chains on each family kind, FF-general at exit 2 (B_log2 2^23
+# at n_max 40, B past float range: rounding noise, ROADMAP item 19), both
+# identity models and dynamics
+REACH_LINES = (
+    "lemma1 --d 2 --family symmetric-geometric --n-max 4 --samples 5",
+    "lemma1 --d 2 --family custom-file --family-file light-simplex-table.json --n-max 6"
+    " --samples 5",
+    "boxes --d 3 --n-max 4",
+    "boxes --d 3 --alpha 1/5,2/5,2/5 --n-max 60",
+    "boxes --d 2 --variant B-d2 --alpha 1/3,2/3 --n-max 200",
+    "chain-b --d 2 --alpha 1/2,1/2 --family symmetric-geometric --n-max 5",
+    "chain-b --d 2 --alpha 1/2,1/2 --family custom-file --family-file plane-table.json"
+    " --n-max 4",
+    "chain-ff --d 3 --n-max 6",
+    "chain-ff --d 4 --n-max 7",
+    "chain-ff --d 4 --n-max 40",
+    "identity --d 2 --variant ff --samples 4",
+    "identity --d 2 --samples 4",
+    "dynamics --k-max 20",
+)
 
-# the files that REFUSALS name: the tables and inputs that are usage errors
+
+def _triangle(size: int, weight: str) -> str:
+    """A family file on Z^2 of one weight at the points with i + j < size."""
+    return json.dumps({f"{i},{j}": weight for i in range(size) for j in range(size - i)})
+
+
+# the JSON members "i,j": 1 of the points of Z^2 with i + j <= 10, which a
+# lemma1 walk of the default n_max (10) can reach
+_ORTHANT_10 = ", ".join(f'"{i},{j}": 1' for i in range(11) for j in range(11 - i))
+
+# a report whose one row's value is a JSON constant that no writer emits
+_ROW_VALUE_REPORT = ('{"rows": [{"check": "x", "passed": true, "value": %s, "bound": 1,'
+                     ' "note": ""}], "passed": true}')
+
+_NOT_A_REPORT = ("is not a report: needs 'passed' and 'rows', a nonempty list of objects"
+                 " with check, passed (true or false), value and bound")
+
+# the files that REFUSALS name: the tables, and the config, family and report
+# files and the regular file that are usage errors.  No file is named
+# missing.json
 REFUSAL_FILES = {
     **TABLES,
     "unread-key.json": '{"n_max": 5}',
@@ -176,24 +231,98 @@ REFUSAL_FILES = {
     "underscore-key-table.json": '{"1_0,0": "1/2", "0,0": "1/4", "0,1": "1/8"}',
     "huge-mass-table.json": '{"0,0": "1e400", "1,0": "1", "0,1": "1"}',
     "list-report.json": "[]",
+    # read as a config, a family file or a report: no JSON, and no object
+    "not-json.json": "not json {",
+    "number-list.json": "[1, 2]",
+    # config files: keys the kind does not read, another kind, and values of
+    # the wrong type or outside their choices
+    "k-max-key.json": '{"k_max": 5}',
+    "out-key.json": '{"out": "x"}',
+    "boxes-kind.json": '{"kind": "boxes"}',
+    "bool-samples.json": '{"samples": true}',
+    "unknown-family.json": '{"family": "cubic"}',
+    "string-alphas.json": '{"alphas": "1/2,1/2"}',
+    "zero-first-alpha.json": '{"alphas": ["1/0", "1/2"]}',
+    "zero-second-alpha.json": '{"alphas": ["1/2", "1/0"], "d": 2}',
+    # config files whose exponents do not fit their d
+    "b-general-d2.json": '{"d": 2, "variant": "B-general", "alphas": ["1/3", "1/3", "1/3"]}',
+    "b-d2-d3.json": '{"d": 3, "variant": "B-d2", "alphas": ["1/2", "1/2"]}',
+    "b-d2-d5.json": '{"d": 5, "variant": "B-d2", "alphas": ["1/2", "1/2"]}',
+    "ff-alphas.json": '{"d": 3, "variant": "FF", "alphas": ["1/2", "1/2"]}',
+    # family files: a weight past float range either way on |v| <= 7, so that
+    # B or L/A_d leaves it, or one whose cost bound B * log2(6)^(1/2) alone
+    # overflows; a table on Z^3; weights that are no finite rational; keys
+    # that are no index, or name one index twice
+    "large-weight-table.json": _triangle(8, "1e400"),
+    "small-weight-table.json": _triangle(8, "1e-400"),
+    "cost-overflow-table.json": _triangle(8, "1.5e306"),
+    "cube-table.json": json.dumps({f"{i},{j},{k}": "1/64"
+                                   for i in range(4) for j in range(4) for k in range(4)}),
+    "list-weight-table.json": '{"1,2": [1]}',
+    "object-weight-table.json": '{"1,2": {"w": 1}}',
+    "bool-weight-table.json": '{"1,2": true}',
+    "null-weight-table.json": '{"1,2": null}',
+    "word-weight-table.json": '{"1,2": "abc"}',
+    "zero-denominator-table.json": '{"1,2": "1/0"}',
+    "infinite-weight-table.json": '{"1,2": Infinity}',
+    "nan-weight-table.json": '{"1,2": NaN}',
+    "letter-key-table.json": '{"a,2": 1}',
+    "empty-key-table.json": '{"": 1}',
+    "twice-key-table.json": '{"1,2": 1, "1,2": 2}',
+    "spaced-key-table.json": '{"1,2": 1, " 1,2 ": 2}',
+    # keys that int() reads as (11, 0) and (12, 0), beside every point that
+    # a walk of length 10 can reach
+    "orthant-underscore-key-table.json": f'{{{_ORTHANT_10}, "1_1,0": 1}}',
+    "orthant-full-width-key-table.json": f'{{{_ORTHANT_10}, "\\uff11\\uff12,0": 1}}',
+    # reports: rows that are no list of rows, a missing verdict, no rows, a
+    # verdict that is no bool or that its rows contradict, and values that
+    # no writer emits
+    "number-rows-report.json": '{"rows": 3, "passed": true}',
+    "number-row-report.json": '{"rows": [1], "passed": true}',
+    "short-row-report.json": '{"rows": [{"check": "x"}], "passed": true}',
+    "no-verdict-report.json": '{"rows": []}',
+    "no-rows-report.json": '{"rows": [], "passed": true}',
+    "string-verdict-report.json": '{"rows": [{"check": "x", "passed": "false", "value": 1,'
+                                  ' "bound": 0}], "passed": true}',
+    "contradicted-report.json": '{"rows": [{"check": "budget-ratio-spread", "passed": false,'
+                                ' "value": 2.5, "bound": 2.0}], "passed": true}',
+    "infinity-value-report.json": _ROW_VALUE_REPORT % "Infinity",
+    "minus-infinity-value-report.json": _ROW_VALUE_REPORT % "-Infinity",
+    "nan-value-report.json": _ROW_VALUE_REPORT % "NaN",
 }
 
-# argv lines (shell-quoted) that exit 1, run in a directory that holds
-# REFUSAL_FILES, and their error line after "error: ": a string, or a pattern
-# where argparse, numpy or the OS words part of it.  Among them: parser
-# errors, an empty --out and --config, an unread flag or config key, config
-# values of the wrong type, exponents that are no rational (as flags and as
-# config values), outside (0, 1] or past float range either way, negative
-# values in exponent notation, a family file without --family custom-file (as
-# a flag and as a config key), a translation model past Z^6, an --out under a
-# regular file, sequences too short to measure, a B-d2 sequence at alpha
-# 1/1000 (whose roots start past float range), a lemma1 table that a walk
-# can leave, a stepped lemma1 batch or a dynamics orbit of 10^17 samples
-# (refused before anything is allocated), exponents or variants that do not
-# fit --d, dynamics parameters outside their range, a lemma1 table whose
-# mass leaves float range either way, a table that names one index twice
-# and one whose key `int()` reads but that is not ASCII digits, and a report
-# that is not strict JSON and one that is not a JSON object
+# Every argv line (shell-quoted) that exits 1, run in a directory that holds
+# REFUSAL_FILES, and its error line after "error: ": a string, or a pattern
+# where argparse, numpy or the OS words part of it.  This is the one place
+# that pins a refusal: `TestFlags::test_usage_errors_exit_one` in
+# tests/test_cli.py holds each line to the refusal contract (exit 1; stderr
+# is the parser's usage message when the parser refuses, then one error:
+# line, this one; stdout is empty but on WRITE_REFUSALS; the directory keeps
+# exactly REFUSAL_FILES), and tests/test_reachability.py counts the code the
+# lines reach.  Among them:
+# - parser errors: a missing or unknown kind, an unknown flag or a flag of
+#   another kind (after a small run of each kind), a value of the wrong type;
+# - paths: an empty --out or --config, a missing config, family or report
+#   file, and an --out under a regular file;
+# - config files: no JSON, no object, a key the kind does not read, another
+#   kind, values of the wrong type or outside their choices;
+# - exponents that are no rational, outside (0, 1] or past float range
+#   either way, negative values in exponent notation, as flags and as config
+#   values; exponents, variants or a translation model that do not fit --d,
+#   as flags and as config values; dynamics parameters outside their range;
+# - sequences too short to measure, a B-d2 sequence at alpha 1/1000 (whose
+#   roots start past float range);
+# - family files: given without --family custom-file (as a flag and as a
+#   config key), on another lattice than the kind's, with weights that are no
+#   finite rational, keys that are no index (among them keys `int()` reads
+#   but that are not ASCII digits), one index named twice, a table that a
+#   lemma1 walk can leave, and a lemma1 table whose mass or cost bounds
+#   leave float range;
+# - a stepped lemma1 batch or a dynamics orbit of 10^17 samples (refused
+#   before anything is allocated);
+# - reports that are no JSON, not strict JSON, no JSON object, hold no
+#   rows or malformed ones, or a verdict that is no bool or that its rows
+#   contradict.
 REFUSALS = {
     "lemma1 --bogus 1": "unrecognized arguments: --bogus 1",
     "": "the following arguments are required: command",
@@ -259,9 +388,129 @@ REFUSALS = {
     "lemma1 --d 2 --family custom-file --family-file underscore-key-table.json --n-max 1":
         "underscore-key-table.json: key '1_0,0' is not comma-separated integers",
     "report infinite-passed.json": "infinite-passed.json is not strict JSON: it holds Infinity",
-    "report list-report.json": "list-report.json is not a report: needs 'passed' and 'rows', a"
-    " nonempty list of objects with check, passed (true or false), value and bound",
+    "lemma1 --d 40": "d outside the supported range",
+    "dynamics --k-max 20 --config ''": "--config needs a file path, not an empty string",
+    # a flag of another kind after a small run of each kind
+    "lemma1 --d 2 --n-max 20 --samples 30 --seed 4 --alpha 1/2,1/2 --out rep":
+        "unrecognized arguments: --alpha 1/2,1/2",
+    "boxes --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 8 --family geometric --out rep":
+        "unrecognized arguments: --family geometric",
+    "chain-b --d 3 --variant B-d3 --n-max 6 --seed 3 --out rep": "unrecognized arguments: --seed 3",
+    "chain-ff --d 3 --family symmetric-geometric --n-max 9 --alpha 1/3,1/3,1/3 --out rep":
+        "unrecognized arguments: --alpha 1/3,1/3,1/3",
+    "identity --d 2 --variant ff --samples 5 --seed 2 --n-max 5 --out rep":
+        "unrecognized arguments: --n-max 5",
+    "dynamics --c-param 1.5 --alpha-holder 1/3 --k-max 40 --d 5 --out rep":
+        "unrecognized arguments: --d 5",
+    # exponents
+    "chain-b --d 2 --alpha 1/2,1/0": "alpha '1/0' is not a rational",
+    "dynamics --alpha-holder half": "alpha-holder 'half' is not a rational",
+    **dict.fromkeys([f"dynamics --alpha-holder {a}" for a in ("2", "-1", "0")],
+                    "exponent must lie in (0, 1]"),
+    "chain-b --d 2 --variant B-general --alpha 1/3,1/3,1/3 --n-max 6 --out rep":
+        "3 exponents give a 3-dimensional B-general sequence, not d = 2",
+    "chain-b --config b-general-d2.json --n-max 6 --out rep":
+        "3 exponents give a 3-dimensional B-general sequence, not d = 2",
+    "chain-b --d 3 --variant B-d2 --alpha 1/2,1/2 --n-max 6 --out rep":
+        "2 exponents give a 2-dimensional B-d2 sequence, not d = 3",
+    "chain-b --config b-d2-d3.json --n-max 6 --out rep":
+        "2 exponents give a 2-dimensional B-d2 sequence, not d = 3",
+    "boxes --d 5 --variant B-d2 --alpha 1/2,1/2 --n-max 6 --out rep":
+        "2 exponents give a 2-dimensional B-d2 sequence, not d = 5",
+    "boxes --config b-d2-d5.json --n-max 6 --out rep":
+        "2 exponents give a 2-dimensional B-d2 sequence, not d = 5",
+    "boxes --d 3 --variant FF --alpha 1/2,1/2 --n-max 6 --out rep":
+        "FF takes no exponents, got 2 at d = 3",
+    "boxes --config ff-alphas.json --n-max 6 --out rep": "FF takes no exponents, got 2 at d = 3",
+    # two exponents do not fit d = 3 either, but the builder names them first
+    "chain-b --d 3 --variant B-general --alpha 1/2,1/2":
+        "B-general needs d >= 3 (use B-d2 for two factors)",
+    "boxes --d 2 --variant B-d2 --alpha 1/1000,999/1000 --n-max 1 --out rep":
+        "sequence too short to measure the retention constant",
+    # variants
+    **dict.fromkeys([f"chain-ff --variant {v} --n-max 8 --out rep" for v in ("B-d2", "nope")],
+                    "chain-ff variants: FF-d3, FF-general"),
+    "chain-ff --d 4 --variant FF-d3 --n-max 8 --out rep": "FF-d3 needs the FF sequence with d=3",
+    "chain-b --d 3 --variant FF-d3 --n-max 8 --out rep": "chain-b variants: B-d2, B-d3, B-general",
+    "chain-b --d 4 --variant B-d3 --n-max 8 --out rep":
+        "B-d3 needs the B-general sequence with d=3",
+    # config files
+    "lemma1 --config missing.json": "[Errno 2] No such file or directory: 'missing.json'",
+    "lemma1 --config not-json.json": "Expecting value: line 1 column 1 (char 0)",
+    "lemma1 --config number-list.json": "the config file must hold a JSON object",
+    "lemma1 --config k-max-key.json": "lemma1 does not read config keys k_max",
+    "lemma1 --config out-key.json": "lemma1 does not read config keys out",
+    "lemma1 --config boxes-kind.json": "the config file is for kind 'boxes', not 'lemma1'",
+    "lemma1 --config bool-samples.json": "config value samples=true is not an integer",
+    "lemma1 --config unknown-family.json": 'config value family="cubic" is not one of geometric,'
+    " symmetric-geometric, custom-file",
+    "boxes --config string-alphas.json": 'config value alphas="1/2,1/2" is not a list of strings',
+    "boxes --config zero-first-alpha.json": "alpha '1/0' is not a rational",
+    "chain-b --config zero-second-alpha.json": "alpha '1/0' is not a rational",
+    # family files
+    "lemma1 --d 2 --n-max 5 --samples 10 --family-file plane-table.json":
+        "--family-file needs --family custom-file",
+    "lemma1 --d 2 --n-max 5 --samples 10 --config family-file-key.json":
+        "--family-file needs --family custom-file",
+    "lemma1 --d 3 --family custom-file --family-file plane-table.json":
+        "the family file's table is on Z^2, not Z^3",
+    "chain-b --d 3 --variant B-d3 --n-max 5 --family custom-file --family-file plane-table.json":
+        "the family file's table is on Z^2, not Z^3",
+    "chain-b --d 2 --n-max 4 --family custom-file --family-file cube-table.json":
+        "the family file's table is on Z^3, not Z^2",
+    "chain-ff --d 3 --n-max 6 --family custom-file --family-file cube-table.json":
+        "the family file's table is on Z^3, not Z^2",
+    **{f"lemma1 --d 2 --family custom-file --family-file {name}": error for name, error in {
+        "missing.json": "[Errno 2] No such file or directory: 'missing.json'",
+        "not-json.json": "Expecting value: line 1 column 1 (char 0)",
+        "number-list.json": "number-list.json must hold a JSON object of index -> weight",
+        **{name: f"{name}: weight of '1,2' is not a number or a rational"
+           for name in ("list-weight-table.json", "object-weight-table.json",
+                        "bool-weight-table.json", "null-weight-table.json")},
+        "word-weight-table.json": "word-weight-table.json: weight 'abc' of '1,2' is not a finite"
+        " rational",
+        "zero-denominator-table.json": "zero-denominator-table.json: weight '1/0' of '1,2' is not"
+        " a finite rational",
+        "infinite-weight-table.json": "infinite-weight-table.json: weight inf of '1,2' is not a"
+        " finite rational",
+        "nan-weight-table.json": "nan-weight-table.json: weight nan of '1,2' is not a finite"
+        " rational",
+        "letter-key-table.json": "letter-key-table.json: key 'a,2' is not comma-separated integers",
+        "empty-key-table.json": "empty-key-table.json: key '' is not comma-separated integers",
+        "twice-key-table.json": "twice-key-table.json: index (1, 2) is named twice, again as key"
+        " '1,2'",
+        "spaced-key-table.json": "spaced-key-table.json: index (1, 2) is named twice, again as"
+        " key ' 1,2 '",
+        "orthant-underscore-key-table.json": "orthant-underscore-key-table.json: key '1_1,0' is"
+        " not comma-separated integers",
+        "orthant-full-width-key-table.json": "orthant-full-width-key-table.json: key"
+        " '\uff11\uff12,0' is not comma-separated integers",
+    }.items()},
+    **{f"lemma1 --d 2 --family custom-file --family-file {size}-weight-table.json --n-max 5"
+       " --samples 5 --out rep": "lemma 1's bound B needs L/A_d in the normal float range; the"
+       f" family's total mass L is too {size}" for size in ("large", "small")},
+    **dict.fromkeys(["lemma1 --d 2 --family custom-file --family-file cost-overflow-table.json"
+                     f" --n-max 5 --samples 5{out}" for out in ("", " --out rep")],
+                    "lemma 1's cost bounds are past float range; the family's total mass L is"
+                    " too large"),
+    # reports
+    "report missing.json": "[Errno 2] No such file or directory: 'missing.json'",
+    "report not-json.json": "Expecting value: line 1 column 1 (char 0)",
+    **{f"report {name}": f"{name} {_NOT_A_REPORT}"
+       for name in ("list-report.json", "number-rows-report.json", "number-row-report.json",
+                    "short-row-report.json", "no-verdict-report.json", "no-rows-report.json",
+                    "string-verdict-report.json")},
+    "report contradicted-report.json":
+        "contradicted-report.json: 'passed' is not the verdict of its rows",
+    **{f"report {name}-value-report.json": f"{name}-value-report.json is not strict JSON: it"
+       f" holds {constant}" for name, constant in (("infinity", "Infinity"),
+                                                  ("minus-infinity", "-Infinity"),
+                                                  ("nan", "NaN"))},
 }
+
+# the REFUSALS lines whose error is the failed write of the report: the run
+# prints its rows, and no "report written" line, before the write fails
+WRITE_REFUSALS = ("dynamics --k-max 20 --out regular-file/sub",)
 
 
 def write_tables(directory: Path) -> None:
@@ -292,7 +541,7 @@ def ledger_lines() -> list[str]:
              if op.argv]
     lines += [text for _, text in workloads.README_LINES]
     lines += [*CAP_LINES, *CHAIN_LINES, *SEARCH_FAILURE_LINES, *TABLE_LINES, *LEMMA1_LINES,
-              *DYNAMICS_LINES, *IDENTITY_LINES, *PROBE_LINES]
+              *DYNAMICS_LINES, *IDENTITY_LINES, *PROBE_LINES, *REACH_LINES]
     return list(dict.fromkeys(lines))
 
 

@@ -2,9 +2,12 @@
 benchmark input, or is a raise or listed with a reason; so does every arm
 of an expression in a statement that runs.
 
-The runs are a small config set of every kind (plus `report` and exit-2 and
-exit-3 runs), every refusal of `make_digests.REFUSALS` and the benchmark's
-two direct library calls, all in process under one `sys.settrace` pass.  A
+The runs are ledger lines of every kind (`make_digests.REACH_LINES` and a
+few lines of other groups, exit codes 0, 2 and 3, each expected to exit as
+`tests/digests.json` pins it), the runs no ledger line can be (a config
+file, and `critreg report`), every refusal of `make_digests.REFUSALS` and
+the benchmark's two direct library calls, all in process under one
+`sys.settrace` pass.  A
 statement counts as reached when a line event fires on any line of its
 span, so Python 3.10 and 3.11 agree.  Module and class bodies run at import
 and are left out, and so are docstrings.
@@ -40,7 +43,7 @@ import pytest
 import critreg
 from critreg import boxes, cli, concat, lattice
 
-from make_digests import REFUSAL_FILES, REFUSALS
+from make_digests import LEDGER, REACH_LINES, REFUSAL_FILES, REFUSALS
 
 SRC = Path(critreg.__file__).resolve().parent
 # the arm check maps executed instructions to source spans with
@@ -232,55 +235,45 @@ def unreached_arms(source: str, stem: str, ran: set[tuple]) -> list[tuple[str, s
             for arm in arms(node) if not reached(arm)]
 
 
+# the ledger lines the gate runs, each with the --out directory it writes
+# or None: REACH_LINES, and these lines of other groups
+GATE_LINES = {
+    **dict.fromkeys(REACH_LINES),
+    # the one walk ends on the heavy point (4, 0): no certified sample
+    "lemma1 --d 2 --family custom-file --family-file heavy-endpoint-table.json --n-max 4"
+    " --samples 1 --seed 6": None,
+    "boxes --d 3 --variant FF --n-max 4": None,
+    "boxes --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 6": None,
+    "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 6": None,
+    # a table without weight where the walk runs: every mass is zero
+    "chain-b --d 2 --alpha 1/2,1/2 --family custom-file --family-file far-block-table.json"
+    " --n-max 6": None,
+    "chain-b --d 3 --variant B-d3 --n-max 5": None,
+    "chain-b --d 3 --variant B-general --n-max 5": None,
+    # a chain too short for a fit (exit 2), whose report a `report` run reads
+    "chain-b --d 2 --alpha 1/2,1/2 --n-max 2": "fit-empty",
+    # a search failure's report
+    "chain-ff --d 3 --n-max 2": "exit3",
+}
+
+
+def ledger_runs() -> list[tuple[str, int]]:
+    """(argv line, pinned exit code) of each of GATE_LINES."""
+    pins = json.loads(LEDGER.read_text())
+    return [(line if out is None else f"{line} --out {out}", pins[line]["exit"])
+            for line, out in GATE_LINES.items()]
+
+
 def kind_runs(tmp: Path) -> list[tuple[str, int]]:
-    """(argv line, expected exit code) of the config set, every kind at a
-    small size, run in tmp, which holds REFUSAL_FILES."""
-    files = {
-        # a table of total mass below 1, where lemma 1's B takes its root branch
-        "simplex.json": {f"{i},{j}": f"{1 + (3 * i + 5 * j) % 7}/{2 ** (i + j + 6)}"
-                         for i in range(7) for j in range(7 - i)},
-        "plane.json": {f"{i},{j}": f"{1 + (3 * i + 5 * j) % 7}/{2 ** (i + j)}"
-                       for i in range(9) for j in range(9)},
-        "lemma1.json": {"d": 2, "n_max": 4, "samples": 5, "seed": 3, "family_file": None},
-    }
-    for name, data in files.items():
-        (tmp / name).write_text(json.dumps(data))
+    """(argv line, expected exit code) of the runs that no ledger line can
+    be, run in tmp after the ledger runs: a config file and a report in the
+    working directory, and `critreg report` on two reports."""
+    config = {"d": 2, "n_max": 4, "samples": 5, "seed": 3, "family_file": None}
+    (tmp / "lemma1.json").write_text(json.dumps(config))
     return [
-        # a report in the working directory and one under a directory
         ("lemma1 --config lemma1.json --out .", 0),
-        ("lemma1 --d 2 --family symmetric-geometric --n-max 4 --samples 5", 0),
-        ("lemma1 --d 2 --family custom-file --family-file simplex.json --n-max 6 --samples 5", 0),
-        # the one walk ends on the heavy point (4, 0): no certified sample
-        ("lemma1 --d 2 --family custom-file --family-file heavy-endpoint-table.json --n-max 4"
-         " --samples 1 --seed 6", 2),
-        ("boxes --d 3 --variant FF --n-max 4", 0),
-        ("boxes --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 6", 0),
-        ("boxes --d 3 --n-max 4", 0),
-        # the ceiling of an inexact root, and a root so large that its
-        # Newton start is a left shift
-        ("boxes --d 3 --alpha 1/5,2/5,2/5 --n-max 60", 0),
-        ("boxes --d 2 --variant B-d2 --alpha 1/3,2/3 --n-max 200", 0),
-        ("chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 6", 0),
-        ("chain-b --d 2 --alpha 1/2,1/2 --family symmetric-geometric --n-max 5", 0),
-        ("chain-b --d 2 --alpha 1/2,1/2 --family custom-file --family-file plane.json"
-         " --n-max 4", 0),
-        # a table without weight where the walk runs: every mass is zero
-        ("chain-b --d 2 --alpha 1/2,1/2 --family custom-file --family-file"
-         " far-block-table.json --n-max 6", 2),
-        ("chain-b --d 3 --variant B-d3 --n-max 5", 0),
-        ("chain-b --d 3 --variant B-general --n-max 5", 0),
-        ("chain-ff --d 3 --n-max 6", 0),
-        ("chain-ff --d 4 --n-max 7", 2),
-        # a B_log2 of 2^23, B past float range (rounding noise, ROADMAP item 19)
-        ("chain-ff --d 4 --n-max 40", 2),
-        ("identity --d 2 --variant ff --samples 4", 0),
-        ("identity --d 2 --samples 4", 0),
-        ("dynamics --k-max 20", 0),
         ("report report.json", 0),
-        # a chain too short for a fit (exit 2), and its failing report
-        ("chain-b --d 2 --alpha 1/2,1/2 --n-max 2 --out fit-empty", 2),
         ("report fit-empty/report.json", 2),
-        ("chain-ff --d 3 --n-max 2 --out exit3", 3),
     ]
 
 
@@ -333,7 +326,7 @@ def trace_runs(tmp: Path) -> Traffic:
 
     for name, text in REFUSAL_FILES.items():
         (tmp / name).write_text(text)
-    runs = [*kind_runs(tmp), *((line, 1) for line in REFUSALS)]
+    runs = [*ledger_runs(), *kind_runs(tmp), *((line, 1) for line in REFUSALS)]
     codes = []
     here, argv = os.getcwd(), sys.argv
     os.chdir(tmp)

@@ -310,13 +310,6 @@ def raising(name):
     return fail
 
 
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-
-
 class TestBatch:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 7, 200])
