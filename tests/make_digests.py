@@ -171,12 +171,13 @@ PROBE_LINES = (
 )
 
 # the small runs of every kind that the reach gate (tests/test_reachability.py)
-# traces and no other group holds: the symmetric family, both lemma1 B
-# branches, boxes of every builder (the ceiling of an inexact root at
-# 1/5,2/5,2/5, and roots so large that their Newton start is a left shift at
-# n_max 200), chains on each family kind, FF-general at exit 2 (B_log2 2^23
-# at n_max 40, B past float range: rounding noise, ROADMAP item 19), both
-# identity models and dynamics
+# traces and no other group holds: lemma1 on the symmetric family and on a
+# table of total mass below 1 (where lemma 1's B takes its root branch), B
+# boxes (the ceiling of an inexact root at 1/5,2/5,2/5, and roots so large
+# that their Newton start is a left shift at n_max 200), B-d2 chains on the
+# symmetric family and on a table, FF chains up to FF-general at exit 2
+# (B_log2 2^23 at n_max 40, B past float range: rounding noise, ROADMAP item
+# 19), both identity models and dynamics
 REACH_LINES = (
     "lemma1 --d 2 --family symmetric-geometric --n-max 4 --samples 5",
     "lemma1 --d 2 --family custom-file --family-file light-simplex-table.json --n-max 6"
