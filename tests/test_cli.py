@@ -70,6 +70,27 @@ def _refused(line: str, capsys) -> None:
         assert out == ""
 
 
+def _held(lines):
+    """A refusal test whose inputs are REFUSALS lines, under its old name
+    and ids: it checks that they are still REFUSALS lines, which
+    `TestFlags::test_usage_errors_exit_one` holds to the refusal contract,
+    so that none of them leaves the table unseen.  lines is a tuple of
+    lines, or maps each id of the old test to its line."""
+    if isinstance(lines, tuple):
+        def test(self):
+            assert set(lines) <= REFUSALS.keys()
+        return test
+
+    @pytest.mark.parametrize("line", list(lines.values()), ids=list(lines))
+    def test(self, line):
+        assert line in REFUSALS
+    return test
+
+
+_COST = ("lemma1 --d 2 --family custom-file --family-file cost-overflow-table.json --n-max 5"
+         " --samples 5")
+
+
 def _cfg(**kw):
     base = dict(kind="dynamics", k_max=200, seed=3, samples=50)
     base.update(kw)
@@ -208,6 +229,22 @@ class TestRun:
             run(_cfg(kind="nonsense"))
         with pytest.raises(ConfigError):
             run(_cfg(kind="lemma1", d=40))
+
+    test_lemma1_mass_outside_float_range_exits_one = _held({
+        f"{weight}-{size}": "lemma1 --d 2 --family custom-file --family-file"
+        f" {size}-weight-table.json --n-max 5 --samples 5 --out rep"
+        for weight, size in (("1e400", "large"), ("1e-400", "small"))})
+    test_lemma1_cost_bound_past_float_range_exits_one = _held({
+        "False": _COST, "True": f"{_COST} --out rep"})
+    test_lemma1_family_file_of_another_dimension_exits_one = _held((
+        "lemma1 --d 3 --family custom-file --family-file plane-table.json",
+        "chain-b --d 3 --variant B-d3 --n-max 5 --family custom-file --family-file"
+        " plane-table.json",
+        "chain-b --d 2 --n-max 4 --family custom-file --family-file cube-table.json",
+        "chain-ff --d 3 --n-max 6 --family custom-file --family-file cube-table.json"))
+    test_family_file_without_custom_file_exits_one = _held({
+        "flag": "lemma1 --d 2 --n-max 5 --samples 10 --family-file plane-table.json",
+        "config": "lemma1 --d 2 --n-max 5 --samples 10 --config family-file-key.json"})
 
 
 class TestDeterminism:
@@ -600,6 +637,74 @@ class TestMain:
             _read_table(str(p))
         assert str(info.value) == f"{p}: index (0, 0) is named twice, again as key {key!r}"
 
+    test_translation_names_its_dimension_limit = _held(("identity --d 6 --variant translation",))
+    test_planar_takes_two_exponents = _held(("boxes --d 2 --variant B-d2 --alpha 1/3,1/3,1/3",))
+    test_exponents_must_fit_the_dimension = _held({
+        f"{form}-{case}-{REFUSALS[line]}": line
+        for form, lines in (
+            ("flag", ("chain-b --d 2 --variant B-general --alpha 1/3,1/3,1/3",
+                      "chain-b --d 3 --variant B-d2 --alpha 1/2,1/2",
+                      "boxes --d 5 --variant B-d2 --alpha 1/2,1/2",
+                      "boxes --d 3 --variant FF --alpha 1/2,1/2")),
+            ("config", ("chain-b --config b-general-d2.json", "chain-b --config b-d2-d3.json",
+                        "boxes --config b-d2-d5.json", "boxes --config ff-alphas.json")))
+        for case, line in zip(("chain-b-2-B-general-alphas0", "chain-b-3-B-d2-alphas1",
+                               "boxes-5-B-d2-alphas2", "boxes-3-FF-alphas3"),
+                              (f"{argv} --n-max 6 --out rep" for argv in lines))})
+    test_general_sequence_message_comes_first = _held((
+        "chain-b --d 3 --variant B-general --alpha 1/2,1/2",))
+    test_chain_runners_name_their_variants = _held({
+        f"argv{k}-{REFUSALS[line]}": line for k, line in enumerate(
+            f"{argv} --n-max 8 --out rep" for argv in (
+                "chain-ff --variant B-d2", "chain-ff --variant nope",
+                "chain-ff --d 4 --variant FF-d3", "chain-b --d 3 --variant FF-d3",
+                "chain-b --d 4 --variant B-d3"))})
+    # the ids are the file contents the old tests wrote
+    test_bad_report_file_exits_one = _held({
+        key: f"report {name}" for key, name in (
+            ("None", "missing.json"), ("not json {", "not-json.json"),
+            ('{"rows": 3, "passed": true}', "number-rows-report.json"),
+            ('{"rows": [1], "passed": true}', "number-row-report.json"),
+            ('{"rows": [{"check": "x"}], "passed": true}', "short-row-report.json"),
+            ('{"rows": []}', "no-verdict-report.json"), ("[]", "list-report.json"),
+            ('{"rows": [{"check": "budget-ratio-spread", "passed": false, "value": 2.5,'
+             ' "bound": 2.0}], "passed": true}', "contradicted-report.json"),
+            ('{"rows": [], "passed": true}', "no-rows-report.json"),
+            ('{"rows": [{"check": "x", "passed": "false", "value": 1, "bound": 0}],'
+             ' "passed": true}', "string-verdict-report.json"))})
+    test_report_that_is_not_strict_json_exits_one = _held({
+        constant: f"report {name}-value-report.json" for constant, name in (
+            ("Infinity", "infinity"), ("-Infinity", "minus-infinity"), ("NaN", "nan"))})
+    test_bad_family_file_exits_one = _held({
+        key: f"lemma1 --d 2 --family custom-file --family-file {name}" for key, name in (
+            ("None", "missing.json"), ("not json {", "not-json.json"),
+            ("[1, 2]", "number-list.json"), ('{"1,2": [1]}', "list-weight-table.json"),
+            ('{"1,2": {"w": 1}}', "object-weight-table.json"),
+            ('{"1,2": true}', "bool-weight-table.json"),
+            ('{"1,2": null}', "null-weight-table.json"), ('{"a,2": 1}', "letter-key-table.json"),
+            ('{"": 1}', "empty-key-table.json"), ('{"1,2": "abc"}', "word-weight-table.json"),
+            ('{"1,2": "1/0"}', "zero-denominator-table.json"),
+            ('{"1,2": Infinity}', "infinite-weight-table.json"),
+            ('{"1,2": NaN}', "nan-weight-table.json"),
+            ('{"1,2": 1, "1,2": 2}', "twice-key-table.json"),
+            ('{"1,2": 1, " 1,2 ": 2}', "spaced-key-table.json"),
+            ("underscore-key", "orthant-underscore-key-table.json"),
+            ("full-width-key", "orthant-full-width-key-table.json"))})
+    test_bad_config_file_exits_one = _held({
+        key: f"{kind} --config {name}" for key, kind, name in (
+            ("None", "lemma1", "missing.json"), ("not json {", "lemma1", "not-json.json"),
+            ("[1, 2]", "lemma1", "number-list.json"), ('{"k_max": 5}', "lemma1", "k-max-key.json"),
+            ('{"out": "x"}', "lemma1", "out-key.json"),
+            ('{"kind": "boxes"}', "lemma1", "boxes-kind.json"),
+            ('{"n_max": "5"}', "lemma1", "string-n-max.json"),
+            ('{"d": 2.5}', "lemma1", "float-d.json"),
+            ('{"c_param": "x"}', "dynamics", "string-c-param.json"),
+            ('{"samples": true}', "lemma1", "bool-samples.json"),
+            ('{"family": "cubic"}', "lemma1", "unknown-family.json"),
+            ('{"alphas": "1/2,1/2"}', "boxes", "string-alphas.json"),
+            ('{"alphas": ["1/0", "1/2"]}', "boxes", "zero-first-alpha.json"),
+            ('{"alphas": ["1/2", "1/0"], "d": 2}', "chain-b", "zero-second-alpha.json"),
+            ('{"alpha_holder": "1/0"}', "dynamics", "zero-alpha-holder.json"))})
 
 SMALL = {
     "lemma1": ["--d", "2", "--n-max", "20", "--samples", "30", "--seed", "4"],
@@ -611,6 +716,17 @@ SMALL = {
 }
 
 
+# a flag of another kind, with its value, after a small run of each kind
+UNREAD_FLAGS = {
+    "lemma1": ["--alpha", "1/2,1/2"],
+    "boxes": ["--family", "geometric"],
+    "chain-b": ["--seed", "3"],
+    "chain-ff": ["--alpha", "1/3,1/3,1/3"],
+    "identity": ["--n-max", "5"],
+    "dynamics": ["--d", "5"],
+}
+
+
 class TestFlags:
     # pytest numbers the first six lines argv0 to argv5 and names the others
     @pytest.mark.parametrize(
@@ -619,6 +735,26 @@ class TestFlags:
     )
     def test_usage_errors_exit_one(self, argv, capsys, workdir):
         _refused(shlex.join(argv), capsys)
+
+    test_unread_flag_exits_one = _held({
+        kind: shlex.join([kind, *SMALL[kind], *UNREAD_FLAGS[kind], "--out", "rep"])
+        for kind in KINDS})
+    test_empty_path_exits_one_before_the_run = _held({
+        flag: f"dynamics --k-max 20 {flag} ''" for flag in ("--out", "--config")})
+    test_exponent_that_is_no_rational_exits_one = _held({
+        f"argv{k}": line for k, line in enumerate((
+            "boxes --d 2 --variant B-d2 --alpha 1/0,1/2", "chain-b --d 2 --alpha 1/2,1/0",
+            "dynamics --alpha-holder 1/0", "dynamics --alpha-holder half"))})
+    test_exponent_outside_the_unit_interval_exits_one = _held({
+        alpha: f"dynamics --alpha-holder {alpha}" for alpha in ("2", "-1", "0", "1e400")})
+    test_negative_value_in_exponent_notation_is_a_value = _held({
+        f"argv{k}-{REFUSALS[line]}": line for k, line in enumerate((
+            "dynamics --alpha-holder -1e-3", "dynamics --c-param -1e-3",
+            "chain-b --d 2 --alpha -1e-1,1/2"))})
+    test_size_that_cannot_be_allocated_exits_one = _held({
+        "lemma1-samples": "lemma1 --d 2 --n-max 5 --samples 100000000000000000 --family"
+        " custom-file --family-file simplex-table.json",
+        "dynamics-k-max": "dynamics --k-max 100000000000000000"})
 
     def test_decided_lemma1_takes_any_sample_count(self, capsys):
         # an equal-rate product family is decided from one cost and one
@@ -677,6 +813,7 @@ PARSE_LINES = [
     *(line.split() for line in json.loads(LEDGER.read_text())),
     *([*line.split(), "--out", "rep"] for line in json.loads(LEDGER.read_text())),
     *(shlex.split(line) for line in REFUSALS),
+    *([kind, *SMALL[kind], *UNREAD_FLAGS[kind]] for kind in KINDS),
     ["lemma1", "--bogus"], ["lemma1", "extra"], ["lemma1", "--help"], ["lemma1", "--he"],
     ["lemma1", "-h", "--bogus"], ["lemma1", "--", "x"], ["lemma1", "--out"],
     ["lemma1", "--d=3", "--d", "2"], ["dynamics", "--help"], ["-h"], ["--help"], ["report"],
@@ -844,138 +981,3 @@ class TestStartup:
             for name in names:
                 assert (out / kind / name).read_bytes() == (here / name).read_bytes(), name
 
-
-def _folded(cases: tuple[str, ...] | dict[str, str | tuple[str, ...]]):
-    """A test that holds the REFUSALS lines of cases to the refusal
-    contract: cases is a tuple of lines, or maps each id of a parametrized
-    test to its line or lines."""
-    if isinstance(cases, tuple):
-        def test(self, capsys, workdir):
-            for line in cases:
-                _refused(line, capsys)
-        return test
-
-    @pytest.mark.parametrize("case", list(cases), ids=list(cases))
-    def test(self, case, capsys, workdir):
-        lines = cases[case]
-        for line in (lines,) if isinstance(lines, str) else lines:
-            _refused(line, capsys)
-    return test
-
-
-_COST = ("lemma1 --d 2 --family custom-file --family-file cost-overflow-table.json --n-max 5"
-         " --samples 5")
-_NO_REPORT = ("None", "not json {", '{"rows": 3, "passed": true}', '{"rows": [1], "passed": true}',
-              '{"rows": [{"check": "x"}], "passed": true}', '{"rows": []}', "[]",
-              '{"rows": [{"check": "budget-ratio-spread", "passed": false, "value": 2.5,'
-              ' "bound": 2.0}], "passed": true}', '{"rows": [], "passed": true}',
-              '{"rows": [{"check": "x", "passed": "false", "value": 1, "bound": 0}],'
-              ' "passed": true}')
-_NO_FAMILY = ("None", "not json {", "[1, 2]", '{"1,2": [1]}', '{"1,2": {"w": 1}}', '{"1,2": true}',
-              '{"1,2": null}', '{"a,2": 1}', '{"": 1}', '{"1,2": "abc"}', '{"1,2": "1/0"}',
-              '{"1,2": Infinity}', '{"1,2": NaN}', '{"1,2": 1, "1,2": 2}',
-              '{"1,2": 1, " 1,2 ": 2}', "underscore-key", "full-width-key")
-_NO_CONFIG = ("None", "not json {", "[1, 2]", '{"k_max": 5}', '{"out": "x"}', '{"kind": "boxes"}',
-              '{"n_max": "5"}', '{"d": 2.5}', '{"c_param": "x"}', '{"samples": true}',
-              '{"family": "cubic"}', '{"alphas": "1/2,1/2"}', '{"alphas": ["1/0", "1/2"]}',
-              '{"alphas": ["1/2", "1/0"], "d": 2}', '{"alpha_holder": "1/0"}')
-
-# The refusal tests whose inputs are REFUSALS lines, under their names and
-# ids: each runs the lines that hold its inputs through the refusal
-# contract (`_refused`), and makes no assertion of its own.
-FOLDED = {
-    TestRun: {
-        "test_lemma1_mass_outside_float_range_exits_one": {
-            f"{weight}-{size}": "lemma1 --d 2 --family custom-file --family-file"
-            f" {size}-weight-table.json --n-max 5 --samples 5 --out rep"
-            for weight, size in (("1e400", "large"), ("1e-400", "small"))},
-        "test_lemma1_cost_bound_past_float_range_exits_one": {
-            "False": _COST, "True": f"{_COST} --out rep"},
-        "test_lemma1_family_file_of_another_dimension_exits_one": (
-            "lemma1 --d 3 --family custom-file --family-file plane-table.json",
-            "chain-b --d 3 --variant B-d3 --n-max 5 --family custom-file --family-file"
-            " plane-table.json",
-            "chain-b --d 2 --n-max 4 --family custom-file --family-file cube-table.json",
-            "chain-ff --d 3 --n-max 6 --family custom-file --family-file cube-table.json"),
-        "test_family_file_without_custom_file_exits_one": {
-            "flag": "lemma1 --d 2 --n-max 5 --samples 10 --family-file plane-table.json",
-            "config": "lemma1 --d 2 --n-max 5 --samples 10 --config family-file-key.json"},
-    },
-    TestMain: {
-        "test_translation_names_its_dimension_limit": ("identity --d 6 --variant translation",),
-        "test_planar_takes_two_exponents": ("boxes --d 2 --variant B-d2 --alpha 1/3,1/3,1/3",),
-        "test_exponents_must_fit_the_dimension": {
-            f"{form}-{case}-{REFUSALS[line]}": line
-            for form, lines in (
-                ("flag", ("chain-b --d 2 --variant B-general --alpha 1/3,1/3,1/3",
-                          "chain-b --d 3 --variant B-d2 --alpha 1/2,1/2",
-                          "boxes --d 5 --variant B-d2 --alpha 1/2,1/2",
-                          "boxes --d 3 --variant FF --alpha 1/2,1/2")),
-                ("config", ("chain-b --config b-general-d2.json", "chain-b --config b-d2-d3.json",
-                            "boxes --config b-d2-d5.json", "boxes --config ff-alphas.json")))
-            for case, line in zip(("chain-b-2-B-general-alphas0", "chain-b-3-B-d2-alphas1",
-                                   "boxes-5-B-d2-alphas2", "boxes-3-FF-alphas3"),
-                                  (f"{argv} --n-max 6 --out rep" for argv in lines))},
-        "test_general_sequence_message_comes_first": (
-            "chain-b --d 3 --variant B-general --alpha 1/2,1/2",),
-        "test_chain_runners_name_their_variants": {
-            f"argv{k}-{REFUSALS[line]}": line for k, line in enumerate(
-                f"{argv} --n-max 8 --out rep" for argv in (
-                    "chain-ff --variant B-d2", "chain-ff --variant nope",
-                    "chain-ff --d 4 --variant FF-d3", "chain-b --d 3 --variant FF-d3",
-                    "chain-b --d 4 --variant B-d3"))},
-        "test_bad_report_file_exits_one": dict(zip(_NO_REPORT, (
-            f"report {name}" for name in (
-                "missing.json", "not-json.json", "number-rows-report.json",
-                "number-row-report.json", "short-row-report.json", "no-verdict-report.json",
-                "list-report.json", "contradicted-report.json", "no-rows-report.json",
-                "string-verdict-report.json")))),
-        "test_report_that_is_not_strict_json_exits_one": {
-            constant: f"report {name}-value-report.json" for constant, name in (
-                ("Infinity", "infinity"), ("-Infinity", "minus-infinity"), ("NaN", "nan"))},
-        "test_bad_family_file_exits_one": dict(zip(_NO_FAMILY, (
-            f"lemma1 --d 2 --family custom-file --family-file {name}" for name in (
-                "missing.json", "not-json.json", "number-list.json", "list-weight-table.json",
-                "object-weight-table.json", "bool-weight-table.json", "null-weight-table.json",
-                "letter-key-table.json", "empty-key-table.json", "word-weight-table.json",
-                "zero-denominator-table.json", "infinite-weight-table.json",
-                "nan-weight-table.json", "twice-key-table.json", "spaced-key-table.json",
-                "orthant-underscore-key-table.json", "orthant-full-width-key-table.json")))),
-        "test_bad_config_file_exits_one": dict(zip(_NO_CONFIG, (
-            f"{kind} --config {name}" for kind, name in (
-                ("lemma1", "missing.json"), ("lemma1", "not-json.json"),
-                ("lemma1", "number-list.json"), ("lemma1", "k-max-key.json"),
-                ("lemma1", "out-key.json"), ("lemma1", "boxes-kind.json"),
-                ("lemma1", "string-n-max.json"), ("lemma1", "float-d.json"),
-                ("dynamics", "string-c-param.json"), ("lemma1", "bool-samples.json"),
-                ("lemma1", "unknown-family.json"), ("boxes", "string-alphas.json"),
-                ("boxes", "zero-first-alpha.json"), ("chain-b", "zero-second-alpha.json"),
-                ("dynamics", "zero-alpha-holder.json"))))),
-    },
-    TestFlags: {
-        "test_unread_flag_exits_one": {
-            kind: f"{kind} {' '.join(SMALL[kind])} {unread} --out rep" for kind, unread in (
-                ("lemma1", "--alpha 1/2,1/2"), ("boxes", "--family geometric"),
-                ("chain-b", "--seed 3"), ("chain-ff", "--alpha 1/3,1/3,1/3"),
-                ("identity", "--n-max 5"), ("dynamics", "--d 5"))},
-        "test_empty_path_exits_one_before_the_run": {
-            flag: f"dynamics --k-max 20 {flag} ''" for flag in ("--out", "--config")},
-        "test_exponent_that_is_no_rational_exits_one": {
-            f"argv{k}": line for k, line in enumerate((
-                "boxes --d 2 --variant B-d2 --alpha 1/0,1/2", "chain-b --d 2 --alpha 1/2,1/0",
-                "dynamics --alpha-holder 1/0", "dynamics --alpha-holder half"))},
-        "test_exponent_outside_the_unit_interval_exits_one": {
-            alpha: f"dynamics --alpha-holder {alpha}" for alpha in ("2", "-1", "0", "1e400")},
-        "test_negative_value_in_exponent_notation_is_a_value": {
-            f"argv{k}-{REFUSALS[line]}": line for k, line in enumerate((
-                "dynamics --alpha-holder -1e-3", "dynamics --c-param -1e-3",
-                "chain-b --d 2 --alpha -1e-1,1/2"))},
-        "test_size_that_cannot_be_allocated_exits_one": {
-            "lemma1-samples": "lemma1 --d 2 --n-max 5 --samples 100000000000000000 --family"
-            " custom-file --family-file simplex-table.json",
-            "dynamics-k-max": "dynamics --k-max 100000000000000000"},
-    },
-}
-for _cls, _tests in FOLDED.items():
-    for _name, _cases in _tests.items():
-        setattr(_cls, _name, _folded(_cases))
