@@ -108,12 +108,23 @@ def _family(cfg: ExperimentConfig, d: int) -> lattice.LengthFamily:
     raise ConfigError(f"unknown family {cfg.family!r}")
 
 
+def _read_json(path: str, **hooks):
+    """The JSON document in the file at path, decoded with `json.loads`'
+    hooks; ConfigError naming the path when it is no UTF-8 text or no JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), **hooks)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+
+
 def _read_table(path: str) -> dict[tuple[int, ...], Fraction]:
     """A weight table file: a JSON object mapping each "i,j,..." once to a
     number or a rational string, each index ASCII digits with an optional
     sign; ConfigError for any other content."""
     # every object as the tuple of its (key, value) pairs, repeats kept
-    raw = json.loads(Path(path).read_text(), object_pairs_hook=tuple)
+    raw = _read_json(path, object_pairs_hook=tuple)
     if not isinstance(raw, tuple):
         raise ConfigError(f"{path} must hold a JSON object of index -> weight")
     table = {}
@@ -561,9 +572,9 @@ def _config_from(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     if args.config is not None:
         if not args.config:
             raise ConfigError("--config needs a file path, not an empty string")
-        base = json.loads(Path(args.config).read_text())
+        base = _read_json(args.config)
         if not isinstance(base, dict):
-            raise ConfigError("the config file must hold a JSON object")
+            raise ConfigError(f"the config file {args.config} must hold a JSON object")
         other = base.pop("kind", kind)
         if other != kind:
             raise ConfigError(f"the config file is for kind {other!r}, not {kind!r}")
@@ -589,7 +600,7 @@ def _load_report(path: str) -> dict:
     def refuse(name: str):
         raise ConfigError(f"{path} is not strict JSON: it holds {name}")
 
-    report = json.loads(Path(path).read_text(), parse_constant=refuse)
+    report = _read_json(path, parse_constant=refuse)
     rows = report.get("rows") if isinstance(report, dict) else None
     keys = {"check", "passed", "value", "bound"}
     if (

@@ -17,9 +17,11 @@ one-point range; its split log2 weight writes that one run out.  This
 module imports no numpy, so neither do the kinds built on it alone; the
 vector of float log2 weights of a point array is `walks.log2_weights`.
 A family memoizes its split parts itself: a product family per axis
-range, keyed by (axis, lo, hi, stride), a table per region.  Nothing is
-cached at module level, as every run builds its own family and a
-process-wide cache would only keep dead families alive.
+range, keyed by (axis id, lo, hi, stride), where equal axes share one id,
+and the power sum of a moving range by (axis id, lo, hi, stride, alpha) in
+a dict of its own; a table per region.  Nothing is cached at module level,
+as every run builds its own family and a process-wide cache would only
+keep dead families alive.
 
 Goodness decisions go through `mass_le`, which decides from the split
 form with a certified error margin, and where that cannot decide from
@@ -386,10 +388,16 @@ class MassForm(NamedTuple):
         return self.c * Fraction(n, m)
 
 
+# the ValueError of a family method given a box or segment of another dimension
+_OTHER_DIMENSION = "the family is on Z^{}, but the {} is on Z^{}"
+
+
 class LengthFamily:
     """Summable positive weights on a d-dimensional lattice.
 
-    Subclasses know their support and expose exact masses.
+    Subclasses know their support and expose exact masses.  Their mass and
+    power-sum methods raise ValueError on a box or segment of another
+    dimension (`_check_region`).
     """
 
     d: int
@@ -424,6 +432,12 @@ class LengthFamily:
         m = self.mass_form(region).value()
         return log2_parts(m) if m else None
 
+    def _check_region(self, region: Box | Segment) -> None:
+        """ValueError unless the box or segment lies on the family's lattice."""
+        dim = len(region[0])  # a box's intervals, a segment's anchor
+        if dim != self.d:
+            raise ValueError(_OTHER_DIMENSION.format(self.d, type(region).__name__.lower(), dim))
+
 
 class ProductFamily(LengthFamily):
     """Product of per-axis weights times a rational scale."""
@@ -442,9 +456,15 @@ class ProductFamily(LengthFamily):
         for ax in self.axes:
             e0, f0 = e0 + ax.offset + ax.coef_parts[0], f0 + ax.coef_parts[1]
         self.point_base = e0, f0
-        # axis k's split log2 mass of lo, lo + stride, ... <= hi, by (k, lo, hi,
-        # stride); it lives and dies with the family
+        # axis k's memo id: the position of the first axis equal to it, so
+        # that equal axes, whose closed forms are one function of the same
+        # fields, share entries
+        self._ids = tuple(self.axes.index(ax) for ax in self.axes)
+        # the split log2 mass of lo, lo + stride, ... <= hi on an axis, by (id,
+        # lo, hi, stride), and its power sum at alpha by (id, lo, hi, stride,
+        # alpha); they live and die with the family
         self._memo: dict[tuple[int, int, int, int], Log2Parts | None] = {}
+        self._powers: dict[tuple[int, int, int, int, float], float] = {}
 
     def contains(self, v: Sequence[int]) -> bool:
         return len(v) == self.d and all(
@@ -472,6 +492,7 @@ class ProductFamily(LengthFamily):
         return MassForm(self._coef, _product(1, *nums), _product(1, *dens))
 
     def mass_form(self, region: Box | Segment) -> MassForm:
+        self._check_region(region)
         if isinstance(region, Box):
             ranges = region.intervals
         else:
@@ -480,13 +501,18 @@ class ProductFamily(LengthFamily):
         return self._form([self.axes[k].form(*r) for k, r in enumerate(ranges)])
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
-        # memoized axis terms: a box's axes, or a segment's fixed axes then its moving one
-        memo, axes = self._memo, self.axes
+        # memoized axis terms: a box's axes, or a segment's fixed axes then its
+        # moving one; here and in range_power_log2, the chain path's hot calls,
+        # `_check_region` is written out, as its call costs a tenth of a hit
+        memo, axes, ids = self._memo, self.axes, self._ids
         e, f = self._scale_parts
         if isinstance(region, Box):
+            ivs = region.intervals
+            if len(ivs) != self.d:
+                raise ValueError(_OTHER_DIMENSION.format(self.d, "box", len(ivs)))
             k = 0
-            for lo, hi in region.intervals:
-                key = k, lo, hi, 1
+            for lo, hi in ivs:
+                key = ids[k], lo, hi, 1
                 term = memo.get(key, memo)
                 if term is memo:
                     term = memo[key] = axes[k].log2_parts(lo, hi, 1)
@@ -495,9 +521,11 @@ class ProductFamily(LengthFamily):
                 e, f, k = e + term[0], f + term[1], k + 1
             return e, f
         anchor, axis = region.anchor, region.axis
+        if len(anchor) != self.d:
+            raise ValueError(_OTHER_DIMENSION.format(self.d, "segment", len(anchor)))
         for k, c in enumerate(anchor):
             if k != axis:
-                key = k, c, c, 1
+                key = ids[k], c, c, 1
                 term = memo.get(key, memo)
                 if term is memo:
                     term = memo[key] = axes[k].log2_parts(c, c, 1)
@@ -505,7 +533,7 @@ class ProductFamily(LengthFamily):
                     return None
                 e, f = e + term[0], f + term[1]
         lo, hi, s = region.axis_values()
-        key = axis, lo, hi, s
+        key = ids[axis], lo, hi, s
         term = memo.get(key, memo)
         if term is memo:
             term = memo[key] = axes[axis].log2_parts(lo, hi, s)
@@ -514,19 +542,26 @@ class ProductFamily(LengthFamily):
         return e + term[0], f + term[1]
 
     def range_power_log2(self, seg: Segment, alpha: float) -> float:
-        m, memo = alpha * self.scale_log2, self._memo
+        m, memo, ids = alpha * self.scale_log2, self._memo, self._ids
         anchor, axis = seg.anchor, seg.axis
+        if len(anchor) != self.d:
+            raise ValueError(_OTHER_DIMENSION.format(self.d, "segment", len(anchor)))
         for k, c in enumerate(anchor):
             if k != axis:
                 # a point's parts, None outside the support, as in mass_log2_parts
-                key = k, c, c, 1
+                key = ids[k], c, c, 1
                 term = memo.get(key, memo)
                 if term is memo:
                     term = memo[key] = self.axes[k].log2_parts(c, c, 1)
                 if term is None:
                     return NEG_INF
                 m += alpha * (term[0] + term[1])
-        return m + self.axes[axis].power_log2(*seg.axis_values(), alpha)
+        lo, hi, s = seg.axis_values()
+        key = ids[axis], lo, hi, s, alpha
+        power = self._powers.get(key)
+        if power is None:
+            power = self._powers[key] = self.axes[axis].power_log2(lo, hi, s, alpha)
+        return m + power
 
 
 class TableFamily(LengthFamily):
@@ -562,6 +597,7 @@ class TableFamily(LengthFamily):
 
     def mass_form(self, region: Box | Segment) -> MassForm:
         """The sum of the weights of the region's points in the table, over 1."""
+        self._check_region(region)
         pts = filter(region.contains, self.table) if isinstance(region, Box) else region.points()
         total = sum((self.table[p] for p in pts if p in self.table), Fraction(0))
         return MassForm(total, ONE, ONE)
@@ -572,6 +608,7 @@ class TableFamily(LengthFamily):
         return self._memo[region]
 
     def range_power_log2(self, seg: Segment, alpha: float) -> float:
+        self._check_region(seg)
         # the point terms, summed in the segment's order
         out = NEG_INF
         for v in seg.points():

@@ -1,6 +1,6 @@
 """Time two checkouts of critreg on the same argv lines in one process.
 
-    PYTHONPATH=src python3 tests/ab_inproc.py OLD NEW [--lines FILE] [--reps N]
+    PYTHONPATH=src python3 tests/ab_inproc.py OLD NEW [--lines FILE | --pool NAME] [--reps N]
 
 OLD and NEW are checkouts, each holding `src/critreg`.  They load under
 the package names `critreg_old` and `critreg_new`, which the package's
@@ -9,7 +9,8 @@ every line once on each side with `--out`, the two sides interleaved and
 the side that goes first alternating from line to line and from rep to
 rep, and times each call with `time.perf_counter`; each side's first call
 pays its lazy imports, which the medians of several reps leave out.  The
-lines come from FILE, one argv line a line, or else from
+lines come from FILE, one argv line a line, or from the seed-1 CLI ops of
+the benchmark pool NAME (`make_digests.pool_lines`), or else from
 `make_digests.ledger_lines()`; they run in a temporary directory that
 holds the tables of `make_digests.TABLES`.
 
@@ -72,13 +73,21 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
-    p.add_argument("--lines", type=Path, help="argv lines, one a line (default: the ledger's)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--lines", type=Path,
+                        help="argv lines, one a line (default: the ledger's)")
+    source.add_argument("--pool", help="time the seed-1 CLI ops of this benchmark pool")
     p.add_argument("--reps", type=int, default=7)
     args = p.parse_args(argv)
     if args.reps < 1:
         p.error("--reps must be at least 1")
     if args.lines:
         lines = [ln.split() for ln in args.lines.read_text().splitlines() if ln.strip()]
+    elif args.pool is not None:
+        try:
+            lines = [ln.split() for ln in make_digests.pool_lines(args.pool)]
+        except ValueError as exc:
+            p.error(str(exc))
     else:
         lines = [ln.split() for ln in make_digests.ledger_lines()]
     clis = dict(zip(SIDES, (load(args.old.resolve(), "old"), load(args.new.resolve(), "new"))))

@@ -11,8 +11,9 @@ README, so nothing under `bench/` is imported at test time.
 `ledger_lines()` gives its lines, in these groups:
 
 - every CLI op of the four benchmark pools at seed 1 (the stochastic ones
-  with their drawn `--seed`) and the eight README lines, read from
-  `bench/workloads.py`; `ledger_lines()` is the only code that reads it;
+  with their drawn `--seed`; `pool_lines(name)` gives one pool's) and the
+  eight README lines, read from `bench/workloads.py`, which no other test
+  code imports;
 - `CAP_LINES`, the three chain lines at the n_max cap;
 - `CHAIN_LINES`: builders, families and ties that the pools miss;
 - `SEARCH_FAILURE_LINES`: the FF-d3 ranges that exit 3;
@@ -210,13 +211,16 @@ _ORTHANT_10 = ", ".join(f'"{i},{j}": 1' for i in range(11) for j in range(11 - i
 _ROW_VALUE_REPORT = ('{"rows": [{"check": "x", "passed": true, "value": %s, "bound": 1,'
                      ' "note": ""}], "passed": true}')
 
+_NOT_UTF8 = ("is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0:"
+             " invalid start byte")
+
 _NOT_A_REPORT = ("is not a report: needs 'passed' and 'rows', a nonempty list of objects"
                  " with check, passed (true or false), value and bound")
 
 # the files that REFUSALS name: the tables, and the config, family and report
-# files and the regular file that are usage errors.  No file is named
-# missing.json
-REFUSAL_FILES = {
+# files and the regular file that are usage errors, as text written in UTF-8
+# or as bytes.  No file is named missing.json
+REFUSAL_FILES: dict[str, str | bytes] = {
     **TABLES,
     "unread-key.json": '{"n_max": 5}',
     "string-n-max.json": '{"n_max": "5"}',
@@ -232,9 +236,11 @@ REFUSAL_FILES = {
     "underscore-key-table.json": '{"1_0,0": "1/2", "0,0": "1/4", "0,1": "1/8"}',
     "huge-mass-table.json": '{"0,0": "1e400", "1,0": "1", "0,1": "1"}',
     "list-report.json": "[]",
-    # read as a config, a family file or a report: no JSON, and no object
+    # read as a config, a family file or a report: no JSON, no object, and
+    # no UTF-8 text (these bytes, written as they are)
     "not-json.json": "not json {",
     "number-list.json": "[1, 2]",
+    "not-utf8.json": b"\xff{}",
     # config files: keys the kind does not read, another kind, and values of
     # the wrong type or outside their choices
     "k-max-key.json": '{"k_max": 5}',
@@ -292,6 +298,10 @@ REFUSAL_FILES = {
     "nan-value-report.json": _ROW_VALUE_REPORT % "NaN",
 }
 
+# each REFUSAL_FILES file as the bytes it holds
+REFUSAL_BYTES = {name: c if isinstance(c, bytes) else c.encode()
+                 for name, c in REFUSAL_FILES.items()}
+
 # Every argv line (shell-quoted) that exits 1, run in a directory that holds
 # REFUSAL_FILES, and its error line after "error: ": a string, or a pattern
 # where argparse, numpy or the OS words part of it.  This is the one place
@@ -305,25 +315,25 @@ REFUSAL_FILES = {
 #   another kind (after a small run of each kind), a value of the wrong type;
 # - paths: an empty --out or --config, a missing config, family or report
 #   file, and an --out under a regular file;
-# - config files: no JSON, no object, a key the kind does not read, another
-#   kind, values of the wrong type or outside their choices;
+# - config files: no UTF-8 text, no JSON, no object, a key the kind does not
+#   read, another kind, values of the wrong type or outside their choices;
 # - exponents that are no rational, outside (0, 1] or past float range
 #   either way, negative values in exponent notation, as flags and as config
 #   values; exponents, variants or a translation model that do not fit --d,
 #   as flags and as config values; dynamics parameters outside their range;
 # - sequences too short to measure, a B-d2 sequence at alpha 1/1000 (whose
 #   roots start past float range);
-# - family files: given without --family custom-file (as a flag and as a
-#   config key), on another lattice than the kind's, with weights that are no
-#   finite rational, keys that are no index (among them keys `int()` reads
-#   but that are not ASCII digits), one index named twice, a table that a
-#   lemma1 walk can leave, and a lemma1 table whose mass or cost bounds
-#   leave float range;
+# - family files: no UTF-8 text or no JSON, given without --family
+#   custom-file (as a flag and as a config key), on another lattice than
+#   the kind's, with weights that are no finite rational, keys that are no
+#   index (among them keys `int()` reads but that are not ASCII digits),
+#   one index named twice, a table that a lemma1 walk can leave, and a
+#   lemma1 table whose mass or cost bounds leave float range;
 # - a stepped lemma1 batch or a dynamics orbit of 10^17 samples (refused
 #   before anything is allocated);
-# - reports that are no JSON, not strict JSON, no JSON object, hold no
-#   rows or malformed ones, or a verdict that is no bool or that its rows
-#   contradict.
+# - reports that are no UTF-8 text, no JSON, not strict JSON, no JSON
+#   object, hold no rows or malformed ones, or a verdict that is no bool or
+#   that its rows contradict.
 REFUSALS = {
     "lemma1 --bogus 1": "unrecognized arguments: --bogus 1",
     "": "the following arguments are required: command",
@@ -437,8 +447,11 @@ REFUSALS = {
         "B-d3 needs the B-general sequence with d=3",
     # config files
     "lemma1 --config missing.json": "[Errno 2] No such file or directory: 'missing.json'",
-    "lemma1 --config not-json.json": "Expecting value: line 1 column 1 (char 0)",
-    "lemma1 --config number-list.json": "the config file must hold a JSON object",
+    "lemma1 --config not-json.json":
+        "not-json.json is not JSON: Expecting value: line 1 column 1 (char 0)",
+    "lemma1 --config number-list.json": "the config file number-list.json must hold a JSON"
+    " object",
+    "lemma1 --config not-utf8.json": f"not-utf8.json {_NOT_UTF8}",
     "lemma1 --config k-max-key.json": "lemma1 does not read config keys k_max",
     "lemma1 --config out-key.json": "lemma1 does not read config keys out",
     "lemma1 --config boxes-kind.json": "the config file is for kind 'boxes', not 'lemma1'",
@@ -463,7 +476,8 @@ REFUSALS = {
         "the family file's table is on Z^3, not Z^2",
     **{f"lemma1 --d 2 --family custom-file --family-file {name}": error for name, error in {
         "missing.json": "[Errno 2] No such file or directory: 'missing.json'",
-        "not-json.json": "Expecting value: line 1 column 1 (char 0)",
+        "not-json.json": "not-json.json is not JSON: Expecting value: line 1 column 1 (char 0)",
+        "not-utf8.json": f"not-utf8.json {_NOT_UTF8}",
         "number-list.json": "number-list.json must hold a JSON object of index -> weight",
         **{name: f"{name}: weight of '1,2' is not a number or a rational"
            for name in ("list-weight-table.json", "object-weight-table.json",
@@ -496,7 +510,9 @@ REFUSALS = {
                     " too large"),
     # reports
     "report missing.json": "[Errno 2] No such file or directory: 'missing.json'",
-    "report not-json.json": "Expecting value: line 1 column 1 (char 0)",
+    "report not-json.json": "not-json.json is not JSON: Expecting value: line 1 column 1"
+    " (char 0)",
+    "report not-utf8.json": f"not-utf8.json {_NOT_UTF8}",
     **{f"report {name}": f"{name} {_NOT_A_REPORT}"
        for name in ("list-report.json", "number-rows-report.json", "number-row-report.json",
                     "short-row-report.json", "no-verdict-report.json", "no-rows-report.json",
@@ -533,13 +549,25 @@ def run_line(line: str, out: Path) -> dict:
     return {"exit": code, "files": file_digests(out)}
 
 
-def ledger_lines() -> list[str]:
-    sys.path.insert(0, str(ROOT / "bench"))
+def _workloads():
+    """`bench/workloads.py`, the benchmark's pools."""
+    bench = str(ROOT / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
     import workloads
 
-    lines = [" ".join(op.cli_argv())
-             for name in workloads.WORKLOADS for op in workloads.make_ops(name, 1)
-             if op.argv]
+    return workloads
+
+
+def pool_lines(name: str) -> list[str]:
+    """The CLI ops of the benchmark pool `name` at seed 1, in the pool's
+    order; ValueError naming the pools for any other name."""
+    return [" ".join(op.cli_argv()) for op in _workloads().make_ops(name, 1) if op.argv]
+
+
+def ledger_lines() -> list[str]:
+    workloads = _workloads()
+    lines = [line for name in workloads.WORKLOADS for line in pool_lines(name)]
     lines += [text for _, text in workloads.README_LINES]
     lines += [*CAP_LINES, *CHAIN_LINES, *SEARCH_FAILURE_LINES, *TABLE_LINES, *LEMMA1_LINES,
               *DYNAMICS_LINES, *IDENTITY_LINES, *PROBE_LINES, *REACH_LINES]

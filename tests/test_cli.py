@@ -30,15 +30,15 @@ from critreg.cli import (
     write_report,
 )
 
-from make_digests import LEDGER, REFUSAL_FILES, REFUSALS, WRITE_REFUSALS, file_digests
+from make_digests import LEDGER, REFUSAL_BYTES, REFUSALS, WRITE_REFUSALS, file_digests
 from oracles import file_tree, write_report_rows
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     """A fresh directory holding REFUSAL_FILES, made the working directory."""
-    for name, content in REFUSAL_FILES.items():
-        (tmp_path / name).write_text(content)
+    for name, data in REFUSAL_BYTES.items():
+        (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
 
 
@@ -61,8 +61,8 @@ def _refused(line: str, capsys) -> None:
     want = REFUSALS[line]
     assert head == "error:" and (
         re.fullmatch(want, got) if isinstance(want, re.Pattern) else got == want), got
-    assert {str(f): None if f.is_dir() else f.read_bytes() for f in Path().rglob("*")} == {
-        name: text.encode() for name, text in REFUSAL_FILES.items()}
+    assert {str(f): None if f.is_dir() else f.read_bytes()
+            for f in Path().rglob("*")} == REFUSAL_BYTES
     if line in WRITE_REFUSALS:
         assert argv[-2] == "--out" and main(argv[:-2]) in (0, 2)
         assert out == capsys.readouterr().out != ""

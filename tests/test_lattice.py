@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from critreg.lattice import (
     MARGIN,
+    Axis,
     Bound,
     Box,
     ProductFamily,
@@ -523,10 +524,13 @@ _MEMO_TABLE = {
 }
 
 # a fresh family per example, so that its memo starts empty; the uniform
-# box's sides differ, so its axes give different parts on one range
+# box's sides differ, so its axes give different parts on one range, and the
+# mixed family's first and third axes are equal, its second another
 MEMO_FAMILIES = {
     "geometric": geometric_family,
     "symmetric-geometric": symmetric_geometric_family,
+    "mixed": lambda d: ProductFamily(
+        [geometric_axis(), symmetric_geometric_axis(), geometric_axis()][:d]),
     "uniform": lambda d: uniform_box_family(Box(((-2, 3), (0, 9), (1, 4))[:d]), Fraction(5)),
     "table": lambda d: TableFamily(_MEMO_TABLE),
 }
@@ -590,6 +594,36 @@ class TestFamilyMemo:
         assert got == [mass_log2_parts_unmemoized(fam, r) for r in regions]
         assert len(set(got[:3])) == 3
 
+    @staticmethod
+    def _counted(monkeypatch, name):
+        """The calls of `Axis.name` from here on, as their argument tuples."""
+        calls, inner = [], getattr(Axis, name)
+
+        def counted(ax, *args):
+            calls.append(args)
+            return inner(ax, *args)
+
+        monkeypatch.setattr(Axis, name, counted)
+        return calls
+
+    def test_equal_axes_share_their_entries(self, monkeypatch):
+        fam = geometric_family(3)
+        box = Box(((2, 5),) * 3)
+        want = mass_log2_parts_unmemoized(fam, box)
+        calls = self._counted(monkeypatch, "log2_parts")
+        assert fam.mass_log2_parts(box) == want
+        assert calls == [(2, 5, 1)]
+
+    def test_power_sums_are_kept_by_range_and_exponent(self, monkeypatch):
+        fam = geometric_family(3)
+        # parallel: one moving range 1..5 on the first axis, other fixed coordinates
+        segs = [Segment((1, 2, 0), 0, 5), Segment((5, 0, 3), 0, 5, -1)]
+        cases = [(segs[0], 0.5), (segs[1], 0.5), (segs[0], 1 / 3)]
+        want = [segment_power_log2_unmemoized(fam, seg, alpha) for seg, alpha in cases]
+        calls = self._counted(monkeypatch, "power_log2")
+        assert [fam.range_power_log2(seg, alpha) for seg, alpha in cases] == want
+        assert calls == [(1, 5, 1, 0.5), (1, 5, 1, 1 / 3)]
+
     def test_a_table_scan_sums_each_bound_region_once(self, monkeypatch):
         # the linear scan decides every probe against the one bound region,
         # whose mass sums the whole table: once per family
@@ -608,6 +642,30 @@ class TestFamilyMemo:
         assert 3 <= t < 9
         assert calls.count(box) == 1
         assert len(calls) == t + 2  # every probed column once, and the box
+
+
+class TestRegionDimension:
+    """Each mass and power-sum method refuses a box or segment of another
+    dimension than the family's, naming both."""
+
+    @pytest.mark.parametrize("family, region, message", [
+        ("geometric", Box(((0, 1), (0, 1))), "Z^3, but the box is on Z^2"),
+        ("geometric", Box(((0, 1),) * 4), "Z^3, but the box is on Z^4"),
+        ("geometric", Segment((0, 0), 1, 3), "Z^3, but the segment is on Z^2"),
+        ("geometric", Segment((0, 0, 0, 0), 3, 3), "Z^3, but the segment is on Z^4"),
+        ("table", Box(((0, 1),) * 3), "Z^2, but the box is on Z^3"),
+        ("table", Segment((0, 0, 0), 1, 3), "Z^2, but the segment is on Z^3"),
+        ("table", Segment((0,), 0, 3), "Z^2, but the segment is on Z^1"),
+    ])
+    def test_names_both_dimensions(self, family, region, message):
+        fam = MEMO_FAMILIES[family](3)
+        calls = [fam.mass_log2_parts, fam.mass_form]
+        if isinstance(region, Segment):
+            calls.append(functools.partial(fam.range_power_log2, alpha=0.5))
+        for call in calls:
+            with pytest.raises(ValueError) as got:
+                call(region)
+            assert str(got.value) == f"the family is on {message}"
 
 
 class TestPowerSumOverASegment:

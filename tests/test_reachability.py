@@ -43,7 +43,7 @@ import pytest
 import critreg
 from critreg import boxes, cli, concat, lattice
 
-from make_digests import LEDGER, REACH_LINES, REFUSAL_FILES, REFUSALS
+from make_digests import LEDGER, REACH_LINES, REFUSAL_BYTES, REFUSALS
 
 SRC = Path(critreg.__file__).resolve().parent
 # the arm check maps executed instructions to source spans with
@@ -324,8 +324,8 @@ def trace_runs(tmp: Path) -> Traffic:
         frame.f_trace_opcodes = ARMS
         return local
 
-    for name, text in REFUSAL_FILES.items():
-        (tmp / name).write_text(text)
+    for name, data in REFUSAL_BYTES.items():
+        (tmp / name).write_bytes(data)
     runs = [*ledger_runs(), *kind_runs(tmp), *((line, 1) for line in REFUSALS)]
     codes = []
     here, argv = os.getcwd(), sys.argv
