@@ -4,8 +4,8 @@ A segment is (anchor, axis, count, step): count points from the anchor,
 a nonzero signed step apart along one axis.  It names no box; a chain's
 segments are checked against their boxes by `concat.verify_chain`.
 
-A product family's weight is a rational scale times one `Axis` per
-coordinate, w(i) = coef * 2^(offset - rate |i|) on an integer interval.
+A product family is its axes: its weight is the product of one `Axis`
+per coordinate, w(i) = coef * 2^(offset - rate |i|) on an integer interval.
 A strided range of an axis is at most two geometric runs of integer log2
 exponents, split at 0 where |i| turns, and every closed form is one
 function of those runs: the exact dyadic mass, the log2 mass split into
@@ -440,22 +440,13 @@ class LengthFamily:
 
 
 class ProductFamily(LengthFamily):
-    """Product of per-axis weights times a rational scale."""
+    """Product of per-axis weights, w(v) = prod_k w_k(v_k)."""
 
-    def __init__(self, axes: Sequence[Axis], scale: Fraction = Fraction(1)) -> None:
+    def __init__(self, axes: Sequence[Axis]) -> None:
         _check_dimension(len(axes))
         self.axes = tuple(axes)
         self.d = len(axes)
-        self.scale = Fraction(scale)
-        self._coef = self.scale * math.prod(ax.coef for ax in self.axes)
-        self._scale_parts = log2_parts(self.scale)
-        self.scale_log2 = sum(self._scale_parts)
-        # (e0, f0): v's split log2 weight is (e0 - sum rate_k |v_k|, f0),
-        # the scale's and each axis' offset and coef parts summed in axis order
-        e0, f0 = self._scale_parts
-        for ax in self.axes:
-            e0, f0 = e0 + ax.offset + ax.coef_parts[0], f0 + ax.coef_parts[1]
-        self.point_base = e0, f0
+        self._coef = math.prod(ax.coef for ax in self.axes)
         # axis k's memo id: the position of the first axis equal to it, so
         # that equal axes, whose closed forms are one function of the same
         # fields, share entries
@@ -476,10 +467,12 @@ class ProductFamily(LengthFamily):
         return self.mass_form(Box(tuple((c, c) for c in v))).value()
 
     def weight_log2_parts(self, v: Sequence[int]) -> Log2Parts:
-        e, f = self.point_base
+        """Each axis' `Axis.point_parts` added in axis order, as
+        `mass_log2_parts` adds the terms of the one-point box."""
+        e, f = 0, 0.0
         for ax, c in zip(self.axes, v, strict=True):
-            ax._check(c)
-            e -= ax.rate * abs(c)
+            pe, pf = ax.point_parts(c)
+            e, f = e + pe, f + pf
         return e, f
 
     @property
@@ -487,7 +480,7 @@ class ProductFamily(LengthFamily):
         return self._form([ax.total_form() for ax in self.axes]).value()
 
     def _form(self, forms: Sequence[tuple[Dyadic, Dyadic]]) -> MassForm:
-        """scale times the per-axis forms: every axis gives its coef once."""
+        """The product of the per-axis forms: every axis gives its coef once."""
         nums, dens = zip(*forms)
         return MassForm(self._coef, _product(1, *nums), _product(1, *dens))
 
@@ -502,16 +495,13 @@ class ProductFamily(LengthFamily):
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
         # memoized axis terms: a box's axes, or a segment's fixed axes then its
-        # moving one; here and in range_power_log2, the chain path's hot calls,
-        # `_check_region` is written out, as its call costs a tenth of a hit
+        # moving one
+        self._check_region(region)
         memo, axes, ids = self._memo, self.axes, self._ids
-        e, f = self._scale_parts
+        e, f = 0, 0.0
         if isinstance(region, Box):
-            ivs = region.intervals
-            if len(ivs) != self.d:
-                raise ValueError(_OTHER_DIMENSION.format(self.d, "box", len(ivs)))
             k = 0
-            for lo, hi in ivs:
+            for lo, hi in region.intervals:
                 key = ids[k], lo, hi, 1
                 term = memo.get(key, memo)
                 if term is memo:
@@ -520,10 +510,8 @@ class ProductFamily(LengthFamily):
                     return None
                 e, f, k = e + term[0], f + term[1], k + 1
             return e, f
-        anchor, axis = region.anchor, region.axis
-        if len(anchor) != self.d:
-            raise ValueError(_OTHER_DIMENSION.format(self.d, "segment", len(anchor)))
-        for k, c in enumerate(anchor):
+        axis = region.axis
+        for k, c in enumerate(region.anchor):
             if k != axis:
                 key = ids[k], c, c, 1
                 term = memo.get(key, memo)
@@ -542,11 +530,9 @@ class ProductFamily(LengthFamily):
         return e + term[0], f + term[1]
 
     def range_power_log2(self, seg: Segment, alpha: float) -> float:
-        m, memo, ids = alpha * self.scale_log2, self._memo, self._ids
-        anchor, axis = seg.anchor, seg.axis
-        if len(anchor) != self.d:
-            raise ValueError(_OTHER_DIMENSION.format(self.d, "segment", len(anchor)))
-        for k, c in enumerate(anchor):
+        self._check_region(seg)
+        m, memo, ids, axis = 0.0, self._memo, self._ids, seg.axis
+        for k, c in enumerate(seg.anchor):
             if k != axis:
                 # a point's parts, None outside the support, as in mass_log2_parts
                 key = ids[k], c, c, 1
@@ -649,8 +635,8 @@ def mass_log2(family: LengthFamily, region: Box | Segment) -> float:
 
 # Error of the float part of mass_log2_parts, by ulp accounting (u = 2^-53;
 # libm log2, log1p and pow within 1 ulp, as glibc documents).  The integer
-# part is exact, and the float part sums at most 7 terms (d <= 6 axis
-# terms and the scale), each in [-2, 2]:
+# part is exact, and the float part sums at most 6 terms (one per axis,
+# d <= 6), each in [-2, 2]:
 # - log2_parts: the correctly rounded quotient costs 1.45u in log2, and
 #   log2 of a value below 1 adds one ulp: 2.5u.
 # - per run of `Axis._runs`: the tail in `Axis.log2_parts` costs 8u, as
@@ -659,14 +645,14 @@ def mass_log2(family: LengthFamily, region: Box | Segment) -> float:
 #   symmetric axis; on a uniform axis log2_parts of the cell, and the tail
 #   is log2_parts of the count) brings a run to 11u.  Joining the two runs
 #   of a range with log2_add, whose slopes lie in [0, 1], adds 9u.
-# So each term is off by at most 33u, and the 7 additions of partial sums
-# below 16 in magnitude by 8u each: 287u per mass.  mass_ratio_log2 takes
+# So each term is off by at most 33u, and the 6 additions of partial sums
+# below 16 in magnitude by 8u each: 246u per mass.  mass_ratio_log2 takes
 # two differences below 32 (16u each), the factor's 2.5u and a final sum
 # with the exact integer difference e.  When |e| <= 64 that sum is below
-# 128 (64u): 2 * 287u + 32u + 2.5u + 64u < 700u < 2^-43.  A larger |e|
+# 128 (64u): 2 * 246u + 32u + 2.5u + 64u < 600u < 2^-43.  A larger |e|
 # puts the ratio more than 32 from 0, so its sign is beyond doubt.
-# `weights_le` sums the same kinds of terms for one point (weight parts of
-# the axes and the scale) against one log2_parts, so its error is smaller.
+# `weights_le` sums the same kinds of terms for one point (the axes' point
+# parts) against one log2_parts, so its error is smaller.
 MARGIN = 2.0 ** -40
 
 
@@ -824,10 +810,10 @@ def weights_le(
     """Decide weight(v) <= q exactly for each point v, the way `mass_le`
     decides masses.
 
-    The split log2 weight (at most DIMENSION_CAP axis terms and the scale,
-    so MARGIN's accounting covers it) decides whenever it is further than
-    MARGIN from log2 q; otherwise the exact weight is compared.  Outside a
-    finite support this raises the ValueError of `family.weight`.
+    The split log2 weight (at most DIMENSION_CAP axis terms, so MARGIN's
+    accounting covers it) decides whenever it is further than MARGIN from
+    log2 q; otherwise the exact weight is compared.  Outside a finite
+    support this raises the ValueError of `family.weight`.
     """
     eq, fq = log2_parts(q)
     for v in points:

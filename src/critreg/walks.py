@@ -167,11 +167,11 @@ def _shared_cost(family: ProductFamily, n: int) -> float:
     """Every walk's cost on an equal-rate family: the terms
     exp2(log2 w(t, 0, ..., 0) / d) for t < n, added in step order by one
     running sum (`np.cumsum` adds sequentially, as the steps would).  The
-    log2 weights are `log2_weights` of that line, read off the split form:
-    the int64 exponent e0 - rate t plus f0, one rounding per point."""
+    log2 weights are that line's `log2_weights`: the int64 exponent
+    e0 - rate t plus f0, (e0, f0) the origin's split weight, rounded once."""
     if not n:
         return 0.0
-    e0, f0 = family.point_base
+    e0, f0 = family.weight_log2_parts((0,) * family.d)
     log2_w = (e0 - family.axes[0].rate * np.arange(n)) + f0
     return float(np.cumsum(np.exp2(log2_w / family.d))[-1])
 

@@ -16,7 +16,11 @@ holds the tables of `make_digests.TABLES`.
 
 It prints, per side, the median over reps of the summed line time and
 the median and 90th percentile over lines of each line's median time,
-then NEW over OLD for each.  It exits 1 when a line's exit code or any
+then NEW over OLD for each.  A ratio means nothing without the band the
+host's noise gives it: run an A/A pass by passing a second copy of OLD
+(say, `git archive` of the same commit unpacked elsewhere) as NEW, and
+read a change's ratio as a move only where it leaves that pass's ratio
+on the same pool and reps.  It exits 1 when a line's exit code or any
 file it writes differs between the sides, byte for byte, and names the
 line; else 0.  It imports nothing under `bench/`: `make_digests.py`, which
 it imports, imports `critreg.cli`, hence the `PYTHONPATH`.

@@ -188,11 +188,22 @@ def exact_mass(family: LengthFamily, region: Box | Segment) -> Fraction:
     return family.mass_form(region).value()
 
 
+def scaled_axis(axis: Axis, s: Fraction) -> Axis:
+    """The axis times the positive rational s: coef * s, with log2_parts(s)
+    added to its coef_parts, so that a family holding it is s times one
+    holding the axis."""
+    se, sf = log2_parts(s)
+    ce, cf = axis.coef_parts
+    return axis._replace(coef=axis.coef * s, coef_parts=(ce + se, cf + sf))
+
+
 def uniform_box_family(box: Box, total: Fraction = Fraction(1)) -> ProductFamily:
-    """Constant weights on a finite box, renormalized to the given total."""
+    """Constant weights on a finite box, renormalized to the given total,
+    which the first axis' cell carries."""
     cells = [Fraction(1, hi - lo + 1) for lo, hi in box.intervals]
+    cells[0] *= total
     axes = [Axis(lo, hi, c, log2_parts(c), 0, 0) for (lo, hi), c in zip(box.intervals, cells)]
-    return ProductFamily(axes, scale=Fraction(total))
+    return ProductFamily(axes)
 
 
 def exact_sum(ws: Iterable[Fraction]) -> Fraction:
@@ -324,13 +335,13 @@ def _axis_ranges(region: Box | Segment) -> list[tuple[int, int, int, int]]:
 
 
 def mass_log2_parts_unmemoized(family: LengthFamily, region: Box | Segment) -> Log2Parts | None:
-    """The split log2 mass with no memo: on a product family log2_parts of
-    the scale, then each axis' `Axis.log2_parts` added in `_axis_ranges`
-    order; elsewhere log2_parts of the exact mass.  None on zero mass."""
+    """The split log2 mass with no memo: on a product family each axis'
+    `Axis.log2_parts` added from (0, 0.0) in `_axis_ranges` order;
+    elsewhere log2_parts of the exact mass.  None on zero mass."""
     if not isinstance(family, ProductFamily):
         m = family.mass_form(region).value()
         return log2_parts(m) if m else None
-    e, f = log2_parts(family.scale)
+    e, f = 0, 0.0
     for k, lo, hi, s in _axis_ranges(region):
         term = family.axes[k].log2_parts(lo, hi, s)
         if term is None:
@@ -355,7 +366,7 @@ def mass_ratio_log2_unmemoized(family: LengthFamily, region: Box | Segment, boun
 
 def segment_power_log2_unmemoized(family: LengthFamily, seg: Segment, alpha: float) -> float:
     """log2 of the sum of weight^alpha over the segment: on a product family
-    alpha times the scale's and each fixed point's split parts, plus every
+    alpha times each fixed point's split parts, added from 0.0, plus every
     run of the moving axis' `Axis._runs`, each its `_geometric_sum_log2`,
     joined by log2_add from -inf (not `Axis.power_log2`, so that a shortcut
     there is checked against the join); on a table the point terms, each
@@ -367,7 +378,7 @@ def segment_power_log2_unmemoized(family: LengthFamily, seg: Segment, alpha: flo
             if p in family.table:
                 out = log2_add(out, alpha * sum(family.weight_log2_parts(p)))
         return out
-    m = alpha * sum(log2_parts(family.scale))
+    m = 0.0
     for k, c in enumerate(seg.anchor):
         if k != seg.axis:
             ax = family.axes[k]
@@ -403,8 +414,7 @@ def b_log2_split(cert: ChainCertificate, family: ProductFamily) -> float:
 
     def power_parts(seg: Segment, alpha: Fraction) -> tuple[Fraction, float]:
         a = float(alpha)
-        e, f = log2_parts(family.scale)
-        e, f = alpha * e, a * f
+        e, f = 0, 0.0
         *fixed, (k, lo, hi, s) = _axis_ranges(seg)
         for j, c, _, _ in fixed:
             pe, pf = family.axes[j].point_parts(c)

@@ -60,6 +60,7 @@ from oracles import (
     fully_good_dfs,
     goodness_ratio,
     point_mass,
+    scaled_axis,
     uniform_box_family,
 )
 
@@ -115,7 +116,7 @@ def _families(dim: int) -> dict:
     return {
         "geometric": geometric_family(dim),
         "symmetric": symmetric_geometric_family(dim),
-        "scaled": ProductFamily(mixed[:dim], scale=Fraction(5, 7)),
+        "scaled": ProductFamily([scaled_axis(mixed[0], Fraction(5, 7)), *mixed[1:dim]]),
         "steep": ProductFamily([steep, *mixed[1:dim]]),
         "uniform": uniform_box_family(Box(((-4, 12),) * dim)),
     }

@@ -40,6 +40,7 @@ from oracles import (
     mass_log2_parts_unmemoized,
     mass_ratio_log2_unmemoized,
     point_weights,
+    scaled_axis,
     segment_power_log2_unmemoized,
     sphere_points,
     sphere_size,
@@ -666,6 +667,57 @@ class TestRegionDimension:
             with pytest.raises(ValueError) as got:
                 call(region)
             assert str(got.value) == f"the family is on {message}"
+
+
+class TestFamilyIsItsAxes:
+    """A product family holds only its axes: a point's split weight is the
+    sum of its axes' point parts, as its one-point box's split mass is, and
+    a scale lives in an axis (`scaled_axis`)."""
+
+    # 0 and the edges of every support, and a point past each
+    COORDS = (-3, -2, -1, 0, 1, 3, 4, 9, 10)
+
+    def test_takes_no_scale(self):
+        with pytest.raises(TypeError):
+            ProductFamily([geometric_axis()], scale=Fraction(1, 2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("name", ["geometric", "symmetric-geometric", "mixed", "uniform"])
+    def test_point_weight_is_the_one_point_box_mass(self, name, d):
+        fam = MEMO_FAMILIES[name](d)
+        seen = set()
+        for v in product(self.COORDS, repeat=d):
+            box = Box(tuple((c, c) for c in v))
+            if fam.contains(v):
+                e, f = fam.weight_log2_parts(v)
+                want_e, want_f = fam.mass_log2_parts(box)
+                assert (e, f.hex()) == (want_e, want_f.hex()), v
+                edge = any(c in (ax.lo, ax.hi) for ax, c in zip(fam.axes, v))
+                seen.add("edge" if edge else "inside")
+                continue
+            k = next(k for k, (ax, c) in enumerate(zip(fam.axes, v)) if not ax.contains(c))
+            with pytest.raises(ValueError) as want:
+                fam.axes[k].point_parts(v[k])
+            with pytest.raises(ValueError) as got:
+                fam.weight_log2_parts(v)
+            assert str(got.value) == str(want.value)
+            assert fam.mass_log2_parts(box) is None
+            seen.add("outside")
+        # the symmetric axis is all of Z: no edge and no outside
+        assert seen == ({"inside"} if name == "symmetric-geometric"
+                        else {"inside", "edge", "outside"})
+
+    @pytest.mark.parametrize("s", [Fraction(5, 7), Fraction(2), Fraction(1, 3)])
+    def test_a_scaled_axis_scales_every_mass(self, s):
+        axes = [symmetric_geometric_axis(), geometric_axis(), symmetric_geometric_axis()]
+        fam = ProductFamily(axes)
+        scaled = ProductFamily([scaled_axis(axes[0], s), *axes[1:]])
+        regions = [Box(((-3, 2), (0, 4), (-1, 1))), Box(((5, 5), (2, 2), (-4, -4))),
+                   Box(((0, 3), (-2, 1), (0, 0))), Segment((1, 0, 2), 0, 6, -2),
+                   Segment((-2, 3, 0), 1, 5), Segment((0, -1, 0), 2, 4, 3)]
+        for region in regions:
+            assert exact_mass(scaled, region) == s * exact_mass(fam, region), region
+        assert scaled.total_mass == s * fam.total_mass
 
 
 class TestPowerSumOverASegment:

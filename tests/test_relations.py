@@ -92,11 +92,12 @@ def test_halving_a_table_shifts_every_split_mass_by_exactly_one(n_max):
 
 
 def test_halving_a_product_family_shifts_every_split_mass_by_exactly_one():
-    """Scale, for a product family: the symmetric-geometric family at
-    scale 1/2, on B-general at d = 3."""
+    """Scale, for a product family: the symmetric-geometric family halved
+    by lowering its first axis' offset by 1, on B-general at d = 3."""
     seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=12)
     family = symmetric_geometric_family(3)
-    halved = ProductFamily(family.axes, scale=HALF)
+    first, *rest = family.axes
+    halved = ProductFamily([first._replace(offset=first.offset - 1), *rest])
     parts, halved_parts = _halved_parts(family, halved, build_chain("B-general", family, seq))
     assert all(parts)
     assert halved_parts == _shift_by_one_halving(parts)

@@ -49,6 +49,7 @@ from oracles import (
     certified_mean_argmax,
     enumerate_min_cost,
     geodesic,
+    scaled_axis,
     shared_cost_line,
     sphere_points,
     transition_distribution,
@@ -202,11 +203,14 @@ class TestSampling:
 def reference_log2_weights(family, pts):
     """The float log2 weights of a point array, a product family's read
     off its closed form at any point, in its support or not: the int64
-    exponent e0 - sum rate_k |c_k| plus f0, one rounding per point.  Any
-    other family by `log2_weights`."""
+    exponent e0 - sum rate_k |c_k| plus f0, one rounding per point, where
+    e0 sums each axis' offset and integer coef part and f0 its float coef
+    part, from (0, 0.0) in axis order.  Any other family by `log2_weights`."""
     if not isinstance(family, ProductFamily):
         return log2_weights(family, pts)
-    e0, f0 = family.point_base
+    e0, f0 = 0, 0.0
+    for ax in family.axes:
+        e0, f0 = e0 + ax.offset + ax.coef_parts[0], f0 + ax.coef_parts[1]
     return (e0 - np.abs(pts) @ np.array([ax.rate for ax in family.axes])) + f0
 
 
@@ -285,7 +289,7 @@ def unequal_rate_family(d):
     five_thirds = Fraction(5, 3)
     steep = Axis(0, math.inf, five_thirds, log2_parts(five_thirds), 3, 2)
     axes = [geometric_axis() if k % 2 == 0 else steep for k in range(d)]
-    return ProductFamily(axes, scale=Fraction(2, 7))
+    return ProductFamily([scaled_axis(axes[0], Fraction(2, 7)), *axes[1:]])
 
 
 def batch_families(d, n):
@@ -377,7 +381,7 @@ class TestBatch:
         # exact and in split form
         steep = Axis(0, math.inf, Fraction(5, 3), log2_parts(Fraction(5, 3)), 3, 2)
         fams = (geometric_family(d), symmetric_geometric_family(d),
-                ProductFamily([steep] * d, scale=Fraction(2, 7)))
+                ProductFamily([scaled_axis(steep, Fraction(2, 7)), *[steep] * (d - 1)]))
         for fam in fams:
             for n in range(9):
                 points = list(sphere_points(d, n))
@@ -591,7 +595,7 @@ def tie_family(end, above):
     third = Fraction(1, 3)
     middle = [Axis(end[1], end[1] + 2, third, log2_parts(third), 0, 0)] if len(end) == 3 else []
     last = Axis(end[-1], end[-1], Fraction(1), (0, 0.0), 0, 0)
-    return ProductFamily([first, *middle, last], scale=Fraction(2))
+    return ProductFamily([scaled_axis(first, Fraction(2)), *middle, last])
 
 
 class TestBruteMinCost:
