@@ -581,11 +581,23 @@ class TableFamily(LengthFamily):
     def total_mass(self) -> Fraction:
         return sum(self.table.values(), Fraction(0))
 
+    def _on_segment(self, seg: Segment) -> Iterable[Coords]:
+        """The segment's points that lie in the table, in the segment's
+        order: walked when the segment is no longer than the table, else
+        read off the table by `Segment.index_of`."""
+        if seg.count <= len(self.table):
+            return (v for v in seg.points() if v in self.table)
+        at = {t: v for v in self.table if (t := seg.index_of(v)) is not None}
+        return (at[t] for t in sorted(at))
+
     def mass_form(self, region: Box | Segment) -> MassForm:
         """The sum of the weights of the region's points in the table, over 1."""
         self._check_region(region)
-        pts = filter(region.contains, self.table) if isinstance(region, Box) else region.points()
-        total = sum((self.table[p] for p in pts if p in self.table), Fraction(0))
+        if isinstance(region, Box):
+            pts = filter(region.contains, self.table)
+        else:
+            pts = self._on_segment(region)
+        total = sum((self.table[p] for p in pts), Fraction(0))
         return MassForm(total, ONE, ONE)
 
     def mass_log2_parts(self, region: Box | Segment) -> Log2Parts | None:
@@ -597,9 +609,8 @@ class TableFamily(LengthFamily):
         self._check_region(seg)
         # the point terms, summed in the segment's order
         out = NEG_INF
-        for v in seg.points():
-            if v in self.table:
-                out = log2_add(out, alpha * sum(self.weight_log2_parts(v)))
+        for v in self._on_segment(seg):
+            out = log2_add(out, alpha * sum(self.weight_log2_parts(v)))
         return out
 
 

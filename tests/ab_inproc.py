@@ -14,10 +14,11 @@ the benchmark pool NAME (`make_digests.pool_lines`), or else from
 `make_digests.ledger_lines()`; they run in a temporary directory that
 holds the tables of `make_digests.TABLES`.
 
-It prints, per side, the median over reps of the summed line time and
-the median and 90th percentile over lines of each line's median time,
-then NEW over OLD for each.  A ratio means nothing without the band the
-host's noise gives it: run an A/A pass by passing a second copy of OLD
+It prints, per side, the median and 90th percentile over lines of each
+line's median time, then NEW over OLD for each.  It prints no summed
+time: a total is weighted by the slowest lines and says nothing of the
+others.  A ratio means nothing without the band the host's noise gives
+it: run an A/A pass by passing a second copy of OLD
 (say, `git archive` of the same commit unpacked elsewhere) as NEW, and
 read a change's ratio as a move only where it leaves that pass's ratio
 on the same pool and reps.  It exits 1 when a line's exit code or any
@@ -116,12 +117,11 @@ def main(argv: list[str] | None = None) -> int:
     summary = {}
     for side in SIDES:
         per_line = [statistics.median(ts) for ts in times[side]]
-        summed = statistics.median(sum(ts[r] for ts in times[side]) for r in range(args.reps))
-        summary[side] = (summed, statistics.median(per_line), p90(per_line))
-        print(f"{side}: summed {summed:.4f} s, line p50 {summary[side][1] * 1e3:.3f} ms,"
-              f" line p90 {summary[side][2] * 1e3:.3f} ms")
+        summary[side] = (statistics.median(per_line), p90(per_line))
+        print(f"{side}: line p50 {summary[side][0] * 1e3:.3f} ms,"
+              f" line p90 {summary[side][1] * 1e3:.3f} ms")
     ratios = [n / o for o, n in zip(summary["old"], summary["new"])]
-    print("new/old: summed {:.3f}, line p50 {:.3f}, line p90 {:.3f}".format(*ratios))
+    print("new/old: line p50 {:.3f}, line p90 {:.3f}".format(*ratios))
     print(f"{len(lines)} lines x {args.reps} reps; reports differing: {len(differ)}")
     for i in sorted(differ):
         print("differs:", " ".join(lines[i]))

@@ -169,6 +169,11 @@ def symmetric_geometric_weight(i: int) -> Fraction:
     return Fraction(1, 3 * 2 ** abs(i))
 
 
+def steep_weight(i: int) -> Fraction:
+    """`steep_axis`: 5/3 * 2^(1 - 2|i|) on [-3, 14], and 0 outside."""
+    return Fraction(5, 3) * Fraction(2) ** (1 - 2 * abs(i)) if -3 <= i <= 14 else Fraction(0)
+
+
 def uniform_weight(lo: int, hi: int) -> Callable[[int], Fraction]:
     """An axis of `uniform_box_family` on [lo, hi]: the cell mass
     1/(hi - lo + 1) inside, and 0 outside."""
@@ -195,6 +200,11 @@ def scaled_axis(axis: Axis, s: Fraction) -> Axis:
     se, sf = log2_parts(s)
     ce, cf = axis.coef_parts
     return axis._replace(coef=axis.coef * s, coef_parts=(ce + se, cf + sf))
+
+
+def steep_axis() -> Axis:
+    """A finite axis of rate 2 that starts below 0 (`steep_weight`)."""
+    return Axis(-3, 14, Fraction(5, 3), log2_parts(Fraction(5, 3)), 1, 2)
 
 
 def uniform_box_family(box: Box, total: Fraction = Fraction(1)) -> ProductFamily:
@@ -348,20 +358,6 @@ def mass_log2_parts_unmemoized(family: LengthFamily, region: Box | Segment) -> L
             return None
         e, f = e + term[0], f + term[1]
     return e, f
-
-
-def mass_ratio_log2_unmemoized(family: LengthFamily, region: Box | Segment, bound: Bound) -> float:
-    """`mass_ratio_log2` from `mass_log2_parts_unmemoized`: the integer and
-    float differences, each minus log2_parts of q, summed."""
-    q, other = bound
-    eq, fq = log2_parts(q)
-    a = mass_log2_parts_unmemoized(family, region)
-    if a is None:
-        return -math.inf
-    b = mass_log2_parts_unmemoized(family, other)
-    if b is None:
-        return math.inf
-    return (a[0] - b[0] - eq) + (a[1] - b[1] - fq)
 
 
 def segment_power_log2_unmemoized(family: LengthFamily, seg: Segment, alpha: float) -> float:

@@ -34,7 +34,6 @@ from critreg.concat import (
     walk_stretches,
 )
 from critreg.lattice import (
-    Axis,
     Bound,
     Box,
     ProductFamily,
@@ -43,7 +42,6 @@ from critreg.lattice import (
     first_translate_le,
     geometric_axis,
     geometric_family,
-    log2_parts,
     symmetric_geometric_axis,
     symmetric_geometric_family,
     translated,
@@ -61,6 +59,7 @@ from oracles import (
     goodness_ratio,
     point_mass,
     scaled_axis,
+    steep_axis,
     uniform_box_family,
 )
 
@@ -110,14 +109,12 @@ def _families(dim: int) -> dict:
     """Product families for the search tests: the two built-in ones, a
     scaled product of both axes, a finite axis of rate 2 that starts below
     0, and a uniform box (rate 0)."""
-    five_thirds = Fraction(5, 3)
-    steep = Axis(-3, 14, five_thirds, log2_parts(five_thirds), 1, 2)
     mixed = [geometric_axis(), symmetric_geometric_axis()] * dim
     return {
         "geometric": geometric_family(dim),
         "symmetric": symmetric_geometric_family(dim),
         "scaled": ProductFamily([scaled_axis(mixed[0], Fraction(5, 7)), *mixed[1:dim]]),
-        "steep": ProductFamily([steep, *mixed[1:dim]]),
+        "steep": ProductFamily([steep_axis(), *mixed[1:dim]]),
         "uniform": uniform_box_family(Box(((-4, 12),) * dim)),
     }
 
