@@ -583,20 +583,16 @@ class TableFamily(LengthFamily):
 
     def _on_segment(self, seg: Segment) -> Iterable[Coords]:
         """The segment's points that lie in the table, in the segment's
-        order: walked when the segment is no longer than the table, else
-        read off the table by `Segment.index_of`."""
-        if seg.count <= len(self.table):
-            return (v for v in seg.points() if v in self.table)
+        order, read off the table by `Segment.index_of`: a region costs the
+        table, as a box does, however long the segment runs."""
         at = {t: v for v in self.table if (t := seg.index_of(v)) is not None}
         return (at[t] for t in sorted(at))
 
     def mass_form(self, region: Box | Segment) -> MassForm:
         """The sum of the weights of the region's points in the table, over 1."""
         self._check_region(region)
-        if isinstance(region, Box):
-            pts = filter(region.contains, self.table)
-        else:
-            pts = self._on_segment(region)
+        pts = (filter(region.contains, self.table) if isinstance(region, Box)
+               else self._on_segment(region))
         total = sum((self.table[p] for p in pts), Fraction(0))
         return MassForm(total, ONE, ONE)
 

@@ -115,16 +115,18 @@ CHAIN_LINES = (
 SEARCH_FAILURE_LINES = tuple(f"chain-ff --d 3 --n-max {n}" for n in range(2, 6))
 
 # a B-d2 chain on a table whose segments leave it, and the same chain at
-# n_max 60, whose segments run far past the table's 36 points; a table
+# n_max 60, whose segments run far past the table's 36 points
+# (`FAR_TABLE_CHAIN`, which must finish within 5 s); a table
 # that steps every lemma1 walk, a B-d2 and an FF-d3 chain whose walks get
 # zero weight (a null budget-ratio-spread and B_log2, exit 2), and a
 # lemma1 walk whose one sample ends at the heavy point (4, 0), so no
 # sample is certified (exit 2)
+FAR_TABLE_CHAIN = ("chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --family custom-file"
+                   " --family-file square-table.json --n-max 60")
 TABLE_LINES = (
     "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --n-max 8"
     " --family custom-file --family-file square-table.json",
-    "chain-b --d 2 --variant B-d2 --alpha 1/2,1/2 --family custom-file"
-    " --family-file square-table.json --n-max 60",
+    FAR_TABLE_CHAIN,
     "lemma1 --d 2 --family custom-file --family-file simplex-table.json"
     " --n-max 5 --samples 50 --seed 3",
     "chain-b --d 2 --alpha 1/2,1/2 --family custom-file --family-file far-block-table.json"

@@ -19,7 +19,8 @@ input of those oracles (the walk kernel and lattice paths).
 `exact_mass` is no oracle: it reads the package's own exact mass form
 as a rational, for tests of something else; nor is `uniform_box_family`,
 the tests' finite family of rate-0 axes, on which every translate of a
-region has the same mass.
+region has the same mass; nor is `within_5_s`, which fails a test whose
+run passes 5 s.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import contextlib
 import csv
 import json
 import math
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -214,6 +216,23 @@ def uniform_box_family(box: Box, total: Fraction = Fraction(1)) -> ProductFamily
     cells[0] *= total
     axes = [Axis(lo, hi, c, log2_parts(c), 0, 0) for (lo, hi), c in zip(box.intervals, cells)]
     return ProductFamily(axes)
+
+
+def within_5_s(fn: Callable[..., Any], *args: Any) -> Any:
+    """fn(*args), failing the test when it runs past 5 s."""
+    class Hung(BaseException):  # no handler of `main` catches it
+        pass
+
+    def hang(signum, frame):
+        raise Hung
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def exact_sum(ws: Iterable[Fraction]) -> Fraction:

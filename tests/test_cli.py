@@ -5,7 +5,6 @@ import math
 import os
 import re
 import shlex
-import signal
 import subprocess
 import sys
 import tempfile
@@ -30,27 +29,8 @@ from critreg.cli import (
     write_report,
 )
 
-from make_digests import (
-    LEDGER, REFUSAL_BYTES, REFUSALS, TABLE_LINES, WRITE_REFUSALS, file_digests, run_line,
-)
-from oracles import file_tree, write_report_rows
-
-
-def _within_5_s(fn, *args):
-    """fn(*args), failing the test when it runs past 5 s."""
-    class Hung(BaseException):  # no handler of `main` catches it
-        pass
-
-    def hang(signum, frame):
-        raise Hung
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(5)
-    try:
-        return fn(*args)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+from make_digests import LEDGER, REFUSAL_BYTES, REFUSALS, WRITE_REFUSALS, file_digests
+from oracles import file_tree, within_5_s, write_report_rows
 
 
 @pytest.fixture
@@ -622,17 +602,10 @@ class TestMain:
     def test_extreme_exponents_exit_one_promptly(self, capsys, argv):
         # exponents of denominator 10^5 ask for roots of radicands of
         # millions of bits: the first line ran past 60 s, the second 10 s
-        code = _within_5_s(main, argv)
+        code = within_5_s(main, argv)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1 and "radicand past" in err
-
-    def test_a_table_chain_past_its_table_finishes_promptly(self, tmp_path, workdir):
-        # the ledger's B-d2 chain at n_max 60 on the 36-point square table,
-        # whose segments run far past it: a table's segment forms read the
-        # table, where walking every point of them took 5 s at n_max 40
-        line = next(line for line in TABLE_LINES if line.endswith("--n-max 60"))
-        assert _within_5_s(run_line, line, tmp_path / "out") == json.loads(LEDGER.read_text())[line]
 
     def test_family_file_accepts_numbers_and_rationals(self, tmp_path):
         p = tmp_path / "family.json"

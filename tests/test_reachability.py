@@ -80,8 +80,6 @@ ALLOWLIST = {
     ("concat.distortion_budget", "continue"): (
         "a next box that the walk enters at its start or never; every chain built enters "
         "each later box after its first step"),
-    ("lattice.Segment.index_of", "return None"): (
-        "the verifier's failure path: a record whose entry or exit is off its segment"),
     ("lattice._ratio_parts", "return 0, math.inf"): (
         "a zero-mass bound against a region of positive mass; on the CLI's table without "
         "weight where chains run, the region's zero mass returns first"),
