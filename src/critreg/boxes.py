@@ -34,17 +34,16 @@ RADICAND_BITS_GUARD = 1 << 19
 def integer_root(x: int, q: int) -> int:
     """Largest r >= 0 with r**q <= x (exact, arbitrary precision).
 
-    For roots below 2^33 of an x below 2^1000 the float root is within
-    2^-15 of the root (rounding of x and 1/q, times log of the root, and
-    pow's ulp), so its integer part is the answer or one off it.  Larger
-    roots, and larger x, start from the root's log2, (low + log2 t) / q
-    for the top 53 bits t = x >> low of x.  Its float error is below 2^-45
-    for any q (log2 t to one ulp of 53, t short of x / 2^low by under 2^-52
-    relative, and one rounding each of the sum and the quotient), so
-    raised by 2^-40 and rounded up it gives a start above the root, 2^-40
-    from it in relative terms.  Integer Newton steps
-    r -> ((q-1) r + x // r^(q-1)) // q then decrease until they stop on
-    the root; `math.isqrt` does the same for q = 2.
+    At every size the start is the root's log2, (low + log2 t) / q for
+    t = x >> low and low = max(0, bits - 53): t is x itself when x has at
+    most 53 bits, and otherwise its top 53 bits, short of x / 2^low by
+    under 2^-52 relative.  Its float error is below 2^-45 for any q
+    (log2 t to one ulp of 53, that shortfall, and one rounding each of the
+    sum and the quotient), so raised by 2^-40 and rounded up it gives a
+    start of at least 1 above the root, over it by 2^-40 in relative terms
+    plus 1 for the rounding up.  Integer Newton steps
+    r -> ((q-1) r + x // r^(q-1)) // q from any start above the root
+    decrease until they stop on it; `math.isqrt` does the same for q = 2.
     """
     if x < 0 or q < 1:
         raise ValueError("need x >= 0 and q >= 1")
@@ -53,14 +52,8 @@ def integer_root(x: int, q: int) -> int:
     if q == 2:
         return math.isqrt(x)
     bits = x.bit_length()
-    k = max(0, bits // q - 32, -((1000 - bits) // q))
-    if k == 0:
-        r = int(x ** (1.0 / q))
-        if r ** q > x:
-            return r - 1
-        return r + 1 if (r + 1) ** q <= x else r
-    # here x has more than 53 bits; the start is 2^(a + f), f in [0, 19)
-    low = bits - 53
+    # the start is 2^(a + f), f in [0, 19)
+    low = max(0, bits - 53)
     a, b = divmod(low, q)
     f = (b + math.log2(x >> low)) / q + 2.0 ** -40
     e = math.floor(f)
@@ -273,17 +266,19 @@ def sequence_multiplicity(seq: BoxSequence) -> int:
 # ---------------------------------------------------------------------------
 
 
-def minimal_round_constant(box: Box) -> Fraction | None:
-    """Least A >= 1 making the box A-round, or None if no A works.
+def minimal_round_constant(box: Box) -> Fraction:
+    """Least A >= 1 making the box A-round.
 
-    The box must have integer endpoints, as every builder makes them; any
-    other endpoint raises ValueError.  The constraints compare every
-    endpoint and side of factor i against p = s^i, the i-th power of the
-    first side length; they force positive coordinates.  Of the four
-    bounds p/x, y/p, p/side and side/p, the last never binds: with integer
-    x >= 1, side = 1 + y - x <= y, so side/p <= y/p.  The largest ratio
-    num/den is found by integer cross-multiplication (all denominators are
-    positive) and made a Fraction once.
+    The box must have integer endpoints, as every builder makes them, and
+    lower endpoints >= 1, as every builder's are: the constraints force
+    positive coordinates, so no A works at a lower endpoint <= 0.  Any
+    other box raises ValueError.  The constraints compare every endpoint
+    and side of factor i against p = s^i, the i-th power of the first side
+    length.  Of the four bounds p/x, y/p, p/side and side/p, the last
+    never binds: with integer x >= 1, side = 1 + y - x <= y, so
+    side/p <= y/p.  The largest ratio num/den is found by integer
+    cross-multiplication (all denominators are positive) and made a
+    Fraction once.
     """
     if not all(isinstance(v, int) for iv in box.intervals for v in iv):
         raise ValueError(f"the round constant needs integer endpoints, got {box.intervals}")
@@ -291,7 +286,7 @@ def minimal_round_constant(box: Box) -> Fraction | None:
     num = den = 1
     for i, (x, y) in enumerate(box.intervals, 1):
         if x <= 0:
-            return None
+            raise ValueError(f"the round constant needs lower endpoints >= 1, got {box.intervals}")
         p = s ** i
         for a, b in ((p, x), (y, p), (p, 1 + y - x)):
             if a * den > num * b:
@@ -367,7 +362,7 @@ def vertical_subdivision(box: Box, a: Fraction) -> SubdivisionTree:
     if a < 1:
         raise ValueError("roundness constant must be >= 1")
     least = minimal_round_constant(box)
-    if least is None or least > a:
+    if least > a:
         raise ValueError(f"box is not {a}-round (minimal {least})")
     plens = []
     for k in range(1, box.dim):

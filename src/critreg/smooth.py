@@ -298,15 +298,16 @@ def _ratio_max(ld: np.ndarray, x: np.ndarray, alpha: float, k: int) -> np.float6
 
 
 def holder_constant_estimate(g: SmoothMap, alpha: float, grid: int = 1025) -> float:
-    """Grid-pair estimate C of the Holder constant of log(Dg)."""
+    """Grid-pair estimate C of the Holder constant of log(Dg); ValueError
+    on a grid of fewer than 2 points, which has no pair."""
     if not 0 < alpha <= 1:
         raise ValueError("exponent must lie in (0, 1]")
+    if grid < 2:
+        raise ValueError(f"the Holder estimate needs a grid of at least 2 points, got {grid}")
     x = g.grid(grid)
     d = g.df(x)
     _require_positive(d)
     ld = np.log(d)
-    if grid < 2:
-        return 0.0
     if not _exact_progression(x):  # G_k = x_k only there, see the module docstring
         return float(np.maximum.reduce(
             [_ratio_max(ld, x, alpha, k) for k in range(1, grid)]))

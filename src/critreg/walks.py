@@ -142,15 +142,18 @@ def batch_certificates(
     """Vectorized Monte-Carlo pass on the family's lattice Z^d: the joint
     success fraction, the mean cost and the first certified sample.
 
-    The support must hold every point a walk of length n can reach;
-    otherwise this raises ValueError, before any draw.  On a product
-    family with one rate on every axis (both built-in families) every
-    sample then costs the one sum `_shared_cost`, which is the batch's mean
-    whatever `samples` is, and meets the terminal bound exactly when the
-    endpoint (n, 0, ..., 0) does, so no walk is stepped; every other
-    family takes `_sample_pass` on the seed's stream.  Bounds past float
-    range raise the ValueError of `_summary`.
+    A batch has n >= 1 and samples >= 1, as the CLI's n_max and samples
+    have, and the support must hold every point a walk of length n can
+    reach; otherwise this raises ValueError, before any draw.  On a product family with one rate on
+    every axis (both built-in families) every sample then costs the one
+    sum `_shared_cost`, which is the batch's mean whatever `samples` is,
+    and meets the terminal bound exactly when the endpoint (n, 0, ..., 0)
+    does, so no walk is stepped; every other family takes `_sample_pass`
+    on the seed's stream.  Bounds past float range raise the ValueError of
+    `_summary`.
     """
+    if n < 1 or samples < 1:
+        raise ValueError(f"a batch needs n >= 1 and samples >= 1, got {n} and {samples}")
     missing = _first_unreached(family, n)
     if missing is not None:
         raise ValueError(f"a walk of length {n} can reach {missing}, outside the family's support")
@@ -164,13 +167,11 @@ def batch_certificates(
 
 
 def _shared_cost(family: ProductFamily, n: int) -> float:
-    """Every walk's cost on an equal-rate family: the terms
+    """Every walk's cost on an equal-rate family, for n >= 1: the terms
     exp2(log2 w(t, 0, ..., 0) / d) for t < n, added in step order by one
     running sum (`np.cumsum` adds sequentially, as the steps would).  The
     log2 weights are that line's `log2_weights`: the int64 exponent
     e0 - rate t plus f0, (e0, f0) the origin's split weight, rounded once."""
-    if not n:
-        return 0.0
     e0, f0 = family.weight_log2_parts((0,) * family.d)
     log2_w = (e0 - family.axes[0].rate * np.arange(n)) + f0
     return float(np.cumsum(np.exp2(log2_w / family.d))[-1])

@@ -17,7 +17,7 @@ README, so nothing under `bench/` is imported at test time.
 - `CAP_LINES`, the three chain lines at the n_max cap;
 - `CHAIN_LINES`: builders, families and ties that the pools miss;
 - `SEARCH_FAILURE_LINES`: the FF-d3 ranges that exit 3;
-- `TABLE_LINES`: chains and walks on the four tables of `TABLES`;
+- `TABLE_LINES`: chains and walks on four of the tables of `TABLES`;
 - `LEMMA1_LINES`: lemma1 at other seeds, families and dimensions;
 - `DYNAMICS_LINES`: k_max around the orbit block and the ends of c and alpha;
 - `IDENTITY_LINES`: every allowed (model, d) at three seeds;
@@ -89,6 +89,11 @@ TABLES = {
     "plane-table.json": json.dumps(
         {f"{i},{j}": f"{1 + (3 * i + 5 * j) % 7}/{2 ** (i + j)}"
          for i in range(9) for j in range(9)}),
+    # the plane table without the origin, so a B-d2 chain's walk starts at
+    # its first box's lower corner
+    "plane-no-origin-table.json": json.dumps(
+        {f"{i},{j}": f"{1 + (3 * i + 5 * j) % 7}/{2 ** (i + j)}"
+         for i in range(9) for j in range(9) if (i, j) != (0, 0)}),
 }
 
 CAP_LINES = (
@@ -181,7 +186,10 @@ PROBE_LINES = (
 # table of total mass below 1 (where lemma 1's B takes its root branch), B
 # boxes (the ceiling of an inexact root at 1/5,2/5,2/5, and roots so large
 # that their Newton start is a left shift at n_max 200), B-d2 chains on the
-# symmetric family and on a table, FF chains up to FF-general at exit 2
+# symmetric family and on a table, a B-d2 chain whose walk starts inside a
+# later box: on the plane table without the origin it starts at Q(1)'s lower
+# corner (1, 1), which lies in Q(2), so Q(2) is entered at step 0 and the
+# budget has no row for n = 1; FF chains up to FF-general at exit 2
 # (B_log2 2^23 at n_max 40, B past float range: rounding noise, ROADMAP item
 # 19), both identity models and dynamics
 REACH_LINES = (
@@ -194,6 +202,8 @@ REACH_LINES = (
     "chain-b --d 2 --alpha 1/2,1/2 --family symmetric-geometric --n-max 5",
     "chain-b --d 2 --alpha 1/2,1/2 --family custom-file --family-file plane-table.json"
     " --n-max 4",
+    "chain-b --d 2 --variant B-d2 --alpha 2/3,1/3 --n-max 4 --family custom-file"
+    " --family-file plane-no-origin-table.json",
     "chain-ff --d 3 --n-max 6",
     "chain-ff --d 4 --n-max 7",
     "chain-ff --d 4 --n-max 40",

@@ -851,15 +851,13 @@ def b_d2_box(alphas: tuple[Fraction, Fraction], n: int) -> Box:
     return Box((iv1, iv2))
 
 
-def round_constant_fractions(box: Box) -> Fraction | None:
+def round_constant_fractions(box: Box) -> Fraction:
     """The least A >= 1 making the box A-round as a running max of the
-    Fraction bounds of every axis, or None at a lower endpoint <= 0."""
+    Fraction bounds of every axis, for lower endpoints >= 1."""
     s = box.side(0)
     out = Fraction(1)
     for i in range(1, box.dim + 1):
         x, y = box.intervals[i - 1]
-        if x <= 0:
-            return None
         p = Fraction(s) ** i
         side = 1 + y - x
         for c in (p / x, Fraction(y) / p, p / side, Fraction(side) / p):
@@ -921,9 +919,8 @@ def file_tree(root: Path) -> dict:
 
 def shared_cost_line(family: ProductFamily, n: int) -> float:
     """`walks._shared_cost` by `walks.log2_weights` over the (n, d) point
-    array of the line (t, 0, ..., 0), t < n, summed by one running sum."""
-    if not n:
-        return 0.0
+    array of the line (t, 0, ..., 0), t < n, summed by one running sum,
+    for n >= 1."""
     line = np.zeros((n, family.d), dtype=np.int64)
     line[:, 0] = np.arange(n)
     return float(np.cumsum(np.exp2(log2_weights(family, line) / family.d))[-1])

@@ -57,15 +57,28 @@ class TestIntegerRoots:
         r = integer_root(x, q)
         assert r ** q <= x < (r + 1) ** q
 
-    @given(st.integers(1, 2 ** 600), st.integers(2, 7), st.sampled_from((-1, 0, 1)))
+    @given(st.one_of(st.integers(1, 2 ** 12), st.integers(1, 2 ** 600)), st.integers(2, 64),
+           st.sampled_from((-1, 0, 1)))
+    # x next to 2^53, where t = x >> low starts to drop bits of x
+    @example(m=2, q=53, delta=-1)
+    @example(m=2, q=53, delta=1)
+    @example(m=208063, q=3, delta=1)  # m^3 just under 2^53
+    @example(m=208064, q=3, delta=-1)  # m^3 just over 2^53
+    # cube roots next to 2^32 and 2^33, of 96- to 100-bit x
+    @example(m=2 ** 32 - 1, q=3, delta=1)
+    @example(m=2 ** 32 + 1, q=3, delta=-1)
+    @example(m=2 ** 33 - 1, q=3, delta=1)
+    @example(m=2 ** 33, q=3, delta=-1)
+    @example(m=2 ** 33 + 1, q=3, delta=-1)
     @settings(max_examples=300, deadline=None)
     def test_integer_root_next_to_perfect_powers(self, m, q, delta):
         x = m ** q + delta
-        assert integer_root(x, q) == (m - 1 if delta < 0 else m)
+        r = integer_root(x, q)
+        assert r == (m - 1 if delta < 0 else m)
+        assert r ** q <= x < (r + 1) ** q
 
     def test_integer_root_past_float_range(self):
-        # a float seed overflows from 2^1024, and +-1 corrections from it
-        # would take about 2^(bits/q - 53) steps
+        # x past 2^1024, where a float of x would overflow
         assert integer_root(3 ** 600, 2) == 3 ** 300
         assert integer_root(3 ** 600, 3) == 3 ** 200
         assert integer_root(3 ** 600 - 1, 3) == 3 ** 200 - 1
@@ -74,8 +87,8 @@ class TestIntegerRoots:
     @pytest.mark.parametrize("x", [4 ** 999, 3 ** 2000, 2 ** 1998 - 1],
                              ids=["4^999", "3^2000", "2^1998-1"])
     def test_integer_root_of_a_small_root_past_float_range(self, x):
-        # the roots are 3, 9 and 3: x.bit_length() // q - 32 is 0, so the
-        # float seed alone would read all of x, past 2^1024
+        # the roots are 3, 9 and 3 of an x past 2^1024, of which the start
+        # reads only the top 53 bits
         r = integer_root(x, 1000)
         assert r ** 1000 <= x < (r + 1) ** 1000
 
@@ -279,13 +292,14 @@ class TestRoundness:
         assert _is_round(Box(((1, 1), (1, 1))), Fraction(1))
 
     def test_nonpositive_coordinates_never_round(self):
-        assert minimal_round_constant(Box(((0, 3), (1, 9)))) is None
+        for box in (Box(((0, 3), (1, 9))), Box(((1, 3), (-2, 9))), Box(((-5, -1),))):
+            with pytest.raises(ValueError, match=r"needs lower endpoints >= 1, got \("):
+                minimal_round_constant(box)
 
     def test_ff_roundness_uniformly_bounded(self):
         # the per-box minimal constant stabilizes: no growth along n
         s = build_sequence("FF", d=4, n_max=16)
         vals = [minimal_round_constant(b) for b in s.boxes]
-        assert all(v is not None for v in vals)
         assert max(vals) <= 2 * min(vals)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -307,7 +321,6 @@ class TestRoundness:
     def test_minimal_constant_is_binding(self, x1, w1, x2, w2):
         box = Box(((x1, x1 + w1), (x2, x2 + w2)))
         a = minimal_round_constant(box)
-        assert a is not None
         assert _is_round(box, a)
         if a > 1:
             assert not _is_round(box, a * Fraction(99, 100))
@@ -315,8 +328,8 @@ class TestRoundness:
 
 EXPONENT_PAIRS = st.integers(2, 1000).flatmap(
     lambda q: st.integers(1, q - 1).map(lambda p: (Fraction(p, q), 1 - Fraction(p, q))))
-# lower endpoints at or below 0 (no roundness constant), and small and large
-# integers
+# lower endpoints at or below 0 (refused: no roundness constant), and small
+# and large integers
 LOWER = st.one_of(st.integers(-2, 40), st.integers(1, 10 ** 9))
 BOXES = st.lists(st.tuples(LOWER, st.integers(0, 60) | st.integers(0, 10 ** 9)),
                  min_size=1, max_size=4).map(lambda ivs: Box(tuple((x, x + w) for x, w in ivs)))
@@ -352,13 +365,17 @@ class TestIntegerConstants:
         assert seq.boxes == tuple(b_d2_box(alphas, n) for n in seq.indices())
 
     @given(BOXES)
-    @example(Box(((0, 3), (1, 9))))  # x <= 0: None
+    @example(Box(((0, 3), (1, 9))))  # x <= 0: refused
     @example(Box(((1, 2), (1, 16))))  # p/x, y/p and side/p tie at 4
     @example(Box(((1, 1), (1, 1), (1, 1))))  # every bound is 1
     @settings(max_examples=300, deadline=None)
     def test_round_constant_matches_fraction_form(self, box):
         # the oracle takes all four bounds, side/p among them
-        assert minimal_round_constant(box) == round_constant_fractions(box)
+        if min(x for x, _ in box.intervals) <= 0:
+            with pytest.raises(ValueError, match="needs lower endpoints >= 1"):
+                minimal_round_constant(box)
+        else:
+            assert minimal_round_constant(box) == round_constant_fractions(box)
 
     @pytest.mark.parametrize("box", [Box(((1, 1), (Fraction(1, 2), 100))),
                                      Box(((Fraction(3), 4),)), Box(((0, 3), (1, 2.5)))])
@@ -479,7 +496,7 @@ class TestSubdivision:
     def test_requires_roundness(self):
         with pytest.raises(ValueError, match=r"^box is not 1-round \(minimal 8\)$"):
             vertical_subdivision(Box(((1, 2), (1, 4), (1, 8))), Fraction(1))
-        with pytest.raises(ValueError, match=r"^box is not 9-round \(minimal None\)$"):
+        with pytest.raises(ValueError, match=r"^the round constant needs lower endpoints >= 1"):
             vertical_subdivision(Box(((0, 2), (1, 4))), Fraction(9))
         with pytest.raises(ValueError, match="^roundness constant must be >= 1$"):
             vertical_subdivision(Box(((1, 2), (1, 4))), Fraction(1, 2))

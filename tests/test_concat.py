@@ -1249,6 +1249,21 @@ class TestBudgetOracle:
         distortion_budget(cert, fam)
         assert 0 < len(calls) <= len(walk_stretches(cert)) + 2 * len(cert.seq.indices())
 
+    def test_a_box_entered_at_the_start_has_no_row(self):
+        # the plane table without the origin (the ledger's
+        # plane-no-origin-table.json): the walk starts at Q(1)'s lower corner
+        # (1, 1), which lies in Q(2) = [[1, 6], [1, 2]], so Q(2) is entered
+        # at step 0 and n = 1 has no row
+        fam = TableFamily({(i, j): Fraction(1 + (3 * i + 5 * j) % 7, 2 ** (i + j))
+                           for i in range(9) for j in range(9) if (i, j) != (0, 0)})
+        seq = build_sequence("B-d2", alphas=(2 * THIRD, THIRD), n_max=4)
+        cert = build_chain("B-d2", fam, seq)
+        assert walk_stretches(cert)[0].anchor == (1, 1)
+        assert seq.box(2).intervals == ((1, 6), (1, 2))
+        rep = distortion_budget(cert, fam)
+        assert [(r.n, r.entry_index) for r in rep.rows] == [(2, 1), (3, 2)]
+        assert rep == _resummed_budget(cert, fam, min_fit_n=2)
+
 
 @pytest.mark.parametrize("kind", ["B-general", "B-d2-table"])
 def test_no_module_level_cache_keeps_a_family_alive(kind):

@@ -67,28 +67,15 @@ ALLOWLIST = {
                      ("lattice.weights_le", "family.weight(v) <= q")],
         "exact point weight for weights_le's fallback, which lemma1 reaches only on a "
         "terminal tie within 2^-40, and no built-in family has one"),
-    **dict.fromkeys(_in("boxes.integer_root", "return r - 1", "r + 1"),
-        "a float root that rounds past the integer root next to a perfect power, up "
-        "(r - 1) or down (r + 1); no B exponent pair or triple tried at n_max up to 200 "
-        "meets one"),
-    ("boxes.minimal_round_constant", "return None"): (
-        "a box with a lower endpoint <= 0 has no roundness constant; the CLI and the "
-        "benchmark ask only of FF boxes, whose lower endpoints start at 1"),
     ("concat._staircase_segments", "return None"): (
         "a staircase whose target or pivot leaves the overlap, which B-general reports as a "
         "search failure (exit 3); no built sequence gives one"),
-    ("concat.distortion_budget", "continue"): (
-        "a next box that the walk enters at its start or never; every chain built enters "
-        "each later box after its first step"),
     ("lattice._ratio_parts", "return 0, math.inf"): (
         "a zero-mass bound against a region of positive mass; on the CLI's table without "
         "weight where chains run, the region's zero mass returns first"),
     ("lattice.first_translate_le", "t, down = t - 1, True"): (
         "a step down from the closed-form start, which only a check within MARGIN of a tie "
         "there takes; no CLI chain has one"),
-    ("smooth.holder_constant_estimate", "return 0.0"): (
-        "a one-point grid has no pair; the CLI scans 1025 points, and the oracle tests "
-        "every grid from one point up"),
     ("smooth.holder_constant_estimate", "return float(np.maximum.reduce("): (
         "a grid that is no exact progression, which only a map on an interval other than "
         "[0, 1] or a grid size other than 2^m + 1 gives; the CLI's grid is always "
@@ -102,9 +89,6 @@ ALLOWLIST = {
     ("concat._build_ff_general", "None"): (
         "lambda past float range, which only `chain-ff --d 6 --n-max 180` reaches; traced "
         "with opcode events that line adds about 2.8 s, past the 3 s the whole gate may take"),
-    ("walks._shared_cost", "return 0.0"): (
-        "a walk of length 0 costs nothing; batch_certificates takes n = 0, and the CLI "
-        "validates n_max >= 1"),
     **dict.fromkeys([
         *_in("cli._run_identity", "worst = max(worst, abs(residual))"),
         *_in("nilpotent._residual", "two = Fraction(2)",

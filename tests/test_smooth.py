@@ -198,7 +198,7 @@ EXACT_MAPS = {
 # of the block size (HOLDER_BLOCKS points fold into blocks of one point, one
 # more into blocks of two), a grid that is no exact progression, and dyadic
 # grids up to where the full pair matrix cannot go
-ORACLE_GRIDS = (1, 2, 3, smooth.HOLDER_BLOCKS - 1, smooth.HOLDER_BLOCKS,
+ORACLE_GRIDS = (2, 3, smooth.HOLDER_BLOCKS - 1, smooth.HOLDER_BLOCKS,
                 smooth.HOLDER_BLOCKS + 1, 1000, 1025, 2049, 4097)
 
 
@@ -215,7 +215,7 @@ class TestExactness:
     @pytest.mark.parametrize("name", sorted(EXACT_MAPS))
     def test_holder_matches_full_matrix(self, name):
         g, _ = EXACT_MAPS[name]
-        grids = (1, 2, 3, 64, 65, 200, 1025)
+        grids = (2, 3, 64, 65, 200, 1025)
         # both paths: the scan on an exact progression (2, 3, 65 and 1025
         # points on [0, 1]) and every offset on the others
         assert {smooth._exact_progression(g.grid(n)) for n in grids} == {True, False}
@@ -223,8 +223,9 @@ class TestExactness:
             for grid in grids:
                 got = holder_constant_estimate(g, alpha, grid)
                 assert got == full_matrix_holder(g, alpha, grid), (alpha, grid)
-            with pytest.raises(ValueError):  # an empty grid has no pair
-                holder_constant_estimate(g, alpha, 0)
+            for grid in (0, 1):  # a grid of fewer than 2 points has no pair
+                with pytest.raises(ValueError, match=rf"at least 2 points, got {grid}$"):
+                    holder_constant_estimate(g, alpha, grid)
 
     @pytest.mark.parametrize("name", sorted(EXACT_MAPS))
     def test_streaming_oracle_matches_full_matrix(self, name):

@@ -318,13 +318,27 @@ class TestBatch:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 7, 200])
     def test_matches_reference_bitwise(self, d, n):
+        # walks of length 0 are refused, as the CLI refuses n_max 0
         for name, fam in batch_families(d, n).items():
             for samples in (1, 3, 250):
                 for seed in (0, 11, 2024):
+                    if n == 0:
+                        with pytest.raises(ValueError, match=r"^a batch needs n >= 1 and "
+                                           rf"samples >= 1, got 0 and {samples}$"):
+                            batch_certificates(fam, n, samples, seed)
+                        continue
                     got = batch_certificates(fam, n, samples, seed)
                     want = reference_batch_certificates(fam, n, samples, seed)
                     # record equality compares every field, floats by ==
                     assert got == want, (name, samples, seed)
+
+    def test_a_batch_of_no_samples_is_refused(self):
+        # as the CLI refuses samples 0: the decided pass would report a
+        # witness that was never drawn, and the stepped pass divides by 0
+        for fam in batch_families(2, 7).values():
+            with pytest.raises(ValueError, match=r"^a batch needs n >= 1 and samples >= 1, "
+                               r"got 7 and 0$"):
+                batch_certificates(fam, 7, 0, 1)
 
     def test_exact_mass_is_read_once_per_batch(self):
         # a table's mass sums every weight; the bound B and the mean cost
@@ -563,7 +577,7 @@ class TestDecidedPassForms:
                 # uneven sides, a negative lower end and a scale: unequal coefs
                 uniform_box_family(Box(((-3, 720),) + ((0, 4),) * (d - 1)), Fraction(7, 5)))
         for fam in fams:
-            for n in (0, 1, 2, 63, 64, 712):
+            for n in (1, 2, 63, 64, 712):  # batch_certificates refuses n < 1
                 assert walks._shared_cost(fam, n) == shared_cost_line(fam, n), (fam, n)
 
     @given(arrays(np.bool_, st.integers(1, 3000)))
