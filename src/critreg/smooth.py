@@ -50,13 +50,14 @@ Four arguments make the float results exact where it matters:
   keeps its offset.  A NaN in ld makes the fold of its block
   NaN, and so the bound of every offset whose pairs hold it; so NaN and inf
   reach the result as in the full matrix.
-- When the grid is an exact progression x_i = i h with h a power of two,
-  as ``linspace(0, 1, 2^m + 1)`` is, every x_(i+k) = (i + k) h and k h =
-  x_k are floats, so the subtraction x_(i+k) - x_i is exact and every
-  pair at offset k has the gap G_k = x_k; the scan above runs on such
-  grids alone.  Any other grid, such as one on an interval other than
-  [0, 1] or of a size other than 2^m + 1, takes the largest ratio at
-  every offset, as the full matrix does.
+- One least gap serves every grid.  Let h be the float just below the
+  least computed neighbour difference.  Each computed difference is the
+  exact gap rounded to nearest, so h is at most every exact neighbour gap;
+  a pair at offset k spans k such gaps, so its exact gap is at least
+  k h; and rounding is monotone, so its computed gap is at least
+  fl(k h), which is then a G_k that ``HOLDER_SLACK`` admits.  An h of 0
+  or less (coincident or falling points) makes every bound inf or NaN,
+  so every offset is kept, as the full matrix takes it.
 - The grid of J starts at x0 and ends at the float g(x0).  ``f`` acts
   elementwise, so after k steps the left end of the orbit is g^k applied
   to x0 and the right end is g^(k-1) applied to that same float g(x0):
@@ -134,18 +135,19 @@ class _SmoothMapFields(NamedTuple):
     df: Callable[[np.ndarray], np.ndarray]
     a: float
     b: float
-    fixed_points: tuple[float, ...] = ()
 
 
 class SmoothMap(_SmoothMapFields):
-    """Closed-form interval map with derivative access.
+    """Closed-form interval map g on [a, b], a < b: the map ``f`` and its
+    derivative ``df``, nothing more.
 
     ``f`` and ``df`` act elementwise on float64 arrays of any shape and on
     ``np.float64`` scalars, and treat -0.0 and +0.0 alike.  Each takes
     numpy's ``out=`` convention: ``f(x, out=y)`` writes the values into y,
     an array of x's shape that is not x, and returns y; without ``out`` it
     returns a new array (a scalar for a scalar).  The orbit passes ``out``;
-    g(x0) and the fixed-point checks do not.  The orbit clips a block only
+    the Holder grid, g(x0) and the fixed-point refusal of
+    ``fundamental_domain_check`` do not.  The orbit clips a block only
     after stepping it, so ``f`` can also meet points outside [a, b] that an
     earlier step of the block reached.
     """
@@ -154,14 +156,11 @@ class SmoothMap(_SmoothMapFields):
 
     def __new__(
         cls, f: Callable[[np.ndarray], np.ndarray], df: Callable[[np.ndarray], np.ndarray],
-        a: float, b: float, fixed_points: tuple[float, ...] = (),
+        a: float, b: float,
     ) -> SmoothMap:
         if not a < b:
             raise ValueError("need a < b")
-        for p in fixed_points:
-            if float(f(np.float64(p))) != p:
-                raise ValueError(f"declared fixed point {p} moves under the map")
-        return tuple.__new__(cls, (f, df, a, b, fixed_points))
+        return tuple.__new__(cls, (f, df, a, b))
 
     def grid(self, n: int) -> np.ndarray:
         return np.linspace(self.a, self.b, n)
@@ -209,7 +208,7 @@ def parabolic_map(c: float) -> SmoothMap:
         y += 1
         return y
 
-    return SmoothMap(f, df, 0.0, 1.0, (0.0, 1.0))
+    return SmoothMap(f, df, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +220,6 @@ def _require_positive(d: np.ndarray) -> None:
     # fmin skips NaN, which is not <= 0 either
     if np.fmin.reduce(d, axis=None) <= 0:
         raise ValueError("derivative must stay positive")
-
-
-def _exact_progression(x: np.ndarray) -> bool:
-    """Whether x_i = i h for every i, with h = x_1 a power of two."""
-    return len(x) > 1 and np.frexp(x[1])[0] == 0.5 and np.array_equal(
-        x, np.arange(len(x)) * x[1])
 
 
 def _blocks(v: np.ndarray, s: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -263,18 +256,18 @@ def _block_bound(blocks: tuple, k0: int, k1: int) -> np.ndarray:
     return np.maximum(reach[near - d0], reach[far - d0])
 
 
-def _offset_bounds(ld: np.ndarray, x: np.ndarray, alpha: float, s: int,
+def _offset_bounds(ld: np.ndarray, h: float, alpha: float, s: int,
                    ks: np.ndarray) -> np.ndarray:
-    """U at each offset of ks from blocks of s points of ld on an exact
-    progression x, inf where x_k^alpha is not a normal float; with s = 1, U_k."""
+    """U at each offset k of ks from blocks of s points of ld, with the gap
+    fl(k h), inf where its power is not a normal float; with s = 1, U_k."""
     numerators = _blocks(ld, s)
     # a pass bounds the kept offsets of one span, about HOLDER_PASS differences
-    span = max(1, s * (HOLDER_PASS // (len(x) // s + 1) - 2))
+    span = max(1, s * (HOLDER_PASS // (len(ld) // s + 1) - 2))
     u = []
     with np.errstate(all="ignore"):
         for part in np.split(ks, np.flatnonzero(np.diff((ks - ks[0]) // span)) + 1):
             k0, k1 = int(part[0]), int(part[-1]) + 1
-            power = x[k0:k1] ** alpha
+            power = (np.arange(k0, k1) * h) ** alpha
             top = _block_bound(numerators, k0, k1)
             bound = np.where(power >= np.finfo(float).tiny, top / power * HOLDER_SLACK, np.inf)
             u.append(bound[part - k0])
@@ -308,14 +301,15 @@ def holder_constant_estimate(g: SmoothMap, alpha: float, grid: int = 1025) -> fl
     d = g.df(x)
     _require_positive(d)
     ld = np.log(d)
-    if not _exact_progression(x):  # G_k = x_k only there, see the module docstring
-        return float(np.maximum.reduce(
-            [_ratio_max(ld, x, alpha, k) for k in range(1, grid)]))
+    # the least-gap argument of the module docstring: h is at most every
+    # exact neighbour gap, so fl(k h) is at most every computed gap at
+    # offset k; an h <= 0 makes every bound inf or NaN, keeping every offset
+    h = np.nextafter(np.diff(x).min(), 0.0)
     s = -(-grid // HOLDER_BLOCKS)
     best = _ratio_max(ld, x, alpha, _seed_offset(ld, x, alpha, s))
     ks, u = np.arange(1, grid), np.empty(0)
     while not np.isnan(best):
-        u = _offset_bounds(ld, x, alpha, s, ks)
+        u = _offset_bounds(ld, h, alpha, s, ks)
         keep = ~((u <= best) & (u < np.inf))  # NaN and inf stay
         ks, u = ks[keep], u[keep]
         if s == 1 or not len(ks):

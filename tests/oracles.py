@@ -15,7 +15,10 @@ memo, `measured`'s B_log2 with the integer parts subtracted exactly,
 the two-point, generator-based region checks of `Box` and
 `Segment`, and the decided walk pass's cost line and summary as
 `log2_weights` and `np.mean`/`np.argmax` gave them), a small fixture map for the derivative checks, or an
-input of those oracles (the walk kernel and lattice paths).
+input of those oracles (the walk kernel and lattice paths).  `FAMILIES`
+registers the family backends that the contract tests and the chain
+search tests run over, each with its point weight and total mass written
+out by hand.
 `exact_mass` is no oracle: it reads the package's own exact mass form
 as a rational, for tests of something else; nor is `uniform_box_family`,
 the tests' finite family of rate-0 axes, on which every translate of a
@@ -27,14 +30,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
+import random
 import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,11 +54,14 @@ from critreg.lattice import (
     Log2Parts,
     ProductFamily,
     Segment,
+    TableFamily,
     _check_dimension,
     _geometric_sum_log2,
+    geometric_axis,
     log2_add,
     log2_parts,
     mass_le,
+    symmetric_geometric_axis,
     symmetric_geometric_family,
     translated,
 )
@@ -241,6 +249,95 @@ def exact_sum(ws: Iterable[Fraction]) -> Fraction:
     ws = list(ws)
     den = math.lcm(*(w.denominator for w in ws))
     return Fraction(sum(w.numerator * (den // w.denominator) for w in ws), den)
+
+
+# ---------------------------------------------------------------------------
+# the family backends of the contract tests, each with its point weight and
+# total mass written out by hand
+# ---------------------------------------------------------------------------
+
+
+class Builder(NamedTuple):
+    """One family backend of the contract tests."""
+
+    family: Callable[[int], LengthFamily]  # a fresh family on Z^d, its memo empty
+    weight: Callable[[Coords], Fraction]  # the point weight, 0 off the support
+    total: Callable[[int], Fraction]  # the total mass on Z^d
+    near: tuple[int, ...]
+
+
+def _product(factors, near):
+    """The product of the first d axes of the (axis, hand-written weight,
+    total) factors, against the products of their weights and totals."""
+    axes, weights, totals = zip(*factors)
+    # regions repeat coordinates, and far weights are 10^5-bit rationals
+    cached = [functools.cache(w) for w in weights]
+    return Builder(lambda d: ProductFamily(axes[:d]),
+                   lambda v: point_weights(cached[:len(v)], Fraction(1), [v])[0],
+                   lambda d: math.prod(totals[:d]), near)
+
+
+def _scaled(s, factor):
+    """The factor times s, its axis by `scaled_axis`."""
+    axis, weight, total = factor
+    return scaled_axis(axis, s), lambda i: s * weight(i), s * total
+
+
+def _finite(axis, weight, lo, hi):
+    """The factor of an axis whose weight is 0 off [lo, hi], its total
+    summed from that weight."""
+    return axis, weight, exact_sum(map(weight, range(lo, hi + 1)))
+
+
+def _table(entries, near, seed):
+    """A table on Z^d of the weights `entries(rng, d)` draws, inserted in a
+    shuffled order, so that the table's order is not the segments'."""
+    @functools.cache
+    def table(d):
+        rng = random.Random(seed + d)
+        items = list(entries(rng, d).items())
+        rng.shuffle(items)
+        return dict(items)
+
+    return Builder(lambda d: TableFamily(table(d)),
+                   lambda v: table(len(v)).get(v, Fraction(0)),
+                   lambda d: sum(table(d).values(), Fraction(0)), near)
+
+
+GEO = geometric_axis(), geometric_weight, Fraction(1)
+SYM = symmetric_geometric_axis(), symmetric_geometric_weight, Fraction(1)
+# sides that differ, so that the axes give different parts on one range
+UNIFORM = Box(((-8, 6000), (-3, 4100), (1, 4096), (0, 5000)))
+
+FAMILIES = {
+    "geometric": _product([GEO] * 4, (0, 30, 4090, 100_000)),
+    "symmetric-geometric": _product([SYM] * 4, (-100_000, -30, 0, 4090)),
+    # the first and third axes are equal and share their memo entries
+    "mixed": _product([GEO, SYM] * 2, (-100_000, 0, 4090)),
+    # scales below and above 1, one of them moving the integer part of coef_parts
+    "scaled": _product([_scaled(Fraction(5, 7), GEO), _scaled(Fraction(2), SYM),
+                        _scaled(Fraction(1, 3), GEO), SYM], (0, 30, 4090)),
+    "steep": _product([_finite(steep_axis(), steep_weight, -3, 14), SYM, GEO, SYM], (-3, 0, 14)),
+    # the total, 3, is the first axis' cell's
+    "uniform": _product([_finite(axis, weight, *side) for axis, weight, side in zip(
+        uniform_box_family(UNIFORM, Fraction(3)).axes,
+        [lambda i: 3 * uniform_weight(*UNIFORM.intervals[0])(i),
+         *(uniform_weight(*side) for side in UNIFORM.intervals[1:])],
+        UNIFORM.intervals)], (-8, 1, 4096, 6000)),
+    "dyadic-table": _table(
+        lambda rng, d: {p: Fraction(rng.randint(1, 9), 2 ** (sum(map(abs, p)) + rng.randint(0, 8)))
+                        for p in product(range(-1, 4), repeat=d)},
+        (-1, 3), 7),
+    "non-dyadic-table": _table(
+        lambda rng, d: {p: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                        for p in product(range(5), repeat=d)},
+        (0, 4), 11),
+    # about a quarter of the points of a block near 4090, with weights far apart
+    "far-block-table": _table(
+        lambda rng, d: {p: Fraction(rng.randint(1, 99), 2 ** rng.randint(0, 60))
+                        for p in product(range(4088, 4094), repeat=d) if rng.random() < 0.25},
+        (4088, 4093), 13),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -700,12 +797,11 @@ def identity_triples(rng, gens: Sequence[tuple[int, int]], lattice_d: int,
 # ---------------------------------------------------------------------------
 
 
-def plain_map(f: Callable, df: Callable, a: float, b: float,
-              fixed_points: tuple[float, ...] = ()) -> SmoothMap:
+def plain_map(f: Callable, df: Callable, a: float, b: float) -> SmoothMap:
     """The map of the plain elementwise expressions f and df, in the
     ``out=`` form `SmoothMap` takes: given ``out``, each call writes the
     expression's floats there and returns it."""
-    return SmoothMap(_into_out(f), _into_out(df), a, b, fixed_points)
+    return SmoothMap(_into_out(f), _into_out(df), a, b)
 
 
 def _into_out(fn: Callable) -> Callable:
@@ -720,20 +816,18 @@ def _into_out(fn: Callable) -> Callable:
 
 
 def identity_map() -> SmoothMap:
-    return plain_map(lambda x: x, lambda x: np.ones_like(x), 0.0, 1.0, (0.0, 1.0))
+    return plain_map(lambda x: x, lambda x: np.ones_like(x), 0.0, 1.0)
 
 
 def affine_map(slope: float, a: float = 0.0, b: float = 1.0) -> SmoothMap:
     """x -> a + slope*(x-a); contraction toward a when slope < 1."""
     if slope <= 0:
         raise ValueError("slope must be positive")
-    fps = (a,) if slope != 1 else (a, b)
     return plain_map(
         lambda x: a + slope * (x - a),
         lambda x: np.full_like(np.asarray(x, dtype=float), slope),
         a,
         b,
-        fps,
     )
 
 
@@ -744,7 +838,6 @@ def doubling_fixed_point_map() -> SmoothMap:
         lambda x: 2 / (1 + x) ** 2,
         0.0,
         1.0,
-        (0.0, 1.0),
     )
 
 
@@ -755,7 +848,6 @@ def mobius_contraction_map() -> SmoothMap:
         lambda x: 2 / (2 - x) ** 2,
         0.0,
         1.0,
-        (0.0, 1.0),
     )
 
 
@@ -763,8 +855,7 @@ def restrict(g: SmoothMap, a2: float, b2: float) -> SmoothMap:
     """Restriction to an invariant-enough subinterval (no new fixed points)."""
     if not g.a <= a2 < b2 <= g.b:
         raise ValueError("subinterval escapes the domain")
-    fps = tuple(p for p in g.fixed_points if a2 <= p <= b2)
-    return SmoothMap(g.f, g.df, a2, b2, fps)
+    return SmoothMap(g.f, g.df, a2, b2)
 
 
 def renormalize(g: SmoothMap) -> SmoothMap:
@@ -776,7 +867,6 @@ def renormalize(g: SmoothMap) -> SmoothMap:
         lambda u: df(a + L * u),
         0.0,
         1.0,
-        tuple((p - a) / L for p in g.fixed_points),
     )
 
 

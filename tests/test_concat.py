@@ -40,14 +40,13 @@ from critreg.lattice import (
     Segment,
     TableFamily,
     first_translate_le,
-    geometric_axis,
     geometric_family,
-    symmetric_geometric_axis,
     symmetric_geometric_family,
     translated,
 )
 
 from oracles import (
+    FAMILIES,
     b_log2_split,
     box_points,
     exact_mass,
@@ -58,8 +57,6 @@ from oracles import (
     fully_good_dfs,
     goodness_ratio,
     point_mass,
-    scaled_axis,
-    steep_axis,
     uniform_box_family,
 )
 
@@ -105,18 +102,8 @@ class TestGoodness:
         assert flag_goodness(fam, box, seg) == max(ratios)
 
 
-def _families(dim: int) -> dict:
-    """Product families for the search tests: the two built-in ones, a
-    scaled product of both axes, a finite axis of rate 2 that starts below
-    0, and a uniform box (rate 0)."""
-    mixed = [geometric_axis(), symmetric_geometric_axis()] * dim
-    return {
-        "geometric": geometric_family(dim),
-        "symmetric": symmetric_geometric_family(dim),
-        "scaled": ProductFamily([scaled_axis(mixed[0], Fraction(5, 7)), *mixed[1:dim]]),
-        "steep": ProductFamily([steep_axis(), *mixed[1:dim]]),
-        "uniform": uniform_box_family(Box(((-4, 12),) * dim)),
-    }
+# the product builders of the family contract, for the search tests
+PRODUCTS = [name for name in FAMILIES if not name.endswith("table")]
 
 
 def _oracle_masses(fam, seg, bound):
@@ -715,13 +702,13 @@ class TestFullyGoodSearch:
             (lo, lo + data.draw(st.integers(0, 3))) for lo in data.draw(
                 st.lists(st.integers(-3, 6), min_size=dim, max_size=dim), label="lo")
         ))
-        kind = data.draw(st.sampled_from(["geometric", "symmetric", "scaled", "table"]))
+        kind = data.draw(st.sampled_from([*PRODUCTS, "table"]))
         if kind == "table":
             ws = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=box.npoints(),
                                     max_size=box.npoints()), label="weights")
             fam = TableFamily(dict(zip(box_points(box), map(Fraction, ws))))
         else:
-            fam = _families(dim)[kind]
+            fam = FAMILIES[kind].family(dim)
         axis = data.draw(st.integers(0, dim - 1), label="axis")
         lam = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5)]))
         assert _fully_good_segment(fam, box, axis, lam) == fully_good_dfs(fam, box, axis, lam)
@@ -895,9 +882,8 @@ class TestFirstTranslate:
         # > 0, a region moved by delta, it and its translate in the support
         # at coordinates >= 0, has the split log2 mass of the unmoved region
         # with rate * delta taken from the integer and the float unchanged
-        kind = data.draw(st.sampled_from(["geometric", "symmetric", "scaled", "steep"]),
-                         label="family")
-        fam = _families(2)[kind]
+        kind = data.draw(st.sampled_from(PRODUCTS), label="family")
+        fam = FAMILIES[kind].family(2)
         region = data.draw(_regions(), label="region")
         # a segment moves along its own axis or along the fixed one
         axis = data.draw(st.integers(0, 1), label="axis")
@@ -920,9 +906,8 @@ class TestFirstTranslate:
         # only on ties: translates whose closed-form difference lies within
         # MARGIN, and whose mass equals the bound's, so a draw that meets
         # no tie makes no call
-        kind = data.draw(st.sampled_from(
-            ["geometric", "symmetric", "scaled", "steep", "uniform", "table"]), label="family")
-        fam = _TABLE if kind == "table" else _families(2)[kind]
+        kind = data.draw(st.sampled_from([*PRODUCTS, "table"]), label="family")
+        fam = _TABLE if kind == "table" else FAMILIES[kind].family(2)
         axis = data.draw(st.integers(0, 1), label="axis")
         step = data.draw(st.integers(1, 3), label="step")
         count = data.draw(st.integers(0, 10), label="count")

@@ -1,18 +1,17 @@
 """The contract every weight family backend meets, checked once per backend.
 
-`FAMILIES` registers each backend as a builder: a fresh family on Z^d, its
-point weight written out apart from the family (0 off the support), and the
-coordinates near which regions are drawn, which are the support's edges
-and far coordinates.  Every check below runs over every builder at d = 2
-to 4, so a new backend joins the contract as one registry entry.
+`oracles.FAMILIES` registers each backend as a builder: a fresh family on
+Z^d, its point weight and its total mass written out apart from the family
+(the weight 0 off the support), and the coordinates near which regions are
+drawn, which are the support's edges and far coordinates.  Every check
+below runs over every builder at d = 2 to 4, so a new backend joins the
+contract as one registry entry.
 """
 
 import functools
 import math
-import random
 from fractions import Fraction
 from itertools import product
-from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -27,91 +26,17 @@ from critreg.lattice import (
     ProductFamily,
     Segment,
     TableFamily,
-    geometric_axis,
     log2_parts,
     mass_le,
     mass_ratio_log2,
-    symmetric_geometric_axis,
     weights_le,
 )
 
 from oracles import (
-    box_points, exact_sum, geometric_weight, mass_log2_parts_unmemoized, point_weights,
-    scaled_axis, segment_power_log2_unmemoized, steep_axis, steep_weight,
-    symmetric_geometric_weight, uniform_box_family, uniform_weight,
+    FAMILIES, box_points, exact_sum, mass_log2_parts_unmemoized,
+    segment_power_log2_unmemoized,
 )
 
-
-class Builder(NamedTuple):
-    """One backend of the contract."""
-
-    family: Callable[[int], LengthFamily]  # a fresh family on Z^d, its memo empty
-    weight: Callable[[Coords], Fraction]  # the point weight, 0 off the support
-    near: tuple[int, ...]
-
-
-def _product(factors, near):
-    """The product of the first d axes of the (axis, hand-written weight)
-    factors, against the product of their weights."""
-    axes, weights = zip(*factors)
-    # regions repeat coordinates, and far weights are 10^5-bit rationals
-    cached = [functools.cache(w) for w in weights]
-    return Builder(lambda d: ProductFamily(axes[:d]),
-                   lambda v: point_weights(cached[:len(v)], Fraction(1), [v])[0], near)
-
-
-def _scaled(s, factor):
-    """The (axis, weight) factor times s, its axis by `scaled_axis`."""
-    return scaled_axis(factor[0], s), lambda i: s * factor[1](i)
-
-
-def _table(entries, near, seed):
-    """A table on Z^d of the weights `entries(rng, d)` draws, inserted in a
-    shuffled order, so that the table's order is not the segments'."""
-    @functools.cache
-    def table(d):
-        rng = random.Random(seed + d)
-        items = list(entries(rng, d).items())
-        rng.shuffle(items)
-        return dict(items)
-
-    return Builder(lambda d: TableFamily(table(d)),
-                   lambda v: table(len(v)).get(v, Fraction(0)), near)
-
-
-GEO = geometric_axis(), geometric_weight
-SYM = symmetric_geometric_axis(), symmetric_geometric_weight
-# sides that differ, so that the axes give different parts on one range
-UNIFORM = Box(((-8, 6000), (-3, 4100), (1, 4096), (0, 5000)))
-
-FAMILIES = {
-    "geometric": _product([GEO] * 4, (0, 30, 4090, 100_000)),
-    "symmetric-geometric": _product([SYM] * 4, (-100_000, -30, 0, 4090)),
-    # the first and third axes are equal and share their memo entries
-    "mixed": _product([GEO, SYM] * 2, (-100_000, 0, 4090)),
-    # scales below and above 1, one of them moving the integer part of coef_parts
-    "scaled": _product([_scaled(Fraction(5, 7), GEO), _scaled(Fraction(2), SYM),
-                        _scaled(Fraction(1, 3), GEO), SYM], (0, 30, 4090)),
-    "steep": _product([(steep_axis(), steep_weight), SYM, GEO, SYM], (-3, 0, 14)),
-    # the total, 3, is the first axis' cell's
-    "uniform": _product(zip(uniform_box_family(UNIFORM, Fraction(3)).axes,
-                            [lambda i: 3 * uniform_weight(*UNIFORM.intervals[0])(i),
-                             *(uniform_weight(lo, hi) for lo, hi in UNIFORM.intervals[1:])]),
-                        (-8, 1, 4096, 6000)),
-    "dyadic-table": _table(
-        lambda rng, d: {p: Fraction(rng.randint(1, 9), 2 ** (sum(map(abs, p)) + rng.randint(0, 8)))
-                        for p in product(range(-1, 4), repeat=d)},
-        (-1, 3), 7),
-    "non-dyadic-table": _table(
-        lambda rng, d: {p: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                        for p in product(range(5), repeat=d)},
-        (0, 4), 11),
-    # about a quarter of the points of a block near 4090, with weights far apart
-    "far-block-table": _table(
-        lambda rng, d: {p: Fraction(rng.randint(1, 99), 2 ** rng.randint(0, 60))
-                        for p in product(range(4088, 4094), repeat=d) if rng.random() < 0.25},
-        (4088, 4093), 13),
-}
 TABLES = [name for name in FAMILIES if name.endswith("table")]
 CASES = [pytest.param(name, d, id=f"{name}-d{d}") for name in FAMILIES for d in (2, 3, 4)]
 # half the side of a region around its centre: boxes of up to 13^2, 5^3 and 3^4 points
@@ -204,6 +129,11 @@ def _raised(call, *args) -> str:
     with pytest.raises(ValueError) as info:
         call(*args)
     return str(info.value)
+
+
+@pytest.mark.parametrize("name, d", CASES)
+def test_total_mass_is_the_hand_written_total(name, d):
+    assert FAMILIES[name].family(d).total_mass == FAMILIES[name].total(d)
 
 
 @pytest.mark.parametrize("name, d", CASES)

@@ -76,10 +76,6 @@ ALLOWLIST = {
     ("lattice.first_translate_le", "t, down = t - 1, True"): (
         "a step down from the closed-form start, which only a check within MARGIN of a tie "
         "there takes; no CLI chain has one"),
-    ("smooth.holder_constant_estimate", "return float(np.maximum.reduce("): (
-        "a grid that is no exact progression, which only a map on an interval other than "
-        "[0, 1] or a grid size other than 2^m + 1 gives; the CLI's grid is always "
-        "linspace(0, 1, 1025), and the tests' restricted and renormalized maps take it"),
     ("smooth.fundamental_domain_check", "int(failing[0]) + 1"): (
         "the first failing k of iterate-growth-bound: no dynamics input fails it (13 values "
         "of c by 7 of alpha at k_max 300 were searched); item 14 owns a map that fails"),

@@ -32,10 +32,6 @@ def _identity(x, out=None):
     return np.positive(x, out=out)
 
 
-def _half(x, out=None):
-    return np.multiply(x, 0.5, out=out)
-
-
 _NOT_UNIPOTENT = "g^1 is not a lower-unitriangular 2x2 matrix"
 
 
@@ -53,8 +49,6 @@ INVALID = {
         lambda: BoxSequence("B-d2", 1, (Box(((0, 3), (0, 3))), Box(((1, 4), (0, 2)))), 2),
         "an endpoint falls from Q(1) to Q(2)"),
     "empty map interval": (lambda: SmoothMap(_identity, _identity, 1.0, 1.0), "need a < b"),
-    "moving fixed point": (lambda: SmoothMap(_half, _half, 0.0, 1.0, (0.0, 1.0)),
-                           "declared fixed point 1.0 moves under the map"),
     "ragged matrix": (lambda: _power(((1, 0), (0,))), _NOT_UNIPOTENT),
     "diagonal": (lambda: _power(((2, 0), (0, 1))), _NOT_UNIPOTENT),
     "upper entry": (lambda: _power(((1, 1), (0, 1))), _NOT_UNIPOTENT),
@@ -75,7 +69,7 @@ VALID = {
     "box": (SQUARE, "intervals"),
     "segment": (Segment((0, 1), 0, 6, -2), "count"),
     "sequence": (BoxSequence("B-d2", 1, (SQUARE, Box(((0, 6), (0, 5)))), 2), "boxes"),
-    "map": (SmoothMap(_identity, _identity, 0.0, 1.0, (0.5,)), "a"),
+    "map": (SmoothMap(_identity, _identity, 0.0, 1.0), "a"),
 }
 
 

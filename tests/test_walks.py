@@ -296,7 +296,9 @@ def batch_families(d, n):
     """The families of the oracle grid; the finite ones hold every walk of
     length n.  All but the table and the unequal-rate family have one rate
     on every axis.  The table family is left out where its simplex would
-    exceed about 2 * 10^4 points (d >= 3 at n = 200)."""
+    exceed about 2 * 10^4 points (d >= 3 at n = 200).  They are built here,
+    not drawn from `oracles.FAMILIES`, whose finite families are fixed and
+    would not hold every walk's simplex."""
     fams = {
         "geometric": geometric_family(d),
         "symmetric-geometric": symmetric_geometric_family(d),
