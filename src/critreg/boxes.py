@@ -127,11 +127,18 @@ class BoxSequence(_BoxSequenceFields):
         return range(self.start_index, self.start_index + len(self.boxes))
 
     def touched(self, n: int) -> tuple[int, int]:
-        """(lower-raised axis, upper-raised axis) of the step Q(n) -> Q(n+1)
-        of a B sequence."""
-        dim = self.boxes[0].dim
-        low = n % 2 if self.kind == "B-d2" else (n - 1) % dim
-        return low, (low + 1) % dim
+        """(lower-raised axis, upper-raised axis) of the step Q(n) -> Q(n+1),
+        on every kind: `step_axes` of n, or of n - 1 on B-d2, whose step n
+        is the general rule's step n - 1."""
+        return step_axes(n - (self.kind == "B-d2"), self.boxes[0].dim)
+
+
+def step_axes(n: int, dim: int) -> tuple[int, int]:
+    """The step rule of the box sequences on Z^dim: step n raises the lower
+    endpoint of axis (n - 1) mod dim and the upper endpoint of the
+    cyclically next axis."""
+    low = (n - 1) % dim
+    return low, (low + 1) % dim
 
 
 def _check_alphas(alphas: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -171,8 +178,7 @@ def _build_b_general(alphas: Sequence[Fraction], n_max: int) -> BoxSequence:
     boxes = [Box(tuple((1, 4 ** d) for _ in range(d)))]
     for n in range(1, n_max):
         prev = boxes[-1].intervals
-        m = (n - 1) % d  # 0-based residue of n; factor m lower, factor m+1 upper
-        mm = (m + 1) % d
+        m, mm = step_axes(n, d)  # factor m's lower endpoint rises, and factor mm's upper one
         ivs = list(prev)
         x, y = ivs[m]
         # the raised lower endpoint also catches up to within one growth
@@ -196,8 +202,7 @@ def _build_ff(d: int, n_max: int) -> BoxSequence:
     boxes = [Box(tuple((1, side) for _ in range(dim)))]
     for n in range(0, n_max):
         prev = boxes[-1].intervals
-        i = (n - 1) % dim  # 0-based factor whose lower scales by 4^(i+1)
-        j = (i + 1) % dim  # cyclically next factor, upper scales by 4^(j+1)
+        i, j = step_axes(n, dim)  # i's lower end scales by 4^(i+1), j's upper by 4^(j+1)
         ivs = list(prev)
         x, y = ivs[i]
         new_x = 4 ** (i + 1) * x

@@ -306,10 +306,10 @@ def verify_chain(cert: ChainCertificate, family: LengthFamily) -> dict[str, bool
 def _build_b_d2(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     legs = []
     for n in seq.indices():
-        # the first segment along axis n % 2 with mass at most the box
-        # average (one exists by averaging), scanned along the other axis
-        box, axis = seq.box(n), n % 2
-        scan = 1 - axis
+        # the first segment along the axis whose lower endpoint step n raises
+        # with mass at most the box average (one exists by averaging),
+        # scanned along the other axis
+        box, (axis, scan) = seq.box(n), seq.touched(n)
         bound = Bound(Fraction(1, box.side(scan)), box)
         # (c, c) fixes the scanned coordinate at c; _full_segment resets its own
         c = box.intervals[scan][0]
@@ -492,14 +492,9 @@ def reach_vertical_section(
 def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     lam = max(Fraction(2), 2 / inocent_constant(seq))
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
-
-    def axes_of(n: int) -> tuple[int, int, int]:
-        m0 = (n - 1) % 3
-        return m0, (m0 + 1) % 3, (m0 + 2) % 3
-
-    # P_1: first lambda-good plane of Q(1), on the axis m2
+    # P_1: first lambda-good plane of Q(1), on the axis m2 that its step leaves alone
     box = seq.box(lo_n)
-    m2 = axes_of(lo_n)[2]
+    m2 = 3 - sum(seq.touched(lo_n))
     first = box.fix_axis(m2, box.intervals[m2][0])
     (plane,) = _first_translate(
         family, [(first, Bound(lam / box.side(m2), box))], m2, 1, box.side(m2),
@@ -507,7 +502,8 @@ def _build_b_d3(family: LengthFamily, seq: BoxSequence) -> ChainCertificate:
     )
     legs = []
     for n in range(lo_n, hi_n):
-        m0, m1, m2 = axes_of(n)
+        m0, m1 = seq.touched(n)  # step n raises m0's lower endpoint and m1's upper one
+        m2 = 3 - m0 - m1
         box, nxt = seq.box(n), seq.box(n + 1)
         p_val = plane.intervals[m2][0]
         # gamma_n^1: 1-good horizontal segment of the plane (direction m0)
@@ -591,16 +587,14 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
     lam = Fraction(2 * (d - 1) + 1)
     lam_prime = lambda_prime(lam, Fraction(1, 2), d)
     lo_n, hi_n = min(seq.indices()), max(seq.indices())
-
-    def m_axis(n: int) -> int:
-        return (n - 1) % d
-
-    seg = _fully_good_segment(family, seq.box(lo_n), m_axis(lo_n), lam)
+    seg = _fully_good_segment(family, seq.box(lo_n), seq.touched(lo_n)[0], lam)
     legs = []
     for n in range(lo_n, hi_n):
         box, nxt = seq.box(n), seq.box(n + 1)
         overlap = box.intersect(nxt)
-        m_next = m_axis(n + 1)
+        # the anchor segments of Q(n) and Q(n + 1) run along the axes whose
+        # lower and upper endpoints step n raises
+        m0, m_next = seq.touched(n)
         nxt_seg = _fully_good_segment(family, nxt, m_next, lam)
         # every staircase segment is a full overlap segment, so its bound
         # depends only on its axis
@@ -613,7 +607,7 @@ def _build_b_general(family: LengthFamily, seq: BoxSequence) -> ChainCertificate
         what = "no good staircase into the next box"
         lo, _ = overlap.intervals[m_next]
         stair = _staircase_segments(
-            overlap, seg, nxt_seg.point(lo - nxt_seg.anchor[m_next]), m_axis(n)
+            overlap, seg, nxt_seg.point(lo - nxt_seg.anchor[m_next]), m0
         )
         # the targets differ only in their m_next coordinate, which stays in
         # the overlap, so a staircase leaves it for every target or for none

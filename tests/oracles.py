@@ -12,13 +12,15 @@ searches replaced, exact packed lengths, the identity kind's draws, the
 per-step orbit of a fundamental domain, the report writer's row-by-row
 ASCII form, the split log2 masses, mass ratios and power sums summed with no
 memo, `measured`'s B_log2 with the integer parts subtracted exactly,
-the two-point, generator-based region checks of `Box` and
+the distortion budget re-summed from the walk's start for every row, the
+two-point, generator-based region checks of `Box` and
 `Segment`, and the decided walk pass's cost line and summary as
 `log2_weights` and `np.mean`/`np.argmax` gave them), a small fixture map for the derivative checks, or an
 input of those oracles (the walk kernel and lattice paths).  `FAMILIES`
 registers the family backends that the contract tests and the chain
 search tests run over, each with its point weight and total mass written
-out by hand.
+out by hand; `CHAIN_CASES` registers the chains that the chain contract
+runs over, each with its family and sequence makers.
 `exact_mass` is no oracle: it reads the package's own exact mass form
 as a rational, for tests of something else; nor is `uniform_box_family`,
 the tests' finite family of rate-0 axes, on which every translate of a
@@ -31,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import random
@@ -43,8 +46,16 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from critreg.boxes import BoxSequence, SubdivisionTree, _piece, integer_root
-from critreg.concat import ChainCertificate, ChainSearchError
+from critreg.boxes import BoxSequence, SubdivisionTree, _piece, build_sequence, integer_root
+from critreg.concat import (
+    BudgetReport,
+    BudgetRow,
+    ChainCertificate,
+    ChainSearchError,
+    _stretch_entry_t,
+    build_chain,
+    walk_stretches,
+)
 from critreg.lattice import (
     Axis,
     Bound,
@@ -58,6 +69,7 @@ from critreg.lattice import (
     _check_dimension,
     _geometric_sum_log2,
     geometric_axis,
+    geometric_family,
     log2_add,
     log2_parts,
     mass_le,
@@ -341,6 +353,74 @@ FAMILIES = {
 
 
 # ---------------------------------------------------------------------------
+# the chains of the chain contract
+# ---------------------------------------------------------------------------
+
+
+class ChainCase(NamedTuple):
+    """One chain of the chain contract: a chain kind over a box sequence,
+    on a built-in family."""
+
+    kind: str
+    family: Callable[[int], ProductFamily]  # a fresh family on Z^d, its memo empty
+    sequence: Callable[..., BoxSequence]  # the boxes up to the keyword n_max
+    n_max: int
+    min_fit_n: int  # the first fitted budget row
+    digest: str | None = None  # the sha256 of the records, where they are pinned
+
+    def build(self) -> tuple[ProductFamily, ChainCertificate]:
+        """A fresh family and the chain on it."""
+        seq = self.sequence(n_max=self.n_max)
+        family = self.family(seq.boxes[0].dim)
+        return family, build_chain(self.kind, family, seq)
+
+
+def planar_b_general(n_max: int) -> BoxSequence:
+    """The B-general sequence at d = 2.  `build_sequence` has no d = 2
+    recursion for B-general, so the planar (1/3, 2/3) boxes stand in,
+    indexed from 2, where the builder's staircases fit in the overlaps."""
+    planar = build_sequence("B-d2", alphas=(Fraction(1, 3), Fraction(2, 3)), n_max=n_max)
+    return BoxSequence("B-general", 2, planar.boxes, alphas=planar.alphas, d=2)
+
+
+def _sizes(name, kind, family, sequence, min_fit_n, *sizes):
+    """One chain's cases name-n_max: a size is an n_max or (n_max, pinned digest)."""
+    for size in sizes:
+        n_max, digest = size if isinstance(size, tuple) else (size, None)
+        yield f"{name}-{n_max}", ChainCase(kind, family, sequence, n_max, min_fit_n, digest)
+
+
+_GEO, _SYM = geometric_family, symmetric_geometric_family
+_HALVES = functools.partial(build_sequence, "B-d2", alphas=(Fraction(1, 2),) * 2)
+_THIRDS = functools.partial(build_sequence, "B-d2", alphas=(Fraction(1, 3), Fraction(2, 3)))
+_D3 = functools.partial(build_sequence, "B-general", alphas=(Fraction(1, 3),) * 3)
+_D4 = functools.partial(build_sequence, "B-general", alphas=(Fraction(1, 4),) * 4)
+_FF = {d: functools.partial(build_sequence, "FF", d=d) for d in (3, 4, 5)}
+# Every chain the contract checks.  The six digests were taken from the
+# builders that each computed their own junctions; FF-d3's first fitted row
+# is its start stage, 4
+CHAIN_CASES = dict(itertools.chain(
+    _sizes("B-d2-half", "B-d2", _GEO, _HALVES, 2, 20),
+    _sizes("B-d2-third", "B-d2", _GEO, _THIRDS, 2,
+           (12, "cb97a4a6df55ab43a64167750f4ff50e3a78cd9c3e78d4a2a605d4eab56b7416"), 24),
+    _sizes("B-d3", "B-d3", _GEO, _D3, 2,
+           (8, "810904f6c746d9eba48ebf16d7f9c2d31640dabe1f5cce193478545b9743003f"), 16),
+    _sizes("B-general-planar", "B-general", _GEO, planar_b_general, 2,
+           (10, "b7ea509e8ef8d031d78e39f654528c136fab51cd8cabf84c6f2344f10631df7a")),
+    _sizes("B-general-d3", "B-general", _GEO, _D3, 2, 16, 40),
+    _sizes("B-general-d4", "B-general", _GEO, _D4, 2,
+           (8, "837a047b4ef6bf3954aefa3ab5b03d7f57f8ca1ce392b153ffcba8301c760fdc"), 12, 16),
+    _sizes("FF-d3-geometric", "FF-d3", _GEO, _FF[3], 4, 17, 40),
+    _sizes("FF-d3-symmetric", "FF-d3", _SYM, _FF[3], 4,
+           (13, "eeb3cc022a78636dfc24f5216203f330fac6582e6de45076370d1b5cdd6524b8"), 17, 40),
+    _sizes("FF-general-d4-symmetric", "FF-general", _SYM, _FF[4], 2,
+           (6, "dac2f320eb3caf34e0695091d3f3c4a6aac3ebe062a50fce43322cdb472007a7"), 8),
+    _sizes("FF-general-d4-geometric", "FF-general", _GEO, _FF[4], 2, 12),
+    _sizes("FF-general-d5-geometric", "FF-general", _GEO, _FF[5], 2, 12),
+))
+
+
+# ---------------------------------------------------------------------------
 # the walk kernel's exact laws and minimum costs
 # ---------------------------------------------------------------------------
 
@@ -549,6 +629,53 @@ def b_log2_split(cert: ChainCertificate, family: ProductFamily) -> float:
         pe, pf = power_parts(r.seg, alpha)
         best = max(best, float(pe - alpha * be) + (pf - float(alpha) * bf))
     return best
+
+
+def resummed_budget(cert: ChainCertificate, family: LengthFamily, min_fit_n: int) -> BudgetReport:
+    """The budget pass that re-sums the walk from its start for every row,
+    and scans every stretch for every entry: the reference for the
+    prefix-sum pass of `distortion_budget`, whose rows are fitted from
+    min_fit_n on."""
+    alphas = cert.seq.alphas
+    alpha_min = float(min(alphas))
+    stretches = walk_stretches(cert)
+    starts = [0]
+    for s in stretches:
+        starts.append(starts[-1] + s.count - 1)
+
+    def budget_upto(m_cut):
+        acc = 0.0
+        for i, s in enumerate(stretches):
+            if starts[i] > m_cut:
+                break
+            own_hi = s.count - 2 if i + 1 < len(stretches) else s.count - 1
+            t_hi = min(own_hi, m_cut - starts[i])
+            if t_hi < 0:
+                continue
+            part = s._replace(count=t_hi + 1)
+            acc += 2.0 ** family.range_power_log2(part, float(alphas[s.axis]))
+        return acc
+
+    rows = []
+    for n in cert.seq.indices():
+        if n + 1 not in cert.seq.indices():
+            continue
+        nxt_box = cert.seq.box(n + 1)
+        entry = None
+        for i, s in enumerate(stretches):
+            t = _stretch_entry_t(s, nxt_box)
+            if t is not None:
+                entry = starts[i] + t
+                break
+        if entry is None or entry == 0:
+            continue
+        b = budget_upto(entry)
+        ln = math.log(entry)
+        rows.append(BudgetRow(n, entry, b, b / ln ** (1.0 - alpha_min) if ln > 0 else math.inf))
+    fit = [r.ratio for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
+    return BudgetReport(tuple(rows), max(fit, default=0.0),
+                        max(fit) / min(fit) if fit and min(fit) > 0 else None, len(fit),
+                        starts[-1] + 1)
 
 
 def box_contains_all(box: Box, v: Sequence[int]) -> bool:

@@ -1,7 +1,4 @@
-import gc
-import hashlib
 import math
-import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -10,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critreg import cli, concat, lattice
-from critreg.boxes import BoxSequence, build_sequence, minimal_round_constant
+from critreg.boxes import build_sequence, minimal_round_constant
 from critreg.concat import (
-    BudgetReport,
-    BudgetRow,
     ChainSearchError,
     _first_translate,
     _full_segment,
     _fully_good_segment,
     _junction,
-    _staircase_segments,
     _stretch,
     _stretch_entry_t,
     _strip_count,
@@ -46,17 +40,19 @@ from critreg.lattice import (
 )
 
 from oracles import (
+    CHAIN_CASES,
     FAMILIES,
     b_log2_split,
     box_points,
     exact_mass,
-    first_good,
     first_translate_linear,
     flag_goodness,
     flag_members,
     fully_good_dfs,
     goodness_ratio,
+    planar_b_general,
     point_mass,
+    resummed_budget,
     uniform_box_family,
 )
 
@@ -246,18 +242,9 @@ class TestVerticalReach:
         assert res.reachable <= reach
 
 
-def _chain_smoke(kind, fam, seq, **kw):
-    cert = build_chain(kind, fam, seq, **kw)
-    rep = verify_chain(cert, fam)
-    assert rep["all"], rep
-    return cert
-
-
 class TestChains:
     def test_planar_chain_and_budget(self):
-        fam = geometric_family(2)
-        seq = build_sequence("B-d2", alphas=(HALF, HALF), n_max=15)
-        cert = _chain_smoke("B-d2", fam, seq)
+        fam, cert = CHAIN_CASES["B-d2-half-20"]._replace(n_max=15).build()
         assert len(cert.records) == 15
         rep = distortion_budget(cert, fam)
         assert rep.ratio_spread < 2.0
@@ -267,34 +254,28 @@ class TestChains:
         box = Box(((1, 64), (1, 64)))
         fam = uniform_box_family(box)
         seq = build_sequence("B-d2", alphas=(HALF, HALF), n_max=6)
-        cert = _chain_smoke("B-d2", fam, seq)
+        cert = build_chain("B-d2", fam, seq)
+        assert verify_chain(cert, fam)["all"]
         # uniform weights make every goodness ratio exactly one
         for r in cert.records:
             assert lattice.mass_le(fam, r.seg, r.bound)
 
     def test_spatial_plane_chain(self):
-        fam = geometric_family(3)
-        seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=10)
-        cert = _chain_smoke("B-d3", fam, seq)
+        fam, cert = CHAIN_CASES["B-d3-8"]._replace(n_max=10).build()
         labels = {r.label.split(".")[1] for r in cert.records}
         assert labels == {"1", "2", "3"}
         assert measured(cert, fam)["K_d"] == 3.0
 
     def test_general_chain_d3_and_d4(self):
-        fam = geometric_family(3)
-        seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=10)
-        cert = _chain_smoke("B-general", fam, seq)
+        fam, cert = CHAIN_CASES["B-general-d3-16"]._replace(n_max=10).build()
         assert measured(cert, fam)["K_d"] <= 3
-        fam4 = geometric_family(4)
-        seq4 = build_sequence("B-general", alphas=(Fraction(1, 4),) * 4, n_max=8)
-        cert4 = _chain_smoke("B-general", fam4, seq4)
+        fam4, cert4 = CHAIN_CASES["B-general-d4-8"].build()
         assert measured(cert4, fam4)["K_d"] <= 4
 
     def test_orbit_chain(self):
-        fam = symmetric_geometric_family(2)
-        seq = build_sequence("FF", d=3, n_max=13)
+        fam, cert = CHAIN_CASES["FF-d3-symmetric-13"].build()
+        seq = cert.seq
         assert chain_start_stage(seq) == 4
-        cert = _chain_smoke("FF-d3", fam, seq)
         gens = {r.generator for r in cert.records}
         assert gens == {"f(2,1)", "f(3,1)", "f(3,2)"}
         # stride segments are genuine group-action runs
@@ -316,13 +297,9 @@ class TestChains:
         # D's count exponent is a fact of the box sequence (FF boxes grow as
         # 4^(n/(d-1)), B boxes as 2^(n alpha)), so a certificate whose kind
         # is relabelled measures the same
-        cases = [
-            ("B-d2", geometric_family(2), build_sequence("B-d2", alphas=(HALF, HALF), n_max=8),
-             "FF-d3"),
-            ("FF-d3", symmetric_geometric_family(2), build_sequence("FF", d=3, n_max=13), "B-d2"),
-        ]
-        for kind, fam, seq, other in cases:
-            cert = build_chain(kind, fam, seq)
+        for case, n_max, other in (("B-d2-half-20", 8, "FF-d3"),
+                                   ("FF-d3-symmetric-13", 13, "B-d2")):
+            fam, cert = CHAIN_CASES[case]._replace(n_max=n_max).build()
             want = measured(cert, fam)
             assert want["D"] > 0
             assert measured(cert._replace(kind=other), fam) == want
@@ -334,9 +311,7 @@ class TestChains:
         assert _strip_count(Box(((1, 5), (3, 3))), 4) == 1
 
     def test_orbit_chain_general(self):
-        fam = symmetric_geometric_family(3)
-        seq = build_sequence("FF", d=4, n_max=6)
-        cert = _chain_smoke("FF-general", fam, seq)
+        _, cert = CHAIN_CASES["FF-general-d4-symmetric-6"].build()
         assert cert.levels["lambda"] >= 1
 
     def test_uniform_budget_negative_control(self):
@@ -362,9 +337,8 @@ class TestChains:
     def test_chebyshev_plane_counts(self):
         # in every processed box the lambda-good plane fraction exceeds
         # 1 - 1/lambda (exact rational counting)
-        fam = geometric_family(3)
-        seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=8)
-        cert = build_chain("B-d3", fam, seq)
+        fam, cert = CHAIN_CASES["B-d3-8"].build()
+        seq = cert.seq
         lam = Fraction(cert.levels["lambda"]).limit_denominator(10 ** 6)
         for n in seq.indices():
             box = seq.box(n)
@@ -388,9 +362,7 @@ _TABLE_SEQS = {
     "B-general-d4": lambda: build_sequence("B-general", alphas=(Fraction(1, 4),) * 4, n_max=8),
     "FF-d3": lambda: build_sequence("FF", d=3, n_max=8),
     "FF-d4": lambda: build_sequence("FF", d=4, n_max=6),
-    "B-general-planar": lambda: BoxSequence(
-        "B-general", 1, build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=10).boxes,
-        alphas=(THIRD, 2 * THIRD), d=2),
+    "B-general-planar": lambda: planar_b_general(10)._replace(start_index=1),
 }
 # the sequences each chain kind walks, and its refusal of any other
 _WALKS = {
@@ -429,21 +401,6 @@ def test_unknown_chain_kind_is_refused():
         build_chain("nope", geometric_family(2), _TABLE_SEQS["B-d2"]())
 
 
-@pytest.mark.parametrize("kind, d", [("B-d2", 3), ("B-d2", 1), ("FF-d3", 3), ("FF-d3", 1)])
-def test_a_family_of_another_dimension_is_refused(kind, d):
-    # B-d2 and FF-d3 boxes lie on Z^2.  A family on Z^3 was read on two of
-    # its axes (on B-d2 at n_max 8: 8 records, verified, A' = 0.663), and one
-    # on Z^1 died of an IndexError
-    seq = _TABLE_SEQS[kind]()
-    cert = build_chain(kind, geometric_family(2), seq)
-    other = geometric_family(d)
-    message = f"^the family is on Z\\^{d}, but the boxes are on Z\\^2$"
-    for call in (lambda: build_chain(kind, other, seq), lambda: verify_chain(cert, other),
-                 lambda: measured(cert, other), lambda: distortion_budget(cert, other)):
-        with pytest.raises(ValueError, match=message):
-            call()
-
-
 @pytest.mark.parametrize("d", range(3, 7))
 def test_ff_sequences_carry_the_chain_exponent(d):
     assert build_sequence("FF", d=d, n_max=2).alphas == (Fraction(2, d * (d - 1)),) * (d - 1)
@@ -457,189 +414,14 @@ def test_b_sequences_keep_their_exponents(kind, alphas):
     assert build_sequence(kind, alphas=alphas, n_max=6).alphas == alphas
 
 
-@pytest.mark.parametrize("kind, fam, make_seq, other", [
-    ("B-d2", geometric_family(2),
-     lambda: build_sequence("B-d2", alphas=(HALF, HALF), n_max=10), (THIRD, 2 * THIRD)),
-    ("B-general", geometric_family(3),
-     lambda: build_sequence("B-general", alphas=(THIRD,) * 3, n_max=8),
-     (Fraction(1, 4), Fraction(1, 4), HALF)),
-    ("FF-d3", symmetric_geometric_family(2),
-     lambda: build_sequence("FF", d=3, n_max=13), (Fraction(1, 4),) * 2),
-])
-def test_budget_reads_the_sequence_exponents(kind, fam, make_seq, other):
-    # the builders read no exponent; the budget and B read the sequence's
-    seq = make_seq()
-    cert = build_chain(kind, fam, seq)
-    moved = build_chain(kind, fam, seq._replace(alphas=other))
-    assert moved.seq.alphas == other != seq.alphas
-    assert moved.records == cert.records
-    rep, moved_rep = distortion_budget(cert, fam), distortion_budget(moved, fam)
-    assert [r.entry_index for r in rep.rows] == [r.entry_index for r in moved_rep.rows]
-    assert rep.rows and all(a.budget != b.budget for a, b in zip(rep.rows, moved_rep.rows))
-    assert measured(cert, fam)["B_log2"] != measured(moved, fam)["B_log2"]
-
-
-_CHAINS = {
-    "B-d2": (geometric_family(2), ("B-d2", dict(alphas=(HALF, HALF), n_max=10))),
-    "B-d3": (geometric_family(3), ("B-general", dict(alphas=(THIRD,) * 3, n_max=8))),
-    "FF-d3": (symmetric_geometric_family(2), ("FF", dict(d=3, n_max=13))),
-    "B-general": (geometric_family(3), ("B-general", dict(alphas=(THIRD,) * 3, n_max=10))),
-}
-
-
-def _ff_general_b_log2(d: int, n_max: int) -> tuple[float, float]:
-    """`measured`'s B_log2 of the `chain-ff --d d` chain and its split
-    recomputation."""
-    seq = build_sequence("FF", d=d, n_max=n_max)
-    fam = geometric_family(seq.boxes[0].dim)
-    cert = build_chain("FF-general", fam, seq)
-    return measured(cert, fam)["B_log2"], b_log2_split(cert, fam)
-
-
-@pytest.mark.parametrize("d", [4, 5])
-def test_ff_general_b_log2_matches_the_split_recomputation(d):
-    got, want = _ff_general_b_log2(d, 12)
-    assert abs(got - want) <= 1e-9
-
-
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 19: measured subtracts float log2 values whose integer parts are far "
     "past 2^53, so B_log2 at n_max 40 is rounding noise (8388608.0 at d = 4, 256.0 at "
     "d = 5, against 2.696 and 3.500); the split form of item 19 mends it"))
 @pytest.mark.parametrize("d", [4, 5])
 def test_ff_general_b_log2_keeps_the_split_value_at_n_max_40(d):
-    got, want = _ff_general_b_log2(d, 40)
-    assert abs(got - want) <= 1e-9
-
-
-def _off_segment(seg, point):
-    """The point moved by one along an axis its segment does not move on."""
-    out = list(point)
-    out[(seg.axis + 1) % len(out)] += 1
-    return tuple(out)
-
-
-def _tamper(cert, fam, field):
-    """A copy of the certificate with one record changed: the first
-    record's entry or the last record's exit moved off its segment, or a
-    middle record's segment moved one point along an axis it does not move
-    on, or its bound lowered just below the least q that passes, or the
-    last record's box index moved back by the sequence's length, where an
-    unchecked offset into the boxes would wrap to the same box; or the
-    certificate truncated by its last record, or by every record of its
-    last recorded stage."""
-    if field == "last-record":
-        return cert._replace(records=cert.records[:-1])
-    if field == "last-stage":
-        last = cert.records[-1].n
-        return cert._replace(records=tuple(r for r in cert.records if r.n != last))
-    k = {"entry": 0, "exit": -1, "n": -1}.get(field, len(cert.records) // 2)
-    r = cert.records[k]
-    if field == "n":
-        value = r.n - len(cert.seq.boxes)
-    elif field == "bound":
-        # the least q that passes is the mass ratio.  Its split log2 form is
-        # within MARGIN of it; lowering that q by 2^-60, 2^-59, ... of itself
-        # until `mass_le` rejects it stays within MARGIN of the ratio, where
-        # `mass_le` decides on the exact dyadic forms
-        (a0, a1), (b0, b1) = (fam.mass_log2_parts(x) for x in (r.seg, r.bound.region))
-        ratio = Fraction(2) ** (a0 - b0) * Fraction(2.0 ** (a1 - b1))
-        for shift in range(60, 40, -1):
-            value = Bound(ratio * (1 - Fraction(1, 2 ** shift)), r.bound.region)
-            if not lattice.mass_le(fam, r.seg, value):
-                break
-        assert not lattice.mass_le(fam, r.seg, value)
-        assert abs(lattice.mass_ratio_log2(fam, r.seg, value)) <= lattice.MARGIN
-    elif field == "seg":
-        value = r.seg._replace(anchor=_off_segment(r.seg, r.seg.anchor))
-    else:
-        # the walk's two ends have no neighbour to hand over to
-        value = _off_segment(r.seg, getattr(r, field))
-    records = list(cert.records)
-    records[k] = r._replace(**{field: value})
-    return cert._replace(records=tuple(records))
-
-
-def _power_ratio_log2(cert, fam, r):
-    """log2 of a record's power sum over max(L_n, L_(n+1))^alpha, from the
-    box masses L: the ratio whose largest value is B."""
-    alpha = float(cert.seq.alphas[r.seg.axis])
-    ns = [n for n in (r.n, r.n + 1) if n in cert.seq.indices()]
-    base = alpha * max(lattice.mass_log2(fam, cert.seq.box(n)) for n in ns)
-    return fam.range_power_log2(r.seg, alpha) - base
-
-
-class TestVerifyChain:
-    @pytest.fixture(scope="class", params=sorted(_CHAINS))
-    def built(self, request):
-        fam, (seq_kind, kw) = _CHAINS[request.param]
-        return fam, build_chain(request.param, fam, build_sequence(seq_kind, **kw))
-
-    @pytest.mark.parametrize("field", ["bound", "seg", "entry", "exit", "n",
-                                       "last-record", "last-stage"])
-    def test_tampered_field_fails(self, built, field):
-        fam, cert = built
-        assert not verify_chain(_tamper(cert, fam, field), fam)["all"]
-
-    @pytest.mark.parametrize("change", ["order", "count"])
-    def test_stage_shape_is_checked(self, built, change):
-        # two records of neighbouring stages swapped keep every stage's
-        # count but let n fall; one record dropped from a middle stage keeps
-        # the stage range but not its count
-        fam, cert = built
-        recs = list(cert.records)
-        if change == "order":
-            i = next(i for i, (a, b) in enumerate(zip(recs, recs[1:])) if a.n != b.n)
-            recs[i], recs[i + 1] = recs[i + 1], recs[i]
-        else:
-            middle = recs[len(recs) // 2].n
-            recs.remove(next(r for r in recs if r.n == middle))
-        changed = cert._replace(records=tuple(recs))
-        assert verify_chain(cert, fam)["stages"]
-        assert not verify_chain(changed, fam)["stages"]
-
-    def test_verify_does_not_use_the_translate_scan(self, built):
-        # the search's shortcut decides translates from shifted parts;
-        # verify decides each record's own segment and bound with mass_le
-        fam, cert = built
-
-        def raising(*args, **kwargs):
-            raise AssertionError("verify_chain called first_translate_le")
-
-        with mock.patch.object(lattice, "first_translate_le", raising), \
-                mock.patch.object(concat, "first_translate_le", raising):
-            assert verify_chain(cert, fam)["all"]
-
-    @pytest.mark.parametrize("field", ["power_sum_log2", "exit"])
-    def test_derived_values_follow_the_records(self, built, field):
-        # B and the walk's stretches are computed from the records, so a
-        # changed record moves them: nothing stored beside the records can
-        # disagree
-        fam, cert = built
-        r = cert.records[-1]
-        if field == "power_sum_log2":
-            # the last record's power sum raised: its segment moved to 0
-            # along an axis it does not move on, where the weights are heavier
-            anchor = list(r.seg.anchor)
-            anchor[(r.seg.axis + 1) % len(anchor)] = 0
-            seg = r.seg._replace(anchor=tuple(anchor))
-            changed_r = r._replace(seg=seg)
-        else:
-            # the walk leaves the last segment one point earlier
-            t = r.seg.index_of(r.exit)
-            changed_r = r._replace(exit=r.seg.point(t - 1 if t else 1))
-        records = (*cert.records[:-1], changed_r)
-        changed = cert._replace(records=records)
-        before, after = walk_stretches(cert), walk_stretches(changed)
-        if field == "power_sum_log2":
-            b_log2 = measured(changed, fam)["B_log2"]
-            assert b_log2 == _power_ratio_log2(changed, fam, changed_r)
-            assert b_log2 > measured(cert, fam)["B_log2"]
-            assert after == before
-        else:
-            assert measured(changed, fam)["B_log2"] == measured(cert, fam)["B_log2"]
-            assert after[:-1] == before[:-1]
-            assert after[-1].last() == changed_r.exit != before[-1].last()
+    fam, cert = CHAIN_CASES[f"FF-general-d{d}-geometric-12"]._replace(n_max=40).build()
+    assert abs(measured(cert, fam)["B_log2"] - b_log2_split(cert, fam)) <= 1e-9
 
 
 class TestFullyGoodSearch:
@@ -835,8 +617,7 @@ class TestFirstGood:
         # the planar B-d2 boxes relabelled as B-general from their own first
         # index: at n = 3 every staircase pivot escapes the overlap, so the
         # scan is left with no candidate at all
-        planar = build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=10)
-        seq = BoxSequence("B-general", 1, planar.boxes, alphas=planar.alphas, d=2)
+        seq = planar_b_general(10)._replace(start_index=1)
         with pytest.raises(ChainSearchError, match="no good staircase") as err:
             build_chain("B-general", geometric_family(2), seq)
         assert err.value.n == 3
@@ -1001,238 +782,22 @@ def test_b_d2_cap_line_probes_at_most_once_per_search(monkeypatch, tmp_path):
     assert len(counts) == 200 and max(counts) <= 1
 
 
-def _ff_class_oracle(fam, box, k):
-    """The first stride-k class of the box's vertical set {k} x [x2, y2]
-    within the vertical set's mean, scanned class after class (the
-    coordinates reach 4^20, so `mass_le` decides)."""
-    x2, y2 = box.intervals[1]
-    classes = (Segment((k, j0), 1, (y2 - j0) // k + 1, k)
-               for j0 in range(x2, x2 + min(k, y2 - x2 + 1)))
-    bound = Bound(Fraction(1, k), box.fix_axis(0, k))
-    return first_good(fam, ((c, [(c, bound)]) for c in classes), "", None)
-
-
-@pytest.mark.parametrize("family", [geometric_family(2), symmetric_geometric_family(2)])
-def test_ff_classes_are_the_first_good_ones(family):
-    # the class scan runs as two translate scans, split where the classes
-    # lose their top point; it must still find the first good class
-    seq = build_sequence("FF", d=3, n_max=40)
-    cert = build_chain("FF-d3", family, seq)
-    classes = [r for r in cert.records if r.flag_kind == "vertical-set-class"]
-    assert len(classes) > 10
-    for r in classes:
-        assert r.seg == _ff_class_oracle(family, seq.box(r.n), r.seg.anchor[0])
-
-
-def _staircase_oracle(fam, seq, n, cur, nxt_seg):
-    """The staircase from the anchor segment of Q(n) to the first target on
-    the next anchor segment whose staircase is good, target after target."""
-    d = seq.boxes[0].dim
-    overlap = seq.box(n).intersect(seq.box(n + 1))
-    m0, m_next = (n - 1) % d, n % d
-    lam_prime = lambda_prime(Fraction(2 * d - 1), HALF, d)
-    corner = tuple(lo for lo, _ in overlap.intervals)
-    # the mean over each full overlap segment at most lambda' times the overlap's
-    segs = [_full_segment(overlap, a, corner) for a in range(d)]
-    bounds = [Bound(lam_prime * Fraction(s.count, overlap.npoints()), overlap) for s in segs]
-    t0 = nxt_seg.anchor[m_next]
-    stairs = (_staircase_segments(overlap, cur, nxt_seg.point(t - t0), m0)
-              for t in range(overlap.intervals[m_next][0], overlap.intervals[m_next][1] + 1))
-    checked = ([(s, bounds[s.axis]) for s in st] for st in stairs if st)
-    return [s for s, _ in first_good(fam, ((c, c) for c in checked), "", n)]
-
-
-@pytest.mark.parametrize("d, n_max", [(3, 40), (4, 16)])
-def test_b_general_staircases_are_the_first_good_ones(d, n_max):
-    # the target scan runs as one fixed segment and the translates of the
-    # others; it must still find the first target with a good staircase
-    fam = geometric_family(d)
-    seq = build_sequence("B-general", alphas=(Fraction(1, d),) * d, n_max=n_max)
-    cert = build_chain("B-general", fam, seq)
-    anchors = {r.n: r.seg for r in cert.records if r.flag_kind == "fully-good-anchor"}
-    for n in sorted(anchors)[:-1]:
-        stair = [r.seg for r in cert.records if r.n == n and r.flag_kind == "staircase-overlap"]
-        assert stair and stair == _staircase_oracle(fam, seq, n, anchors[n], anchors[n + 1])
-
-
-def _planar_b_general(n_max):
-    """The B-general builder at d = 2.  `build_sequence` has no d = 2
-    recursion for B-general, so the planar (1/3, 2/3) boxes stand in,
-    indexed from 2, where the builder's staircases fit in the overlaps."""
-    planar = build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=n_max)
-    return BoxSequence("B-general", 2, planar.boxes, alphas=planar.alphas, d=2)
-
-
-# one config per builder path: (kind, family, sequence, record count, sha256
-# of the records' (n, label, segment, flag kind, generator, flag, entry,
-# exit)), taken from the builders that each computed their own junctions
-_PINNED = {
-    "B-d2": ("B-d2", geometric_family(2),
-             lambda: build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=12), 12,
-             "cb97a4a6df55ab43a64167750f4ff50e3a78cd9c3e78d4a2a605d4eab56b7416"),
-    "B-d3": ("B-d3", geometric_family(3),
-             lambda: build_sequence("B-general", alphas=(THIRD,) * 3, n_max=8), 21,
-             "810904f6c746d9eba48ebf16d7f9c2d31640dabe1f5cce193478545b9743003f"),
-    "B-general-d2": ("B-general", geometric_family(2), lambda: _planar_b_general(10), 19,
-                     "b7ea509e8ef8d031d78e39f654528c136fab51cd8cabf84c6f2344f10631df7a"),
-    "B-general-d4": ("B-general", geometric_family(4),
-                     lambda: build_sequence("B-general", alphas=(Fraction(1, 4),) * 4, n_max=8),
-                     29, "837a047b4ef6bf3954aefa3ab5b03d7f57f8ca1ce392b153ffcba8301c760fdc"),
-    "FF-d3": ("FF-d3", symmetric_geometric_family(2),
-              lambda: build_sequence("FF", d=3, n_max=13), 17,
-              "eeb3cc022a78636dfc24f5216203f330fac6582e6de45076370d1b5cdd6524b8"),
-    "FF-general-d4": ("FF-general", symmetric_geometric_family(3),
-                      lambda: build_sequence("FF", d=4, n_max=6), 18,
-                      "dac2f320eb3caf34e0695091d3f3c4a6aac3ebe062a50fce43322cdb472007a7"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_PINNED))
-def test_records_pinned_per_builder(case):
-    kind, fam, make_seq, count, digest = _PINNED[case]
-    cert = build_chain(kind, fam, make_seq())
-    # each signed step is written as the (direction, |step|) pair of the
-    # segments the digests were pinned from
-    rows = [
-        (r.n, r.label,
-         (r.seg.anchor, r.seg.axis, r.seg.count, 1 if r.seg.step > 0 else -1, abs(r.seg.step)),
-         r.flag_kind, r.generator, lattice.mass_le(fam, r.seg, r.bound), r.entry, r.exit)
-        for r in cert.records
-    ]
-    assert len(rows) == count
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
-    assert verify_chain(cert, fam)["all"]
-
-
-def _resummed_budget(cert, family, min_fit_n):
-    """The budget pass that re-sums the walk from its start for every row:
-    the reference for the prefix-sum pass of `distortion_budget`."""
-    alphas = cert.seq.alphas
-    alpha_min = float(min(alphas))
-    stretches = walk_stretches(cert)
-    starts = [0]
-    for s in stretches:
-        starts.append(starts[-1] + s.count - 1)
-
-    def budget_upto(m_cut):
-        acc = 0.0
-        for i, s in enumerate(stretches):
-            if starts[i] > m_cut:
-                break
-            own_hi = s.count - 2 if i + 1 < len(stretches) else s.count - 1
-            t_hi = min(own_hi, m_cut - starts[i])
-            if t_hi < 0:
-                continue
-            part = s._replace(count=t_hi + 1)
-            acc += 2.0 ** family.range_power_log2(part, float(alphas[s.axis]))
-        return acc
-
-    rows = []
-    for n in cert.seq.indices():
-        if n + 1 not in cert.seq.indices():
-            continue
-        nxt_box = cert.seq.box(n + 1)
-        entry = None
-        for i, s in enumerate(stretches):
-            t = _stretch_entry_t(s, nxt_box)
-            if t is not None:
-                entry = starts[i] + t
-                break
-        if entry is None or entry == 0:
-            continue
-        b = budget_upto(entry)
-        ln = math.log(entry)
-        rows.append(BudgetRow(n, entry, b, b / ln ** (1.0 - alpha_min) if ln > 0 else math.inf))
-    fit = [r.ratio for r in rows if r.n >= min_fit_n and math.isfinite(r.ratio)]
-    return BudgetReport(tuple(rows), max(fit, default=0.0),
-                        max(fit) / min(fit) if fit and min(fit) > 0 else None, len(fit),
-                        starts[-1] + 1)
-
-
-# chains for the budget oracle: (kind, family, sequence, the first fitted row
-# of the kind).  B-general and FF-general at d = 4 walk through count-1 stretches
-# before their last; FF-d3 at n_max 17 has its last entry inside the final
-# stretch.
-_BUDGET_CHAINS = {
-    "B-d2-half": ("B-d2", geometric_family(2),
-                  lambda: build_sequence("B-d2", alphas=(HALF, HALF), n_max=20), 2),
-    "B-d2-third": ("B-d2", geometric_family(2),
-                   lambda: build_sequence("B-d2", alphas=(THIRD, 2 * THIRD), n_max=24), 2),
-    "B-d3": ("B-d3", geometric_family(3),
-             lambda: build_sequence("B-general", alphas=(THIRD,) * 3, n_max=16), 2),
-    "B-general-d3": ("B-general", geometric_family(3),
-                     lambda: build_sequence("B-general", alphas=(THIRD,) * 3, n_max=16), 2),
-    "B-general-d4": ("B-general", geometric_family(4),
-                     lambda: build_sequence("B-general", alphas=(Fraction(1, 4),) * 4,
-                                            n_max=12), 2),
-    "FF-d3-geometric": ("FF-d3", geometric_family(2),
-                        lambda: build_sequence("FF", d=3, n_max=17), 4),
-    "FF-d3-symmetric": ("FF-d3", symmetric_geometric_family(2),
-                        lambda: build_sequence("FF", d=3, n_max=17), 4),
-    "FF-general-d4": ("FF-general", symmetric_geometric_family(3),
-                      lambda: build_sequence("FF", d=4, n_max=8), 2),
-}
-
-
-def _budget_case(case):
-    kind, fam, make_seq, min_fit_n = _BUDGET_CHAINS[case]
-    return build_chain(kind, fam, make_seq()), fam, min_fit_n
-
-
 class TestBudgetOracle:
-    @pytest.mark.parametrize("case", sorted(_BUDGET_CHAINS))
-    def test_equals_resummed_budget(self, case):
-        cert, fam, min_fit_n = _budget_case(case)
-        got = distortion_budget(cert, fam)
-        want = _resummed_budget(cert, fam, min_fit_n=min_fit_n)
-        assert len(got.rows) == len(want.rows) > 0
-        for a, b in zip(got.rows, want.rows):
-            assert a == b
-        assert got.a_prime == want.a_prime
-        assert got.ratio_spread == want.ratio_spread
-        assert got.fitted == want.fitted
-        assert got.total_points == want.total_points
-
     def test_cases_cover_short_stretches_and_final_cuts(self):
-        for case in ("B-general-d4", "FF-general-d4"):
-            cert, _, _ = _budget_case(case)
-            assert any(s.count == 1 for s in walk_stretches(cert)[:-1]), case
-        for case in ("FF-d3-geometric", "FF-d3-symmetric"):
-            cert, fam, _ = _budget_case(case)
-            rep = distortion_budget(cert, fam)
-            # the final stretch holds walk indices total - count .. total - 1
-            first = rep.total_points - walk_stretches(cert)[-1].count
-            assert any(first <= r.entry_index < rep.total_points - 1 for r in rep.rows), case
-
-    @pytest.mark.parametrize("case", ["B-d2-third", "B-general-d4", "FF-d3-symmetric"])
-    def test_one_power_sum_per_stretch_and_row(self, case, monkeypatch):
-        cert, fam, _ = _budget_case(case)
-        calls = []
-        inner = fam.range_power_log2
-
-        def counted(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(fam, "range_power_log2", counted)
-        rep = distortion_budget(cert, fam)
-        assert 0 < len(calls) <= len(walk_stretches(cert)) + len(rep.rows)
-
-    @pytest.mark.parametrize("case", sorted(_BUDGET_CHAINS))
-    def test_entry_scan_resumes_at_previous_row(self, case, monkeypatch):
-        # rows from the first record's index on resume at the stretch of
-        # the previous row's entry, so the scan passes each stretch about
-        # once, not once per row; the full scan of the reference agrees
-        cert, fam, _ = _budget_case(case)
-        calls = []
-
-        def counted(stretch, box):
-            calls.append(stretch)
-            return _stretch_entry_t(stretch, box)
-
-        monkeypatch.setattr(concat, "_stretch_entry_t", counted)
-        distortion_budget(cert, fam)
-        assert 0 < len(calls) <= len(walk_stretches(cert)) + 2 * len(cert.seq.indices())
+        # the budget check of tests/test_chains.py meets count-1 stretches
+        # before the last, and last entries inside the final stretch, which
+        # holds walk indices total - count .. total - 1
+        short, final = set(), set()
+        for case in CHAIN_CASES.values():
+            fam, cert = case.build()
+            stretches, rep = walk_stretches(cert), distortion_budget(cert, fam)
+            if any(s.count == 1 for s in stretches[:-1]):
+                short.add(case.kind)
+            first = rep.total_points - stretches[-1].count
+            if any(first <= r.entry_index < rep.total_points - 1 for r in rep.rows):
+                final.add((case.kind, case.family))
+        assert {"B-general", "FF-general"} <= short
+        assert {("FF-d3", geometric_family), ("FF-d3", symmetric_geometric_family)} <= final
 
     def test_a_box_entered_at_the_start_has_no_row(self):
         # the plane table without the origin (the ledger's
@@ -1247,25 +812,5 @@ class TestBudgetOracle:
         assert seq.box(2).intervals == ((1, 6), (1, 2))
         rep = distortion_budget(cert, fam)
         assert [(r.n, r.entry_index) for r in rep.rows] == [(2, 1), (3, 2)]
-        assert rep == _resummed_budget(cert, fam, min_fit_n=2)
+        assert rep == resummed_budget(cert, fam, min_fit_n=2)
 
-
-@pytest.mark.parametrize("kind", ["B-general", "B-d2-table"])
-def test_no_module_level_cache_keeps_a_family_alive(kind):
-    # the memo lives on the family: once the caller drops it, after a chain
-    # was built, verified, budgeted and measured on it, it is garbage
-    if kind == "B-general":
-        fam = geometric_family(3)
-        seq = build_sequence("B-general", alphas=(THIRD,) * 3, n_max=8)
-    else:
-        fam = TableFamily({(i, j): Fraction(1 + (3 * i + 5 * j) % 7, 2 ** (i + j))
-                           for i in range(9) for j in range(9)})
-        kind, seq = "B-d2", build_sequence("B-d2", alphas=(HALF, HALF), n_max=4)
-    cert = build_chain(kind, fam, seq)
-    assert verify_chain(cert, fam)["all"]
-    distortion_budget(cert, fam)
-    measured(cert, fam)
-    ref = weakref.ref(fam)
-    del fam
-    gc.collect()
-    assert ref() is None

@@ -23,6 +23,8 @@ from critreg.lattice import (
     symmetric_geometric_family,
 )
 
+from oracles import CHAIN_CASES
+
 # w(i, j) = 2^-(i+j+2) on a 6x6 square, as in `make_digests.TABLES`
 SQUARE = {(i, j): Fraction(1, 2 ** (i + j + 2)) for i in range(6) for j in range(6)}
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
@@ -122,37 +124,37 @@ def test_a_shorter_sequence_is_a_prefix_of_a_longer_one(name):
     assert short.start_index == long.start_index
     assert short.boxes == long.boxes[: len(short.boxes)]
 
-# (chain kind, sequence arguments, dimension of the boxes)
-CHAINS = {
-    "B-d2 (1/2, 1/2)": ("B-d2", dict(kind="B-d2", alphas=(HALF, HALF)), 2),
-    "B-d2 (1/3, 2/3)": ("B-d2", dict(kind="B-d2", alphas=(THIRD, 2 * THIRD)), 2),
-    "B-general d=3": ("B-general", dict(kind="B-general", alphas=(THIRD,) * 3), 3),
-    "B-general d=4": ("B-general", dict(kind="B-general", alphas=(Fraction(1, 4),) * 4), 4),
-    "FF-d3": ("FF-d3", dict(kind="FF", d=3), 2),
+
+# the chains of `oracles.CHAIN_CASES` whose (kind, sequence) pairs the
+# prefix relation walks, by the relation's names for them
+PREFIX_CASES = {
+    "B-d2 (1/2, 1/2)": "B-d2-half-20",
+    "B-d2 (1/3, 2/3)": "B-d2-third-12",
+    "B-general d=3": "B-general-d3-16",
+    "B-general d=4": "B-general-d4-8",
+    "FF-d3": "FF-d3-geometric-17",
 }
 FAMILIES = {"geometric": geometric_family, "symmetric-geometric": symmetric_geometric_family}
 
 
-def _chain(kind, args, family, n_max):
-    """The sequence at n_max and a chain of the kind over it, on a fresh
-    family, with its distortion budget."""
-    seq = build_sequence(**args, n_max=n_max)
-    fam = FAMILIES[family](seq.boxes[0].dim)
-    cert = build_chain(kind, fam, seq)
-    return seq, cert, distortion_budget(cert, fam)
+def _chain(case, family, n_max):
+    """The chain of the `CHAIN_CASES` case at n_max, on a fresh family of
+    the given name, with its distortion budget."""
+    fam, cert = CHAIN_CASES[case]._replace(family=FAMILIES[family], n_max=n_max).build()
+    return cert, distortion_budget(cert, fam)
 
 
-def _below(kind, args, family, n_max, cut):
+def _below(case, family, n_max, cut):
     """The records, stage counts and budget rows of the chain at n_max whose
     box index is below cut."""
-    seq, cert, budget = _chain(kind, args, family, n_max)
+    cert, budget = _chain(case, family, n_max)
     return ([r for r in cert.records if r.n < cut],
-            {n: c for n, c in stage_counts(kind, seq).items() if n < cut},
+            {n: c for n, c in stage_counts(cert.kind, cert.seq).items() if n < cut},
             [r for r in budget.rows if r.n < cut])
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("name", sorted(CHAINS))
+@pytest.mark.parametrize("name", sorted(PREFIX_CASES))
 def test_a_longer_sequence_keeps_the_chain_below_the_last_two_boxes(name, family):
     """Prefix, for chains.  A builder picks the legs of stage n from boxes
     n and n + 1 alone, at goodness levels that do not depend on n_max, and
@@ -161,11 +163,11 @@ def test_a_longer_sequence_keeps_the_chain_below_the_last_two_boxes(name, family
     records (segments, bounds and walk points), the same stage counts and
     the same budget rows: the same entry times, and Holder sums added in
     the same order."""
-    kind, args, _ = CHAINS[name]
-    cut = max(build_sequence(**args, n_max=12).indices()) - 1
-    short = _below(kind, args, family, 12, cut)
+    case = PREFIX_CASES[name]
+    cut = max(CHAIN_CASES[case].sequence(n_max=12).indices()) - 1
+    short = _below(case, family, 12, cut)
     assert all(short)
-    assert short == _below(kind, args, family, 30, cut)
+    assert short == _below(case, family, 30, cut)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -178,8 +180,7 @@ def test_b_d3_keeps_its_segments_but_not_its_bounds(family):
     of each stage, bounded by lambda over a side times a plane, change
     their bounds, and the plane-average row, bounded by 1 over a side,
     keeps its own."""
-    args = dict(kind="B-general", alphas=(THIRD,) * 3)
-    (_, short, _), (_, long, _) = (_chain("B-d3", args, family, n) for n in (12, 30))
+    (short, _), (long, _) = (_chain("B-d3-8", family, n) for n in (12, 30))
     assert (short.levels["lambda"], long.levels["lambda"]) == (1538 / 257, 98306 / 16385)
     below = [(a, b) for a, b in zip(short.records, long.records) if a.n < 11]
     assert len(below) == 30
