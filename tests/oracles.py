@@ -11,7 +11,8 @@ linear scans and the depth-first fully-good search that the chain
 searches replaced, exact packed lengths, the identity kind's draws, the
 per-step orbit of a fundamental domain, the report writer's row-by-row
 ASCII form, the split log2 masses, mass ratios and power sums summed with no
-memo, `measured`'s B_log2 with the integer parts subtracted exactly,
+memo, each record's ratio of which `measured`'s B_log2 is the largest, and
+that B_log2 with the integer parts subtracted exactly,
 the distortion budget re-summed from the walk's start for every row, the
 two-point, generator-based region checks of `Box` and
 `Segment`, and the decided walk pass's cost line and summary as
@@ -73,6 +74,7 @@ from critreg.lattice import (
     log2_add,
     log2_parts,
     mass_le,
+    mass_log2,
     symmetric_geometric_axis,
     symmetric_geometric_family,
     translated,
@@ -593,6 +595,15 @@ def _tail_log2(x: float, count: int) -> float:
         return math.log2(count)
     ln2 = math.log(2)
     return math.log2(-math.expm1(x * count * ln2)) - math.log2(-math.expm1(x * ln2))
+
+
+def power_ratio_log2(cert: ChainCertificate, family: LengthFamily, r) -> float:
+    """log2 of a record's power sum over max(L_n, L_(n+1))^alpha, from the
+    box masses L: the ratio whose largest value is B."""
+    alpha = float(cert.seq.alphas[r.seg.axis])
+    ns = [n for n in (r.n, r.n + 1) if n in cert.seq.indices()]
+    base = alpha * max(mass_log2(family, cert.seq.box(n)) for n in ns)
+    return family.range_power_log2(r.seg, alpha) - base
 
 
 def b_log2_split(cert: ChainCertificate, family: ProductFamily) -> float:

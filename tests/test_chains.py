@@ -28,7 +28,7 @@ from critreg.concat import (
 )
 from critreg.lattice import Bound, Segment, TableFamily, translated
 
-from oracles import CHAIN_CASES, b_log2_split, first_good, resummed_budget
+from oracles import CHAIN_CASES, b_log2_split, first_good, power_ratio_log2, resummed_budget
 
 CASES = sorted(CHAIN_CASES)
 CANCELLED = pytest.mark.xfail(strict=True, reason=(
@@ -134,15 +134,6 @@ def test_verify_does_not_use_the_translate_scan(case):
         assert verify_chain(cert, fam)["all"]
 
 
-def _power_ratio_log2(cert, fam, r):
-    """log2 of a record's power sum over max(L_n, L_(n+1))^alpha, from the
-    box masses L: the ratio whose largest value is B."""
-    alpha = float(cert.seq.alphas[r.seg.axis])
-    ns = [n for n in (r.n, r.n + 1) if n in cert.seq.indices()]
-    base = alpha * max(lattice.mass_log2(fam, cert.seq.box(n)) for n in ns)
-    return fam.range_power_log2(r.seg, alpha) - base
-
-
 @pytest.mark.parametrize("case", CASES)
 def test_derived_values_follow_the_records(case):
     # B and the walk's stretches are computed from the records, so a
@@ -159,7 +150,7 @@ def test_derived_values_follow_the_records(case):
     exit_ = r.seg.point(t - 1 if t else 1)
     moved_exit = cert._replace(records=(*head, r._replace(exit=exit_)))
     for chain in (cert, moved_seg):
-        want = max(_power_ratio_log2(chain, fam, x) for x in chain.records)
+        want = max(power_ratio_log2(chain, fam, x) for x in chain.records)
         assert measured(chain, fam)["B_log2"] == want
     assert measured(moved_exit, fam)["B_log2"] == measured(cert, fam)["B_log2"]
     before = walk_stretches(cert)

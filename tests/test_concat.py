@@ -52,6 +52,7 @@ from oracles import (
     goodness_ratio,
     planar_b_general,
     point_mass,
+    power_ratio_log2,
     resummed_budget,
     uniform_box_family,
 )
@@ -401,6 +402,21 @@ def test_unknown_chain_kind_is_refused():
         build_chain("nope", geometric_family(2), _TABLE_SEQS["B-d2"]())
 
 
+@pytest.mark.parametrize("kind, d", [("B-d2", 3), ("B-d2", 1), ("FF-d3", 3), ("FF-d3", 1)])
+def test_a_family_of_another_dimension_is_refused(kind, d):
+    # B-d2 and FF-d3 boxes lie on Z^2.  A family on Z^3 was read on two of
+    # its axes (on B-d2 at n_max 8: 8 records, verified, A' = 0.663), and one
+    # on Z^1 died of an IndexError
+    seq = _TABLE_SEQS[kind]()
+    cert = build_chain(kind, geometric_family(2), seq)
+    other = geometric_family(d)
+    message = f"^the family is on Z\\^{d}, but the boxes are on Z\\^2$"
+    for call in (lambda: build_chain(kind, other, seq), lambda: verify_chain(cert, other),
+                 lambda: measured(cert, other), lambda: distortion_budget(cert, other)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("d", range(3, 7))
 def test_ff_sequences_carry_the_chain_exponent(d):
     assert build_sequence("FF", d=d, n_max=2).alphas == (Fraction(2, d * (d - 1)),) * (d - 1)
@@ -422,6 +438,51 @@ def test_b_sequences_keep_their_exponents(kind, alphas):
 def test_ff_general_b_log2_keeps_the_split_value_at_n_max_40(d):
     fam, cert = CHAIN_CASES[f"FF-general-d{d}-geometric-12"]._replace(n_max=40).build()
     assert abs(measured(cert, fam)["B_log2"] - b_log2_split(cert, fam)) <= 1e-9
+
+
+# four of the registered chains, two of them at a smaller n_max, that the
+# derived values are followed on field by field
+_CHAINS = {
+    "B-d2": CHAIN_CASES["B-d2-half-20"]._replace(n_max=10),
+    "B-d3": CHAIN_CASES["B-d3-8"],
+    "B-general": CHAIN_CASES["B-general-d3-16"]._replace(n_max=10),
+    "FF-d3": CHAIN_CASES["FF-d3-symmetric-13"],
+}
+
+
+class TestVerifyChain:
+    @pytest.fixture(scope="class", params=sorted(_CHAINS))
+    def built(self, request):
+        return _CHAINS[request.param].build()
+
+    @pytest.mark.parametrize("field", ["power_sum_log2", "exit"])
+    def test_derived_values_follow_the_records(self, built, field):
+        # B and the walk's stretches are computed from the records, so a
+        # changed record moves them: nothing stored beside the records can
+        # disagree
+        fam, cert = built
+        r = cert.records[-1]
+        if field == "power_sum_log2":
+            # the last record's power sum raised: its segment moved to 0
+            # along an axis it does not move on, where the weights are heavier
+            anchor = list(r.seg.anchor)
+            anchor[(r.seg.axis + 1) % len(anchor)] = 0
+            changed_r = r._replace(seg=r.seg._replace(anchor=tuple(anchor)))
+        else:
+            # the walk leaves the last segment one point earlier
+            t = r.seg.index_of(r.exit)
+            changed_r = r._replace(exit=r.seg.point(t - 1 if t else 1))
+        changed = cert._replace(records=(*cert.records[:-1], changed_r))
+        before, after = walk_stretches(cert), walk_stretches(changed)
+        if field == "power_sum_log2":
+            b_log2 = measured(changed, fam)["B_log2"]
+            assert b_log2 == power_ratio_log2(changed, fam, changed_r)
+            assert b_log2 > measured(cert, fam)["B_log2"]
+            assert after == before
+        else:
+            assert measured(changed, fam)["B_log2"] == measured(cert, fam)["B_log2"]
+            assert after[:-1] == before[:-1]
+            assert after[-1].last() == changed_r.exit != before[-1].last()
 
 
 class TestFullyGoodSearch:
@@ -782,7 +843,64 @@ def test_b_d2_cap_line_probes_at_most_once_per_search(monkeypatch, tmp_path):
     assert len(counts) == 200 and max(counts) <= 1
 
 
+# the registered chains that the budget oracle is tried on one check at a
+# time, by the names it first had for them
+_BUDGET_CHAINS = {
+    "B-d2-half": "B-d2-half-20",
+    "B-d2-third": "B-d2-third-24",
+    "B-d3": "B-d3-16",
+    "B-general-d3": "B-general-d3-16",
+    "B-general-d4": "B-general-d4-12",
+    "FF-d3-geometric": "FF-d3-geometric-17",
+    "FF-d3-symmetric": "FF-d3-symmetric-17",
+    "FF-general-d4": "FF-general-d4-symmetric-8",
+}
+
+
 class TestBudgetOracle:
+    @pytest.mark.parametrize("case", sorted(_BUDGET_CHAINS))
+    def test_equals_resummed_budget(self, case):
+        fam, cert = CHAIN_CASES[_BUDGET_CHAINS[case]].build()
+        got = distortion_budget(cert, fam)
+        want = resummed_budget(cert, fam, CHAIN_CASES[_BUDGET_CHAINS[case]].min_fit_n)
+        assert len(got.rows) == len(want.rows) > 0
+        for a, b in zip(got.rows, want.rows):
+            assert a == b
+        assert got.a_prime == want.a_prime
+        assert got.ratio_spread == want.ratio_spread
+        assert got.fitted == want.fitted
+        assert got.total_points == want.total_points
+
+    @pytest.mark.parametrize("case", ["B-d2-third", "B-general-d4", "FF-d3-symmetric"])
+    def test_one_power_sum_per_stretch_and_row(self, case, monkeypatch):
+        fam, cert = CHAIN_CASES[_BUDGET_CHAINS[case]].build()
+        calls = []
+        inner = fam.range_power_log2
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(fam, "range_power_log2", counted)
+        rep = distortion_budget(cert, fam)
+        assert 0 < len(calls) <= len(walk_stretches(cert)) + len(rep.rows)
+
+    @pytest.mark.parametrize("case", sorted(_BUDGET_CHAINS))
+    def test_entry_scan_resumes_at_previous_row(self, case, monkeypatch):
+        # rows from the first record's index on resume at the stretch of
+        # the previous row's entry, so the scan passes each stretch about
+        # once, not once per row; the full scan of the reference agrees
+        fam, cert = CHAIN_CASES[_BUDGET_CHAINS[case]].build()
+        calls = []
+
+        def counted(stretch, box):
+            calls.append(stretch)
+            return _stretch_entry_t(stretch, box)
+
+        monkeypatch.setattr(concat, "_stretch_entry_t", counted)
+        distortion_budget(cert, fam)
+        assert 0 < len(calls) <= len(walk_stretches(cert)) + 2 * len(cert.seq.indices())
+
     def test_cases_cover_short_stretches_and_final_cuts(self):
         # the budget check of tests/test_chains.py meets count-1 stretches
         # before the last, and last entries inside the final stretch, which
